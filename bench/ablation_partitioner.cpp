@@ -93,8 +93,10 @@ int main() {
       fn.ranked_pipelines =
           core::EnumerateRankedPipelines(fn.dag, 4, policy);
     }
-    core::FluidFaasPlatform plat(simulator, c, rec, workload.functions,
-                                 cfg.platform);
+    auto state = std::make_shared<core::FfsState>();
+    platform::PlatformCore plat(simulator, c, workload.functions,
+                                cfg.platform, core::MakeFluidFaasBundle(state));
+    rec.SubscribeTo(simulator.bus());
     plat.Start();
     for (const auto& inv : workload.trace) {
       simulator.At(inv.time, [&plat, fn = inv.fn] { plat.Submit(fn); });
@@ -105,7 +107,7 @@ int main() {
     e2e.AddRow({PolicyName(policy),
                 metrics::Fmt(rec.WindowedThroughput(cfg.duration), 1),
                 metrics::FmtPercent(rec.SloHitRate()),
-                std::to_string(plat.pipelines_launched())});
+                std::to_string(state->pipelines_launched)});
   }
   e2e.Print();
   std::cout << "\nCV ranking deploys the balanced splits first; greedy\n"

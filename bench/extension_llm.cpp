@@ -27,8 +27,10 @@ ServiceResult Serve(model::LlmSize size, double rps, SimDuration duration) {
       2.0, /*max_stages=*/6));
   platform::PlatformConfig config;
   config.max_stages = 6;
-  core::FluidFaasPlatform plat(sim, cluster, recorder, std::move(fns),
-                               config);
+  auto state = std::make_shared<core::FfsState>();
+  platform::PlatformCore plat(sim, cluster, std::move(fns), config,
+                              core::MakeFluidFaasBundle(state));
+  recorder.SubscribeTo(sim.bus());
   plat.Start();
   const auto gap = static_cast<SimDuration>(1e6 / rps);
   for (SimTime t = 0; t < duration; t += gap) {
@@ -42,7 +44,7 @@ ServiceResult Serve(model::LlmSize size, double rps, SimDuration duration) {
   r.slo = recorder.SloHitRate();
   auto lats = recorder.LatenciesSeconds();
   r.p95 = lats.empty() ? 0.0 : Percentile(lats, 0.95);
-  r.pipelines = plat.pipelines_launched();
+  r.pipelines = state->pipelines_launched;
   return r;
 }
 

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/ffs_platform.h"
 #include "core/pipeline.h"
+#include "metrics/recorder.h"
 #include "metrics/report.h"
 #include "model/zoo.h"
 #include "platform/placement.h"

@@ -8,6 +8,7 @@
 
 #include "baselines/esg_platform.h"
 #include "core/ffs_platform.h"
+#include "metrics/recorder.h"
 #include "metrics/report.h"
 #include "model/zoo.h"
 
@@ -22,8 +23,7 @@ struct Outcome {
   double p95_s = 0.0;
 };
 
-template <typename PlatformT>
-Outcome Run(const char* name) {
+Outcome Run(const char* name, platform::PolicyBundle bundle) {
   sim::Simulator sim;
   // One node, two GPUs, default partition (Fig. 1's layout class).
   auto cluster = gpu::Cluster::Uniform(1, 2, gpu::DefaultPartition());
@@ -36,7 +36,9 @@ Outcome Run(const char* name) {
       model::BuildApp(0, model::Variant::kLarge), 1.5));
 
   platform::PlatformConfig config;
-  PlatformT platform(sim, cluster, recorder, std::move(fns), config);
+  platform::PlatformCore platform(sim, cluster, std::move(fns), config,
+                                  std::move(bundle));
+  recorder.SubscribeTo(sim.bus());
 
   // Fragment the cluster first: both 4g slices are held by other tenants
   // ("instance A/B/C" of Fig. 1). Only 2g and 1g fragments remain.
@@ -73,8 +75,8 @@ int main() {
       << "Fig. 1 scenario: both 4g.40gb slices are taken by other tenants;\n"
          "a large image-classification function (monolithic minimum "
          "3g.40gb)\nmust be served from the 2g/1g fragments.\n\n";
-  const Outcome esg = Run<baselines::EsgPlatform>("ESG (monolithic)");
-  const Outcome fluid = Run<core::FluidFaasPlatform>("FluidFaaS");
+  const Outcome esg = Run("ESG (monolithic)", baselines::MakeEsgBundle());
+  const Outcome fluid = Run("FluidFaaS", core::MakeFluidFaasBundle());
 
   metrics::Table table(
       {"platform", "completed", "SLO hit rate", "P95 latency"});

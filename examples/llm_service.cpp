@@ -5,9 +5,11 @@
 //
 //   $ ./llm_service
 #include <iostream>
+#include <memory>
 
 #include "core/ffs_platform.h"
 #include "core/partitioner.h"
+#include "metrics/recorder.h"
 #include "metrics/report.h"
 #include "model/llm.h"
 
@@ -52,8 +54,10 @@ int main() {
 
   platform::PlatformConfig config;
   config.max_stages = 6;
-  core::FluidFaasPlatform platform(sim, cluster, recorder, std::move(fns),
-                                   config);
+  auto state = std::make_shared<core::FfsState>();
+  platform::PlatformCore platform(sim, cluster, std::move(fns), config,
+                                  core::MakeFluidFaasBundle(state));
+  recorder.SubscribeTo(sim.bus());
   platform.Start();
   for (int i = 0; i < 120; ++i) {
     sim.At(Millis(400) * i, [&] { platform.Submit(FunctionId(0)); });
@@ -65,7 +69,7 @@ int main() {
   std::cout << "served " << recorder.completed_requests() << "/"
             << recorder.total_requests() << " generations, SLO hit rate "
             << metrics::FmtPercent(recorder.SloHitRate()) << ", pipelines "
-            << platform.pipelines_launched() << "\n";
+            << state->pipelines_launched << "\n";
   auto lats = recorder.LatenciesSeconds();
   if (!lats.empty()) {
     std::cout << "latency p50 " << metrics::Fmt(Percentile(lats, 0.5), 2)

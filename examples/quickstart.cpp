@@ -4,10 +4,12 @@
 //
 //   $ ./quickstart
 #include <iostream>
+#include <memory>
 
 #include "core/ffs_function.h"
 #include "core/ffs_platform.h"
 #include "core/partitioner.h"
+#include "metrics/recorder.h"
 #include "metrics/report.h"
 #include "model/zoo.h"
 #include "platform/function.h"
@@ -54,8 +56,13 @@ int main() {
       FunctionId(0), 0, model::Variant::kMedium, dag, /*slo_scale=*/1.5));
   const SimDuration slo = fns[0].slo;
 
-  core::FluidFaasPlatform platform(sim, cluster, recorder, std::move(fns),
-                                   platform::PlatformConfig{});
+  // The scheduler is a policy bundle over the concrete PlatformCore; keep
+  // the bundle's shared state to look inside it afterwards.
+  auto state = std::make_shared<core::FfsState>();
+  platform::PlatformCore platform(sim, cluster, std::move(fns),
+                                  platform::PlatformConfig{},
+                                  core::MakeFluidFaasBundle(state));
+  recorder.SubscribeTo(sim.bus());
   platform.Start();
 
   // 10 requests per second for 90 seconds — under what the two GPUs can
@@ -72,9 +79,9 @@ int main() {
             << recorder.total_requests() << " requests; SLO ("
             << metrics::FmtMillis(static_cast<double>(slo)) << "): "
             << metrics::FmtPercent(recorder.SloHitRate()) << " hit rate\n"
-            << "pipelines launched: " << platform.pipelines_launched()
-            << ", promotions: " << platform.promotions()
-            << ", evictions: " << platform.evictions() << "\n";
+            << "pipelines launched: " << state->pipelines_launched
+            << ", promotions: " << state->promotions
+            << ", evictions: " << state->evictions << "\n";
   const auto bd = recorder.MeanBreakdown();
   std::cout << "mean breakdown: queue " << metrics::FmtMillis(bd.queue)
             << ", load " << metrics::FmtMillis(bd.load) << ", exec "

@@ -200,31 +200,4 @@ void RegisterBaselineSchedulers() {
                               [] { return MakeRepartitionBundle(); });
 }
 
-EsgPlatform::EsgPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                         metrics::Recorder& recorder,
-                         std::vector<platform::FunctionSpec> functions,
-                         platform::PlatformConfig config)
-    : EsgPlatform(sim, cluster, recorder, std::move(functions), config,
-                  std::make_shared<EsgState>()) {}
-
-EsgPlatform::EsgPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                         metrics::Recorder& recorder,
-                         std::vector<platform::FunctionSpec> functions,
-                         platform::PlatformConfig config,
-                         std::shared_ptr<EsgState> state)
-    : PlatformCore(sim, cluster, std::move(functions), config,
-                   MakeEsgBundle(state)),
-      state_(std::move(state)) {
-  recorder.SubscribeTo(sim.bus());
-}
-
-InflessPlatform::InflessPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                                 metrics::Recorder& recorder,
-                                 std::vector<platform::FunctionSpec> functions,
-                                 platform::PlatformConfig config)
-    : PlatformCore(sim, cluster, std::move(functions), config,
-                   MakeInflessBundle()) {
-  recorder.SubscribeTo(sim.bus());
-}
-
 }  // namespace fluidfaas::baselines

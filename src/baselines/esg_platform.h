@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "metrics/recorder.h"
 #include "platform/platform.h"
 #include "platform/policy.h"
 
@@ -80,33 +79,5 @@ platform::PolicyBundle MakeInflessBundle();
 /// Register "ESG", "INFless" and "Repartition" in the platform::registry
 /// factory. Idempotent.
 void RegisterBaselineSchedulers();
-
-/// Convenience platforms pre-wired with their bundle; each subscribes
-/// `recorder` to the simulator's bus.
-class EsgPlatform : public platform::PlatformCore {
- public:
-  EsgPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-              metrics::Recorder& recorder,
-              std::vector<platform::FunctionSpec> functions,
-              platform::PlatformConfig config);
-
-  std::size_t searches() const { return state_->searches; }
-
- private:
-  EsgPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-              metrics::Recorder& recorder,
-              std::vector<platform::FunctionSpec> functions,
-              platform::PlatformConfig config, std::shared_ptr<EsgState> state);
-
-  std::shared_ptr<EsgState> state_;
-};
-
-class InflessPlatform : public platform::PlatformCore {
- public:
-  InflessPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                  metrics::Recorder& recorder,
-                  std::vector<platform::FunctionSpec> functions,
-                  platform::PlatformConfig config);
-};
 
 }  // namespace fluidfaas::baselines

@@ -218,25 +218,4 @@ platform::PolicyBundle MakeRepartitionBundle(
   return bundle;
 }
 
-RepartitionPlatform::RepartitionPlatform(
-    sim::Simulator& sim, gpu::Cluster& cluster, metrics::Recorder& recorder,
-    std::vector<platform::FunctionSpec> functions,
-    platform::PlatformConfig config)
-    : RepartitionPlatform(sim, cluster, recorder, std::move(functions), config,
-                          std::make_shared<RepartitionState>()) {}
-
-RepartitionPlatform::RepartitionPlatform(
-    sim::Simulator& sim, gpu::Cluster& cluster, metrics::Recorder& recorder,
-    std::vector<platform::FunctionSpec> functions,
-    platform::PlatformConfig config, std::shared_ptr<RepartitionState> state)
-    : PlatformCore(sim, cluster, std::move(functions), config,
-                   MakeRepartitionBundle(state)),
-      state_(std::move(state)) {
-  recorder.SubscribeTo(sim.bus());
-}
-
-gpu::MigPartition RepartitionPlatform::BestPartitionFor(Bytes needed_memory) {
-  return BestRepartitionFor(needed_memory);
-}
-
 }  // namespace fluidfaas::baselines

@@ -19,7 +19,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "metrics/recorder.h"
 #include "platform/platform.h"
 #include "platform/policy.h"
 
@@ -86,32 +85,5 @@ class RepartitionScaling final : public platform::ScalingPolicy {
 
 platform::PolicyBundle MakeRepartitionBundle(
     std::shared_ptr<RepartitionState> state = nullptr);
-
-/// Convenience platform pre-wired with the Repartition bundle; subscribes
-/// `recorder` to the simulator's bus.
-class RepartitionPlatform : public platform::PlatformCore {
- public:
-  RepartitionPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                      metrics::Recorder& recorder,
-                      std::vector<platform::FunctionSpec> functions,
-                      platform::PlatformConfig config);
-
-  std::size_t reconfigurations() const { return state_->reconfigurations; }
-  SimDuration reconfiguration_blackout() const {
-    return state_->blackout_total;
-  }
-
-  /// Exposed for tests; see BestRepartitionFor.
-  static gpu::MigPartition BestPartitionFor(Bytes needed_memory);
-
- private:
-  RepartitionPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                      metrics::Recorder& recorder,
-                      std::vector<platform::FunctionSpec> functions,
-                      platform::PlatformConfig config,
-                      std::shared_ptr<RepartitionState> state);
-
-  std::shared_ptr<RepartitionState> state_;
-};
 
 }  // namespace fluidfaas::baselines

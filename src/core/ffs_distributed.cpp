@@ -1,15 +1,9 @@
 #include "core/ffs_distributed.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/error.h"
-#include "common/logging.h"
-#include "core/partitioner.h"
-#include "core/pipeline.h"
-#include "gpu/cluster_view.h"
-#include "platform/placement.h"
 #include "sim/events.h"
 
 namespace fluidfaas::core {
@@ -19,69 +13,61 @@ using platform::InstanceState;
 
 void DistState::EnsureSized(const platform::PlatformCore& core) {
   if (!invokers.empty()) return;
-  const gpu::Cluster& cluster = core.cluster();
-  invokers.resize(static_cast<std::size_t>(cluster.num_nodes()));
-  for (int n = 0; n < cluster.num_nodes(); ++n) {
-    invokers[static_cast<std::size_t>(n)].node = NodeId(n);
-    invokers[static_cast<std::size_t>(n)].per_fn.resize(
-        core.functions().size());
-  }
-}
-
-DistState::FnState& DistState::state(Invoker& inv, FunctionId fn) {
-  FFS_CHECK(fn.valid() &&
-            static_cast<std::size_t>(fn.value) < inv.per_fn.size());
-  return inv.per_fn[static_cast<std::size_t>(fn.value)];
-}
-
-void DistState::PruneDead(FnState& st) {
-  std::erase_if(st.eh, [](Instance* i) {
-    return i->state() == InstanceState::kRetired ||
-           i->state() == InstanceState::kDraining;
-  });
-  if (st.ts != nullptr && st.ts->state() == InstanceState::kRetired) {
-    st.ts = nullptr;
+  for (int n = 0; n < core.cluster().num_nodes(); ++n) {
+    Invoker& inv = invokers.emplace_back(NodeId(n));
+    inv.domain.EnsureSized(core);
+    inv.arrivals.resize(core.functions().size());
   }
 }
 
 platform::SchedulerCounters DistState::counters() const {
   platform::SchedulerCounters c;
-  c.evictions = evictions;
-  c.pipelines_launched = pipelines_launched;
+  for (const Invoker& inv : invokers) {
+    c.evictions += inv.domain.evictions;
+    c.pipelines_launched += inv.domain.pipelines_launched;
+  }
   return c;
 }
 
 int DistState::ChooseInvoker(platform::PlatformCore& core, FunctionId fn,
                              SimTime now) {
-  // Prefer the invoker whose live instances of `fn` promise the earliest
-  // completion (request affinity keeps models warm); break ties — and the
-  // no-instances case — with the invoker holding the most free GPCs.
+  // Prefer the invoker whose admitting instances of `fn` promise the
+  // earliest completion (request affinity keeps models warm). An
+  // exclusive-hot instance that ties the best estimate so far takes the
+  // pick, so such ties go to the last invoker scanned; a time-sharing
+  // instance has to beat it strictly.
   int best = -1;
   SimTime best_est = kTimeInfinity;
   for (std::size_t i = 0; i < invokers.size(); ++i) {
-    FnState& st = state(invokers[i], fn);
-    PruneDead(st);
+    FfsState& domain = invokers[i].domain;
+    FfsState::FnState& st = domain.state(fn);
+    domain.PruneDead(st);
     for (Instance* inst : st.eh) {
-      if (inst->CanAdmit()) {
-        best_est = std::min(best_est, inst->EstimateCompletion(now));
-        if (best_est == inst->EstimateCompletion(now)) {
-          best = static_cast<int>(i);
-        }
+      if (!inst->CanAdmit()) continue;
+      const SimTime est = inst->EstimateCompletion(now);
+      if (est <= best_est) {
+        best_est = est;
+        best = static_cast<int>(i);
       }
     }
-    if (st.ts != nullptr && st.ts->CanAdmit() &&
-        st.ts->EstimateCompletion(now) < best_est) {
-      best_est = st.ts->EstimateCompletion(now);
-      best = static_cast<int>(i);
+    if (st.ts != nullptr && st.ts->CanAdmit()) {
+      const SimTime est = st.ts->EstimateCompletion(now);
+      if (est < best_est) {
+        best_est = est;
+        best = static_cast<int>(i);
+      }
     }
   }
   if (best >= 0) return best;
 
+  // No admitting instance anywhere: the invoker with the most free GPCs,
+  // the lowest index on a tie.
   int most_free = 0;
   int free_gpcs = -1;
   for (std::size_t i = 0; i < invokers.size(); ++i) {
     int g = 0;
-    for (SliceId sid : core.cluster().FreeSlicesOnNode(invokers[i].node)) {
+    for (SliceId sid :
+         core.cluster().FreeSlicesOnNode(*invokers[i].domain.node())) {
       g += core.cluster().slice(sid).gpcs();
     }
     if (g > free_gpcs) {
@@ -92,194 +78,26 @@ int DistState::ChooseInvoker(platform::PlatformCore& core, FunctionId fn,
   return most_free;
 }
 
-platform::Instance* DistState::LaunchExclusiveOn(
-    platform::PlatformCore& core, Invoker& inv,
-    const platform::FunctionSpec& spec) {
-  // Optimistic concurrency: plan on a snapshot, commit, and on a conflict
-  // abort (another invoker took the slice between snapshot and commit)
-  // re-plan from fresh state instead of pre-locking anything.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    gpu::ClusterView view(core.cluster());
-    std::optional<PipelinePlan> plan;
-    if (core.config().enable_pipelines) {
-      for (const PipelineCandidate& cand : spec.ranked_pipelines) {
-        plan = TryPlanOnNode(spec.dag, cand, view, inv.node,
-                             core.config().transfer);
-        if (plan) break;
-      }
-    } else {
-      for (SliceId sid : view.FreeSlicesOnNode(inv.node)) {
-        if (view.slice(sid).memory() < spec.total_memory) continue;
-        plan = MonolithicPlanOnSlice(spec.dag, view, sid);
-        if (plan) break;
-      }
-    }
-    if (!plan) return nullptr;
-    const bool pipelined = plan->num_stages() > 1;
-    const platform::CommitResult result = core.Commit(
-        platform::SpawnPlan(spec.id, std::move(*plan), core.IsWarm(spec.id)));
-    if (!result.ok()) continue;  // lost the race; take a fresh snapshot
-    if (pipelined) ++pipelines_launched;
-    Instance* inst = result.spawned.front();
-    state(inv, spec.id).eh.push_back(inst);
-    return inst;
-  }
-  return nullptr;
-}
-
-platform::Instance* DistState::EnsureTsResidentOn(platform::PlatformCore& core,
-                                                  Invoker& inv,
-                                                  FunctionId fn) {
-  FnState& st = state(inv, fn);
-  FFS_CHECK(st.ts == nullptr);
-  const platform::FunctionSpec& spec = core.function(fn);
-
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    gpu::ClusterView view(core.cluster());
-    platform::PlacementPlan txn;
-
-    // Smallest free slice on this node.
-    std::optional<SliceId> sid;
-    for (SliceId cand : view.FreeSlicesOnNode(inv.node)) {
-      const auto& s = view.slice(cand);
-      if (s.memory() < spec.total_memory) continue;
-      if (!sid || view.slice(*sid).gpcs() > s.gpcs()) sid = cand;
-    }
-    SimDuration evict_cost = 0;
-    FunctionId victim;
-    InstanceId victim_iid;
-    if (!sid) {
-      // LRU idle resident TS instance on THIS invoker.
-      SimTime oldest = kTimeInfinity;
-      for (std::size_t f = 0; f < inv.per_fn.size(); ++f) {
-        FnState& other = inv.per_fn[f];
-        if (other.ts == nullptr || !other.ts->Idle()) continue;
-        if (FunctionId(static_cast<std::int32_t>(f)) == fn) continue;
-        const auto& b = other.ts->plan().stages.front();
-        if (view.slice(b.slice).memory() < spec.total_memory) continue;
-        if (other.ts->last_used() < oldest) {
-          oldest = other.ts->last_used();
-          victim = FunctionId(static_cast<std::int32_t>(f));
-        }
-      }
-      if (!victim.valid()) return nullptr;
-      FnState& vic = state(inv, victim);
-      const SliceId freed = vic.ts->plan().stages.front().slice;
-      victim_iid = vic.ts->id();
-      evict_cost = core.config().load.Evict(vic.ts->plan().TotalWeights());
-      platform::AddEvict(txn, view, victim_iid, vic.ts->plan());
-      sid = freed;
-    }
-    auto plan = MonolithicPlanOnSlice(spec.dag, view, *sid);
-    if (!plan) return nullptr;
-    platform::AddSpawn(txn, view, fn, std::move(*plan), core.IsWarm(fn),
-                       evict_cost);
-    const platform::CommitResult result = core.Commit(txn);
-    if (!result.ok()) continue;  // conflict: re-plan from live state
-
-    if (victim.valid()) {
-      state(inv, victim).ts = nullptr;
-      ++evictions;
-      core.bus().Publish(sim::SchedulerTransition{
-          sim::TransitionKind::kEviction, victim, victim_iid,
-          core.simulator().Now()});
-    }
-    Instance* inst = result.spawned.front();
-    st.ts = inst;
-    st.has_ts = true;
-    st.ts_last_used = core.simulator().Now();
-    return inst;
-  }
-  return nullptr;
-}
-
-bool DistState::RouteOn(platform::PlatformCore& core, Invoker& inv,
-                        RequestId rid, FunctionId fn) {
-  FnState& st = state(inv, fn);
-  PruneDead(st);
-  const platform::FunctionSpec& spec = core.function(fn);
-  const SimTime now = core.simulator().Now();
-  const SimTime deadline = core.DeadlineOf(rid);
-
-  std::vector<Instance*> hot;
-  for (Instance* inst : st.eh) {
-    if (inst->CanAdmit()) hot.push_back(inst);
-  }
-  std::sort(hot.begin(), hot.end(), [](Instance* a, Instance* b) {
-    if (a->ServiceLatency() != b->ServiceLatency())
-      return a->ServiceLatency() < b->ServiceLatency();
-    return a->id() < b->id();
-  });
-  for (Instance* inst : hot) {
-    if (inst->EstimateCompletion(now) <= deadline) {
-      inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-      st.ts_last_used = now;
-      return true;
-    }
-  }
-  if (core.config().enable_time_sharing) {
-    if (st.ts != nullptr && st.ts->CanAdmit()) {
-      if (st.ts->EstimateCompletion(now) <= deadline || hot.empty()) {
-        st.ts->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-        st.ts_last_used = now;
-        return true;
-      }
-    } else if (st.ts == nullptr) {
-      Instance* inst = EnsureTsResidentOn(core, inv, fn);
-      if (inst != nullptr) {
-        inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-        st.ts_last_used = now;
-        return true;
-      }
-    }
-  } else if (hot.empty()) {
-    Instance* inst = LaunchExclusiveOn(core, inv, spec);
-    if (inst != nullptr) {
-      inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-      return true;
-    }
-  }
-  Instance* best = nullptr;
-  SimTime best_est = kTimeInfinity;
-  for (Instance* inst : st.eh) {
-    if (!inst->CanAdmit()) continue;
-    const SimTime est = inst->EstimateCompletion(now);
-    if (est < best_est) {
-      best_est = est;
-      best = inst;
-    }
-  }
-  if (st.ts != nullptr && st.ts->CanAdmit() &&
-      st.ts->EstimateCompletion(now) < best_est) {
-    best = st.ts;
-  }
-  if (best != nullptr && best->AdmitWithinBound(now, deadline, spec.slo)) {
-    best->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-    st.ts_last_used = now;
-    return true;
-  }
-  return false;
-}
-
 void DistRouting::Attach(platform::PlatformCore& core) {
   st_->EnsureSized(core);
 }
 
 bool DistRouting::Route(platform::PlatformCore& core, RequestId rid,
                         FunctionId fn) {
-  const SimTime now = core.simulator().Now();
-  const int chosen = st_->ChooseInvoker(core, fn, now);
-  DistState::Invoker& inv = st_->invoker(chosen);
-  st_->state(inv, fn).arrivals_this_tick += 1;
-  if (st_->RouteOn(core, inv, rid, fn)) {
+  const std::size_t f = static_cast<std::size_t>(fn.value);
+  const int chosen = st_->ChooseInvoker(core, fn, core.simulator().Now());
+  DistState::Invoker& inv = st_->invokers[static_cast<std::size_t>(chosen)];
+  inv.arrivals[f].this_tick += 1;
+  if (inv.domain.Route(core, rid, fn)) {
     inv.routed += 1;
     return true;
   }
   // Spillover: any other invoker that will take it.
   for (std::size_t i = 0; i < st_->invokers.size(); ++i) {
     if (static_cast<int>(i) == chosen) continue;
-    if (st_->RouteOn(core, st_->invokers[i], rid, fn)) {
-      st_->invokers[i].routed += 1;
+    DistState::Invoker& other = st_->invokers[i];
+    if (other.domain.Route(core, rid, fn)) {
+      other.routed += 1;
       return true;
     }
   }
@@ -292,67 +110,50 @@ void DistScaling::Attach(platform::PlatformCore& core) {
 
 void DistScaling::OnCompleted(platform::PlatformCore& core, RequestId,
                               FunctionId fn) {
+  // A completion refreshes fn's time-sharing entry on every invoker, not
+  // only on the one that served it.
   const SimTime now = core.simulator().Now();
   for (DistState::Invoker& inv : st_->invokers) {
-    st_->state(inv, fn).ts_last_used =
-        std::max(st_->state(inv, fn).ts_last_used, now);
-    for (Instance* inst : core.InstancesOf(fn)) {
-      if (inst->state() == InstanceState::kDraining && inst->Idle()) {
-        core.RetireInstance(inst);
-      }
+    inv.domain.state(fn).ts_last_used = now;
+  }
+  for (Instance* inst : core.InstancesOf(fn)) {
+    if (inst->state() == InstanceState::kDraining && inst->Idle()) {
+      core.RetireInstance(inst);
     }
   }
 }
 
 void DistScaling::Tick(platform::PlatformCore& core) {
   const SimTime now = core.simulator().Now();
-  const double period_s = ToSeconds(core.config().autoscale_period);
+  const platform::PlatformConfig& cfg = core.config();
+  const double period_s = ToSeconds(cfg.autoscale_period);
 
   for (DistState::Invoker& inv : st_->invokers) {
-    for (std::size_t f = 0; f < inv.per_fn.size(); ++f) {
+    FfsState& domain = inv.domain;
+    for (std::size_t f = 0; f < domain.fn_state.size(); ++f) {
       const FunctionId fn(static_cast<std::int32_t>(f));
-      DistState::FnState& st = inv.per_fn[f];
-      st_->PruneDead(st);
-      const platform::FunctionSpec& spec = core.function(fn);
+      FfsState::FnState& st = domain.state(fn);
+      domain.PruneDead(st);
 
-      // Invoker-local arrival estimate.
-      st.arrival_ewma =
-          0.5 * st.arrival_ewma + 0.5 * (st.arrivals_this_tick / period_s);
-      if (st.arrival_ewma < 1e-6) st.arrival_ewma = 0.0;
-      st.arrivals_this_tick = 0;
+      // Difference 1: scale-up follows the invoker-local arrival EWMA (the
+      // requests the load balancer sent here), not the core's global rate.
+      DistState::Arrivals& a = inv.arrivals[f];
+      a.ewma = 0.5 * a.ewma + 0.5 * (a.this_tick / period_s);
+      if (a.ewma < 1e-6) a.ewma = 0.0;
+      a.this_tick = 0;
 
-      // Promotion (re-branding, as in the centralized scheduler).
-      if (st.ts != nullptr &&
-          core.UtilizationOf(st.ts) > core.config().hot_threshold) {
-        const InstanceId iid = st.ts->id();
-        st.eh.push_back(st.ts);
-        st.ts = nullptr;
-        st.has_ts = false;
-        core.bus().Publish(sim::SchedulerTransition{
-            sim::TransitionKind::kPromotion, fn, iid, now});
-      }
+      domain.Promote(core, fn);
+      domain.ScaleUp(core, core.function(fn), a.ewma);
 
-      // Local scale-up.
-      double capacity = 0.0;
-      for (Instance* inst : st.eh) {
-        if (inst->CanAdmit()) capacity += inst->CapacityRps();
-      }
-      int guard = 0;
-      while (st.arrival_ewma >
-                 core.config().scaleup_load_factor * capacity &&
-             guard++ < 8) {
-        Instance* inst = st_->LaunchExclusiveOn(core, inv, spec);
-        if (inst == nullptr) break;
-        capacity += inst->CapacityRps();
-      }
-
-      // Scale-down / demotion.
+      // Difference 2: the demotion rule. Only a monolithic last instance
+      // becomes the time-sharing entry; a pipelined one is always retired,
+      // leaving a warm entry behind when time sharing is on.
       for (Instance* inst : std::vector<Instance*>(st.eh)) {
         if (inst->state() != InstanceState::kReady || !inst->Idle()) continue;
-        if (now - inst->last_used() < core.config().util_window) continue;
-        if (core.UtilizationOf(inst) >= core.config().hot_threshold) continue;
-        if (core.config().enable_time_sharing && !st.has_ts &&
-            st.eh.size() == 1 && !inst->IsPipelined()) {
+        if (now - inst->last_used() < cfg.util_window) continue;
+        if (core.UtilizationOf(inst) >= cfg.hot_threshold) continue;
+        if (cfg.enable_time_sharing && !st.has_ts && st.eh.size() == 1 &&
+            !inst->IsPipelined()) {
           std::erase(st.eh, inst);
           st.ts = inst;
           st.has_ts = true;
@@ -360,31 +161,30 @@ void DistScaling::Tick(platform::PlatformCore& core) {
           core.bus().Publish(sim::SchedulerTransition{
               sim::TransitionKind::kDemotion, fn, inst->id(), now});
         } else if (st.eh.size() > 1 ||
-                   (core.config().enable_time_sharing && st.has_ts) ||
+                   (cfg.enable_time_sharing && st.has_ts) ||
                    inst->IsPipelined()) {
           std::erase(st.eh, inst);
           core.RetireInstance(inst);
-          if (core.config().enable_time_sharing && !st.has_ts &&
-              st.eh.empty()) {
+          if (cfg.enable_time_sharing && !st.has_ts && st.eh.empty()) {
             st.has_ts = true;  // warm entry
             st.ts_last_used = inst->last_used();
           }
-        } else if (!core.config().enable_time_sharing &&
-                   now - inst->last_used() >=
-                       core.config().exclusive_keepalive) {
+        } else if (!cfg.enable_time_sharing &&
+                   now - inst->last_used() >= cfg.exclusive_keepalive) {
           std::erase(st.eh, inst);
           core.RetireInstance(inst);
         }
       }
 
       // Cold transition.
-      if (st.has_ts && now - st.ts_last_used > core.config().warm_timeout) {
+      if (st.has_ts && now - st.ts_last_used > cfg.warm_timeout) {
         if (st.ts != nullptr && st.ts->Idle()) {
           core.RetireInstance(st.ts);
           st.ts = nullptr;
         }
         if (st.ts == nullptr) st.has_ts = false;
       }
+      // Difference 3: no pipeline migration.
     }
   }
 }
@@ -397,31 +197,6 @@ platform::PolicyBundle MakeDistributedBundle(std::shared_ptr<DistState> state) {
   bundle.scaling = std::make_unique<DistScaling>(state);
   bundle.counters = [state] { return state->counters(); };
   return bundle;
-}
-
-DistributedFluidFaas::DistributedFluidFaas(
-    sim::Simulator& sim, gpu::Cluster& cluster, metrics::Recorder& recorder,
-    std::vector<platform::FunctionSpec> functions,
-    platform::PlatformConfig config)
-    : DistributedFluidFaas(sim, cluster, recorder, std::move(functions),
-                           config, std::make_shared<DistState>()) {}
-
-DistributedFluidFaas::DistributedFluidFaas(
-    sim::Simulator& sim, gpu::Cluster& cluster, metrics::Recorder& recorder,
-    std::vector<platform::FunctionSpec> functions,
-    platform::PlatformConfig config, std::shared_ptr<DistState> state)
-    : PlatformCore(sim, cluster, std::move(functions), config,
-                   MakeDistributedBundle(state)),
-      state_(std::move(state)) {
-  recorder.SubscribeTo(sim.bus());
-}
-
-std::vector<std::size_t> DistributedFluidFaas::RoutedPerInvoker() const {
-  std::vector<std::size_t> out;
-  for (const DistState::Invoker& inv : state_->invokers) {
-    out.push_back(inv.routed);
-  }
-  return out;
 }
 
 }  // namespace fluidfaas::core

@@ -6,10 +6,10 @@
 // adapting to the invoker's current conditions", with the central
 // controller left unmodified. The centralized FluidFaaS bundle models that
 // logically (its planner already confines a pipeline to one node); this
-// bundle models it *structurally*: one invoker per node, each owning only
-// its node's instances and free slices, with a front load balancer that
-// picks an invoker per request and per-invoker autoscaling driven by each
-// invoker's own observed arrivals.
+// bundle models it *structurally*: one invoker per node, each running the
+// stock FluidFaaS scheduling domain (core::FfsState) scoped to its node,
+// with a front load balancer that picks an invoker per request and
+// per-invoker autoscaling driven by each invoker's own observed arrivals.
 //
 // The bench `ablation_decentralized` compares the two: they should deliver
 // similar quality on balanced clusters, with the decentralized form paying
@@ -20,56 +20,38 @@
 #include <memory>
 #include <vector>
 
-#include "metrics/recorder.h"
+#include "core/ffs_platform.h"
 #include "platform/platform.h"
 #include "platform/policy.h"
 
 namespace fluidfaas::core {
 
-/// Per-invoker scheduler state shared by DistRouting and DistScaling.
+/// State shared by DistRouting and DistScaling: one node-scoped FluidFaaS
+/// domain per invoker, plus what the front tier adds on top of it.
 class DistState {
  public:
-  struct FnState {
-    std::vector<platform::Instance*> eh;
-    platform::Instance* ts = nullptr;
-    bool has_ts = false;
-    SimTime ts_last_used = 0;
-    double arrival_ewma = 0.0;  // invoker-local rate estimate (req/s)
-    int arrivals_this_tick = 0;
+  struct Arrivals {
+    double ewma = 0.0;  // invoker-local rate estimate (req/s)
+    int this_tick = 0;
   };
   struct Invoker {
-    NodeId node;
-    std::vector<FnState> per_fn;
-    std::size_t routed = 0;
+    explicit Invoker(NodeId node) : domain(node) {}
+    FfsState domain;                // the invoker-local scheduler
+    std::vector<Arrivals> arrivals;  // per function
+    std::size_t routed = 0;          // requests the load balancer sent here
   };
 
   void EnsureSized(const platform::PlatformCore& core);
-
-  Invoker& invoker(int idx) {
-    return invokers[static_cast<std::size_t>(idx)];
-  }
-  FnState& state(Invoker& inv, FunctionId fn);
 
   /// The FFS load balancer: pick the invoker for a request — the one whose
   /// instances of `fn` promise the earliest completion, else the one with
   /// the most free capacity.
   int ChooseInvoker(platform::PlatformCore& core, FunctionId fn, SimTime now);
 
-  /// Local (per-invoker) versions of the centralized scheduler's moves.
-  platform::Instance* LaunchExclusiveOn(platform::PlatformCore& core,
-                                        Invoker& inv,
-                                        const platform::FunctionSpec& spec);
-  platform::Instance* EnsureTsResidentOn(platform::PlatformCore& core,
-                                         Invoker& inv, FunctionId fn);
-  bool RouteOn(platform::PlatformCore& core, Invoker& inv, RequestId rid,
-               FunctionId fn);
-  void PruneDead(FnState& st);
-
+  /// Sum of the invokers' counters.
   platform::SchedulerCounters counters() const;
 
   std::vector<Invoker> invokers;
-  std::size_t pipelines_launched = 0;
-  std::size_t evictions = 0;
 };
 
 class DistRouting final : public platform::RoutingPolicy {
@@ -95,35 +77,9 @@ class DistScaling final : public platform::ScalingPolicy {
   std::shared_ptr<DistState> st_;
 };
 
-/// The decentralized FluidFaaS bundle ("FluidFaaS-dist").
+/// The decentralized FluidFaaS bundle ("FluidFaaS-dist"). Pass a state to
+/// share it with the caller (introspection); defaults to a fresh one.
 platform::PolicyBundle MakeDistributedBundle(
     std::shared_ptr<DistState> state = nullptr);
-
-/// Convenience platform pre-wired with the distributed bundle; subscribes
-/// `recorder` to the simulator's bus.
-class DistributedFluidFaas : public platform::PlatformCore {
- public:
-  DistributedFluidFaas(sim::Simulator& sim, gpu::Cluster& cluster,
-                       metrics::Recorder& recorder,
-                       std::vector<platform::FunctionSpec> functions,
-                       platform::PlatformConfig config);
-
-  int num_invokers() const {
-    return static_cast<int>(state_->invokers.size());
-  }
-  std::size_t pipelines_launched() const { return state_->pipelines_launched; }
-  std::size_t evictions() const { return state_->evictions; }
-  /// Requests the load balancer sent to each invoker.
-  std::vector<std::size_t> RoutedPerInvoker() const;
-
- private:
-  DistributedFluidFaas(sim::Simulator& sim, gpu::Cluster& cluster,
-                       metrics::Recorder& recorder,
-                       std::vector<platform::FunctionSpec> functions,
-                       platform::PlatformConfig config,
-                       std::shared_ptr<DistState> state);
-
-  std::shared_ptr<DistState> state_;
-};
 
 }  // namespace fluidfaas::core

@@ -68,7 +68,7 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
   // spawn onto the freed slice are one placement transaction.
   gpu::ClusterView view(core.cluster());
   platform::PlacementPlan txn;
-  auto sid = view.SmallestFreeSliceWithMemory(spec.total_memory);
+  auto sid = view.SmallestFreeSliceWithMemory(spec.total_memory, node_);
   SimDuration evict_cost = 0;
   FunctionId victim_fn;
   InstanceId victim_iid;
@@ -127,10 +127,10 @@ platform::Instance* FfsState::LaunchExclusive(
   std::optional<PipelinePlan> plan;
   if (core.config().enable_pipelines) {
     plan = PlanFirstFeasible(spec.dag, spec.ranked_pipelines, core.cluster(),
-                             core.config().transfer);
+                             core.config().transfer, node_);
   } else {
     // Ablation: monolithic-only placement.
-    plan = MonolithicPlanOnSmallestSlice(spec.dag, core.cluster());
+    plan = MonolithicPlanOnSmallestSlice(spec.dag, core.cluster(), node_);
   }
   if (!plan) return nullptr;
   const bool pipelined = plan->num_stages() > 1;
@@ -154,14 +154,10 @@ void FfsState::RetireDrainedIdle(platform::PlatformCore& core) {
   }
 }
 
-void FfsRouting::Attach(platform::PlatformCore& core) {
-  st_->EnsureSized(core);
-}
-
-bool FfsRouting::Route(platform::PlatformCore& core, RequestId rid,
-                       FunctionId fn) {
-  FfsState::FnState& st = st_->state(fn);
-  st_->PruneDead(st);
+bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
+                     FunctionId fn) {
+  FnState& st = state(fn);
+  PruneDead(st);
   const platform::FunctionSpec& spec = core.function(fn);
   const SimTime now = core.simulator().Now();
   const SimTime deadline = core.DeadlineOf(rid);
@@ -195,7 +191,7 @@ bool FfsRouting::Route(platform::PlatformCore& core, RequestId rid,
         return true;
       }
     } else if (st.ts == nullptr) {
-      Instance* inst = st_->EnsureTsResident(core, fn);
+      Instance* inst = EnsureTsResident(core, fn);
       if (inst != nullptr) {
         inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
         st.ts_last_used = now;
@@ -205,7 +201,7 @@ bool FfsRouting::Route(platform::PlatformCore& core, RequestId rid,
   } else if (hot.empty()) {
     // Ablation path without time sharing: first request must still create
     // an instance; use an exclusive one.
-    Instance* inst = st_->LaunchExclusive(core, spec);
+    Instance* inst = LaunchExclusive(core, spec);
     if (inst != nullptr) {
       inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
       return true;
@@ -238,6 +234,45 @@ bool FfsRouting::Route(platform::PlatformCore& core, RequestId rid,
   return false;
 }
 
+void FfsState::Promote(platform::PlatformCore& core, FunctionId fn) {
+  // The resident instance changes *state*, not placement: it already has
+  // the slice to itself, promotion just makes it non-evictable.
+  FnState& st = state(fn);
+  if (st.ts == nullptr) return;
+  const double util = core.UtilizationOf(st.ts);
+  if (util <= core.config().hot_threshold) return;
+  const InstanceId iid = st.ts->id();
+  st.eh.push_back(st.ts);
+  st.ts = nullptr;
+  st.has_ts = false;
+  ++promotions;
+  core.bus().Publish(sim::SchedulerTransition{
+      sim::TransitionKind::kPromotion, fn, iid, core.simulator().Now()});
+  FFS_LOG_DEBUG("ffs") << "promoted fn " << fn.value
+                       << " to exclusive-hot (util " << util << ")";
+}
+
+void FfsState::ScaleUp(platform::PlatformCore& core,
+                       const platform::FunctionSpec& spec, double rate) {
+  double capacity = EhCapacity(state(spec.id));
+  int guard = 0;
+  while (rate > core.config().scaleup_load_factor * capacity &&
+         guard++ < 8) {
+    Instance* eh = LaunchExclusive(core, spec);
+    if (eh == nullptr) break;
+    capacity += eh->CapacityRps();
+  }
+}
+
+void FfsRouting::Attach(platform::PlatformCore& core) {
+  st_->EnsureSized(core);
+}
+
+bool FfsRouting::Route(platform::PlatformCore& core, RequestId rid,
+                       FunctionId fn) {
+  return st_->Route(core, rid, fn);
+}
+
 void FfsScaling::Attach(platform::PlatformCore& core) {
   st_->EnsureSized(core);
 }
@@ -258,35 +293,10 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
     FfsState::FnState& st = st_->state(fn);
     st_->PruneDead(st);
     const platform::FunctionSpec& spec = core.function(fn);
-    const double rate = core.ArrivalRate(fn);
 
-    // --- promotion: time-sharing -> exclusive-hot (Fig. 8 ②) -------------
-    // The resident instance changes *state*, not placement: it already has
-    // the slice to itself, promotion just makes it non-evictable.
-    if (st.ts != nullptr) {
-      const double util = core.UtilizationOf(st.ts);
-      if (util > core.config().hot_threshold) {
-        const InstanceId iid = st.ts->id();
-        st.eh.push_back(st.ts);
-        st.ts = nullptr;
-        st.has_ts = false;
-        ++st_->promotions;
-        core.bus().Publish(sim::SchedulerTransition{
-            sim::TransitionKind::kPromotion, fn, iid, now});
-        FFS_LOG_DEBUG("ffs") << "promoted fn " << fn.value
-                             << " to exclusive-hot (util " << util << ")";
-      }
-    }
-
-    // --- scale-up: add exclusive capacity while overloaded ---------------
-    double capacity = st_->EhCapacity(st);
-    int guard = 0;
-    while (rate > core.config().scaleup_load_factor * capacity &&
-           guard++ < 8) {
-      Instance* eh = st_->LaunchExclusive(core, spec);
-      if (eh == nullptr) break;
-      capacity += eh->CapacityRps();
-    }
+    // --- promotion (Fig. 8 ②) and scale-up ------------------------------
+    st_->Promote(core, fn);
+    st_->ScaleUp(core, spec, core.ArrivalRate(fn));
 
     // --- scale-down: exclusive-hot -> time sharing (Fig. 8 ③) ------------
     // Consider only Ready+idle instances that have been quiet for a window.
@@ -351,7 +361,8 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
             inst->state() != InstanceState::kReady) {
           continue;
         }
-        auto plan = MonolithicPlanOnSmallestSlice(spec.dag, core.cluster());
+        auto plan = MonolithicPlanOnSmallestSlice(spec.dag, core.cluster(),
+                                                  st_->node());
         if (!plan) break;
         const SliceId target = plan->stages.front().slice;
         // One transaction: spawn the monolithic replacement, then drain the
@@ -391,35 +402,6 @@ void RegisterFluidFaasSchedulers() {
                               [] { return MakeFluidFaasBundle(); });
   platform::RegisterScheduler("FluidFaaS-dist",
                               [] { return MakeDistributedBundle(); });
-}
-
-FluidFaasPlatform::FluidFaasPlatform(
-    sim::Simulator& sim, gpu::Cluster& cluster, metrics::Recorder& recorder,
-    std::vector<platform::FunctionSpec> functions,
-    platform::PlatformConfig config)
-    : FluidFaasPlatform(sim, cluster, recorder, std::move(functions), config,
-                        std::make_shared<FfsState>()) {}
-
-FluidFaasPlatform::FluidFaasPlatform(
-    sim::Simulator& sim, gpu::Cluster& cluster, metrics::Recorder& recorder,
-    std::vector<platform::FunctionSpec> functions,
-    platform::PlatformConfig config, std::shared_ptr<FfsState> state)
-    : PlatformCore(sim, cluster, std::move(functions), config,
-                   MakeFluidFaasBundle(state)),
-      state_(std::move(state)) {
-  recorder.SubscribeTo(sim.bus());
-}
-
-int FluidFaasPlatform::NumExclusiveHot(FunctionId fn) const {
-  return static_cast<int>(state_->state(fn).eh.size());
-}
-
-bool FluidFaasPlatform::HasTimeSharingInstance(FunctionId fn) const {
-  return state_->state(fn).has_ts;
-}
-
-bool FluidFaasPlatform::TimeSharingResident(FunctionId fn) const {
-  return state_->state(fn).ts != nullptr;
 }
 
 }  // namespace fluidfaas::core

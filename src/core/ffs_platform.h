@@ -21,25 +21,29 @@
 // latency first up to capacity, then the time-sharing instance, then the
 // least-loaded fallback.
 //
-// The two policies share one FfsState (Fig. 8 bookkeeping + counters); each
-// Fig. 8 transition is also published as sim::SchedulerTransition on the
-// core's EventBus. FluidFaaS needs no keep-alive policy — instance lifetime
-// is entirely governed by the state machine above.
+// All of that runs inside one FfsState — a scheduling domain holding the
+// Fig. 8 bookkeeping and counters over a scope of nodes. FluidFaaS runs one
+// domain over the whole cluster; FluidFaaS-dist (core/ffs_distributed.h)
+// runs the same domain once per node, as §5.2.2's invoker-local scheduler.
+// Each Fig. 8 transition is also published as sim::SchedulerTransition on
+// the core's EventBus. FluidFaaS needs no keep-alive policy — instance
+// lifetime is entirely governed by the state machine above.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "metrics/recorder.h"
 #include "platform/platform.h"
 #include "platform/policy.h"
 #include "platform/registry.h"
 
 namespace fluidfaas::core {
 
-/// Fig. 8 bookkeeping shared by FfsRouting and FfsScaling, plus the
-/// mechanism helpers both need (TS residency, exclusive launches).
+/// A FluidFaaS scheduling domain: the Fig. 8 bookkeeping of every function
+/// over a scope of nodes, and the only implementation of the §5.3 moves
+/// made inside it. The routing and scaling policies share a domain through
+/// shared_ptr, which is also how callers keep it for introspection.
 class FfsState {
  public:
   struct FnState {
@@ -50,19 +54,41 @@ class FfsState {
     SimTime last_migration = 0;
   };
 
+  /// A domain over the whole cluster.
+  FfsState() = default;
+  /// A domain confined to one node: it plans, places and evicts only there.
+  explicit FfsState(NodeId node) : node_(node) {}
+
+  /// The domain's node, or nullopt for the whole cluster.
+  std::optional<NodeId> node() const { return node_; }
+
   FnState& state(FunctionId fn);
   const FnState& state(FunctionId fn) const;
   void EnsureSized(const platform::PlatformCore& core);
 
-  /// Make fn's time-sharing instance resident: free slice if available,
-  /// otherwise evict the LRU idle resident TS instance whose slice fits.
-  /// Returns the (loading) instance or nullptr.
+  /// §5.3 request routing: exclusive-hot instances lowest latency first
+  /// while they meet the deadline, then the time-sharing instance, then the
+  /// bounded least-loaded fallback. True when `rid` was enqueued.
+  bool Route(platform::PlatformCore& core, RequestId rid, FunctionId fn);
+
+  /// Make fn's time-sharing instance resident: smallest free slice in the
+  /// scope if available, otherwise evict the domain's LRU idle resident TS
+  /// instance whose slice fits. Returns the (loading) instance or nullptr.
   platform::Instance* EnsureTsResident(platform::PlatformCore& core,
                                        FunctionId fn);
 
   /// Launch a new exclusive-hot instance via the ranked pipeline planner.
   platform::Instance* LaunchExclusive(platform::PlatformCore& core,
                                       const platform::FunctionSpec& spec);
+
+  /// Fig. 8 ②: promote fn's resident TS instance to exclusive-hot once its
+  /// smoothed utilization passes the hot threshold.
+  void Promote(platform::PlatformCore& core, FunctionId fn);
+
+  /// Add exclusive-hot capacity while `rate` (requests/s) exceeds
+  /// scaleup_load_factor × the admitting capacity; at most 8 launches.
+  void ScaleUp(platform::PlatformCore& core,
+               const platform::FunctionSpec& spec, double rate);
 
   void PruneDead(FnState& st);
   void RetireDrainedIdle(platform::PlatformCore& core);
@@ -78,6 +104,9 @@ class FfsState {
   std::size_t demotions = 0;
   std::size_t migrations = 0;
   std::size_t pipelines_launched = 0;
+
+ private:
+  std::optional<NodeId> node_;
 };
 
 class FfsRouting final : public platform::RoutingPolicy {
@@ -111,35 +140,5 @@ platform::PolicyBundle MakeFluidFaasBundle(
 /// Register the FluidFaaS schedulers ("FluidFaaS", "FluidFaaS-dist") in the
 /// platform::registry factory. Idempotent.
 void RegisterFluidFaasSchedulers();
-
-/// Convenience platform: a PlatformCore pre-wired with the FluidFaaS bundle
-/// and the recorder subscribed to the simulator's bus, plus introspection
-/// over the shared FfsState for tests and benches.
-class FluidFaasPlatform : public platform::PlatformCore {
- public:
-  FluidFaasPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                    metrics::Recorder& recorder,
-                    std::vector<platform::FunctionSpec> functions,
-                    platform::PlatformConfig config);
-
-  /// Introspection for tests.
-  int NumExclusiveHot(FunctionId fn) const;
-  bool HasTimeSharingInstance(FunctionId fn) const;
-  bool TimeSharingResident(FunctionId fn) const;
-  std::size_t evictions() const { return state_->evictions; }
-  std::size_t promotions() const { return state_->promotions; }
-  std::size_t demotions() const { return state_->demotions; }
-  std::size_t migrations() const { return state_->migrations; }
-  std::size_t pipelines_launched() const { return state_->pipelines_launched; }
-
- private:
-  FluidFaasPlatform(sim::Simulator& sim, gpu::Cluster& cluster,
-                    metrics::Recorder& recorder,
-                    std::vector<platform::FunctionSpec> functions,
-                    platform::PlatformConfig config,
-                    std::shared_ptr<FfsState> state);
-
-  std::shared_ptr<FfsState> state_;
-};
 
 }  // namespace fluidfaas::core

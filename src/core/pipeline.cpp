@@ -138,8 +138,9 @@ std::optional<PipelinePlan> MonolithicPlanOnSlice(const model::AppDag& dag,
 }
 
 std::optional<PipelinePlan> MonolithicPlanOnSmallestSlice(
-    const model::AppDag& dag, const gpu::ClusterView& view) {
-  const auto sid = view.SmallestFreeSliceWithMemory(dag.TotalMemory());
+    const model::AppDag& dag, const gpu::ClusterView& view,
+    std::optional<NodeId> node) {
+  const auto sid = view.SmallestFreeSliceWithMemory(dag.TotalMemory(), node);
   if (!sid) return std::nullopt;
   return MonolithicPlanOnSlice(dag, view, *sid);
 }
@@ -147,9 +148,12 @@ std::optional<PipelinePlan> MonolithicPlanOnSmallestSlice(
 std::optional<PipelinePlan> PlanFirstFeasible(
     const model::AppDag& dag,
     const std::vector<PipelineCandidate>& candidates,
-    const gpu::ClusterView& view, const model::TransferCostModel& transfer) {
+    const gpu::ClusterView& view, const model::TransferCostModel& transfer,
+    std::optional<NodeId> node) {
+  const int first = node ? node->value : 0;
+  const int last = node ? node->value + 1 : view.num_nodes();
   for (const PipelineCandidate& cand : candidates) {
-    for (int n = 0; n < view.num_nodes(); ++n) {
+    for (int n = first; n < last; ++n) {
       auto plan = TryPlanOnNode(dag, cand, view, NodeId(n), transfer);
       if (plan) return plan;
     }

@@ -69,18 +69,21 @@ std::optional<PipelinePlan> TryPlanOnNode(
 std::optional<PipelinePlan> MonolithicPlanOnSlice(
     const model::AppDag& dag, const gpu::ClusterView& view, SliceId slice);
 
-/// Single-stage plan on the smallest free slice (through the view) that
-/// fits the whole DAG — the shared "spawn from the smallest slice" step of
-/// the FluidFaaS time-sharing path, INFless, and the repartition baseline.
+/// Single-stage plan on the smallest free slice (through the view, on
+/// `node` when given) that fits the whole DAG — the shared "spawn from the
+/// smallest slice" step of FluidFaaS, INFless, and the repartition baseline.
 std::optional<PipelinePlan> MonolithicPlanOnSmallestSlice(
-    const model::AppDag& dag, const gpu::ClusterView& view);
+    const model::AppDag& dag, const gpu::ClusterView& view,
+    std::optional<NodeId> node = std::nullopt);
 
 /// Walk `candidates` in ranked order across all nodes (lowest node id
-/// first) and return the first deployable plan — the paper's launch
-/// procedure ("evaluated in order ... until a suitable pipeline is found").
+/// first), or across `node` alone when given, and return the first
+/// deployable plan — the paper's launch procedure ("evaluated in order ...
+/// until a suitable pipeline is found").
 std::optional<PipelinePlan> PlanFirstFeasible(
     const model::AppDag& dag,
     const std::vector<PipelineCandidate>& candidates,
-    const gpu::ClusterView& view, const model::TransferCostModel& transfer);
+    const gpu::ClusterView& view, const model::TransferCostModel& transfer,
+    std::optional<NodeId> node = std::nullopt);
 
 }  // namespace fluidfaas::core

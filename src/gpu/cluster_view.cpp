@@ -81,12 +81,15 @@ std::vector<SliceId> ClusterView::FreeSlicesOnNode(NodeId node) const {
 }
 
 std::optional<SliceId> ClusterView::SmallestFreeSliceWithMemory(
-    Bytes min_memory) const {
+    Bytes min_memory, std::optional<NodeId> node) const {
+  const auto off_node = [&](std::int32_t id) {
+    return node && cluster_->slice(SliceId(id)).node != *node;
+  };
   // Lowest allocatable planned-free id per profile (the overlay is tiny).
   std::array<std::optional<SliceId>, kAllProfiles.size()> planned_min;
   for (std::int32_t id : planned_free_) {
     const SliceId sid(id);
-    if (!Allocatable(sid)) continue;
+    if (!Allocatable(sid) || off_node(id)) continue;
     auto& slot = planned_min[static_cast<std::size_t>(
         cluster_->slice(sid).profile())];
     if (!slot) slot = sid;  // id-ordered set: first hit is the minimum
@@ -98,7 +101,7 @@ std::optional<SliceId> ClusterView::SmallestFreeSliceWithMemory(
     const std::size_t idx = static_cast<std::size_t>(p);
     std::optional<SliceId> cand = planned_min[idx];
     for (std::int32_t id : cluster_->free_by_profile_[idx]) {
-      if (reserved_.count(id) != 0) continue;
+      if (reserved_.count(id) != 0 || off_node(id)) continue;
       if (!cand || id < cand->value) cand = SliceId(id);
       break;  // first non-reserved live id is the live minimum
     }

@@ -38,12 +38,12 @@
 
 namespace fluidfaas::platform {
 
-class PlatformCore {
+class PlatformCore final {
  public:
   PlatformCore(sim::Simulator& sim, gpu::Cluster& cluster,
                std::vector<FunctionSpec> functions, PlatformConfig config,
                PolicyBundle bundle);
-  virtual ~PlatformCore();
+  ~PlatformCore();
 
   PlatformCore(const PlatformCore&) = delete;
   PlatformCore& operator=(const PlatformCore&) = delete;
@@ -174,9 +174,6 @@ class PlatformCore {
   void FailInstance(Instance* inst, sim::FaultKind cause,
                     SliceId failed_slice = SliceId(), SimDuration repair = 0);
 
- protected:
-  std::vector<FunctionSpec> functions_;
-
  private:
   struct ReqMeta {
     FunctionId fn;
@@ -238,6 +235,7 @@ class PlatformCore {
   /// config.request_timeout_scale > 0).
   void ExpireRequest(RequestId rid);
 
+  std::vector<FunctionSpec> functions_;
   sim::Simulator& sim_;
   gpu::Cluster& cluster_;
   PlatformConfig config_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/recorder.h"
 #include "model/zoo.h"
 
 namespace fluidfaas::baselines {
@@ -23,34 +24,36 @@ std::vector<FunctionSpec> Functions(model::Variant v) {
   return fns;
 }
 
-template <typename PlatformT>
 class BaselineFixture {
  public:
-  BaselineFixture(model::Variant v, PlatformConfig config = {})
+  BaselineFixture(platform::PolicyBundle bundle, model::Variant v,
+                  PlatformConfig config = {})
       : cluster_(gpu::Cluster::Uniform(1, 2, gpu::DefaultPartition())),
         recorder_(cluster_),
-        plat_(sim_, cluster_, recorder_, Functions(v), config) {
+        plat_(sim_, cluster_, Functions(v), config, std::move(bundle)) {
+    recorder_.SubscribeTo(sim_.bus());
     plat_.Start();
   }
 
   sim::Simulator sim_;
   gpu::Cluster cluster_;
   metrics::Recorder recorder_;
-  PlatformT plat_;
+  platform::PlatformCore plat_;
 };
 
 TEST(EsgPlatformTest, ServesAndCompletesRequests) {
-  BaselineFixture<EsgPlatform> f(model::Variant::kSmall);
+  auto esg = std::make_shared<EsgState>();
+  BaselineFixture f(MakeEsgBundle(esg), model::Variant::kSmall);
   for (int i = 0; i < 20; ++i) {
     f.sim_.At(Millis(100 * i), [&f] { f.plat_.Submit(FunctionId(0)); });
   }
   f.sim_.RunUntil(Seconds(60));
   EXPECT_EQ(f.recorder_.completed_requests(), 20u);
-  EXPECT_GE(f.plat_.searches(), 1u);
+  EXPECT_GE(esg->searches, 1u);
 }
 
 TEST(EsgPlatformTest, InstancesAreAlwaysMonolithic) {
-  BaselineFixture<EsgPlatform> f(model::Variant::kMedium);
+  BaselineFixture f(MakeEsgBundle(), model::Variant::kMedium);
   for (int i = 0; i < 50; ++i) {
     f.sim_.At(Millis(50 * i), [&f] { f.plat_.Submit(FunctionId(0)); });
   }
@@ -66,7 +69,7 @@ TEST(EsgPlatformTest, InstancesAreAlwaysMonolithic) {
 TEST(EsgPlatformTest, MediumVariantsNeverLandOnOneGSlices) {
   // Medium functions need > 10 GB: 1g slices must stay unused — exactly
   // the fragmentation the paper describes (§7.2).
-  BaselineFixture<EsgPlatform> f(model::Variant::kMedium);
+  BaselineFixture f(MakeEsgBundle(), model::Variant::kMedium);
   for (int i = 0; i < 200; ++i) {
     f.sim_.At(Millis(25 * i), [&f, i] {
       f.plat_.Submit(FunctionId(i % 4));
@@ -85,7 +88,7 @@ TEST(EsgPlatformTest, MediumVariantsNeverLandOnOneGSlices) {
 TEST(EsgPlatformTest, ExclusiveKeepAliveHoldsSliceWhileIdle) {
   PlatformConfig config;
   config.exclusive_keepalive = Seconds(30);
-  BaselineFixture<EsgPlatform> f(model::Variant::kSmall, config);
+  BaselineFixture f(MakeEsgBundle(), model::Variant::kSmall, config);
   f.plat_.Submit(FunctionId(0));
   f.sim_.RunUntil(Seconds(10));
   EXPECT_EQ(f.recorder_.completed_requests(), 1u);
@@ -97,7 +100,7 @@ TEST(EsgPlatformTest, ExclusiveKeepAliveHoldsSliceWhileIdle) {
 }
 
 TEST(EsgPlatformTest, ScaleUpAddsCapacityUnderLoad) {
-  BaselineFixture<EsgPlatform> f(model::Variant::kSmall);
+  BaselineFixture f(MakeEsgBundle(), model::Variant::kSmall);
   // Sustained 40 rps on one function needs many instances.
   for (int i = 0; i < 400; ++i) {
     f.sim_.At(Millis(25 * i), [&f] { f.plat_.Submit(FunctionId(0)); });
@@ -109,7 +112,7 @@ TEST(EsgPlatformTest, ScaleUpAddsCapacityUnderLoad) {
 }
 
 TEST(InflessPlatformTest, ServesAndCompletesRequests) {
-  BaselineFixture<InflessPlatform> f(model::Variant::kSmall);
+  BaselineFixture f(MakeInflessBundle(), model::Variant::kSmall);
   for (int i = 0; i < 20; ++i) {
     f.sim_.At(Millis(100 * i), [&f, i] {
       f.plat_.Submit(FunctionId(i % 4));
@@ -120,7 +123,7 @@ TEST(InflessPlatformTest, ServesAndCompletesRequests) {
 }
 
 TEST(InflessPlatformTest, BestFitUsesSmallestFittingSlice) {
-  BaselineFixture<InflessPlatform> f(model::Variant::kSmall);
+  BaselineFixture f(MakeInflessBundle(), model::Variant::kSmall);
   f.plat_.Submit(FunctionId(0));
   auto insts = f.plat_.InstancesOf(FunctionId(0));
   ASSERT_EQ(insts.size(), 1u);
@@ -129,7 +132,7 @@ TEST(InflessPlatformTest, BestFitUsesSmallestFittingSlice) {
 }
 
 TEST(InflessPlatformTest, MonolithicOnly) {
-  BaselineFixture<InflessPlatform> f(model::Variant::kMedium);
+  BaselineFixture f(MakeInflessBundle(), model::Variant::kMedium);
   for (int i = 0; i < 100; ++i) {
     f.sim_.At(Millis(40 * i), [&f] { f.plat_.Submit(FunctionId(1)); });
   }
@@ -146,8 +149,8 @@ TEST(BaselineComparisonTest, EsgRoutesWithSloAwareness) {
   // a mixed run without starving anything.
   PlatformConfig config;
   for (auto variant : {model::Variant::kSmall, model::Variant::kMedium}) {
-    BaselineFixture<EsgPlatform> esg(variant, config);
-    BaselineFixture<InflessPlatform> inf(variant, config);
+    BaselineFixture esg(MakeEsgBundle(), variant, config);
+    BaselineFixture inf(MakeInflessBundle(), variant, config);
     for (int i = 0; i < 60; ++i) {
       esg.sim_.At(Millis(100 * i), [&esg, i] {
         esg.plat_.Submit(FunctionId(i % 3));

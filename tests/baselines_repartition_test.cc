@@ -59,16 +59,16 @@ TEST(ClusterRepartitionTest, RecorderSyncTracksNewSlices) {
 
 TEST(BestPartitionTest, PicksMostFittingSlices) {
   // A 35 GB demand: 3g.40gb+4g.40gb offers two fitting slices.
-  const auto p = RepartitionPlatform::BestPartitionFor(GiB(35));
+  const auto p = BestRepartitionFor(GiB(35));
   EXPECT_EQ(p.Profiles(),
             (std::vector<gpu::MigProfile>{gpu::MigProfile::k3g40gb,
                                           gpu::MigProfile::k4g40gb}));
   // A 50 GB demand: only 7g.80gb fits.
-  const auto q = RepartitionPlatform::BestPartitionFor(GiB(50));
+  const auto q = BestRepartitionFor(GiB(50));
   EXPECT_EQ(q.Profiles(),
             (std::vector<gpu::MigProfile>{gpu::MigProfile::k7g80gb}));
   // A tiny demand: every slice fits; the 1g x7 layout maximizes count.
-  const auto r = RepartitionPlatform::BestPartitionFor(GiB(2));
+  const auto r = BestRepartitionFor(GiB(2));
   EXPECT_EQ(r.slice_count(), 7u);
 }
 
@@ -82,15 +82,19 @@ class RepartitionPlatformTest : public ::testing::Test {
     std::vector<FunctionSpec> fns;
     fns.push_back(MakeFunctionSpec(FunctionId(0), 0, v, model::BuildApp(0, v),
                                    1.5));
-    plat_ = std::make_unique<RepartitionPlatform>(
-        sim_, *cluster_, *recorder_, std::move(fns), PlatformConfig{});
+    state_ = std::make_shared<RepartitionState>();
+    plat_ = std::make_unique<platform::PlatformCore>(
+        sim_, *cluster_, std::move(fns), PlatformConfig{},
+        MakeRepartitionBundle(state_));
+    recorder_->SubscribeTo(sim_.bus());
     plat_->Start();
   }
 
   sim::Simulator sim_;
   std::unique_ptr<gpu::Cluster> cluster_;
   std::unique_ptr<metrics::Recorder> recorder_;
-  std::unique_ptr<RepartitionPlatform> plat_;
+  std::shared_ptr<RepartitionState> state_;
+  std::unique_ptr<platform::PlatformCore> plat_;
 };
 
 TEST_F(RepartitionPlatformTest, ServesWithoutReconfigWhenSlicesFit) {
@@ -100,7 +104,7 @@ TEST_F(RepartitionPlatformTest, ServesWithoutReconfigWhenSlicesFit) {
   }
   sim_.RunUntil(Seconds(60));
   EXPECT_EQ(recorder_->completed_requests(), 10u);
-  EXPECT_EQ(plat_->reconfigurations(), 0u);
+  EXPECT_EQ(state_->reconfigurations, 0u);
 }
 
 TEST_F(RepartitionPlatformTest, ReconfiguresWhenFragmentedOutAndPaysMinutes) {
@@ -112,10 +116,10 @@ TEST_F(RepartitionPlatformTest, ReconfiguresWhenFragmentedOutAndPaysMinutes) {
     sim_.At(Millis(500) * i, [this] { plat_->Submit(FunctionId(0)); });
   }
   sim_.RunUntil(Seconds(60));
-  EXPECT_GE(plat_->reconfigurations(), 1u);
+  EXPECT_GE(state_->reconfigurations, 1u);
   EXPECT_EQ(recorder_->completed_requests(), 0u);  // inside the blackout
   sim_.RunUntil(Minutes(12));
-  EXPECT_GE(plat_->reconfiguration_blackout(), Minutes(3));
+  EXPECT_GE(state_->blackout_total, Minutes(3));
   // After the blackout the reconfigured GPU serves the whole backlog.
   EXPECT_EQ(recorder_->completed_requests(), 30u);
 }

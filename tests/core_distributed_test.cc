@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "harness/experiment.h"
+#include "metrics/recorder.h"
 #include "model/zoo.h"
 
 namespace fluidfaas::core {
@@ -31,20 +30,28 @@ class DistributedTest : public ::testing::Test {
     cluster_ = std::make_unique<gpu::Cluster>(
         gpu::Cluster::Uniform(nodes, gpus, gpu::DefaultPartition()));
     recorder_ = std::make_unique<metrics::Recorder>(*cluster_);
-    plat_ = std::make_unique<DistributedFluidFaas>(
-        sim_, *cluster_, *recorder_, Functions(v), PlatformConfig{});
+    state_ = std::make_shared<DistState>();
+    plat_ = std::make_unique<platform::PlatformCore>(
+        sim_, *cluster_, Functions(v), PlatformConfig{},
+        MakeDistributedBundle(state_));
+    recorder_->SubscribeTo(sim_.bus());
     plat_->Start();
   }
 
   sim::Simulator sim_;
   std::unique_ptr<gpu::Cluster> cluster_;
   std::unique_ptr<metrics::Recorder> recorder_;
-  std::unique_ptr<DistributedFluidFaas> plat_;
+  std::shared_ptr<DistState> state_;
+  std::unique_ptr<platform::PlatformCore> plat_;
 };
 
 TEST_F(DistributedTest, OneInvokerPerNode) {
   Build(3, 1);
-  EXPECT_EQ(plat_->num_invokers(), 3);
+  ASSERT_EQ(state_->invokers.size(), 3u);
+  for (int n = 0; n < 3; ++n) {
+    EXPECT_EQ(state_->invokers[static_cast<std::size_t>(n)].domain.node(),
+              NodeId(n));
+  }
 }
 
 TEST_F(DistributedTest, ServesAndCompletes) {
@@ -65,11 +72,10 @@ TEST_F(DistributedTest, LoadSpreadsAcrossInvokersUnderPressure) {
     sim_.At(Millis(25) * i, [this] { plat_->Submit(FunctionId(0)); });
   }
   sim_.RunUntil(Seconds(120));
-  auto routed = plat_->RoutedPerInvoker();
-  ASSERT_EQ(routed.size(), 2u);
-  const std::size_t total =
-      std::accumulate(routed.begin(), routed.end(), std::size_t{0});
-  EXPECT_EQ(total, 800u);
+  ASSERT_EQ(state_->invokers.size(), 2u);
+  const std::size_t routed[] = {state_->invokers[0].routed,
+                                state_->invokers[1].routed};
+  EXPECT_EQ(routed[0] + routed[1], 800u);
   // Both invokers carried a real share.
   EXPECT_GT(routed[0], 800u / 10);
   EXPECT_GT(routed[1], 800u / 10);
@@ -87,7 +93,7 @@ TEST_F(DistributedTest, PipelinesStayNodeLocal) {
     sim_.At(Millis(80) * i, [this] { plat_->Submit(FunctionId(0)); });
   }
   sim_.RunUntil(Seconds(60));
-  EXPECT_GE(plat_->pipelines_launched(), 1u);
+  EXPECT_GE(plat_->scheduler_counters().pipelines_launched, 1u);
   // Every live instance's slices share one node.
   for (const auto& spec : plat_->functions()) {
     for (auto* inst : plat_->InstancesOf(spec.id)) {
@@ -109,7 +115,7 @@ TEST_F(DistributedTest, EvictionHappensPerInvoker) {
     t += Seconds(3);
   }
   sim_.RunUntil(Seconds(120));
-  EXPECT_GE(plat_->evictions(), 1u);
+  EXPECT_GE(plat_->scheduler_counters().evictions, 1u);
   EXPECT_EQ(recorder_->completed_requests(), 4u);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "metrics/recorder.h"
 #include "model/zoo.h"
 #include "platform/function.h"
 
@@ -39,8 +40,10 @@ class FfsPlatformTest : public ::testing::Test {
         gpu::Cluster::Uniform(nodes, gpus, gpu::DefaultPartition()));
     recorder_ = std::make_unique<metrics::Recorder>(*cluster_);
     config.seed = 7;
-    plat_ = std::make_unique<FluidFaasPlatform>(sim_, *cluster_, *recorder_,
-                                                Functions(v), config);
+    state_ = std::make_shared<FfsState>();
+    plat_ = std::make_unique<platform::PlatformCore>(
+        sim_, *cluster_, Functions(v), config, MakeFluidFaasBundle(state_));
+    recorder_->SubscribeTo(sim_.bus());
     plat_->Start();
   }
 
@@ -54,16 +57,17 @@ class FfsPlatformTest : public ::testing::Test {
   sim::Simulator sim_;
   std::unique_ptr<gpu::Cluster> cluster_;
   std::unique_ptr<metrics::Recorder> recorder_;
-  std::unique_ptr<FluidFaasPlatform> plat_;
+  std::shared_ptr<FfsState> state_;
+  std::unique_ptr<platform::PlatformCore> plat_;
 };
 
 TEST_F(FfsPlatformTest, FirstRequestCreatesTimeSharingInstance) {
   Build(model::Variant::kSmall);
   plat_->Submit(FunctionId(0));
   // Fig. 8 ①: the first request yields a time-sharing instance.
-  EXPECT_TRUE(plat_->HasTimeSharingInstance(FunctionId(0)));
-  EXPECT_TRUE(plat_->TimeSharingResident(FunctionId(0)));
-  EXPECT_EQ(plat_->NumExclusiveHot(FunctionId(0)), 0);
+  EXPECT_TRUE(state_->state(FunctionId(0)).has_ts);
+  EXPECT_NE(state_->state(FunctionId(0)).ts, nullptr);
+  EXPECT_EQ(state_->state(FunctionId(0)).eh.size(), 0u);
   sim_.RunUntil(Seconds(60));
   EXPECT_EQ(recorder_->completed_requests(), 1u);
 }
@@ -73,8 +77,8 @@ TEST_F(FfsPlatformTest, SustainedLoadPromotesToExclusiveHot) {
   Burst(FunctionId(0), 300, Millis(100));  // 10 rps for 30 s, util >> 30%
   sim_.RunUntil(Seconds(25));
   // Fig. 8 ②: the hot function now owns exclusive instances.
-  EXPECT_GE(plat_->promotions(), 1u);
-  EXPECT_GE(plat_->NumExclusiveHot(FunctionId(0)), 1);
+  EXPECT_GE(state_->promotions, 1u);
+  EXPECT_GE(state_->state(FunctionId(0)).eh.size(), 1u);
   sim_.RunUntil(Seconds(180));
 }
 
@@ -82,12 +86,12 @@ TEST_F(FfsPlatformTest, IdlenessDemotesBackToTimeSharing) {
   Build(model::Variant::kSmall);
   Burst(FunctionId(0), 200, Millis(100));
   sim_.RunUntil(Seconds(25));
-  ASSERT_GE(plat_->NumExclusiveHot(FunctionId(0)), 1);
+  ASSERT_GE(state_->state(FunctionId(0)).eh.size(), 1u);
   // Fig. 8 ③: traffic stops; the function ends holding only a
   // time-sharing entry — every exclusive instance is gone.
   sim_.RunUntil(Seconds(90));
-  EXPECT_TRUE(plat_->HasTimeSharingInstance(FunctionId(0)));
-  EXPECT_EQ(plat_->NumExclusiveHot(FunctionId(0)), 0);
+  EXPECT_TRUE(state_->state(FunctionId(0)).has_ts);
+  EXPECT_EQ(state_->state(FunctionId(0)).eh.size(), 0u);
 }
 
 TEST_F(FfsPlatformTest, ColdAfterWarmTimeout) {
@@ -96,10 +100,10 @@ TEST_F(FfsPlatformTest, ColdAfterWarmTimeout) {
   Build(model::Variant::kSmall, 1, 2, config);
   plat_->Submit(FunctionId(0));
   sim_.RunUntil(Seconds(10));
-  EXPECT_TRUE(plat_->HasTimeSharingInstance(FunctionId(0)));
+  EXPECT_TRUE(state_->state(FunctionId(0)).has_ts);
   // Fig. 8 ⑤: no demand for the warm window -> cold (entry removed).
   sim_.RunUntil(Seconds(60));
-  EXPECT_FALSE(plat_->HasTimeSharingInstance(FunctionId(0)));
+  EXPECT_FALSE(state_->state(FunctionId(0)).has_ts);
 }
 
 TEST_F(FfsPlatformTest, LruEvictionWhenSlicesAreScarce) {
@@ -115,7 +119,7 @@ TEST_F(FfsPlatformTest, LruEvictionWhenSlicesAreScarce) {
   }
   sim_.RunUntil(Seconds(30));
   // Three slices, four resident candidates: at least one eviction (④).
-  EXPECT_GE(plat_->evictions(), 1u);
+  EXPECT_GE(state_->evictions, 1u);
   sim_.RunUntil(Seconds(120));
   EXPECT_EQ(recorder_->completed_requests(), 4u);
 }
@@ -134,7 +138,7 @@ TEST_F(FfsPlatformTest, EvictedFunctionReloadsWarm) {
   EXPECT_EQ(recorder_->completed_requests(), 5u);
   // The reload exists; its load time is warm-scale (sub-second per GiB),
   // visible as load_time on the last request if it reloaded.
-  EXPECT_GE(plat_->evictions(), 1u);
+  EXPECT_GE(state_->evictions, 1u);
 }
 
 TEST_F(FfsPlatformTest, FragmentationTriggersPipelineLaunch) {
@@ -150,7 +154,7 @@ TEST_F(FfsPlatformTest, FragmentationTriggersPipelineLaunch) {
   }
   Burst(FunctionId(0), 150, Millis(100));
   sim_.RunUntil(Seconds(20));
-  EXPECT_GE(plat_->pipelines_launched(), 1u);
+  EXPECT_GE(state_->pipelines_launched, 1u);
   sim_.RunUntil(Seconds(240));
   EXPECT_EQ(recorder_->completed_requests(), 150u);
 }
@@ -167,7 +171,7 @@ TEST_F(FfsPlatformTest, PipelinesDisabledAblationCannotUseFragments) {
   }
   Burst(FunctionId(0), 50, Millis(100));
   sim_.RunUntil(Seconds(30));
-  EXPECT_EQ(plat_->pipelines_launched(), 0u);
+  EXPECT_EQ(state_->pipelines_launched, 0u);
   // Nothing can be placed: no instance exists, requests pend.
   EXPECT_EQ(recorder_->completed_requests(), 0u);
   EXPECT_GT(plat_->PendingCount(), 0u);
@@ -186,13 +190,13 @@ TEST_F(FfsPlatformTest, MigrationReplacesPipelineWhenBigSliceFrees) {
   }
   Burst(FunctionId(0), 150, Millis(50));  // burst ends before the release
   sim_.RunUntil(Seconds(10));
-  ASSERT_GE(plat_->pipelines_launched(), 1u);
+  ASSERT_GE(state_->pipelines_launched, 1u);
   // ...then free them: migration should kick in (§5.3).
   sim_.At(sim_.Now(), [this, blocked] {
     for (SliceId sid : blocked) cluster_->Release(sid, InstanceId(999));
   });
   sim_.RunUntil(Seconds(40));
-  EXPECT_GE(plat_->migrations(), 1u);
+  EXPECT_GE(state_->migrations, 1u);
   sim_.RunUntil(Seconds(400));
   EXPECT_EQ(recorder_->completed_requests(), 150u);
 }
@@ -215,7 +219,7 @@ TEST_F(FfsPlatformTest, MigrationDisabledAblation) {
     for (SliceId sid : blocked) cluster_->Release(sid, InstanceId(999));
   });
   sim_.RunUntil(Seconds(40));
-  EXPECT_EQ(plat_->migrations(), 0u);
+  EXPECT_EQ(state_->migrations, 0u);
   sim_.RunUntil(Seconds(300));
 }
 
@@ -239,8 +243,8 @@ TEST_F(FfsPlatformTest, TimeSharingDisabledUsesExclusiveOnly) {
   config.enable_time_sharing = false;
   Build(model::Variant::kSmall, 1, 2, config);
   plat_->Submit(FunctionId(0));
-  EXPECT_FALSE(plat_->HasTimeSharingInstance(FunctionId(0)));
-  EXPECT_EQ(plat_->NumExclusiveHot(FunctionId(0)), 1);
+  EXPECT_FALSE(state_->state(FunctionId(0)).has_ts);
+  EXPECT_EQ(state_->state(FunctionId(0)).eh.size(), 1u);
   sim_.RunUntil(Seconds(60));
   EXPECT_EQ(recorder_->completed_requests(), 1u);
 }

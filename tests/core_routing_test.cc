@@ -5,6 +5,7 @@
 
 #include "core/ffs_platform.h"
 #include "core/pipeline.h"
+#include "metrics/recorder.h"
 #include "model/zoo.h"
 
 namespace fluidfaas::core {
@@ -27,8 +28,9 @@ class RoutingTest : public ::testing::Test {
                                    1.5));
     PlatformConfig config;
     config.service_jitter_cv = 0.0;  // exact arithmetic
-    plat_ = std::make_unique<FluidFaasPlatform>(sim_, cluster_, recorder_,
-                                                std::move(fns), config);
+    plat_ = std::make_unique<platform::PlatformCore>(
+        sim_, cluster_, std::move(fns), config, MakeFluidFaasBundle(state_));
+    recorder_.SubscribeTo(sim_.bus());
     plat_->Start();
   }
 
@@ -43,12 +45,13 @@ class RoutingTest : public ::testing::Test {
   sim::Simulator sim_;
   gpu::Cluster cluster_;
   metrics::Recorder recorder_;
-  std::unique_ptr<FluidFaasPlatform> plat_;
+  std::shared_ptr<FfsState> state_ = std::make_shared<FfsState>();
+  std::unique_ptr<platform::PlatformCore> plat_;
 };
 
 TEST_F(RoutingTest, HotInstancesServeBeforeTimeSharing) {
   WarmUp();
-  ASSERT_GE(plat_->NumExclusiveHot(FunctionId(0)), 1);
+  ASSERT_GE(state_->state(FunctionId(0)).eh.size(), 1u);
   // Quiesce, then a single request: it must land on a hot instance (some
   // instance gains outstanding work while TS is absent or idle).
   sim_.RunUntil(Seconds(32));
@@ -114,7 +117,10 @@ TEST_F(RoutingTest, EvictionCostShowsUpAsLoadTime) {
                                    1.5));
   }
   PlatformConfig config;
-  FluidFaasPlatform plat(sim, cluster, recorder, std::move(fns), config);
+  auto state = std::make_shared<FfsState>();
+  platform::PlatformCore plat(sim, cluster, std::move(fns), config,
+                              MakeFluidFaasBundle(state));
+  recorder.SubscribeTo(sim.bus());
   plat.Start();
   // Touch fn0 first, then the other three (forcing fn0's eviction), then
   // fn0 again.
@@ -125,7 +131,7 @@ TEST_F(RoutingTest, EvictionCostShowsUpAsLoadTime) {
   RequestId reload_rid;
   sim.At(Seconds(60), [&] { reload_rid = plat.Submit(FunctionId(0)); });
   sim.RunUntil(Seconds(200));
-  ASSERT_GE(plat.evictions(), 1u);
+  ASSERT_GE(state->evictions, 1u);
   ASSERT_TRUE(recorder.record(reload_rid).done());
   // The reload is a warm load: hundreds of ms, not a cold multi-second
   // fetch and not zero.

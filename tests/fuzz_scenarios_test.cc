@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "core/ffs_distributed.h"
 #include "core/ffs_platform.h"
+#include "metrics/recorder.h"
 #include "model/zoo.h"
 
 namespace fluidfaas {
@@ -59,8 +60,7 @@ std::vector<FunctionSpec> RandomFunctions(Rng& rng,
   return fns;
 }
 
-template <typename PlatformT>
-void RunScenario(std::uint64_t seed) {
+void RunScenario(platform::PolicyBundle bundle, std::uint64_t seed) {
   Rng rng(seed);
   sim::Simulator sim;
   const gpu::MigPartition part = RandomPartition(rng);
@@ -71,7 +71,8 @@ void RunScenario(std::uint64_t seed) {
   auto fns = RandomFunctions(rng, part);
   PlatformConfig config;
   config.seed = seed;
-  PlatformT plat(sim, cluster, recorder, fns, config);
+  platform::PlatformCore plat(sim, cluster, fns, config, std::move(bundle));
+  recorder.SubscribeTo(sim.bus());
   plat.Start();
 
   const int requests = static_cast<int>(rng.UniformInt(50, 400));
@@ -117,23 +118,23 @@ void RunScenario(std::uint64_t seed) {
 class FuzzSeedTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzSeedTest, FluidFaasSurvives) {
-  RunScenario<core::FluidFaasPlatform>(GetParam());
+  RunScenario(core::MakeFluidFaasBundle(), GetParam());
 }
 
 TEST_P(FuzzSeedTest, EsgSurvives) {
-  RunScenario<baselines::EsgPlatform>(GetParam() + 1000);
+  RunScenario(baselines::MakeEsgBundle(), GetParam() + 1000);
 }
 
 TEST_P(FuzzSeedTest, InflessSurvives) {
-  RunScenario<baselines::InflessPlatform>(GetParam() + 2000);
+  RunScenario(baselines::MakeInflessBundle(), GetParam() + 2000);
 }
 
 TEST_P(FuzzSeedTest, RepartitionSurvives) {
-  RunScenario<baselines::RepartitionPlatform>(GetParam() + 3000);
+  RunScenario(baselines::MakeRepartitionBundle(), GetParam() + 3000);
 }
 
 TEST_P(FuzzSeedTest, DistributedFluidFaasSurvives) {
-  RunScenario<core::DistributedFluidFaas>(GetParam() + 4000);
+  RunScenario(core::MakeDistributedBundle(), GetParam() + 4000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest,
