@@ -30,14 +30,23 @@ void FfsState::EnsureSized(const platform::PlatformCore& core) {
   }
 }
 
+namespace {
+
+// Retired by the scheduler or crashed: either way the instance is gone.
+bool Gone(const Instance* i) {
+  return i->state() == InstanceState::kRetired ||
+         i->state() == InstanceState::kFailed;
+}
+
+}  // namespace
+
 void FfsState::PruneDead(FnState& st) {
   std::erase_if(st.eh, [](Instance* i) {
-    return i->state() == InstanceState::kRetired ||
-           i->state() == InstanceState::kDraining;
+    return Gone(i) || i->state() == InstanceState::kDraining;
   });
-  if (st.ts != nullptr && st.ts->state() == InstanceState::kRetired) {
-    st.ts = nullptr;
-  }
+  // A crashed TS instance leaves a warm entry behind (has_ts stays set), so
+  // the next request makes a fresh one resident.
+  if (st.ts != nullptr && Gone(st.ts)) st.ts = nullptr;
 }
 
 double FfsState::EhCapacity(const FnState& st) const {
@@ -75,11 +84,12 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
 
   if (!sid) {
     // Evict the least-recently-used idle resident time-sharing instance of
-    // another function whose slice is large enough (§5.3).
+    // another function whose slice is large enough (§5.3). A crashed one
+    // not yet pruned has no slice left to free.
     SimTime oldest = kTimeInfinity;
     for (std::size_t i = 0; i < fn_state.size(); ++i) {
       FnState& other = fn_state[i];
-      if (other.ts == nullptr || !other.ts->Idle()) continue;
+      if (other.ts == nullptr || Gone(other.ts) || !other.ts->Idle()) continue;
       if (FunctionId(static_cast<std::int32_t>(i)) == fn) continue;
       const core::StageBinding& b = other.ts->plan().stages.front();
       if (core.cluster().slice(b.slice).memory() < spec.total_memory) continue;
