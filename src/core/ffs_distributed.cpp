@@ -23,8 +23,12 @@ void DistState::EnsureSized(const platform::PlatformCore& core) {
 platform::SchedulerCounters DistState::counters() const {
   platform::SchedulerCounters c;
   for (const Invoker& inv : invokers) {
-    c.evictions += inv.domain.evictions;
-    c.pipelines_launched += inv.domain.pipelines_launched;
+    const platform::SchedulerCounters d = inv.domain.counters();
+    c.evictions += d.evictions;
+    c.promotions += d.promotions;
+    c.demotions += d.demotions;
+    c.migrations += d.migrations;
+    c.pipelines_launched += d.pipelines_launched;
   }
   return c;
 }
@@ -158,6 +162,7 @@ void DistScaling::Tick(platform::PlatformCore& core) {
           st.ts = inst;
           st.has_ts = true;
           st.ts_last_used = inst->last_used();
+          ++domain.demotions;
           core.bus().Publish(sim::SchedulerTransition{
               sim::TransitionKind::kDemotion, fn, inst->id(), now});
         } else if (st.eh.size() > 1 ||
@@ -176,14 +181,7 @@ void DistScaling::Tick(platform::PlatformCore& core) {
         }
       }
 
-      // Cold transition.
-      if (st.has_ts && now - st.ts_last_used > cfg.warm_timeout) {
-        if (st.ts != nullptr && st.ts->Idle()) {
-          core.RetireInstance(st.ts);
-          st.ts = nullptr;
-        }
-        if (st.ts == nullptr) st.has_ts = false;
-      }
+      domain.ExpireCold(core, fn);
       // Difference 3: no pipeline migration.
     }
   }

@@ -274,6 +274,23 @@ void FfsState::ScaleUp(platform::PlatformCore& core,
   }
 }
 
+void FfsState::ExpireCold(platform::PlatformCore& core, FunctionId fn) {
+  FnState& st = state(fn);
+  const SimTime now = core.simulator().Now();
+  if (!st.has_ts || now - st.ts_last_used <= core.config().warm_timeout) {
+    return;
+  }
+  if (st.ts != nullptr && st.ts->Idle()) {
+    core.RetireInstance(st.ts);
+    st.ts = nullptr;
+  }
+  if (st.ts == nullptr) {
+    st.has_ts = false;
+    core.bus().Publish(sim::SchedulerTransition{
+        sim::TransitionKind::kColdDrop, fn, InstanceId(), now});
+  }
+}
+
 void FfsRouting::Attach(platform::PlatformCore& core) {
   st_->EnsureSized(core);
 }
@@ -347,18 +364,7 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
       }
     }
 
-    // --- time-sharing -> cold (Fig. 8 ⑤) ---------------------------------
-    if (st.has_ts && now - st.ts_last_used > core.config().warm_timeout) {
-      if (st.ts != nullptr && st.ts->Idle()) {
-        core.RetireInstance(st.ts);
-        st.ts = nullptr;
-      }
-      if (st.ts == nullptr) {
-        st.has_ts = false;
-        core.bus().Publish(sim::SchedulerTransition{
-            sim::TransitionKind::kColdDrop, fn, InstanceId(), now});
-      }
-    }
+    st_->ExpireCold(core, fn);
 
     // --- pipeline migration (§5.3) ---------------------------------------
     // Cooldown one utilization window per function so a drained pipeline's

@@ -90,6 +90,10 @@ class FfsState {
   void ScaleUp(platform::PlatformCore& core,
                const platform::FunctionSpec& spec, double rate);
 
+  /// Fig. 8 ⑤: drop fn's time-sharing entry once it has gone unused for
+  /// warm_timeout, retiring its resident instance if idle.
+  void ExpireCold(platform::PlatformCore& core, FunctionId fn);
+
   void PruneDead(FnState& st);
   void RetireDrainedIdle(platform::PlatformCore& core);
 

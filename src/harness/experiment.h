@@ -121,7 +121,9 @@ struct ExperimentResult {
   double jain_fairness = 0.0;
   double worst_fn_p99_s = 0.0;
 
-  // Scheduler-behaviour counters (FluidFaaS only; zero otherwise).
+  // Scheduler-behaviour counters (FluidFaaS and FluidFaaS-dist; zero
+  // otherwise). Each of the first four equals the number of matching
+  // sim::SchedulerTransition events the run published.
   std::size_t evictions = 0;
   std::size_t promotions = 0;
   std::size_t demotions = 0;

@@ -3,6 +3,7 @@
 // Each scenario runs against both.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -95,6 +96,41 @@ TEST(FfsDomainTest, CrashedTimeSharingInstanceIsReplaced) {
     EXPECT_NE(fn0.ts, crashed);
     EXPECT_EQ(recorder.completed_requests(), 4u);
     EXPECT_EQ(recorder.plans_aborted(), 0u);
+  }
+}
+
+TEST(FfsDomainTest, CountersMatchPublishedTransitions) {
+  for (Scheduler& s : BothSchedulers()) {
+    SCOPED_TRACE(s.name);
+    sim::Simulator sim;
+    auto cluster = gpu::Cluster::Uniform(2, 4, gpu::DefaultPartition());
+    trace::WorkloadParams params;
+    params.duration = Seconds(120);
+    trace::Workload workload =
+        trace::MakeWorkload(trace::WorkloadTier::kMedium, cluster, params);
+    PlatformCore plat(sim, cluster, workload.functions, PlatformConfig{},
+                      std::move(s.bundle));
+    std::array<std::size_t, 5> seen{};  // indexed by sim::TransitionKind
+    auto sub = sim.bus().SubscribeScoped<sim::SchedulerTransition>(
+        [&seen](const sim::SchedulerTransition& e) {
+          ++seen[static_cast<std::size_t>(e.kind)];
+        });
+    plat.Start();
+    for (const auto& inv : workload.trace) {
+      sim.At(inv.time, [&plat, fn = inv.fn] { plat.Submit(fn); });
+    }
+    sim.RunUntil(params.duration + Minutes(2));
+    plat.Stop();
+
+    auto count = [&seen](sim::TransitionKind k) {
+      return seen[static_cast<std::size_t>(k)];
+    };
+    const platform::SchedulerCounters c = plat.scheduler_counters();
+    EXPECT_GT(c.promotions, 0u);
+    EXPECT_EQ(c.promotions, count(sim::TransitionKind::kPromotion));
+    EXPECT_EQ(c.demotions, count(sim::TransitionKind::kDemotion));
+    EXPECT_EQ(c.evictions, count(sim::TransitionKind::kEviction));
+    EXPECT_EQ(c.migrations, count(sim::TransitionKind::kMigration));
   }
 }
 
