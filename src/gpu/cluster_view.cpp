@@ -103,7 +103,7 @@ std::optional<SliceId> ClusterView::SmallestFreeSliceWithMemory(
     for (std::int32_t id : cluster_->free_by_profile_[idx]) {
       if (reserved_.count(id) != 0 || off_node(id)) continue;
       if (!cand || id < cand->value) cand = SliceId(id);
-      break;  // first non-reserved live id is the live minimum
+      break;  // first eligible live id is the live minimum
     }
     if (!cand) continue;
     const int gpcs = Gpcs(p);

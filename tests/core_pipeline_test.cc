@@ -163,6 +163,11 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
   EXPECT_TRUE(plan->IsMonolithic());
   EXPECT_EQ(plan->node, NodeId(0));
 
+  // Scoped to node 1, the search never looks at node 0.
+  plan = PlanFirstFeasible(dag, ranked, cluster, transfer, NodeId(1));
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->node, NodeId(1));
+
   // Occupy node 0 entirely: the same candidate lands on node 1.
   for (SliceId sid : cluster.AllSlices()) {
     if (cluster.slice(sid).node == NodeId(0)) cluster.Bind(sid, InstanceId(1));
@@ -170,6 +175,8 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
   plan = PlanFirstFeasible(dag, ranked, cluster, transfer);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->node, NodeId(1));
+  EXPECT_FALSE(
+      PlanFirstFeasible(dag, ranked, cluster, transfer, NodeId(0)).has_value());
 
   // Leave only the two smaller slices on node 1: a pipeline is required.
   for (SliceId sid : cluster.AllSlices()) {

@@ -219,6 +219,19 @@ TEST(ClusterViewProperty, OverlayQueriesMatchReferenceModel) {
         }
       }
       EXPECT_EQ(view.SmallestFreeSliceWithMemory(need), smallest);
+      // Node-scoped: the same rule over that node's slices only.
+      for (int n = 0; n < cluster.num_nodes(); ++n) {
+        std::optional<SliceId> on_node;
+        for (SliceId s : expect) {
+          if (cluster.slice(s).node != NodeId(n)) continue;
+          if (cluster.slice(s).memory() < need) continue;
+          if (!on_node ||
+              cluster.slice(s).gpcs() < cluster.slice(*on_node).gpcs()) {
+            on_node = s;
+          }
+        }
+        EXPECT_EQ(view.SmallestFreeSliceWithMemory(need, NodeId(n)), on_node);
+      }
     }
     // The overlay never leaked into live state: occupancy is untouched.
     for (SliceId s : all) {
