@@ -173,17 +173,17 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
   const SimTime deadline = core.DeadlineOf(rid);
 
   // 1. Exclusive-hot instances, lowest service latency first, while their
-  //    backlog still meets the deadline (§5.3 request routing).
-  std::vector<Instance*> hot;
+  //    backlog still meets the deadline (§5.3 request routing). Each
+  //    latency is computed once, not once per comparison.
+  std::vector<std::pair<SimDuration, Instance*>> hot;
   for (Instance* inst : st.eh) {
-    if (inst->CanAdmit()) hot.push_back(inst);
+    if (inst->CanAdmit()) hot.emplace_back(inst->ServiceLatency(), inst);
   }
-  std::sort(hot.begin(), hot.end(), [](Instance* a, Instance* b) {
-    if (a->ServiceLatency() != b->ServiceLatency())
-      return a->ServiceLatency() < b->ServiceLatency();
-    return a->id() < b->id();
+  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second->id() < b.second->id();
   });
-  for (Instance* inst : hot) {
+  for (const auto& [latency, inst] : hot) {
     if (inst->EstimateCompletion(now) <= deadline) {
       inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
       st.ts_last_used = now;
