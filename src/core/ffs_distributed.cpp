@@ -1,15 +1,10 @@
 #include "core/ffs_distributed.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/error.h"
-#include "sim/events.h"
 
 namespace fluidfaas::core {
 
 using platform::Instance;
-using platform::InstanceState;
 
 void DistState::EnsureSized(const platform::PlatformCore& core) {
   if (!invokers.empty()) return;
@@ -120,24 +115,16 @@ void DistScaling::OnCompleted(platform::PlatformCore& core, RequestId,
   for (DistState::Invoker& inv : st_->invokers) {
     inv.domain.state(fn).ts_last_used = now;
   }
-  for (Instance* inst : core.InstancesOf(fn)) {
-    if (inst->state() == InstanceState::kDraining && inst->Idle()) {
-      core.RetireInstance(inst);
-    }
-  }
 }
 
 void DistScaling::Tick(platform::PlatformCore& core) {
-  const SimTime now = core.simulator().Now();
-  const platform::PlatformConfig& cfg = core.config();
-  const double period_s = ToSeconds(cfg.autoscale_period);
+  const double period_s = ToSeconds(core.config().autoscale_period);
 
   for (DistState::Invoker& inv : st_->invokers) {
     FfsState& domain = inv.domain;
     for (std::size_t f = 0; f < domain.fn_state.size(); ++f) {
       const FunctionId fn(static_cast<std::int32_t>(f));
-      FfsState::FnState& st = domain.state(fn);
-      domain.PruneDead(st);
+      domain.PruneDead(domain.state(fn));
 
       // Difference 1: scale-up follows the invoker-local arrival EWMA (the
       // requests the load balancer sent here), not the core's global rate.
@@ -148,41 +135,9 @@ void DistScaling::Tick(platform::PlatformCore& core) {
 
       domain.Promote(core, fn);
       domain.ScaleUp(core, core.function(fn), a.ewma);
-
-      // Difference 2: the demotion rule. Only a monolithic last instance
-      // becomes the time-sharing entry; a pipelined one is always retired,
-      // leaving a warm entry behind when time sharing is on.
-      for (Instance* inst : std::vector<Instance*>(st.eh)) {
-        if (inst->state() != InstanceState::kReady || !inst->Idle()) continue;
-        if (now - inst->last_used() < cfg.util_window) continue;
-        if (core.UtilizationOf(inst) >= cfg.hot_threshold) continue;
-        if (cfg.enable_time_sharing && !st.has_ts && st.eh.size() == 1 &&
-            !inst->IsPipelined()) {
-          std::erase(st.eh, inst);
-          st.ts = inst;
-          st.has_ts = true;
-          st.ts_last_used = inst->last_used();
-          ++domain.demotions;
-          core.bus().Publish(sim::SchedulerTransition{
-              sim::TransitionKind::kDemotion, fn, inst->id(), now});
-        } else if (st.eh.size() > 1 ||
-                   (cfg.enable_time_sharing && st.has_ts) ||
-                   inst->IsPipelined()) {
-          std::erase(st.eh, inst);
-          core.RetireInstance(inst);
-          if (cfg.enable_time_sharing && !st.has_ts && st.eh.empty()) {
-            st.has_ts = true;  // warm entry
-            st.ts_last_used = inst->last_used();
-          }
-        } else if (!cfg.enable_time_sharing &&
-                   now - inst->last_used() >= cfg.exclusive_keepalive) {
-          std::erase(st.eh, inst);
-          core.RetireInstance(inst);
-        }
-      }
-
+      domain.ScaleDown(core, fn);
       domain.ExpireCold(core, fn);
-      // Difference 3: no pipeline migration.
+      // Difference 2: no pipeline migration, so no instance ever drains.
     }
   }
 }

@@ -274,6 +274,48 @@ void FfsState::ScaleUp(platform::PlatformCore& core,
   }
 }
 
+void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
+  FnState& st = state(fn);
+  const SimTime now = core.simulator().Now();
+  // Consider only Ready+idle instances that have been quiet for a window.
+  for (Instance* inst : std::vector<Instance*>(st.eh)) {
+    if (inst->state() != InstanceState::kReady || !inst->Idle()) continue;
+    if (now - inst->last_used() < core.config().util_window) continue;
+    const double util = core.UtilizationOf(inst);
+    if (util >= core.config().hot_threshold) continue;
+    if (core.config().enable_time_sharing && !st.has_ts &&
+        st.eh.size() == 1) {
+      // Demote the last exclusive instance into the time-sharing state:
+      // it keeps serving from its slice but becomes evictable. Pipelined
+      // instances cannot be time-shared; retire them to warm instead.
+      std::erase(st.eh, inst);
+      if (!inst->IsPipelined()) {
+        st.ts = inst;
+        st.has_ts = true;
+        st.ts_last_used = inst->last_used();
+      } else {
+        core.RetireInstance(inst);
+        st.has_ts = true;  // warm entry, resident on next request
+        st.ts = nullptr;
+        st.ts_last_used = inst->last_used();
+      }
+      ++demotions;
+      core.bus().Publish(sim::SchedulerTransition{
+          sim::TransitionKind::kDemotion, fn, inst->id(), now});
+    } else if (st.eh.size() > 1 ||
+               (core.config().enable_time_sharing && st.has_ts)) {
+      // Surplus exclusive capacity: the remaining instances (or the
+      // time-sharing entry) cover the residual load; release the slices.
+      std::erase(st.eh, inst);
+      core.RetireInstance(inst);
+    } else if (!core.config().enable_time_sharing &&
+               now - inst->last_used() >= core.config().exclusive_keepalive) {
+      std::erase(st.eh, inst);
+      core.RetireInstance(inst);
+    }
+  }
+}
+
 void FfsState::ExpireCold(platform::PlatformCore& core, FunctionId fn) {
   FnState& st = state(fn);
   const SimTime now = core.simulator().Now();
@@ -325,45 +367,7 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
     st_->Promote(core, fn);
     st_->ScaleUp(core, spec, core.ArrivalRate(fn));
 
-    // --- scale-down: exclusive-hot -> time sharing (Fig. 8 ③) ------------
-    // Consider only Ready+idle instances that have been quiet for a window.
-    for (Instance* inst : std::vector<Instance*>(st.eh)) {
-      if (inst->state() != InstanceState::kReady || !inst->Idle()) continue;
-      if (now - inst->last_used() < core.config().util_window) continue;
-      const double util = core.UtilizationOf(inst);
-      if (util >= core.config().hot_threshold) continue;
-      if (core.config().enable_time_sharing && !st.has_ts &&
-          st.eh.size() == 1) {
-        // Demote the last exclusive instance into the time-sharing state:
-        // it keeps serving from its slice but becomes evictable. Pipelined
-        // instances cannot be time-shared; retire them to warm instead.
-        std::erase(st.eh, inst);
-        if (!inst->IsPipelined()) {
-          st.ts = inst;
-          st.has_ts = true;
-          st.ts_last_used = inst->last_used();
-        } else {
-          core.RetireInstance(inst);
-          st.has_ts = true;  // warm entry, resident on next request
-          st.ts = nullptr;
-          st.ts_last_used = inst->last_used();
-        }
-        ++st_->demotions;
-        core.bus().Publish(sim::SchedulerTransition{
-            sim::TransitionKind::kDemotion, fn, inst->id(), now});
-      } else if (st.eh.size() > 1 ||
-                 (core.config().enable_time_sharing && st.has_ts)) {
-        // Surplus exclusive capacity: the remaining instances (or the
-        // time-sharing entry) cover the residual load; release the slices.
-        std::erase(st.eh, inst);
-        core.RetireInstance(inst);
-      } else if (!core.config().enable_time_sharing &&
-                 now - inst->last_used() >= core.config().exclusive_keepalive) {
-        std::erase(st.eh, inst);
-        core.RetireInstance(inst);
-      }
-    }
-
+    st_->ScaleDown(core, fn);
     st_->ExpireCold(core, fn);
 
     // --- pipeline migration (§5.3) ---------------------------------------

@@ -90,6 +90,11 @@ class FfsState {
   void ScaleUp(platform::PlatformCore& core,
                const platform::FunctionSpec& spec, double rate);
 
+  /// Fig. 8 ③: demote fn's last idle, cooled exclusive-hot instance to
+  /// time sharing (a pipelined one is retired to a warm entry) and retire
+  /// surplus idle exclusive-hot instances.
+  void ScaleDown(platform::PlatformCore& core, FunctionId fn);
+
   /// Fig. 8 ⑤: drop fn's time-sharing entry once it has gone unused for
   /// warm_timeout, retiring its resident instance if idle.
   void ExpireCold(platform::PlatformCore& core, FunctionId fn);
