@@ -13,8 +13,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.h"
+#include "harness/json_report.h"
+#include "harness/sweep.h"
 
 namespace fluidfaas::harness {
 namespace {
@@ -26,6 +29,9 @@ class Fnv1a {
       h_ ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffU;
       h_ *= 0x100000001b3ULL;
     }
+  }
+  void AddBytes(const std::string& s) {
+    for (const char c : s) Add(static_cast<unsigned char>(c));
   }
   std::uint64_t value() const { return h_; }
 
@@ -88,6 +94,44 @@ TEST(GoldenDigestTest, FluidFaasSchedulersFaultFree) {
     ASSERT_GT(r.recorder->records().size(), 0u);
     EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(cell.digest))
         << r.system << " / " << r.tier;
+  }
+}
+
+// The bytes of the JSON report (ResultsToJson) for all five schedulers on a
+// medium-tier, 30 s trace, fault-free fifo/none and under faults with the
+// fair queue and shed admission. The faulted config makes the availability,
+// QoS-reject and scheduler-counter keys non-zero, so this pins every key
+// and value the report prints, not just the simulation underneath it.
+TEST(GoldenDigestTest, ReportJsonBytes) {
+  struct ReportCell {
+    const char* label;
+    double fault_rate;
+    const char* queue;
+    const char* admission;
+    std::uint64_t digest;
+  };
+  constexpr ReportCell kReports[] = {
+      {"fault-free fifo/none", 0.0, "fifo", "none", 0xa63bcf5bc5f99bedULL},
+      {"faults 0.05 fair/shed", 0.05, "fair", "shed", 0x40c5c7c2129ab046ULL},
+  };
+  for (const ReportCell& cell : kReports) {
+    std::vector<ExperimentConfig> configs;
+    for (SystemKind kind :
+         {SystemKind::kInfless, SystemKind::kEsg, SystemKind::kRepartition,
+          SystemKind::kFluidFaasDistributed, SystemKind::kFluidFaas}) {
+      ExperimentConfig cfg;
+      cfg.system = kind;
+      cfg.tier = WorkloadTier::kMedium;
+      cfg.duration = Seconds(30);
+      cfg.faults.rate = cell.fault_rate;
+      cfg.faults.timeout_scale = cell.fault_rate > 0.0 ? 3.0 : 0.0;
+      cfg.platform.qos.queue = cell.queue;
+      cfg.platform.qos.admission = cell.admission;
+      configs.push_back(cfg);
+    }
+    Fnv1a h;
+    h.AddBytes(ResultsToJson(RunConfigs(configs)));
+    EXPECT_EQ(Hex(h.value()), Hex(cell.digest)) << cell.label;
   }
 }
 
