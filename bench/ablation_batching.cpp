@@ -25,7 +25,7 @@ int main() {
       cells.push_back(cfg);  // batch=4
     }
   }
-  const auto results = bench::RunAll(cells);
+  const auto results = harness::RunConfigs(cells);
 
   std::size_t i = 0;
   for (auto tier : tiers) {
@@ -36,8 +36,8 @@ int main() {
       const auto& batched = results[i++];
       table.AddRow({plain.system, metrics::Fmt(plain.throughput_rps, 1),
                     metrics::Fmt(batched.throughput_rps, 1),
-                    metrics::FmtPercent(plain.slo_hit_rate),
-                    metrics::FmtPercent(batched.slo_hit_rate)});
+                    metrics::FmtPercent(plain.recorder->SloHitRate()),
+                    metrics::FmtPercent(batched.recorder->SloHitRate())});
     }
     std::cout << "--- " << trace::Name(tier) << " workload ---\n";
     table.Print();

@@ -24,9 +24,9 @@ int main() {
     const auto& r = cell.result;
     table.AddRow({trace::Name(cell.point.tier), r.system,
                   metrics::Fmt(r.throughput_rps, 1),
-                  metrics::FmtPercent(r.slo_hit_rate),
-                  std::to_string(r.pipelines_launched),
-                  std::to_string(r.evictions)});
+                  metrics::FmtPercent(r.recorder->SloHitRate()),
+                  std::to_string(r.scheduler.pipelines_launched),
+                  std::to_string(r.scheduler.evictions)});
   }
   table.Print();
   std::cout << "\nPer-invoker scheduling keeps decisions node-local (no\n"

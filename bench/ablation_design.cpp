@@ -21,12 +21,13 @@ void Report(metrics::Table& table, const char* name,
             const harness::ExperimentResult& base) {
   table.AddRow(
       {name, metrics::Fmt(r.throughput_rps, 1),
-       metrics::FmtPercent(r.slo_hit_rate),
+       metrics::FmtPercent(r.recorder->SloHitRate()),
        metrics::Fmt(100.0 * (r.throughput_rps / base.throughput_rps - 1.0),
                     1) +
            "%",
-       std::to_string(r.pipelines_launched), std::to_string(r.evictions),
-       std::to_string(r.migrations)});
+       std::to_string(r.scheduler.pipelines_launched),
+       std::to_string(r.scheduler.evictions),
+       std::to_string(r.scheduler.migrations)});
 }
 
 }  // namespace
@@ -54,7 +55,7 @@ int main() {
   for (auto tier : tiers) {
     for (const auto& t : toggles) cells.push_back(Make(tier, t.mutate));
   }
-  const auto results = bench::RunAll(cells);
+  const auto results = harness::RunConfigs(cells);
 
   const std::size_t kToggles = sizeof(toggles) / sizeof(toggles[0]);
   for (std::size_t ti = 0; ti < 2; ++ti) {

@@ -23,14 +23,13 @@ int main() {
                         "P95", "reconfigs", "blackout"});
   for (const harness::SweepCell& cell : sweep.cells) {
     const auto& r = cell.result;
-    auto lats = r.recorder->LatenciesSeconds();
-    const double p95 = lats.empty() ? 0.0 : Percentile(lats, 0.95);
     table.AddRow({trace::Name(cell.point.tier), r.system,
                   metrics::Fmt(r.throughput_rps, 1),
-                  metrics::FmtPercent(r.slo_hit_rate),
-                  metrics::Fmt(p95, 1) + "s",
-                  std::to_string(r.reconfigurations),
-                  metrics::Fmt(ToSeconds(r.reconfiguration_blackout), 0) +
+                  metrics::FmtPercent(r.recorder->SloHitRate()),
+                  metrics::Fmt(r.recorder->LatencyPercentile(0.95), 1) + "s",
+                  std::to_string(r.scheduler.reconfigurations),
+                  metrics::Fmt(
+                      ToSeconds(r.scheduler.reconfiguration_blackout), 0) +
                       "s"});
   }
   table.Print();

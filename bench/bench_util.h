@@ -68,25 +68,19 @@ inline harness::ExperimentConfig PaperConfig(trace::WorkloadTier tier) {
   return cfg;
 }
 
-/// Run a set of bench cells through the parallel engine; results come back
-/// in input order. Thin alias so every bench reads the same way.
-inline std::vector<harness::ExperimentResult> RunAll(
-    const std::vector<harness::ExperimentConfig>& configs) {
-  return harness::RunConfigs(configs);
-}
-
 /// Write the BENCH_sweep.json artifact (FFS_SWEEP_OUT overrides the path)
-/// and print where it went plus the wall-clock/speedup summary.
-inline void ReportSweepArtifact(const harness::SweepOutcome& outcome,
+/// and print where it went plus the wall-clock/speedup summary. Returns
+/// false (after logging) when the file could not be written.
+inline bool ReportSweepArtifact(const harness::SweepOutcome& outcome,
                                 const std::string& fallback =
                                     "BENCH_sweep.json") {
   const std::string path = harness::SweepOutPath(fallback);
-  if (harness::WriteSweepJsonFile(outcome, path)) {
-    std::cout << "sweep artifact: " << path << " (" << outcome.cells.size()
-              << " cells, jobs=" << outcome.jobs << ", wall "
-              << metrics::Fmt(outcome.wall_seconds, 2) << "s, speedup "
-              << metrics::Fmt(outcome.Speedup(), 2) << "x)\n";
-  }
+  if (!harness::WriteSweepJsonFile(outcome, path)) return false;
+  std::cout << "sweep artifact: " << path << " (" << outcome.cells.size()
+            << " cells, jobs=" << outcome.jobs << ", wall "
+            << metrics::Fmt(outcome.wall_seconds, 2) << "s, speedup "
+            << metrics::Fmt(outcome.Speedup(), 2) << "x)\n";
+  return true;
 }
 
 inline void Banner(const std::string& title, const std::string& paper_ref) {

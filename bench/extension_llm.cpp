@@ -42,8 +42,7 @@ ServiceResult Serve(model::LlmSize size, double rps, SimDuration duration) {
   ServiceResult r;
   r.completed = recorder.completed_requests();
   r.slo = recorder.SloHitRate();
-  auto lats = recorder.LatenciesSeconds();
-  r.p95 = lats.empty() ? 0.0 : Percentile(lats, 0.95);
+  r.p95 = recorder.LatencyPercentile(0.95);
   r.pipelines = state->pipelines_launched;
   return r;
 }

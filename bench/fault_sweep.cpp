@@ -7,13 +7,10 @@
 // well keeps goodput close to its fault-free throughput.
 //
 // The rate × system grid executes as one parallel sweep (fault rate is a
-// first-class sweep axis); rows and the JSON report follow grid order, so
-// output is byte-identical at any FFS_JOBS.
-#include <fstream>
-
+// first-class sweep axis); rows follow grid order, so stdout is
+// byte-identical at any FFS_JOBS. The full per-cell report lands in the
+// standard sweep artifact, fault_sweep.json (FFS_SWEEP_OUT overrides it).
 #include "bench/bench_util.h"
-#include "common/json.h"
-#include "harness/json_report.h"
 
 using namespace fluidfaas;
 
@@ -48,8 +45,6 @@ int main() {
                         "vs rate 0", "inst fail", "slice fail", "retries",
                         "recovered", "abandoned", "plans", "aborted"});
 
-  JsonWriter w;
-  w.BeginArray();
   // Fault-free goodput per system, the baseline of the degradation column.
   // The rate-0 cells are the grid's first row (fault rate is the outer
   // axis), so they are always populated before higher rates consult them.
@@ -59,63 +54,27 @@ int main() {
     const std::size_t s = cell.point.index % kNumSystems;
     const double rate = cell.point.fault_rate;
     const auto& r = cell.result;
+    const metrics::Recorder& rec = *r.recorder;
     if (rate == 0.0) baseline[s] = r.goodput_rps;
     const double rel =
         baseline[s] > 0.0 ? r.goodput_rps / baseline[s] : 1.0;
     table.AddRow({metrics::Fmt(rate, 2), r.system,
                   metrics::Fmt(r.goodput_rps, 1) + " rps",
-                  metrics::FmtPercent(r.slo_hit_rate),
+                  metrics::FmtPercent(rec.SloHitRate()),
                   metrics::FmtPercent(rel),
-                  std::to_string(r.instances_failed),
-                  std::to_string(r.slices_failed),
-                  std::to_string(r.retries),
-                  std::to_string(r.recovered),
-                  std::to_string(r.abandoned),
-                  std::to_string(r.plans_committed + r.plans_aborted),
-                  std::to_string(r.plans_aborted)});
-    w.BeginObject();
-    w.Key("fault_rate").Value(rate);
-    w.Key("system").Value(r.system);
-    w.Key("goodput_rps").Value(r.goodput_rps);
-    w.Key("goodput_vs_baseline").Value(rel);
-    w.Key("throughput_rps").Value(r.throughput_rps);
-    w.Key("slo_hit_rate").Value(r.slo_hit_rate);
-    w.Key("instances_failed").Value(r.instances_failed);
-    w.Key("slices_failed").Value(r.slices_failed);
-    w.Key("timeouts").Value(r.timeouts);
-    w.Key("retries").Value(r.retries);
-    w.Key("recovered").Value(r.recovered);
-    w.Key("abandoned").Value(r.abandoned);
-    w.Key("plans_committed").Value(r.plans_committed);
-    w.Key("plans_aborted").Value(r.plans_aborted);
-    w.Key("plan_conflict_rate").Value(r.plan_conflict_rate);
-    w.Key("plan_aborts_by_cause").BeginObject();
-    for (int c = 1; c < sim::kNumPlanAbortCauses; ++c) {
-      w.Key(sim::Name(static_cast<sim::PlanAbortCause>(c)))
-          .Value(r.plan_aborts_by_cause[static_cast<std::size_t>(c)]);
-    }
-    w.EndObject();
-    // Admission rejections (zero with the default fifo/none queue policy;
-    // JSON-only so the stdout table is unchanged by the QoS subsystem).
-    w.Key("rejected").Value(r.rejected);
-    w.Key("rejects_by_cause").BeginObject();
-    for (int c = 1; c < sim::kNumRejectCauses; ++c) {
-      w.Key(sim::Name(static_cast<sim::RejectCause>(c)))
-          .Value(r.rejects_by_cause[static_cast<std::size_t>(c)]);
-    }
-    w.EndObject();
-    w.EndObject();
+                  std::to_string(rec.instances_failed()),
+                  std::to_string(rec.slices_failed()),
+                  std::to_string(rec.retries_total()),
+                  std::to_string(rec.RecoveredRequests()),
+                  std::to_string(rec.abandoned_requests()),
+                  std::to_string(rec.plans_committed() + rec.plans_aborted()),
+                  std::to_string(rec.plans_aborted())});
   }
   table.Print();
-  w.EndArray();
 
-  const char* env = std::getenv("FFS_FAULT_SWEEP_OUT");
-  const std::string path = env != nullptr ? env : "fault_sweep.json";
-  std::ofstream out(path);
-  FFS_CHECK_MSG(out.good(), "cannot write " + path);
-  out << w.Take() << "\n";
-  std::cout << "\nJSON report written to " << path << "\n"
-            << "Failures stay contained to single MIG slices (strong\n"
+  std::cout << "\n";
+  if (!bench::ReportSweepArtifact(sweep, "fault_sweep.json")) return 1;
+  std::cout << "Failures stay contained to single MIG slices (strong\n"
                "isolation); the degradation column shows how much of each\n"
                "scheduler's fault-free goodput survives the injection.\n";
   return 0;

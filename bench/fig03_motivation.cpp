@@ -13,7 +13,7 @@ int main() {
                 "Fig. 3(a)+(b)");
   auto cfg = bench::PaperConfig(trace::WorkloadTier::kMedium);
   cfg.system = harness::SystemKind::kEsg;
-  auto esg = std::move(bench::RunAll({cfg})[0]);
+  const harness::ExperimentResult esg = harness::RunExperiment(cfg);
 
   // Reconstruct the offered load to compute the "required GPU resource":
   // the GPC-seconds of work arriving per second (ideal work-conserving

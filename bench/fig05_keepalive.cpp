@@ -19,7 +19,7 @@ int main() {
   // print ESG first, exactly as before.
   auto fluid_cfg = cfg;
   fluid_cfg.system = harness::SystemKind::kFluidFaas;
-  auto results = bench::RunAll({cfg, fluid_cfg});
+  auto results = harness::RunConfigs({cfg, fluid_cfg});
   const auto& esg = results[0];
 
   metrics::Table table({"GPU", "occupied", "actively used"});
@@ -37,7 +37,7 @@ int main() {
   table.Print();
 
   const double below35 = esg.recorder->busy_gpcs().FractionAtOrBelow(
-      0.35 * esg.total_gpcs, 0, cfg.duration);
+      0.35 * esg.recorder->total_gpcs(), 0, cfg.duration);
   std::cout << "\naverage occupied " << metrics::FmtPercent(mean_occupied)
             << ", average actively used " << metrics::FmtPercent(mean_active)
             << " (paper: 16.1% active)\n"

@@ -36,15 +36,15 @@ int main() {
     }
     std::vector<std::string> overall = {"ALL"};
     for (const auto* r : results) {
-      overall.push_back(metrics::FmtPercent(r->slo_hit_rate));
+      overall.push_back(metrics::FmtPercent(r->recorder->SloHitRate()));
     }
     table.AddRow(overall);
 
     std::cout << "--- " << trace::Name(spec.tiers[t]) << " workload (offered "
               << metrics::Fmt(results[0]->offered_rps, 1) << " rps) ---\n";
     table.Print();
-    const double esg = results[1]->slo_hit_rate;
-    const double fluid = results[2]->slo_hit_rate;
+    const double esg = results[1]->recorder->SloHitRate();
+    const double fluid = results[2]->recorder->SloHitRate();
     if (esg > 0) {
       std::cout << "FluidFaaS vs ESG: "
                 << metrics::Fmt(100.0 * (fluid / esg - 1.0), 1)

@@ -34,12 +34,8 @@ void PrintTier(trace::WorkloadTier tier,
     table.Print();
   }
   // The paper's headline: P95 tail-latency reduction vs ESG.
-  auto p95 = [&](const harness::ExperimentResult& r) {
-    auto lats = r.recorder->LatenciesSeconds();
-    return lats.empty() ? 0.0 : Percentile(lats, 0.95);
-  };
-  const double esg95 = p95(*results[1]);
-  const double fluid95 = p95(*results[2]);
+  const double esg95 = results[1]->recorder->LatencyPercentile(0.95);
+  const double fluid95 = results[2]->recorder->LatencyPercentile(0.95);
   if (esg95 > 0) {
     std::cout << "P95 (all apps): ESG " << metrics::Fmt(esg95, 3)
               << "s, FluidFaaS " << metrics::Fmt(fluid95, 3) << "s ("

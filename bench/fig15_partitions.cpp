@@ -30,7 +30,7 @@ int main() {
       cells.push_back(cfg);
     }
   }
-  const auto results = bench::RunAll(cells);
+  const auto results = harness::RunConfigs(cells);
 
   metrics::Table table({"Partition", "INFless rps", "ESG rps",
                         "FluidFaaS rps", "Fluid vs ESG", "Paper"});

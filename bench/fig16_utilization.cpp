@@ -30,7 +30,7 @@ int main() {
         // 10-second window mean ending at tm.
         const double u =
             r->recorder->busy_gpcs().MeanOver(tm - Seconds(10), tm) /
-            static_cast<double>(r->total_gpcs);
+            static_cast<double>(r->recorder->total_gpcs());
         row.push_back(metrics::FmtPercent(u));
       }
       table.AddRow(row);
@@ -39,7 +39,7 @@ int main() {
     std::cout << "run mean: ";
     for (const auto* r : results) {
       const double u = r->recorder->busy_gpcs().MeanOver(0, duration) /
-                       static_cast<double>(r->total_gpcs);
+                       static_cast<double>(r->recorder->total_gpcs());
       std::cout << r->system << " " << metrics::FmtPercent(u) << "  ";
     }
     std::cout << "\n(paper §7.2: FluidFaaS utilization up to +75% over ESG "

@@ -81,7 +81,7 @@ int main() {
     }
   }
   const std::vector<harness::ExperimentResult> results =
-      bench::RunAll(configs);
+      harness::RunConfigs(configs);
 
   constexpr std::size_t kReps = std::size(kSeeds);
   metrics::Table table({"load", "policy", "system", "goodput", "SLO hit",
@@ -98,14 +98,15 @@ int main() {
         std::array<std::size_t, sim::kNumRejectCauses> by_cause{};
         for (std::size_t k = 0; k < kReps; ++k) {
           const harness::ExperimentResult& r = results[i + k];
+          const metrics::Recorder& rec = *r.recorder;
           goodput += r.goodput_rps;
-          slo += r.slo_hit_rate;
-          p99 += r.worst_fn_p99_s;
-          jain += r.jain_fairness;
-          rejected += static_cast<double>(r.rejected);
+          slo += rec.SloHitRate();
+          p99 += rec.WorstFunctionP99();
+          jain += rec.JainFairnessIndex();
+          rejected += static_cast<double>(rec.rejected_requests());
           for (int c = 0; c < sim::kNumRejectCauses; ++c) {
             by_cause[static_cast<std::size_t>(c)] +=
-                r.rejects_by_cause[static_cast<std::size_t>(c)];
+                rec.rejected_by(static_cast<sim::RejectCause>(c));
           }
         }
         goodput /= kReps;

@@ -26,19 +26,21 @@ int main() {
     // Normalize per completed request so saturated baselines that complete
     // less work are not flattered (the paper's systems complete the same
     // request set within the measurement window).
-    auto per_req = [](const harness::ExperimentResult& r, SimDuration v) {
-      const auto n = r.recorder->completed_requests();
+    auto per_req = [](const metrics::Recorder& rec, SimDuration v) {
+      const auto n = rec.completed_requests();
       return n ? static_cast<double>(v) / static_cast<double>(n) : 0.0;
     };
-    const double f_mig = per_req(*results[2], results[2]->mig_time);
-    const double f_gpu = per_req(*results[2], results[2]->gpu_time);
+    const metrics::Recorder& fluid = *results[2]->recorder;
+    const double f_mig = per_req(fluid, fluid.MigTime());
+    const double f_gpu = per_req(fluid, fluid.GpuTime());
     std::vector<std::string> mig_row = {trace::Name(spec.tiers[t]),
                                         "MIG time"};
     std::vector<std::string> gpu_row = {trace::Name(spec.tiers[t]),
                                         "GPU time"};
     for (const auto* r : results) {
-      mig_row.push_back(metrics::Fmt(per_req(*r, r->mig_time) / f_mig, 2));
-      gpu_row.push_back(metrics::Fmt(per_req(*r, r->gpu_time) / f_gpu, 2));
+      const metrics::Recorder& rec = *r->recorder;
+      mig_row.push_back(metrics::Fmt(per_req(rec, rec.MigTime()) / f_mig, 2));
+      gpu_row.push_back(metrics::Fmt(per_req(rec, rec.GpuTime()) / f_gpu, 2));
     }
     mig_row.push_back(paper_mig[t]);
     gpu_row.push_back(paper_gpu[t]);

@@ -63,8 +63,7 @@ Outcome Run(const char* name, platform::PolicyBundle bundle) {
   o.name = name;
   o.completed = recorder.completed_requests();
   o.slo_hit = recorder.SloHitRate();
-  auto lats = recorder.LatenciesSeconds();
-  o.p95_s = lats.empty() ? 0.0 : Percentile(lats, 0.95);
+  o.p95_s = recorder.LatencyPercentile(0.95);
   return o;
 }
 

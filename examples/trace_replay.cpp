@@ -54,18 +54,16 @@ int main(int argc, char** argv) {
                         "P95 latency", "MIG time", "GPU time", "pipelines",
                         "evictions"});
   for (const auto& r : results) {
-    auto lats = r.recorder->LatenciesSeconds();
-    const double p95 = lats.empty() ? 0.0 : Percentile(lats, 0.95);
     table.AddRow({r.system,
                   std::to_string(r.recorder->completed_requests()) + "/" +
                       std::to_string(r.recorder->total_requests()),
                   metrics::Fmt(r.throughput_rps, 1) + " rps",
-                  metrics::FmtPercent(r.slo_hit_rate),
-                  metrics::Fmt(p95, 2) + "s",
-                  metrics::Fmt(ToSeconds(r.mig_time), 0) + "s",
-                  metrics::Fmt(ToSeconds(r.gpu_time), 0) + "s",
-                  std::to_string(r.pipelines_launched),
-                  std::to_string(r.evictions)});
+                  metrics::FmtPercent(r.recorder->SloHitRate()),
+                  metrics::Fmt(r.recorder->LatencyPercentile(0.95), 2) + "s",
+                  metrics::Fmt(ToSeconds(r.recorder->MigTime()), 0) + "s",
+                  metrics::Fmt(ToSeconds(r.recorder->GpuTime()), 0) + "s",
+                  std::to_string(r.scheduler.pipelines_launched),
+                  std::to_string(r.scheduler.evictions)});
   }
   table.Print();
   return 0;

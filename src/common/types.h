@@ -8,6 +8,9 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
+
+#include "common/error.h"
 
 namespace fluidfaas {
 
@@ -66,6 +69,19 @@ using FunctionId = Id<FunctionTag>;
 using InstanceId = Id<InstanceTag>;
 using RequestId = Id<RequestTag>;
 using ComponentId = Id<ComponentTag>;
+
+/// An Id from a wider counter (a container size, an int64 sequence number).
+/// Throws FfsError when `n` is negative or above INT32_MAX instead of
+/// letting it wrap to an invalid or reused id.
+template <typename IdT, typename Int>
+constexpr IdT CheckedId(Int n) {
+  if (std::cmp_less(n, 0) ||
+      std::cmp_greater(n, std::numeric_limits<std::int32_t>::max())) {
+    throw FfsError("id " + std::to_string(n) +
+                   " does not fit the 32-bit id space");
+  }
+  return IdT(static_cast<std::int32_t>(n));
+}
 
 template <typename Tag>
 std::string ToString(Id<Tag> id) {

@@ -1,6 +1,5 @@
 #include "harness/experiment.h"
 
-#include "common/error.h"
 #include "harness/run_context.h"
 #include "harness/sweep.h"
 
@@ -25,27 +24,6 @@ const char* Name(SystemKind kind) {
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   RunContext ctx(config);
   return ctx.Run();
-}
-
-ReplicatedSummary RunReplicated(ExperimentConfig config, int replicas) {
-  FFS_CHECK(replicas >= 1);
-  // The replica seeds form a deterministic sequence off the base seed, so
-  // the replicas are independent cells a pool can run concurrently.
-  std::vector<ExperimentConfig> cells;
-  cells.reserve(static_cast<std::size_t>(replicas));
-  for (int i = 0; i < replicas; ++i) {
-    config.seed = config.seed * 7919 + 17;  // distinct, deterministic seeds
-    cells.push_back(config);
-  }
-  ReplicatedSummary s;
-  s.replicas = replicas;
-  for (ExperimentResult& r : RunConfigs(cells)) {
-    s.throughput_rps.Add(r.throughput_rps);
-    s.slo_hit_rate.Add(r.slo_hit_rate);
-    auto lats = r.recorder->LatenciesSeconds();
-    if (!lats.empty()) s.p95_latency_s.Add(Percentile(lats, 0.95));
-  }
-  return s;
 }
 
 std::vector<ExperimentResult> RunComparison(ExperimentConfig config,

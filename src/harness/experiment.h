@@ -7,15 +7,14 @@
 // three platforms in one comparison see byte-identical arrivals.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "gpu/mig_partition.h"
 #include "metrics/recorder.h"
 #include "platform/config.h"
+#include "platform/policy.h"
 #include "trace/workload.h"
 
 namespace fluidfaas::harness {
@@ -77,6 +76,10 @@ struct ExperimentConfig {
   platform::PlatformConfig platform;
 };
 
+/// What one run leaves behind. Every metric the Recorder can answer by
+/// itself (SLO hit rate, MIG/GPU time, availability, placement and QoS
+/// counters, ...) is read from `recorder` directly; this struct carries only
+/// the run facts around it and the two rates that need the trace window.
 struct ExperimentResult {
   std::string system;
   std::string tier;
@@ -87,52 +90,15 @@ struct ExperimentResult {
   double offered_rps = 0.0;
   double ideal_rps = 0.0;
   SimTime makespan = 0;  // last completion (or trace end if greater)
-  int total_gpcs = 0;
 
-  // Headline summary (derived from `recorder`, using the makespan horizon).
-  double slo_hit_rate = 0.0;
+  // Per second of the trace window (config.duration), which the Recorder
+  // does not know: completions, and SLO-hit non-timed-out completions.
   double throughput_rps = 0.0;
-  SimDuration mig_time = 0;
-  SimDuration gpu_time = 0;
+  double goodput_rps = 0.0;
 
-  // Availability under faults (all zero in fault-free runs).
-  double goodput_rps = 0.0;  // SLO-hit, non-timed-out completions per second
-  std::size_t timeouts = 0;
-  std::size_t retries = 0;
-  std::size_t abandoned = 0;
-  std::size_t recovered = 0;  // completions that survived >=1 failure
-  std::size_t instances_failed = 0;
-  std::size_t slices_failed = 0;
-
-  // Placement transactions (DESIGN.md §8). Aborts stay zero in fault-free
-  // runs: every scheduler commits in the same synchronous decision that
-  // planned, so live state cannot drift from the ClusterView.
-  std::size_t plans_committed = 0;
-  std::size_t plans_aborted = 0;
-  std::size_t spawns_committed = 0;
-  std::array<std::size_t, sim::kNumPlanAbortCauses> plan_aborts_by_cause{};
-  double plan_conflict_rate = 0.0;  // aborted / all commit attempts
-
-  // QoS (DESIGN.md §9). With the default fifo/none queue policy rejected
-  // stays zero and jain/worst-p99 summarize the run's fairness profile.
-  std::size_t rejected = 0;
-  std::array<std::size_t, sim::kNumRejectCauses> rejects_by_cause{};
-  double mean_queue_depth = 0.0;
-  double jain_fairness = 0.0;
-  double worst_fn_p99_s = 0.0;
-
-  // Scheduler-behaviour counters (FluidFaaS and FluidFaaS-dist; zero
-  // otherwise). Each of the first four equals the number of matching
-  // sim::SchedulerTransition events the run published.
-  std::size_t evictions = 0;
-  std::size_t promotions = 0;
-  std::size_t demotions = 0;
-  std::size_t migrations = 0;
-  std::size_t pipelines_launched = 0;
-
-  // Repartition-baseline counters (kRepartition only; zero otherwise).
-  std::size_t reconfigurations = 0;
-  SimDuration reconfiguration_blackout = 0;
+  /// Scheduler-behaviour counters (platform::PlatformCore::
+  /// scheduler_counters()); each bundle fills only the fields it maintains.
+  platform::SchedulerCounters scheduler;
 };
 
 /// Run one experiment to completion (trace + drain) and collect metrics.
@@ -146,17 +112,5 @@ ExperimentResult RunExperiment(const ExperimentConfig& config);
 /// `jobs` <= 0 defers to FFS_JOBS / the hardware default (sweep.h).
 std::vector<ExperimentResult> RunComparison(ExperimentConfig config,
                                             int jobs = 0);
-
-/// Seed-replication summary: the same configuration run across `replicas`
-/// trace seeds, aggregated so benches can report mean ± std instead of a
-/// single draw.
-struct ReplicatedSummary {
-  int replicas = 0;
-  RunningStats throughput_rps;
-  RunningStats slo_hit_rate;
-  RunningStats p95_latency_s;
-};
-
-ReplicatedSummary RunReplicated(ExperimentConfig config, int replicas);
 
 }  // namespace fluidfaas::harness

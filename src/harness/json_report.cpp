@@ -1,90 +1,88 @@
 #include "harness/json_report.h"
 
+#include "common/error.h"
 #include "common/json.h"
-#include "common/stats.h"
 
 namespace fluidfaas::harness {
 namespace {
 
 void WriteResult(JsonWriter& w, const ExperimentResult& r) {
+  FFS_CHECK_MSG(r.recorder != nullptr,
+                "a JSON report needs the run's recorder");
+  const metrics::Recorder& rec = *r.recorder;
   w.BeginObject();
   w.Key("system").Value(r.system);
   w.Key("tier").Value(r.tier);
   w.Key("offered_rps").Value(r.offered_rps);
   w.Key("ideal_rps").Value(r.ideal_rps);
   w.Key("throughput_rps").Value(r.throughput_rps);
-  w.Key("slo_hit_rate").Value(r.slo_hit_rate);
+  w.Key("slo_hit_rate").Value(rec.SloHitRate());
   w.Key("makespan_s").Value(ToSeconds(r.makespan));
-  w.Key("mig_time_s").Value(ToSeconds(r.mig_time));
-  w.Key("gpu_time_s").Value(ToSeconds(r.gpu_time));
-  w.Key("total_gpcs").Value(r.total_gpcs);
-  if (r.recorder) {
-    w.Key("total_requests").Value(r.recorder->total_requests());
-    w.Key("completed_requests").Value(r.recorder->completed_requests());
-    auto lats = r.recorder->LatenciesSeconds();
-    if (!lats.empty()) {
-      auto ps = Percentiles(lats, {0.5, 0.95, 0.99});
-      w.Key("latency_p50_s").Value(ps[0]);
-      w.Key("latency_p95_s").Value(ps[1]);
-      w.Key("latency_p99_s").Value(ps[2]);
-    }
-    w.Key("per_function").BeginArray();
-    for (std::size_t f = 0; f < r.function_names.size(); ++f) {
-      const FunctionId fn(static_cast<std::int32_t>(f));
-      w.BeginObject();
-      w.Key("name").Value(r.function_names[f]);
-      w.Key("slo_s").Value(ToSeconds(r.function_slos[f]));
-      w.Key("slo_hit_rate").Value(r.recorder->SloHitRate(fn));
-      w.EndObject();
-    }
-    w.EndArray();
+  w.Key("mig_time_s").Value(ToSeconds(rec.MigTime()));
+  w.Key("gpu_time_s").Value(ToSeconds(rec.GpuTime()));
+  w.Key("total_gpcs").Value(rec.total_gpcs());
+  w.Key("total_requests").Value(rec.total_requests());
+  w.Key("completed_requests").Value(rec.completed_requests());
+  if (rec.completed_requests() > 0) {
+    w.Key("latency_p50_s").Value(rec.LatencyPercentile(0.5));
+    w.Key("latency_p95_s").Value(rec.LatencyPercentile(0.95));
+    w.Key("latency_p99_s").Value(rec.LatencyPercentile(0.99));
   }
+  w.Key("per_function").BeginArray();
+  for (std::size_t f = 0; f < r.function_names.size(); ++f) {
+    const FunctionId fn(static_cast<std::int32_t>(f));
+    w.BeginObject();
+    w.Key("name").Value(r.function_names[f]);
+    w.Key("slo_s").Value(ToSeconds(r.function_slos[f]));
+    w.Key("slo_hit_rate").Value(rec.SloHitRate(fn));
+    w.EndObject();
+  }
+  w.EndArray();
   w.Key("availability").BeginObject();
   w.Key("goodput_rps").Value(r.goodput_rps);
-  w.Key("timeouts").Value(r.timeouts);
-  w.Key("retries").Value(r.retries);
-  w.Key("abandoned").Value(r.abandoned);
-  w.Key("recovered").Value(r.recovered);
-  w.Key("instances_failed").Value(r.instances_failed);
-  w.Key("slices_failed").Value(r.slices_failed);
+  w.Key("timeouts").Value(rec.timeouts());
+  w.Key("retries").Value(rec.retries_total());
+  w.Key("abandoned").Value(rec.abandoned_requests());
+  w.Key("recovered").Value(rec.RecoveredRequests());
+  w.Key("instances_failed").Value(rec.instances_failed());
+  w.Key("slices_failed").Value(rec.slices_failed());
   w.EndObject();
   w.Key("placement").BeginObject();
-  w.Key("plans_committed").Value(r.plans_committed);
-  w.Key("plans_aborted").Value(r.plans_aborted);
-  w.Key("spawns_committed").Value(r.spawns_committed);
-  w.Key("conflict_rate").Value(r.plan_conflict_rate);
+  w.Key("plans_committed").Value(rec.plans_committed());
+  w.Key("plans_aborted").Value(rec.plans_aborted());
+  w.Key("spawns_committed").Value(rec.spawns_committed());
+  w.Key("conflict_rate").Value(rec.PlanConflictRate());
   w.Key("aborts_by_cause").BeginObject();
   // kNone never aborts a plan; start at the first real cause.
   for (int c = 1; c < sim::kNumPlanAbortCauses; ++c) {
     const auto cause = static_cast<sim::PlanAbortCause>(c);
-    w.Key(sim::Name(cause)).Value(
-        r.plan_aborts_by_cause[static_cast<std::size_t>(c)]);
+    w.Key(sim::Name(cause)).Value(rec.plans_aborted_by(cause));
   }
   w.EndObject();
   w.EndObject();
   w.Key("qos").BeginObject();
-  w.Key("rejected").Value(r.rejected);
+  w.Key("rejected").Value(rec.rejected_requests());
   w.Key("rejects_by_cause").BeginObject();
   // kNone never rejects a request; start at the first real cause.
   for (int c = 1; c < sim::kNumRejectCauses; ++c) {
     const auto cause = static_cast<sim::RejectCause>(c);
-    w.Key(sim::Name(cause)).Value(
-        r.rejects_by_cause[static_cast<std::size_t>(c)]);
+    w.Key(sim::Name(cause)).Value(rec.rejected_by(cause));
   }
   w.EndObject();
-  w.Key("mean_queue_depth").Value(r.mean_queue_depth);
-  w.Key("jain_fairness").Value(r.jain_fairness);
-  w.Key("worst_fn_p99_s").Value(r.worst_fn_p99_s);
+  w.Key("mean_queue_depth").Value(rec.MeanQueueDepth());
+  w.Key("jain_fairness").Value(rec.JainFairnessIndex());
+  w.Key("worst_fn_p99_s").Value(rec.WorstFunctionP99());
   w.EndObject();
+  const platform::SchedulerCounters& sc = r.scheduler;
   w.Key("scheduler").BeginObject();
-  w.Key("pipelines_launched").Value(r.pipelines_launched);
-  w.Key("evictions").Value(r.evictions);
-  w.Key("promotions").Value(r.promotions);
-  w.Key("demotions").Value(r.demotions);
-  w.Key("migrations").Value(r.migrations);
-  w.Key("reconfigurations").Value(r.reconfigurations);
+  w.Key("pipelines_launched").Value(sc.pipelines_launched);
+  w.Key("evictions").Value(sc.evictions);
+  w.Key("promotions").Value(sc.promotions);
+  w.Key("demotions").Value(sc.demotions);
+  w.Key("migrations").Value(sc.migrations);
+  w.Key("reconfigurations").Value(sc.reconfigurations);
   w.Key("reconfiguration_blackout_s")
-      .Value(ToSeconds(r.reconfiguration_blackout));
+      .Value(ToSeconds(sc.reconfiguration_blackout));
   w.EndObject();
   w.EndObject();
 }

@@ -10,7 +10,8 @@
 namespace fluidfaas::harness {
 
 /// One result as a JSON object string (system, workload, headline metrics,
-/// per-function SLO hit rates, and scheduler counters).
+/// per-function SLO hit rates, and scheduler counters). Every metric is
+/// read from `result.recorder`, which must be set (FfsError otherwise).
 std::string ResultToJson(const ExperimentResult& result);
 
 /// Several results as a JSON array.

@@ -142,46 +142,13 @@ ExperimentResult RunContext::Run() {
   res.makespan = last_completion;
   res.offered_rps = workload_.offered_rps;
   res.ideal_rps = workload_.ideal_rps;
-  res.total_gpcs = cluster_.TotalGpcs();
   for (const platform::FunctionSpec& f : workload_.functions) {
     res.function_names.push_back(f.name);
     res.function_slos.push_back(f.slo);
   }
-  res.slo_hit_rate = recorder_->SloHitRate();
   res.throughput_rps = recorder_->WindowedThroughput(config_.duration);
   res.goodput_rps = recorder_->WindowedGoodput(config_.duration);
-  res.timeouts = recorder_->timeouts();
-  res.retries = recorder_->retries_total();
-  res.abandoned = recorder_->abandoned_requests();
-  res.recovered = recorder_->RecoveredRequests();
-  res.instances_failed = recorder_->instances_failed();
-  res.slices_failed = recorder_->slices_failed();
-  res.plans_committed = recorder_->plans_committed();
-  res.plans_aborted = recorder_->plans_aborted();
-  res.spawns_committed = recorder_->spawns_committed();
-  for (int c = 0; c < sim::kNumPlanAbortCauses; ++c) {
-    res.plan_aborts_by_cause[static_cast<std::size_t>(c)] =
-        recorder_->plans_aborted_by(static_cast<sim::PlanAbortCause>(c));
-  }
-  res.plan_conflict_rate = recorder_->PlanConflictRate();
-  res.rejected = recorder_->rejected_requests();
-  for (int c = 0; c < sim::kNumRejectCauses; ++c) {
-    res.rejects_by_cause[static_cast<std::size_t>(c)] =
-        recorder_->rejected_by(static_cast<sim::RejectCause>(c));
-  }
-  res.mean_queue_depth = recorder_->MeanQueueDepth();
-  res.jain_fairness = recorder_->JainFairnessIndex();
-  res.worst_fn_p99_s = recorder_->WorstFunctionP99();
-  res.mig_time = recorder_->MigTime();
-  res.gpu_time = recorder_->GpuTime();
-  const platform::SchedulerCounters sc = platform_->scheduler_counters();
-  res.evictions = sc.evictions;
-  res.promotions = sc.promotions;
-  res.demotions = sc.demotions;
-  res.migrations = sc.migrations;
-  res.pipelines_launched = sc.pipelines_launched;
-  res.reconfigurations = sc.reconfigurations;
-  res.reconfiguration_blackout = sc.reconfiguration_blackout;
+  res.scheduler = platform_->scheduler_counters();
   res.recorder = std::move(recorder_);
   if (exporter_) exporter_->WriteFile(config_.trace_out);
   return res;

@@ -1,6 +1,7 @@
 #include "metrics/recorder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "sim/event_bus.h"
@@ -122,7 +123,7 @@ void Recorder::SubscribeTo(sim::EventBus& bus) {
 RequestId Recorder::NewRequest(FunctionId fn, SimTime arrival,
                                SimTime deadline) {
   RequestRecord r;
-  r.id = RequestId(static_cast<std::int32_t>(records_.size()));
+  r.id = CheckedId<RequestId>(records_.size());
   r.fn = fn;
   r.arrival = arrival;
   r.deadline = deadline;
@@ -321,16 +322,6 @@ double Recorder::SloHitRate(FunctionId fn, bool count_outstanding) const {
   return denom ? static_cast<double>(hits) / static_cast<double>(denom) : 1.0;
 }
 
-double Recorder::Throughput() const {
-  FFS_CHECK_MSG(closed_, "Close() the recorder first");
-  return ThroughputOver(end_);
-}
-
-double Recorder::ThroughputOver(SimTime horizon) const {
-  if (horizon <= 0) return 0.0;
-  return static_cast<double>(completed_) / ToSeconds(horizon);
-}
-
 std::size_t Recorder::CompletedBy(SimTime t) const {
   std::size_t n = 0;
   for (const RequestRecord& r : records_) {
@@ -380,12 +371,6 @@ SimDuration Recorder::GpuTime() const {
   return t;
 }
 
-SimDuration Recorder::OccupiedMigTime() const {
-  SimDuration t = 0;
-  for (const SliceInfo& s : slices_) t += s.bound_total;
-  return t;
-}
-
 std::vector<Recorder::GpuOccupancy> Recorder::PerGpuOccupancy() const {
   FFS_CHECK_MSG(closed_, "Close() the recorder first");
   std::vector<GpuOccupancy> out;
@@ -416,6 +401,11 @@ std::vector<double> Recorder::LatenciesSeconds(FunctionId fn) const {
     out.push_back(ToSeconds(r.Latency()));
   }
   return out;
+}
+
+double Recorder::LatencyPercentile(double q) const {
+  std::vector<double> lats = LatenciesSeconds();
+  return lats.empty() ? 0.0 : Percentile(std::move(lats), q);
 }
 
 Recorder::Breakdown Recorder::MeanBreakdown(FunctionId fn) const {

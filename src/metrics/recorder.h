@@ -144,13 +144,6 @@ class Recorder {
   /// never-completed requests as misses when `count_outstanding`.
   double SloHitRate(bool count_outstanding = true) const;
 
-  /// Completed requests per second over [0, end].
-  double Throughput() const;
-
-  /// Completed requests per second over [0, horizon] — benches pass the
-  /// makespan (last completion), which excludes idle drain time.
-  double ThroughputOver(SimTime horizon) const;
-
   /// Requests whose completion lies in [0, t].
   std::size_t CompletedBy(SimTime t) const;
 
@@ -162,8 +155,6 @@ class Recorder {
   SimDuration MigTime() const;
   /// Σ over GPUs of time with >= 1 busy slice — "GPU time".
   SimDuration GpuTime() const;
-  /// Σ over slices of bound (occupied) time.
-  SimDuration OccupiedMigTime() const;
 
   /// Busy-GPC totals over time (for utilization = value / total GPCs).
   const TimeWeightedSignal& busy_gpcs() const { return busy_gpcs_; }
@@ -182,6 +173,9 @@ class Recorder {
 
   /// Completed-request latencies (seconds), optionally one function only.
   std::vector<double> LatenciesSeconds(FunctionId fn = FunctionId()) const;
+  /// Quantile `q` of the completed-request latency (seconds); 0 with no
+  /// completions.
+  double LatencyPercentile(double q) const;
 
   /// Mean per-request breakdown over completed requests of `fn`
   /// (or all when invalid id), in µs: {queue, load, exec, transfer}.

@@ -137,7 +137,7 @@ SchedulerCounters PlatformCore::scheduler_counters() const {
 RequestId PlatformCore::Submit(FunctionId fn) {
   const FunctionSpec& spec = function(fn);
   const SimTime now = sim_.Now();
-  const RequestId rid(next_request_id_++);
+  const RequestId rid = CheckedId<RequestId>(next_request_id_++);
   const SimTime deadline = now + spec.slo;
   bus().Publish(sim::RequestSubmitted{rid, fn, now, deadline});
   meta_.emplace(rid, ReqMeta{fn, deadline, SampleJitter()});

@@ -135,7 +135,7 @@ TEST(DistributedHarnessTest, ComparableToCentralizedOnBalancedCluster) {
   // (within 25% throughput) on a balanced cluster.
   EXPECT_NEAR(dist.throughput_rps, central.throughput_rps,
               0.25 * central.throughput_rps);
-  EXPECT_GT(dist.pipelines_launched, 0u);
+  EXPECT_GT(dist.scheduler.pipelines_launched, 0u);
 }
 
 }  // namespace

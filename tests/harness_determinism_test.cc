@@ -33,7 +33,7 @@ TEST(HarnessDeterminismTest, TraceExporterDoesNotPerturbTheRun) {
   const ExperimentResult b = RunExperiment(traced);
 
   // Bit-identical headline metrics...
-  EXPECT_EQ(a.slo_hit_rate, b.slo_hit_rate);
+  EXPECT_EQ(a.recorder->SloHitRate(), b.recorder->SloHitRate());
   EXPECT_EQ(a.throughput_rps, b.throughput_rps);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.recorder->total_requests(), b.recorder->total_requests());
@@ -43,8 +43,8 @@ TEST(HarnessDeterminismTest, TraceExporterDoesNotPerturbTheRun) {
   EXPECT_EQ(a.recorder->GpuTime(), b.recorder->GpuTime());
   // ...down to every per-request latency.
   EXPECT_EQ(a.recorder->LatenciesSeconds(), b.recorder->LatenciesSeconds());
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.pipelines_launched, b.pipelines_launched);
+  EXPECT_EQ(a.scheduler.evictions, b.scheduler.evictions);
+  EXPECT_EQ(a.scheduler.pipelines_launched, b.scheduler.pipelines_launched);
 
   // And the trace file is a non-empty Chrome-trace JSON.
   std::ifstream in(path);
@@ -66,7 +66,7 @@ TEST(HarnessDeterminismTest, SameSeedSameResultAcrossSystems) {
     cfg.duration = Seconds(30);
     const ExperimentResult a = RunExperiment(cfg);
     const ExperimentResult b = RunExperiment(cfg);
-    EXPECT_EQ(a.slo_hit_rate, b.slo_hit_rate) << Name(kind);
+    EXPECT_EQ(a.recorder->SloHitRate(), b.recorder->SloHitRate()) << Name(kind);
     EXPECT_EQ(a.recorder->LatenciesSeconds(),
               b.recorder->LatenciesSeconds())
         << Name(kind);
@@ -87,13 +87,13 @@ TEST(HarnessDeterminismTest, FaultRateZeroIsCompletelyInert) {
 
   const ExperimentResult a = RunExperiment(plain);
   const ExperimentResult b = RunExperiment(zeroed);
-  EXPECT_EQ(a.slo_hit_rate, b.slo_hit_rate);
+  EXPECT_EQ(a.recorder->SloHitRate(), b.recorder->SloHitRate());
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.recorder->LatenciesSeconds(), b.recorder->LatenciesSeconds());
   EXPECT_EQ(a.goodput_rps, b.goodput_rps);
-  EXPECT_EQ(b.timeouts, 0u);
-  EXPECT_EQ(b.retries, 0u);
-  EXPECT_EQ(b.instances_failed, 0u);
+  EXPECT_EQ(b.recorder->timeouts(), 0u);
+  EXPECT_EQ(b.recorder->retries_total(), 0u);
+  EXPECT_EQ(b.recorder->instances_failed(), 0u);
   // Without timeouts/abandonment, goodput degenerates to SLO-hit throughput
   // and every request finishes by completing.
   EXPECT_EQ(b.recorder->finished_requests(),
@@ -114,25 +114,30 @@ TEST(HarnessDeterminismTest, SameFaultSeedReplaysTheSameDisruption) {
   const ExperimentConfig cfg = FaultyConfig(77);
   const ExperimentResult a = RunExperiment(cfg);
   const ExperimentResult b = RunExperiment(cfg);
-  EXPECT_EQ(a.slo_hit_rate, b.slo_hit_rate);
+  const metrics::Recorder& ra = *a.recorder;
+  const metrics::Recorder& rb = *b.recorder;
+  EXPECT_EQ(ra.SloHitRate(), rb.SloHitRate());
   EXPECT_EQ(a.goodput_rps, b.goodput_rps);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.abandoned, b.abandoned);
-  EXPECT_EQ(a.recovered, b.recovered);
-  EXPECT_EQ(a.instances_failed, b.instances_failed);
-  EXPECT_EQ(a.slices_failed, b.slices_failed);
-  EXPECT_EQ(a.recorder->LatenciesSeconds(), b.recorder->LatenciesSeconds());
+  EXPECT_EQ(ra.timeouts(), rb.timeouts());
+  EXPECT_EQ(ra.retries_total(), rb.retries_total());
+  EXPECT_EQ(ra.abandoned_requests(), rb.abandoned_requests());
+  EXPECT_EQ(ra.RecoveredRequests(), rb.RecoveredRequests());
+  EXPECT_EQ(ra.instances_failed(), rb.instances_failed());
+  EXPECT_EQ(ra.slices_failed(), rb.slices_failed());
+  EXPECT_EQ(ra.LatenciesSeconds(), rb.LatenciesSeconds());
 }
 
 TEST(HarnessDeterminismTest, DifferentFaultSeedsDisagree) {
   const ExperimentResult a = RunExperiment(FaultyConfig(77));
   const ExperimentResult c = RunExperiment(FaultyConfig(78));
+  const metrics::Recorder& ra = *a.recorder;
+  const metrics::Recorder& rc = *c.recorder;
   const bool identical =
-      a.recorder->LatenciesSeconds() == c.recorder->LatenciesSeconds() &&
-      a.timeouts == c.timeouts && a.retries == c.retries &&
-      a.instances_failed == c.instances_failed &&
-      a.slices_failed == c.slices_failed;
+      ra.LatenciesSeconds() == rc.LatenciesSeconds() &&
+      ra.timeouts() == rc.timeouts() &&
+      ra.retries_total() == rc.retries_total() &&
+      ra.instances_failed() == rc.instances_failed() &&
+      ra.slices_failed() == rc.slices_failed();
   EXPECT_FALSE(identical);
 }
 
@@ -176,7 +181,9 @@ TEST(HarnessDeterminismTest, SweepJsonIsByteIdenticalAcrossJobCounts) {
       EXPECT_EQ(a.point.index, b.point.index);
       EXPECT_EQ(a.point.system, b.point.system);
       EXPECT_EQ(a.point.seed, b.point.seed);
-      EXPECT_EQ(a.result.slo_hit_rate, b.result.slo_hit_rate) << i;
+      EXPECT_EQ(a.result.recorder->SloHitRate(),
+                b.result.recorder->SloHitRate())
+          << i;
       EXPECT_EQ(a.result.throughput_rps, b.result.throughput_rps) << i;
       EXPECT_EQ(a.result.makespan, b.result.makespan) << i;
       EXPECT_EQ(a.result.recorder->LatenciesSeconds(),
@@ -206,7 +213,9 @@ TEST(HarnessDeterminismTest, FaultyRunsStillDrainAndAccountEveryRequest) {
   // Injection happened and the availability story is consistent: every
   // submitted request reached a terminal state, and goodput can only lose
   // against raw throughput.
-  EXPECT_GT(r.instances_failed + r.slices_failed + r.timeouts, 0u);
+  EXPECT_GT(r.recorder->instances_failed() + r.recorder->slices_failed() +
+                r.recorder->timeouts(),
+            0u);
   EXPECT_EQ(r.recorder->finished_requests(), r.recorder->total_requests());
   EXPECT_LE(r.goodput_rps, r.throughput_rps);
 }

@@ -27,10 +27,10 @@ TEST_P(AllSystemsTest, CompletesEveryRequest) {
   EXPECT_EQ(res.recorder->completed_requests(),
             res.recorder->total_requests());
   EXPECT_GT(res.throughput_rps, 0.0);
-  EXPECT_GT(res.slo_hit_rate, 0.5);
-  EXPECT_GT(res.mig_time, 0);
-  EXPECT_GE(res.gpu_time, 0);
-  EXPECT_EQ(res.total_gpcs, 14);
+  EXPECT_GT(res.recorder->SloHitRate(), 0.5);
+  EXPECT_GT(res.recorder->MigTime(), 0);
+  EXPECT_GE(res.recorder->GpuTime(), 0);
+  EXPECT_EQ(res.recorder->total_gpcs(), 14);
 }
 
 INSTANTIATE_TEST_SUITE_P(Systems, AllSystemsTest,
@@ -46,8 +46,8 @@ TEST(HarnessTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.recorder->total_requests(), b.recorder->total_requests());
   EXPECT_EQ(a.recorder->completed_requests(),
             b.recorder->completed_requests());
-  EXPECT_DOUBLE_EQ(a.slo_hit_rate, b.slo_hit_rate);
-  EXPECT_EQ(a.mig_time, b.mig_time);
+  EXPECT_DOUBLE_EQ(a.recorder->SloHitRate(), b.recorder->SloHitRate());
+  EXPECT_EQ(a.recorder->MigTime(), b.recorder->MigTime());
   EXPECT_EQ(a.makespan, b.makespan);
 }
 
@@ -74,7 +74,7 @@ TEST(HarnessTest, CustomPartitionsAreUsed) {
       {gpu::MigPartition::Parse("7g.80gb"),
        gpu::MigPartition::Parse("7g.80gb")}};
   auto res = RunExperiment(cfg);
-  EXPECT_EQ(res.total_gpcs, 14);
+  EXPECT_EQ(res.recorder->total_gpcs(), 14);
   EXPECT_EQ(res.recorder->completed_requests(),
             res.recorder->total_requests());
 }
@@ -86,14 +86,14 @@ TEST(HarnessTest, FluidCollectsSchedulerCounters) {
   cfg.load_factor = 0.5;
   auto res = RunExperiment(cfg);
   // The light run at least promotes something.
-  EXPECT_GT(res.promotions + res.demotions + res.evictions +
-                res.pipelines_launched,
+  const platform::SchedulerCounters& c = res.scheduler;
+  EXPECT_GT(c.promotions + c.demotions + c.evictions + c.pipelines_launched,
             0u);
   // Baselines report zeros.
   cfg.system = SystemKind::kEsg;
   auto esg = RunExperiment(cfg);
-  EXPECT_EQ(esg.promotions, 0u);
-  EXPECT_EQ(esg.evictions, 0u);
+  EXPECT_EQ(esg.scheduler.promotions, 0u);
+  EXPECT_EQ(esg.scheduler.evictions, 0u);
 }
 
 TEST(HarnessTest, NamesAreStable) {

@@ -30,8 +30,8 @@ TEST(EndToEndTest, LightWorkloadAllSystemsComparable) {
               0.1 * esg.throughput_rps);
   EXPECT_NEAR(fluid.throughput_rps, inf.throughput_rps,
               0.1 * inf.throughput_rps);
-  EXPECT_GT(fluid.slo_hit_rate, 0.7);
-  EXPECT_GT(esg.slo_hit_rate, 0.7);
+  EXPECT_GT(fluid.recorder->SloHitRate(), 0.7);
+  EXPECT_GT(esg.recorder->SloHitRate(), 0.7);
 }
 
 TEST(EndToEndTest, MediumWorkloadFluidWins) {
@@ -41,8 +41,8 @@ TEST(EndToEndTest, MediumWorkloadFluidWins) {
   // §7.1-7.2: FluidFaaS sustains higher throughput and SLO compliance once
   // 1g slices become unusable for the monolithic baselines.
   EXPECT_GT(fluid.throughput_rps, esg.throughput_rps);
-  EXPECT_GT(fluid.slo_hit_rate, esg.slo_hit_rate);
-  EXPECT_GT(fluid.pipelines_launched, 0u);
+  EXPECT_GT(fluid.recorder->SloHitRate(), esg.recorder->SloHitRate());
+  EXPECT_GT(fluid.scheduler.pipelines_launched, 0u);
 }
 
 TEST(EndToEndTest, HeavyWorkloadFluidWinsBig) {
@@ -50,7 +50,7 @@ TEST(EndToEndTest, HeavyWorkloadFluidWinsBig) {
   const auto& esg = results[1];
   const auto& fluid = results[2];
   EXPECT_GT(fluid.throughput_rps, 1.1 * esg.throughput_rps);
-  EXPECT_GT(fluid.slo_hit_rate, esg.slo_hit_rate);
+  EXPECT_GT(fluid.recorder->SloHitRate(), esg.recorder->SloHitRate());
 }
 
 TEST(EndToEndTest, BaselinesLeaveSmallSlicesIdleInHeavy) {
@@ -96,7 +96,7 @@ TEST(EndToEndTest, AblationPipelinesOffHurtsHeavyThroughput) {
   cfg.platform.enable_pipelines = false;
   auto without = RunExperiment(cfg);
   EXPECT_GT(with.throughput_rps, without.throughput_rps);
-  EXPECT_EQ(without.pipelines_launched, 0u);
+  EXPECT_EQ(without.scheduler.pipelines_launched, 0u);
 }
 
 TEST(EndToEndTest, AblationTimeSharingEnablesScarceSliceSharing) {
@@ -110,8 +110,8 @@ TEST(EndToEndTest, AblationTimeSharingEnablesScarceSliceSharing) {
   auto with = RunExperiment(cfg);
   cfg.platform.enable_time_sharing = false;
   auto without = RunExperiment(cfg);
-  EXPECT_GT(with.evictions, 0u);
-  EXPECT_EQ(without.evictions, 0u);
+  EXPECT_GT(with.scheduler.evictions, 0u);
+  EXPECT_EQ(without.scheduler.evictions, 0u);
   // With time sharing, a request for a non-resident function waits only an
   // eviction + warm reload (seconds); without it, the overflow function is
   // stuck behind another's exclusive keep-alive and its requests complete
@@ -131,7 +131,8 @@ TEST(EndToEndTest, SloScaleSensitivity) {
   auto tight = RunExperiment(cfg);
   cfg.platform.slo_scale = 4.0;
   auto loose = RunExperiment(cfg);
-  EXPECT_GE(loose.slo_hit_rate, tight.slo_hit_rate - 0.02);
+  EXPECT_GE(loose.recorder->SloHitRate(),
+            tight.recorder->SloHitRate() - 0.02);
 }
 
 TEST(EndToEndTest, PartitionSensitivityFluidBeatsEsgOnAllSchemes) {
@@ -146,7 +147,7 @@ TEST(EndToEndTest, PartitionSensitivityFluidBeatsEsgOnAllSchemes) {
     cfg.partitions = scheme;
     auto results = RunComparison(cfg);
     EXPECT_GE(results[2].throughput_rps, results[1].throughput_rps)
-        << "scheme with " << results[2].total_gpcs << " gpcs";
+        << "scheme with " << results[2].recorder->total_gpcs() << " gpcs";
   }
 }
 

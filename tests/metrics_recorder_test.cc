@@ -8,6 +8,13 @@
 namespace fluidfaas::metrics {
 namespace {
 
+// Σ over slices of bound (occupied) time.
+SimDuration BoundTime(const Recorder& rec) {
+  SimDuration t = 0;
+  for (const Recorder::SliceTotals& s : rec.PerSliceTotals()) t += s.bound;
+  return t;
+}
+
 class RecorderTest : public ::testing::Test {
  protected:
   RecorderTest()
@@ -71,7 +78,7 @@ TEST_F(RecorderTest, MigAndGpuTimeAccounting) {
   // GPU 0 has >=1 busy slice over [0, 15); GPU 1 over [0, 4): 19 s.
   EXPECT_EQ(rec_.GpuTime(), Seconds(19));
   // Occupied: slices 0/1 bound to close (20+20), slice 3 for 16 s.
-  EXPECT_EQ(rec_.OccupiedMigTime(), Seconds(56));
+  EXPECT_EQ(BoundTime(rec_), Seconds(56));
 }
 
 TEST_F(RecorderTest, BusyGpcSignalTracksWeights) {
@@ -122,8 +129,6 @@ TEST_F(RecorderTest, ThroughputVariants) {
     rec_.Complete(r, Seconds(i + 1));
   }
   rec_.Close(Seconds(20));
-  EXPECT_NEAR(rec_.Throughput(), 0.5, 1e-12);          // 10 / 20 s
-  EXPECT_NEAR(rec_.ThroughputOver(Seconds(10)), 1.0, 1e-12);
   EXPECT_EQ(rec_.CompletedBy(Seconds(5)), 5u);
   EXPECT_NEAR(rec_.WindowedThroughput(Seconds(5)), 1.0, 1e-12);
 }
@@ -148,6 +153,7 @@ TEST_F(RecorderTest, BreakdownAveragesCompletedOnly) {
 }
 
 TEST_F(RecorderTest, LatenciesFilterByFunction) {
+  EXPECT_EQ(rec_.LatencyPercentile(0.95), 0.0);  // no completions yet
   const RequestId a = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
   rec_.Complete(a, Millis(100));
   const RequestId b = rec_.NewRequest(FunctionId(1), 0, Seconds(1));
@@ -156,6 +162,7 @@ TEST_F(RecorderTest, LatenciesFilterByFunction) {
   auto only0 = rec_.LatenciesSeconds(FunctionId(0));
   ASSERT_EQ(only0.size(), 1u);
   EXPECT_NEAR(only0[0], 0.1, 1e-9);
+  EXPECT_NEAR(rec_.LatencyPercentile(0.5), 0.15, 1e-9);  // both functions
 }
 
 TEST_F(RecorderTest, PerSliceTotals) {
@@ -177,7 +184,7 @@ TEST_F(RecorderTest, CloseSettlesOpenIntervals) {
   rec_.SliceBusy(SliceId(0), Seconds(2));
   rec_.Close(Seconds(10));
   EXPECT_EQ(rec_.MigTime(), Seconds(8));
-  EXPECT_EQ(rec_.OccupiedMigTime(), Seconds(10));
+  EXPECT_EQ(BoundTime(rec_), Seconds(10));
   EXPECT_EQ(rec_.GpuTime(), Seconds(8));
 }
 

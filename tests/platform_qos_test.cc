@@ -45,13 +45,14 @@ TEST(PlatformQosTest, DefaultQueuePolicyIsInertForEverySystem) {
 
     const ExperimentResult a = RunExperiment(plain);
     const ExperimentResult b = RunExperiment(spelled);
-    EXPECT_EQ(a.slo_hit_rate, b.slo_hit_rate) << Name(kind);
+    EXPECT_EQ(a.recorder->SloHitRate(), b.recorder->SloHitRate())
+        << Name(kind);
     EXPECT_EQ(a.makespan, b.makespan) << Name(kind);
     EXPECT_EQ(a.recorder->LatenciesSeconds(),
               b.recorder->LatenciesSeconds())
         << Name(kind);
-    EXPECT_EQ(a.rejected, 0u) << Name(kind);
-    EXPECT_EQ(b.rejected, 0u) << Name(kind);
+    EXPECT_EQ(a.recorder->rejected_requests(), 0u) << Name(kind);
+    EXPECT_EQ(b.recorder->rejected_requests(), 0u) << Name(kind);
   }
 }
 
@@ -64,8 +65,8 @@ TEST(PlatformQosTest, FairAndEdfInstallAndCompleteTheWorkload) {
               r.recorder->total_requests())
         << queue;
     EXPECT_GT(r.recorder->completed_requests(), 0u) << queue;
-    EXPECT_GT(r.jain_fairness, 0.0) << queue;
-    EXPECT_LE(r.jain_fairness, 1.0) << queue;
+    EXPECT_GT(r.recorder->JainFairnessIndex(), 0.0) << queue;
+    EXPECT_LE(r.recorder->JainFairnessIndex(), 1.0) << queue;
   }
 }
 
@@ -87,15 +88,14 @@ TEST(PlatformQosTest, RateLimitRejectsWithTypedCauseAndStillDrains) {
   cfg.platform.qos.shed_infeasible = false;  // isolate the bucket
   const ExperimentResult r = RunExperiment(cfg);
 
-  EXPECT_GT(r.rejected, 0u);
-  EXPECT_EQ(r.rejected,
-            r.rejects_by_cause[static_cast<std::size_t>(
-                sim::RejectCause::kRateLimited)]);
+  EXPECT_GT(r.recorder->rejected_requests(), 0u);
+  EXPECT_EQ(r.recorder->rejected_requests(),
+            r.recorder->rejected_by(sim::RejectCause::kRateLimited));
   // Rejected requests are terminal: the drain loop must not wait on them,
   // and accounting still covers every submission.
   EXPECT_EQ(r.recorder->finished_requests(), r.recorder->total_requests());
   // Rejections count into the aborted (terminal, never-completes) bucket.
-  EXPECT_GE(r.recorder->aborted_requests(), r.rejected);
+  EXPECT_GE(r.recorder->aborted_requests(), r.recorder->rejected_requests());
 
   // Every rejection surfaces in the per-request records with its cause.
   std::size_t flagged = 0;
@@ -106,7 +106,7 @@ TEST(PlatformQosTest, RateLimitRejectsWithTypedCauseAndStillDrains) {
       EXPECT_FALSE(rec.done());
     }
   }
-  EXPECT_EQ(flagged, r.rejected);
+  EXPECT_EQ(flagged, r.recorder->rejected_requests());
 
   // And in the JSON report's qos object.
   const std::string json = ResultToJson(r);
@@ -122,8 +122,7 @@ TEST(PlatformQosTest, DepthCapRejectsWithQueueFull) {
   cfg.platform.qos.max_queue_depth = 2;
   cfg.platform.qos.shed_infeasible = false;
   const ExperimentResult r = RunExperiment(cfg);
-  EXPECT_GT(r.rejects_by_cause[static_cast<std::size_t>(
-                sim::RejectCause::kQueueFull)],
+  EXPECT_GT(r.recorder->rejected_by(sim::RejectCause::kQueueFull),
             0u);
   EXPECT_EQ(r.recorder->finished_requests(), r.recorder->total_requests());
 }
@@ -133,8 +132,7 @@ TEST(PlatformQosTest, InfeasibleSheddingFiresUnderOverload) {
   cfg.load_factor = 1.5;
   cfg.platform.qos.admission = "shed";
   const ExperimentResult r = RunExperiment(cfg);
-  EXPECT_GT(r.rejects_by_cause[static_cast<std::size_t>(
-                sim::RejectCause::kDeadlineInfeasible)],
+  EXPECT_GT(r.recorder->rejected_by(sim::RejectCause::kDeadlineInfeasible),
             0u);
   EXPECT_EQ(r.recorder->finished_requests(), r.recorder->total_requests());
 }

@@ -74,8 +74,8 @@ TEST(QosDeterminismTest, ShedAdmissionSweepIsByteIdenticalAcrossJobCounts) {
   // Rejection accounting is part of the deterministic payload.
   ASSERT_EQ(parallel.cells.size(), serial.cells.size());
   for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-    EXPECT_EQ(serial.cells[i].result.rejected,
-              parallel.cells[i].result.rejected)
+    EXPECT_EQ(serial.cells[i].result.recorder->rejected_requests(),
+              parallel.cells[i].result.recorder->rejected_requests())
         << i;
   }
 }
@@ -84,11 +84,11 @@ TEST(QosDeterminismTest, RepeatedFairRunsAgreeEventForEvent) {
   ExperimentConfig cfg = QosSweep("fair", "none").base;
   const ExperimentResult a = RunExperiment(cfg);
   const ExperimentResult b = RunExperiment(cfg);
-  EXPECT_EQ(a.slo_hit_rate, b.slo_hit_rate);
+  EXPECT_EQ(a.recorder->SloHitRate(), b.recorder->SloHitRate());
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.jain_fairness, b.jain_fairness);
-  EXPECT_EQ(a.worst_fn_p99_s, b.worst_fn_p99_s);
-  EXPECT_EQ(a.mean_queue_depth, b.mean_queue_depth);
+  EXPECT_EQ(a.recorder->JainFairnessIndex(), b.recorder->JainFairnessIndex());
+  EXPECT_EQ(a.recorder->WorstFunctionP99(), b.recorder->WorstFunctionP99());
+  EXPECT_EQ(a.recorder->MeanQueueDepth(), b.recorder->MeanQueueDepth());
   EXPECT_EQ(a.recorder->LatenciesSeconds(), b.recorder->LatenciesSeconds());
 }
 

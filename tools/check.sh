@@ -49,7 +49,19 @@ run_faults() {
   cmake -B build-asan -S . -DFFS_SANITIZE=ON
   cmake --build build-asan -j "${jobs}" --target fault_sweep
   ( cd build-asan && FFS_BENCH_DURATION_S=10 \
-      FFS_FAULT_SWEEP_OUT=fault_sweep_smoke.json ./bench/fault_sweep )
+      FFS_SWEEP_OUT=fault_sweep_smoke.json ./bench/fault_sweep )
+  # The artifact is the standard sweep document: 4 rates x 5 systems, each
+  # cell carrying the full report with its availability block.
+  python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["schema"] == "fluidfaas.sweep.v1", doc["schema"]
+cells = doc["cells"]
+assert len(cells) == 20, len(cells)
+for c in cells:
+    assert "goodput_rps" in c["result"]["availability"], c["index"]
+print("fault_sweep artifact ok:", len(cells), "cells")
+' build-asan/fault_sweep_smoke.json
 }
 
 # Short parallel sweep under ThreadSanitizer: several worker threads run

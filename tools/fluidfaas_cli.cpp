@@ -1,9 +1,10 @@
 // fluidfaas — command-line front end for the simulator.
 //
 //   fluidfaas run   [--tier light|medium|heavy] [--system fluidfaas|esg|
-//                    infless|repartition|all] [--nodes N] [--gpus N]
-//                    [--duration SECONDS] [--load FRACTION] [--seed N]
-//                    [--partition SPEC] [--csv FILE] [--trace-out FILE]
+//                    infless|repartition|distributed|all] [--nodes N]
+//                    [--gpus N] [--duration SECONDS] [--load FRACTION]
+//                    [--seed N] [--partition SPEC] [--trace FILE]
+//                    [--json FILE] [--csv FILE] [--trace-out FILE]
 //                    [--fault-rate R] [--fault-seed N] [--mttr SECONDS]
 //                    [--timeout-scale S] [--queue fifo|fair|edf]
 //                    [--admission none|shed] [--rate RPS] [--queue-cap N]
@@ -21,7 +22,9 @@
 //   fluidfaas partitions
 //
 // `run` replays a synthesized Azure-like trace through the chosen
-// platform(s) and prints the comparison table; `--csv` additionally dumps
+// platform(s) and prints the comparison table. `all` (the default, and
+// `sweep --systems all`) means INFless, ESG and FluidFaaS; `distributed`
+// is FluidFaaS-dist. `--json` writes the report; `--csv` additionally dumps
 // per-request records and `--trace-out` writes a Chrome-trace JSON of the
 // run (load it in chrome://tracing or https://ui.perfetto.dev; single
 // system only). `sweep` executes a declarative grid (system × tier × seed
@@ -55,7 +58,9 @@ namespace {
 int Usage() {
   std::cout <<
       "usage: fluidfaas <run|sweep|trace|plan|partitions> [--flag value ...]\n"
-      "  run        replay a workload through one or all platforms\n"
+      "  run        replay a workload through one platform (fluidfaas, esg,\n"
+      "             infless, repartition, distributed) or all (INFless,\n"
+      "             ESG, FluidFaaS)\n"
       "  sweep      run a system/tier/seed/load/fault-rate grid in parallel\n"
       "  trace      synthesize an Azure-like invocation trace (CSV)\n"
       "  plan       show CV-ranked pipeline candidates for an application\n"
@@ -156,17 +161,16 @@ int CmdRun(const CliArgs& args) {
   metrics::Table table({"system", "completed", "throughput", "SLO hit",
                         "P50", "P95", "MIG time", "GPU time"});
   for (const auto& r : results) {
-    auto lats = r.recorder->LatenciesSeconds();
-    const double p50 = lats.empty() ? 0.0 : Percentile(lats, 0.5);
-    const double p95 = lats.empty() ? 0.0 : Percentile(lats, 0.95);
+    const metrics::Recorder& rec = *r.recorder;
     table.AddRow({r.system,
-                  std::to_string(r.recorder->completed_requests()) + "/" +
-                      std::to_string(r.recorder->total_requests()),
+                  std::to_string(rec.completed_requests()) + "/" +
+                      std::to_string(rec.total_requests()),
                   metrics::Fmt(r.throughput_rps, 1) + " rps",
-                  metrics::FmtPercent(r.slo_hit_rate),
-                  metrics::Fmt(p50, 2) + "s", metrics::Fmt(p95, 2) + "s",
-                  metrics::Fmt(ToSeconds(r.mig_time), 0) + "s",
-                  metrics::Fmt(ToSeconds(r.gpu_time), 0) + "s"});
+                  metrics::FmtPercent(rec.SloHitRate()),
+                  metrics::Fmt(rec.LatencyPercentile(0.5), 2) + "s",
+                  metrics::Fmt(rec.LatencyPercentile(0.95), 2) + "s",
+                  metrics::Fmt(ToSeconds(rec.MigTime()), 0) + "s",
+                  metrics::Fmt(ToSeconds(rec.GpuTime()), 0) + "s"});
   }
   std::cout << trace::Name(cfg.tier) << " workload, " << cfg.num_nodes
             << " node(s) x " << cfg.gpus_per_node << " GPU(s), "
@@ -176,23 +180,25 @@ int CmdRun(const CliArgs& args) {
   metrics::Table placement({"system", "plans", "committed", "aborted",
                             "spawns", "conflict rate", "top abort cause"});
   for (const auto& r : results) {
+    const metrics::Recorder& rec = *r.recorder;
     // Dominant abort cause, or "-" when every plan committed.
     std::size_t worst = 0;
     const char* worst_name = "-";
     for (int c = 1; c < sim::kNumPlanAbortCauses; ++c) {
-      const std::size_t n =
-          r.plan_aborts_by_cause[static_cast<std::size_t>(c)];
-      if (n > worst) {
-        worst = n;
-        worst_name = sim::Name(static_cast<sim::PlanAbortCause>(c));
+      const auto cause = static_cast<sim::PlanAbortCause>(c);
+      if (rec.plans_aborted_by(cause) > worst) {
+        worst = rec.plans_aborted_by(cause);
+        worst_name = sim::Name(cause);
       }
     }
     placement.AddRow({r.system,
-                      std::to_string(r.plans_committed + r.plans_aborted),
-                      std::to_string(r.plans_committed),
-                      std::to_string(r.plans_aborted),
-                      std::to_string(r.spawns_committed),
-                      metrics::FmtPercent(r.plan_conflict_rate), worst_name});
+                      std::to_string(rec.plans_committed() +
+                                     rec.plans_aborted()),
+                      std::to_string(rec.plans_committed()),
+                      std::to_string(rec.plans_aborted()),
+                      std::to_string(rec.spawns_committed()),
+                      metrics::FmtPercent(rec.PlanConflictRate()),
+                      worst_name});
   }
   std::cout << "placement transactions:\n";
   placement.Print();
@@ -201,12 +207,14 @@ int CmdRun(const CliArgs& args) {
     metrics::Table faults({"system", "goodput", "failed inst", "failed slc",
                            "retries", "recovered", "timeouts", "abandoned"});
     for (const auto& r : results) {
+      const metrics::Recorder& rec = *r.recorder;
       faults.AddRow({r.system, metrics::Fmt(r.goodput_rps, 1) + " rps",
-                     std::to_string(r.instances_failed),
-                     std::to_string(r.slices_failed),
-                     std::to_string(r.retries), std::to_string(r.recovered),
-                     std::to_string(r.timeouts),
-                     std::to_string(r.abandoned)});
+                     std::to_string(rec.instances_failed()),
+                     std::to_string(rec.slices_failed()),
+                     std::to_string(rec.retries_total()),
+                     std::to_string(rec.RecoveredRequests()),
+                     std::to_string(rec.timeouts()),
+                     std::to_string(rec.abandoned_requests())});
     }
     std::cout << "faults: rate " << cfg.faults.rate << "/s, mttr "
               << ToSeconds(cfg.faults.mttr) << "s, timeout scale "
@@ -221,17 +229,16 @@ int CmdRun(const CliArgs& args) {
     metrics::Table qos({"system", "rejected", "queue-full", "rate-limited",
                         "infeasible", "mean depth", "jain", "worst-fn p99"});
     for (const auto& r : results) {
+      const metrics::Recorder& rec = *r.recorder;
       qos.AddRow(
-          {r.system, std::to_string(r.rejected),
-           std::to_string(r.rejects_by_cause[static_cast<std::size_t>(
-               sim::RejectCause::kQueueFull)]),
-           std::to_string(r.rejects_by_cause[static_cast<std::size_t>(
-               sim::RejectCause::kRateLimited)]),
-           std::to_string(r.rejects_by_cause[static_cast<std::size_t>(
-               sim::RejectCause::kDeadlineInfeasible)]),
-           metrics::Fmt(r.mean_queue_depth, 2),
-           metrics::Fmt(r.jain_fairness, 3),
-           metrics::Fmt(r.worst_fn_p99_s, 2) + "s"});
+          {r.system, std::to_string(rec.rejected_requests()),
+           std::to_string(rec.rejected_by(sim::RejectCause::kQueueFull)),
+           std::to_string(rec.rejected_by(sim::RejectCause::kRateLimited)),
+           std::to_string(
+               rec.rejected_by(sim::RejectCause::kDeadlineInfeasible)),
+           metrics::Fmt(rec.MeanQueueDepth(), 2),
+           metrics::Fmt(rec.JainFairnessIndex(), 3),
+           metrics::Fmt(rec.WorstFunctionP99(), 2) + "s"});
     }
     std::cout << "qos: queue " << cfg.platform.qos.queue << ", admission "
               << cfg.platform.qos.admission << "\n";
@@ -309,8 +316,6 @@ int CmdSweep(const CliArgs& args) {
                         "throughput", "SLO hit", "P95"});
   for (const auto& cell : sweep.cells) {
     const auto& r = cell.result;
-    auto lats = r.recorder->LatenciesSeconds();
-    const double p95 = lats.empty() ? 0.0 : Percentile(lats, 0.95);
     table.AddRow({r.tier,
                   cell.point.load_factor > 0.0
                       ? metrics::Fmt(cell.point.load_factor, 2)
@@ -318,8 +323,9 @@ int CmdSweep(const CliArgs& args) {
                   metrics::Fmt(cell.point.fault_rate, 2),
                   std::to_string(cell.point.seed), r.system,
                   metrics::Fmt(r.throughput_rps, 1) + " rps",
-                  metrics::FmtPercent(r.slo_hit_rate),
-                  metrics::Fmt(p95, 2) + "s"});
+                  metrics::FmtPercent(r.recorder->SloHitRate()),
+                  metrics::Fmt(r.recorder->LatencyPercentile(0.95), 2) +
+                      "s"});
   }
   std::cout << sweep.cells.size() << " cells, jobs=" << sweep.jobs << ", "
             << metrics::Fmt(sweep.wall_seconds, 2) << "s wall ("
