@@ -1,9 +1,9 @@
 // Golden per-request digests of fault-free runs: the safety net for
 // refactors that must not change any scheduling decision.
 //
-// Each cell runs one scheduler on one workload tier for 60 s of simulated
-// trace (paper cluster, seed 1234, default fifo/none queue policy) and
-// hashes every request record: arrival, deadline, completion, the queue /
+// Each cell runs one of the five schedulers on one workload tier for 60 s
+// of simulated trace (paper cluster, seed 1234, default fifo/none queue
+// policy) and hashes every request record: arrival, deadline, completion, the queue /
 // load / exec / transfer phase times, retries and the reject cause. Any
 // change to routing, placement or scaling shows up as a different hash.
 // Change an expected value only together with a change that intends to
@@ -74,6 +74,9 @@ struct GoldenCell {
 using trace::WorkloadTier;
 constexpr SystemKind kFfs = SystemKind::kFluidFaas;
 constexpr SystemKind kDist = SystemKind::kFluidFaasDistributed;
+constexpr SystemKind kEsg = SystemKind::kEsg;
+constexpr SystemKind kInfless = SystemKind::kInfless;
+constexpr SystemKind kRepart = SystemKind::kRepartition;
 
 constexpr GoldenCell kGolden[] = {
     {kFfs, WorkloadTier::kLight, 0x8130c06bca3efae3ULL},
@@ -82,9 +85,18 @@ constexpr GoldenCell kGolden[] = {
     {kDist, WorkloadTier::kLight, 0xc8a05f6a94c2715cULL},
     {kDist, WorkloadTier::kMedium, 0xcd6ced5a601c6083ULL},
     {kDist, WorkloadTier::kHeavy, 0x3e03b3fdfabe4b2aULL},
+    {kEsg, WorkloadTier::kLight, 0xd593a4613fa4d796ULL},
+    {kEsg, WorkloadTier::kMedium, 0xba5e983942a60ba6ULL},
+    {kEsg, WorkloadTier::kHeavy, 0xd2dd0e781b28a548ULL},
+    {kInfless, WorkloadTier::kLight, 0x1902e6c0447300b7ULL},
+    {kInfless, WorkloadTier::kMedium, 0xe37372db33cabccbULL},
+    {kInfless, WorkloadTier::kHeavy, 0x6535e6da98d6308bULL},
+    {kRepart, WorkloadTier::kLight, 0xc0723feddb61f63fULL},
+    {kRepart, WorkloadTier::kMedium, 0x1b12f82c5227417fULL},
+    {kRepart, WorkloadTier::kHeavy, 0x4ed323cafbacb4bfULL},
 };
 
-TEST(GoldenDigestTest, FluidFaasSchedulersFaultFree) {
+TEST(GoldenDigestTest, AllSchedulersFaultFree) {
   for (const GoldenCell& cell : kGolden) {
     ExperimentConfig cfg;
     cfg.system = cell.system;
