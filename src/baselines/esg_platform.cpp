@@ -16,35 +16,6 @@ namespace fluidfaas::baselines {
 using platform::Instance;
 using platform::InstanceState;
 
-namespace {
-
-/// Least-estimated-completion admitting instance of `insts`.
-Instance* LeastLoaded(const std::vector<Instance*>& insts, SimTime now) {
-  Instance* best = nullptr;
-  SimTime best_est = kTimeInfinity;
-  for (Instance* inst : insts) {
-    if (!inst->CanAdmit()) continue;
-    const SimTime est = inst->EstimateCompletion(now);
-    if (est < best_est) {
-      best_est = est;
-      best = inst;
-    }
-  }
-  return best;
-}
-
-/// Admission shared by both monolithic baselines; see
-/// Instance::AdmitWithinBound for the policy.
-bool AdmitBounded(Instance* inst, RequestId rid, double jitter, SimTime now,
-                  SimTime deadline, SimDuration slo) {
-  if (inst == nullptr) return false;
-  if (!inst->AdmitWithinBound(now, deadline, slo)) return false;
-  inst->Enqueue(rid, jitter, deadline);
-  return true;
-}
-
-}  // namespace
-
 std::vector<int> EsgState::FreeCounts(
     const platform::PlatformCore& core) const {
   std::vector<int> counts(gpu::kAllProfiles.size(), 0);
@@ -94,27 +65,23 @@ int EsgState::ScaleUp(platform::PlatformCore& core,
 
 bool EsgRouting::Route(platform::PlatformCore& core, RequestId rid,
                        FunctionId fn) {
-  const platform::FunctionSpec& spec = core.function(fn);
-  const SimTime now = core.simulator().Now();
-  const SimTime deadline = core.DeadlineOf(rid);
   std::vector<Instance*> insts = core.InstancesOf(fn);
-
   if (insts.empty()) {
     // Cold path: synchronous scale-up for the first request.
-    if (st_->ScaleUp(core, spec, core.ArrivalRate(fn)) == 0) return false;
+    if (st_->ScaleUp(core, core.function(fn), core.ArrivalRate(fn)) == 0) {
+      return false;
+    }
     insts = core.InstancesOf(fn);
   }
-  return AdmitBounded(LeastLoaded(insts, now), rid, core.JitterOf(rid), now,
-                      deadline, spec.slo);
+  return platform::AdmitBounded(
+      core, platform::LeastLoaded(insts, core.simulator().Now()), rid);
 }
 
 void EsgScaling::Tick(platform::PlatformCore& core) {
   for (const platform::FunctionSpec& spec : core.functions()) {
     const double rate = core.ArrivalRate(spec.id);
-    double capacity = 0.0;
-    for (Instance* inst : core.InstancesOf(spec.id)) {
-      if (inst->CanAdmit()) capacity += inst->CapacityRps();
-    }
+    const double capacity =
+        platform::AdmittingCapacity(core.InstancesOf(spec.id));
     if (rate > core.config().scaleup_load_factor * capacity) {
       const double deficit =
           rate / core.config().scaleup_load_factor - capacity;
@@ -127,19 +94,11 @@ void EsgScaling::Tick(platform::PlatformCore& core) {
 
 bool InflessRouting::Route(platform::PlatformCore& core, RequestId rid,
                            FunctionId fn) {
-  const platform::FunctionSpec& spec = core.function(fn);
-  const SimTime now = core.simulator().Now();
-  const SimTime deadline = core.DeadlineOf(rid);
   std::vector<Instance*> insts = core.InstancesOf(fn);
-
   if (insts.empty()) {
-    auto plan =
-        core::MonolithicPlanOnSmallestSlice(spec.dag, core.cluster());
-    if (!plan) return false;
-    const platform::CommitResult result = core.Commit(
-        platform::SpawnPlan(fn, std::move(*plan), core.IsWarm(fn)));
-    if (!result.ok()) return false;
-    insts.push_back(result.spawned.front());
+    Instance* inst = platform::LaunchMonolithic(core, core.function(fn));
+    if (inst == nullptr) return false;
+    insts.push_back(inst);
   }
 
   // Least outstanding work, no SLO-awareness in the pick.
@@ -150,27 +109,15 @@ bool InflessRouting::Route(platform::PlatformCore& core, RequestId rid,
       best = inst;
     }
   }
-  return AdmitBounded(best, rid, core.JitterOf(rid), now, deadline, spec.slo);
+  return platform::AdmitBounded(core, best, rid);
 }
 
 void InflessScaling::Tick(platform::PlatformCore& core) {
   for (const platform::FunctionSpec& spec : core.functions()) {
-    const double rate = core.ArrivalRate(spec.id);
-    double capacity = 0.0;
-    for (Instance* inst : core.InstancesOf(spec.id)) {
-      if (inst->CanAdmit()) capacity += inst->CapacityRps();
-    }
-    int guard = 0;
-    while (rate > core.config().scaleup_load_factor * capacity &&
-           guard++ < 8) {
-      auto plan =
-          core::MonolithicPlanOnSmallestSlice(spec.dag, core.cluster());
-      if (!plan) break;
-      const platform::CommitResult result = core.Commit(platform::SpawnPlan(
-          spec.id, std::move(*plan), core.IsWarm(spec.id)));
-      if (!result.ok()) break;
-      capacity += result.spawned.front()->CapacityRps();
-    }
+    platform::GrowCapacity(
+        core, core.ArrivalRate(spec.id),
+        platform::AdmittingCapacity(core.InstancesOf(spec.id)),
+        [&] { return platform::LaunchMonolithic(core, spec); });
   }
 }
 

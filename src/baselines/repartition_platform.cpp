@@ -42,15 +42,6 @@ gpu::MigPartition BestRepartitionFor(Bytes needed_memory) {
   return *best;
 }
 
-Instance* RepartitionState::TryLaunch(platform::PlatformCore& core,
-                                      const platform::FunctionSpec& spec) {
-  auto plan = core::MonolithicPlanOnSmallestSlice(spec.dag, core.cluster());
-  if (!plan) return nullptr;
-  const platform::CommitResult result = core.Commit(
-      platform::SpawnPlan(spec.id, std::move(*plan), core.IsWarm(spec.id)));
-  return result.ok() ? result.spawned.front() : nullptr;
-}
-
 void RepartitionState::ExecuteReconfig(platform::PlatformCore& core,
                                        GpuId gpu_id, Bytes needed_memory) {
   const gpu::MigPartition target = BestRepartitionFor(needed_memory);
@@ -136,44 +127,20 @@ platform::SchedulerCounters RepartitionState::counters() const {
 
 bool RepartitionRouting::Route(platform::PlatformCore& core, RequestId rid,
                                FunctionId fn) {
-  const platform::FunctionSpec& spec = core.function(fn);
-  const SimTime now = core.simulator().Now();
-  const SimTime deadline = core.DeadlineOf(rid);
-
   std::vector<Instance*> insts = core.InstancesOf(fn);
   if (insts.empty()) {
-    Instance* inst = st_->TryLaunch(core, spec);
+    Instance* inst = platform::LaunchMonolithic(core, core.function(fn));
     if (inst == nullptr) return false;  // tick may reconfigure
     insts.push_back(inst);
   }
-  Instance* best = nullptr;
-  SimTime best_est = kTimeInfinity;
-  for (Instance* inst : insts) {
-    if (!inst->CanAdmit()) continue;
-    const SimTime est = inst->EstimateCompletion(now);
-    if (est < best_est) {
-      best_est = est;
-      best = inst;
-    }
-  }
-  if (best == nullptr || !best->AdmitWithinBound(now, deadline, spec.slo)) {
-    return false;
-  }
-  best->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-  return true;
+  return platform::AdmitBounded(
+      core, platform::LeastLoaded(insts, core.simulator().Now()), rid);
 }
 
 void RepartitionScaling::Tick(platform::PlatformCore& core) {
   // Retire drained instances, then execute reconfigurations whose GPU has
   // finally emptied.
-  for (const platform::FunctionSpec& spec : core.functions()) {
-    for (Instance* inst : core.InstancesOf(spec.id)) {
-      if (inst->state() == platform::InstanceState::kDraining &&
-          inst->Idle()) {
-        core.RetireInstance(inst);
-      }
-    }
-  }
+  platform::RetireDrainedIdle(core);
   for (auto it = st_->drain_targets.begin();
        it != st_->drain_targets.end();) {
     const gpu::Gpu& g = core.cluster().gpu(it->gpu);
@@ -186,22 +153,12 @@ void RepartitionScaling::Tick(platform::PlatformCore& core) {
   }
 
   for (const platform::FunctionSpec& spec : core.functions()) {
-    const double rate = core.ArrivalRate(spec.id);
-    double capacity = 0.0;
-    for (Instance* inst : core.InstancesOf(spec.id)) {
-      if (inst->CanAdmit()) capacity += inst->CapacityRps();
-    }
-    int guard = 0;
-    while (rate > core.config().scaleup_load_factor * capacity &&
-           guard++ < 8) {
-      Instance* inst = st_->TryLaunch(core, spec);
-      if (inst == nullptr) {
-        // Fragmented out: try to right the partition mix instead.
-        st_->TryReconfigure(core, spec);
-        break;
-      }
-      capacity += inst->CapacityRps();
-    }
+    const bool grown = platform::GrowCapacity(
+        core, core.ArrivalRate(spec.id),
+        platform::AdmittingCapacity(core.InstancesOf(spec.id)),
+        [&] { return platform::LaunchMonolithic(core, spec); });
+    // Fragmented out: try to right the partition mix instead.
+    if (!grown) st_->TryReconfigure(core, spec);
   }
   // Exclusive keep-alive runs as the bundle's FixedIdleKeepAlive right after.
 }

@@ -34,10 +34,6 @@ gpu::MigPartition BestRepartitionFor(Bytes needed_memory);
 class RepartitionState
     : public std::enable_shared_from_this<RepartitionState> {
  public:
-  /// Launch one best-fit monolithic instance if possible.
-  platform::Instance* TryLaunch(platform::PlatformCore& core,
-                                const platform::FunctionSpec& spec);
-
   /// Begin reconfiguring for `spec`'s demand: use a fully idle GPU when one
   /// exists, otherwise pick a GPU whose instances can be drained and
   /// reconfigure it once it empties. Returns false when nothing can even be

@@ -49,14 +49,6 @@ void FfsState::PruneDead(FnState& st) {
   if (st.ts != nullptr && Gone(st.ts)) st.ts = nullptr;
 }
 
-double FfsState::EhCapacity(const FnState& st) const {
-  double c = 0.0;
-  for (Instance* inst : st.eh) {
-    if (inst->CanAdmit()) c += inst->CapacityRps();
-  }
-  return c;
-}
-
 platform::SchedulerCounters FfsState::counters() const {
   platform::SchedulerCounters c;
   c.evictions = evictions;
@@ -134,34 +126,24 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
 
 platform::Instance* FfsState::LaunchExclusive(
     platform::PlatformCore& core, const platform::FunctionSpec& spec) {
-  std::optional<PipelinePlan> plan;
+  Instance* inst = nullptr;
   if (core.config().enable_pipelines) {
-    plan = PlanFirstFeasible(spec.dag, spec.ranked_pipelines, core.cluster(),
-                             core.config().transfer, node_);
+    auto plan = PlanFirstFeasible(spec.dag, spec.ranked_pipelines,
+                                  core.cluster(), core.config().transfer,
+                                  node_);
+    if (!plan) return nullptr;
+    const platform::CommitResult result = core.Commit(
+        platform::SpawnPlan(spec.id, std::move(*plan), core.IsWarm(spec.id)));
+    if (!result.ok()) return nullptr;
+    inst = result.spawned.front();
   } else {
     // Ablation: monolithic-only placement.
-    plan = MonolithicPlanOnSmallestSlice(spec.dag, core.cluster(), node_);
+    inst = platform::LaunchMonolithic(core, spec, node_);
+    if (inst == nullptr) return nullptr;
   }
-  if (!plan) return nullptr;
-  const bool pipelined = plan->num_stages() > 1;
-  const platform::CommitResult result = core.Commit(
-      platform::SpawnPlan(spec.id, std::move(*plan), core.IsWarm(spec.id)));
-  if (!result.ok()) return nullptr;
-  if (pipelined) ++pipelines_launched;
-  Instance* inst = result.spawned.front();
+  if (inst->IsPipelined()) ++pipelines_launched;
   state(spec.id).eh.push_back(inst);
   return inst;
-}
-
-void FfsState::RetireDrainedIdle(platform::PlatformCore& core) {
-  for (FunctionId fn(0); static_cast<std::size_t>(fn.value) < fn_state.size();
-       fn = FunctionId(fn.value + 1)) {
-    for (Instance* inst : core.InstancesOf(fn)) {
-      if (inst->state() == InstanceState::kDraining && inst->Idle()) {
-        core.RetireInstance(inst);
-      }
-    }
-  }
 }
 
 bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
@@ -218,30 +200,19 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
     }
   }
 
-  // 3. Fallback: the least-loaded admitting instance (request will likely
-  //    miss its SLO, but progress beats starvation).
-  Instance* best = nullptr;
-  SimTime best_est = kTimeInfinity;
-  for (Instance* inst : st.eh) {
-    if (!inst->CanAdmit()) continue;
-    const SimTime est = inst->EstimateCompletion(now);
-    if (est < best_est) {
-      best_est = est;
-      best = inst;
-    }
-  }
+  // 3. Fallback: the least-loaded admitting instance, the time-sharing one
+  //    only when strictly earlier (request will likely miss its SLO, but
+  //    progress beats starvation). The bounded admit keeps overload in the
+  //    EDF-ordered pending set instead of FIFO instance queues.
+  Instance* best = platform::LeastLoaded(st.eh, now);
   if (st.ts != nullptr && st.ts->CanAdmit() &&
-      st.ts->EstimateCompletion(now) < best_est) {
+      (best == nullptr ||
+       st.ts->EstimateCompletion(now) < best->EstimateCompletion(now))) {
     best = st.ts;
   }
-  // Bound per-instance backlog (see Instance::AdmitWithinBound) so overload
-  // stays in the EDF-ordered pending set instead of FIFO queues.
-  if (best != nullptr && best->AdmitWithinBound(now, deadline, spec.slo)) {
-    best->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-    st.ts_last_used = now;
-    return true;
-  }
-  return false;
+  if (!platform::AdmitBounded(core, best, rid)) return false;
+  st.ts_last_used = now;
+  return true;
 }
 
 void FfsState::Promote(platform::PlatformCore& core, FunctionId fn) {
@@ -264,14 +235,9 @@ void FfsState::Promote(platform::PlatformCore& core, FunctionId fn) {
 
 void FfsState::ScaleUp(platform::PlatformCore& core,
                        const platform::FunctionSpec& spec, double rate) {
-  double capacity = EhCapacity(state(spec.id));
-  int guard = 0;
-  while (rate > core.config().scaleup_load_factor * capacity &&
-         guard++ < 8) {
-    Instance* eh = LaunchExclusive(core, spec);
-    if (eh == nullptr) break;
-    capacity += eh->CapacityRps();
-  }
+  platform::GrowCapacity(core, rate,
+                         platform::AdmittingCapacity(state(spec.id).eh),
+                         [&] { return LaunchExclusive(core, spec); });
 }
 
 void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
@@ -350,12 +316,12 @@ void FfsScaling::OnCompleted(platform::PlatformCore& core, RequestId,
                              FunctionId fn) {
   FfsState::FnState& st = st_->state(fn);
   st.ts_last_used = core.simulator().Now();
-  st_->RetireDrainedIdle(core);
+  platform::RetireDrainedIdle(core);
 }
 
 void FfsScaling::Tick(platform::PlatformCore& core) {
   const SimTime now = core.simulator().Now();
-  st_->RetireDrainedIdle(core);
+  platform::RetireDrainedIdle(core);
 
   for (std::size_t i = 0; i < st_->fn_state.size(); ++i) {
     const FunctionId fn(static_cast<std::int32_t>(i));

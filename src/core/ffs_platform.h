@@ -100,9 +100,6 @@ class FfsState {
   void ExpireCold(platform::PlatformCore& core, FunctionId fn);
 
   void PruneDead(FnState& st);
-  void RetireDrainedIdle(platform::PlatformCore& core);
-
-  double EhCapacity(const FnState& st) const;
 
   platform::SchedulerCounters counters() const;
 

@@ -682,4 +682,70 @@ void FixedIdleKeepAlive::Tick(PlatformCore& core) {
   }
 }
 
+Instance* LeastLoaded(const std::vector<Instance*>& insts, SimTime now) {
+  Instance* best = nullptr;
+  SimTime best_est = kTimeInfinity;
+  for (Instance* inst : insts) {
+    if (!inst->CanAdmit()) continue;
+    const SimTime est = inst->EstimateCompletion(now);
+    if (est < best_est) {
+      best_est = est;
+      best = inst;
+    }
+  }
+  return best;
+}
+
+double AdmittingCapacity(const std::vector<Instance*>& insts) {
+  double capacity = 0.0;
+  for (Instance* inst : insts) {
+    if (inst->CanAdmit()) capacity += inst->CapacityRps();
+  }
+  return capacity;
+}
+
+bool AdmitBounded(PlatformCore& core, Instance* inst, RequestId rid) {
+  if (inst == nullptr) return false;
+  const SimTime now = core.simulator().Now();
+  const SimTime deadline = core.DeadlineOf(rid);
+  if (!inst->AdmitWithinBound(now, deadline,
+                              core.function(inst->function()).slo)) {
+    return false;
+  }
+  inst->Enqueue(rid, core.JitterOf(rid), deadline);
+  return true;
+}
+
+Instance* LaunchMonolithic(PlatformCore& core, const FunctionSpec& spec,
+                           std::optional<NodeId> node) {
+  auto plan =
+      core::MonolithicPlanOnSmallestSlice(spec.dag, core.cluster(), node);
+  if (!plan) return nullptr;
+  const CommitResult result = core.Commit(
+      SpawnPlan(spec.id, std::move(*plan), core.IsWarm(spec.id)));
+  return result.ok() ? result.spawned.front() : nullptr;
+}
+
+bool GrowCapacity(PlatformCore& core, double rate, double capacity,
+                  const std::function<Instance*()>& launch) {
+  int guard = 0;
+  while (rate > core.config().scaleup_load_factor * capacity &&
+         guard++ < 8) {
+    Instance* inst = launch();
+    if (inst == nullptr) return false;
+    capacity += inst->CapacityRps();
+  }
+  return true;
+}
+
+void RetireDrainedIdle(PlatformCore& core) {
+  for (const FunctionSpec& spec : core.functions()) {
+    for (Instance* inst : core.InstancesOf(spec.id)) {
+      if (inst->state() == InstanceState::kDraining && inst->Idle()) {
+        core.RetireInstance(inst);
+      }
+    }
+  }
+}
+
 }  // namespace fluidfaas::platform

@@ -25,14 +25,18 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "qos/admission.h"
 
 namespace fluidfaas::platform {
 
+class Instance;
 class PlatformCore;
+struct FunctionSpec;
 
 /// Scheduler-specific event counts surfaced uniformly through
 /// PlatformCore::scheduler_counters(); a bundle fills only the fields its
@@ -142,6 +146,39 @@ class FixedIdleKeepAlive final : public KeepAlivePolicy {
  public:
   void Tick(PlatformCore& core) override;
 };
+
+// -- placement steps shared by the schedulers ---------------------------------
+//
+// Each step has this one body; the policies compose them instead of keeping
+// private copies. Every slice a step binds goes through PlatformCore::Commit.
+
+/// The admitting instance of `insts` with the earliest estimated completion
+/// (the first one on a tie), or null when none admits.
+Instance* LeastLoaded(const std::vector<Instance*>& insts, SimTime now);
+
+/// Summed CapacityRps of the admitting instances of `insts`.
+double AdmittingCapacity(const std::vector<Instance*>& insts);
+
+/// Enqueue `rid` on `inst` when the instance's backlog stays within the
+/// request's SLO bound (Instance::AdmitWithinBound). False, and nothing
+/// enqueued, when `inst` is null or over the bound.
+bool AdmitBounded(PlatformCore& core, Instance* inst, RequestId rid);
+
+/// Plan `spec` whole on the smallest free slice that holds it (on `node`
+/// when given) and commit the spawn. The launched instance, or null when no
+/// slice fits or the commit aborted.
+Instance* LaunchMonolithic(PlatformCore& core, const FunctionSpec& spec,
+                           std::optional<NodeId> node = std::nullopt);
+
+/// The scale-up loop: call `launch` while `rate` (requests/s) exceeds
+/// scaleup_load_factor × `capacity`, adding each new instance's capacity,
+/// at most 8 times. False when a launch returned null.
+bool GrowCapacity(PlatformCore& core, double rate, double capacity,
+                  const std::function<Instance*()>& launch);
+
+/// Retire every draining instance that has gone idle, function by function
+/// in creation order.
+void RetireDrainedIdle(PlatformCore& core);
 
 /// A named scheduler: the policies plus optional introspection.
 /// `keepalive` may be null (treated as NullKeepAlive); `retry` may be null
