@@ -82,10 +82,6 @@ struct PlatformConfig {
   /// otherwise perturb the event order of fault-free runs).
   double request_timeout_scale = 0.0;
 
-  /// After an instance crash, relaunch a replacement on free slices of the
-  /// same node with the same stage profiles (best effort).
-  bool respawn_on_failure = true;
-
   /// QoS: central-queue discipline and admission control (DESIGN.md §9).
   /// The "fifo"/"none" defaults reproduce pre-QoS behaviour exactly.
   qos::QosConfig qos;

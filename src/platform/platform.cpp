@@ -521,9 +521,7 @@ void PlatformCore::FailInstance(Instance* inst, sim::FaultKind cause,
     return;
   }
   const SimTime now = sim_.Now();
-  const FunctionSpec& spec = function(inst->function());
-  // Copy the plan before the crash: respawn rebinds the same stage shapes.
-  const core::PipelinePlan plan = inst->plan();
+  const core::PipelinePlan& plan = inst->plan();
   const std::vector<Instance::FailedWork> victims = inst->Fail();
   bus().Publish(sim::InstanceFailed{inst->id(), inst->function(), cause, now});
   FFS_LOG_DEBUG("platform") << name() << " fail " << inst->Describe()
@@ -536,10 +534,8 @@ void PlatformCore::FailInstance(Instance* inst, sim::FaultKind cause,
   // No TouchWarm: a crash says nothing about the CPU-resident weight copy,
   // and the retire path's refresh would make fault runs look warmer.
   if (failed_slice.valid()) FailSlice(failed_slice, repair);
-  if (config_.respawn_on_failure &&
-      cause != sim::FaultKind::kColdStartFailure) {
-    TryRespawn(spec, plan);
-  }
+  // No replacement here: the scheduler's own routing and scale-up rebuild
+  // the lost capacity, so every live instance is one a policy placed.
   for (const Instance::FailedWork& w : victims) {
     HandleFailedRequest(w.rid, w.stage, plan.num_stages());
   }
@@ -607,29 +603,6 @@ void PlatformCore::Resubmit(RequestId rid, FunctionId fn, int stage,
                                     now});
   if (resumed) return;
   if (!routing_->Route(*this, rid, fn)) MakePending(rid, fn);
-}
-
-void PlatformCore::TryRespawn(const FunctionSpec& spec,
-                              const core::PipelinePlan& old) {
-  const std::vector<SliceId> free = cluster_.FreeSlicesOnNode(old.node);
-  std::vector<bool> taken(free.size(), false);
-  core::PipelinePlan plan;
-  plan.node = old.node;
-  for (const core::StageBinding& s : old.stages) {
-    bool bound = false;
-    for (std::size_t i = 0; i < free.size(); ++i) {
-      if (taken[i]) continue;
-      if (cluster_.slice(free[i]).profile() != s.profile) continue;
-      taken[i] = true;
-      core::StageBinding nb = s;
-      nb.slice = free[i];
-      plan.stages.push_back(nb);
-      bound = true;
-      break;
-    }
-    if (!bound) return;  // node lacks a same-profile slice; policies rebuild
-  }
-  Commit(SpawnPlan(spec.id, std::move(plan), IsWarm(spec.id)));
 }
 
 void PlatformCore::ExpireRequest(RequestId rid) {

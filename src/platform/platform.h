@@ -168,9 +168,9 @@ class PlatformCore final {
   // subscriptions are inert and the fault path costs nothing.
 
   /// Crash an instance: harvest its in-flight work, release its slices,
-  /// optionally fail `failed_slice` for `repair` of simulated time, respawn
-  /// a replacement on the same node when configured, then run each victim
-  /// request through the RetryPolicy.
+  /// optionally fail `failed_slice` for `repair` of simulated time, then run
+  /// each victim request through the RetryPolicy. No replacement is
+  /// launched here; the scheduler's routing and scaling rebuild capacity.
   void FailInstance(Instance* inst, sim::FaultKind cause,
                     SliceId failed_slice = SliceId(), SimDuration repair = 0);
 
@@ -189,8 +189,8 @@ class PlatformCore final {
   /// start loading. `warm` selects the warm- vs cold-load path for the
   /// weight bytes; `extra_load_delay` serializes in front of the load
   /// (e.g. the D2H checkpoint of an instance just evicted from the target
-  /// slice). Only Commit() and the crash-respawn path may call this —
-  /// keeping every Bind inside the transaction boundary.
+  /// slice). Only Commit() calls this, which keeps every Bind inside the
+  /// transaction boundary.
   Instance* LaunchInstance(const FunctionSpec& fn, core::PipelinePlan plan,
                            bool warm, SimDuration extra_load_delay = 0);
 
@@ -224,9 +224,6 @@ class PlatformCore final {
   /// Re-admit a retried request after its backoff. `stage` > 0 resumes a
   /// pipeline at the failed stage when a same-shape instance can admit it.
   void Resubmit(RequestId rid, FunctionId fn, int stage, int num_stages);
-
-  /// Best-effort replacement after a crash: same node, same stage profiles.
-  void TryRespawn(const FunctionSpec& spec, const core::PipelinePlan& old);
 
   /// Mark `sid` failed now and schedule its repair.
   void FailSlice(SliceId sid, SimDuration repair);

@@ -3,6 +3,7 @@
 // Each scenario runs against both.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -58,15 +59,12 @@ std::vector<FunctionSpec> SmallFunctions(int n) {
 TEST(FfsDomainTest, CrashedTimeSharingInstanceIsReplaced) {
   for (Scheduler& s : BothSchedulers()) {
     SCOPED_TRACE(s.name);
-    // One node with two 1g slices and three functions. No crash respawn:
-    // the replacement PlatformCore would spawn is not the scheduler's.
+    // One node with two 1g slices and three functions.
     sim::Simulator sim;
     auto cluster = gpu::Cluster::Uniform(
         1, 1, gpu::MigPartition::Parse("1g.10gb+1g.10gb"));
     metrics::Recorder recorder(cluster);
-    PlatformConfig config;
-    config.respawn_on_failure = false;
-    PlatformCore plat(sim, cluster, SmallFunctions(3), config,
+    PlatformCore plat(sim, cluster, SmallFunctions(3), PlatformConfig{},
                       std::move(s.bundle));
     recorder.SubscribeTo(sim.bus());
     plat.Start();
@@ -96,6 +94,48 @@ TEST(FfsDomainTest, CrashedTimeSharingInstanceIsReplaced) {
     EXPECT_NE(fn0.ts, crashed);
     EXPECT_EQ(recorder.completed_requests(), 4u);
     EXPECT_EQ(recorder.plans_aborted(), 0u);
+  }
+}
+
+TEST(FfsDomainTest, CrashLeavesNoInstanceOutsideTheDomain) {
+  for (Scheduler& s : BothSchedulers()) {
+    SCOPED_TRACE(s.name);
+    // One node with three 1g slices: after the crash two are free, so a
+    // replacement the scheduler did not place would have room to land.
+    sim::Simulator sim;
+    auto cluster = gpu::Cluster::Uniform(
+        1, 1, gpu::MigPartition::Parse("1g.10gb+1g.10gb+1g.10gb"));
+    metrics::Recorder recorder(cluster);
+    PlatformCore plat(sim, cluster, SmallFunctions(1), PlatformConfig{},
+                      std::move(s.bundle));
+    recorder.SubscribeTo(sim.bus());
+    plat.Start();
+
+    const FunctionId fn(0);
+    // Every live instance of fn is one the domain tracks.
+    auto expect_all_owned = [&] {
+      const FfsState::FnState& st = s.node0().state(fn);
+      for (platform::Instance* inst : plat.InstancesOf(fn)) {
+        const bool owned = inst == st.ts || std::find(st.eh.begin(),
+                                                      st.eh.end(),
+                                                      inst) != st.eh.end();
+        EXPECT_TRUE(owned) << "instance " << inst->id().value;
+      }
+    };
+
+    plat.Submit(fn);
+    sim.RunUntil(Millis(100));
+    platform::Instance* crashed = s.node0().state(fn).ts;
+    ASSERT_NE(crashed, nullptr);
+    plat.FailInstance(crashed, sim::FaultKind::kInstanceCrash);
+    expect_all_owned();
+
+    // The retried request makes a fresh TS instance resident and completes.
+    sim.RunUntil(Seconds(30));
+    expect_all_owned();
+    EXPECT_EQ(plat.InstancesOf(fn).size(), 1u);
+    EXPECT_EQ(recorder.completed_requests(), 1u);
+    EXPECT_EQ(recorder.retries_total(), 1u);
   }
 }
 

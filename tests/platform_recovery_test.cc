@@ -1,5 +1,5 @@
 // Failure recovery in PlatformCore: crash harvesting, bounded retries with
-// exponential backoff, pipeline resume-at-stage, respawn, armed cold-start /
+// exponential backoff, pipeline resume-at-stage, armed cold-start /
 // slow-start faults, slice failure + repair, and the two flavours of
 // enforcement-timeout expiry (see DESIGN.md "Failure model").
 #include <gtest/gtest.h>
@@ -183,7 +183,7 @@ TEST(RetryPolicyTest, PlatformDefaultMatchesConfig) {
                    .retry);
 }
 
-// --- crash, retry, respawn --------------------------------------------------
+// --- crash and retry --------------------------------------------------------
 
 TEST(RecoveryTest, CrashedRequestIsRetriedAndRecovers) {
   World w;
@@ -203,30 +203,21 @@ TEST(RecoveryTest, CrashedRequestIsRetriedAndRecovers) {
   EXPECT_TRUE(w.recorder.record(rid).done());
 }
 
-TEST(RecoveryTest, RespawnReplacesTheCrashedInstance) {
+TEST(RecoveryTest, CrashLeavesNoReplacementAndRoutingRecovers) {
   World w;
   w.plat->Submit(FunctionId(0));
   Instance* first = w.only_instance();
   w.plat->FailInstance(first, sim::FaultKind::kInstanceCrash);
   EXPECT_EQ(first->state(), InstanceState::kFailed);
-  // A replacement with the same shape exists immediately (same node, same
-  // profiles), and the crashed one no longer counts as live.
-  Instance* second = w.only_instance();
-  ASSERT_NE(second, nullptr);
-  EXPECT_NE(second->id(), first->id());
-  EXPECT_EQ(second->plan().num_stages(), first->plan().num_stages());
-}
-
-TEST(RecoveryTest, RespawnCanBeDisabled) {
-  PlatformConfig cfg = World::JitterFree();
-  cfg.respawn_on_failure = false;
-  World w(cfg);
-  w.plat->Submit(FunctionId(0));
-  w.plat->FailInstance(w.only_instance(), sim::FaultKind::kInstanceCrash);
+  // The core launches nothing in the crashed instance's place.
   EXPECT_TRUE(w.plat->InstancesOf(FunctionId(0)).empty());
   // The retried request still completes: routing launches a fresh instance.
   w.sim.Run();
   EXPECT_EQ(w.recorder.completed_requests(), 1u);
+  EXPECT_EQ(w.recorder.retries_total(), 1u);
+  Instance* second = w.only_instance();
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second->id(), first->id());
 }
 
 TEST(RecoveryTest, RetryBudgetExhaustionAbandons) {
@@ -282,6 +273,12 @@ TEST(RecoveryTest, PipelineRetryResumesAtTheFailedStage) {
   Instance* first = w.only_instance();
   ASSERT_EQ(first->plan().num_stages(), 2);
   const SliceId stage1 = first->plan().stages[1].slice;
+  // A second pipeline of the same shape, which survives the crash.
+  auto plan = TwoStagePlan(*w.plat, w.plat->function(FunctionId(0)));
+  ASSERT_TRUE(plan.has_value());
+  const CommitResult survivor =
+      w.plat->Commit(SpawnPlan(FunctionId(0), std::move(*plan), false));
+  ASSERT_TRUE(survivor.ok());
 
   // Crash mid-way through stage 1 (the 100 ms second stage): stage 0 work
   // is complete, so the retry must not replay it.
@@ -301,7 +298,7 @@ TEST(RecoveryTest, PipelineRetryResumesAtTheFailedStage) {
 
   ASSERT_TRUE(armed);
   ASSERT_EQ(resumes.size(), 1u);
-  // The respawned same-shape pipeline admitted the request directly at
+  // The surviving same-shape pipeline admitted the request directly at
   // stage 1 instead of replaying the whole pipeline.
   EXPECT_TRUE(resumes.front());
   EXPECT_EQ(w.recorder.completed_requests(), 1u);
@@ -326,9 +323,8 @@ TEST(RecoveryTest, ArmedColdStartFailureDoomsTheNextLaunch) {
 
   EXPECT_EQ(failures, 1u);
   EXPECT_EQ(cause, sim::FaultKind::kColdStartFailure);
-  // No respawn for a doomed cold start (the replacement would just be
-  // another cold start) — the retry path relaunches through routing and
-  // the request still completes.
+  // The retry path relaunches through routing and the request still
+  // completes.
   EXPECT_EQ(w.recorder.completed_requests(), 1u);
   EXPECT_EQ(w.recorder.record(rid).retries, 1);
 }
