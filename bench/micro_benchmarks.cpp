@@ -276,7 +276,7 @@ BENCHMARK(BM_QueueDiscipline_Fifo)->Arg(1024);
 
 void BM_QueueDiscipline_Fair(benchmark::State& state) {
   QueueDisciplineBench(
-      state, [] { return std::make_unique<qos::FairQueue>(4); });
+      state, [] { return std::make_unique<qos::FairQueue>(); });
 }
 BENCHMARK(BM_QueueDiscipline_Fair)->Arg(1024);
 

@@ -206,18 +206,6 @@ std::vector<Instance*> PlatformCore::AllInstances() const {
 
 std::size_t PlatformCore::PendingCount() const { return pending_q_->size(); }
 
-std::size_t PlatformCore::PendingCountOf(FunctionId fn) const {
-  return pending_q_->DepthOf(fn);
-}
-
-PlatformCore::Backpressure PlatformCore::CurrentBackpressure() const {
-  Backpressure bp;
-  bp.pending = pending_q_->size();
-  bp.rejected = rejected_total_;
-  bp.shedding = rejected_total_ > 0;
-  return bp;
-}
-
 qos::QueueItem PlatformCore::MakeQueueItem(RequestId rid,
                                            FunctionId fn) const {
   const FunctionSpec& spec = function(fn);
@@ -243,7 +231,6 @@ void PlatformCore::PublishPendingDepth() {
 
 void PlatformCore::RejectRequest(RequestId rid, FunctionId fn,
                                  sim::RejectCause cause, bool at_submit) {
-  ++rejected_total_;
   bus().Publish(sim::RequestRejected{rid, fn, cause, at_submit, sim_.Now()});
   FFS_LOG_DEBUG("platform") << name() << " reject request " << rid.value
                             << " fn " << fn.value << " ("

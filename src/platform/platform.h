@@ -81,22 +81,8 @@ class PlatformCore final {
   /// Number of requests neither completed nor admitted to an instance.
   std::size_t PendingCount() const;
 
-  /// Pending requests of one function — the per-function backpressure
-  /// signal (scaling policies can weigh it against deployed capacity).
-  std::size_t PendingCountOf(FunctionId fn) const;
-
-  /// Aggregate backpressure: pending depth plus the running count of
-  /// admission rejections. A scaling policy seeing `shedding` true knows
-  /// the intake is already refusing work and capacity, not patience, is
-  /// what is missing.
-  struct Backpressure {
-    std::size_t pending = 0;
-    std::size_t rejected = 0;
-    bool shedding = false;
-  };
-  Backpressure CurrentBackpressure() const;
-
-  /// The installed queue discipline (never null after construction).
+  /// The installed queue discipline (never null after construction); its
+  /// DepthOf(fn) is the per-function pending depth.
   const qos::QueueDiscipline& queue() const { return *pending_q_; }
 
   // -- mechanism operations, called by policies -----------------------------
@@ -277,8 +263,6 @@ class PlatformCore final {
 
   // Last published pending depth (dedup for PendingDepthChanged).
   std::size_t last_depth_published_ = 0;
-  // Running admission-rejection count (backpressure signal).
-  std::size_t rejected_total_ = 0;
 
   // Outstanding (submitted, not yet completed) requests.
   std::unordered_map<RequestId, ReqMeta> meta_;

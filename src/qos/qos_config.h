@@ -26,11 +26,6 @@ struct QosConfig {
   /// (token-bucket rate limit + depth cap + deadline-infeasible shedding).
   std::string admission = "none";
 
-  /// Fair queueing: consecutive dequeues granted to one function's backlog
-  /// before the scheduler re-picks the minimum finish tag (MQFQ-Sticky);
-  /// keeps a function's burst together so it lands on its warm instance.
-  int sticky_batch = 4;
-
   /// Token bucket: sustained admits per second. 0 disables rate limiting.
   double rate_rps = 0.0;
 

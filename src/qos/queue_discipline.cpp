@@ -222,9 +222,7 @@ std::vector<QueueItem> FairQueue::Snapshot() const {
 std::unique_ptr<QueueDiscipline> MakeQueueDiscipline(const QosConfig& config) {
   if (config.queue == "fifo") return std::make_unique<FifoQueue>();
   if (config.queue == "edf") return std::make_unique<EdfQueue>();
-  if (config.queue == "fair") {
-    return std::make_unique<FairQueue>(config.sticky_batch);
-  }
+  if (config.queue == "fair") return std::make_unique<FairQueue>();
   throw FfsError("unknown queue discipline: " + config.queue +
                  " (known: edf, fair, fifo)");
 }

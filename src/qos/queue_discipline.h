@@ -11,7 +11,7 @@
 //               gets virtual start/finish tags; dequeue picks the minimum
 //               finish tag, so a bursty function cannot starve its
 //               co-residents. MQFQ-style stickiness dequeues up to
-//               sticky_batch consecutive items from the chosen function so
+//               kStickyBatch consecutive items from the chosen function so
 //               its backlog stays together (and lands on its warm
 //               instance) before the scheduler re-picks.
 //   EdfQueue  — earliest absolute SLO deadline first.
@@ -144,7 +144,12 @@ class EdfQueue final : public QueueDiscipline {
 /// deterministic by construction.
 class FairQueue final : public QueueDiscipline {
  public:
-  explicit FairQueue(int sticky_batch)
+  /// Consecutive dequeues granted to one function's backlog before the
+  /// scheduler re-picks the minimum finish tag (MQFQ-Sticky); keeps a
+  /// function's burst together so it lands on its warm instance.
+  static constexpr int kStickyBatch = 4;
+
+  explicit FairQueue(int sticky_batch = kStickyBatch)
       : sticky_batch_(sticky_batch < 1 ? 1 : sticky_batch) {}
 
   const char* name() const override { return "fair"; }

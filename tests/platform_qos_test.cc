@@ -2,8 +2,8 @@
 // fifo/none policy is provably inert (event-for-event identical to a config
 // that never mentions QoS), non-default disciplines install cleanly,
 // admission rejections carry typed causes all the way into terminal
-// accounting / the JSON report, and the backpressure signal tracks the
-// pending set.
+// accounting / the JSON report, and the rejections and pending depth are
+// visible to observers.
 #include <gtest/gtest.h>
 
 #include "gpu/cluster.h"
@@ -155,24 +155,24 @@ TEST(PlatformQosTest, BackpressureTracksPendingAndRejections) {
   pcfg.qos.rate_rps = 1.0;  // bucket of 1: a burst can only land one
   pcfg.qos.burst = 1.0;
   pcfg.qos.shed_infeasible = false;
+  metrics::Recorder recorder(cluster);
+  recorder.SubscribeTo(sim.bus());
   platform::PlatformCore plat(sim, cluster, fns, pcfg,
                               platform::MakeSchedulerBundle("FluidFaaS"));
   EXPECT_STREQ(plat.queue().name(), "fifo");
 
   plat.Start();
-  // An 8-wide burst at t=0 against a 1 rps bucket: exactly one admission,
-  // seven typed rejections, all visible in the backpressure signal.
+  // An 8-wide burst at t=0 against a 1 rps bucket: exactly one admission
+  // and seven typed rejections.
   sim.At(0, [&plat] {
     for (int i = 0; i < 8; ++i) plat.Submit(FunctionId(0));
   });
   sim.RunUntil(Millis(1));
 
-  const platform::PlatformCore::Backpressure bp = plat.CurrentBackpressure();
-  EXPECT_EQ(bp.rejected, 7u);
-  EXPECT_TRUE(bp.shedding);
-  EXPECT_EQ(bp.pending, plat.PendingCount());
-  EXPECT_EQ(plat.PendingCountOf(FunctionId(0)), bp.pending);
-  EXPECT_EQ(plat.PendingCountOf(FunctionId(1)), 0u);
+  EXPECT_EQ(recorder.rejected_by(sim::RejectCause::kRateLimited), 7u);
+  EXPECT_EQ(recorder.rejected_requests(), 7u);
+  EXPECT_EQ(plat.queue().DepthOf(FunctionId(0)), plat.PendingCount());
+  EXPECT_EQ(plat.queue().DepthOf(FunctionId(1)), 0u);
 
   sim.RunUntil(Seconds(60));
   plat.Stop();
