@@ -11,7 +11,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "harness/experiment.h"
+#include "harness/sweep.h"
 #include "metrics/report.h"
 #include "trace/trace.h"
 
@@ -49,11 +49,15 @@ int main(int argc, char** argv) {
             << " workload on 2 nodes x 8 A100s (partition "
             << gpu::DefaultPartition().ToString() << ")\n\n";
 
-  auto results = harness::RunComparison(cfg);
+  harness::SweepSpec spec;
+  spec.base = cfg;
+  spec.systems = harness::kComparisonSystems;
+  const harness::SweepOutcome outcome = harness::RunSweep(spec);
   metrics::Table table({"system", "completed", "throughput", "SLO hit",
                         "P95 latency", "MIG time", "GPU time", "pipelines",
                         "evictions"});
-  for (const auto& r : results) {
+  for (const harness::SweepCell& c : outcome.cells) {
+    const harness::ExperimentResult& r = c.result;
     table.AddRow({r.system,
                   std::to_string(r.recorder->completed_requests()) + "/" +
                       std::to_string(r.recorder->total_requests()),

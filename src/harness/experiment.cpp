@@ -1,7 +1,6 @@
 #include "harness/experiment.h"
 
 #include "harness/run_context.h"
-#include "harness/sweep.h"
 
 namespace fluidfaas::harness {
 
@@ -24,17 +23,6 @@ const char* Name(SystemKind kind) {
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   RunContext ctx(config);
   return ctx.Run();
-}
-
-std::vector<ExperimentResult> RunComparison(ExperimentConfig config,
-                                            int jobs) {
-  std::vector<ExperimentConfig> cells;
-  for (SystemKind kind :
-       {SystemKind::kInfless, SystemKind::kEsg, SystemKind::kFluidFaas}) {
-    config.system = kind;
-    cells.push_back(config);
-  }
-  return RunConfigs(cells, jobs);
 }
 
 }  // namespace fluidfaas::harness

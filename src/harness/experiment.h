@@ -106,11 +106,10 @@ struct ExperimentResult {
 /// shared-nothing unit that parallel sweeps (sweep.h) execute per cell.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
-/// Convenience: run all three systems on the same workload (INFless, ESG,
-/// FluidFaaS, in that order). The three runs execute through the parallel
-/// sweep engine; results are ordered by system, never by completion.
-/// `jobs` <= 0 defers to FFS_JOBS / the hardware default (sweep.h).
-std::vector<ExperimentResult> RunComparison(ExperimentConfig config,
-                                            int jobs = 0);
+/// The paper's three-system comparison, in report order: INFless, ESG,
+/// FluidFaaS. `fluidfaas run --system all` runs it as the systems axis of a
+/// SweepSpec (sweep.h).
+inline const std::vector<SystemKind> kComparisonSystems = {
+    SystemKind::kInfless, SystemKind::kEsg, SystemKind::kFluidFaas};
 
 }  // namespace fluidfaas::harness

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "harness/json_report.h"
+#include "harness/sweep.h"
 
 namespace fluidfaas {
 namespace {
@@ -103,7 +104,13 @@ TEST(JsonReportTest, ArrayOfResults) {
   cfg.gpus_per_node = 1;
   cfg.duration = Seconds(10);
   cfg.load_factor = 0.1;
-  auto results = harness::RunComparison(cfg);
+  harness::SweepSpec spec;
+  spec.base = cfg;
+  spec.systems = harness::kComparisonSystems;
+  std::vector<harness::ExperimentResult> results;
+  for (harness::SweepCell& c : harness::RunSweep(spec).cells) {
+    results.push_back(std::move(c.result));
+  }
   const std::string json = harness::ResultsToJson(results);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/sweep.h"
+
 namespace fluidfaas::harness {
 namespace {
 
@@ -54,17 +56,21 @@ TEST(HarnessTest, DeterministicAcrossRuns) {
 TEST(HarnessTest, SameTraceAcrossSystems) {
   ExperimentConfig cfg = SmallConfig(SystemKind::kFluidFaas,
                                      trace::WorkloadTier::kLight);
-  auto results = RunComparison(cfg);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].system, "INFless");
-  EXPECT_EQ(results[1].system, "ESG");
-  EXPECT_EQ(results[2].system, "FluidFaaS");
+  SweepSpec spec;
+  spec.base = cfg;
+  spec.systems = kComparisonSystems;
+  const SweepOutcome out = RunSweep(spec);
+  ASSERT_EQ(out.cells.size(), 3u);
+  EXPECT_EQ(out.cells[0].result.system, "INFless");
+  EXPECT_EQ(out.cells[1].result.system, "ESG");
+  EXPECT_EQ(out.cells[2].result.system, "FluidFaaS");
   // Identical arrivals for every system.
-  EXPECT_EQ(results[0].recorder->total_requests(),
-            results[1].recorder->total_requests());
-  EXPECT_EQ(results[1].recorder->total_requests(),
-            results[2].recorder->total_requests());
-  EXPECT_DOUBLE_EQ(results[0].offered_rps, results[2].offered_rps);
+  EXPECT_EQ(out.cells[0].result.recorder->total_requests(),
+            out.cells[1].result.recorder->total_requests());
+  EXPECT_EQ(out.cells[1].result.recorder->total_requests(),
+            out.cells[2].result.recorder->total_requests());
+  EXPECT_DOUBLE_EQ(out.cells[0].result.offered_rps,
+                   out.cells[2].result.offered_rps);
 }
 
 TEST(HarnessTest, CustomPartitionsAreUsed) {

@@ -4,6 +4,7 @@
 
 #include "common/stats.h"
 #include "harness/experiment.h"
+#include "harness/sweep.h"
 
 namespace fluidfaas::harness {
 namespace {
@@ -20,8 +21,20 @@ ExperimentConfig Base(trace::WorkloadTier tier, double load_factor,
   return cfg;
 }
 
+/// INFless, ESG and FluidFaaS on the same workload, in that order.
+std::vector<ExperimentResult> Compare(const ExperimentConfig& base) {
+  SweepSpec spec;
+  spec.base = base;
+  spec.systems = kComparisonSystems;
+  std::vector<ExperimentResult> results;
+  for (SweepCell& c : RunSweep(spec).cells) {
+    results.push_back(std::move(c.result));
+  }
+  return results;
+}
+
 TEST(EndToEndTest, LightWorkloadAllSystemsComparable) {
-  auto results = RunComparison(Base(trace::WorkloadTier::kLight, 0.25));
+  auto results = Compare(Base(trace::WorkloadTier::kLight, 0.25));
   const auto& inf = results[0];
   const auto& esg = results[1];
   const auto& fluid = results[2];
@@ -35,7 +48,7 @@ TEST(EndToEndTest, LightWorkloadAllSystemsComparable) {
 }
 
 TEST(EndToEndTest, MediumWorkloadFluidWins) {
-  auto results = RunComparison(Base(trace::WorkloadTier::kMedium, 0.55));
+  auto results = Compare(Base(trace::WorkloadTier::kMedium, 0.55));
   const auto& esg = results[1];
   const auto& fluid = results[2];
   // §7.1-7.2: FluidFaaS sustains higher throughput and SLO compliance once
@@ -46,7 +59,7 @@ TEST(EndToEndTest, MediumWorkloadFluidWins) {
 }
 
 TEST(EndToEndTest, HeavyWorkloadFluidWinsBig) {
-  auto results = RunComparison(Base(trace::WorkloadTier::kHeavy, 0.55));
+  auto results = Compare(Base(trace::WorkloadTier::kHeavy, 0.55));
   const auto& esg = results[1];
   const auto& fluid = results[2];
   EXPECT_GT(fluid.throughput_rps, 1.1 * esg.throughput_rps);
@@ -145,7 +158,7 @@ TEST(EndToEndTest, PartitionSensitivityFluidBeatsEsgOnAllSchemes) {
   for (auto& scheme : schemes) {
     ExperimentConfig cfg = Base(trace::WorkloadTier::kHeavy, 0.55);
     cfg.partitions = scheme;
-    auto results = RunComparison(cfg);
+    auto results = Compare(cfg);
     EXPECT_GE(results[2].throughput_rps, results[1].throughput_rps)
         << "scheme with " << results[2].recorder->total_gpcs() << " gpcs";
   }

@@ -149,7 +149,13 @@ int CmdRun(const CliArgs& args) {
   if (system == "all") {
     FFS_CHECK_MSG(cfg.trace_out.empty(),
                   "--trace-out requires a single --system (not 'all')");
-    results = harness::RunComparison(cfg, ParseJobs(args));
+    harness::SweepSpec spec;
+    spec.base = cfg;
+    spec.systems = harness::kComparisonSystems;
+    for (harness::SweepCell& c : harness::RunSweep(spec, ParseJobs(args))
+                                     .cells) {
+      results.push_back(std::move(c.result));
+    }
   } else {
     cfg.system = ParseSystem(system);
     results.push_back(harness::RunExperiment(cfg));
@@ -287,8 +293,7 @@ int CmdSweep(const CliArgs& args) {
 
   const std::string systems = args.GetString("systems", "all");
   if (systems == "all") {
-    spec.systems = {harness::SystemKind::kInfless, harness::SystemKind::kEsg,
-                    harness::SystemKind::kFluidFaas};
+    spec.systems = harness::kComparisonSystems;
   } else {
     for (const auto& s : SplitCommas(systems)) {
       spec.systems.push_back(ParseSystem(s));
