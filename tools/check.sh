@@ -13,6 +13,7 @@
 #   tools/check.sh faults   # sanitized fault-sweep smoke only
 #   tools/check.sh tsan     # ThreadSanitizer parallel-sweep smoke only
 #   tools/check.sh tidy     # clang-tidy over src/ (fails if not installed)
+#   tools/check.sh perfbench  # build perfbench/ and run a 1 s traced smoke
 #
 # Parallelism: -j N after the mode, else FFS_JOBS, else nproc.
 #
@@ -109,21 +110,40 @@ run_tidy() {
   fi
 }
 
+# Simulator-benchmark smoke: perfbench/ wraps the policy seam with timing
+# decorators, so building it catches interface drift the main tree cannot
+# see. The benchmark state-checks and digests every cell; the last stdout
+# line is its JSON result, which must report every cell correct.
+run_perfbench() {
+  echo "=== perfbench: light-steady smoke ==="
+  local out
+  out=$(python3 perfbench/run.py --workload light-steady --seconds 1 --trace 1)
+  python3 -c '
+import json, sys
+r = json.loads(sys.argv[1].splitlines()[-1])
+assert r["correct"] is True and r["failed"] == 0, r
+print("perfbench ok:", r["attempted"], "cells")
+' "${out}"
+}
+
 case "${mode}" in
   plain)  run_pass build ;;
   asan)   run_pass build-asan -DFFS_SANITIZE=ON ;;
   faults) run_faults ;;
   tsan)   run_tsan ;;
   tidy)   run_tidy ;;
+  perfbench) run_perfbench ;;
   all)
     run_pass build
     run_pass build-asan -DFFS_SANITIZE=ON
     run_faults
     run_tsan
+    run_perfbench
     run_tidy soft
     ;;
   *)
-    echo "usage: tools/check.sh [plain|asan|all|faults|tsan|tidy] [-j N]" >&2
+    echo "usage: tools/check.sh [plain|asan|all|faults|tsan|tidy|perfbench]" \
+         "[-j N]" >&2
     exit 2
     ;;
 esac
