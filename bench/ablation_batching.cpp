@@ -12,12 +12,9 @@ int main() {
                 "INFless capability (extension beyond the paper)");
   const trace::WorkloadTier tiers[] = {trace::WorkloadTier::kMedium,
                                        trace::WorkloadTier::kHeavy};
-  const harness::SystemKind systems[] = {harness::SystemKind::kInfless,
-                                         harness::SystemKind::kEsg,
-                                         harness::SystemKind::kFluidFaas};
   std::vector<harness::ExperimentConfig> cells;
   for (auto tier : tiers) {
-    for (auto kind : systems) {
+    for (auto kind : harness::kComparisonSystems) {
       auto cfg = bench::PaperConfig(tier);
       cfg.system = kind;
       cells.push_back(cfg);  // batch=1

@@ -15,8 +15,7 @@ int main() {
   spec.base = bench::PaperConfig(trace::WorkloadTier::kLight);
   spec.tiers = {trace::WorkloadTier::kLight, trace::WorkloadTier::kMedium,
                 trace::WorkloadTier::kHeavy};
-  spec.systems = {harness::SystemKind::kInfless, harness::SystemKind::kEsg,
-                  harness::SystemKind::kFluidFaas};
+  spec.systems = harness::kComparisonSystems;
   const harness::SweepOutcome sweep = harness::RunSweep(spec);
 
   for (std::size_t t = 0; t < spec.tiers.size(); ++t) {

@@ -11,8 +11,7 @@ int main() {
   spec.base = bench::PaperConfig(trace::WorkloadTier::kLight);
   spec.tiers = {trace::WorkloadTier::kLight, trace::WorkloadTier::kMedium,
                 trace::WorkloadTier::kHeavy};
-  spec.systems = {harness::SystemKind::kInfless, harness::SystemKind::kEsg,
-                  harness::SystemKind::kFluidFaas};
+  spec.systems = harness::kComparisonSystems;
   const harness::SweepOutcome sweep = harness::RunSweep(spec);
 
   metrics::Table table({"Workload", "Offered rps", "INFless rps", "ESG rps",

@@ -48,8 +48,7 @@ void RunTiers(const std::vector<trace::WorkloadTier>& tiers) {
   harness::SweepSpec spec;
   spec.base = bench::PaperConfig(tiers.front());
   spec.tiers = tiers;
-  spec.systems = {harness::SystemKind::kInfless, harness::SystemKind::kEsg,
-                  harness::SystemKind::kFluidFaas};
+  spec.systems = harness::kComparisonSystems;
   const harness::SweepOutcome sweep = harness::RunSweep(spec);
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     const harness::ExperimentResult* results[3] = {

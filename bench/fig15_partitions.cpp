@@ -18,12 +18,9 @@ int main() {
       {"P1", gpu::PartitionSchemeP1(8), "+75%"},
       {"P2", gpu::PartitionSchemeP2(8), "+78%"},
   };
-  const harness::SystemKind systems[] = {harness::SystemKind::kInfless,
-                                         harness::SystemKind::kEsg,
-                                         harness::SystemKind::kFluidFaas};
   std::vector<harness::ExperimentConfig> cells;
   for (const Scheme& s : schemes) {
-    for (auto kind : systems) {
+    for (auto kind : harness::kComparisonSystems) {
       auto cfg = bench::PaperConfig(trace::WorkloadTier::kHeavy);
       cfg.partitions = {s.per_gpu, s.per_gpu};  // both nodes
       cfg.system = kind;

@@ -127,20 +127,16 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
 platform::Instance* FfsState::LaunchExclusive(
     platform::PlatformCore& core, const platform::FunctionSpec& spec) {
   Instance* inst = nullptr;
-  if (core.config().enable_pipelines) {
-    auto plan = PlanFirstFeasible(spec.dag, spec.ranked_pipelines,
-                                  core.cluster(), core.config().transfer,
-                                  node_);
-    if (!plan) return nullptr;
+  if (!core.config().enable_pipelines) {
+    inst = platform::LaunchMonolithic(core, spec, node_);  // ablation
+  } else if (auto plan = PlanFirstFeasible(spec.dag, spec.ranked_pipelines,
+                                           core.cluster(),
+                                           core.config().transfer, node_)) {
     const platform::CommitResult result = core.Commit(
         platform::SpawnPlan(spec.id, std::move(*plan), core.IsWarm(spec.id)));
-    if (!result.ok()) return nullptr;
-    inst = result.spawned.front();
-  } else {
-    // Ablation: monolithic-only placement.
-    inst = platform::LaunchMonolithic(core, spec, node_);
-    if (inst == nullptr) return nullptr;
+    if (result.ok()) inst = result.spawned.front();
   }
+  if (inst == nullptr) return nullptr;
   if (inst->IsPipelined()) ++pipelines_launched;
   state(spec.id).eh.push_back(inst);
   return inst;
