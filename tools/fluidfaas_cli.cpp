@@ -17,6 +17,7 @@
 //                    [--no-timing 1]
 //   fluidfaas trace [--functions N] [--rps R] [--duration SECONDS]
 //                    [--seed N] [--out FILE]
+//                    [--azure FILE [--minutes N] [--scale S]]
 //   fluidfaas plan  [--app 0..3 | --llm 7b|13b|34b]
 //                    [--variant small|medium|large] [--stages N]
 //   fluidfaas partitions
@@ -29,10 +30,12 @@
 // run (load it in chrome://tracing or https://ui.perfetto.dev; single
 // system only). `sweep` executes a declarative grid (system × tier × seed
 // × load × fault rate) on a worker pool — deterministic output at any
-// --jobs — and writes the BENCH_sweep.json artifact. `plan` prints the
-// CV-ranked pipeline candidates for one application. `partitions`
-// enumerates every maximal A100 MIG configuration under the placement
-// rules. Both multi-run commands honor --jobs / FFS_JOBS (default:
+// --jobs — and writes the BENCH_sweep.json artifact. `trace` synthesizes
+// an Azure-like CSV, or with `--azure` converts the top --functions of a
+// real Azure Functions dataset file, --minutes long, counts scaled by
+// --scale. `plan` prints the CV-ranked pipeline candidates for one
+// application. `partitions` enumerates every maximal A100 MIG
+// configuration under the placement rules. Both multi-run commands honor --jobs / FFS_JOBS (default:
 // hardware threads).
 #include <fstream>
 #include <iostream>
