@@ -1,11 +1,12 @@
-// Golden per-request digests of fault-free runs: the safety net for
-// refactors that must not change any scheduling decision.
+// Golden per-request digests: the safety net for refactors that must not
+// change any scheduling decision.
 //
 // Each cell runs one of the five schedulers on one workload tier for 60 s
-// of simulated trace (paper cluster, seed 1234, default fifo/none queue
-// policy) and hashes every request record: arrival, deadline, completion, the queue /
-// load / exec / transfer phase times, retries and the reject cause. Any
-// change to routing, placement or scaling shows up as a different hash.
+// of simulated trace (paper cluster, seed 1234; fault-free with the default
+// fifo/none queue policy unless a test says otherwise) and hashes every
+// request record: arrival, deadline, completion, the queue / load / exec /
+// transfer phase times, retries and the reject cause. Any change to
+// routing, placement or scaling shows up as a different hash.
 // Change an expected value only together with a change that intends to
 // alter behaviour, and say why in the commit.
 #include <gtest/gtest.h>
@@ -106,6 +107,35 @@ TEST(GoldenDigestTest, AllSchedulersFaultFree) {
     ASSERT_GT(r.recorder->records().size(), 0u);
     EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(cell.digest))
         << r.system << " / " << r.tier;
+  }
+}
+
+// Per-request digests under faults: medium tier, 60 s, 0.05 faults/s,
+// enforcement timeout 3× SLO, fair queue and shed admission. These pin the
+// recovery path of every scheduler: crash harvesting, retries, resume at
+// the failed stage, timeouts and rejections.
+TEST(GoldenDigestTest, AllSchedulersMediumUnderFaults) {
+  struct FaultedCell {
+    SystemKind system;
+    std::uint64_t digest;
+  };
+  constexpr FaultedCell kFaulted[] = {
+      {kFfs, 0xfb5f8596782216ccULL},     {kDist, 0xe62192216a2236c0ULL},
+      {kEsg, 0xa8b69b2ab153d7d7ULL},     {kInfless, 0xdc6fb4459d926704ULL},
+      {kRepart, 0xba9cba46a671cf7aULL},
+  };
+  for (const FaultedCell& cell : kFaulted) {
+    ExperimentConfig cfg;
+    cfg.system = cell.system;
+    cfg.tier = WorkloadTier::kMedium;
+    cfg.duration = Seconds(60);
+    cfg.faults.rate = 0.05;
+    cfg.faults.timeout_scale = 3.0;
+    cfg.platform.qos.queue = "fair";
+    cfg.platform.qos.admission = "shed";
+    const ExperimentResult r = RunExperiment(cfg);
+    ASSERT_GT(r.recorder->instances_failed(), 0u) << r.system;
+    EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(cell.digest)) << r.system;
   }
 }
 
