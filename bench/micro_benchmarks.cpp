@@ -110,14 +110,6 @@ void BM_EsgAStarSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_EsgAStarSearch)->Arg(5)->Arg(20)->Arg(60);
 
-void BM_MaximalPartitionEnumeration(benchmark::State& state) {
-  for (auto _ : state) {
-    auto parts = gpu::EnumerateMaximalPartitions();
-    benchmark::DoNotOptimize(parts.size());
-  }
-}
-BENCHMARK(BM_MaximalPartitionEnumeration);
-
 void BM_SpscRingThroughput(benchmark::State& state) {
   const std::size_t frame = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> payload(frame);

@@ -22,7 +22,7 @@ InstanceId ReconfigSentinel(GpuId gpu) {
 }  // namespace
 
 gpu::MigPartition BestRepartitionFor(Bytes needed_memory) {
-  const auto all = gpu::EnumerateMaximalPartitions();
+  const auto& all = gpu::EnumerateMaximalPartitions();
   const gpu::MigPartition* best = nullptr;
   int best_fits = -1;
   int best_gpcs = -1;

@@ -175,7 +175,9 @@ std::string MigPartition::ToString() const {
   return out.empty() ? "(empty)" : out;
 }
 
-std::vector<MigPartition> EnumerateMaximalPartitions() {
+namespace {
+
+std::vector<MigPartition> SearchMaximalPartitions() {
   // Depth-first over placements in canonical (slot, profile) order so each
   // placement *set* is generated exactly once.
   std::vector<Placement> all;
@@ -224,6 +226,16 @@ std::vector<MigPartition> EnumerateMaximalPartitions() {
             });
   result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
+}
+
+}  // namespace
+
+const std::vector<MigPartition>& EnumerateMaximalPartitions() {
+  // The set follows from the placement rules alone, so the search runs
+  // once per process; static initialisation is thread-safe for sweeps.
+  static const std::vector<MigPartition> kPartitions =
+      SearchMaximalPartitions();
+  return kPartitions;
 }
 
 std::vector<std::vector<MigProfile>> EnumerateMaximalShapes() {

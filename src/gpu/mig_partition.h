@@ -69,8 +69,9 @@ std::optional<std::string> ValidatePlacements(
     const std::vector<Placement>& placements);
 
 /// All maximal valid partitions of one A100, deduplicated by placement.
-/// Deterministic order (lexicographic by placements).
-std::vector<MigPartition> EnumerateMaximalPartitions();
+/// Deterministic order (lexicographic by placements). Computed on first
+/// use and shared for the life of the process.
+const std::vector<MigPartition>& EnumerateMaximalPartitions();
 
 /// Same, deduplicated by profile multiset ("shape"). This is the set of
 /// distinct configurations in the Table-2 profile universe.
