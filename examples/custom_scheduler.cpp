@@ -29,8 +29,8 @@ using namespace fluidfaas;
 namespace {
 
 /// A strawman router: place every new instance on a *random* free slice
-/// that fits (monolithic only), route requests to a random admitting
-/// instance.
+/// that fits (monolithic only), route requests to a random instance that
+/// admits them within their SLO bound.
 class RandomRouting final : public platform::RoutingPolicy {
  public:
   RandomRouting() : rng_(7) {}
@@ -55,12 +55,17 @@ class RandomRouting final : public platform::RoutingPolicy {
       if (!result.ok()) return false;
       insts.push_back(result.spawned.front());
     }
+    // Draw only among the instances that take the request within its SLO
+    // bound: a refusal then depends on platform state, not on the
+    // generator (the RoutingPolicy::Route contract).
+    const SimTime now = core.simulator().Now();
+    std::erase_if(insts, [&](platform::Instance* i) {
+      return !i->AdmitWithinBound(now, core.DeadlineOf(rid),
+                                  core.function(fn).slo);
+    });
+    if (insts.empty()) return false;
     auto* inst = insts[static_cast<std::size_t>(
         rng_.UniformInt(0, static_cast<std::int64_t>(insts.size()) - 1))];
-    if (!inst->AdmitWithinBound(core.simulator().Now(), core.DeadlineOf(rid),
-                                core.function(fn).slo)) {
-      return false;
-    }
     inst->Enqueue(rid, core.JitterOf(rid));
     return true;
   }

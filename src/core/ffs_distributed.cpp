@@ -126,8 +126,12 @@ void DistScaling::Tick(platform::PlatformCore& core) {
       const FunctionId fn(static_cast<std::int32_t>(f));
       domain.PruneDead(domain.state(fn));
 
-      // Difference 1: scale-up follows the invoker-local arrival EWMA (the
-      // requests the load balancer sent here), not the core's global rate.
+      // Difference 1: scale-up follows the invoker-local arrival EWMA, not
+      // the core's global rate. `this_tick` counts the Route calls whose
+      // first-choice invoker was this one: every arrival, plus each
+      // pending re-offer that reached Route. Re-offers a dispatch pass
+      // answers from its refusal bar (PlatformCore::DispatchPending) make
+      // no call and so are not counted.
       DistState::Arrivals& a = inv.arrivals[f];
       a.ewma = 0.5 * a.ewma + 0.5 * (a.this_tick / period_s);
       if (a.ewma < 1e-6) a.ewma = 0.0;

@@ -32,7 +32,7 @@ class DistState {
  public:
   struct Arrivals {
     double ewma = 0.0;  // invoker-local rate estimate (req/s)
-    int this_tick = 0;
+    int this_tick = 0;  // Route calls choosing this invoker first
   };
   struct Invoker {
     explicit Invoker(NodeId node) : domain(node) {}

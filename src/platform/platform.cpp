@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <variant>
 
@@ -10,6 +11,13 @@
 #include "sim/events.h"
 
 namespace fluidfaas::platform {
+
+namespace {
+
+// A refusal bar below every due: nothing refused yet in this pass.
+constexpr SimTime kNoBar = std::numeric_limits<SimTime>::min();
+
+}  // namespace
 
 PlatformCore::PlatformCore(sim::Simulator& sim, gpu::Cluster& cluster,
                            std::vector<FunctionSpec> functions,
@@ -462,16 +470,31 @@ void PlatformCore::DispatchPending() {
   // ascending adjusted deadline); the ones that still cannot be placed
   // stay pending. The admission controller re-judges each request first —
   // work that can no longer meet its deadline is shed instead of routed.
-  pending_q_->Drain([this](const qos::QueueItem& item) {
-    const sim::RejectCause shed =
-        admission_->ReviewAtDispatch(item, sim_.Now());
+  //
+  // The refusal bars rest on the RoutingPolicy::Route contract: while the
+  // state stands still, refusals are monotone in due = max(deadline, now).
+  // A placement, or any publish during the call, may have moved the state,
+  // so it drops every bar.
+  refused_due_.assign(functions_.size(), kNoBar);
+  // Capturing only [this, now] keeps the closure inside std::function's
+  // small buffer, so a pass allocates nothing.
+  pending_q_->Drain([this, now = sim_.Now()](const qos::QueueItem& item) {
+    const sim::RejectCause shed = admission_->ReviewAtDispatch(item, now);
     if (shed != sim::RejectCause::kNone) {
       RejectRequest(item.rid, item.fn, shed, /*at_submit=*/false);
       return qos::DrainVerdict::kDrop;
     }
-    return routing_->Route(*this, item.rid, item.fn)
-               ? qos::DrainVerdict::kDispatch
-               : qos::DrainVerdict::kKeep;
+    const SimTime due = std::max(item.deadline, now);
+    SimTime& bar = refused_due_[static_cast<std::size_t>(item.fn.value)];
+    if (due <= bar) return qos::DrainVerdict::kKeep;
+    const std::uint64_t published = bus().published();
+    const bool placed = routing_->Route(*this, item.rid, item.fn);
+    if (placed || bus().published() != published) {
+      std::fill(refused_due_.begin(), refused_due_.end(), kNoBar);
+    } else {
+      bar = due;  // due > bar here
+    }
+    return placed ? qos::DrainVerdict::kDispatch : qos::DrainVerdict::kKeep;
   });
   PublishPendingDepth();
 }

@@ -138,6 +138,13 @@ class PlatformCore final {
   /// deadline-infeasible ones first). Called on completions and each tick;
   /// policies that free capacity out of band (e.g. after a repartition
   /// blackout) call it directly.
+  ///
+  /// One pass keeps, per function, the highest due = max(deadline, now)
+  /// the router refused. Every item still goes through the admission
+  /// review; an item whose due is at or below its function's bar then
+  /// stays pending without a Route call, which the refusal contract on
+  /// RoutingPolicy::Route makes exact. A Route call that places a request
+  /// or publishes on the bus clears every bar.
   void DispatchPending();
 
   /// Jitter factor assigned to an outstanding request at Submit().
@@ -263,6 +270,10 @@ class PlatformCore final {
 
   // Last published pending depth (dedup for PendingDepthChanged).
   std::size_t last_depth_published_ = 0;
+
+  // DispatchPending's refusal bars, one per function: the highest due the
+  // router refused in the current pass.
+  std::vector<SimTime> refused_due_;
 
   // Outstanding (submitted, not yet completed) requests.
   std::unordered_map<RequestId, ReqMeta> meta_;

@@ -61,6 +61,15 @@ class RoutingPolicy {
   /// Route a request; return true when it was admitted to an instance,
   /// false to leave it pending (the core re-offers pending requests on
   /// every completion and tick).
+  ///
+  /// Contract for refusals. Let due = max(DeadlineOf(rid), now). While the
+  /// platform state is unchanged, a refusal must be monotone in due: if
+  /// Route refuses a request of `fn` at due e, it would refuse every request
+  /// of `fn` with due <= e. A refusal may change state only by publishing
+  /// on the bus (a Commit, abort or eviction does). DispatchPending relies
+  /// on this: within one pass it does not re-offer a refused function's
+  /// items at or below the highest refused due until a Route call places a
+  /// request or publishes something (DESIGN.md §9).
   virtual bool Route(PlatformCore& core, RequestId rid, FunctionId fn) = 0;
 };
 

@@ -13,7 +13,7 @@
 #   tools/check.sh faults   # sanitized fault-sweep smoke only
 #   tools/check.sh tsan     # ThreadSanitizer parallel-sweep smoke only
 #   tools/check.sh tidy     # clang-tidy over src/ (fails if not installed)
-#   tools/check.sh perfbench  # build perfbench/ and run a 1 s traced smoke
+#   tools/check.sh perfbench  # build perfbench/ and run 1 s traced smokes
 #
 # Parallelism: -j N after the mode, else FFS_JOBS, else nproc.
 #
@@ -110,20 +110,31 @@ run_tidy() {
   fi
 }
 
-# Simulator-benchmark smoke: perfbench/ wraps the policy seam with timing
+# Simulator-benchmark smokes: perfbench/ wraps the policy seam with timing
 # decorators, so building it catches interface drift the main tree cannot
 # see. The benchmark state-checks and digests every cell; the last stdout
-# line is its JSON result, which must report every cell correct.
+# line is its JSON result, which must report every cell correct. On
+# heavy-paper, where the pending set stays deep, every scheduler must also
+# stay under 20 Route calls per request (the counts are deterministic).
 run_perfbench() {
-  echo "=== perfbench: light-steady smoke ==="
-  local out
-  out=$(python3 perfbench/run.py --workload light-steady --seconds 1 --trace 1)
-  python3 -c '
+  local workload out
+  for workload in light-steady heavy-paper; do
+    echo "=== perfbench: ${workload} smoke ==="
+    out=$(python3 perfbench/run.py --workload "${workload}" --seconds 1 \
+          --trace 1)
+    python3 -c '
 import json, sys
 r = json.loads(sys.argv[1].splitlines()[-1])
 assert r["correct"] is True and r["failed"] == 0, r
-print("perfbench ok:", r["attempted"], "cells")
+calls = {k: m["value"] for k, m in r["metrics"].items()
+         if ".route_calls_per_request." in k}
+assert calls, "no route_calls_per_request metrics"
+over = {k: v for k, v in calls.items() if not v < 20}
+assert not over, f"20 or more Route calls per request: {over}"
+print("perfbench ok:", r["attempted"], "cells; max Route calls/request",
+      max(calls.values()))
 ' "${out}"
+  done
 }
 
 case "${mode}" in
