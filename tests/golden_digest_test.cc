@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,53 @@ TEST(GoldenDigestTest, AllSchedulersMediumUnderFaults) {
     const ExperimentResult r = RunExperiment(cfg);
     ASSERT_GT(r.recorder->instances_failed(), 0u) << r.system;
     EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(cell.digest)) << r.system;
+  }
+}
+
+// Per-request digests of all five schedulers on medium, 60 s, under the
+// remaining queue-policy and fault combinations: faults 0.05/s with a 3×
+// timeout on the default fifo/none, and fault-free fair/shed and edf/none.
+TEST(GoldenDigestTest, AllSchedulersMediumQosVariants) {
+  struct VariantCell {
+    const char* label;
+    double fault_rate;
+    const char* queue;
+    const char* admission;
+    std::uint64_t digests[5];  // kFfs, kDist, kEsg, kInfless, kRepart
+  };
+  constexpr SystemKind kSystems[] = {kFfs, kDist, kEsg, kInfless, kRepart};
+  constexpr VariantCell kVariants[] = {
+      {"faults 0.05 fifo/none", 0.05, "fifo", "none",
+       {0xfe7cf691c6bd2f21ULL, 0x5da7c1540a55525eULL,
+        0xdf5307f16c08e449ULL, 0xed797ce8744876aeULL,
+        0x289235acc50aec75ULL}},
+      {"fault-free fair/shed", 0.0, "fair", "shed",
+       {0x308b5173fad3c5ccULL, 0x637736c5cadc2569ULL,
+        0x6bc0805ccc7bd668ULL, 0x98fffe9f7fe941daULL,
+        0x85885167abb9fde3ULL}},
+      {"fault-free edf/none", 0.0, "edf", "none",
+       {0xaf07f1ef7493df2fULL, 0xc2270a64dd20323bULL,
+        0x2c151a11f89832edULL, 0x8e988085781b9d67ULL,
+        0x40b7b75d881e1869ULL}},
+  };
+  for (const VariantCell& v : kVariants) {
+    for (std::size_t s = 0; s < std::size(kSystems); ++s) {
+      ExperimentConfig cfg;
+      cfg.system = kSystems[s];
+      cfg.tier = WorkloadTier::kMedium;
+      cfg.duration = Seconds(60);
+      cfg.faults.rate = v.fault_rate;
+      cfg.faults.timeout_scale = v.fault_rate > 0.0 ? 3.0 : 0.0;
+      cfg.platform.qos.queue = v.queue;
+      cfg.platform.qos.admission = v.admission;
+      const ExperimentResult r = RunExperiment(cfg);
+      ASSERT_GT(r.recorder->records().size(), 0u);
+      if (v.fault_rate > 0.0) {
+        ASSERT_GT(r.recorder->instances_failed(), 0u) << r.system;
+      }
+      EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(v.digests[s]))
+          << r.system << " / " << v.label;
+    }
   }
 }
 
