@@ -2,7 +2,7 @@
 // per pass; INFless's native capability is batch-aware serving. This bench
 // turns batching on for every system to check that FluidFaaS's advantage is
 // orthogonal to batching rather than an artifact of its absence. The
-// tier × system × batch cells execute through the parallel engine.
+// batch size is the variants axis of one tier × batch × system sweep.
 #include "bench/bench_util.h"
 
 using namespace fluidfaas;
@@ -10,32 +10,31 @@ using namespace fluidfaas;
 int main() {
   bench::Banner("Ablation — batched serving on/off for every system",
                 "INFless capability (extension beyond the paper)");
-  const trace::WorkloadTier tiers[] = {trace::WorkloadTier::kMedium,
-                                       trace::WorkloadTier::kHeavy};
-  std::vector<harness::ExperimentConfig> cells;
-  for (auto tier : tiers) {
-    for (auto kind : harness::kComparisonSystems) {
-      auto cfg = bench::PaperConfig(tier);
-      cfg.system = kind;
-      cells.push_back(cfg);  // batch=1
-      cfg.platform.max_batch = 4;
-      cells.push_back(cfg);  // batch=4
-    }
-  }
-  const auto results = harness::RunConfigs(cells);
+  harness::SweepSpec spec;
+  spec.base = bench::PaperConfig(trace::WorkloadTier::kMedium);
+  spec.tiers = {trace::WorkloadTier::kMedium, trace::WorkloadTier::kHeavy};
+  spec.variants = {
+      {"batch=1", nullptr},
+      {"batch=4", [](auto& c) { c.platform.max_batch = 4; }},
+  };
+  spec.systems = harness::kComparisonSystems;
+  const harness::SweepOutcome sweep = harness::RunSweep(spec);
 
+  // Per tier: the batch=1 row of systems, then the batch=4 row.
+  const std::size_t kSystems = spec.systems.size();
   std::size_t i = 0;
-  for (auto tier : tiers) {
+  for (auto tier : spec.tiers) {
     metrics::Table table({"System", "batch=1 thr", "batch=4 thr",
                           "batch=1 SLO", "batch=4 SLO"});
-    for (std::size_t s = 0; s < 3; ++s) {
-      const auto& plain = results[i++];
-      const auto& batched = results[i++];
+    for (std::size_t s = 0; s < kSystems; ++s) {
+      const auto& plain = sweep.cells[i + s].result;
+      const auto& batched = sweep.cells[i + kSystems + s].result;
       table.AddRow({plain.system, metrics::Fmt(plain.throughput_rps, 1),
                     metrics::Fmt(batched.throughput_rps, 1),
                     metrics::FmtPercent(plain.recorder->SloHitRate()),
                     metrics::FmtPercent(batched.recorder->SloHitRate())});
     }
+    i += 2 * kSystems;
     std::cout << "--- " << trace::Name(tier) << " workload ---\n";
     table.Print();
     std::cout << "\n";

@@ -1,22 +1,14 @@
 // Ablations of FluidFaaS's design decisions (DESIGN.md §4): pipelines,
 // eviction-based time sharing, pipeline migration, and the CV ranking
 // policy, each toggled in isolation on the medium and heavy workloads.
-// All tier × toggle cells execute through the parallel engine.
+// The toggles are the variants axis of one tier × toggle sweep.
 #include "bench/bench_util.h"
 
 using namespace fluidfaas;
 
 namespace {
 
-harness::ExperimentConfig Make(trace::WorkloadTier tier,
-                               void (*mutate)(platform::PlatformConfig&)) {
-  auto cfg = bench::PaperConfig(tier);
-  cfg.system = harness::SystemKind::kFluidFaas;
-  if (mutate) mutate(cfg.platform);
-  return cfg;
-}
-
-void Report(metrics::Table& table, const char* name,
+void Report(metrics::Table& table, const std::string& name,
             const harness::ExperimentResult& r,
             const harness::ExperimentResult& base) {
   table.AddRow(
@@ -35,37 +27,30 @@ void Report(metrics::Table& table, const char* name,
 int main() {
   bench::Banner("Ablation — FluidFaaS design features toggled in isolation",
                 "DESIGN.md §4 (extension beyond the paper)");
-  const struct {
-    const char* name;
-    void (*mutate)(platform::PlatformConfig&);
-  } toggles[] = {
+  harness::SweepSpec spec;
+  spec.base = bench::PaperConfig(trace::WorkloadTier::kMedium);
+  spec.base.system = harness::SystemKind::kFluidFaas;
+  spec.tiers = {trace::WorkloadTier::kMedium, trace::WorkloadTier::kHeavy};
+  spec.variants = {
       {"full FluidFaaS", nullptr},
-      {"- pipelines",
-       [](platform::PlatformConfig& c) { c.enable_pipelines = false; }},
+      {"- pipelines", [](auto& c) { c.platform.enable_pipelines = false; }},
       {"- time sharing",
-       [](platform::PlatformConfig& c) { c.enable_time_sharing = false; }},
-      {"- migration",
-       [](platform::PlatformConfig& c) { c.enable_migration = false; }},
-      {"max 2 stages",
-       [](platform::PlatformConfig& c) { c.max_stages = 2; }},
+       [](auto& c) { c.platform.enable_time_sharing = false; }},
+      {"- migration", [](auto& c) { c.platform.enable_migration = false; }},
+      {"max 2 stages", [](auto& c) { c.platform.max_stages = 2; }},
   };
-  const trace::WorkloadTier tiers[] = {trace::WorkloadTier::kMedium,
-                                       trace::WorkloadTier::kHeavy};
-  std::vector<harness::ExperimentConfig> cells;
-  for (auto tier : tiers) {
-    for (const auto& t : toggles) cells.push_back(Make(tier, t.mutate));
-  }
-  const auto results = harness::RunConfigs(cells);
+  const harness::SweepOutcome sweep = harness::RunSweep(spec);
 
-  const std::size_t kToggles = sizeof(toggles) / sizeof(toggles[0]);
-  for (std::size_t ti = 0; ti < 2; ++ti) {
+  const std::size_t kToggles = spec.variants.size();
+  for (std::size_t ti = 0; ti < spec.tiers.size(); ++ti) {
     metrics::Table table({"configuration", "thr (rps)", "SLO hit",
                           "thr vs full", "pipes", "evictions", "migrations"});
-    const auto& full = results[ti * kToggles];
+    const auto& full = sweep.cells[ti * kToggles].result;
     for (std::size_t i = 0; i < kToggles; ++i) {
-      Report(table, toggles[i].name, results[ti * kToggles + i], full);
+      const harness::SweepCell& cell = sweep.cells[ti * kToggles + i];
+      Report(table, cell.point.variant, cell.result, full);
     }
-    std::cout << "--- " << trace::Name(tiers[ti]) << " workload ---\n";
+    std::cout << "--- " << trace::Name(spec.tiers[ti]) << " workload ---\n";
     table.Print();
     std::cout << "\n";
   }

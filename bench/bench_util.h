@@ -5,8 +5,8 @@
 // partition 4g.40gb+2g.20gb+1g.10gb per GPU. Durations are simulated time;
 // override with FFS_BENCH_DURATION_S for quicker smoke runs.
 //
-// Since the sweep-engine refactor the benches execute their whole run grid
-// through harness::RunSweep / harness::RunConfigs: cells run concurrently
+// Every bench executes its whole run grid as one harness::RunSweep; knobs
+// beyond the standard axes ride its variants axis. Cells run concurrently
 // (FFS_JOBS workers, default = hardware threads) and land by grid index,
 // so stdout is byte-identical at any job count.
 #pragma once

@@ -9,18 +9,15 @@ using namespace fluidfaas;
 int main() {
   bench::Banner("Figure 5 — occupied vs actively used GPU percentage",
                 "Fig. 5");
-  auto cfg = bench::PaperConfig(trace::WorkloadTier::kLight);
-  cfg.system = harness::SystemKind::kEsg;
-  cfg.duration = bench::BenchDuration(600.0);  // longer, sparse trace
-  cfg.load_factor = 0.06;
-  cfg.platform.exclusive_keepalive = Minutes(10);  // the paper's policy
-
-  // Both systems' runs are independent cells; run them concurrently and
-  // print ESG first, exactly as before.
-  auto fluid_cfg = cfg;
-  fluid_cfg.system = harness::SystemKind::kFluidFaas;
-  auto results = harness::RunConfigs({cfg, fluid_cfg});
-  const auto& esg = results[0];
+  harness::SweepSpec spec;
+  spec.base = bench::PaperConfig(trace::WorkloadTier::kLight);
+  spec.base.duration = bench::BenchDuration(600.0);  // longer, sparse trace
+  spec.base.load_factor = 0.06;
+  spec.base.platform.exclusive_keepalive = Minutes(10);  // the paper's policy
+  // Both systems run the same trace concurrently; ESG prints first.
+  spec.systems = {harness::SystemKind::kEsg, harness::SystemKind::kFluidFaas};
+  const harness::SweepOutcome sweep = harness::RunSweep(spec);
+  const auto& esg = sweep.cells[0].result;
 
   metrics::Table table({"GPU", "occupied", "actively used"});
   auto occ = esg.recorder->PerGpuOccupancy();
@@ -37,7 +34,7 @@ int main() {
   table.Print();
 
   const double below35 = esg.recorder->busy_gpcs().FractionAtOrBelow(
-      0.35 * esg.recorder->total_gpcs(), 0, cfg.duration);
+      0.35 * esg.recorder->total_gpcs(), 0, spec.base.duration);
   std::cout << "\naverage occupied " << metrics::FmtPercent(mean_occupied)
             << ", average actively used " << metrics::FmtPercent(mean_active)
             << " (paper: 16.1% active)\n"
@@ -46,7 +43,7 @@ int main() {
             << " (paper: < 35% for 90% of the time)\n"
             << "\nFor comparison, FluidFaaS on the same trace:\n";
 
-  const auto& fluid = results[1];
+  const auto& fluid = sweep.cells[1].result;
   auto focc = fluid.recorder->PerGpuOccupancy();
   double f_active = 0.0, f_occ = 0.0;
   for (const auto& g : focc) {

@@ -1,7 +1,6 @@
 // Figure 15 (+ Table 7): throughput under different MIG partitioning
-// schemes — Hybrid, P1 and P2 — in the heavy workload. The scheme × system
-// grid runs through the parallel engine (partitions vary beyond the
-// standard sweep axes, so the cells are built explicitly).
+// schemes — Hybrid, P1 and P2 — in the heavy workload. The schemes are the
+// variants axis of one scheme × system sweep.
 #include "bench/bench_util.h"
 
 using namespace fluidfaas;
@@ -18,23 +17,23 @@ int main() {
       {"P1", gpu::PartitionSchemeP1(8), "+75%"},
       {"P2", gpu::PartitionSchemeP2(8), "+78%"},
   };
-  std::vector<harness::ExperimentConfig> cells;
+  harness::SweepSpec spec;
+  spec.base = bench::PaperConfig(trace::WorkloadTier::kHeavy);
   for (const Scheme& s : schemes) {
-    for (auto kind : harness::kComparisonSystems) {
-      auto cfg = bench::PaperConfig(trace::WorkloadTier::kHeavy);
-      cfg.partitions = {s.per_gpu, s.per_gpu};  // both nodes
-      cfg.system = kind;
-      cells.push_back(cfg);
-    }
+    spec.variants.push_back(
+        {s.name, [per_gpu = s.per_gpu](harness::ExperimentConfig& cfg) {
+           cfg.partitions = {per_gpu, per_gpu};  // both nodes
+         }});
   }
-  const auto results = harness::RunConfigs(cells);
+  spec.systems = harness::kComparisonSystems;
+  const harness::SweepOutcome sweep = harness::RunSweep(spec);
 
   metrics::Table table({"Partition", "INFless rps", "ESG rps",
                         "FluidFaaS rps", "Fluid vs ESG", "Paper"});
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    const auto& inf = results[3 * i + 0];
-    const double esg = results[3 * i + 1].throughput_rps;
-    const double fluid = results[3 * i + 2].throughput_rps;
+    const auto& inf = sweep.cells[3 * i + 0].result;
+    const double esg = sweep.cells[3 * i + 1].result.throughput_rps;
+    const double fluid = sweep.cells[3 * i + 2].result.throughput_rps;
     table.AddRow({schemes[i].name, metrics::Fmt(inf.throughput_rps, 1),
                   metrics::Fmt(esg, 1), metrics::Fmt(fluid, 1),
                   "+" + metrics::Fmt(100.0 * (fluid / esg - 1.0), 1) + "%",

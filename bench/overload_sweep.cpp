@@ -16,16 +16,15 @@
 // single seed can flip a small fairness delta either way. Three seeds are
 // enough for the orderings this bench demonstrates to be stable.
 //
-// The whole grid executes through the parallel sweep engine (RunConfigs);
-// rows and the JSON artifact land in grid order, so stdout is
-// byte-identical at any FFS_JOBS.
+// The whole grid is one sweep: load factor × QoS variant × seed × system,
+// with the four policies as the variants axis. Rows and the artifact land
+// in grid order, so stdout is byte-identical at any FFS_JOBS. The artifact
+// is the standard sweep document (fluidfaas.sweep.v1): one cell per run,
+// each naming its variant, written to overload_sweep.json or
+// $FFS_SWEEP_OUT.
 #include <array>
-#include <cstdlib>
-#include <fstream>
 
 #include "bench/bench_util.h"
-#include "common/json.h"
-#include "harness/json_report.h"
 
 using namespace fluidfaas;
 
@@ -62,42 +61,38 @@ int main() {
   bench::Banner("Overload sweep — queue disciplines & admission control",
                 "QoS extension beyond the paper");
 
-  std::vector<harness::ExperimentConfig> configs;
+  harness::SweepSpec spec;
+  spec.base = bench::PaperConfig(trace::WorkloadTier::kMedium);
+  spec.base.duration = bench::BenchDuration(60.0);
   for (const double mult : kLoadMultipliers) {
-    for (const QosVariant& v : kVariants) {
-      for (const harness::SystemKind sys : kSystems) {
-        for (const uint64_t seed : kSeeds) {
-          harness::ExperimentConfig cfg =
-              bench::PaperConfig(trace::WorkloadTier::kMedium);
-          cfg.duration = bench::BenchDuration(60.0);
-          cfg.system = sys;
-          cfg.seed = seed;
-          cfg.load_factor = kBaseLoadFactor * mult;
-          cfg.platform.qos.queue = v.queue;
-          cfg.platform.qos.admission = v.admission;
-          configs.push_back(cfg);
-        }
-      }
-    }
+    spec.load_factors.push_back(kBaseLoadFactor * mult);
   }
-  const std::vector<harness::ExperimentResult> results =
-      harness::RunConfigs(configs);
+  for (const QosVariant& v : kVariants) {
+    spec.variants.push_back({v.label, [v](harness::ExperimentConfig& cfg) {
+                               cfg.platform.qos.queue = v.queue;
+                               cfg.platform.qos.admission = v.admission;
+                             }});
+  }
+  spec.seeds.assign(std::begin(kSeeds), std::end(kSeeds));
+  spec.systems.assign(std::begin(kSystems), std::end(kSystems));
+  const harness::SweepOutcome sweep = harness::RunSweep(spec);
 
   constexpr std::size_t kReps = std::size(kSeeds);
+  constexpr std::size_t kNumSystems = std::size(kSystems);
   metrics::Table table({"load", "policy", "system", "goodput", "SLO hit",
                         "worst-fn p99", "jain", "rejected", "top cause"});
-  JsonWriter w;
-  w.BeginArray();
-  std::size_t i = 0;
+  // One block of kReps × kNumSystems cells per (load, variant), seed-major.
+  std::size_t block = 0;
   for (const double mult : kLoadMultipliers) {
     for (const QosVariant& v : kVariants) {
-      for (std::size_t s = 0; s < std::size(kSystems); ++s) {
+      for (std::size_t s = 0; s < kNumSystems; ++s) {
         // Mean over the seed replicas; rejection causes summed so the
         // dominant cause reflects the whole replica set.
         double goodput = 0, slo = 0, p99 = 0, jain = 0, rejected = 0;
         std::array<std::size_t, sim::kNumRejectCauses> by_cause{};
         for (std::size_t k = 0; k < kReps; ++k) {
-          const harness::ExperimentResult& r = results[i + k];
+          const harness::ExperimentResult& r =
+              sweep.cells[block + k * kNumSystems + s].result;
           const metrics::Recorder& rec = *r.recorder;
           goodput += r.goodput_rps;
           slo += rec.SloHitRate();
@@ -124,43 +119,20 @@ int main() {
           }
         }
         table.AddRow({metrics::Fmt(mult, 1) + "x", v.label,
-                      results[i].system,
+                      sweep.cells[block + s].result.system,
                       metrics::Fmt(goodput, 1) + " rps",
                       metrics::FmtPercent(slo),
                       metrics::Fmt(p99, 2) + "s", metrics::Fmt(jain, 3),
                       metrics::Fmt(rejected, 0), worst_name});
-        w.BeginObject();
-        w.Key("load_multiplier").Value(mult);
-        w.Key("queue").Value(v.queue);
-        w.Key("admission").Value(v.admission);
-        w.Key("mean").BeginObject();
-        w.Key("goodput_rps").Value(goodput);
-        w.Key("slo_hit_rate").Value(slo);
-        w.Key("worst_fn_p99_s").Value(p99);
-        w.Key("jain_fairness").Value(jain);
-        w.Key("rejected").Value(rejected);
-        w.EndObject();
-        w.Key("seeds").BeginArray();
-        for (std::size_t k = 0; k < kReps; ++k) {
-          w.Raw(harness::ResultToJson(results[i + k]));
-        }
-        w.EndArray();
-        w.EndObject();
-        i += kReps;
       }
+      block += kReps * kNumSystems;
     }
   }
   table.Print();
-  w.EndArray();
 
-  const char* env = std::getenv("FFS_OVERLOAD_SWEEP_OUT");
-  const std::string path = env != nullptr ? env : "overload_sweep.json";
-  std::ofstream out(path);
-  FFS_CHECK_MSG(out.good(), "cannot write " + path);
-  out << w.Take() << "\n";
-  std::cout << "\nJSON report written to " << path << " (means over "
-            << kReps << " seeds per cell)\n"
-            << "At 2x load, fair queueing trades a little aggregate\n"
+  std::cout << "\n";
+  if (!bench::ReportSweepArtifact(sweep, "overload_sweep.json")) return 1;
+  std::cout << "At 2x load, fair queueing trades a little aggregate\n"
                "throughput for a flatter per-function profile (higher Jain,\n"
                "lower worst-function p99); shedding drops work that cannot\n"
                "meet its deadline, lifting goodput over admit-everything.\n";

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <ostream>
 #include <thread>
+#include <utility>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -89,7 +90,8 @@ int DefaultJobs() {
 std::size_t SweepSpec::size() const {
   auto dim = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
   return dim(tiers.size()) * dim(load_factors.size()) *
-         dim(fault_rates.size()) * dim(seeds.size()) * dim(systems.size());
+         dim(fault_rates.size()) * dim(variants.size()) * dim(seeds.size()) *
+         dim(systems.size());
 }
 
 std::vector<SweepPoint> SweepSpec::Points() const {
@@ -105,23 +107,31 @@ std::vector<SweepPoint> SweepSpec::Points() const {
       seeds.empty() ? std::vector<std::uint64_t>{base.seed} : seeds;
   const std::vector<SystemKind> ks =
       systems.empty() ? std::vector<SystemKind>{base.system} : systems;
+  const std::size_t vs = variants.empty() ? 1 : variants.size();
+  for (const SweepVariant& v : variants) {
+    FFS_CHECK_MSG(!v.label.empty(), "sweep variants need a non-empty label");
+  }
 
   std::vector<SweepPoint> points;
-  points.reserve(ts.size() * ls.size() * fs.size() * ss.size() * ks.size());
+  points.reserve(size());
   std::size_t index = 0;
   for (trace::WorkloadTier tier : ts) {
     for (double load : ls) {
       for (double rate : fs) {
-        for (std::uint64_t seed : ss) {
-          for (SystemKind system : ks) {
-            SweepPoint p;
-            p.index = index++;
-            p.system = system;
-            p.tier = tier;
-            p.seed = seed;
-            p.load_factor = load;
-            p.fault_rate = rate;
-            points.push_back(p);
+        for (std::size_t v = 0; v < vs; ++v) {
+          for (std::uint64_t seed : ss) {
+            for (SystemKind system : ks) {
+              SweepPoint p;
+              p.index = index++;
+              p.system = system;
+              p.tier = tier;
+              p.seed = seed;
+              p.load_factor = load;
+              p.fault_rate = rate;
+              if (!variants.empty()) p.variant = variants[v].label;
+              p.variant_index = v;
+              points.push_back(std::move(p));
+            }
           }
         }
       }
@@ -137,7 +147,9 @@ ExperimentConfig SweepSpec::MakeConfig(const SweepPoint& point) const {
   cfg.seed = point.seed;
   cfg.load_factor = point.load_factor;
   cfg.faults.rate = point.fault_rate;
-  if (tweak) tweak(cfg, point);
+  if (!variants.empty() && variants[point.variant_index].apply) {
+    variants[point.variant_index].apply(cfg);
+  }
   return cfg;
 }
 
@@ -165,18 +177,6 @@ SweepOutcome RunSweep(const SweepSpec& spec, int jobs) {
   return out;
 }
 
-std::vector<ExperimentResult> RunConfigs(
-    const std::vector<ExperimentConfig>& configs, int jobs) {
-  EnsureBuiltinSchedulersRegistered();
-  std::vector<ExperimentResult> results(configs.size());
-  ParallelFor(configs.size(), ClampJobs(jobs, configs.size()),
-              [&](std::size_t i) {
-                RunContext ctx(configs[i]);
-                results[i] = ctx.Run();
-              });
-  return results;
-}
-
 void WriteSweepJson(const SweepOutcome& outcome, std::ostream& os,
                     bool include_timing) {
   os << "{\n\"schema\": \"fluidfaas.sweep.v1\",\n\"cells\": [";
@@ -190,6 +190,7 @@ void WriteSweepJson(const SweepOutcome& outcome, std::ostream& os,
     w.Key("seed").Value(static_cast<std::int64_t>(c.point.seed));
     w.Key("load_factor").Value(c.point.load_factor);
     w.Key("fault_rate").Value(c.point.fault_rate);
+    if (!c.point.variant.empty()) w.Key("variant").Value(c.point.variant);
     w.EndObject();
     std::string head = w.Take();
     // Splice the per-cell metrics into the point object: drop the point's

@@ -1,7 +1,9 @@
 // Declarative, parallel, deterministic experiment sweeps.
 //
 // A SweepSpec describes a grid of runs (system × tier × seed × load factor
-// × fault rate) over a base ExperimentConfig. RunSweep executes the grid on
+// × fault rate × labelled variant) over a base ExperimentConfig. It is the
+// one way benches, the CLI and examples run experiments. RunSweep executes
+// the grid on
 // an std::thread pool (--jobs / FFS_JOBS) where every cell is an
 // independent, shared-nothing harness::RunContext; results land by grid
 // index, not completion order, so the outcome — tables printed from it and
@@ -23,8 +25,8 @@
 namespace fluidfaas::harness {
 
 /// One cell of the grid: the axis values plus its row-major index.
-/// Axis nesting, outermost first: tier, load factor, fault rate, seed,
-/// system — so a "compare systems per tier" sweep prints naturally.
+/// Axis nesting, outermost first: tier, load factor, fault rate, variant,
+/// seed, system — so a "compare systems per tier" sweep prints naturally.
 struct SweepPoint {
   std::size_t index = 0;
   SystemKind system = SystemKind::kFluidFaas;
@@ -32,6 +34,20 @@ struct SweepPoint {
   std::uint64_t seed = 0;
   double load_factor = 0.0;
   double fault_rate = 0.0;
+  /// The variant's label and its position on the variants axis; empty and
+  /// 0 when the spec has no variants axis.
+  std::string variant;
+  std::size_t variant_index = 0;
+};
+
+/// One value of the variants axis: the knobs a cell sets beyond the
+/// standard axes (a QoS policy, an ablation toggle, a partition scheme).
+/// `apply` runs after the standard axes on worker threads: it must be
+/// deterministic and touch nothing but the config. A null `apply` leaves
+/// the config as the standard axes made it.
+struct SweepVariant {
+  std::string label;  // non-empty; names the cell in tables and artifacts
+  std::function<void(ExperimentConfig&)> apply;
 };
 
 struct SweepSpec {
@@ -44,11 +60,7 @@ struct SweepSpec {
   std::vector<std::uint64_t> seeds;
   std::vector<double> load_factors;
   std::vector<double> fault_rates;
-
-  /// Optional per-cell hook applied after the axis values (ablation knobs,
-  /// per-scheme partitions, ...). Runs on worker threads: it must be
-  /// deterministic in `point` and touch nothing but `config`.
-  std::function<void(ExperimentConfig&, const SweepPoint&)> tweak;
+  std::vector<SweepVariant> variants;
 
   std::size_t size() const;
   std::vector<SweepPoint> Points() const;
@@ -87,13 +99,9 @@ int DefaultJobs();
 /// after all workers join.
 SweepOutcome RunSweep(const SweepSpec& spec, int jobs = 0);
 
-/// Lower-level engine for benches whose cells differ beyond the standard
-/// axes: run arbitrary configs in parallel, results in input order.
-std::vector<ExperimentResult> RunConfigs(
-    const std::vector<ExperimentConfig>& configs, int jobs = 0);
-
 /// Serialize an outcome as the BENCH_sweep.json document. The "cells"
-/// array is fully deterministic; the trailing "timing" object (jobs, wall
+/// array is fully deterministic; a cell carries a "variant" key only when
+/// its spec has a variants axis; the trailing "timing" object (jobs, wall
 /// clock, per-cell seconds, speedup) is the only nondeterministic part and
 /// is omitted when `include_timing` is false, making the document
 /// byte-identical across job counts and repeated runs.

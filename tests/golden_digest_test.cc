@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -204,24 +205,28 @@ TEST(GoldenDigestTest, ReportJsonBytes) {
       {"fault-free fifo/none", 0.0, "fifo", "none", 0xa63bcf5bc5f99bedULL},
       {"faults 0.05 fair/shed", 0.05, "fair", "shed", 0xa5d9daa84cf71eadULL},
   };
+  SweepSpec spec;
+  spec.base.tier = WorkloadTier::kMedium;
+  spec.base.duration = Seconds(30);
   for (const ReportCell& cell : kReports) {
-    std::vector<ExperimentConfig> configs;
-    for (SystemKind kind :
-         {SystemKind::kInfless, SystemKind::kEsg, SystemKind::kRepartition,
-          SystemKind::kFluidFaasDistributed, SystemKind::kFluidFaas}) {
-      ExperimentConfig cfg;
-      cfg.system = kind;
-      cfg.tier = WorkloadTier::kMedium;
-      cfg.duration = Seconds(30);
-      cfg.faults.rate = cell.fault_rate;
-      cfg.faults.timeout_scale = cell.fault_rate > 0.0 ? 3.0 : 0.0;
-      cfg.platform.qos.queue = cell.queue;
-      cfg.platform.qos.admission = cell.admission;
-      configs.push_back(cfg);
+    spec.variants.push_back({cell.label, [cell](ExperimentConfig& cfg) {
+                               cfg.faults.rate = cell.fault_rate;
+                               cfg.faults.timeout_scale =
+                                   cell.fault_rate > 0.0 ? 3.0 : 0.0;
+                               cfg.platform.qos.queue = cell.queue;
+                               cfg.platform.qos.admission = cell.admission;
+                             }});
+  }
+  spec.systems = {kInfless, kEsg, kRepart, kDist, kFfs};
+  SweepOutcome sweep = RunSweep(spec);
+  for (std::size_t v = 0; v < std::size(kReports); ++v) {
+    std::vector<ExperimentResult> results;
+    for (SweepCell& c : sweep.cells) {
+      if (c.point.variant_index == v) results.push_back(std::move(c.result));
     }
     Fnv1a h;
-    h.AddBytes(ResultsToJson(RunConfigs(configs)));
-    EXPECT_EQ(Hex(h.value()), Hex(cell.digest)) << cell.label;
+    h.AddBytes(ResultsToJson(results));
+    EXPECT_EQ(Hex(h.value()), Hex(kReports[v].digest)) << kReports[v].label;
   }
 }
 

@@ -1,6 +1,6 @@
 // Sweep engine mechanics: grid expansion order, per-cell config synthesis,
-// result placement by input order, the FFS_JOBS knob's strict parsing, and
-// the artifact path override. Determinism across job counts is pinned in
+// the variants axis, result placement by grid index, the FFS_JOBS knob's
+// strict parsing, and the artifact path override. Determinism across job counts is pinned in
 // harness_determinism_test.cc.
 #include <gtest/gtest.h>
 
@@ -77,7 +77,7 @@ TEST(SweepSpecTest, GridExpandsRowMajorWithSystemInnermost) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(points[i].index, i);
   }
-  // Nesting (outer -> inner): tier, load, fault rate, seed, system.
+  // Nesting (outer -> inner): tier, load, fault rate, variant, seed, system.
   EXPECT_EQ(points[0].tier, trace::WorkloadTier::kLight);
   EXPECT_EQ(points[0].seed, 10u);
   EXPECT_EQ(points[0].system, SystemKind::kEsg);
@@ -91,24 +91,63 @@ TEST(SweepSpecTest, GridExpandsRowMajorWithSystemInnermost) {
   EXPECT_EQ(points[11].system, SystemKind::kFluidFaas);
 }
 
-TEST(SweepSpecTest, MakeConfigAppliesAxesThenTweakHook) {
+TEST(SweepSpecTest, VariantsNestBetweenFaultRateAndSeed) {
+  SweepSpec spec;
+  spec.base = TinyConfig();
+  spec.fault_rates = {0.0, 0.1};
+  spec.variants = {{"a", nullptr}, {"b", nullptr}};
+  spec.seeds = {10, 20};
+  ASSERT_EQ(spec.size(), 8u);
+  const auto points = spec.Points();
+  ASSERT_EQ(points.size(), 8u);
+  EXPECT_EQ(points[0].variant, "a");
+  EXPECT_EQ(points[1].variant, "a");  // seed flips first
+  EXPECT_EQ(points[1].seed, 20u);
+  EXPECT_EQ(points[2].variant, "b");  // then variant
+  EXPECT_EQ(points[2].variant_index, 1u);
+  EXPECT_EQ(points[2].seed, 10u);
+  EXPECT_EQ(points[2].fault_rate, 0.0);
+  EXPECT_EQ(points[4].variant, "a");  // fault rate is outside
+  EXPECT_EQ(points[4].fault_rate, 0.1);
+}
+
+TEST(SweepSpecTest, MakeConfigAppliesAxesThenVariant) {
   SweepSpec spec;
   spec.base = TinyConfig();
   spec.base.load_factor = 0.5;
   spec.systems = {SystemKind::kEsg};
   spec.fault_rates = {0.25};
-  spec.tweak = [](ExperimentConfig& cfg, const SweepPoint& point) {
-    // The hook sees axis values already applied and may refine anything.
-    EXPECT_EQ(cfg.faults.rate, 0.25);
-    cfg.gpus_per_node = static_cast<int>(point.index) + 2;
-  };
+  spec.variants = {{"plain", nullptr},
+                   {"wide", [](ExperimentConfig& cfg) {
+                      // The variant sees axis values already applied and
+                      // may refine anything.
+                      EXPECT_EQ(cfg.faults.rate, 0.25);
+                      cfg.gpus_per_node = 2;
+                    }}};
   const auto points = spec.Points();
-  ASSERT_EQ(points.size(), 1u);
-  const ExperimentConfig cfg = spec.MakeConfig(points[0]);
+  ASSERT_EQ(points.size(), 2u);
+  const ExperimentConfig plain = spec.MakeConfig(points[0]);
+  EXPECT_EQ(plain.gpus_per_node, spec.base.gpus_per_node);
+  const ExperimentConfig cfg = spec.MakeConfig(points[1]);
   EXPECT_EQ(cfg.system, SystemKind::kEsg);
   EXPECT_EQ(cfg.faults.rate, 0.25);
   EXPECT_EQ(cfg.load_factor, 0.5);  // untouched base value survives
-  EXPECT_EQ(cfg.gpus_per_node, 2);  // tweak ran last
+  EXPECT_EQ(cfg.gpus_per_node, 2);  // the variant ran last
+}
+
+TEST(SweepSpecTest, VariantsNeedALabel) {
+  SweepSpec spec;
+  spec.base = TinyConfig();
+  spec.variants = {{"", nullptr}};
+  EXPECT_THROW(spec.Points(), FfsError);
+}
+
+// A variant that sets a system and a duration per cell.
+SweepVariant SystemFor(const char* label, SystemKind system, double seconds) {
+  return {label, [system, seconds](ExperimentConfig& cfg) {
+            cfg.system = system;
+            cfg.duration = Seconds(seconds);
+          }};
 }
 
 TEST(SweepRunTest, ResultsLandByGridIndexNotCompletionOrder) {
@@ -116,51 +155,49 @@ TEST(SweepRunTest, ResultsLandByGridIndexNotCompletionOrder) {
   spec.base = TinyConfig();
   // Mixed-duration cells: the short ones finish first on a pool, yet the
   // outcome must still be ordered by grid index.
-  spec.systems = {SystemKind::kInfless, SystemKind::kEsg,
-                  SystemKind::kFluidFaas};
-  spec.tweak = [](ExperimentConfig& cfg, const SweepPoint& point) {
-    cfg.duration = Seconds(10.0 * static_cast<double>(3 - point.index));
-  };
+  spec.variants = {SystemFor("infless", SystemKind::kInfless, 30.0),
+                   SystemFor("esg", SystemKind::kEsg, 20.0),
+                   SystemFor("fluidfaas", SystemKind::kFluidFaas, 10.0)};
   const SweepOutcome o = RunSweep(spec, 3);
   ASSERT_EQ(o.cells.size(), 3u);
   EXPECT_EQ(o.cells[0].result.system, "INFless");
   EXPECT_EQ(o.cells[1].result.system, "ESG");
   EXPECT_EQ(o.cells[2].result.system, "FluidFaaS");
+  EXPECT_EQ(o.cells[2].point.variant, "fluidfaas");
   EXPECT_EQ(o.jobs, 3);
   EXPECT_GT(o.wall_seconds, 0.0);
   EXPECT_GT(o.cell_seconds_total, 0.0);
   EXPECT_GT(o.Speedup(), 0.0);
 }
 
-TEST(SweepRunTest, RunConfigsPreservesInputOrder) {
-  std::vector<ExperimentConfig> cells;
-  for (SystemKind kind : {SystemKind::kFluidFaas, SystemKind::kInfless,
-                          SystemKind::kEsg, SystemKind::kFluidFaas}) {
-    ExperimentConfig cfg = TinyConfig();
-    cfg.system = kind;
-    cfg.duration = Seconds(10);
-    cells.push_back(cfg);
-  }
-  const auto results = RunConfigs(cells, 4);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].system, "FluidFaaS");
-  EXPECT_EQ(results[1].system, "INFless");
-  EXPECT_EQ(results[2].system, "ESG");
-  EXPECT_EQ(results[3].system, "FluidFaaS");
-}
-
 TEST(SweepRunTest, CellExceptionsPropagateAfterJoin) {
   SweepSpec spec;
   spec.base = TinyConfig();
-  spec.seeds = {1, 2, 3, 4};
-  spec.tweak = [](ExperimentConfig& cfg, const SweepPoint& point) {
-    // One poisoned cell: a custom trace naming a function the workload does
-    // not have, which the run-context build rejects.
-    if (point.index == 2) {
-      cfg.custom_trace.push_back({Seconds(1), FunctionId(999999)});
-    }
-  };
+  spec.seeds = {1, 2};
+  // One poisoned variant: a custom trace naming a function the workload
+  // does not have, which the run-context build rejects.
+  spec.variants = {{"clean", nullptr},
+                   {"poisoned", [](ExperimentConfig& cfg) {
+                      cfg.custom_trace.push_back(
+                          {Seconds(1), FunctionId(999999)});
+                    }}};
   EXPECT_THROW(RunSweep(spec, 4), FfsError);
+}
+
+TEST(SweepJsonTest, VariantKeyOnlyWithAVariantsAxis) {
+  SweepSpec spec;
+  spec.base = TinyConfig();
+  spec.base.duration = Seconds(5);
+  std::ostringstream plain;
+  WriteSweepJson(RunSweep(spec, 1), plain, false);
+  EXPECT_EQ(plain.str().find("\"variant\""), std::string::npos);
+
+  spec.variants = {{"fifo/none", nullptr}};
+  std::ostringstream labelled;
+  WriteSweepJson(RunSweep(spec, 1), labelled, false);
+  EXPECT_NE(labelled.str().find("\"variant\":\"fifo/none\""),
+            std::string::npos)
+      << labelled.str().substr(0, 200);
 }
 
 TEST(SweepJobsTest, FfsJobsEnvIsStrictlyParsed) {
