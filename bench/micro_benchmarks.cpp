@@ -261,8 +261,9 @@ void QueueDisciplineBench(benchmark::State& state, MakeQueue make) {
 }
 
 void BM_QueueDiscipline_Fifo(benchmark::State& state) {
-  QueueDisciplineBench(state,
-                       [] { return std::make_unique<qos::FifoQueue>(); });
+  QueueDisciplineBench(state, [] {
+    return std::make_unique<qos::KeyedQueue>(qos::KeyedQueue::Fifo());
+  });
 }
 BENCHMARK(BM_QueueDiscipline_Fifo)->Arg(1024);
 
@@ -273,8 +274,9 @@ void BM_QueueDiscipline_Fair(benchmark::State& state) {
 BENCHMARK(BM_QueueDiscipline_Fair)->Arg(1024);
 
 void BM_QueueDiscipline_Edf(benchmark::State& state) {
-  QueueDisciplineBench(state,
-                       [] { return std::make_unique<qos::EdfQueue>(); });
+  QueueDisciplineBench(state, [] {
+    return std::make_unique<qos::KeyedQueue>(qos::KeyedQueue::Edf());
+  });
 }
 BENCHMARK(BM_QueueDiscipline_Edf)->Arg(1024);
 

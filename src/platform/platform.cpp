@@ -466,7 +466,7 @@ void PlatformCore::MakePending(RequestId rid, FunctionId fn) {
 }
 
 void PlatformCore::DispatchPending() {
-  // Requests are offered in discipline order (the default FifoQueue:
+  // Requests are offered in discipline order (the default fifo queue:
   // ascending adjusted deadline); the ones that still cannot be placed
   // stay pending. The admission controller re-judges each request first —
   // work that can no longer meet its deadline is shed instead of routed.

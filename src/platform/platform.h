@@ -130,7 +130,7 @@ class PlatformCore final {
   double UtilizationOf(const Instance* inst) const;
 
   /// Add to the pending set. The installed queue discipline orders it; the
-  /// default FifoQueue uses the §5.3 adjusted deadline
+  /// default fifo queue uses the §5.3 adjusted deadline
   /// (deadline − estimated execution − load), exactly the legacy order.
   void MakePending(RequestId rid, FunctionId fn);
 

@@ -7,14 +7,14 @@
 
 namespace fluidfaas::qos {
 
-// --- FifoQueue --------------------------------------------------------------
+// --- KeyedQueue -------------------------------------------------------------
 
-void FifoQueue::Enqueue(QueueItem item) {
+void KeyedQueue::Enqueue(QueueItem item) {
   item.seq = NextSeq();
-  items_.emplace(std::make_pair(item.priority, item.seq), item);
+  items_.emplace(std::make_pair(item.*key_, item.seq), item);
 }
 
-bool FifoQueue::Remove(RequestId rid) {
+bool KeyedQueue::Remove(RequestId rid) {
   for (auto it = items_.begin(); it != items_.end(); ++it) {
     if (it->second.rid == rid) {
       items_.erase(it);
@@ -24,7 +24,7 @@ bool FifoQueue::Remove(RequestId rid) {
   return false;
 }
 
-void FifoQueue::Drain(const DrainFn& fn) {
+void KeyedQueue::Drain(const DrainFn& fn) {
   auto it = items_.begin();
   while (it != items_.end()) {
     const DrainVerdict v = fn(it->second);
@@ -36,7 +36,7 @@ void FifoQueue::Drain(const DrainFn& fn) {
   }
 }
 
-std::size_t FifoQueue::DepthOf(FunctionId fn) const {
+std::size_t KeyedQueue::DepthOf(FunctionId fn) const {
   std::size_t n = 0;
   for (const auto& [key, item] : items_) {
     if (item.fn == fn) ++n;
@@ -44,51 +44,7 @@ std::size_t FifoQueue::DepthOf(FunctionId fn) const {
   return n;
 }
 
-std::vector<QueueItem> FifoQueue::Snapshot() const {
-  std::vector<QueueItem> out;
-  out.reserve(items_.size());
-  for (const auto& [key, item] : items_) out.push_back(item);
-  return out;
-}
-
-// --- EdfQueue ---------------------------------------------------------------
-
-void EdfQueue::Enqueue(QueueItem item) {
-  item.seq = NextSeq();
-  items_.emplace(std::make_pair(item.deadline, item.seq), item);
-}
-
-bool EdfQueue::Remove(RequestId rid) {
-  for (auto it = items_.begin(); it != items_.end(); ++it) {
-    if (it->second.rid == rid) {
-      items_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-void EdfQueue::Drain(const DrainFn& fn) {
-  auto it = items_.begin();
-  while (it != items_.end()) {
-    const DrainVerdict v = fn(it->second);
-    if (v == DrainVerdict::kKeep) {
-      ++it;
-    } else {
-      it = items_.erase(it);
-    }
-  }
-}
-
-std::size_t EdfQueue::DepthOf(FunctionId fn) const {
-  std::size_t n = 0;
-  for (const auto& [key, item] : items_) {
-    if (item.fn == fn) ++n;
-  }
-  return n;
-}
-
-std::vector<QueueItem> EdfQueue::Snapshot() const {
+std::vector<QueueItem> KeyedQueue::Snapshot() const {
   std::vector<QueueItem> out;
   out.reserve(items_.size());
   for (const auto& [key, item] : items_) out.push_back(item);
@@ -220,8 +176,12 @@ std::vector<QueueItem> FairQueue::Snapshot() const {
 // --- factory ----------------------------------------------------------------
 
 std::unique_ptr<QueueDiscipline> MakeQueueDiscipline(const QosConfig& config) {
-  if (config.queue == "fifo") return std::make_unique<FifoQueue>();
-  if (config.queue == "edf") return std::make_unique<EdfQueue>();
+  if (config.queue == "fifo") {
+    return std::make_unique<KeyedQueue>(KeyedQueue::Fifo());
+  }
+  if (config.queue == "edf") {
+    return std::make_unique<KeyedQueue>(KeyedQueue::Edf());
+  }
   if (config.queue == "fair") return std::make_unique<FairQueue>();
   throw FfsError("unknown queue discipline: " + config.queue +
                  " (known: edf, fair, fifo)");

@@ -1,20 +1,20 @@
 // Pluggable queueing disciplines for the platform's central pending set.
 //
 // The platform used to keep pending requests in one hard-coded
-// std::multimap ordered by adjusted deadline. That policy is now the
-// FifoQueue below, and two alternatives ride the same seam:
+// std::multimap ordered by adjusted deadline. That policy is now the fifo
+// KeyedQueue below, and two alternatives ride the same seam:
 //
-//   FifoQueue — the extracted legacy order: ascending caller-supplied
-//               priority (the §5.3 adjusted deadline), insertion order on
-//               ties. Byte-identical to the old multimap.
-//   FairQueue — per-function start-time fair queueing (SFQ): every item
-//               gets virtual start/finish tags; dequeue picks the minimum
-//               finish tag, so a bursty function cannot starve its
-//               co-residents. MQFQ-style stickiness dequeues up to
-//               kStickyBatch consecutive items from the chosen function so
-//               its backlog stays together (and lands on its warm
-//               instance) before the scheduler re-picks.
-//   EdfQueue  — earliest absolute SLO deadline first.
+//   fifo — KeyedQueue on the caller-supplied priority (the §5.3 adjusted
+//          deadline), insertion order on ties. Byte-identical to the old
+//          multimap.
+//   fair — FairQueue: per-function start-time fair queueing (SFQ): every
+//          item gets virtual start/finish tags; dequeue picks the minimum
+//          finish tag, so a bursty function cannot starve its
+//          co-residents. MQFQ-style stickiness dequeues up to
+//          kStickyBatch consecutive items from the chosen function so its
+//          backlog stays together (and lands on its warm instance) before
+//          the scheduler re-picks.
+//   edf  — KeyedQueue on the absolute SLO deadline: earliest first.
 //
 // Every discipline is strictly deterministic: ties break by the arrival
 // sequence number stamped at Enqueue, never by pointer or hash order
@@ -101,37 +101,36 @@ class QueueDiscipline {
   std::uint64_t next_seq_ = 0;
 };
 
-/// The extracted legacy discipline: ascending (priority, seq). With
-/// priority = adjusted deadline this reproduces the pre-QoS multimap —
-/// including insertion-order ties — event for event.
-class FifoQueue final : public QueueDiscipline {
+/// Ascending (key, seq) over one time field of the item, insertion order
+/// on ties. Fifo() keys on `priority`: with priority = adjusted deadline
+/// this reproduces the pre-QoS multimap event for event. Edf() keys on the
+/// absolute SLO `deadline`, and its stage queues sort the same way.
+class KeyedQueue final : public QueueDiscipline {
  public:
-  const char* name() const override { return "fifo"; }
+  using Key = SimTime QueueItem::*;
+
+  KeyedQueue(const char* name, Key key, StageOrder stage_order)
+      : name_(name), key_(key), stage_order_(stage_order) {}
+  static KeyedQueue Fifo() {
+    return {"fifo", &QueueItem::priority, StageOrder::kArrival};
+  }
+  static KeyedQueue Edf() {
+    return {"edf", &QueueItem::deadline, StageOrder::kDeadline};
+  }
+
+  const char* name() const override { return name_; }
   void Enqueue(QueueItem item) override;
   bool Remove(RequestId rid) override;
   void Drain(const DrainFn& fn) override;
   std::size_t size() const override { return items_.size(); }
   std::size_t DepthOf(FunctionId fn) const override;
   std::vector<QueueItem> Snapshot() const override;
+  StageOrder stage_order() const override { return stage_order_; }
 
  private:
-  std::map<std::pair<SimTime, std::uint64_t>, QueueItem> items_;
-};
-
-/// Earliest-deadline-first on the absolute SLO deadline; ties by seq.
-/// Per-instance stage queues sort the same way (StageOrder::kDeadline).
-class EdfQueue final : public QueueDiscipline {
- public:
-  const char* name() const override { return "edf"; }
-  void Enqueue(QueueItem item) override;
-  bool Remove(RequestId rid) override;
-  void Drain(const DrainFn& fn) override;
-  std::size_t size() const override { return items_.size(); }
-  std::size_t DepthOf(FunctionId fn) const override;
-  std::vector<QueueItem> Snapshot() const override;
-  StageOrder stage_order() const override { return StageOrder::kDeadline; }
-
- private:
+  const char* name_;
+  Key key_;
+  StageOrder stage_order_;
   std::map<std::pair<SimTime, std::uint64_t>, QueueItem> items_;
 };
 

@@ -22,7 +22,7 @@ QueueItem Item(int rid, SimTime deadline, SimDuration est) {
 
 TEST(NullAdmissionTest, AdmitsEverything) {
   NullAdmission none;
-  FifoQueue q;
+  KeyedQueue q = KeyedQueue::Fifo();
   for (int i = 0; i < 1000; ++i) q.Enqueue(Item(i, 1, 1));
   EXPECT_EQ(none.AdmitAtSubmit(Item(0, 1, 1), 0, q),
             sim::RejectCause::kNone);
@@ -36,7 +36,7 @@ TEST(ShedAdmissionTest, DepthCapRejectsWithQueueFull) {
   cfg.admission = "shed";
   cfg.max_queue_depth = 2;
   ShedAdmission shed(cfg);
-  FifoQueue q;
+  KeyedQueue q = KeyedQueue::Fifo();
   EXPECT_EQ(shed.AdmitAtSubmit(Item(0, 1, 1), 0, q),
             sim::RejectCause::kNone);
   q.Enqueue(Item(0, 1, 1));
@@ -51,7 +51,7 @@ TEST(ShedAdmissionTest, TokenBucketSpendsBurstThenRateLimits) {
   cfg.rate_rps = 10.0;
   cfg.burst = 3.0;
   ShedAdmission shed(cfg);
-  FifoQueue q;
+  KeyedQueue q = KeyedQueue::Fifo();
   // The bucket starts full: the burst passes, the next is refused.
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(shed.AdmitAtSubmit(Item(i, 1, 1), 0, q),
@@ -81,7 +81,7 @@ TEST(ShedAdmissionTest, RateZeroDisablesTheBucket) {
   QosConfig cfg;
   cfg.admission = "shed";
   ShedAdmission shed(cfg);
-  FifoQueue q;
+  KeyedQueue q = KeyedQueue::Fifo();
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(shed.AdmitAtSubmit(Item(i, 1, 1), 0, q),
               sim::RejectCause::kNone);

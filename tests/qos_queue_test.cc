@@ -40,23 +40,25 @@ std::vector<int> SnapshotIds(const QueueDiscipline& q) {
   return order;
 }
 
-TEST(FifoQueueTest, OrdersByPriorityTheLegacyAdjustedDeadline) {
-  FifoQueue q;
+TEST(KeyedQueueFifoTest, OrdersByPriorityTheLegacyAdjustedDeadline) {
+  KeyedQueue q = KeyedQueue::Fifo();
   q.Enqueue(Item(0, 0, 900, 500));
   q.Enqueue(Item(1, 1, 950, 100));
   q.Enqueue(Item(2, 2, 100, 300));
   EXPECT_EQ(DrainAll(q), (std::vector<int>{1, 2, 0}));
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_STREQ(q.name(), "fifo");
+  EXPECT_EQ(q.stage_order(), StageOrder::kArrival);
 }
 
-TEST(FifoQueueTest, EqualPrioritiesKeepInsertionOrder) {
-  FifoQueue q;
+TEST(KeyedQueueFifoTest, EqualPrioritiesKeepInsertionOrder) {
+  KeyedQueue q = KeyedQueue::Fifo();
   for (int i = 0; i < 5; ++i) q.Enqueue(Item(i, i, 1000, 42));
   EXPECT_EQ(DrainAll(q), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(FifoQueueTest, KeepLeavesItemsQueuedInOrder) {
-  FifoQueue q;
+TEST(KeyedQueueFifoTest, KeepLeavesItemsQueuedInOrder) {
+  KeyedQueue q = KeyedQueue::Fifo();
   q.Enqueue(Item(0, 0, 900, 100));
   q.Enqueue(Item(1, 1, 900, 200));
   q.Enqueue(Item(2, 2, 900, 300));
@@ -69,18 +71,19 @@ TEST(FifoQueueTest, KeepLeavesItemsQueuedInOrder) {
   EXPECT_EQ(DrainAll(q), (std::vector<int>{1}));
 }
 
-TEST(EdfQueueTest, OrdersByAbsoluteDeadlineWithSeqTies) {
-  EdfQueue q;
+TEST(KeyedQueueEdfTest, OrdersByAbsoluteDeadlineWithSeqTies) {
+  KeyedQueue q = KeyedQueue::Edf();
   q.Enqueue(Item(0, 0, 500, 0));
   q.Enqueue(Item(1, 1, 100, 0));
   q.Enqueue(Item(2, 2, 100, 0));  // same deadline as rid 1: arrival order
   q.Enqueue(Item(3, 3, 300, 0));
   EXPECT_EQ(DrainAll(q), (std::vector<int>{1, 2, 3, 0}));
+  EXPECT_STREQ(q.name(), "edf");
   EXPECT_EQ(q.stage_order(), StageOrder::kDeadline);
 }
 
 TEST(QueueDisciplineTest, RemoveDropsOneItemAndFixesDepth) {
-  FifoQueue q;
+  KeyedQueue q = KeyedQueue::Fifo();
   q.Enqueue(Item(0, 7, 900, 100));
   q.Enqueue(Item(1, 7, 900, 200));
   EXPECT_EQ(q.DepthOf(FunctionId(7)), 2u);
@@ -93,8 +96,8 @@ TEST(QueueDisciplineTest, RemoveDropsOneItemAndFixesDepth) {
 
 TEST(QueueDisciplineTest, SnapshotMatchesDrainOrder) {
   FairQueue fair(2);
-  EdfQueue edf;
-  FifoQueue fifo;
+  KeyedQueue edf = KeyedQueue::Edf();
+  KeyedQueue fifo = KeyedQueue::Fifo();
   for (QueueDiscipline* q :
        std::vector<QueueDiscipline*>{&fair, &edf, &fifo}) {
     q->Enqueue(Item(0, 0, 400, 400, 10));
@@ -195,10 +198,12 @@ TEST(FairQueueTest, RemoveMidBacklogPreservesFlowOrder) {
 TEST(QueueFactoryTest, BuildsEachDisciplineAndRejectsUnknown) {
   QosConfig cfg;
   EXPECT_STREQ(MakeQueueDiscipline(cfg)->name(), "fifo");
+  EXPECT_EQ(MakeQueueDiscipline(cfg)->stage_order(), StageOrder::kArrival);
   cfg.queue = "fair";
   EXPECT_STREQ(MakeQueueDiscipline(cfg)->name(), "fair");
   cfg.queue = "edf";
   EXPECT_STREQ(MakeQueueDiscipline(cfg)->name(), "edf");
+  EXPECT_EQ(MakeQueueDiscipline(cfg)->stage_order(), StageOrder::kDeadline);
   cfg.queue = "lifo";
   EXPECT_THROW(MakeQueueDiscipline(cfg), FfsError);
 }
