@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "core/partitioner.h"
@@ -79,10 +81,17 @@ TEST(PlanExecutorTest, PipelineBeatsMonolithicOnTheSameSliceClass) {
   PlanExecutorOptions opt;
   opt.time_scale = 0.02;
   constexpr int kRequests = 24;
-  PlanExecutor mono_exec(dag, mono, opt);
-  const double mono_secs = mono_exec.MeasureSeconds(kRequests);
-  PlanExecutor pipe_exec(dag, pipe, opt);
-  const double pipe_secs = pipe_exec.MeasureSeconds(kRequests);
+  // Best of three interleaved trials per side: a burst of load from outside
+  // the test (or a cold first run) slows one trial, not the fastest of
+  // three, so the comparison sees the two plans rather than the host.
+  double mono_secs = std::numeric_limits<double>::infinity();
+  double pipe_secs = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 3; ++trial) {
+    PlanExecutor mono_exec(dag, mono, opt);
+    mono_secs = std::min(mono_secs, mono_exec.MeasureSeconds(kRequests));
+    PlanExecutor pipe_exec(dag, pipe, opt);
+    pipe_secs = std::min(pipe_secs, pipe_exec.MeasureSeconds(kRequests));
+  }
   EXPECT_LT(pipe_secs, mono_secs);
 }
 
