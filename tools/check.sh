@@ -10,7 +10,7 @@
 #   tools/check.sh          # all passes
 #   tools/check.sh plain    # default build only
 #   tools/check.sh asan     # sanitized build only
-#   tools/check.sh faults   # sanitized fault-sweep smoke only
+#   tools/check.sh faults   # sanitized fault- and overload-sweep smokes only
 #   tools/check.sh tsan     # ThreadSanitizer parallel-sweep smoke only
 #   tools/check.sh tidy     # clang-tidy over src/ (fails if not installed)
 #   tools/check.sh perfbench  # build perfbench/ and run 1 s traced smokes
@@ -42,13 +42,14 @@ run_pass() {
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
 }
 
-# Shortened fault sweep under ASan/UBSan: the recovery machinery moves a lot
-# of in-flight state between instances, slices and timers, exactly where
-# lifetime bugs would hide.
+# Shortened fault and overload sweeps under ASan/UBSan: the recovery
+# machinery moves a lot of in-flight state between instances, slices and
+# timers, and the QoS policies reorder, shed and reject pending work —
+# exactly where lifetime bugs would hide.
 run_faults() {
-  echo "=== build-asan: fault-injection smoke ==="
+  echo "=== build-asan: fault-injection and overload smokes ==="
   cmake -B build-asan -S . -DFFS_SANITIZE=ON
-  cmake --build build-asan -j "${jobs}" --target fault_sweep
+  cmake --build build-asan -j "${jobs}" --target fault_sweep overload_sweep
   ( cd build-asan && FFS_BENCH_DURATION_S=10 \
       FFS_SWEEP_OUT=fault_sweep_smoke.json ./bench/fault_sweep )
   # The artifact is the standard sweep document: 4 rates x 5 systems, each
@@ -63,6 +64,22 @@ for c in cells:
     assert "goodput_rps" in c["result"]["availability"], c["index"]
 print("fault_sweep artifact ok:", len(cells), "cells")
 ' build-asan/fault_sweep_smoke.json
+  ( cd build-asan && FFS_BENCH_DURATION_S=10 \
+      FFS_SWEEP_OUT=overload_sweep_smoke.json ./bench/overload_sweep )
+  # 3 loads x 4 QoS variants x 3 seeds x 5 systems, each cell naming its
+  # variant and carrying the report's QoS block.
+  python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["schema"] == "fluidfaas.sweep.v1", doc["schema"]
+cells = doc["cells"]
+assert len(cells) == 180, len(cells)
+labels = {"fifo/none", "fair/none", "edf/none", "fifo/shed"}
+for c in cells:
+    assert c["variant"] in labels, c["index"]
+    assert isinstance(c["result"]["qos"], dict), c["index"]
+print("overload_sweep artifact ok:", len(cells), "cells")
+' build-asan/overload_sweep_smoke.json
 }
 
 # Short parallel sweep under ThreadSanitizer: several worker threads run
