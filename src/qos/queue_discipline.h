@@ -107,10 +107,6 @@ class QueueDiscipline {
 /// absolute SLO `deadline`, and its stage queues sort the same way.
 class KeyedQueue final : public QueueDiscipline {
  public:
-  using Key = SimTime QueueItem::*;
-
-  KeyedQueue(const char* name, Key key, StageOrder stage_order)
-      : name_(name), key_(key), stage_order_(stage_order) {}
   static KeyedQueue Fifo() {
     return {"fifo", &QueueItem::priority, StageOrder::kArrival};
   }
@@ -128,6 +124,11 @@ class KeyedQueue final : public QueueDiscipline {
   StageOrder stage_order() const override { return stage_order_; }
 
  private:
+  using Key = SimTime QueueItem::*;
+
+  KeyedQueue(const char* name, Key key, StageOrder stage_order)
+      : name_(name), key_(key), stage_order_(stage_order) {}
+
   const char* name_;
   Key key_;
   StageOrder stage_order_;
