@@ -1,10 +1,9 @@
 // Declarative, parallel, deterministic experiment sweeps.
 //
 // A SweepSpec describes a grid of runs (system × tier × seed × load factor
-// × fault rate × labelled variant) over a base ExperimentConfig. It is the
-// one way benches, the CLI and examples run experiments. RunSweep executes
-// the grid on
-// an std::thread pool (--jobs / FFS_JOBS) where every cell is an
+// × fault rate × labelled variant) over a base ExperimentConfig; it is how
+// benches, the CLI and examples run experiments. RunSweep executes the grid
+// on an std::thread pool (--jobs / FFS_JOBS) where every cell is an
 // independent, shared-nothing harness::RunContext; results land by grid
 // index, not completion order, so the outcome — tables printed from it and
 // the BENCH_sweep.json artifact — is byte-identical at any job count.

@@ -112,39 +112,12 @@ TEST(GoldenDigestTest, AllSchedulersFaultFree) {
   }
 }
 
-// Per-request digests under faults: medium tier, 60 s, 0.05 faults/s,
-// enforcement timeout 3× SLO, fair queue and shed admission. These pin the
-// recovery path of every scheduler: crash harvesting, retries, resume at
-// the failed stage, timeouts and rejections.
-TEST(GoldenDigestTest, AllSchedulersMediumUnderFaults) {
-  struct FaultedCell {
-    SystemKind system;
-    std::uint64_t digest;
-  };
-  constexpr FaultedCell kFaulted[] = {
-      {kFfs, 0xfb5f8596782216ccULL},     {kDist, 0xe62192216a2236c0ULL},
-      {kEsg, 0xa8b69b2ab153d7d7ULL},     {kInfless, 0xdc6fb4459d926704ULL},
-      {kRepart, 0xba9cba46a671cf7aULL},
-  };
-  for (const FaultedCell& cell : kFaulted) {
-    ExperimentConfig cfg;
-    cfg.system = cell.system;
-    cfg.tier = WorkloadTier::kMedium;
-    cfg.duration = Seconds(60);
-    cfg.faults.rate = 0.05;
-    cfg.faults.timeout_scale = 3.0;
-    cfg.platform.qos.queue = "fair";
-    cfg.platform.qos.admission = "shed";
-    const ExperimentResult r = RunExperiment(cfg);
-    ASSERT_GT(r.recorder->instances_failed(), 0u) << r.system;
-    EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(cell.digest)) << r.system;
-  }
-}
-
-// Per-request digests of all five schedulers on medium, 60 s, under the
-// remaining queue-policy and fault combinations: faults 0.05/s with a 3×
-// timeout on the default fifo/none, and fault-free fair/shed and edf/none.
-TEST(GoldenDigestTest, AllSchedulersMediumQosVariants) {
+// Per-request digests of all five schedulers on medium, 60 s, under queue
+// policies and faults (0.05 faults/s with an enforcement timeout of 3×
+// SLO). The faulted rows pin the recovery path of every scheduler: crash
+// harvesting, retries, resume at the failed stage, timeouts and
+// rejections.
+TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
   struct VariantCell {
     const char* label;
     double fault_rate;
@@ -154,6 +127,10 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosVariants) {
   };
   constexpr SystemKind kSystems[] = {kFfs, kDist, kEsg, kInfless, kRepart};
   constexpr VariantCell kVariants[] = {
+      {"faults 0.05 fair/shed", 0.05, "fair", "shed",
+       {0xfb5f8596782216ccULL, 0xe62192216a2236c0ULL,
+        0xa8b69b2ab153d7d7ULL, 0xdc6fb4459d926704ULL,
+        0xba9cba46a671cf7aULL}},
       {"faults 0.05 fifo/none", 0.05, "fifo", "none",
        {0xfe7cf691c6bd2f21ULL, 0x5da7c1540a55525eULL,
         0xdf5307f16c08e449ULL, 0xed797ce8744876aeULL,
