@@ -78,6 +78,9 @@ class PlatformCore final {
   /// Every live (non-retired) instance, in creation order.
   std::vector<Instance*> AllInstances() const;
 
+  /// Instance by id, or null for retired/failed/sentinel ids.
+  Instance* FindInstance(InstanceId iid);
+
   /// Number of requests neither completed nor admitted to an instance.
   std::size_t PendingCount() const;
 
@@ -207,9 +210,6 @@ class PlatformCore final {
   /// forget the request (terminal — it will never complete).
   void RejectRequest(RequestId rid, FunctionId fn, sim::RejectCause cause,
                      bool at_submit);
-
-  /// Instance by id, or null for retired/failed/sentinel ids.
-  Instance* FindInstance(InstanceId iid);
 
   /// Run one crash victim through the retry policy.
   void HandleFailedRequest(RequestId rid, int stage, int num_stages);

@@ -112,14 +112,17 @@ TEST(GoldenDigestTest, AllSchedulersFaultFree) {
   }
 }
 
-// Per-request digests of all five schedulers on medium, 60 s, under queue
-// policies and faults (0.05 faults/s with an enforcement timeout of 3×
-// SLO). The faulted rows pin the recovery path of every scheduler: crash
-// harvesting, retries, resume at the failed stage, timeouts and
-// rejections.
+// Per-request digests of all five schedulers, 60 s, under queue policies
+// and faults (0.05 faults/s with an enforcement timeout of 3× SLO): medium
+// on the paper cluster, and heavy on 8 nodes. The faulted rows pin the
+// recovery path of every scheduler: crash harvesting, retries, resume at
+// the failed stage, timeouts and rejections. The heavy 8-node row has the
+// most instance churn (evictions, migrations, crashes).
 TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
   struct VariantCell {
     const char* label;
+    WorkloadTier tier;
+    int num_nodes;
     double fault_rate;
     const char* queue;
     const char* admission;
@@ -127,28 +130,34 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
   };
   constexpr SystemKind kSystems[] = {kFfs, kDist, kEsg, kInfless, kRepart};
   constexpr VariantCell kVariants[] = {
-      {"faults 0.05 fair/shed", 0.05, "fair", "shed",
+      {"faults 0.05 fair/shed", WorkloadTier::kMedium, 2, 0.05, "fair", "shed",
        {0xfb5f8596782216ccULL, 0xe62192216a2236c0ULL,
         0xa8b69b2ab153d7d7ULL, 0xdc6fb4459d926704ULL,
         0xba9cba46a671cf7aULL}},
-      {"faults 0.05 fifo/none", 0.05, "fifo", "none",
+      {"faults 0.05 fifo/none", WorkloadTier::kMedium, 2, 0.05, "fifo", "none",
        {0xfe7cf691c6bd2f21ULL, 0x5da7c1540a55525eULL,
         0xdf5307f16c08e449ULL, 0xed797ce8744876aeULL,
         0x289235acc50aec75ULL}},
-      {"fault-free fair/shed", 0.0, "fair", "shed",
+      {"fault-free fair/shed", WorkloadTier::kMedium, 2, 0.0, "fair", "shed",
        {0x308b5173fad3c5ccULL, 0x637736c5cadc2569ULL,
         0x6bc0805ccc7bd668ULL, 0x98fffe9f7fe941daULL,
         0x85885167abb9fde3ULL}},
-      {"fault-free edf/none", 0.0, "edf", "none",
+      {"fault-free edf/none", WorkloadTier::kMedium, 2, 0.0, "edf", "none",
        {0xaf07f1ef7493df2fULL, 0xc2270a64dd20323bULL,
         0x2c151a11f89832edULL, 0x8e988085781b9d67ULL,
         0x40b7b75d881e1869ULL}},
+      {"heavy 8 nodes faults 0.05 fifo/none", WorkloadTier::kHeavy, 8, 0.05,
+       "fifo", "none",
+       {0x4cfedbaf1e95b3c0ULL, 0x120534e73a1d9db1ULL,
+        0x60273cfea9fc885fULL, 0x9837d61d4fa880baULL,
+        0xb47ed59ded4a15d9ULL}},
   };
   for (const VariantCell& v : kVariants) {
     for (std::size_t s = 0; s < std::size(kSystems); ++s) {
       ExperimentConfig cfg;
       cfg.system = kSystems[s];
-      cfg.tier = WorkloadTier::kMedium;
+      cfg.tier = v.tier;
+      cfg.num_nodes = v.num_nodes;
       cfg.duration = Seconds(60);
       cfg.faults.rate = v.fault_rate;
       cfg.faults.timeout_scale = v.fault_rate > 0.0 ? 3.0 : 0.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "metrics/recorder.h"
@@ -198,6 +199,38 @@ TEST_F(PlatformTest, DrainOrRetireDefersWhenBusy) {
   ASSERT_EQ(insts.size(), 1u);
   EXPECT_FALSE(plat_.DrainOrRetire(insts[0]));
   EXPECT_EQ(insts[0]->state(), InstanceState::kDraining);
+  sim_.Run();
+}
+
+TEST_F(PlatformTest, LiveInstancesKeepCreationOrderAcrossRetireAndFail) {
+  const FunctionSpec& spec = plat_.function(FunctionId(0));
+  auto launch = [&]() -> Instance* {
+    auto plan = core::MonolithicPlanOnSmallestSlice(spec.dag, cluster_);
+    if (!plan) return nullptr;
+    const CommitResult result =
+        plat_.Commit(SpawnPlan(spec.id, std::move(*plan), /*warm=*/false));
+    return result.ok() ? result.spawned.front() : nullptr;
+  };
+  Instance* a = launch();
+  Instance* b = launch();
+  Instance* c = launch();
+  Instance* d = launch();
+  ASSERT_TRUE(a && b && c && d);
+  plat_.RetireInstance(b);
+  plat_.FailInstance(c, sim::FaultKind::kInstanceCrash);
+  EXPECT_EQ(plat_.InstancesOf(spec.id), (std::vector<Instance*>{a, d}));
+  EXPECT_EQ(plat_.AllInstances(), (std::vector<Instance*>{a, d}));
+  EXPECT_EQ(plat_.FindInstance(b->id()), nullptr);
+  EXPECT_EQ(plat_.FindInstance(c->id()), nullptr);
+  EXPECT_EQ(plat_.FindInstance(d->id()), d);
+
+  Instance* e = launch();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(plat_.InstancesOf(spec.id), (std::vector<Instance*>{a, d, e}));
+  const std::vector<Instance*> all = {a, b, c, d, e};
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i]->id(), InstanceId(static_cast<std::int32_t>(i)));
+  }
   sim_.Run();
 }
 
