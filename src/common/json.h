@@ -3,12 +3,45 @@
 // harness's JSON report and the CLI's --json output.
 #pragma once
 
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
 
 namespace fluidfaas {
+
+/// Append `s` to `out` escaped as the body of a JSON string (no quotes).
+inline void AppendJsonEscaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
 
 class JsonWriter {
  public:
@@ -123,33 +156,7 @@ class JsonWriter {
   }
   void AppendString(const std::string& s) {
     out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"':
-          out_ += "\\\"";
-          break;
-        case '\\':
-          out_ += "\\\\";
-          break;
-        case '\n':
-          out_ += "\\n";
-          break;
-        case '\r':
-          out_ += "\\r";
-          break;
-        case '\t':
-          out_ += "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
+    AppendJsonEscaped(out_, s);
     out_ += '"';
   }
 

@@ -1,12 +1,12 @@
 #include "metrics/trace_exporter.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <utility>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "sim/event_bus.h"
 #include "sim/events.h"
 
@@ -20,36 +20,6 @@ constexpr int kPidSlices = 3;
 constexpr int kPidGpus = 4;
 constexpr int kPidPlanner = 5;
 constexpr int kPidQueue = 6;
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -227,7 +197,9 @@ void TraceExporter::SubscribeTo(sim::EventBus& bus) {
 void TraceExporter::WriteJson(std::ostream& os) const {
   auto write_event = [&os](const TraceEvent& ev, bool first) {
     if (!first) os << ",\n";
-    os << "{\"name\":\"" << EscapeJson(ev.name) << "\",\"cat\":\"" << ev.cat
+    std::string name;
+    AppendJsonEscaped(name, ev.name);
+    os << "{\"name\":\"" << name << "\",\"cat\":\"" << ev.cat
        << "\",\"ph\":\"" << ev.ph << "\",\"ts\":" << ev.ts;
     if (ev.ph == 'X') os << ",\"dur\":" << ev.dur;
     if (ev.ph == 'i') os << ",\"s\":\"t\"";
