@@ -65,16 +65,14 @@ int EsgState::ScaleUp(platform::PlatformCore& core,
 
 bool EsgRouting::Route(platform::PlatformCore& core, RequestId rid,
                        FunctionId fn) {
-  std::vector<Instance*> insts = core.InstancesOf(fn);
-  if (insts.empty()) {
-    // Cold path: synchronous scale-up for the first request.
-    if (st_->ScaleUp(core, core.function(fn), core.ArrivalRate(fn)) == 0) {
-      return false;
-    }
-    insts = core.InstancesOf(fn);
+  // Cold path: synchronous scale-up for the first request.
+  if (core.InstancesOf(fn).empty() &&
+      st_->ScaleUp(core, core.function(fn), core.ArrivalRate(fn)) == 0) {
+    return false;
   }
   return platform::AdmitBounded(
-      core, platform::LeastLoaded(insts, core.simulator().Now()), rid);
+      core, platform::LeastLoaded(core.InstancesOf(fn), core.simulator().Now()),
+      rid);
 }
 
 void EsgScaling::Tick(platform::PlatformCore& core) {
@@ -94,16 +92,14 @@ void EsgScaling::Tick(platform::PlatformCore& core) {
 
 bool InflessRouting::Route(platform::PlatformCore& core, RequestId rid,
                            FunctionId fn) {
-  std::vector<Instance*> insts = core.InstancesOf(fn);
-  if (insts.empty()) {
-    Instance* inst = platform::LaunchMonolithic(core, core.function(fn));
-    if (inst == nullptr) return false;
-    insts.push_back(inst);
+  if (core.InstancesOf(fn).empty() &&
+      platform::LaunchMonolithic(core, core.function(fn)) == nullptr) {
+    return false;
   }
 
   // Least outstanding work, no SLO-awareness in the pick.
   Instance* best = nullptr;
-  for (Instance* inst : insts) {
+  for (Instance* inst : core.InstancesOf(fn)) {
     if (!inst->CanAdmit()) continue;
     if (best == nullptr || inst->outstanding() < best->outstanding()) {
       best = inst;

@@ -102,7 +102,9 @@ bool RepartitionState::TryReconfigure(platform::PlatformCore& core,
     if (!drainable) continue;
 
     for (const platform::FunctionSpec& fn : core.functions()) {
-      for (Instance* inst : core.InstancesOf(fn.id)) {
+      // A copy: DrainOrRetire may remove from the live list.
+      const std::vector<Instance*> live = core.InstancesOf(fn.id);
+      for (Instance* inst : live) {
         bool on_gpu = false;
         for (const core::StageBinding& b : inst->plan().stages) {
           if (core.cluster().slice(b.slice).gpu == g.id()) on_gpu = true;
@@ -127,14 +129,13 @@ platform::SchedulerCounters RepartitionState::counters() const {
 
 bool RepartitionRouting::Route(platform::PlatformCore& core, RequestId rid,
                                FunctionId fn) {
-  std::vector<Instance*> insts = core.InstancesOf(fn);
-  if (insts.empty()) {
-    Instance* inst = platform::LaunchMonolithic(core, core.function(fn));
-    if (inst == nullptr) return false;  // tick may reconfigure
-    insts.push_back(inst);
+  if (core.InstancesOf(fn).empty() &&
+      platform::LaunchMonolithic(core, core.function(fn)) == nullptr) {
+    return false;  // tick may reconfigure
   }
   return platform::AdmitBounded(
-      core, platform::LeastLoaded(insts, core.simulator().Now()), rid);
+      core, platform::LeastLoaded(core.InstancesOf(fn), core.simulator().Now()),
+      rid);
 }
 
 void RepartitionScaling::Tick(platform::PlatformCore& core) {

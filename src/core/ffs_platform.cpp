@@ -30,23 +30,13 @@ void FfsState::EnsureSized(const platform::PlatformCore& core) {
   }
 }
 
-namespace {
-
-// Retired by the scheduler or crashed: either way the instance is gone.
-bool Gone(const Instance* i) {
-  return i->state() == InstanceState::kRetired ||
-         i->state() == InstanceState::kFailed;
-}
-
-}  // namespace
-
 void FfsState::PruneDead(FnState& st) {
   std::erase_if(st.eh, [](Instance* i) {
-    return Gone(i) || i->state() == InstanceState::kDraining;
+    return i->Gone() || i->state() == InstanceState::kDraining;
   });
   // A crashed TS instance leaves a warm entry behind (has_ts stays set), so
   // the next request makes a fresh one resident.
-  if (st.ts != nullptr && Gone(st.ts)) st.ts = nullptr;
+  if (st.ts != nullptr && st.ts->Gone()) st.ts = nullptr;
 }
 
 platform::SchedulerCounters FfsState::counters() const {
@@ -81,7 +71,9 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
     SimTime oldest = kTimeInfinity;
     for (std::size_t i = 0; i < fn_state.size(); ++i) {
       FnState& other = fn_state[i];
-      if (other.ts == nullptr || Gone(other.ts) || !other.ts->Idle()) continue;
+      if (other.ts == nullptr || other.ts->Gone() || !other.ts->Idle()) {
+        continue;
+      }
       if (FunctionId(static_cast<std::int32_t>(i)) == fn) continue;
       const core::StageBinding& b = other.ts->plan().stages.front();
       if (core.cluster().slice(b.slice).memory() < spec.total_memory) continue;

@@ -66,8 +66,7 @@ void TraceExporter::SubscribeTo(sim::EventBus& bus) {
                           e.at - it->second.since, kPidInstances, e.iid.value,
                           "{\"fn\":" + std::to_string(e.fn.value) + "}"});
         }
-        if (e.to == sim::InstancePhase::kRetired ||
-            e.to == sim::InstancePhase::kFailed) {
+        if (sim::Terminal(e.to)) {
           open_instance_states_.erase(e.iid);
         } else {
           open_instance_states_[e.iid] = OpenSpan{e.at, Name(e.to)};

@@ -9,42 +9,6 @@
 
 namespace fluidfaas::platform {
 
-namespace {
-
-sim::InstancePhase Phase(InstanceState s) {
-  switch (s) {
-    case InstanceState::kLoading:
-      return sim::InstancePhase::kLoading;
-    case InstanceState::kReady:
-      return sim::InstancePhase::kReady;
-    case InstanceState::kDraining:
-      return sim::InstancePhase::kDraining;
-    case InstanceState::kRetired:
-      return sim::InstancePhase::kRetired;
-    case InstanceState::kFailed:
-      return sim::InstancePhase::kFailed;
-  }
-  return sim::InstancePhase::kRetired;
-}
-
-}  // namespace
-
-const char* Name(InstanceState s) {
-  switch (s) {
-    case InstanceState::kLoading:
-      return "loading";
-    case InstanceState::kReady:
-      return "ready";
-    case InstanceState::kDraining:
-      return "draining";
-    case InstanceState::kRetired:
-      return "retired";
-    case InstanceState::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 Instance::Instance(InstanceId id, FunctionId fn, const model::AppDag& dag,
                    core::PipelinePlan plan, sim::Simulator& sim,
                    CompletionFn on_complete)
@@ -66,8 +30,8 @@ Instance::Instance(InstanceId id, FunctionId fn, const model::AppDag& dag,
 
 void Instance::SetState(InstanceState next) {
   if (state_ == next) return;
-  sim_.bus().Publish(sim::InstanceStateChanged{id_, fn_, Phase(state_),
-                                               Phase(next), sim_.Now()});
+  sim_.bus().Publish(
+      sim::InstanceStateChanged{id_, fn_, state_, next, sim_.Now()});
   state_ = next;
 }
 
@@ -79,10 +43,7 @@ void Instance::Launch(SimDuration load_time) {
     return;
   }
   sim_.At(ready_at_, [this] {
-    if (state_ == InstanceState::kRetired ||
-        state_ == InstanceState::kFailed) {
-      return;
-    }
+    if (Gone()) return;
     if (state_ == InstanceState::kLoading) SetState(InstanceState::kReady);
     // Also kick stages when draining: requests admitted before the drain
     // must still be served.
@@ -132,9 +93,7 @@ void Instance::PushItem(Stage& stage, PendingItem item) {
 }
 
 std::vector<Instance::FailedWork> Instance::Fail() {
-  FFS_CHECK_MSG(state_ != InstanceState::kRetired &&
-                    state_ != InstanceState::kFailed,
-                "Fail() on an already-dead instance");
+  FFS_CHECK_MSG(!Gone(), "Fail() on an already-dead instance");
   const SimTime now = sim_.Now();
   std::vector<FailedWork> victims;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
@@ -170,9 +129,7 @@ std::vector<Instance::FailedWork> Instance::Fail() {
 }
 
 bool Instance::Abort(RequestId rid) {
-  if (state_ == InstanceState::kRetired || state_ == InstanceState::kFailed) {
-    return false;
-  }
+  if (Gone()) return false;
   for (Stage& st : stages_) {
     for (auto it = st.queue.begin(); it != st.queue.end(); ++it) {
       if (it->rid == rid) {
@@ -232,9 +189,7 @@ void Instance::TryStart(std::size_t stage_idx) {
   Stage& st = stages_[stage_idx];
   if (st.busy || st.queue.empty()) return;
   if (sim_.Now() < ready_at_) return;  // weights still loading
-  if (state_ == InstanceState::kRetired || state_ == InstanceState::kFailed) {
-    return;
-  }
+  if (Gone()) return;
   if (max_batch_ <= 1) {
     StartPass(stage_idx);
     return;
@@ -243,10 +198,7 @@ void Instance::TryStart(std::size_t stage_idx) {
   if (st.pass_scheduled) return;
   st.pass_scheduled = true;
   sim_.After(0, [this, stage_idx] {
-    if (state_ == InstanceState::kRetired ||
-        state_ == InstanceState::kFailed) {
-      return;
-    }
+    if (Gone()) return;
     stages_[stage_idx].pass_scheduled = false;
     Stage& s = stages_[stage_idx];
     if (s.busy || s.queue.empty()) return;
@@ -344,10 +296,7 @@ void Instance::OnStageDone(std::size_t stage_idx,
   }
   sim_.After(hop, [this, next, batch] {
     // A crash mid-hop already harvested these items from in_transfer_.
-    if (state_ == InstanceState::kFailed ||
-        state_ == InstanceState::kRetired) {
-      return;
-    }
+    if (Gone()) return;
     for (const PendingItem& item : batch) {
       for (auto it = in_transfer_.begin(); it != in_transfer_.end(); ++it) {
         if (it->item.rid == item.rid && it->next_stage == next) {

@@ -17,19 +17,12 @@
 #include "common/types.h"
 #include "core/pipeline.h"
 #include "qos/queue_discipline.h"
+#include "sim/events.h"
 #include "sim/simulator.h"
 
 namespace fluidfaas::platform {
 
-enum class InstanceState {
-  kLoading,   // weights in flight to the slice(s)
-  kReady,     // serving
-  kDraining,  // finishing in-flight requests; no new admissions
-  kRetired,   // slices released
-  kFailed,    // crashed; in-flight work was lost (terminal, like kRetired)
-};
-
-const char* Name(InstanceState s);
+using InstanceState = sim::InstancePhase;
 
 class Instance {
  public:
@@ -47,6 +40,8 @@ class Instance {
   FunctionId function() const { return fn_; }
   const core::PipelinePlan& plan() const { return plan_; }
   InstanceState state() const { return state_; }
+  /// Retired or failed (sim::Terminal).
+  bool Gone() const { return sim::Terminal(state_); }
   bool IsPipelined() const { return plan_.num_stages() > 1; }
 
   /// Begin serving after `load_time` (model loading). Requests may be

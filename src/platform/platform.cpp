@@ -32,7 +32,8 @@ PlatformCore::PlatformCore(sim::Simulator& sim, gpu::Cluster& cluster,
       scaling_(std::move(bundle.scaling)),
       keepalive_(std::move(bundle.keepalive)),
       retry_(std::move(bundle.retry)),
-      counters_(std::move(bundle.counters)) {
+      counters_(std::move(bundle.counters)),
+      fns_(functions_.size()) {
   for (std::size_t i = 0; i < functions_.size(); ++i) {
     FFS_CHECK_MSG(functions_[i].id ==
                       FunctionId(static_cast<std::int32_t>(i)),
@@ -101,24 +102,24 @@ void PlatformCore::Start() {
       sim_, config_.autoscale_period, [this] {
         // Update arrival-rate EWMAs before the policy scan.
         const double period_s = ToSeconds(config_.autoscale_period);
-        for (auto& [fn, st] : arrivals_) {
+        for (FunctionRow& row : fns_) {
           const double inst_rate =
-              static_cast<double>(st.count_this_tick) / period_s;
-          st.rate = 0.5 * st.rate + 0.5 * inst_rate;
+              static_cast<double>(row.arrivals_this_tick) / period_s;
+          row.arrival_rate = 0.5 * row.arrival_rate + 0.5 * inst_rate;
           // A geometric decay never reaches zero; clamp so a long-idle
           // function stops looking like residual demand to the scalers.
-          if (st.rate < 1e-6) st.rate = 0.0;
-          st.count_this_tick = 0;
+          if (row.arrival_rate < 1e-6) row.arrival_rate = 0.0;
+          row.arrivals_this_tick = 0;
         }
         // Refresh smoothed utilizations; the smoothing constant gives the
         // EWMA an effective memory of about one util_window.
         const double alpha =
             std::min(1.0, static_cast<double>(config_.autoscale_period) /
                               static_cast<double>(config_.util_window));
-        for (const auto& inst : instances_) {
-          if (inst->state() == InstanceState::kRetired) continue;
-          double& ewma = util_ewma_[inst->id()];
-          ewma = (1.0 - alpha) * ewma + alpha * TickUtilization(inst.get());
+        for (InstanceRow& row : instances_) {
+          if (row.inst->state() == InstanceState::kRetired) continue;
+          row.util_ewma = (1.0 - alpha) * row.util_ewma +
+                          alpha * TickUtilization(row.inst.get());
         }
         scaling_->Tick(*this);
         keepalive_->Tick(*this);
@@ -132,10 +133,20 @@ void PlatformCore::Stop() {
   if (autoscale_) autoscale_->Stop();
 }
 
-const FunctionSpec& PlatformCore::function(FunctionId fn) const {
+std::size_t PlatformCore::FnIndex(FunctionId fn) const {
   FFS_CHECK(fn.valid() &&
             static_cast<std::size_t>(fn.value) < functions_.size());
-  return functions_[static_cast<std::size_t>(fn.value)];
+  return static_cast<std::size_t>(fn.value);
+}
+
+std::size_t PlatformCore::RowIndex(const Instance* inst) const {
+  const auto idx = static_cast<std::size_t>(inst->id().value);
+  FFS_CHECK(idx < instances_.size() && instances_[idx].inst.get() == inst);
+  return idx;
+}
+
+const FunctionSpec& PlatformCore::function(FunctionId fn) const {
+  return functions_[FnIndex(fn)];
 }
 
 SchedulerCounters PlatformCore::scheduler_counters() const {
@@ -149,7 +160,7 @@ RequestId PlatformCore::Submit(FunctionId fn) {
   const SimTime deadline = now + spec.slo;
   bus().Publish(sim::RequestSubmitted{rid, fn, now, deadline});
   meta_.emplace(rid, ReqMeta{fn, deadline, SampleJitter()});
-  arrivals_[fn].count_this_tick += 1;
+  fns_[FnIndex(fn)].arrivals_this_tick += 1;
   // Admission gate (rate limit / depth cap). NullAdmission — the default —
   // always admits, leaving the fault-free event stream untouched.
   const sim::RejectCause gate =
@@ -188,26 +199,14 @@ double PlatformCore::SampleJitter() {
   return rng_.LogNormal(-0.5 * s2, std::sqrt(s2));
 }
 
-std::vector<Instance*> PlatformCore::InstancesOf(FunctionId fn) const {
-  std::vector<Instance*> out;
-  auto it = by_function_.find(fn);
-  if (it == by_function_.end()) return out;
-  for (Instance* inst : it->second) {
-    if (inst->state() != InstanceState::kRetired &&
-        inst->state() != InstanceState::kFailed) {
-      out.push_back(inst);
-    }
-  }
-  return out;
+const std::vector<Instance*>& PlatformCore::InstancesOf(FunctionId fn) const {
+  return fns_[FnIndex(fn)].live;
 }
 
 std::vector<Instance*> PlatformCore::AllInstances() const {
   std::vector<Instance*> out;
-  for (const auto& inst : instances_) {
-    if (inst->state() != InstanceState::kRetired &&
-        inst->state() != InstanceState::kFailed) {
-      out.push_back(inst.get());
-    }
+  for (const InstanceRow& row : instances_) {
+    if (!row.inst->Gone()) out.push_back(row.inst.get());
   }
   return out;
 }
@@ -349,7 +348,7 @@ void PlatformCore::FinishRepartition(const std::vector<SliceId>& fresh,
 Instance* PlatformCore::LaunchInstance(const FunctionSpec& fn,
                                        core::PipelinePlan plan, bool warm,
                                        SimDuration extra_load_delay) {
-  const InstanceId iid(next_instance_id_++);
+  const InstanceId iid = CheckedId<InstanceId>(instances_.size());
   const SimTime now = sim_.Now();
 
   // Stages load in parallel (one process per slice); the instance is ready
@@ -374,12 +373,11 @@ Instance* PlatformCore::LaunchInstance(const FunctionSpec& fn,
     bus().Publish(sim::SliceBound{s.slice, iid, now});
   }
 
-  auto inst = std::make_unique<Instance>(
+  instances_.push_back(InstanceRow{std::make_unique<Instance>(
       iid, fn.id, fn.dag, std::move(plan), sim_,
-      [this](RequestId rid) { HandleCompletion(rid); });
-  Instance* raw = inst.get();
-  instances_.push_back(std::move(inst));
-  by_function_[fn.id].push_back(raw);
+      [this](RequestId rid) { HandleCompletion(rid); })});
+  Instance* raw = instances_.back().inst.get();
+  fns_[FnIndex(fn.id)].live.push_back(raw);
   raw->SetBatching(config_.max_batch, config_.batch_marginal_cost);
   raw->SetStageOrder(pending_q_->stage_order());
   raw->Launch(load);
@@ -408,6 +406,7 @@ void PlatformCore::RetireInstance(Instance* inst) {
     bus().Publish(sim::SliceReleased{s.slice, inst->id(), now});
   }
   inst->MarkRetired();
+  std::erase(fns_[FnIndex(inst->function())].live, inst);
   TouchWarm(inst->function());
   FFS_LOG_DEBUG("platform") << name() << " retire " << inst->Describe();
 }
@@ -422,9 +421,7 @@ bool PlatformCore::DrainOrRetire(Instance* inst) {
 }
 
 bool PlatformCore::IsWarm(FunctionId fn) const {
-  auto it = warm_.find(fn);
-  return it != warm_.end() && it->second.warm &&
-         it->second.expires > sim_.Now();
+  return fns_[FnIndex(fn)].warm_until > sim_.Now();
 }
 
 SimDuration PlatformCore::LoadTime(FunctionId fn, Bytes weights) const {
@@ -433,20 +430,17 @@ SimDuration PlatformCore::LoadTime(FunctionId fn, Bytes weights) const {
 }
 
 void PlatformCore::TouchWarm(FunctionId fn) {
-  WarmState& w = warm_[fn];
-  w.warm = true;
-  w.expires = sim_.Now() + config_.warm_timeout;
+  fns_[FnIndex(fn)].warm_until = sim_.Now() + config_.warm_timeout;
 }
 
 double PlatformCore::ArrivalRate(FunctionId fn) const {
-  auto it = arrivals_.find(fn);
-  return it == arrivals_.end() ? 0.0 : it->second.rate;
+  return fns_[FnIndex(fn)].arrival_rate;
 }
 
 double PlatformCore::TickUtilization(Instance* inst) {
   const SimTime now = sim_.Now();
   const SimDuration total = inst->ActiveTotal(now);
-  SimDuration& prev = last_active_snapshot_[inst->id()];
+  SimDuration& prev = instances_[RowIndex(inst)].active_snapshot;
   const SimDuration window = now - last_tick_;
   const SimDuration delta = total - prev;
   prev = total;
@@ -456,8 +450,7 @@ double PlatformCore::TickUtilization(Instance* inst) {
 }
 
 double PlatformCore::UtilizationOf(const Instance* inst) const {
-  auto it = util_ewma_.find(inst->id());
-  return it == util_ewma_.end() ? 0.0 : it->second;
+  return instances_[RowIndex(inst)].util_ewma;
 }
 
 void PlatformCore::MakePending(RequestId rid, FunctionId fn) {
@@ -515,24 +508,18 @@ Instance* PlatformCore::FindInstance(InstanceId iid) {
   // Sentinel occupants (e.g. repartition blackout markers) fall outside the
   // dense id range and resolve to null.
   if (idx >= instances_.size()) return nullptr;
-  Instance* inst = instances_[idx].get();
+  Instance* inst = instances_[idx].inst.get();
   FFS_CHECK(inst->id() == iid);
-  if (inst->state() == InstanceState::kRetired ||
-      inst->state() == InstanceState::kFailed) {
-    return nullptr;
-  }
-  return inst;
+  return inst->Gone() ? nullptr : inst;
 }
 
 void PlatformCore::FailInstance(Instance* inst, sim::FaultKind cause,
                                 SliceId failed_slice, SimDuration repair) {
-  if (inst->state() == InstanceState::kRetired ||
-      inst->state() == InstanceState::kFailed) {
-    return;
-  }
+  if (inst->Gone()) return;
   const SimTime now = sim_.Now();
   const core::PipelinePlan& plan = inst->plan();
   const std::vector<Instance::FailedWork> victims = inst->Fail();
+  std::erase(fns_[FnIndex(inst->function())].live, inst);
   bus().Publish(sim::InstanceFailed{inst->id(), inst->function(), cause, now});
   FFS_LOG_DEBUG("platform") << name() << " fail " << inst->Describe()
                             << " cause " << sim::Name(cause) << " ("
@@ -723,7 +710,9 @@ bool GrowCapacity(PlatformCore& core, double rate, double capacity,
 
 void RetireDrainedIdle(PlatformCore& core) {
   for (const FunctionSpec& spec : core.functions()) {
-    for (Instance* inst : core.InstancesOf(spec.id)) {
+    // A copy: RetireInstance removes from the live list.
+    const std::vector<Instance*> live = core.InstancesOf(spec.id);
+    for (Instance* inst : live) {
       if (inst->state() == InstanceState::kDraining && inst->Idle()) {
         core.RetireInstance(inst);
       }

@@ -72,10 +72,13 @@ class PlatformCore final {
   /// exposes none).
   SchedulerCounters scheduler_counters() const;
 
-  /// Live (non-retired) instances of a function.
-  std::vector<Instance*> InstancesOf(FunctionId fn) const;
+  /// Live (neither retired nor failed) instances of a function, in creation
+  /// order. The list is the core's own: RetireInstance and FailInstance
+  /// remove from it and a launch appends to it, so a caller that may do
+  /// either while iterating must iterate a copy.
+  const std::vector<Instance*>& InstancesOf(FunctionId fn) const;
 
-  /// Every live (non-retired) instance, in creation order.
+  /// Every live instance, in creation order.
   std::vector<Instance*> AllInstances() const;
 
   /// Instance by id, or null for retired/failed/sentinel ids.
@@ -179,6 +182,26 @@ class PlatformCore final {
     bool timed_out = false;  // enforcement timeout fired mid-execution
   };
 
+  // One row per instance ever created, indexed by InstanceId. Retired and
+  // failed instances keep their row so in-flight callbacks stay safe.
+  struct InstanceRow {
+    std::unique_ptr<Instance> inst;
+    SimDuration active_snapshot = 0;  // ActiveTotal at the previous tick
+    double util_ewma = 0.0;           // smoothed tick utilization
+  };
+
+  // Per-function state, indexed by FunctionId.
+  struct FunctionRow {
+    std::vector<Instance*> live;  // InstancesOf(fn)
+    SimTime warm_until = 0;       // weights warm in CPU memory before this
+    double arrival_rate = 0.0;    // EWMA requests/s
+    int arrivals_this_tick = 0;
+  };
+
+  /// Checked row indexes into functions_/fns_ and instances_.
+  std::size_t FnIndex(FunctionId fn) const;
+  std::size_t RowIndex(const Instance* inst) const;
+
   void HandleCompletion(RequestId rid);
 
   /// Commit-internal: bind the plan's slices, create the instance, and
@@ -247,25 +270,8 @@ class PlatformCore final {
 
   std::unique_ptr<sim::PeriodicTask> autoscale_;
 
-  // All instances ever created (stable storage; retired ones stay to keep
-  // in-flight callbacks safe).
-  std::vector<std::unique_ptr<Instance>> instances_;
-  std::unordered_map<FunctionId, std::vector<Instance*>> by_function_;
-
-  struct WarmState {
-    bool warm = false;
-    SimTime expires = 0;
-  };
-  std::unordered_map<FunctionId, WarmState> warm_;
-
-  struct ArrivalStats {
-    double rate = 0.0;  // EWMA requests/s
-    int count_this_tick = 0;
-  };
-  std::unordered_map<FunctionId, ArrivalStats> arrivals_;
-
-  std::unordered_map<InstanceId, SimDuration> last_active_snapshot_;
-  std::unordered_map<InstanceId, double> util_ewma_;
+  std::vector<InstanceRow> instances_;
+  std::vector<FunctionRow> fns_;
   SimTime last_tick_ = 0;
 
   // Last published pending depth (dedup for PendingDepthChanged).
@@ -279,7 +285,6 @@ class PlatformCore final {
   std::unordered_map<RequestId, ReqMeta> meta_;
 
   std::int64_t next_request_id_ = 0;
-  std::int32_t next_instance_id_ = 0;
 };
 
 }  // namespace fluidfaas::platform

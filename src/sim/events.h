@@ -62,9 +62,20 @@ struct RequestCompleted {
 
 // --- instance lifecycle ----------------------------------------------------
 
-/// Mirror of platform::InstanceState, kept here so subscribers below the
-/// platform layer can name instance phases without depending on it.
-enum class InstancePhase { kLoading, kReady, kDraining, kRetired, kFailed };
+/// An instance's lifecycle state (platform::InstanceState is this type).
+/// Defined here so subscribers below the platform layer can name it.
+enum class InstancePhase {
+  kLoading,   // weights in flight to the slice(s)
+  kReady,     // serving
+  kDraining,  // finishing in-flight requests; no new admissions
+  kRetired,   // slices released
+  kFailed,    // crashed; in-flight work was lost
+};
+
+/// Retired or failed: the instance holds no slice and never serves again.
+constexpr bool Terminal(InstancePhase p) {
+  return p == InstancePhase::kRetired || p == InstancePhase::kFailed;
+}
 
 constexpr const char* Name(InstancePhase p) {
   switch (p) {

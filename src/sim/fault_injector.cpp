@@ -29,9 +29,7 @@ void FaultInjector::Start() {
       [this](const SliceBound& e) { live_instances_.insert(e.iid.value); }));
   subs_.push_back(sim_.bus().SubscribeScoped<InstanceStateChanged>(
       [this](const InstanceStateChanged& e) {
-        if (e.to == InstancePhase::kRetired || e.to == InstancePhase::kFailed) {
-          live_instances_.erase(e.iid.value);
-        }
+        if (Terminal(e.to)) live_instances_.erase(e.iid.value);
       }));
   Arm();
 }
