@@ -25,8 +25,9 @@ int main() {
         (s.gpu == GpuId(1) && s.profile() == gpu::MigProfile::k3g40gb);
     if (occupy) cluster.Bind(sid, InstanceId(99));
   }
+  const gpu::ClusterView view(cluster);
   std::cout << cluster.Describe() << "free slices: ";
-  for (SliceId sid : cluster.FreeSlices()) {
+  for (SliceId sid : view.FreeSlices()) {
     std::cout << gpu::Name(cluster.slice(sid).profile()) << " ";
   }
   std::cout << "\n\n";
@@ -38,7 +39,7 @@ int main() {
             << " GB total, monolithic minimum "
             << gpu::Name(*core::MinMonolithicProfile(dag)) << "\n";
 
-  auto mono_slice = cluster.SmallestFreeSliceWithMemory(dag.TotalMemory());
+  auto mono_slice = view.SmallestFreeSliceWithMemory(dag.TotalMemory());
   std::cout << "monolithic placement on free slices: "
             << (mono_slice ? "POSSIBLE (unexpected!)" : "IMPOSSIBLE — the "
                "idle capacity is fragmented across small slices")

@@ -40,7 +40,7 @@ class RandomRouting final : public platform::RoutingPolicy {
     auto insts = core.InstancesOf(fn);
     std::erase_if(insts, [](platform::Instance* i) { return !i->CanAdmit(); });
     if (insts.empty()) {
-      auto free = core.cluster().FreeSlices();
+      auto free = gpu::ClusterView(core.cluster()).FreeSlices();
       std::erase_if(free, [&](SliceId sid) {
         return core.cluster().slice(sid).memory() <
                core.function(fn).total_memory;

@@ -61,13 +61,13 @@ int DistState::ChooseInvoker(platform::PlatformCore& core, FunctionId fn,
 
   // No admitting instance anywhere: the invoker with the most free GPCs,
   // the lowest index on a tie.
+  const gpu::ClusterView view(core.cluster());
   int most_free = 0;
   int free_gpcs = -1;
   for (std::size_t i = 0; i < invokers.size(); ++i) {
     int g = 0;
-    for (SliceId sid :
-         core.cluster().FreeSlicesOnNode(*invokers[i].domain.node())) {
-      g += core.cluster().slice(sid).gpcs();
+    for (SliceId sid : view.FreeSlicesOnNode(*invokers[i].domain.node())) {
+      g += view.slice(sid).gpcs();
     }
     if (g > free_gpcs) {
       free_gpcs = g;

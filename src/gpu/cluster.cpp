@@ -146,52 +146,6 @@ std::vector<SliceId> Cluster::RepartitionGpu(GpuId gpu_id,
   return fresh;
 }
 
-std::vector<SliceId> Cluster::FreeSlices() const {
-  std::vector<SliceId> out;
-  out.reserve(free_all_.size());
-  for (std::int32_t id : free_all_) out.push_back(SliceId(id));
-  return out;
-}
-
-std::vector<SliceId> Cluster::FreeSlices(MigProfile profile) const {
-  const auto& set = free_by_profile_[static_cast<std::size_t>(profile)];
-  std::vector<SliceId> out;
-  out.reserve(set.size());
-  for (std::int32_t id : set) out.push_back(SliceId(id));
-  return out;
-}
-
-std::vector<SliceId> Cluster::FreeSlicesOnNode(NodeId node) const {
-  std::vector<SliceId> out;
-  for (std::int32_t id : free_all_) {
-    const SliceId sid(id);
-    if (slice(sid).node == node) out.push_back(sid);
-  }
-  return out;
-}
-
-std::optional<SliceId> Cluster::SmallestFreeSliceWithMemory(
-    Bytes min_memory) const {
-  // Each profile's free set is id-ordered, so its begin() is that profile's
-  // deterministic candidate; picking the fewest-GPC (then lowest-id)
-  // candidate reproduces the historical full scan exactly.
-  std::optional<SliceId> best;
-  int best_gpcs = 0;
-  for (MigProfile p : kAllProfiles) {
-    if (MemBytes(p) < min_memory) continue;
-    const auto& set = free_by_profile_[static_cast<std::size_t>(p)];
-    if (set.empty()) continue;
-    const SliceId candidate(*set.begin());
-    const int gpcs = Gpcs(p);
-    if (!best || gpcs < best_gpcs ||
-        (gpcs == best_gpcs && candidate.value < best->value)) {
-      best = candidate;
-      best_gpcs = gpcs;
-    }
-  }
-  return best;
-}
-
 void Cluster::Bind(SliceId sid, InstanceId instance) {
   MigSlice& s = mutable_slice(sid);
   if (!s.free()) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -106,18 +105,8 @@ class Cluster {
   /// All slices, cluster-wide, in id order.
   std::vector<SliceId> AllSlices() const;
 
-  /// Allocatable (free and healthy) slices, optionally restricted to one
-  /// profile / one node. Failed slices never appear here. Served from
-  /// free-slice indexes maintained on Bind/Release/MarkFailed/Repair, so
-  /// queries cost O(answer), not O(cluster).
-  std::vector<SliceId> FreeSlices() const;
-  std::vector<SliceId> FreeSlices(MigProfile profile) const;
-  std::vector<SliceId> FreeSlicesOnNode(NodeId node) const;
-
-  /// Smallest allocatable slice with at least `min_memory`; prefers fewer
-  /// GPCs, then lower slice id (deterministic). nullopt when none qualifies.
-  /// O(#profiles) via the per-profile free lists.
-  std::optional<SliceId> SmallestFreeSliceWithMemory(Bytes min_memory) const;
+  // Free-slice queries live on gpu::ClusterView (a bare Cluster converts
+  // to one), served from the free-slice indexes below.
 
   /// Bind / release enforce the strong-isolation invariant. Violations raise
   /// FfsError with a typed code: Bind on an occupied slice ->

@@ -190,7 +190,9 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
   EXPECT_GT(plan->num_stages(), 1);
 
   // Nothing at all.
-  for (SliceId sid : cluster.FreeSlices()) cluster.Bind(sid, InstanceId(3));
+  for (SliceId sid : gpu::ClusterView(cluster).FreeSlices()) {
+    cluster.Bind(sid, InstanceId(3));
+  }
   EXPECT_FALSE(PlanFirstFeasible(dag, ranked, cluster, transfer).has_value());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "gpu/cluster_view.h"
 
 namespace fluidfaas::gpu {
 namespace {
@@ -81,47 +82,50 @@ TEST(ClusterTest, BindInvalidInstanceThrows) {
 
 TEST(ClusterTest, FreeSliceQueries) {
   Cluster c = MakeTestCluster();
-  EXPECT_EQ(c.FreeSlices().size(), 12u);
-  EXPECT_EQ(c.FreeSlices(MigProfile::k4g40gb).size(), 4u);
-  EXPECT_EQ(c.FreeSlicesOnNode(NodeId(0)).size(), 6u);
+  const ClusterView v(c);
+  EXPECT_EQ(v.FreeSlices().size(), 12u);
+  EXPECT_EQ(v.FreeSlices(MigProfile::k4g40gb).size(), 4u);
+  EXPECT_EQ(v.FreeSlicesOnNode(NodeId(0)).size(), 6u);
 
   // Bind one 4g on node 0.
-  for (SliceId sid : c.FreeSlices(MigProfile::k4g40gb)) {
+  for (SliceId sid : v.FreeSlices(MigProfile::k4g40gb)) {
     if (c.slice(sid).node == NodeId(0)) {
       c.Bind(sid, InstanceId(1));
       break;
     }
   }
-  EXPECT_EQ(c.FreeSlices().size(), 11u);
-  EXPECT_EQ(c.FreeSlices(MigProfile::k4g40gb).size(), 3u);
-  EXPECT_EQ(c.FreeSlicesOnNode(NodeId(0)).size(), 5u);
-  EXPECT_EQ(c.FreeSlicesOnNode(NodeId(1)).size(), 6u);
+  EXPECT_EQ(v.FreeSlices().size(), 11u);
+  EXPECT_EQ(v.FreeSlices(MigProfile::k4g40gb).size(), 3u);
+  EXPECT_EQ(v.FreeSlicesOnNode(NodeId(0)).size(), 5u);
+  EXPECT_EQ(v.FreeSlicesOnNode(NodeId(1)).size(), 6u);
 }
 
 TEST(ClusterTest, SmallestFreeSliceWithMemoryPrefersFewestGpcs) {
   Cluster c = MakeTestCluster();
+  const ClusterView v(c);
   // 8 GB fits everywhere; the 1g slice must win.
-  auto sid = c.SmallestFreeSliceWithMemory(GiB(8));
+  auto sid = v.SmallestFreeSliceWithMemory(GiB(8));
   ASSERT_TRUE(sid.has_value());
   EXPECT_EQ(c.slice(*sid).profile(), MigProfile::k1g10gb);
   // 15 GB needs at least 2g.
-  sid = c.SmallestFreeSliceWithMemory(GiB(15));
+  sid = v.SmallestFreeSliceWithMemory(GiB(15));
   ASSERT_TRUE(sid.has_value());
   EXPECT_EQ(c.slice(*sid).profile(), MigProfile::k2g20gb);
   // 35 GB needs the 4g.
-  sid = c.SmallestFreeSliceWithMemory(GiB(35));
+  sid = v.SmallestFreeSliceWithMemory(GiB(35));
   ASSERT_TRUE(sid.has_value());
   EXPECT_EQ(c.slice(*sid).profile(), MigProfile::k4g40gb);
   // 45 GB fits nowhere on this partition.
-  EXPECT_FALSE(c.SmallestFreeSliceWithMemory(GiB(45)).has_value());
+  EXPECT_FALSE(v.SmallestFreeSliceWithMemory(GiB(45)).has_value());
 }
 
 TEST(ClusterTest, SmallestFreeSliceSkipsBoundSlices) {
   Cluster c = MakeTestCluster();
-  for (SliceId sid : c.FreeSlices(MigProfile::k1g10gb)) {
+  const ClusterView v(c);
+  for (SliceId sid : v.FreeSlices(MigProfile::k1g10gb)) {
     c.Bind(sid, InstanceId(1));
   }
-  auto sid = c.SmallestFreeSliceWithMemory(GiB(8));
+  auto sid = v.SmallestFreeSliceWithMemory(GiB(8));
   ASSERT_TRUE(sid.has_value());
   EXPECT_EQ(c.slice(*sid).profile(), MigProfile::k2g20gb);
 }
@@ -146,8 +150,9 @@ TEST(ClusterTest, HeterogeneousPartitionsPerGpu) {
 
 TEST(ClusterTest, HybridSchemeBuilds) {
   Cluster c(std::vector<std::vector<MigPartition>>{PartitionSchemeHybrid()});
+  const ClusterView v(c);
   EXPECT_EQ(c.num_gpus(), 8);
-  EXPECT_EQ(c.FreeSlices(MigProfile::k1g10gb).size(), 7u + 2u + 1u);
+  EXPECT_EQ(v.FreeSlices(MigProfile::k1g10gb).size(), 7u + 2u + 1u);
 }
 
 TEST(GpuTest, RepartitionRequiresAllFree) {
@@ -172,16 +177,17 @@ TEST(ReconfigCostTest, MinutesScaleCost) {
 
 TEST(ClusterFaultTest, FailedSliceLeavesEveryAllocationSurface) {
   Cluster c = MakeTestCluster();
-  const SliceId sid = *c.SmallestFreeSliceWithMemory(GiB(1));
+  const ClusterView v(c);
+  const SliceId sid = *v.SmallestFreeSliceWithMemory(GiB(1));
   const MigProfile profile = c.slice(sid).profile();
   c.MarkFailed(sid);
 
   EXPECT_TRUE(c.IsFailed(sid));
   EXPECT_FALSE(c.slice(sid).allocatable());
   EXPECT_EQ(c.FailedSlices(), std::vector<SliceId>{sid});
-  for (SliceId s : c.FreeSlices(profile)) EXPECT_NE(s, sid);
-  for (SliceId s : c.FreeSlicesOnNode(c.slice(sid).node)) EXPECT_NE(s, sid);
-  auto pick = c.SmallestFreeSliceWithMemory(GiB(1));
+  for (SliceId s : v.FreeSlices(profile)) EXPECT_NE(s, sid);
+  for (SliceId s : v.FreeSlicesOnNode(c.slice(sid).node)) EXPECT_NE(s, sid);
+  auto pick = v.SmallestFreeSliceWithMemory(GiB(1));
   ASSERT_TRUE(pick.has_value());
   EXPECT_NE(*pick, sid);
 }

@@ -55,7 +55,7 @@ struct RouteKnobs {
 std::optional<core::PipelinePlan> TwoStagePlan(PlatformCore& core,
                                                const FunctionSpec& spec) {
   const std::vector<SliceId> free =
-      core.cluster().FreeSlicesOnNode(NodeId(0));
+      gpu::ClusterView(core.cluster()).FreeSlicesOnNode(NodeId(0));
   if (free.size() < 2) return std::nullopt;
   core::PipelinePlan plan;
   plan.node = NodeId(0);
@@ -88,8 +88,8 @@ class FlexRouting final : public RoutingPolicy {
       if (knobs_->pipelined) {
         plan = TwoStagePlan(core, spec);
       } else {
-        auto sid =
-            core.cluster().SmallestFreeSliceWithMemory(spec.total_memory);
+        auto sid = gpu::ClusterView(core.cluster())
+                       .SmallestFreeSliceWithMemory(spec.total_memory);
         if (sid) {
           plan = core::MonolithicPlanOnSlice(spec.dag, core.cluster(), *sid);
         }

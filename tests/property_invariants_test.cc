@@ -119,7 +119,7 @@ TEST(ClusterProperty, RandomBindReleaseMatchesReferenceModel) {
         }
       }
       EXPECT_EQ(cluster.BoundGpcs(), bound_gpcs);
-      EXPECT_EQ(cluster.FreeSlices().size(),
+      EXPECT_EQ(gpu::ClusterView(cluster).FreeSlices().size(),
                 cluster.num_slices() - reference.size());
     }
   }
@@ -309,7 +309,7 @@ TEST(PlanCommitProperty, RacingPlansCommitAtomicallyUnderDrift) {
       }
       // Drift between plan and commit.
       if (rng.Chance(0.35)) {
-        const auto free = cluster.FreeSlices();
+        const auto free = gpu::ClusterView(cluster).FreeSlices();
         if (!free.empty()) {
           cluster.MarkFailed(free[static_cast<std::size_t>(rng.UniformInt(
               0, static_cast<std::int64_t>(free.size()) - 1))]);
@@ -328,7 +328,7 @@ TEST(PlanCommitProperty, RacingPlansCommitAtomicallyUnderDrift) {
       std::size_t committed = 0;
       for (const auto& p : plans) {
         ++attempts;
-        const auto snapshot = cluster.FreeSlices();
+        const auto snapshot = gpu::ClusterView(cluster).FreeSlices();
         const platform::CommitResult result = plat.Commit(p);
         if (result.ok()) {
           ++committed;
@@ -336,7 +336,7 @@ TEST(PlanCommitProperty, RacingPlansCommitAtomicallyUnderDrift) {
         } else {
           EXPECT_NE(result.cause, sim::PlanAbortCause::kNone);
           EXPECT_TRUE(result.spawned.empty());
-          EXPECT_EQ(cluster.FreeSlices(), snapshot)
+          EXPECT_EQ(gpu::ClusterView(cluster).FreeSlices(), snapshot)
               << "aborted commit mutated occupancy";
         }
       }
