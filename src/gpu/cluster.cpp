@@ -20,10 +20,10 @@ void Gpu::Repartition(const MigPartition& partition, SliceId first_slice_id) {
   FFS_CHECK_MSG(AllSlicesFree(), "cannot repartition a GPU with bound slices");
   partition_ = partition;
   slices_.clear();
-  std::int32_t next = first_slice_id.value;
+  std::int64_t next = first_slice_id.value;
   for (const Placement& pl : partition_.placements()) {
     MigSlice s;
-    s.id = SliceId(next++);
+    s.id = CheckedId<SliceId>(next++);
     s.node = node_;
     s.gpu = id_;
     s.placement = pl;
@@ -135,7 +135,7 @@ std::vector<SliceId> Cluster::RepartitionGpu(GpuId gpu_id,
     slices_[static_cast<std::size_t>(s.id.value)] = SliceRef{-1, -1};
   }
   // Renumber the GPU's slices at the end of the id space.
-  const SliceId first(static_cast<std::int32_t>(slices_.size()));
+  const SliceId first = CheckedId<SliceId>(slices_.size());
   g.Repartition(partition, first);
   std::vector<SliceId> fresh;
   for (std::size_t l = 0; l < g.slices().size(); ++l) {
