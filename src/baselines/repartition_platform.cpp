@@ -52,8 +52,8 @@ void RepartitionState::ExecuteReconfig(platform::PlatformCore& core,
   // Commit aborts it with kGpuNotIdle if anything landed on the GPU since
   // the caller saw it idle.
   platform::PlacementPlan txn;
-  txn.actions.push_back(
-      platform::RepartitionAction{gpu_id, target, cost, sentinel});
+  txn.actions.emplace_back(std::in_place_type<platform::RepartitionAction>,
+                           gpu_id, target, cost, sentinel);
   const platform::CommitResult result = core.Commit(txn);
   if (!result.ok()) return;  // GPU no longer idle; a later tick retries
   blackout_total += cost;

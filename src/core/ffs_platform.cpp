@@ -344,7 +344,8 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
         // drain's retire path can refresh it).
         platform::PlacementPlan txn =
             platform::SpawnPlan(fn, std::move(*plan), core.IsWarm(fn));
-        txn.actions.push_back(platform::DrainAction{inst->id()});
+        txn.actions.emplace_back(std::in_place_type<platform::DrainAction>,
+                                 inst->id());
         const platform::CommitResult result = core.Commit(txn);
         if (!result.ok()) break;
         st.eh.push_back(result.spawned.front());

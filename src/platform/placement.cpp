@@ -23,7 +23,7 @@ void AddEvict(PlacementPlan& plan, gpu::ClusterView& view, InstanceId victim,
   for (const core::StageBinding& s : victim_plan.stages) {
     view.MarkPlannedFree(s.slice);
   }
-  plan.actions.push_back(EvictAction{victim});
+  plan.actions.emplace_back(std::in_place_type<EvictAction>, victim);
 }
 
 PlacementPlan SpawnPlan(FunctionId fn, core::PipelinePlan pipeline, bool warm,

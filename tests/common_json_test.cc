@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "harness/json_report.h"
 #include "harness/sweep.h"
@@ -45,11 +46,17 @@ TEST(JsonWriterTest, EscapesStrings) {
   EXPECT_EQ(w.Take(), "{\"s\":\"a\\\"b\\\\c\\nd\\te\"}");
 }
 
+TEST(JsonWriterTest, AppendJsonEscapedWritesTheBodyOnly) {
+  std::string out = "x";
+  AppendJsonEscaped(out, "a\"\r\x01");
+  EXPECT_EQ(out, "xa\\\"\\r\\u0001");
+}
+
 TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   JsonWriter w;
   w.BeginArray();
   w.Value(std::nan(""));
-  w.Value(1e309);
+  w.Value(std::numeric_limits<double>::infinity());
   w.EndArray();
   EXPECT_EQ(w.Take(), "[null,null]");
 }

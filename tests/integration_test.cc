@@ -91,7 +91,9 @@ TEST(EndToEndTest, FluidUsesOneGSlicesInMedium) {
   cfg.system = SystemKind::kEsg;
   auto esg = RunExperiment(cfg);
   for (const auto& s : esg.recorder->PerSliceTotals()) {
-    if (s.gpcs == 1) EXPECT_EQ(s.busy, 0);
+    if (s.gpcs == 1) {
+      EXPECT_EQ(s.busy, 0);
+    }
   }
   cfg.system = SystemKind::kFluidFaas;
   auto fluid = RunExperiment(cfg);

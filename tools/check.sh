@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verification, plain and sanitized.
 #
-# Runs the ROADMAP.md tier-1 check (configure + build + ctest) twice: once
-# in the default build tree, once with FFS_SANITIZE=ON (AddressSanitizer +
-# UBSan), plus a fault-injection smoke that exercises the failure-recovery
-# paths (crash harvesting, retries, slice repair, timeout expiry) under the
+# Runs the ROADMAP.md tier-1 check (configure + build + ctest) twice, both
+# with FFS_WERROR=ON: once in the default build tree, once with
+# FFS_SANITIZE=ON (AddressSanitizer + UBSan), plus a fault-injection smoke
+# that exercises the failure-recovery paths (crash harvesting, retries,
+# slice repair, timeout expiry) and a 32-node scale smoke under the
 # sanitizers. Usage:
 #
 #   tools/check.sh          # all passes
 #   tools/check.sh plain    # default build only
 #   tools/check.sh asan     # sanitized build only
-#   tools/check.sh faults   # sanitized fault- and overload-sweep smokes only
+#   tools/check.sh faults   # sanitized fault, overload and scale smokes only
 #   tools/check.sh tsan     # ThreadSanitizer parallel-sweep smoke only
 #   tools/check.sh tidy     # clang-tidy over src/ (fails if not installed)
 #   tools/check.sh perfbench  # build perfbench/ and run 1 s traced smokes
@@ -49,7 +50,8 @@ run_pass() {
 run_faults() {
   echo "=== build-asan: fault-injection and overload smokes ==="
   cmake -B build-asan -S . -DFFS_SANITIZE=ON
-  cmake --build build-asan -j "${jobs}" --target fault_sweep overload_sweep
+  cmake --build build-asan -j "${jobs}" --target fault_sweep overload_sweep \
+    fluidfaas
   ( cd build-asan && FFS_BENCH_DURATION_S=10 \
       FFS_SWEEP_OUT=fault_sweep_smoke.json ./bench/fault_sweep )
   # The artifact is the standard sweep document: 4 rates x 5 systems, each
@@ -80,6 +82,19 @@ for c in cells:
     assert isinstance(c["result"]["qos"], dict), c["index"]
 print("overload_sweep artifact ok:", len(cells), "cells")
 ' build-asan/overload_sweep_smoke.json
+  # Every scheduler on the heavy tier at 32 nodes: the instance churn of a
+  # large cluster under the sanitizers. Nothing is asserted about
+  # completions; FluidFaaS-dist does not scale out yet (ROADMAP item 7).
+  ./build-asan/tools/fluidfaas sweep \
+    --systems fluidfaas,distributed,esg,infless,repartition --tiers heavy \
+    --nodes 32 --duration 20 --jobs "${jobs}" --out build-asan/scale_smoke.json
+  python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["schema"] == "fluidfaas.sweep.v1", doc["schema"]
+assert len(doc["cells"]) == 5, len(doc["cells"])
+print("scale smoke ok:", len(doc["cells"]), "cells")
+' build-asan/scale_smoke.json
 }
 
 # Short parallel sweep under ThreadSanitizer: several worker threads run
@@ -155,15 +170,15 @@ print("perfbench ok:", r["attempted"], "cells; max Route calls/request",
 }
 
 case "${mode}" in
-  plain)  run_pass build ;;
-  asan)   run_pass build-asan -DFFS_SANITIZE=ON ;;
+  plain)  run_pass build -DFFS_WERROR=ON ;;
+  asan)   run_pass build-asan -DFFS_SANITIZE=ON -DFFS_WERROR=ON ;;
   faults) run_faults ;;
   tsan)   run_tsan ;;
   tidy)   run_tidy ;;
   perfbench) run_perfbench ;;
   all)
-    run_pass build
-    run_pass build-asan -DFFS_SANITIZE=ON
+    run_pass build -DFFS_WERROR=ON
+    run_pass build-asan -DFFS_SANITIZE=ON -DFFS_WERROR=ON
     run_faults
     run_tsan
     run_perfbench
