@@ -117,7 +117,9 @@ TEST(GoldenDigestTest, AllSchedulersFaultFree) {
 // on the paper cluster, and heavy on 8 nodes. The faulted rows pin the
 // recovery path of every scheduler: crash harvesting, retries, resume at
 // the failed stage, timeouts and rejections. The heavy 8-node row has the
-// most instance churn (evictions, migrations, crashes).
+// most instance churn (evictions, migrations, crashes). The two heavy
+// 2-node shed rows pin the key-ordered queues (fifo and edf) under
+// deadline-infeasible shedding with a deep pending set.
 TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
   struct VariantCell {
     const char* label;
@@ -151,6 +153,16 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
        {0x4cfedbaf1e95b3c0ULL, 0x120534e73a1d9db1ULL,
         0x60273cfea9fc885fULL, 0x9837d61d4fa880baULL,
         0xb47ed59ded4a15d9ULL}},
+      {"heavy fault-free fifo/shed", WorkloadTier::kHeavy, 2, 0.0, "fifo",
+       "shed",
+       {0x36ccafcfa5be7ab7ULL, 0x9e928764db0adb9bULL,
+        0xb537a0037b0d1a48ULL, 0x49aa29510907c303ULL,
+        0x3189116f69b387d4ULL}},
+      {"heavy faults 0.05 edf/shed", WorkloadTier::kHeavy, 2, 0.05, "edf",
+       "shed",
+       {0x0e3edfc5eb53ff16ULL, 0x77001a6ac6d467d3ULL,
+        0x3574c6c6250ce181ULL, 0x9337065006f4a708ULL,
+        0x562e91803888d857ULL}},
   };
   for (const VariantCell& v : kVariants) {
     for (std::size_t s = 0; s < std::size(kSystems); ++s) {
