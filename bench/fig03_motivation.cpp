@@ -54,9 +54,8 @@ int main() {
     if (t % Seconds(15) == 0) {
       table.AddRow({metrics::Fmt(ToSeconds(t), 0), metrics::Fmt(need, 1),
                     metrics::Fmt(bound, 1), metrics::Fmt(busy, 1),
-                    need > 0
-                        ? "+" + metrics::Fmt(100.0 * (ratio - 1.0), 0) + "%"
-                        : "-"});
+                    need > 0 ? metrics::FmtGain(100.0 * (ratio - 1.0), 0)
+                             : "-"});
     }
   }
   table.Print();

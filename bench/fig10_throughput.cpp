@@ -26,10 +26,8 @@ int main() {
          metrics::Fmt(inf.throughput_rps, 1),
          metrics::Fmt(esg.throughput_rps, 1),
          metrics::Fmt(fluid.throughput_rps, 1),
-         "+" + metrics::Fmt(
-                   100.0 * (fluid.throughput_rps / esg.throughput_rps - 1.0),
-                   1) +
-             "%",
+         metrics::FmtGain(
+             100.0 * (fluid.throughput_rps / esg.throughput_rps - 1.0), 1),
          metrics::Fmt(ToSeconds(fluid.makespan), 1) + "s",
          metrics::Fmt(ToSeconds(esg.makespan), 1) + "s"});
   }

@@ -64,6 +64,13 @@ std::string FmtPercent(double fraction, int decimals) {
   return Fmt(fraction * 100.0, decimals) + "%";
 }
 
+std::string FmtGain(double percent, int decimals) {
+  std::string out = "+";
+  out += Fmt(percent, decimals);
+  out += '%';
+  return out;
+}
+
 std::string FmtMillis(double us, int decimals) {
   return Fmt(us / 1000.0, decimals) + "ms";
 }

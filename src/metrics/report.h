@@ -28,5 +28,7 @@ class Table {
 std::string Fmt(double v, int decimals = 2);
 std::string FmtPercent(double fraction, int decimals = 1);
 std::string FmtMillis(double us, int decimals = 1);
+/// A relative gain already in percent, printed as "+<v>%".
+std::string FmtGain(double percent, int decimals);
 
 }  // namespace fluidfaas::metrics

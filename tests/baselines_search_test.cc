@@ -16,7 +16,9 @@ model::AppDag Dag(Bytes per_comp, SimDuration t1, int k = 3) {
   for (int i = 0; i < k; ++i) {
     model::ComponentSpec c;
     c.id = ComponentId(i);
-    c.name = "c" + std::to_string(i);
+    std::string name = "c";
+  name += std::to_string(i);
+  c.name = std::move(name);
     c.cls = model::ComponentClass::kClassification;
     c.weights = per_comp / 2;
     c.activations = per_comp - per_comp / 2;

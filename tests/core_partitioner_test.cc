@@ -15,7 +15,9 @@ namespace {
 model::ComponentSpec Comp(int idx, Bytes mem, SimDuration t) {
   model::ComponentSpec c;
   c.id = ComponentId(idx);
-  c.name = "c" + std::to_string(idx);
+  std::string name = "c";
+  name += std::to_string(idx);
+  c.name = std::move(name);
   c.cls = model::ComponentClass::kClassification;
   c.weights = mem / 2;
   c.activations = mem - mem / 2;

@@ -11,7 +11,9 @@ namespace {
 ComponentSpec Comp(int idx, Bytes mem, SimDuration t, Bytes out = MiB(10)) {
   ComponentSpec c;
   c.id = ComponentId(idx);
-  c.name = "c" + std::to_string(idx);
+  std::string name = "c";
+  name += std::to_string(idx);
+  c.name = std::move(name);
   c.cls = ComponentClass::kClassification;
   c.weights = mem / 2;
   c.activations = mem - mem / 2;

@@ -27,7 +27,9 @@ namespace {
 model::ComponentSpec Comp(int idx, SimDuration t) {
   model::ComponentSpec c;
   c.id = ComponentId(idx);
-  c.name = "c" + std::to_string(idx);
+  std::string name = "c";
+  name += std::to_string(idx);
+  c.name = std::move(name);
   c.cls = model::ComponentClass::kClassification;
   c.weights = GiB(1);
   c.activations = GiB(1);

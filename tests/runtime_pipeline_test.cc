@@ -51,7 +51,9 @@ TEST(PipelineRuntimeTest, StagesComposeInOrder) {
   PipelineRuntime rt({Tagger("-a"), Tagger("-b"), Tagger("-c")});
   rt.Start();
   for (std::uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(rt.Submit(i, Payload("r" + std::to_string(i))));
+    std::string body = "r";
+    body += std::to_string(i);
+    ASSERT_TRUE(rt.Submit(i, Payload(body)));
   }
   rt.Shutdown();
   for (std::uint64_t i = 0; i < 100; ++i) {

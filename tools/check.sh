@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Tier-1 verification, plain and sanitized.
 #
-# Runs the ROADMAP.md tier-1 check (configure + build + ctest) twice, both
-# with FFS_WERROR=ON: once in the default build tree, once with
-# FFS_SANITIZE=ON (AddressSanitizer + UBSan), plus a fault-injection smoke
-# that exercises the failure-recovery paths (crash harvesting, retries,
-# slice repair, timeout expiry) and a 32-node scale smoke under the
-# sanitizers. Usage:
+# Runs the ROADMAP.md tier-1 check (configure + build + ctest) three times,
+# all with FFS_WERROR=ON: in the default build tree, with FFS_SANITIZE=ON
+# (AddressSanitizer + UBSan), and as a Release build (the optimisation level
+# perfbench uses, where GCC's flow-sensitive warnings fire), plus a
+# fault-injection smoke that exercises the failure-recovery paths (crash
+# harvesting, retries, slice repair, timeout expiry) and a 32-node scale
+# smoke under the sanitizers. Usage:
 #
 #   tools/check.sh          # all passes
 #   tools/check.sh plain    # default build only
 #   tools/check.sh asan     # sanitized build only
+#   tools/check.sh release  # Release build only
 #   tools/check.sh faults   # sanitized fault, overload and scale smokes only
 #   tools/check.sh tsan     # ThreadSanitizer parallel-sweep smoke only
 #   tools/check.sh tidy     # clang-tidy over src/ (fails if not installed)
@@ -172,6 +174,8 @@ print("perfbench ok:", r["attempted"], "cells; max Route calls/request",
 case "${mode}" in
   plain)  run_pass build -DFFS_WERROR=ON ;;
   asan)   run_pass build-asan -DFFS_SANITIZE=ON -DFFS_WERROR=ON ;;
+  release)
+    run_pass build-release -DCMAKE_BUILD_TYPE=Release -DFFS_WERROR=ON ;;
   faults) run_faults ;;
   tsan)   run_tsan ;;
   tidy)   run_tidy ;;
@@ -179,14 +183,15 @@ case "${mode}" in
   all)
     run_pass build -DFFS_WERROR=ON
     run_pass build-asan -DFFS_SANITIZE=ON -DFFS_WERROR=ON
+    run_pass build-release -DCMAKE_BUILD_TYPE=Release -DFFS_WERROR=ON
     run_faults
     run_tsan
     run_perfbench
     run_tidy soft
     ;;
   *)
-    echo "usage: tools/check.sh [plain|asan|all|faults|tsan|tidy|perfbench]" \
-         "[-j N]" >&2
+    echo "usage: tools/check.sh" \
+         "[plain|asan|release|all|faults|tsan|tidy|perfbench] [-j N]" >&2
     exit 2
     ;;
 esac
