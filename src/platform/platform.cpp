@@ -467,11 +467,14 @@ void PlatformCore::DispatchPending() {
   // The refusal bars rest on the RoutingPolicy::Route contract: while the
   // state stands still, refusals are monotone in due = max(deadline, now).
   // A placement, or any publish during the call, may have moved the state,
-  // so it drops every bar.
+  // so it drops every bar. A kKeep answered from a bar carries the bar as
+  // its keep-through bound, which lets a key-ordered queue jump over the
+  // rest of the function's blocked run.
   refused_due_.assign(functions_.size(), kNoBar);
   // Capturing only [this, now] keeps the closure inside std::function's
   // small buffer, so a pass allocates nothing.
-  pending_q_->Drain([this, now = sim_.Now()](const qos::QueueItem& item) {
+  pending_q_->Drain([this, now = sim_.Now()](
+                        const qos::QueueItem& item) -> qos::DrainVerdict {
     const sim::RejectCause shed = admission_->ReviewAtDispatch(item, now);
     if (shed != sim::RejectCause::kNone) {
       RejectRequest(item.rid, item.fn, shed, /*at_submit=*/false);
@@ -479,15 +482,18 @@ void PlatformCore::DispatchPending() {
     }
     const SimTime due = std::max(item.deadline, now);
     SimTime& bar = refused_due_[static_cast<std::size_t>(item.fn.value)];
-    if (due <= bar) return qos::DrainVerdict::kKeep;
+    if (due <= bar) return qos::DrainVerdict::KeepThrough(bar);
     const std::uint64_t published = bus().published();
-    const bool placed = routing_->Route(*this, item.rid, item.fn);
-    if (placed || bus().published() != published) {
+    if (routing_->Route(*this, item.rid, item.fn)) {
       std::fill(refused_due_.begin(), refused_due_.end(), kNoBar);
-    } else {
-      bar = due;  // due > bar here
+      return qos::DrainVerdict::kDispatch;
     }
-    return placed ? qos::DrainVerdict::kDispatch : qos::DrainVerdict::kKeep;
+    if (bus().published() != published) {
+      std::fill(refused_due_.begin(), refused_due_.end(), kNoBar);
+      return qos::DrainVerdict::kKeep;
+    }
+    bar = due;  // due > bar here
+    return qos::DrainVerdict::KeepThrough(bar);
   });
   PublishPendingDepth();
 }

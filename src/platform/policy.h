@@ -69,7 +69,10 @@ class RoutingPolicy {
   /// on the bus (a Commit, abort or eviction does). DispatchPending relies
   /// on this: within one pass it does not re-offer a refused function's
   /// items at or below the highest refused due until a Route call places a
-  /// request or publishes something (DESIGN.md §9).
+  /// request or publishes something (DESIGN.md §9). It passes that due to
+  /// the queue as a keep-through bound, so a key-ordered queue skips the
+  /// blocked run without offering it; AdmissionController::ReviewAtDispatch
+  /// carries the matching contract for the admission review.
   virtual bool Route(PlatformCore& core, RequestId rid, FunctionId fn) = 0;
 };
 

@@ -39,6 +39,13 @@ class AdmissionController {
 
   /// Re-judge a queued request as the pending set offers it for dispatch;
   /// a non-kNone answer sheds it.
+  ///
+  /// Contract: the review has no side effects, and at a fixed `now`, if it
+  /// admits an item, it also admits every item of the same function with
+  /// the same service_estimate and a deadline no earlier. A key-ordered
+  /// queue relies on this when it jumps over a refused run without
+  /// offering it (DrainVerdict::KeepThrough, DESIGN.md §9): the run's
+  /// items would all have passed the review.
   virtual sim::RejectCause ReviewAtDispatch(const QueueItem& item,
                                             SimTime now) = 0;
 };

@@ -10,44 +10,103 @@ namespace fluidfaas::qos {
 // --- KeyedQueue -------------------------------------------------------------
 
 void KeyedQueue::Enqueue(QueueItem item) {
+  FFS_CHECK_MSG(!draining_, "Enqueue during a drain pass");
   item.seq = NextSeq();
-  items_.emplace(std::make_pair(item.*key_, item.seq), item);
+  const SimDuration offset = item.*key_ - item.deadline;
+  auto lane = std::find_if(lanes_.begin(), lanes_.end(), [&](const Lane& l) {
+    return l.fn == item.fn && l.service_estimate == item.service_estimate &&
+           l.offset == offset;
+  });
+  if (lane == lanes_.end()) {
+    lane = lanes_.insert(lanes_.end(),
+                         Lane{item.fn, item.service_estimate, offset, {}, {}});
+  }
+  lane->items.emplace(Pos{item.*key_, item.seq}, item);
+  ++size_;
 }
 
 bool KeyedQueue::Remove(RequestId rid) {
-  for (auto it = items_.begin(); it != items_.end(); ++it) {
-    if (it->second.rid == rid) {
-      items_.erase(it);
+  FFS_CHECK_MSG(!draining_, "Remove during a drain pass");
+  for (auto lane = lanes_.begin(); lane != lanes_.end(); ++lane) {
+    for (auto it = lane->items.begin(); it != lane->items.end(); ++it) {
+      if (it->second.rid != rid) continue;
+      lane->items.erase(it);
+      if (lane->items.empty()) lanes_.erase(lane);
+      --size_;
       return true;
     }
   }
   return false;
 }
 
-void KeyedQueue::Drain(const DrainFn& fn) {
-  auto it = items_.begin();
-  while (it != items_.end()) {
-    const DrainVerdict v = fn(it->second);
-    if (v == DrainVerdict::kKeep) {
-      ++it;
-    } else {
-      it = items_.erase(it);
+KeyedQueue::Lane* KeyedQueue::NextLane() {
+  Lane* best = nullptr;
+  for (Lane& lane : lanes_) {
+    if (lane.cursor == lane.items.end()) continue;
+    if (best == nullptr || lane.cursor->first < best->cursor->first) {
+      best = &lane;
     }
   }
+  return best;
+}
+
+void KeyedQueue::Drain(const DrainFn& fn) {
+  FFS_CHECK_MSG(!draining_, "re-entrant drain pass");
+  draining_ = true;
+  for (Lane& lane : lanes_) lane.cursor = lane.items.begin();
+  // Set while a keep-through jump stands: until the callback's state moves,
+  // the items it skipped would all be answered kKeep.
+  bool jumped = false;
+  while (Lane* lane = NextLane()) {
+    const auto it = lane->cursor;
+    const Pos pos = it->first;
+    const DrainVerdict v = fn(it->second);
+    if (v == DrainVerdict::kKeep && v.bounded()) {
+      // The head passed the admission review, so every later item of its
+      // lane would too (the ReviewAtDispatch contract): jump over the
+      // lane's items with deadline <= bound.
+      FFS_CHECK(v.keep_through() >= it->second.deadline);
+      lane->cursor = lane->items.upper_bound(
+          {v.keep_through() + lane->offset,
+           std::numeric_limits<std::uint64_t>::max()});
+      jumped = true;
+      continue;
+    }
+    if (v == DrainVerdict::kKeep) {
+      ++lane->cursor;
+    } else {
+      lane->cursor = lane->items.erase(it);
+      --size_;
+    }
+    if (jumped && v != DrainVerdict::kDrop) {
+      // The state may have moved: offer again every skipped item that
+      // comes after this one.
+      for (Lane& l : lanes_) l.cursor = l.items.upper_bound(pos);
+      jumped = false;
+    }
+  }
+  std::erase_if(lanes_, [](const Lane& l) { return l.items.empty(); });
+  draining_ = false;
 }
 
 std::size_t KeyedQueue::DepthOf(FunctionId fn) const {
   std::size_t n = 0;
-  for (const auto& [key, item] : items_) {
-    if (item.fn == fn) ++n;
+  for (const Lane& lane : lanes_) {
+    if (lane.fn == fn) n += lane.items.size();
   }
   return n;
 }
 
 std::vector<QueueItem> KeyedQueue::Snapshot() const {
   std::vector<QueueItem> out;
-  out.reserve(items_.size());
-  for (const auto& [key, item] : items_) out.push_back(item);
+  out.reserve(size_);
+  for (const Lane& lane : lanes_) {
+    for (const auto& [pos, item] : lane.items) out.push_back(item);
+  }
+  std::sort(out.begin(), out.end(), [this](const QueueItem& a,
+                                           const QueueItem& b) {
+    return Pos{a.*key_, a.seq} < Pos{b.*key_, b.seq};
+  });
   return out;
 }
 

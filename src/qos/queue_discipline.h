@@ -5,8 +5,8 @@
 // KeyedQueue below, and two alternatives ride the same seam:
 //
 //   fifo — KeyedQueue on the caller-supplied priority (the §5.3 adjusted
-//          deadline), insertion order on ties. Byte-identical to the old
-//          multimap.
+//          deadline), insertion order on ties. Offers items in the old
+//          multimap's order.
 //   fair — FairQueue: per-function start-time fair queueing (SFQ): every
 //          item gets virtual start/finish tags; dequeue picks the minimum
 //          finish tag, so a bursty function cannot starve its
@@ -16,6 +16,15 @@
 //          the scheduler re-picks.
 //   edf  — KeyedQueue on the absolute SLO deadline: earliest first.
 //
+// KeyedQueue splits its items into per-function lanes and drains them with
+// a merge of the lane heads in the global (key, seq) order. A kKeep
+// verdict may carry a keep-through bound (DrainVerdict::KeepThrough); the
+// queue then jumps over the rest of the refused run in that lane instead
+// of offering each item, so a pass costs about one offer per lane and per
+// Route call rather than one per pending item (DESIGN.md §9). A discipline
+// may ignore the bound: the callback still answers every item it is
+// offered exactly.
+//
 // Every discipline is strictly deterministic: ties break by the arrival
 // sequence number stamped at Enqueue, never by pointer or hash order
 // (test-pinned across parallel sweep job counts).
@@ -24,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,12 +57,48 @@ struct QueueItem {
   SimDuration service_estimate = 0;
 };
 
-/// What the drain callback did with an offered item.
-enum class DrainVerdict {
-  kKeep,      // could not place it now; stays queued
-  kDispatch,  // admitted to an instance; leaves the queue
-  kDrop,      // shed by admission review; leaves the queue, and fair
-              // queueing does not advance virtual time for it
+/// What the drain callback did with an offered item, and for a kKeep, how
+/// far the refusal reaches. Converts implicitly from an action, so a
+/// callback may simply `return DrainVerdict::kDispatch;`.
+class DrainVerdict {
+ public:
+  enum class Action : std::uint8_t { kKeep, kDispatch, kDrop };
+  // Could not place it now; stays queued.
+  static constexpr Action kKeep = Action::kKeep;
+  // Admitted to an instance; leaves the queue.
+  static constexpr Action kDispatch = Action::kDispatch;
+  // Shed by admission review; leaves the queue, and fair queueing does not
+  // advance virtual time for it.
+  static constexpr Action kDrop = Action::kDrop;
+
+  constexpr DrainVerdict(Action action) : action_(action) {}
+
+  /// A kKeep with keep-through bound `bound`. It promises that the callback
+  /// would answer kKeep, with no side effect, to every item of the same
+  /// function with deadline <= bound that the admission review admits
+  /// (AdmissionController::ReviewAtDispatch). The promise holds until the
+  /// callback next answers kDispatch or a kKeep without a bound; a kDrop
+  /// leaves it standing. `bound` is at least the offered item's deadline.
+  static constexpr DrainVerdict KeepThrough(SimTime bound) {
+    DrainVerdict v(kKeep);
+    v.keep_through_ = bound;
+    return v;
+  }
+
+  constexpr Action action() const { return action_; }
+  constexpr bool bounded() const { return keep_through_ != kUnbounded; }
+  /// The keep-through bound; meaningful only when bounded().
+  constexpr SimTime keep_through() const { return keep_through_; }
+
+  friend constexpr bool operator==(const DrainVerdict& v, Action a) {
+    return v.action_ == a;
+  }
+
+ private:
+  static constexpr SimTime kUnbounded = std::numeric_limits<SimTime>::min();
+
+  Action action_;
+  SimTime keep_through_ = kUnbounded;
 };
 
 /// How per-instance stage queues order their work under this discipline.
@@ -80,7 +126,9 @@ class QueueDiscipline {
   /// Offer queued items to `fn` in discipline order. Items answered
   /// kDispatch or kDrop leave the queue; kKeep items stay (and, for fair
   /// queueing, block the rest of their function's backlog for this pass —
-  /// per-function order is always preserved).
+  /// per-function order is always preserved). A discipline may skip items
+  /// a standing keep-through bound covers (DrainVerdict::KeepThrough);
+  /// nothing may Enqueue or Remove while a pass runs.
   virtual void Drain(const DrainFn& fn) = 0;
 
   virtual std::size_t size() const = 0;
@@ -105,6 +153,15 @@ class QueueDiscipline {
 /// on ties. Fifo() keys on `priority`: with priority = adjusted deadline
 /// this reproduces the pre-QoS multimap event for event. Edf() keys on the
 /// absolute SLO `deadline`, and its stage queues sort the same way.
+///
+/// Items live in lanes: one lane per (function, service_estimate,
+/// key − deadline), so inside a lane key order is deadline order (a
+/// function has at most two lanes, warm and cold). Drain merges the lane
+/// heads in (key, seq) order. A bounded kKeep of a lane's head moves that
+/// lane past every item with deadline <= the bound; the first kDispatch or
+/// unbounded kKeep after such a jump re-seats every lane at its first item
+/// past the current position, so skipped items that come later in the
+/// order are offered again.
 class KeyedQueue final : public QueueDiscipline {
  public:
   static KeyedQueue Fifo() {
@@ -118,21 +175,37 @@ class KeyedQueue final : public QueueDiscipline {
   void Enqueue(QueueItem item) override;
   bool Remove(RequestId rid) override;
   void Drain(const DrainFn& fn) override;
-  std::size_t size() const override { return items_.size(); }
+  std::size_t size() const override { return size_; }
   std::size_t DepthOf(FunctionId fn) const override;
   std::vector<QueueItem> Snapshot() const override;
   StageOrder stage_order() const override { return stage_order_; }
 
  private:
   using Key = SimTime QueueItem::*;
+  using Pos = std::pair<SimTime, std::uint64_t>;  // (key, seq)
+  using Items = std::map<Pos, QueueItem>;
+
+  struct Lane {
+    FunctionId fn;
+    SimDuration service_estimate;
+    SimDuration offset;  // key − deadline, the same for every item
+    Items items;
+    Items::iterator cursor;  // the next item this pass offers
+  };
 
   KeyedQueue(const char* name, Key key, StageOrder stage_order)
       : name_(name), key_(key), stage_order_(stage_order) {}
 
+  /// The lane whose cursor holds the smallest (key, seq); null when every
+  /// lane is exhausted.
+  Lane* NextLane();
+
   const char* name_;
   Key key_;
   StageOrder stage_order_;
-  std::map<std::pair<SimTime, std::uint64_t>, QueueItem> items_;
+  std::vector<Lane> lanes_;  // no empty lane outside a pass
+  std::size_t size_ = 0;
+  bool draining_ = false;
 };
 
 /// Start-time fair queueing over per-function flows with MQFQ-style
