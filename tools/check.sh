@@ -149,7 +149,8 @@ run_tidy() {
 # see. The benchmark state-checks and digests every cell; the last stdout
 # line is its JSON result, which must report every cell correct. On
 # heavy-paper, where the pending set stays deep, every scheduler must also
-# stay under 20 Route calls per request (the counts are deterministic).
+# stay under 20 Route calls and 50 queue offers per request (the counts
+# are deterministic).
 run_perfbench() {
   local workload out
   for workload in light-steady heavy-paper; do
@@ -165,8 +166,13 @@ calls = {k: m["value"] for k, m in r["metrics"].items()
 assert calls, "no route_calls_per_request metrics"
 over = {k: v for k, v in calls.items() if not v < 20}
 assert not over, f"20 or more Route calls per request: {over}"
+offers = {k: m["value"] for k, m in r["metrics"].items()
+          if k.startswith("qos.offers_per_request.")}
+assert offers, "no qos.offers_per_request metrics"
+over = {k: v for k, v in offers.items() if not v < 50}
+assert not over, f"50 or more queue offers per request: {over}"
 print("perfbench ok:", r["attempted"], "cells; max Route calls/request",
-      max(calls.values()))
+      max(calls.values()), "; max offers/request", max(offers.values()))
 ' "${out}"
   done
 }
