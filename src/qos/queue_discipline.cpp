@@ -61,7 +61,7 @@ void KeyedQueue::Drain(const DrainFn& fn) {
     const auto it = lane->cursor;
     const Pos pos = it->first;
     const DrainVerdict v = fn(it->second);
-    if (v == DrainVerdict::kKeep && v.bounded()) {
+    if (v.bounded()) {
       // The head passed the admission review, so every later item of its
       // lane would too (the ReviewAtDispatch contract): jump over the
       // lane's items with deadline <= bound.

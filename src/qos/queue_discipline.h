@@ -16,14 +16,8 @@
 //          the scheduler re-picks.
 //   edf  — KeyedQueue on the absolute SLO deadline: earliest first.
 //
-// KeyedQueue splits its items into per-function lanes and drains them with
-// a merge of the lane heads in the global (key, seq) order. A kKeep
-// verdict may carry a keep-through bound (DrainVerdict::KeepThrough); the
-// queue then jumps over the rest of the refused run in that lane instead
-// of offering each item, so a pass costs about one offer per lane and per
-// Route call rather than one per pending item (DESIGN.md §9). A discipline
-// may ignore the bound: the callback still answers every item it is
-// offered exactly.
+// A kKeep verdict may carry a keep-through bound; KeyedQueue then jumps
+// over the refused run instead of offering each item (DESIGN.md §9).
 //
 // Every discipline is strictly deterministic: ties break by the arrival
 // sequence number stamped at Enqueue, never by pointer or hash order
@@ -85,7 +79,6 @@ class DrainVerdict {
     return v;
   }
 
-  constexpr Action action() const { return action_; }
   constexpr bool bounded() const { return keep_through_ != kUnbounded; }
   /// The keep-through bound; meaningful only when bounded().
   constexpr SimTime keep_through() const { return keep_through_; }
