@@ -484,13 +484,10 @@ void PlatformCore::DispatchPending() {
     SimTime& bar = refused_due_[static_cast<std::size_t>(item.fn.value)];
     if (due <= bar) return qos::DrainVerdict::KeepThrough(bar);
     const std::uint64_t published = bus().published();
-    if (routing_->Route(*this, item.rid, item.fn)) {
+    const bool placed = routing_->Route(*this, item.rid, item.fn);
+    if (placed || bus().published() != published) {
       std::fill(refused_due_.begin(), refused_due_.end(), kNoBar);
-      return qos::DrainVerdict::kDispatch;
-    }
-    if (bus().published() != published) {
-      std::fill(refused_due_.begin(), refused_due_.end(), kNoBar);
-      return qos::DrainVerdict::kKeep;
+      return placed ? qos::DrainVerdict::kDispatch : qos::DrainVerdict::kKeep;
     }
     bar = due;  // due > bar here
     return qos::DrainVerdict::KeepThrough(bar);
