@@ -119,7 +119,9 @@ TEST(GoldenDigestTest, AllSchedulersFaultFree) {
 // the failed stage, timeouts and rejections. The heavy 8-node row has the
 // most instance churn (evictions, migrations, crashes). The two heavy
 // 2-node shed rows pin the key-ordered queues (fifo and edf) under
-// deadline-infeasible shedding with a deep pending set.
+// deadline-infeasible shedding with a deep pending set. The heavy 32-node
+// row is the largest cluster any digest runs: FluidFaaS's Route there
+// scans dozens of exclusive-hot instances per function.
 TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
   struct VariantCell {
     const char* label;
@@ -163,6 +165,11 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
        {0x0e3edfc5eb53ff16ULL, 0x77001a6ac6d467d3ULL,
         0x3574c6c6250ce181ULL, 0x9337065006f4a708ULL,
         0x562e91803888d857ULL}},
+      {"heavy 32 nodes fault-free fifo/none", WorkloadTier::kHeavy, 32, 0.0,
+       "fifo", "none",
+       {0xfa40d682e5d4ef76ULL, 0xb2ab3f11e75caf9fULL,
+        0x67f104a381e720f9ULL, 0xfb1ab53e013e4301ULL,
+        0xa80e8d5dc4d26bdaULL}},
   };
   for (const VariantCell& v : kVariants) {
     for (std::size_t s = 0; s < std::size(kSystems); ++s) {
@@ -182,6 +189,45 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
       }
       EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(v.digests[s]))
           << r.system << " / " << v.label;
+    }
+  }
+}
+
+// FluidFaaS and FluidFaaS-dist on the heavy tier, paper cluster, 60 s,
+// with one design feature switched off per row. Without time sharing the
+// first request of a function launches an exclusive instance from Route
+// itself; without pipelines every exclusive instance is monolithic; without
+// migration no pipeline is consolidated. This trace makes no migration, so
+// the last row equals the fault-free heavy cells.
+TEST(GoldenDigestTest, FluidFaasAblations) {
+  struct AblationCell {
+    const char* label;
+    void (*apply)(platform::PlatformConfig&);
+    std::uint64_t digests[2];  // kFfs, kDist
+  };
+  constexpr SystemKind kSystems[] = {kFfs, kDist};
+  constexpr AblationCell kAblations[] = {
+      {"no time sharing",
+       [](platform::PlatformConfig& p) { p.enable_time_sharing = false; },
+       {0x6bec8c6e61e37e23ULL, 0xcc7efac47f2d31afULL}},
+      {"no pipelines",
+       [](platform::PlatformConfig& p) { p.enable_pipelines = false; },
+       {0x77ae504a4e5d6b68ULL, 0x6a6b69fb423a4508ULL}},
+      {"no migration",
+       [](platform::PlatformConfig& p) { p.enable_migration = false; },
+       {0xff0bce44c55fd787ULL, 0x3e03b3fdfabe4b2aULL}},
+  };
+  for (const AblationCell& a : kAblations) {
+    for (std::size_t s = 0; s < std::size(kSystems); ++s) {
+      ExperimentConfig cfg;
+      cfg.system = kSystems[s];
+      cfg.tier = WorkloadTier::kHeavy;
+      cfg.duration = Seconds(60);
+      a.apply(cfg.platform);
+      const ExperimentResult r = RunExperiment(cfg);
+      ASSERT_GT(r.recorder->records().size(), 0u);
+      EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(a.digests[s]))
+          << r.system << " / " << a.label;
     }
   }
 }

@@ -295,14 +295,15 @@ struct RouteCount {
   std::size_t requests = 0;
 };
 
-/// The heavy tier for 60 s on the paper cluster (seed 1234, fault-free,
-/// fifo/none), run the way harness::RunContext runs it, with the bundle's
-/// router wrapped in a call counter and its pending queue in an offer
-/// counter.
-RouteCount CountHeavyRouteCalls(harness::SystemKind system) {
+/// The heavy tier for 60 s on `num_nodes` nodes of 8 GPUs (seed 1234,
+/// fault-free, fifo/none), run the way harness::RunContext runs it, with
+/// the bundle's router wrapped in a call counter and its pending queue in
+/// an offer counter.
+RouteCount CountHeavyRouteCalls(harness::SystemKind system, int num_nodes) {
   harness::EnsureBuiltinSchedulersRegistered();
   harness::ExperimentConfig config;
   config.system = system;
+  config.num_nodes = num_nodes;
   config.tier = trace::WorkloadTier::kHeavy;
   config.duration = Seconds(60);
   gpu::Cluster cluster(std::vector<std::vector<gpu::MigPartition>>(
@@ -363,7 +364,7 @@ TEST(DispatchRouteCallsTest, HeavyTierPinnedAndUnderTwentyPerRequest) {
       {harness::SystemKind::kRepartition, 13458, 14252},
   };
   for (const Pinned& p : kPinned) {
-    const RouteCount c = CountHeavyRouteCalls(p.system);
+    const RouteCount c = CountHeavyRouteCalls(p.system, 2);
     ASSERT_GT(c.requests, 0u);
     const auto requests = static_cast<double>(c.requests);
     EXPECT_EQ(c.calls, p.calls)
@@ -376,6 +377,32 @@ TEST(DispatchRouteCallsTest, HeavyTierPinnedAndUnderTwentyPerRequest) {
     EXPECT_LT(static_cast<double>(c.offers) / requests, 50.0)
         << harness::Name(p.system) << ": " << c.offers << " offers for "
         << c.requests << " requests";
+  }
+}
+
+// The same counts on 32 nodes (16x the paper cluster and request rate).
+// Pinned exactly, with no per-request bound: fewer than 20 Route calls per
+// request at this scale is still an open target.
+TEST(DispatchRouteCallsTest, HeavyThirtyTwoNodesPinned) {
+  struct Pinned {
+    harness::SystemKind system;
+    std::uint64_t calls;
+    std::uint64_t offers;
+  };
+  constexpr Pinned kPinned[] = {
+      {harness::SystemKind::kFluidFaas, 645021, 624036},
+      {harness::SystemKind::kFluidFaasDistributed, 20985, 0},
+      {harness::SystemKind::kEsg, 1852295, 1831310},
+      {harness::SystemKind::kInfless, 1942047, 1921062},
+      {harness::SystemKind::kRepartition, 1725758, 1735987},
+  };
+  for (const Pinned& p : kPinned) {
+    const RouteCount c = CountHeavyRouteCalls(p.system, 32);
+    ASSERT_GT(c.requests, 0u);
+    EXPECT_EQ(c.calls, p.calls)
+        << harness::Name(p.system) << ", " << c.requests << " requests";
+    EXPECT_EQ(c.offers, p.offers)
+        << harness::Name(p.system) << ", " << c.requests << " requests";
   }
 }
 
