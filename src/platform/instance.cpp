@@ -9,12 +9,10 @@
 
 namespace fluidfaas::platform {
 
-Instance::Instance(InstanceId id, FunctionId fn, const model::AppDag& dag,
-                   core::PipelinePlan plan, sim::Simulator& sim,
-                   CompletionFn on_complete)
+Instance::Instance(InstanceId id, FunctionId fn, core::PipelinePlan plan,
+                   sim::Simulator& sim, CompletionFn on_complete)
     : id_(id),
       fn_(fn),
-      dag_(dag),
       plan_(std::move(plan)),
       sim_(sim),
       on_complete_(std::move(on_complete)) {

@@ -32,9 +32,8 @@ class Instance {
   /// Lifecycle, per-slice occupancy and per-request phase attribution are
   /// published on `sim.bus()` (sim/events.h) rather than written to any
   /// observer directly.
-  Instance(InstanceId id, FunctionId fn, const model::AppDag& dag,
-           core::PipelinePlan plan, sim::Simulator& sim,
-           CompletionFn on_complete);
+  Instance(InstanceId id, FunctionId fn, core::PipelinePlan plan,
+           sim::Simulator& sim, CompletionFn on_complete);
 
   InstanceId id() const { return id_; }
   FunctionId function() const { return fn_; }
@@ -175,7 +174,6 @@ class Instance {
 
   InstanceId id_;
   FunctionId fn_;
-  const model::AppDag& dag_;
   core::PipelinePlan plan_;
   sim::Simulator& sim_;
   CompletionFn on_complete_;

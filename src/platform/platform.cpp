@@ -374,7 +374,7 @@ Instance* PlatformCore::LaunchInstance(const FunctionSpec& fn,
   }
 
   instances_.push_back(InstanceRow{std::make_unique<Instance>(
-      iid, fn.id, fn.dag, std::move(plan), sim_,
+      iid, fn.id, std::move(plan), sim_,
       [this](RequestId rid) { HandleCompletion(rid); })});
   Instance* raw = instances_.back().inst.get();
   fns_[FnIndex(fn.id)].live.push_back(raw);

@@ -43,7 +43,7 @@ class BatchingTest : public ::testing::Test {
     cluster_.Bind(SliceId(0), InstanceId(1));
     recorder_.SliceBound(SliceId(0), 0);
     auto inst = std::make_unique<Instance>(
-        InstanceId(1), FunctionId(0), dag_, std::move(plan), sim_,
+        InstanceId(1), FunctionId(0), std::move(plan), sim_,
         [this](RequestId rid) { completions_.push_back({rid, sim_.Now()}); });
     inst->SetBatching(max_batch, marginal);
     inst->Launch(0);

@@ -68,7 +68,7 @@ class InstanceTest : public ::testing::Test {
       recorder_.SliceBound(s.slice, sim_.Now());
     }
     auto inst = std::make_unique<Instance>(
-        InstanceId(1), FunctionId(0), dag_, std::move(plan), sim_,
+        InstanceId(1), FunctionId(0), std::move(plan), sim_,
         [this](RequestId rid) { completions_.push_back({rid, sim_.Now()}); });
     inst->Launch(load);
     return inst;
