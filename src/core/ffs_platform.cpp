@@ -1,6 +1,5 @@
 #include "core/ffs_platform.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -143,47 +142,50 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
   const SimTime deadline = core.DeadlineOf(rid);
 
   // 1. Exclusive-hot instances, lowest service latency first, while their
-  //    backlog still meets the deadline (§5.3 request routing). Each
-  //    latency is computed once, not once per comparison.
-  std::vector<std::pair<SimDuration, Instance*>> hot;
+  //    backlog still meets the deadline (§5.3 request routing): the fit is
+  //    the minimum (ServiceLatency, id) over the admitting instances that
+  //    meet it, found in one pass. Ids are unique, so the order is total.
+  Instance* fit = nullptr;
+  bool no_hot = true;
   for (Instance* inst : st.eh) {
-    if (inst->CanAdmit()) hot.emplace_back(inst->ServiceLatency(), inst);
-  }
-  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second->id() < b.second->id();
-  });
-  for (const auto& [latency, inst] : hot) {
-    if (inst->EstimateCompletion(now) <= deadline) {
-      inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
-      st.ts_last_used = now;
-      return true;
+    if (!inst->CanAdmit()) continue;
+    no_hot = false;
+    if (inst->EstimateCompletion(now) > deadline) continue;
+    if (fit == nullptr ||
+        std::pair(inst->ServiceLatency(), inst->id()) <
+            std::pair(fit->ServiceLatency(), fit->id())) {
+      fit = inst;
     }
+  }
+  if (fit != nullptr) {
+    fit->Enqueue(rid, core.JitterOf(rid), deadline);
+    st.ts_last_used = now;
+    return true;
   }
 
   // 2. The time-sharing instance (§5.3: "the remaining requests are routed
   //    to the time sharing state instance").
   if (core.config().enable_time_sharing) {
     if (st.ts != nullptr && st.ts->CanAdmit()) {
-      if (st.ts->EstimateCompletion(now) <= deadline || hot.empty()) {
-        st.ts->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
+      if (st.ts->EstimateCompletion(now) <= deadline || no_hot) {
+        st.ts->Enqueue(rid, core.JitterOf(rid), deadline);
         st.ts_last_used = now;
         return true;
       }
     } else if (st.ts == nullptr) {
       Instance* inst = EnsureTsResident(core, fn);
       if (inst != nullptr) {
-        inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
+        inst->Enqueue(rid, core.JitterOf(rid), deadline);
         st.ts_last_used = now;
         return true;
       }
     }
-  } else if (hot.empty()) {
+  } else if (no_hot) {
     // Ablation path without time sharing: first request must still create
     // an instance; use an exclusive one.
     Instance* inst = LaunchExclusive(core, spec);
     if (inst != nullptr) {
-      inst->Enqueue(rid, core.JitterOf(rid), core.DeadlineOf(rid));
+      inst->Enqueue(rid, core.JitterOf(rid), deadline);
       return true;
     }
   }

@@ -68,7 +68,10 @@ class FfsState {
 
   /// §5.3 request routing: exclusive-hot instances lowest latency first
   /// while they meet the deadline, then the time-sharing instance, then the
-  /// bounded least-loaded fallback. True when `rid` was enqueued.
+  /// bounded least-loaded fallback. True when `rid` was enqueued. The first
+  /// step is one pass over `eh` for the minimum (ServiceLatency, id) among
+  /// the admitting instances that meet the deadline: no sort, no
+  /// allocation.
   bool Route(platform::PlatformCore& core, RequestId rid, FunctionId fn);
 
   /// Make fn's time-sharing instance resident: smallest free slice in the

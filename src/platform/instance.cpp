@@ -14,6 +14,8 @@ Instance::Instance(InstanceId id, FunctionId fn, core::PipelinePlan plan,
     : id_(id),
       fn_(fn),
       plan_(std::move(plan)),
+      bottleneck_(plan_.BottleneckTime()),
+      service_latency_(plan_.EndToEndLatency()),
       sim_(sim),
       on_complete_(std::move(on_complete)) {
   FFS_CHECK(!plan_.stages.empty());
@@ -153,20 +155,18 @@ void Instance::MarkRetired() {
 }
 
 double Instance::CapacityRps() const {
-  const SimDuration b = plan_.BottleneckTime();
-  return b > 0 ? 1e6 / static_cast<double>(b) : 0.0;
+  return bottleneck_ > 0 ? 1e6 / static_cast<double>(bottleneck_) : 0.0;
 }
 
 SimTime Instance::EstimateCompletion(SimTime now) const {
   const SimTime start = std::max(now, ready_at_);
-  return start +
-         static_cast<SimDuration>(outstanding_) * plan_.BottleneckTime() +
-         ServiceLatency();
+  return start + static_cast<SimDuration>(outstanding_) * bottleneck_ +
+         service_latency_;
 }
 
 bool Instance::AdmitWithinBound(SimTime now, SimTime deadline,
                                 SimDuration slo) const {
-  const SimDuration allowance = std::max(slo, 2 * ServiceLatency());
+  const SimDuration allowance = std::max(slo, 2 * service_latency_);
   return EstimateCompletion(now) <= std::max(deadline, now) + allowance;
 }
 

@@ -32,6 +32,8 @@ class Instance {
   /// Lifecycle, per-slice occupancy and per-request phase attribution are
   /// published on `sim.bus()` (sim/events.h) rather than written to any
   /// observer directly.
+  /// The plan is fixed for the instance's life, so its bottleneck time and
+  /// end-to-end latency are computed once, here.
   Instance(InstanceId id, FunctionId fn, core::PipelinePlan plan,
            sim::Simulator& sim, CompletionFn on_complete);
 
@@ -126,7 +128,7 @@ class Instance {
   bool AdmitWithinBound(SimTime now, SimTime deadline, SimDuration slo) const;
 
   /// Idle-pipeline end-to-end latency (for lowest-latency-first routing).
-  SimDuration ServiceLatency() const { return plan_.EndToEndLatency(); }
+  SimDuration ServiceLatency() const { return service_latency_; }
 
   SimTime last_used() const { return last_used_; }
   SimTime ready_at() const { return ready_at_; }
@@ -175,6 +177,8 @@ class Instance {
   InstanceId id_;
   FunctionId fn_;
   core::PipelinePlan plan_;
+  SimDuration bottleneck_;       // plan_.BottleneckTime()
+  SimDuration service_latency_;  // plan_.EndToEndLatency()
   sim::Simulator& sim_;
   CompletionFn on_complete_;
 
