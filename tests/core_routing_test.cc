@@ -3,10 +3,13 @@
 // the bounded fallback.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/ffs_platform.h"
 #include "core/pipeline.h"
 #include "metrics/recorder.h"
 #include "model/zoo.h"
+#include "platform/placement.h"
 
 namespace fluidfaas::core {
 namespace {
@@ -137,6 +140,129 @@ TEST_F(RoutingTest, EvictionCostShowsUpAsLoadTime) {
   // fetch and not zero.
   EXPECT_GT(recorder.record(reload_rid).load_time, Millis(100));
   EXPECT_LT(recorder.record(reload_rid).load_time, Seconds(4));
+}
+
+// -- FfsState::Route on crafted exclusive-hot lists ---------------------------
+
+class RefuseAll final : public platform::RoutingPolicy {
+ public:
+  bool Route(platform::PlatformCore&, RequestId, FunctionId) override {
+    return false;
+  }
+};
+
+class NoScaling final : public platform::ScalingPolicy {
+ public:
+  void Tick(platform::PlatformCore&) override {}
+};
+
+/// A core whose own router refuses everything, so a submitted request
+/// waits in the pending set and the test routes it by calling
+/// FfsState::Route directly. Instances are single-stage with a chosen
+/// service latency, and the function's SLO is 500 ms.
+class RouteTieBreakTest : public ::testing::Test {
+ protected:
+  void Build(bool time_sharing) {
+    std::vector<FunctionSpec> fns;
+    fns.push_back(MakeFunctionSpec(FunctionId(0), 0, model::Variant::kSmall,
+                                   model::BuildApp(0, model::Variant::kSmall),
+                                   1.5));
+    fns.back().slo = Millis(500);
+    PlatformConfig config;
+    config.service_jitter_cv = 0.0;
+    config.enable_time_sharing = time_sharing;
+    platform::PolicyBundle b;
+    b.name = "refuse-all";
+    b.routing = std::make_unique<RefuseAll>();
+    b.scaling = std::make_unique<NoScaling>();
+    plat_ = std::make_unique<platform::PlatformCore>(
+        sim_, cluster_, std::move(fns), config, std::move(b));
+    recorder_.SubscribeTo(sim_.bus());
+    state_.EnsureSized(*plat_);
+  }
+
+  /// Spawn a monolithic instance on the next slice whose service latency
+  /// is `latency`. Ids are minted in spawn order.
+  Instance* Spawn(SimDuration latency) {
+    auto plan = MonolithicPlanOnSlice(plat_->function(FunctionId(0)).dag,
+                                      cluster_, SliceId(next_slice_++));
+    EXPECT_TRUE(plan.has_value());
+    plan->stages.front().exec_time = latency;
+    const platform::CommitResult r =
+        plat_->Commit(platform::SpawnPlan(FunctionId(0), *plan, false));
+    EXPECT_TRUE(r.ok());
+    return r.spawned.front();
+  }
+
+  /// Let every spawned instance finish loading.
+  void LoadAll() { sim_.RunUntil(sim_.Now() + Seconds(60)); }
+
+  /// A request whose deadline is now + 500 ms, waiting in the pending set.
+  RequestId Pending() { return plat_->Submit(FunctionId(0)); }
+
+  FfsState::FnState& fn_state() { return state_.state(FunctionId(0)); }
+
+  sim::Simulator sim_;
+  gpu::Cluster cluster_ = gpu::Cluster::Uniform(1, 2, gpu::DefaultPartition());
+  metrics::Recorder recorder_{cluster_};
+  FfsState state_;
+  std::unique_ptr<platform::PlatformCore> plat_;
+  int next_slice_ = 0;
+};
+
+TEST_F(RouteTieBreakTest, EqualLatencyGoesToTheLowerId) {
+  Build(true);
+  Instance* lo = Spawn(Millis(200));
+  Instance* hi = Spawn(Millis(200));
+  ASSERT_LT(lo->id(), hi->id());
+  LoadAll();
+  fn_state().eh = {hi, lo};
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(lo->outstanding(), 1);
+  EXPECT_EQ(hi->outstanding(), 0);
+}
+
+TEST_F(RouteTieBreakTest, LowerLatencyThatMissesTheDeadlineIsPassedOver) {
+  Build(true);
+  Instance* fast = Spawn(Millis(300));
+  Instance* slow = Spawn(Millis(400));
+  LoadAll();
+  fast->Enqueue(Pending(), 1.0);  // fast's estimate: now + 600 ms
+  fn_state().eh = {fast, slow};
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(fast->outstanding(), 1);
+  EXPECT_EQ(slow->outstanding(), 1);
+}
+
+TEST_F(RouteTieBreakTest, NoneMeetsTheDeadlineFirstInListOrderWins) {
+  Build(false);  // no time-sharing instance to spill to
+  Instance* lo = Spawn(Millis(700));
+  Instance* hi = Spawn(Millis(700));
+  LoadAll();
+  fn_state().eh = {hi, lo};
+  // Both estimate now + 700 ms, past the deadline but within the bound:
+  // the least-loaded fallback keeps the first of equals.
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(hi->outstanding(), 1);
+  EXPECT_EQ(lo->outstanding(), 0);
+}
+
+TEST_F(RouteTieBreakTest, AllHotDrainingTimeSharingTakesALateRequest) {
+  Build(true);
+  Instance* hot = Spawn(Millis(200));
+  Instance* ts = Spawn(Millis(700));
+  LoadAll();
+  hot->BeginDrain();
+  // ts's estimate is now + 2.1 s: past the deadline, and past the bound
+  // (deadline + 1.4 s) that the least-loaded fallback would apply.
+  ts->Enqueue(Pending(), 1.0);
+  ts->Enqueue(Pending(), 1.0);
+  fn_state().eh = {hot};
+  fn_state().ts = ts;
+  fn_state().has_ts = true;
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(ts->outstanding(), 3);
+  EXPECT_EQ(hot->outstanding(), 0);
 }
 
 }  // namespace
