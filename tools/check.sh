@@ -85,8 +85,9 @@ for c in cells:
 print("overload_sweep artifact ok:", len(cells), "cells")
 ' build-asan/overload_sweep_smoke.json
   # Every scheduler on the heavy tier at 32 nodes: the instance churn of a
-  # large cluster under the sanitizers. Nothing is asserted about
-  # completions; FluidFaaS-dist does not scale out yet (ROADMAP item 7).
+  # large cluster under the sanitizers. Every scheduler but FluidFaaS-dist
+  # must complete every request; FluidFaaS-dist does not scale out yet
+  # (ROADMAP item 7), so its completions are not asserted.
   ./build-asan/tools/fluidfaas sweep \
     --systems fluidfaas,distributed,esg,infless,repartition --tiers heavy \
     --nodes 32 --duration 20 --jobs "${jobs}" --out build-asan/scale_smoke.json
@@ -95,6 +96,12 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "fluidfaas.sweep.v1", doc["schema"]
 assert len(doc["cells"]) == 5, len(doc["cells"])
+for c in doc["cells"]:
+    r = c["result"]
+    if c["system"] == "FluidFaaS-dist":
+        continue
+    assert r["completed_requests"] == r["total_requests"], (
+        c["system"], r["completed_requests"], r["total_requests"])
 print("scale smoke ok:", len(doc["cells"]), "cells")
 ' build-asan/scale_smoke.json
 }
