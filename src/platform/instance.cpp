@@ -158,12 +158,6 @@ double Instance::CapacityRps() const {
   return bottleneck_ > 0 ? 1e6 / static_cast<double>(bottleneck_) : 0.0;
 }
 
-SimTime Instance::EstimateCompletion(SimTime now) const {
-  const SimTime start = std::max(now, ready_at_);
-  return start + static_cast<SimDuration>(outstanding_) * bottleneck_ +
-         service_latency_;
-}
-
 bool Instance::AdmitWithinBound(SimTime now, SimTime deadline,
                                 SimDuration slo) const {
   const SimDuration allowance = std::max(slo, 2 * service_latency_);

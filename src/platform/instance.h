@@ -9,6 +9,7 @@
 // naturally from the event order.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <string>
@@ -114,8 +115,13 @@ class Instance {
   /// Steady-state service rate bound (requests/s).
   double CapacityRps() const;
 
-  /// Estimated completion time of a request admitted now.
-  SimTime EstimateCompletion(SimTime now) const;
+  /// Estimated completion time of a request admitted now. Inline: the
+  /// routers call it for every instance they scan.
+  SimTime EstimateCompletion(SimTime now) const {
+    return std::max(now, ready_at_) +
+           static_cast<SimDuration>(outstanding_) * bottleneck_ +
+           service_latency_;
+  }
 
   /// Shared admission policy: accept while the estimate stays within one
   /// `slo` (or twice the idle service latency, whichever is larger) past
