@@ -240,20 +240,30 @@ TEST(GoldenDigestTest, FluidFaasAblations) {
 TEST(GoldenDigestTest, ReportJsonBytes) {
   struct ReportCell {
     const char* label;
+    int duration_s;
+    int max_stages;
     double fault_rate;
     const char* queue;
     const char* admission;
     std::uint64_t digest;
   };
+  // The 2-stage row is the one where every "scheduler" counter is non-zero
+  // for some scheduler (FluidFaaS evicts and migrates, Repartition
+  // reconfigures), so it pins each of them.
   constexpr ReportCell kReports[] = {
-      {"fault-free fifo/none", 0.0, "fifo", "none", 0xa63bcf5bc5f99bedULL},
-      {"faults 0.05 fair/shed", 0.05, "fair", "shed", 0xa5d9daa84cf71eadULL},
+      {"fault-free fifo/none", 30, 4, 0.0, "fifo", "none",
+       0xa63bcf5bc5f99bedULL},
+      {"faults 0.05 fair/shed", 30, 4, 0.05, "fair", "shed",
+       0xa5d9daa84cf71eadULL},
+      {"60 s max 2 stages fifo/none", 60, 2, 0.0, "fifo", "none",
+       0x6e1c7bc2ff2a6b96ULL},
   };
   SweepSpec spec;
   spec.base.tier = WorkloadTier::kMedium;
-  spec.base.duration = Seconds(30);
   for (const ReportCell& cell : kReports) {
     spec.variants.push_back({cell.label, [cell](ExperimentConfig& cfg) {
+                               cfg.duration = Seconds(cell.duration_s);
+                               cfg.platform.max_stages = cell.max_stages;
                                cfg.faults.rate = cell.fault_rate;
                                cfg.faults.timeout_scale =
                                    cell.fault_rate > 0.0 ? 3.0 : 0.0;
