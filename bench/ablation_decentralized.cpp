@@ -25,8 +25,9 @@ int main() {
     table.AddRow({trace::Name(cell.point.tier), r.system,
                   metrics::Fmt(r.throughput_rps, 1),
                   metrics::FmtPercent(r.recorder->SloHitRate()),
-                  std::to_string(r.scheduler.pipelines_launched),
-                  std::to_string(r.scheduler.evictions)});
+                  std::to_string(r.recorder->pipelines_committed()),
+                  std::to_string(r.recorder->transitions(
+                      sim::TransitionKind::kEviction))});
   }
   table.Print();
   std::cout << "\nPer-invoker scheduling keeps decisions node-local (no\n"

@@ -17,9 +17,10 @@ void Report(metrics::Table& table, const std::string& name,
        metrics::Fmt(100.0 * (r.throughput_rps / base.throughput_rps - 1.0),
                     1) +
            "%",
-       std::to_string(r.scheduler.pipelines_launched),
-       std::to_string(r.scheduler.evictions),
-       std::to_string(r.scheduler.migrations)});
+       std::to_string(r.recorder->pipelines_committed()),
+       std::to_string(r.recorder->transitions(sim::TransitionKind::kEviction)),
+       std::to_string(
+           r.recorder->transitions(sim::TransitionKind::kMigration))});
 }
 
 }  // namespace

@@ -93,9 +93,8 @@ int main() {
       fn.ranked_pipelines =
           core::EnumerateRankedPipelines(fn.dag, 4, policy);
     }
-    auto state = std::make_shared<core::FfsState>();
     platform::PlatformCore plat(simulator, c, workload.functions,
-                                cfg.platform, core::MakeFluidFaasBundle(state));
+                                cfg.platform, core::MakeFluidFaasBundle());
     rec.SubscribeTo(simulator.bus());
     plat.Start();
     for (const auto& inv : workload.trace) {
@@ -107,7 +106,7 @@ int main() {
     e2e.AddRow({PolicyName(policy),
                 metrics::Fmt(rec.WindowedThroughput(cfg.duration), 1),
                 metrics::FmtPercent(rec.SloHitRate()),
-                std::to_string(state->pipelines_launched)});
+                std::to_string(rec.pipelines_committed())});
   }
   e2e.Print();
   std::cout << "\nCV ranking deploys the balanced splits first; greedy\n"

@@ -27,9 +27,9 @@ int main() {
                   metrics::Fmt(r.throughput_rps, 1),
                   metrics::FmtPercent(r.recorder->SloHitRate()),
                   metrics::Fmt(r.recorder->LatencyPercentile(0.95), 1) + "s",
-                  std::to_string(r.scheduler.reconfigurations),
+                  std::to_string(r.recorder->reconfigurations()),
                   metrics::Fmt(
-                      ToSeconds(r.scheduler.reconfiguration_blackout), 0) +
+                      ToSeconds(r.recorder->reconfiguration_blackout()), 0) +
                       "s"});
   }
   table.Print();

@@ -27,9 +27,8 @@ ServiceResult Serve(model::LlmSize size, double rps, SimDuration duration) {
       2.0, /*max_stages=*/6));
   platform::PlatformConfig config;
   config.max_stages = 6;
-  auto state = std::make_shared<core::FfsState>();
   platform::PlatformCore plat(sim, cluster, std::move(fns), config,
-                              core::MakeFluidFaasBundle(state));
+                              core::MakeFluidFaasBundle());
   recorder.SubscribeTo(sim.bus());
   plat.Start();
   const auto gap = static_cast<SimDuration>(1e6 / rps);
@@ -43,7 +42,7 @@ ServiceResult Serve(model::LlmSize size, double rps, SimDuration duration) {
   r.completed = recorder.completed_requests();
   r.slo = recorder.SloHitRate();
   r.p95 = recorder.LatencyPercentile(0.95);
-  r.pipelines = state->pipelines_launched;
+  r.pipelines = recorder.pipelines_committed();
   return r;
 }
 

@@ -54,9 +54,8 @@ int main() {
 
   platform::PlatformConfig config;
   config.max_stages = 6;
-  auto state = std::make_shared<core::FfsState>();
   platform::PlatformCore platform(sim, cluster, std::move(fns), config,
-                                  core::MakeFluidFaasBundle(state));
+                                  core::MakeFluidFaasBundle());
   recorder.SubscribeTo(sim.bus());
   platform.Start();
   for (int i = 0; i < 120; ++i) {
@@ -69,7 +68,7 @@ int main() {
   std::cout << "served " << recorder.completed_requests() << "/"
             << recorder.total_requests() << " generations, SLO hit rate "
             << metrics::FmtPercent(recorder.SloHitRate()) << ", pipelines "
-            << state->pipelines_launched << "\n";
+            << recorder.pipelines_committed() << "\n";
   auto lats = recorder.LatenciesSeconds();
   if (!lats.empty()) {
     std::cout << "latency p50 " << metrics::Fmt(Percentile(lats, 0.5), 2)

@@ -56,12 +56,11 @@ int main() {
       FunctionId(0), 0, model::Variant::kMedium, dag, /*slo_scale=*/1.5));
   const SimDuration slo = fns[0].slo;
 
-  // The scheduler is a policy bundle over the concrete PlatformCore; keep
-  // the bundle's shared state to look inside it afterwards.
-  auto state = std::make_shared<core::FfsState>();
+  // The scheduler is a policy bundle over the concrete PlatformCore; the
+  // recorder counts what it does off the simulator's event bus.
   platform::PlatformCore platform(sim, cluster, std::move(fns),
                                   platform::PlatformConfig{},
-                                  core::MakeFluidFaasBundle(state));
+                                  core::MakeFluidFaasBundle());
   recorder.SubscribeTo(sim.bus());
   platform.Start();
 
@@ -79,9 +78,11 @@ int main() {
             << recorder.total_requests() << " requests; SLO ("
             << metrics::FmtMillis(static_cast<double>(slo)) << "): "
             << metrics::FmtPercent(recorder.SloHitRate()) << " hit rate\n"
-            << "pipelines launched: " << state->pipelines_launched
-            << ", promotions: " << state->promotions
-            << ", evictions: " << state->evictions << "\n";
+            << "pipelines launched: " << recorder.pipelines_committed()
+            << ", promotions: "
+            << recorder.transitions(sim::TransitionKind::kPromotion)
+            << ", evictions: "
+            << recorder.transitions(sim::TransitionKind::kEviction) << "\n";
   const auto bd = recorder.MeanBreakdown();
   std::cout << "mean breakdown: queue " << metrics::FmtMillis(bd.queue)
             << ", load " << metrics::FmtMillis(bd.load) << ", exec "

@@ -66,8 +66,9 @@ int main(int argc, char** argv) {
                   metrics::Fmt(r.recorder->LatencyPercentile(0.95), 2) + "s",
                   metrics::Fmt(ToSeconds(r.recorder->MigTime()), 0) + "s",
                   metrics::Fmt(ToSeconds(r.recorder->GpuTime()), 0) + "s",
-                  std::to_string(r.scheduler.pipelines_launched),
-                  std::to_string(r.scheduler.evictions)});
+                  std::to_string(r.recorder->pipelines_committed()),
+                  std::to_string(r.recorder->transitions(
+                      sim::TransitionKind::kEviction))});
   }
   table.Print();
   return 0;

@@ -1,7 +1,9 @@
 #include "baselines/esg_platform.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "baselines/esg_search.h"
 #include "baselines/repartition_platform.h"
@@ -16,8 +18,10 @@ namespace fluidfaas::baselines {
 using platform::Instance;
 using platform::InstanceState;
 
-std::vector<int> EsgState::FreeCounts(
-    const platform::PlatformCore& core) const {
+namespace {
+
+/// Free-slice counts per profile, cluster-wide.
+std::vector<int> FreeCounts(const platform::PlatformCore& core) {
   std::vector<int> counts(gpu::kAllProfiles.size(), 0);
   for (SliceId sid : core.cluster().AllSlices()) {
     const gpu::MigSlice& s = core.cluster().slice(sid);
@@ -26,9 +30,9 @@ std::vector<int> EsgState::FreeCounts(
   return counts;
 }
 
-int EsgState::ScaleUp(platform::PlatformCore& core,
-                      const platform::FunctionSpec& spec, double demand_rps) {
-  ++searches;
+/// Launch monolithic instances per the A* result; returns #launched.
+int ScaleUp(platform::PlatformCore& core, const platform::FunctionSpec& spec,
+            double demand_rps) {
   auto result = EsgSearch(spec.dag, FreeCounts(core), spec.slo, demand_rps);
   if (!result) {
     // Even the full free inventory cannot cover the demand; deploy the
@@ -63,11 +67,13 @@ int EsgState::ScaleUp(platform::PlatformCore& core,
   return result_commit.ok() ? txn.NumSpawns() : 0;
 }
 
+}  // namespace
+
 bool EsgRouting::Route(platform::PlatformCore& core, RequestId rid,
                        FunctionId fn) {
   // Cold path: synchronous scale-up for the first request.
   if (core.InstancesOf(fn).empty() &&
-      st_->ScaleUp(core, core.function(fn), core.ArrivalRate(fn)) == 0) {
+      ScaleUp(core, core.function(fn), core.ArrivalRate(fn)) == 0) {
     return false;
   }
   return platform::AdmitBounded(
@@ -83,7 +89,7 @@ void EsgScaling::Tick(platform::PlatformCore& core) {
     if (rate > core.config().scaleup_load_factor * capacity) {
       const double deficit =
           rate / core.config().scaleup_load_factor - capacity;
-      st_->ScaleUp(core, spec, deficit);
+      ScaleUp(core, spec, deficit);
     }
   }
   // Exclusive keep-alive (idle instances hold their slices for the window)
@@ -117,12 +123,11 @@ void InflessScaling::Tick(platform::PlatformCore& core) {
   }
 }
 
-platform::PolicyBundle MakeEsgBundle(std::shared_ptr<EsgState> state) {
-  if (!state) state = std::make_shared<EsgState>();
+platform::PolicyBundle MakeEsgBundle() {
   platform::PolicyBundle bundle;
   bundle.name = "ESG";
-  bundle.routing = std::make_unique<EsgRouting>(state);
-  bundle.scaling = std::make_unique<EsgScaling>(state);
+  bundle.routing = std::make_unique<EsgRouting>();
+  bundle.scaling = std::make_unique<EsgScaling>();
   bundle.keepalive = std::make_unique<platform::FixedIdleKeepAlive>();
   return bundle;
 }

@@ -16,46 +16,22 @@
 // placement); both register through RegisterBaselineSchedulers().
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "platform/platform.h"
 #include "platform/policy.h"
 
 namespace fluidfaas::baselines {
 
-/// Shared state of the ESG routing/scaling pair: the A* search counter and
-/// the scale-up machinery both sides invoke (routing scales up on the cold
-/// path, scaling on deficit).
-class EsgState {
- public:
-  /// Free-slice counts per profile, cluster-wide.
-  std::vector<int> FreeCounts(const platform::PlatformCore& core) const;
-
-  /// Launch monolithic instances per the A* result; returns #launched.
-  int ScaleUp(platform::PlatformCore& core,
-              const platform::FunctionSpec& spec, double demand_rps);
-
-  std::size_t searches = 0;
-};
-
+/// ESG routing runs the A* scale-up on the cold path, ESG scaling on
+/// deficit. Like INFless's, both policies are stateless.
 class EsgRouting final : public platform::RoutingPolicy {
  public:
-  explicit EsgRouting(std::shared_ptr<EsgState> st) : st_(std::move(st)) {}
   bool Route(platform::PlatformCore& core, RequestId rid,
              FunctionId fn) override;
-
- private:
-  std::shared_ptr<EsgState> st_;
 };
 
 class EsgScaling final : public platform::ScalingPolicy {
  public:
-  explicit EsgScaling(std::shared_ptr<EsgState> st) : st_(std::move(st)) {}
   void Tick(platform::PlatformCore& core) override;
-
- private:
-  std::shared_ptr<EsgState> st_;
 };
 
 /// INFless with MIG support (§6): the second monolithic baseline. Same
@@ -73,7 +49,7 @@ class InflessScaling final : public platform::ScalingPolicy {
   void Tick(platform::PlatformCore& core) override;
 };
 
-platform::PolicyBundle MakeEsgBundle(std::shared_ptr<EsgState> state = nullptr);
+platform::PolicyBundle MakeEsgBundle();
 platform::PolicyBundle MakeInflessBundle();
 
 /// Register "ESG", "INFless" and "Repartition" in the platform::registry

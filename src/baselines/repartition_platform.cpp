@@ -56,8 +56,6 @@ void RepartitionState::ExecuteReconfig(platform::PlatformCore& core,
                            gpu_id, target, cost, sentinel);
   const platform::CommitResult result = core.Commit(txn);
   if (!result.ok()) return;  // GPU no longer idle; a later tick retries
-  blackout_total += cost;
-  ++reconfigurations;
   reconfiguring.insert(gpu_id.value);
   FFS_LOG_INFO("repartition")
       << "GPU " << gpu_id.value << " -> " << target.ToString()
@@ -120,13 +118,6 @@ bool RepartitionState::TryReconfigure(platform::PlatformCore& core,
   return false;
 }
 
-platform::SchedulerCounters RepartitionState::counters() const {
-  platform::SchedulerCounters c;
-  c.reconfigurations = reconfigurations;
-  c.reconfiguration_blackout = blackout_total;
-  return c;
-}
-
 bool RepartitionRouting::Route(platform::PlatformCore& core, RequestId rid,
                                FunctionId fn) {
   if (core.InstancesOf(fn).empty() &&
@@ -172,7 +163,6 @@ platform::PolicyBundle MakeRepartitionBundle(
   bundle.routing = std::make_unique<RepartitionRouting>(state);
   bundle.scaling = std::make_unique<RepartitionScaling>(state);
   bundle.keepalive = std::make_unique<platform::FixedIdleKeepAlive>();
-  bundle.counters = [state] { return state->counters(); };
   return bundle;
 }
 

@@ -8,7 +8,8 @@
 // GPU exists, it reconfigures that GPU to the partition that best serves the
 // stranded demand — paying the ReconfigCostModel blackout, during which the
 // GPU's fresh slices are held by a sentinel binding. Each swap is published
-// as sim::PartitionReconfigured (the Recorder syncs its slice table off it).
+// as sim::PartitionReconfigured; the Recorder syncs its slice table and
+// counts the swap and its blackout off it.
 //
 // bench/ablation_reconfig.cpp races it against FluidFaaS: reconfiguration
 // eventually rights the partition mix, but every correction costs minutes of
@@ -45,8 +46,6 @@ class RepartitionState
   void ExecuteReconfig(platform::PlatformCore& core, GpuId gpu,
                        Bytes needed_memory);
 
-  platform::SchedulerCounters counters() const;
-
   gpu::ReconfigCostModel reconfig;
   std::unordered_set<std::int32_t> reconfiguring;  // GpuId values
   struct DrainTarget {
@@ -54,8 +53,6 @@ class RepartitionState
     Bytes needed_memory;
   };
   std::vector<DrainTarget> drain_targets;
-  std::size_t reconfigurations = 0;
-  SimDuration blackout_total = 0;
 };
 
 class RepartitionRouting final : public platform::RoutingPolicy {

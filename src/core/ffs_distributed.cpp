@@ -15,19 +15,6 @@ void DistState::EnsureSized(const platform::PlatformCore& core) {
   }
 }
 
-platform::SchedulerCounters DistState::counters() const {
-  platform::SchedulerCounters c;
-  for (const Invoker& inv : invokers) {
-    const platform::SchedulerCounters d = inv.domain.counters();
-    c.evictions += d.evictions;
-    c.promotions += d.promotions;
-    c.demotions += d.demotions;
-    c.migrations += d.migrations;
-    c.pipelines_launched += d.pipelines_launched;
-  }
-  return c;
-}
-
 int DistState::ChooseInvoker(platform::PlatformCore& core, FunctionId fn,
                              SimTime now) {
   // Prefer the invoker whose admitting instances of `fn` promise the
@@ -152,7 +139,6 @@ platform::PolicyBundle MakeDistributedBundle(std::shared_ptr<DistState> state) {
   bundle.name = "FluidFaaS-dist";
   bundle.routing = std::make_unique<DistRouting>(state);
   bundle.scaling = std::make_unique<DistScaling>(state);
-  bundle.counters = [state] { return state->counters(); };
   return bundle;
 }
 

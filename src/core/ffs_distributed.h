@@ -48,9 +48,6 @@ class DistState {
   /// the most free capacity.
   int ChooseInvoker(platform::PlatformCore& core, FunctionId fn, SimTime now);
 
-  /// Sum of the invokers' counters.
-  platform::SchedulerCounters counters() const;
-
   std::vector<Invoker> invokers;
 };
 

@@ -38,16 +38,6 @@ void FfsState::PruneDead(FnState& st) {
   if (st.ts != nullptr && st.ts->Gone()) st.ts = nullptr;
 }
 
-platform::SchedulerCounters FfsState::counters() const {
-  platform::SchedulerCounters c;
-  c.evictions = evictions;
-  c.promotions = promotions;
-  c.demotions = demotions;
-  c.migrations = migrations;
-  c.pipelines_launched = pipelines_launched;
-  return c;
-}
-
 platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
                                                FunctionId fn) {
   FnState& st = state(fn);
@@ -100,7 +90,6 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
 
   if (victim_fn.valid()) {
     state(victim_fn).ts = nullptr;  // entry stays warm (TouchWarm in retire)
-    ++evictions;
     core.bus().Publish(sim::SchedulerTransition{sim::TransitionKind::kEviction,
                                                 victim_fn, victim_iid,
                                                 core.simulator().Now()});
@@ -128,7 +117,6 @@ platform::Instance* FfsState::LaunchExclusive(
     if (result.ok()) inst = result.spawned.front();
   }
   if (inst == nullptr) return nullptr;
-  if (inst->IsPipelined()) ++pipelines_launched;
   state(spec.id).eh.push_back(inst);
   return inst;
 }
@@ -216,7 +204,6 @@ void FfsState::Promote(platform::PlatformCore& core, FunctionId fn) {
   st.eh.push_back(st.ts);
   st.ts = nullptr;
   st.has_ts = false;
-  ++promotions;
   core.bus().Publish(sim::SchedulerTransition{
       sim::TransitionKind::kPromotion, fn, iid, core.simulator().Now()});
   FFS_LOG_DEBUG("ffs") << "promoted fn " << fn.value
@@ -255,7 +242,6 @@ void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
         st.ts = nullptr;
         st.ts_last_used = inst->last_used();
       }
-      ++demotions;
       core.bus().Publish(sim::SchedulerTransition{
           sim::TransitionKind::kDemotion, fn, inst->id(), now});
     } else if (st.eh.size() > 1 ||
@@ -352,7 +338,6 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
         if (!result.ok()) break;
         st.eh.push_back(result.spawned.front());
         std::erase(st.eh, inst);
-        ++st_->migrations;
         core.bus().Publish(sim::SchedulerTransition{
             sim::TransitionKind::kMigration, fn, inst->id(), now});
         st.last_migration = now;
@@ -370,7 +355,6 @@ platform::PolicyBundle MakeFluidFaasBundle(std::shared_ptr<FfsState> state) {
   bundle.name = "FluidFaaS";
   bundle.routing = std::make_unique<FfsRouting>(state);
   bundle.scaling = std::make_unique<FfsScaling>(state);
-  bundle.counters = [state] { return state->counters(); };
   return bundle;
 }
 

@@ -22,11 +22,12 @@
 // least-loaded fallback.
 //
 // All of that runs inside one FfsState — a scheduling domain holding the
-// Fig. 8 bookkeeping and counters over a scope of nodes. FluidFaaS runs one
-// domain over the whole cluster; FluidFaaS-dist (core/ffs_distributed.h)
-// runs the same domain once per node, as §5.2.2's invoker-local scheduler.
-// Each Fig. 8 transition is also published as sim::SchedulerTransition on
-// the core's EventBus. FluidFaaS needs no keep-alive policy — instance
+// Fig. 8 bookkeeping over a scope of nodes. FluidFaaS runs one domain over
+// the whole cluster; FluidFaaS-dist (core/ffs_distributed.h) runs the same
+// domain once per node, as §5.2.2's invoker-local scheduler. Each Fig. 8
+// transition is published as sim::SchedulerTransition on the core's
+// EventBus; metrics::Recorder counts the transitions, and the pipelines
+// launched, from the bus. FluidFaaS needs no keep-alive policy — instance
 // lifetime is entirely governed by the state machine above.
 #pragma once
 
@@ -104,15 +105,7 @@ class FfsState {
 
   void PruneDead(FnState& st);
 
-  platform::SchedulerCounters counters() const;
-
   std::vector<FnState> fn_state;
-
-  std::size_t evictions = 0;
-  std::size_t promotions = 0;
-  std::size_t demotions = 0;
-  std::size_t migrations = 0;
-  std::size_t pipelines_launched = 0;
 
  private:
   std::optional<NodeId> node_;

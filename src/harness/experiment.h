@@ -14,7 +14,6 @@
 #include "gpu/mig_partition.h"
 #include "metrics/recorder.h"
 #include "platform/config.h"
-#include "platform/policy.h"
 #include "trace/workload.h"
 
 namespace fluidfaas::harness {
@@ -77,9 +76,10 @@ struct ExperimentConfig {
 };
 
 /// What one run leaves behind. Every metric the Recorder can answer by
-/// itself (SLO hit rate, MIG/GPU time, availability, placement and QoS
-/// counters, ...) is read from `recorder` directly; this struct carries only
-/// the run facts around it and the two rates that need the trace window.
+/// itself (SLO hit rate, MIG/GPU time, availability, placement, QoS and
+/// scheduler counters, ...) is read from `recorder` directly; this struct
+/// carries only the run facts around it and the two rates that need the
+/// trace window.
 struct ExperimentResult {
   std::string system;
   std::string tier;
@@ -95,10 +95,6 @@ struct ExperimentResult {
   // does not know: completions, and SLO-hit non-timed-out completions.
   double throughput_rps = 0.0;
   double goodput_rps = 0.0;
-
-  /// Scheduler-behaviour counters (platform::PlatformCore::
-  /// scheduler_counters()); each bundle fills only the fields it maintains.
-  platform::SchedulerCounters scheduler;
 };
 
 /// Run one experiment to completion (trace + drain) and collect metrics.

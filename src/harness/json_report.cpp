@@ -73,16 +73,16 @@ void WriteResult(JsonWriter& w, const ExperimentResult& r) {
   w.Key("jain_fairness").Value(rec.JainFairnessIndex());
   w.Key("worst_fn_p99_s").Value(rec.WorstFunctionP99());
   w.EndObject();
-  const platform::SchedulerCounters& sc = r.scheduler;
   w.Key("scheduler").BeginObject();
-  w.Key("pipelines_launched").Value(sc.pipelines_launched);
-  w.Key("evictions").Value(sc.evictions);
-  w.Key("promotions").Value(sc.promotions);
-  w.Key("demotions").Value(sc.demotions);
-  w.Key("migrations").Value(sc.migrations);
-  w.Key("reconfigurations").Value(sc.reconfigurations);
+  using sim::TransitionKind;
+  w.Key("pipelines_launched").Value(rec.pipelines_committed());
+  w.Key("evictions").Value(rec.transitions(TransitionKind::kEviction));
+  w.Key("promotions").Value(rec.transitions(TransitionKind::kPromotion));
+  w.Key("demotions").Value(rec.transitions(TransitionKind::kDemotion));
+  w.Key("migrations").Value(rec.transitions(TransitionKind::kMigration));
+  w.Key("reconfigurations").Value(rec.reconfigurations());
   w.Key("reconfiguration_blackout_s")
-      .Value(ToSeconds(sc.reconfiguration_blackout));
+      .Value(ToSeconds(rec.reconfiguration_blackout()));
   w.EndObject();
   w.EndObject();
 }

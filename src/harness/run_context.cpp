@@ -148,7 +148,6 @@ ExperimentResult RunContext::Run() {
   }
   res.throughput_rps = recorder_->WindowedThroughput(config_.duration);
   res.goodput_rps = recorder_->WindowedGoodput(config_.duration);
-  res.scheduler = platform_->scheduler_counters();
   res.recorder = std::move(recorder_);
   if (exporter_) exporter_->WriteFile(config_.trace_out);
   return res;

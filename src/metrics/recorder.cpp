@@ -62,7 +62,15 @@ void Recorder::SubscribeTo(sim::EventBus& bus) {
   bus.Subscribe<sim::SliceBusyEnd>(
       [this](const sim::SliceBusyEnd& e) { SliceIdle(e.slice, e.at); });
   bus.Subscribe<sim::PartitionReconfigured>(
-      [this](const sim::PartitionReconfigured&) { SyncSlices(*cluster_); });
+      [this](const sim::PartitionReconfigured& e) {
+        ++reconfigurations_;
+        blackout_total_ += e.blackout;
+        SyncSlices(*cluster_);
+      });
+  bus.Subscribe<sim::SchedulerTransition>(
+      [this](const sim::SchedulerTransition& e) {
+        ++transitions_by_kind_[static_cast<std::size_t>(e.kind)];
+      });
   bus.Subscribe<sim::RequestTimedOut>([this](const sim::RequestTimedOut& e) {
     RequestRecord& r = record(e.rid);
     r.timed_out = true;
@@ -107,6 +115,7 @@ void Recorder::SubscribeTo(sim::EventBus& bus) {
       [this](const sim::PlacementCommitted& e) {
         ++plans_committed_;
         spawns_committed_ += static_cast<std::size_t>(e.spawns);
+        pipelines_committed_ += static_cast<std::size_t>(e.pipelines);
       });
   bus.Subscribe<sim::PlacementAborted>([this](const sim::PlacementAborted& e) {
     ++plans_aborted_;

@@ -1,10 +1,13 @@
 // Metrics collection for simulation runs.
 //
 // The recorder is the single sink for (i) per-request lifecycle records —
-// queueing, loading, execution, transfer, completion — and (ii) cluster
+// queueing, loading, execution, transfer, completion — (ii) cluster
 // occupancy signals — per-slice bound/busy intervals, from which GPU time,
 // MIG time, utilization timelines and the keep-alive occupancy study
-// (Figs. 3, 5, 16; Table 6) are derived.
+// (Figs. 3, 5, 16; Table 6) are derived — and (iii) what the schedulers
+// did: placement commits and aborts, pipelines launched, Fig. 8
+// transitions and GPU repartitions. No scheduler keeps a count a report
+// reads.
 //
 // Terminology (paper §6):
 //   bound   — a slice is allocated to an instance (occupied), regardless of
@@ -62,10 +65,11 @@ class Recorder {
   explicit Recorder(const gpu::Cluster& cluster);
 
   /// Feed the recorder from a simulation's EventBus: request lifecycle and
-  /// phase attribution, slice bound/busy intervals, and partition
-  /// reconfigurations (which trigger SyncSlices) all arrive as sim/events.h
-  /// publications. This is how platform runs drive the recorder — nothing
-  /// in the platform layer holds a Recorder reference. Idempotent for the
+  /// phase attribution, slice bound/busy intervals, placement commits,
+  /// scheduler transitions and partition reconfigurations (which also
+  /// trigger SyncSlices) all arrive as sim/events.h publications. This is
+  /// how platform runs drive the recorder — nothing in the platform layer
+  /// holds a Recorder reference. Idempotent for the
   /// same bus; subscribing one recorder to two buses is an error.
   void SubscribeTo(sim::EventBus& bus);
 
@@ -121,9 +125,21 @@ class Recorder {
     return aborts_by_cause_[static_cast<std::size_t>(cause)];
   }
   std::size_t spawns_committed() const { return spawns_committed_; }
+  /// The committed spawns with more than one stage: pipelines launched.
+  std::size_t pipelines_committed() const { return pipelines_committed_; }
   /// Aborted fraction of all commit attempts — the reservation-conflict
   /// rate schedulers pay for optimistic planning. 0 with no attempts.
   double PlanConflictRate() const;
+
+  // --- scheduler behaviour (paper §5.2-§5.3) -------------------------------
+  /// Fig. 8 transitions of `kind` (sim::SchedulerTransition).
+  std::size_t transitions(sim::TransitionKind kind) const {
+    return transitions_by_kind_[static_cast<std::size_t>(kind)];
+  }
+  /// Runtime GPU repartitions (sim::PartitionReconfigured) and the sum of
+  /// their blackouts.
+  std::size_t reconfigurations() const { return reconfigurations_; }
+  SimDuration reconfiguration_blackout() const { return blackout_total_; }
 
   // --- slice occupancy ---------------------------------------------------
   void SliceBound(SliceId s, SimTime now);
@@ -236,7 +252,12 @@ class Recorder {
   std::size_t plans_committed_ = 0;
   std::size_t plans_aborted_ = 0;
   std::size_t spawns_committed_ = 0;
+  std::size_t pipelines_committed_ = 0;
   std::array<std::size_t, sim::kNumPlanAbortCauses> aborts_by_cause_{};
+
+  std::array<std::size_t, sim::kNumTransitionKinds> transitions_by_kind_{};
+  std::size_t reconfigurations_ = 0;
+  SimDuration blackout_total_ = 0;
 
   std::size_t rejected_ = 0;
   std::array<std::size_t, sim::kNumRejectCauses> rejects_by_cause_{};

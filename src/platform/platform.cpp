@@ -32,7 +32,6 @@ PlatformCore::PlatformCore(sim::Simulator& sim, gpu::Cluster& cluster,
       scaling_(std::move(bundle.scaling)),
       keepalive_(std::move(bundle.keepalive)),
       retry_(std::move(bundle.retry)),
-      counters_(std::move(bundle.counters)),
       fns_(functions_.size()) {
   for (std::size_t i = 0; i < functions_.size(); ++i) {
     FFS_CHECK_MSG(functions_[i].id ==
@@ -147,10 +146,6 @@ std::size_t PlatformCore::RowIndex(const Instance* inst) const {
 
 const FunctionSpec& PlatformCore::function(FunctionId fn) const {
   return functions_[FnIndex(fn)];
-}
-
-SchedulerCounters PlatformCore::scheduler_counters() const {
-  return counters_ ? counters_() : SchedulerCounters{};
 }
 
 RequestId PlatformCore::Submit(FunctionId fn) {
@@ -330,8 +325,12 @@ CommitResult PlatformCore::Commit(const PlacementPlan& plan) {
       }
     }
   }
-  bus().Publish(
-      sim::PlacementCommitted{plan.NumActions(), plan.NumSpawns(), now});
+  int pipelines = 0;
+  for (const Instance* inst : result.spawned) {
+    if (inst->IsPipelined()) ++pipelines;
+  }
+  bus().Publish(sim::PlacementCommitted{plan.NumActions(), plan.NumSpawns(),
+                                        pipelines, now});
   return result;
 }
 

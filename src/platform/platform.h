@@ -68,10 +68,6 @@ class PlatformCore final {
   gpu::Cluster& cluster() const { return cluster_; }
   const PlatformConfig& config() const { return config_; }
 
-  /// Scheduler-specific counters from the bundle (all-zero when the bundle
-  /// exposes none).
-  SchedulerCounters scheduler_counters() const;
-
   /// Live (neither retired nor failed) instances of a function, in creation
   /// order. The list is the core's own: RetireInstance and FailInstance
   /// remove from it and a launch appends to it, so a caller that may do
@@ -259,7 +255,6 @@ class PlatformCore final {
   std::unique_ptr<ScalingPolicy> scaling_;
   std::unique_ptr<KeepAlivePolicy> keepalive_;
   std::unique_ptr<RetryPolicy> retry_;
-  std::function<SchedulerCounters()> counters_;
   std::unique_ptr<qos::QueueDiscipline> pending_q_;
   std::unique_ptr<qos::AdmissionController> admission_;
 

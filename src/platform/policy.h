@@ -38,19 +38,6 @@ class Instance;
 class PlatformCore;
 struct FunctionSpec;
 
-/// Scheduler-specific event counts surfaced uniformly through
-/// PlatformCore::scheduler_counters(); a bundle fills only the fields its
-/// policies maintain.
-struct SchedulerCounters {
-  std::size_t evictions = 0;
-  std::size_t promotions = 0;
-  std::size_t demotions = 0;
-  std::size_t migrations = 0;
-  std::size_t pipelines_launched = 0;
-  std::size_t reconfigurations = 0;
-  SimDuration reconfiguration_blackout = 0;
-};
-
 class RoutingPolicy {
  public:
   virtual ~RoutingPolicy() = default;
@@ -192,17 +179,17 @@ bool GrowCapacity(PlatformCore& core, double rate, double capacity,
 /// in creation order.
 void RetireDrainedIdle(PlatformCore& core);
 
-/// A named scheduler: the policies plus optional introspection.
-/// `keepalive` may be null (treated as NullKeepAlive); `retry` may be null
-/// (the core installs a BoundedRetryPolicy from PlatformConfig::retry);
-/// `counters` may be null (all-zero counters).
+/// A named scheduler: its policies. `keepalive` may be null (treated as
+/// NullKeepAlive); `retry` may be null (the core installs a
+/// BoundedRetryPolicy from PlatformConfig::retry). What a scheduler did
+/// (transitions, pipelines, repartitions) is counted by metrics::Recorder
+/// off the events its policies publish, not by the bundle.
 struct PolicyBundle {
   std::string name;
   std::unique_ptr<RoutingPolicy> routing;
   std::unique_ptr<ScalingPolicy> scaling;
   std::unique_ptr<KeepAlivePolicy> keepalive;
   std::unique_ptr<RetryPolicy> retry;
-  std::function<SchedulerCounters()> counters;
   /// Optional QueuePolicy override. When null (every builtin scheduler) the
   /// core builds the pair qos::MakeQueuePolicy names from PlatformConfig::qos
   /// — i.e. what --queue / --admission selected.

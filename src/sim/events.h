@@ -158,6 +158,10 @@ constexpr const char* Name(TransitionKind k) {
   return "?";
 }
 
+/// Number of TransitionKind values (for per-kind counter arrays).
+inline constexpr int kNumTransitionKinds =
+    static_cast<int>(TransitionKind::kColdDrop) + 1;
+
 struct SchedulerTransition {
   TransitionKind kind = TransitionKind::kPromotion;
   FunctionId fn;
@@ -363,8 +367,9 @@ inline constexpr int kNumPlanAbortCauses =
 
 /// A placement plan passed validation and was applied atomically.
 struct PlacementCommitted {
-  int actions = 0;  // total actions in the plan
-  int spawns = 0;   // instances launched by the plan
+  int actions = 0;    // total actions in the plan
+  int spawns = 0;     // instances launched by the plan
+  int pipelines = 0;  // of those, instances with more than one stage
   SimTime at = 0;
 };
 

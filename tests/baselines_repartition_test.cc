@@ -104,7 +104,7 @@ TEST_F(RepartitionPlatformTest, ServesWithoutReconfigWhenSlicesFit) {
   }
   sim_.RunUntil(Seconds(60));
   EXPECT_EQ(recorder_->completed_requests(), 10u);
-  EXPECT_EQ(state_->reconfigurations, 0u);
+  EXPECT_EQ(recorder_->reconfigurations(), 0u);
 }
 
 TEST_F(RepartitionPlatformTest, ReconfiguresWhenFragmentedOutAndPaysMinutes) {
@@ -116,10 +116,10 @@ TEST_F(RepartitionPlatformTest, ReconfiguresWhenFragmentedOutAndPaysMinutes) {
     sim_.At(Millis(500) * i, [this] { plat_->Submit(FunctionId(0)); });
   }
   sim_.RunUntil(Seconds(60));
-  EXPECT_GE(state_->reconfigurations, 1u);
+  EXPECT_GE(recorder_->reconfigurations(), 1u);
   EXPECT_EQ(recorder_->completed_requests(), 0u);  // inside the blackout
   sim_.RunUntil(Minutes(12));
-  EXPECT_GE(state_->blackout_total, Minutes(3));
+  EXPECT_GE(recorder_->reconfiguration_blackout(), Minutes(3));
   // After the blackout the reconfigured GPU serves the whole backlog.
   EXPECT_EQ(recorder_->completed_requests(), 30u);
 }

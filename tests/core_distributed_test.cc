@@ -93,7 +93,7 @@ TEST_F(DistributedTest, PipelinesStayNodeLocal) {
     sim_.At(Millis(80) * i, [this] { plat_->Submit(FunctionId(0)); });
   }
   sim_.RunUntil(Seconds(60));
-  EXPECT_GE(plat_->scheduler_counters().pipelines_launched, 1u);
+  EXPECT_GE(recorder_->pipelines_committed(), 1u);
   // Every live instance's slices share one node.
   for (const auto& spec : plat_->functions()) {
     for (auto* inst : plat_->InstancesOf(spec.id)) {
@@ -115,7 +115,7 @@ TEST_F(DistributedTest, EvictionHappensPerInvoker) {
     t += Seconds(3);
   }
   sim_.RunUntil(Seconds(120));
-  EXPECT_GE(plat_->scheduler_counters().evictions, 1u);
+  EXPECT_GE(recorder_->transitions(sim::TransitionKind::kEviction), 1u);
   EXPECT_EQ(recorder_->completed_requests(), 4u);
 }
 
@@ -135,7 +135,7 @@ TEST(DistributedHarnessTest, ComparableToCentralizedOnBalancedCluster) {
   // (within 25% throughput) on a balanced cluster.
   EXPECT_NEAR(dist.throughput_rps, central.throughput_rps,
               0.25 * central.throughput_rps);
-  EXPECT_GT(dist.scheduler.pipelines_launched, 0u);
+  EXPECT_GT(dist.recorder->pipelines_committed(), 0u);
 }
 
 }  // namespace

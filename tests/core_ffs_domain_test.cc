@@ -139,7 +139,7 @@ TEST(FfsDomainTest, CrashLeavesNoInstanceOutsideTheDomain) {
   }
 }
 
-TEST(FfsDomainTest, CountersMatchPublishedTransitions) {
+TEST(FfsDomainTest, RecorderCountsMatchPublishedTransitions) {
   for (Scheduler& s : BothSchedulers()) {
     SCOPED_TRACE(s.name);
     sim::Simulator sim;
@@ -150,7 +150,10 @@ TEST(FfsDomainTest, CountersMatchPublishedTransitions) {
         trace::MakeWorkload(trace::WorkloadTier::kMedium, cluster, params);
     PlatformCore plat(sim, cluster, workload.functions, PlatformConfig{},
                       std::move(s.bundle));
-    std::array<std::size_t, 5> seen{};  // indexed by sim::TransitionKind
+    metrics::Recorder recorder(cluster);
+    recorder.SubscribeTo(sim.bus());
+    // An independent subscriber, indexed by sim::TransitionKind.
+    std::array<std::size_t, sim::kNumTransitionKinds> seen{};
     auto sub = sim.bus().SubscribeScoped<sim::SchedulerTransition>(
         [&seen](const sim::SchedulerTransition& e) {
           ++seen[static_cast<std::size_t>(e.kind)];
@@ -162,15 +165,12 @@ TEST(FfsDomainTest, CountersMatchPublishedTransitions) {
     sim.RunUntil(params.duration + Minutes(2));
     plat.Stop();
 
-    auto count = [&seen](sim::TransitionKind k) {
-      return seen[static_cast<std::size_t>(k)];
-    };
-    const platform::SchedulerCounters c = plat.scheduler_counters();
-    EXPECT_GT(c.promotions, 0u);
-    EXPECT_EQ(c.promotions, count(sim::TransitionKind::kPromotion));
-    EXPECT_EQ(c.demotions, count(sim::TransitionKind::kDemotion));
-    EXPECT_EQ(c.evictions, count(sim::TransitionKind::kEviction));
-    EXPECT_EQ(c.migrations, count(sim::TransitionKind::kMigration));
+    EXPECT_GT(recorder.transitions(sim::TransitionKind::kPromotion), 0u);
+    for (int k = 0; k < sim::kNumTransitionKinds; ++k) {
+      const auto kind = static_cast<sim::TransitionKind>(k);
+      EXPECT_EQ(recorder.transitions(kind), seen[static_cast<std::size_t>(k)])
+          << sim::Name(kind);
+    }
   }
 }
 

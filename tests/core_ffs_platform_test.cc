@@ -77,7 +77,7 @@ TEST_F(FfsPlatformTest, SustainedLoadPromotesToExclusiveHot) {
   Burst(FunctionId(0), 300, Millis(100));  // 10 rps for 30 s, util >> 30%
   sim_.RunUntil(Seconds(25));
   // Fig. 8 ②: the hot function now owns exclusive instances.
-  EXPECT_GE(state_->promotions, 1u);
+  EXPECT_GE(recorder_->transitions(sim::TransitionKind::kPromotion), 1u);
   EXPECT_GE(state_->state(FunctionId(0)).eh.size(), 1u);
   sim_.RunUntil(Seconds(180));
 }
@@ -119,7 +119,7 @@ TEST_F(FfsPlatformTest, LruEvictionWhenSlicesAreScarce) {
   }
   sim_.RunUntil(Seconds(30));
   // Three slices, four resident candidates: at least one eviction (④).
-  EXPECT_GE(state_->evictions, 1u);
+  EXPECT_GE(recorder_->transitions(sim::TransitionKind::kEviction), 1u);
   sim_.RunUntil(Seconds(120));
   EXPECT_EQ(recorder_->completed_requests(), 4u);
 }
@@ -138,7 +138,7 @@ TEST_F(FfsPlatformTest, EvictedFunctionReloadsWarm) {
   EXPECT_EQ(recorder_->completed_requests(), 5u);
   // The reload exists; its load time is warm-scale (sub-second per GiB),
   // visible as load_time on the last request if it reloaded.
-  EXPECT_GE(state_->evictions, 1u);
+  EXPECT_GE(recorder_->transitions(sim::TransitionKind::kEviction), 1u);
 }
 
 TEST_F(FfsPlatformTest, FragmentationTriggersPipelineLaunch) {
@@ -154,7 +154,7 @@ TEST_F(FfsPlatformTest, FragmentationTriggersPipelineLaunch) {
   }
   Burst(FunctionId(0), 150, Millis(100));
   sim_.RunUntil(Seconds(20));
-  EXPECT_GE(state_->pipelines_launched, 1u);
+  EXPECT_GE(recorder_->pipelines_committed(), 1u);
   sim_.RunUntil(Seconds(240));
   EXPECT_EQ(recorder_->completed_requests(), 150u);
 }
@@ -171,7 +171,7 @@ TEST_F(FfsPlatformTest, PipelinesDisabledAblationCannotUseFragments) {
   }
   Burst(FunctionId(0), 50, Millis(100));
   sim_.RunUntil(Seconds(30));
-  EXPECT_EQ(state_->pipelines_launched, 0u);
+  EXPECT_EQ(recorder_->pipelines_committed(), 0u);
   // Nothing can be placed: no instance exists, requests pend.
   EXPECT_EQ(recorder_->completed_requests(), 0u);
   EXPECT_GT(plat_->PendingCount(), 0u);
@@ -190,13 +190,13 @@ TEST_F(FfsPlatformTest, MigrationReplacesPipelineWhenBigSliceFrees) {
   }
   Burst(FunctionId(0), 150, Millis(50));  // burst ends before the release
   sim_.RunUntil(Seconds(10));
-  ASSERT_GE(state_->pipelines_launched, 1u);
+  ASSERT_GE(recorder_->pipelines_committed(), 1u);
   // ...then free them: migration should kick in (§5.3).
   sim_.At(sim_.Now(), [this, blocked] {
     for (SliceId sid : blocked) cluster_->Release(sid, InstanceId(999));
   });
   sim_.RunUntil(Seconds(40));
-  EXPECT_GE(state_->migrations, 1u);
+  EXPECT_GE(recorder_->transitions(sim::TransitionKind::kMigration), 1u);
   sim_.RunUntil(Seconds(400));
   EXPECT_EQ(recorder_->completed_requests(), 150u);
 }
@@ -219,7 +219,7 @@ TEST_F(FfsPlatformTest, MigrationDisabledAblation) {
     for (SliceId sid : blocked) cluster_->Release(sid, InstanceId(999));
   });
   sim_.RunUntil(Seconds(40));
-  EXPECT_EQ(state_->migrations, 0u);
+  EXPECT_EQ(recorder_->transitions(sim::TransitionKind::kMigration), 0u);
   sim_.RunUntil(Seconds(300));
 }
 

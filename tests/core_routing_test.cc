@@ -120,9 +120,8 @@ TEST_F(RoutingTest, EvictionCostShowsUpAsLoadTime) {
                                    1.5));
   }
   PlatformConfig config;
-  auto state = std::make_shared<FfsState>();
   platform::PlatformCore plat(sim, cluster, std::move(fns), config,
-                              MakeFluidFaasBundle(state));
+                              MakeFluidFaasBundle());
   recorder.SubscribeTo(sim.bus());
   plat.Start();
   // Touch fn0 first, then the other three (forcing fn0's eviction), then
@@ -134,7 +133,7 @@ TEST_F(RoutingTest, EvictionCostShowsUpAsLoadTime) {
   RequestId reload_rid;
   sim.At(Seconds(60), [&] { reload_rid = plat.Submit(FunctionId(0)); });
   sim.RunUntil(Seconds(200));
-  ASSERT_GE(state->evictions, 1u);
+  ASSERT_GE(recorder.transitions(sim::TransitionKind::kEviction), 1u);
   ASSERT_TRUE(recorder.record(reload_rid).done());
   // The reload is a warm load: hundreds of ms, not a cold multi-second
   // fetch and not zero.

@@ -43,8 +43,10 @@ TEST(HarnessDeterminismTest, TraceExporterDoesNotPerturbTheRun) {
   EXPECT_EQ(a.recorder->GpuTime(), b.recorder->GpuTime());
   // ...down to every per-request latency.
   EXPECT_EQ(a.recorder->LatenciesSeconds(), b.recorder->LatenciesSeconds());
-  EXPECT_EQ(a.scheduler.evictions, b.scheduler.evictions);
-  EXPECT_EQ(a.scheduler.pipelines_launched, b.scheduler.pipelines_launched);
+  EXPECT_EQ(a.recorder->transitions(sim::TransitionKind::kEviction),
+            b.recorder->transitions(sim::TransitionKind::kEviction));
+  EXPECT_EQ(a.recorder->pipelines_committed(),
+            b.recorder->pipelines_committed());
 
   // And the trace file is a non-empty Chrome-trace JSON.
   std::ifstream in(path);

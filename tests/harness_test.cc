@@ -85,21 +85,25 @@ TEST(HarnessTest, CustomPartitionsAreUsed) {
             res.recorder->total_requests());
 }
 
-TEST(HarnessTest, FluidCollectsSchedulerCounters) {
+TEST(HarnessTest, RecorderCountsFluidSchedulerBehaviour) {
   ExperimentConfig cfg = SmallConfig(SystemKind::kFluidFaas,
                                      trace::WorkloadTier::kLight);
   cfg.duration = Seconds(60);
   cfg.load_factor = 0.5;
   auto res = RunExperiment(cfg);
+  using sim::TransitionKind;
+  auto moves = [](const metrics::Recorder& rec) {
+    return rec.transitions(TransitionKind::kPromotion) +
+           rec.transitions(TransitionKind::kDemotion) +
+           rec.transitions(TransitionKind::kEviction);
+  };
   // The light run at least promotes something.
-  const platform::SchedulerCounters& c = res.scheduler;
-  EXPECT_GT(c.promotions + c.demotions + c.evictions + c.pipelines_launched,
-            0u);
-  // Baselines report zeros.
+  EXPECT_GT(moves(*res.recorder) + res.recorder->pipelines_committed(), 0u);
+  // Baselines make no Fig. 8 moves.
   cfg.system = SystemKind::kEsg;
   auto esg = RunExperiment(cfg);
-  EXPECT_EQ(esg.scheduler.promotions, 0u);
-  EXPECT_EQ(esg.scheduler.evictions, 0u);
+  EXPECT_EQ(esg.recorder->transitions(TransitionKind::kPromotion), 0u);
+  EXPECT_EQ(esg.recorder->transitions(TransitionKind::kEviction), 0u);
 }
 
 TEST(HarnessTest, NamesAreStable) {

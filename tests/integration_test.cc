@@ -55,7 +55,7 @@ TEST(EndToEndTest, MediumWorkloadFluidWins) {
   // 1g slices become unusable for the monolithic baselines.
   EXPECT_GT(fluid.throughput_rps, esg.throughput_rps);
   EXPECT_GT(fluid.recorder->SloHitRate(), esg.recorder->SloHitRate());
-  EXPECT_GT(fluid.scheduler.pipelines_launched, 0u);
+  EXPECT_GT(fluid.recorder->pipelines_committed(), 0u);
 }
 
 TEST(EndToEndTest, HeavyWorkloadFluidWinsBig) {
@@ -111,7 +111,7 @@ TEST(EndToEndTest, AblationPipelinesOffHurtsHeavyThroughput) {
   cfg.platform.enable_pipelines = false;
   auto without = RunExperiment(cfg);
   EXPECT_GT(with.throughput_rps, without.throughput_rps);
-  EXPECT_EQ(without.scheduler.pipelines_launched, 0u);
+  EXPECT_EQ(without.recorder->pipelines_committed(), 0u);
 }
 
 TEST(EndToEndTest, AblationTimeSharingEnablesScarceSliceSharing) {
@@ -125,8 +125,8 @@ TEST(EndToEndTest, AblationTimeSharingEnablesScarceSliceSharing) {
   auto with = RunExperiment(cfg);
   cfg.platform.enable_time_sharing = false;
   auto without = RunExperiment(cfg);
-  EXPECT_GT(with.scheduler.evictions, 0u);
-  EXPECT_EQ(without.scheduler.evictions, 0u);
+  EXPECT_GT(with.recorder->transitions(sim::TransitionKind::kEviction), 0u);
+  EXPECT_EQ(without.recorder->transitions(sim::TransitionKind::kEviction), 0u);
   // With time sharing, a request for a non-resident function waits only an
   // eviction + warm reload (seconds); without it, the overflow function is
   // stuck behind another's exclusive keep-alive and its requests complete

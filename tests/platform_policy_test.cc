@@ -82,7 +82,7 @@ TEST(PolicyCompositionTest, CustomRoutingWithStockFfsScaling) {
   EXPECT_GE(route_calls, 20);
   EXPECT_EQ(recorder.completed_requests(), 20u);
   // The stock scaling policy did its Fig. 8 work underneath our router.
-  EXPECT_GE(plat.scheduler_counters().promotions, 0u);
+  EXPECT_GE(recorder.transitions(sim::TransitionKind::kPromotion), 0u);
 }
 
 TEST(RegistryTest, RegisterResolveRoundtrip) {
