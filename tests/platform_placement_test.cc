@@ -69,6 +69,18 @@ class PlacementTest : public ::testing::Test {
     return txn;
   }
 
+  /// A 2-stage plan for `fn` on node 0 through `view`.
+  core::PipelinePlan PlanTwoStages(const gpu::ClusterView& view, int fn) {
+    for (const core::PipelineCandidate& c : spec(fn).ranked_pipelines) {
+      if (c.num_stages() != 2) continue;
+      auto plan = core::TryPlanOnNode(spec(fn).dag, c, view, NodeId(0),
+                                      model::TransferCostModel{});
+      if (plan) return std::move(*plan);
+    }
+    ADD_FAILURE() << "no 2-stage plan for fn " << fn;
+    return {};
+  }
+
   static SliceId SpawnSlice(const PlacementPlan& txn, std::size_t action) {
     return std::get<SpawnAction>(txn.actions[action])
         .pipeline.stages.front()
@@ -93,6 +105,54 @@ TEST_F(PlacementTest, CommitSpawnsAndPublishesCounters) {
   EXPECT_EQ(recorder_.spawns_committed(), 1u);
   EXPECT_EQ(recorder_.plans_aborted(), 0u);
   EXPECT_EQ(recorder_.PlanConflictRate(), 0.0);
+}
+
+TEST_F(PlacementTest, RecorderCountsPipelinesAmongCommittedSpawns) {
+  gpu::ClusterView view(cluster_);
+  PlacementPlan txn;
+  // One plan: a 2-stage spawn of fn 0 and a monolithic spawn of fn 1.
+  AddSpawn(txn, view, FunctionId(0), PlanTwoStages(view, 0), false);
+  auto mono = core::MonolithicPlanOnSmallestSlice(spec(1).dag, view);
+  ASSERT_TRUE(mono.has_value());
+  AddSpawn(txn, view, FunctionId(1), std::move(*mono), false);
+
+  ASSERT_TRUE(plat_.Commit(txn).ok());
+  EXPECT_EQ(recorder_.spawns_committed(), 2u);
+  EXPECT_EQ(recorder_.pipelines_committed(), 1u);
+  EXPECT_EQ(recorder_.reconfigurations(), 0u);
+}
+
+TEST_F(PlacementTest, RecorderCountsRepartitionAndItsBlackout) {
+  PlacementPlan txn;
+  txn.actions.emplace_back(std::in_place_type<RepartitionAction>, GpuId(1),
+                           gpu::MigPartition::Parse("7g.80gb"), Seconds(137),
+                           InstanceId());
+  ASSERT_TRUE(plat_.Commit(txn).ok());
+  EXPECT_EQ(recorder_.reconfigurations(), 1u);
+  EXPECT_EQ(recorder_.reconfiguration_blackout(), Seconds(137));
+  EXPECT_EQ(recorder_.spawns_committed(), 0u);
+}
+
+TEST_F(PlacementTest, AbortedPlanAddsNoSchedulerCounts) {
+  gpu::ClusterView setup(cluster_);
+  const PlacementPlan seed = PlanSpawn(setup, 0);
+  const GpuId busy = cluster_.slice(SpawnSlice(seed, 0)).gpu;
+  ASSERT_TRUE(plat_.Commit(seed).ok());
+
+  // A pipelined spawn plus a repartition of the occupied GPU: the
+  // repartition aborts the plan, so neither is counted.
+  gpu::ClusterView view(cluster_);
+  PlacementPlan txn;
+  AddSpawn(txn, view, FunctionId(1), PlanTwoStages(view, 1), false);
+  txn.actions.emplace_back(std::in_place_type<RepartitionAction>, busy,
+                           gpu::MigPartition::Parse("7g.80gb"), Seconds(137),
+                           InstanceId());
+  EXPECT_EQ(plat_.Commit(txn).cause, sim::PlanAbortCause::kGpuNotIdle);
+  EXPECT_EQ(recorder_.plans_aborted(), 1u);
+  EXPECT_EQ(recorder_.spawns_committed(), 1u);
+  EXPECT_EQ(recorder_.pipelines_committed(), 0u);
+  EXPECT_EQ(recorder_.reconfigurations(), 0u);
+  EXPECT_EQ(recorder_.reconfiguration_blackout(), 0);
 }
 
 TEST_F(PlacementTest, AbortWhenReservedSliceFailsAfterPlanning) {
