@@ -65,6 +65,80 @@ TEST(CliArgsTest, RejectsNonNumericValues) {
   EXPECT_THROW(args.GetDouble("nodes", 0.0), FfsError);
 }
 
+// Every malformed number is an FfsError (printed as "error: ..." with exit
+// 1), never an uncaught std:: exception, a silent prefix or a wrap-around.
+CliArgs Parse(std::vector<std::string> raw) {
+  raw.insert(raw.begin(), {"prog", "cmd"});
+  auto argv = Argv(raw);
+  return CliArgs(static_cast<int>(argv.size()), argv.data(), 2,
+                 {"seeds", "nodes", "gpus", "seed", "loads", "duration",
+                  "tiers"});
+}
+
+TEST(CliArgsTest, RejectsNonNumericListItem) {
+  EXPECT_THROW(Parse({"--seeds", "abc"}).GetList<std::uint64_t>("seeds"),
+               FfsError);
+  EXPECT_THROW(Parse({"--seeds", "1,abc"}).GetList<std::uint64_t>("seeds"),
+               FfsError);
+}
+
+TEST(CliArgsTest, RejectsNonPositiveOrOversizedCounts) {
+  EXPECT_THROW(Parse({"--nodes", "-1"}).GetCount("nodes", 2), FfsError);
+  EXPECT_THROW(Parse({"--gpus", "0"}).GetCount("gpus", 8), FfsError);
+  EXPECT_THROW(Parse({"--nodes", "4294967297"}).GetCount("nodes", 2),
+               FfsError);
+  EXPECT_EQ(Parse({"--nodes", "3"}).GetCount("nodes", 2), 3);
+  EXPECT_EQ(Parse({}).GetCount("nodes", 2), 2);
+}
+
+TEST(CliArgsTest, RejectsSignedSeeds) {
+  EXPECT_THROW(Parse({"--seeds", "-1"}).GetList<std::uint64_t>("seeds"),
+               FfsError);
+  EXPECT_THROW(Parse({"--seed", "-1"}).Get<std::uint64_t>("seed", 1234), FfsError);
+  EXPECT_THROW(Parse({"--seed", "+1"}).Get<std::uint64_t>("seed", 1234), FfsError);
+  EXPECT_EQ(Parse({"--seed", "18446744073709551615"}).Get<std::uint64_t>("seed", 1),
+            18446744073709551615ULL);
+}
+
+TEST(CliArgsTest, RejectsTrailingCharacters) {
+  EXPECT_THROW(Parse({"--loads", "0.2,0.5x"}).GetList<double>("loads"),
+               FfsError);
+  EXPECT_THROW(Parse({"--duration", "5x"}).GetDouble("duration", 150.0),
+               FfsError);
+  EXPECT_THROW(Parse({"--nodes", "4 "}).GetInt("nodes", 2), FfsError);
+}
+
+TEST(CliArgsTest, RejectsFractionalIntegers) {
+  EXPECT_THROW(Parse({"--nodes", "1.9"}).GetInt("nodes", 2), FfsError);
+  EXPECT_THROW(Parse({"--seed", "1.5"}).Get<std::uint64_t>("seed", 1234), FfsError);
+}
+
+TEST(CliArgsTest, RejectsNonPositiveOrNonFiniteDuration) {
+  EXPECT_THROW(Parse({"--duration", "0"}).GetPositive("duration", 150.0),
+               FfsError);
+  EXPECT_THROW(Parse({"--duration", "-5"}).GetPositive("duration", 150.0),
+               FfsError);
+  EXPECT_DOUBLE_EQ(Parse({"--duration", "2.5"}).GetPositive("duration", 1.0),
+                   2.5);
+  EXPECT_THROW(Parse({"--duration", "nan"}).GetDouble("duration", 150.0),
+               FfsError);
+  EXPECT_THROW(Parse({"--duration", "inf"}).GetDouble("duration", 150.0),
+               FfsError);
+}
+
+TEST(CliArgsTest, ParsesWellFormedLists) {
+  const CliArgs args = Parse({"--seeds", "1,,2,3", "--loads", "0.2,1e-1"});
+  EXPECT_EQ(args.GetList<std::uint64_t>("seeds"),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(args.GetList<double>("loads"), (std::vector<double>{0.2, 0.1}));
+  EXPECT_TRUE(args.GetList<double>("duration").empty());
+  EXPECT_EQ(Parse({"--tiers", "light,,heavy"})
+                .GetList<std::string>("tiers", "medium"),
+            (std::vector<std::string>{"light", "heavy"}));
+  EXPECT_EQ(Parse({}).GetList<std::string>("tiers", "medium"),
+            (std::vector<std::string>{"medium"}));
+}
+
 TEST(CliArgsTest, LastOccurrenceWins) {
   std::vector<std::string> raw = {"prog", "cmd", "--seed", "1", "--seed",
                                   "2"};

@@ -1,17 +1,45 @@
 // Minimal `--key value` command-line parsing for the fluidfaas CLI.
 // Flags may appear in any order; unknown keys are rejected up front so
-// typos fail loudly instead of silently using defaults.
+// typos fail loudly instead of silently using defaults. Numbers are parsed
+// whole: "5x", "1.9" for an integer or "-1" for a seed is an error, never a
+// silent prefix or wrap-around.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
 
 namespace fluidfaas::tools {
+
+/// Parse all of `token` as a T for --`flag`: nothing may be left over,
+/// integers take no fraction, unsigned integers take no sign, and a
+/// floating-point value must be finite. Throws FfsError otherwise.
+template <typename T>
+T ParseNumber(const std::string& flag, const std::string& token) {
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    const char* kind = std::is_floating_point_v<T> ? "a finite number"
+                       : std::is_unsigned_v<T>     ? "a non-negative integer"
+                                                   : "an integer";
+    throw FfsError(std::string("--") + flag + " expects " + kind +
+                   ", got: " + token);
+  }
+  return v;
+}
 
 class CliArgs {
  public:
@@ -43,22 +71,54 @@ class CliArgs {
     return it == values_.end() ? fallback : it->second;
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
+  /// --`key` parsed whole as a T (ParseNumber), or `fallback` if absent.
+  template <typename T>
+  T Get(const std::string& key, T fallback) const {
     auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    std::istringstream ss(it->second);
-    double v;
-    if (!(ss >> v)) throw FfsError("--" + key + " expects a number");
-    return v;
+    return it == values_.end() ? fallback : ParseNumber<T>(key, it->second);
+  }
+
+  double GetDouble(const std::string& key, double fallback) const {
+    return Get<double>(key, fallback);
   }
 
   long GetInt(const std::string& key, long fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    std::istringstream ss(it->second);
-    long v;
-    if (!(ss >> v)) throw FfsError("--" + key + " expects an integer");
+    return Get<long>(key, fallback);
+  }
+
+  /// A count (nodes, GPUs): an integer in [1, INT_MAX].
+  int GetCount(const std::string& key, int fallback) const {
+    const long v = GetInt(key, fallback);
+    if (v < 1 || v > std::numeric_limits<int>::max()) {
+      throw FfsError(std::string("--") + key + " must be a positive count");
+    }
+    return static_cast<int>(v);
+  }
+
+  /// A number > 0 (durations).
+  double GetPositive(const std::string& key, double fallback) const {
+    const double v = GetDouble(key, fallback);
+    if (!(v > 0.0)) throw FfsError(std::string("--") + key + " must be > 0");
     return v;
+  }
+
+  /// The comma-separated items of --`key` (or of `fallback` when absent),
+  /// empty items skipped; each parsed whole as a T unless T is a string.
+  template <typename T>
+  std::vector<T> GetList(const std::string& key,
+                         const std::string& fallback = "") const {
+    std::vector<T> out;
+    std::istringstream ss(GetString(key, fallback));
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      if (item.empty()) continue;
+      if constexpr (std::is_same_v<T, std::string>) {
+        out.push_back(item);
+      } else {
+        out.push_back(ParseNumber<T>(key, item));
+      }
+    }
+    return out;
   }
 
  private:

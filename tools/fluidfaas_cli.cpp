@@ -39,7 +39,6 @@
 // hardware threads).
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "harness/sweep.h"
 
@@ -88,16 +87,6 @@ harness::SystemKind ParseSystem(const std::string& s) {
   throw FfsError("unknown system: " + s);
 }
 
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 int ParseJobs(const CliArgs& args) {
   const long jobs = args.GetInt("jobs", 0);
   if (args.Has("jobs") && jobs < 1) {
@@ -109,11 +98,11 @@ int ParseJobs(const CliArgs& args) {
 int CmdRun(const CliArgs& args) {
   harness::ExperimentConfig cfg;
   cfg.tier = ParseTier(args.GetString("tier", "medium"));
-  cfg.num_nodes = static_cast<int>(args.GetInt("nodes", 2));
-  cfg.gpus_per_node = static_cast<int>(args.GetInt("gpus", 8));
-  cfg.duration = Seconds(args.GetDouble("duration", 150.0));
+  cfg.num_nodes = args.GetCount("nodes", 2);
+  cfg.gpus_per_node = args.GetCount("gpus", 8);
+  cfg.duration = Seconds(args.GetPositive("duration", 150.0));
   cfg.load_factor = args.GetDouble("load", 0.0);
-  cfg.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1234));
+  cfg.seed = args.Get<std::uint64_t>("seed", 1234);
   if (args.Has("partition")) {
     const auto part = gpu::MigPartition::Parse(args.GetString("partition", ""));
     cfg.partitions.assign(
@@ -135,7 +124,7 @@ int CmdRun(const CliArgs& args) {
   // Deterministic fault injection: mean faults/s of simulated time across
   // the cluster; 0 (the default) runs exactly the fault-free simulation.
   cfg.faults.rate = args.GetDouble("fault-rate", 0.0);
-  cfg.faults.seed = static_cast<std::uint64_t>(args.GetInt("fault-seed", 0));
+  cfg.faults.seed = args.Get<std::uint64_t>("fault-seed", 0);
   cfg.faults.mttr = Seconds(args.GetDouble("mttr", 30.0));
   cfg.faults.timeout_scale = args.GetDouble("timeout-scale", 0.0);
 
@@ -287,10 +276,10 @@ int CmdRun(const CliArgs& args) {
 // artifact) in grid order regardless of --jobs, so output is reproducible.
 int CmdSweep(const CliArgs& args) {
   harness::SweepSpec spec;
-  spec.base.num_nodes = static_cast<int>(args.GetInt("nodes", 2));
-  spec.base.gpus_per_node = static_cast<int>(args.GetInt("gpus", 8));
-  spec.base.duration = Seconds(args.GetDouble("duration", 150.0));
-  spec.base.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1234));
+  spec.base.num_nodes = args.GetCount("nodes", 2);
+  spec.base.gpus_per_node = args.GetCount("gpus", 8);
+  spec.base.duration = Seconds(args.GetPositive("duration", 150.0));
+  spec.base.seed = args.Get<std::uint64_t>("seed", 1234);
   spec.base.platform.qos.queue = args.GetString("queue", "fifo");
   spec.base.platform.qos.admission = args.GetString("admission", "none");
 
@@ -298,22 +287,16 @@ int CmdSweep(const CliArgs& args) {
   if (systems == "all") {
     spec.systems = harness::kComparisonSystems;
   } else {
-    for (const auto& s : SplitCommas(systems)) {
+    for (const auto& s : args.GetList<std::string>("systems")) {
       spec.systems.push_back(ParseSystem(s));
     }
   }
-  for (const auto& t : SplitCommas(args.GetString("tiers", "medium"))) {
+  for (const auto& t : args.GetList<std::string>("tiers", "medium")) {
     spec.tiers.push_back(ParseTier(t));
   }
-  for (const auto& s : SplitCommas(args.GetString("seeds", ""))) {
-    spec.seeds.push_back(std::stoull(s));
-  }
-  for (const auto& l : SplitCommas(args.GetString("loads", ""))) {
-    spec.load_factors.push_back(std::stod(l));
-  }
-  for (const auto& f : SplitCommas(args.GetString("fault-rates", ""))) {
-    spec.fault_rates.push_back(std::stod(f));
-  }
+  spec.seeds = args.GetList<std::uint64_t>("seeds");
+  spec.load_factors = args.GetList<double>("loads");
+  spec.fault_rates = args.GetList<double>("fault-rates");
   FFS_CHECK_MSG(!spec.systems.empty() && !spec.tiers.empty(),
                 "sweep needs at least one system and one tier");
 
@@ -361,7 +344,7 @@ int CmdTrace(const CliArgs& args) {
     opt.num_functions = static_cast<int>(args.GetInt("functions", 4));
     opt.minutes = static_cast<int>(args.GetInt("minutes", 5));
     opt.count_scale = args.GetDouble("scale", 1.0);
-    opt.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1234));
+    opt.seed = args.Get<std::uint64_t>("seed", 1234);
     const trace::Trace t = trace::ExpandAzureDataset(rows, opt);
     const std::string path = args.GetString("out", "");
     if (path.empty()) {
@@ -378,8 +361,8 @@ int CmdTrace(const CliArgs& args) {
   }
   trace::AzureLikeParams p;
   p.total_rps = args.GetDouble("rps", 20.0);
-  p.duration = Seconds(args.GetDouble("duration", 300.0));
-  p.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1234));
+  p.duration = Seconds(args.GetPositive("duration", 300.0));
+  p.seed = args.Get<std::uint64_t>("seed", 1234);
   const int functions = static_cast<int>(args.GetInt("functions", 4));
   const trace::Trace t = trace::AzureLikeTrace(functions, p);
 
