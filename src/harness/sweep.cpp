@@ -191,13 +191,9 @@ void WriteSweepJson(const SweepOutcome& outcome, std::ostream& os,
     w.Key("load_factor").Value(c.point.load_factor);
     w.Key("fault_rate").Value(c.point.fault_rate);
     if (!c.point.variant.empty()) w.Key("variant").Value(c.point.variant);
+    w.Key("result").Raw(ResultToJson(c.result));
     w.EndObject();
-    std::string head = w.Take();
-    // Splice the per-cell metrics into the point object: drop the point's
-    // closing brace and append `,"result": {...}`.
-    head.pop_back();
-    os << (i == 0 ? "\n" : ",\n") << head
-       << ",\"result\":" << ResultToJson(c.result) << "}";
+    os << (i == 0 ? "\n" : ",\n") << w.Take();
   }
   os << "\n]";
   if (include_timing) {
