@@ -91,13 +91,16 @@ TEST(CliArgsTest, RejectsNonPositiveOrOversizedCounts) {
   EXPECT_EQ(Parse({}).GetCount("nodes", 2), 2);
 }
 
+std::uint64_t Seed(const std::string& value) {
+  return Parse({"--seed", value}).Get<std::uint64_t>("seed", 1234);
+}
+
 TEST(CliArgsTest, RejectsSignedSeeds) {
   EXPECT_THROW(Parse({"--seeds", "-1"}).GetList<std::uint64_t>("seeds"),
                FfsError);
-  EXPECT_THROW(Parse({"--seed", "-1"}).Get<std::uint64_t>("seed", 1234), FfsError);
-  EXPECT_THROW(Parse({"--seed", "+1"}).Get<std::uint64_t>("seed", 1234), FfsError);
-  EXPECT_EQ(Parse({"--seed", "18446744073709551615"}).Get<std::uint64_t>("seed", 1),
-            18446744073709551615ULL);
+  EXPECT_THROW(Seed("-1"), FfsError);
+  EXPECT_THROW(Seed("+1"), FfsError);
+  EXPECT_EQ(Seed("18446744073709551615"), 18446744073709551615ULL);
 }
 
 TEST(CliArgsTest, RejectsTrailingCharacters) {
@@ -110,7 +113,7 @@ TEST(CliArgsTest, RejectsTrailingCharacters) {
 
 TEST(CliArgsTest, RejectsFractionalIntegers) {
   EXPECT_THROW(Parse({"--nodes", "1.9"}).GetInt("nodes", 2), FfsError);
-  EXPECT_THROW(Parse({"--seed", "1.5"}).Get<std::uint64_t>("seed", 1234), FfsError);
+  EXPECT_THROW(Seed("1.5"), FfsError);
 }
 
 TEST(CliArgsTest, RejectsNonPositiveOrNonFiniteDuration) {

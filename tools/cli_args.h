@@ -21,26 +21,6 @@
 
 namespace fluidfaas::tools {
 
-/// Parse all of `token` as a T for --`flag`: nothing may be left over,
-/// integers take no fraction, unsigned integers take no sign, and a
-/// floating-point value must be finite. Throws FfsError otherwise.
-template <typename T>
-T ParseNumber(const std::string& flag, const std::string& token) {
-  T v{};
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
-  bool ok = ec == std::errc() && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
-  if (!ok) {
-    const char* kind = std::is_floating_point_v<T> ? "a finite number"
-                       : std::is_unsigned_v<T>     ? "a non-negative integer"
-                                                   : "an integer";
-    throw FfsError(std::string("--") + flag + " expects " + kind +
-                   ", got: " + token);
-  }
-  return v;
-}
-
 class CliArgs {
  public:
   /// Parse argv[first..): alternating "--key value" pairs. `allowed`
@@ -122,6 +102,26 @@ class CliArgs {
   }
 
  private:
+  /// Parse all of `token` as a T for --`flag`: nothing may be left over,
+  /// integers take no fraction, unsigned integers take no sign, and a
+  /// floating-point value must be finite. Throws FfsError otherwise.
+  template <typename T>
+  static T ParseNumber(const std::string& flag, const std::string& token) {
+    T v{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+    if (!ok) {
+      const char* kind = std::is_floating_point_v<T> ? "a finite number"
+                         : std::is_unsigned_v<T>     ? "a non-negative integer"
+                                                     : "an integer";
+      throw FfsError(std::string("--") + flag + " expects " + kind +
+                     ", got: " + token);
+    }
+    return v;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
