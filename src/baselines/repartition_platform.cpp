@@ -155,9 +155,8 @@ void RepartitionScaling::Tick(platform::PlatformCore& core) {
   // Exclusive keep-alive runs as the bundle's FixedIdleKeepAlive right after.
 }
 
-platform::PolicyBundle MakeRepartitionBundle(
-    std::shared_ptr<RepartitionState> state) {
-  if (!state) state = std::make_shared<RepartitionState>();
+platform::PolicyBundle MakeRepartitionBundle() {
+  auto state = std::make_shared<RepartitionState>();
   platform::PolicyBundle bundle;
   bundle.name = "Repartition";
   bundle.routing = std::make_unique<RepartitionRouting>(state);

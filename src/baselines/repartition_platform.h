@@ -76,7 +76,6 @@ class RepartitionScaling final : public platform::ScalingPolicy {
   std::shared_ptr<RepartitionState> st_;
 };
 
-platform::PolicyBundle MakeRepartitionBundle(
-    std::shared_ptr<RepartitionState> state = nullptr);
+platform::PolicyBundle MakeRepartitionBundle();
 
 }  // namespace fluidfaas::baselines

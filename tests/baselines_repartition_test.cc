@@ -82,10 +82,9 @@ class RepartitionPlatformTest : public ::testing::Test {
     std::vector<FunctionSpec> fns;
     fns.push_back(MakeFunctionSpec(FunctionId(0), 0, v, model::BuildApp(0, v),
                                    1.5));
-    state_ = std::make_shared<RepartitionState>();
     plat_ = std::make_unique<platform::PlatformCore>(
         sim_, *cluster_, std::move(fns), PlatformConfig{},
-        MakeRepartitionBundle(state_));
+        MakeRepartitionBundle());
     recorder_->SubscribeTo(sim_.bus());
     plat_->Start();
   }
@@ -93,7 +92,6 @@ class RepartitionPlatformTest : public ::testing::Test {
   sim::Simulator sim_;
   std::unique_ptr<gpu::Cluster> cluster_;
   std::unique_ptr<metrics::Recorder> recorder_;
-  std::shared_ptr<RepartitionState> state_;
   std::unique_ptr<platform::PlatformCore> plat_;
 };
 
