@@ -69,18 +69,17 @@ inline harness::ExperimentConfig PaperConfig(trace::WorkloadTier tier) {
 }
 
 /// Write the BENCH_sweep.json artifact (FFS_SWEEP_OUT overrides the path)
-/// and print where it went plus the wall-clock/speedup summary. Returns
-/// false (after logging) when the file could not be written.
-inline bool ReportSweepArtifact(const harness::SweepOutcome& outcome,
+/// and print where it went plus the wall-clock/speedup summary. Throws
+/// FfsError when the file cannot be written.
+inline void ReportSweepArtifact(const harness::SweepOutcome& outcome,
                                 const std::string& fallback =
                                     "BENCH_sweep.json") {
   const std::string path = harness::SweepOutPath(fallback);
-  if (!harness::WriteSweepJsonFile(outcome, path)) return false;
+  harness::WriteSweepJsonFile(outcome, path);
   std::cout << "sweep artifact: " << path << " (" << outcome.cells.size()
             << " cells, jobs=" << outcome.jobs << ", wall "
             << metrics::Fmt(outcome.wall_seconds, 2) << "s, speedup "
             << metrics::Fmt(outcome.Speedup(), 2) << "x)\n";
-  return true;
 }
 
 inline void Banner(const std::string& title, const std::string& paper_ref) {

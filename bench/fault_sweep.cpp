@@ -73,7 +73,7 @@ int main() {
   table.Print();
 
   std::cout << "\n";
-  if (!bench::ReportSweepArtifact(sweep, "fault_sweep.json")) return 1;
+  bench::ReportSweepArtifact(sweep, "fault_sweep.json");
   std::cout << "Failures stay contained to single MIG slices (strong\n"
                "isolation); the degradation column shows how much of each\n"
                "scheduler's fault-free goodput survives the injection.\n";

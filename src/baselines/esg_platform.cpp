@@ -7,7 +7,6 @@
 
 #include "baselines/esg_search.h"
 #include "baselines/repartition_platform.h"
-#include "common/logging.h"
 #include "core/pipeline.h"
 #include "gpu/cluster_view.h"
 #include "platform/placement.h"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.h"
 #include "core/pipeline.h"
 #include "platform/placement.h"
 #include "sim/events.h"
@@ -57,9 +56,6 @@ void RepartitionState::ExecuteReconfig(platform::PlatformCore& core,
   const platform::CommitResult result = core.Commit(txn);
   if (!result.ok()) return;  // GPU no longer idle; a later tick retries
   reconfiguring.insert(gpu_id.value);
-  FFS_LOG_INFO("repartition")
-      << "GPU " << gpu_id.value << " -> " << target.ToString()
-      << ", blackout " << ToSeconds(cost) << "s";
   core.simulator().After(cost, [&core, self = shared_from_this(), gpu_id,
                                 fresh = result.fresh_slices, sentinel] {
     core.FinishRepartition(fresh, sentinel);
@@ -111,8 +107,6 @@ bool RepartitionState::TryReconfigure(platform::PlatformCore& core,
       }
     }
     drain_targets.push_back(DrainTarget{g.id(), spec.total_memory});
-    FFS_LOG_INFO("repartition")
-        << "draining GPU " << g.id().value << " for reconfiguration";
     return true;
   }
   return false;

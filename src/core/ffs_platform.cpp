@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "core/ffs_distributed.h"
 #include "core/pipeline.h"
 #include "sim/events.h"
@@ -93,9 +92,6 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
     core.bus().Publish(sim::SchedulerTransition{sim::TransitionKind::kEviction,
                                                 victim_fn, victim_iid,
                                                 core.simulator().Now()});
-    FFS_LOG_DEBUG("ffs") << "evicted TS instance of fn " << victim_fn.value
-                         << " from slice " << sid->value << " for fn "
-                         << fn.value;
   }
   Instance* inst = result.spawned.front();
   st.ts = inst;
@@ -206,8 +202,6 @@ void FfsState::Promote(platform::PlatformCore& core, FunctionId fn) {
   st.has_ts = false;
   core.bus().Publish(sim::SchedulerTransition{
       sim::TransitionKind::kPromotion, fn, iid, core.simulator().Now()});
-  FFS_LOG_DEBUG("ffs") << "promoted fn " << fn.value
-                       << " to exclusive-hot (util " << util << ")";
 }
 
 void FfsState::ScaleUp(platform::PlatformCore& core,
@@ -326,7 +320,6 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
         auto plan = MonolithicPlanOnSmallestSlice(spec.dag, core.cluster(),
                                                   st_->node());
         if (!plan) break;
-        const SliceId target = plan->stages.front().slice;
         // One transaction: spawn the monolithic replacement, then drain the
         // pipeline it supersedes (warm status fixed at plan time, before the
         // drain's retire path can refresh it).
@@ -341,8 +334,6 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
         core.bus().Publish(sim::SchedulerTransition{
             sim::TransitionKind::kMigration, fn, inst->id(), now});
         st.last_migration = now;
-        FFS_LOG_DEBUG("ffs") << "migrated fn " << fn.value
-                             << " pipeline -> slice " << target.value;
         break;  // at most one migration per function per tick
       }
     }

@@ -5,7 +5,6 @@
 
 #include "baselines/esg_platform.h"
 #include "common/error.h"
-#include "common/logging.h"
 #include "core/ffs_platform.h"
 #include "platform/registry.h"
 
@@ -62,13 +61,9 @@ void EnsureBuiltinSchedulersRegistered() {
 
 RunContext::RunContext(ExperimentConfig config)
     : config_(std::move(config)),
-      label_(std::string(Name(config_.system)) + "/" +
-             trace::Name(config_.tier) + "/s" +
-             std::to_string(config_.seed)),
       cluster_(PartitionsFor(config_)),
       workload_(BuildWorkload(config_, cluster_)) {
   EnsureBuiltinSchedulersRegistered();
-  const ScopedRunTag tag(label_);
 
   recorder_ = std::make_unique<metrics::Recorder>(cluster_);
   // The recorder is the first bus subscriber, so its view of every event
@@ -110,7 +105,6 @@ RunContext::~RunContext() = default;
 ExperimentResult RunContext::Run() {
   FFS_CHECK_MSG(!ran_, "RunContext::Run() is one-shot");
   ran_ = true;
-  const ScopedRunTag tag(label_);
 
   if (injector_) injector_->Start();
   platform_->Start();

@@ -8,10 +8,9 @@
 // concurrently (harness::RunSweep) without perturbing a single byte of any
 // run's output relative to sequential execution.
 //
-// The only process-wide structures a run consults are the scheduler
-// registry (mutex-guarded, effectively immutable after
-// EnsureBuiltinSchedulersRegistered) and the logging sink (mutex-guarded;
-// each run installs a ScopedRunTag so interleaved lines stay attributable).
+// The only process-wide structure a run consults is the scheduler registry
+// (mutex-guarded, effectively immutable after
+// EnsureBuiltinSchedulersRegistered).
 #pragma once
 
 #include <memory>
@@ -55,12 +54,8 @@ class RunContext {
   platform::PlatformCore& platform() { return *platform_; }
   metrics::Recorder& recorder() { return *recorder_; }
 
-  /// "System/tier/s<seed>" — the label this run logs under.
-  const std::string& label() const { return label_; }
-
  private:
   ExperimentConfig config_;
-  std::string label_;
   gpu::Cluster cluster_;
   trace::Workload workload_;
   sim::Simulator sim_;

@@ -13,7 +13,6 @@
 
 #include "common/error.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "harness/json_report.h"
 #include "harness/run_context.h"
 
@@ -212,15 +211,11 @@ void WriteSweepJson(const SweepOutcome& outcome, std::ostream& os,
   os << "\n}\n";
 }
 
-bool WriteSweepJsonFile(const SweepOutcome& outcome, const std::string& path,
+void WriteSweepJsonFile(const SweepOutcome& outcome, const std::string& path,
                         bool include_timing) {
   std::ofstream out(path);
-  if (!out.good()) {
-    FFS_LOG_ERROR("sweep") << "cannot write sweep artifact: " << path;
-    return false;
-  }
-  WriteSweepJson(outcome, out, include_timing);
-  return out.good();
+  if (out) WriteSweepJson(outcome, out, include_timing);
+  if (!out) throw FfsError("cannot write sweep artifact: " + path);
 }
 
 std::string SweepOutPath(const std::string& fallback) {

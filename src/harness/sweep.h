@@ -107,8 +107,8 @@ SweepOutcome RunSweep(const SweepSpec& spec, int jobs = 0);
 void WriteSweepJson(const SweepOutcome& outcome, std::ostream& os,
                     bool include_timing = true);
 
-/// WriteSweepJson to `path`; returns false (after logging) on I/O failure.
-bool WriteSweepJsonFile(const SweepOutcome& outcome, const std::string& path,
+/// WriteSweepJson to `path`; throws FfsError when it cannot be written.
+void WriteSweepJsonFile(const SweepOutcome& outcome, const std::string& path,
                         bool include_timing = true);
 
 /// Artifact path: $FFS_SWEEP_OUT when set, else `fallback`.

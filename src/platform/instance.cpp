@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.h"
 #include "sim/events.h"
@@ -301,14 +300,6 @@ void Instance::OnStageDone(std::size_t stage_idx,
     }
     TryStart(next);
   });
-}
-
-std::string Instance::Describe() const {
-  std::ostringstream os;
-  os << "instance " << id_.value << " fn " << fn_.value << " ["
-     << Name(state_) << "] " << plan_.ToString() << " outstanding "
-     << outstanding_;
-  return os.str();
 }
 
 }  // namespace fluidfaas::platform

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -143,8 +142,6 @@ class Instance {
   /// loading and queue waits do not count as utilization. The autoscaler
   /// differentiates successive snapshots to get windowed utilization.
   SimDuration ActiveTotal(SimTime now) const;
-
-  std::string Describe() const;
 
  private:
   struct PendingItem {

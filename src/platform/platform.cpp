@@ -7,7 +7,6 @@
 #include <variant>
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "sim/events.h"
 
 namespace fluidfaas::platform {
@@ -234,9 +233,6 @@ void PlatformCore::PublishPendingDepth() {
 void PlatformCore::RejectRequest(RequestId rid, FunctionId fn,
                                  sim::RejectCause cause, bool at_submit) {
   bus().Publish(sim::RequestRejected{rid, fn, cause, at_submit, sim_.Now()});
-  FFS_LOG_DEBUG("platform") << name() << " reject request " << rid.value
-                            << " fn " << fn.value << " ("
-                            << sim::Name(cause) << ")";
   meta_.erase(rid);
 }
 
@@ -294,9 +290,6 @@ CommitResult PlatformCore::Commit(const PlacementPlan& plan) {
   const SimTime now = sim_.Now();
   result.cause = ValidatePlan(plan);
   if (!result.ok()) {
-    FFS_LOG_DEBUG("platform")
-        << name() << " plan aborted (" << sim::Name(result.cause) << ", "
-        << plan.NumActions() << " action(s))";
     bus().Publish(sim::PlacementAborted{result.cause, plan.NumActions(), now});
     return result;
   }
@@ -390,9 +383,6 @@ Instance* PlatformCore::LaunchInstance(const FunctionSpec& fn,
       }
     });
   }
-  FFS_LOG_DEBUG("platform") << name() << " launch " << raw->Describe()
-                            << (warm ? " (warm " : " (cold ")
-                            << ToMillis(load) << "ms load)";
   return raw;
 }
 
@@ -407,7 +397,6 @@ void PlatformCore::RetireInstance(Instance* inst) {
   inst->MarkRetired();
   std::erase(fns_[FnIndex(inst->function())].live, inst);
   TouchWarm(inst->function());
-  FFS_LOG_DEBUG("platform") << name() << " retire " << inst->Describe();
 }
 
 bool PlatformCore::DrainOrRetire(Instance* inst) {
@@ -523,9 +512,6 @@ void PlatformCore::FailInstance(Instance* inst, sim::FaultKind cause,
   const std::vector<Instance::FailedWork> victims = inst->Fail();
   std::erase(fns_[FnIndex(inst->function())].live, inst);
   bus().Publish(sim::InstanceFailed{inst->id(), inst->function(), cause, now});
-  FFS_LOG_DEBUG("platform") << name() << " fail " << inst->Describe()
-                            << " cause " << sim::Name(cause) << " ("
-                            << victims.size() << " victim(s))";
   for (const core::StageBinding& s : plan.stages) {
     cluster_.Release(s.slice, inst->id());
     bus().Publish(sim::SliceReleased{s.slice, inst->id(), now});

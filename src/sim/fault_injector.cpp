@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "sim/events.h"
 
 namespace fluidfaas::sim {
@@ -76,7 +75,6 @@ void FaultInjector::Fire() {
       auto it = live_instances_.begin();
       std::advance(it, static_cast<std::ptrdiff_t>(
                            draw % live_instances_.size()));
-      FFS_LOG_DEBUG("faults") << "inject instance-crash on instance " << *it;
       sim_.bus().Publish(InstanceCrashRequested{InstanceId(*it), now});
     }
     return;
@@ -90,8 +88,6 @@ void FaultInjector::Fire() {
           draw % static_cast<std::uint64_t>(plan_.num_slices));
       const SimDuration repair =
           std::max<SimDuration>(Millis(1), Seconds(repair_s));
-      FFS_LOG_DEBUG("faults") << "inject slice-failure on slice " << sid
-                              << " (repair " << ToSeconds(repair) << "s)";
       sim_.bus().Publish(SliceFailureRequested{SliceId(sid), now, repair});
     }
     return;
@@ -99,13 +95,10 @@ void FaultInjector::Fire() {
   if (pick < plan_.weight_instance_crash + plan_.weight_slice_failure +
                  plan_.weight_cold_start_failure) {
     ++by_kind_[static_cast<std::size_t>(FaultKind::kColdStartFailure)];
-    FFS_LOG_DEBUG("faults") << "inject cold-start-failure (armed)";
     sim_.bus().Publish(ColdStartFailureArmed{now});
     return;
   }
   ++by_kind_[static_cast<std::size_t>(FaultKind::kSlowStart)];
-  FFS_LOG_DEBUG("faults") << "inject slow-start (factor "
-                          << plan_.slow_start_factor << ")";
   sim_.bus().Publish(SlowStartArmed{plan_.slow_start_factor, now});
 }
 

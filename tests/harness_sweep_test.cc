@@ -200,6 +200,11 @@ TEST(SweepJsonTest, VariantKeyOnlyWithAVariantsAxis) {
       << labelled.str().substr(0, 200);
 }
 
+TEST(SweepJsonTest, UnwritablePathThrows) {
+  const std::string path = ::testing::TempDir() + "no_such_dir/x.json";
+  EXPECT_THROW(WriteSweepJsonFile(SweepOutcome{}, path), FfsError);
+}
+
 TEST(SweepJobsTest, FfsJobsEnvIsStrictlyParsed) {
   {
     ScopedEnv env("FFS_JOBS", "3");

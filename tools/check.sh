@@ -108,8 +108,7 @@ print("scale smoke ok:", len(doc["cells"]), "cells")
 
 # Short parallel sweep under ThreadSanitizer: several worker threads run
 # shared-nothing RunContexts concurrently while resolving schedulers through
-# the mutex-guarded registry and logging through the shared sink — exactly
-# the surfaces a data race would hit. TSan halts with a non-zero exit on the
+# the mutex-guarded registry — exactly the surface a data race would hit. TSan halts with a non-zero exit on the
 # first report, so a green run means zero reports.
 run_tsan() {
   echo "=== build-tsan: parallel sweep smoke under ThreadSanitizer ==="
