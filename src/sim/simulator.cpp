@@ -54,6 +54,7 @@ void PeriodicTask::Start(SimTime first_fire) {
 
 void PeriodicTask::Arm(SimTime when) {
   pending_ = sim_.At(when, [this] {
+    pending_ = 0;  // fired: a Stop() from fn_ must not cancel a spent id
     if (!running_) return;
     fn_();
     if (running_) Arm(sim_.Now() + period_);

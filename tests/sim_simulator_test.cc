@@ -128,6 +128,19 @@ TEST(PeriodicTaskTest, StopHaltsFutureFires) {
   EXPECT_FALSE(task.running());
 }
 
+// Stopping from inside the callback must not cancel the firing event's id:
+// the queue would count a live event as gone and end the run early.
+TEST(PeriodicTaskTest, StopInsideOwnCallbackKeepsOtherEvents) {
+  Simulator sim;
+  bool later_ran = false;
+  PeriodicTask task(sim, 10, [&] { task.Stop(); });
+  task.Start(0);
+  sim.At(100, [&] { later_ran = true; });
+  sim.Run();
+  EXPECT_TRUE(later_ran);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(PeriodicTaskTest, DoubleStartThrows) {
   Simulator sim;
   PeriodicTask task(sim, 10, [] {});
