@@ -65,8 +65,13 @@ std::string FmtPercent(double fraction, int decimals) {
 }
 
 std::string FmtGain(double percent, int decimals) {
-  std::string out = "+";
-  out += Fmt(percent, decimals);
+  std::string out = Fmt(percent, decimals);
+  // A value that rounds to zero is no loss: -0.04 at one decimal prints
+  // +0.0%, not -0.0%.
+  if (out.find_first_not_of("-0.") == std::string::npos) {
+    out = Fmt(0.0, decimals);
+  }
+  if (out.front() != '-') out.insert(0, 1, '+');
   out += '%';
   return out;
 }

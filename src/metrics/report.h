@@ -28,7 +28,8 @@ class Table {
 std::string Fmt(double v, int decimals = 2);
 std::string FmtPercent(double fraction, int decimals = 1);
 std::string FmtMillis(double us, int decimals = 1);
-/// A relative gain already in percent, printed as "+<v>%".
+/// A relative gain already in percent, printed with its sign ("+25.0%",
+/// "-0.1%"); a value that rounds to zero prints as "+0.0%".
 std::string FmtGain(double percent, int decimals);
 
 }  // namespace fluidfaas::metrics

@@ -52,6 +52,13 @@ TEST(FmtTest, Percent) {
   EXPECT_EQ(FmtPercent(1.0, 0), "100%");
 }
 
+TEST(FmtTest, GainSignFollowsPrintedValue) {
+  EXPECT_EQ(FmtGain(25.0, 1), "+25.0%");
+  EXPECT_EQ(FmtGain(-0.1, 1), "-0.1%");
+  EXPECT_EQ(FmtGain(-0.04, 1), "+0.0%");
+  EXPECT_EQ(FmtGain(0.0, 1), "+0.0%");
+}
+
 TEST(FmtTest, Millis) {
   EXPECT_EQ(FmtMillis(1500.0, 1), "1.5ms");
   EXPECT_EQ(FmtMillis(2.5e6, 0), "2500ms");
