@@ -20,23 +20,6 @@ void RunningStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   return count_ ? m2_ / static_cast<double>(count_) : 0.0;
 }
@@ -80,45 +63,6 @@ std::vector<double> Percentiles(std::vector<double> xs,
     out.push_back(xs[lo] + frac * (xs[hi] - xs[lo]));
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins) {
-  FFS_CHECK(hi > lo);
-  FFS_CHECK(bins > 0);
-}
-
-void Histogram::Add(double x) {
-  double idx = (x - lo_) / width_;
-  std::size_t bin;
-  if (idx < 0) {
-    bin = 0;
-  } else if (idx >= static_cast<double>(counts_.size())) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>(idx);
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::vector<double> Histogram::Cdf() const {
-  std::vector<double> cdf(counts_.size(), 0.0);
-  std::size_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    cdf[i] = total_ ? static_cast<double>(cum) / static_cast<double>(total_)
-                    : 0.0;
-  }
-  return cdf;
 }
 
 void TimeWeightedSignal::Record(SimTime t, double value) {

@@ -1,7 +1,6 @@
 // Summary-statistics utilities used throughout the metrics pipeline:
 //  * RunningStats    — streaming mean/variance (Welford), min/max, CV.
 //  * Percentiles     — exact quantiles over a stored sample vector.
-//  * Histogram       — fixed-width bins for latency distributions.
 //  * TimeWeightedMean— integral of a piecewise-constant signal over time,
 //                      used for utilization timelines.
 #pragma once
@@ -18,7 +17,6 @@ namespace fluidfaas {
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
@@ -49,28 +47,6 @@ double Percentile(std::vector<double> xs, double q);
 /// Several quantiles of the same sample, sorting only once.
 std::vector<double> Percentiles(std::vector<double> xs,
                                 const std::vector<double>& qs);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first / last bin so mass is never lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-  std::size_t total() const { return total_; }
-  const std::vector<std::size_t>& counts() const { return counts_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Empirical CDF evaluated at each bin upper edge.
-  std::vector<double> Cdf() const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Integrates a piecewise-constant, right-continuous signal over simulated
 /// time. Record(t, v) says "the value becomes v at time t"; the mean over

@@ -25,7 +25,6 @@ inline constexpr SimTime kTimeZero = 0;
 inline constexpr SimTime kTimeInfinity = std::numeric_limits<SimTime>::max();
 
 /// Convenience literal-style constructors.
-constexpr SimDuration Micros(std::int64_t us) { return us; }
 constexpr SimDuration Millis(double ms) {
   return static_cast<SimDuration>(ms * 1'000.0);
 }

@@ -18,13 +18,6 @@ void ClusterView::MarkPlannedFree(SliceId id) {
   planned_free_.insert(id.value);
 }
 
-std::vector<SliceId> ClusterView::Reserved() const {
-  std::vector<SliceId> out;
-  out.reserve(reserved_.size());
-  for (std::int32_t id : reserved_) out.push_back(SliceId(id));
-  return out;
-}
-
 bool ClusterView::Allocatable(SliceId id) const {
   if (reserved_.count(id.value) != 0) return false;
   const MigSlice& s = cluster_->slice(id);

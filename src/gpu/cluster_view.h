@@ -48,9 +48,6 @@ class ClusterView {
     return reserved_.count(id.value) != 0;
   }
 
-  /// Slice ids this view has reserved, in id order.
-  std::vector<SliceId> Reserved() const;
-
   /// Free as seen through the overlay: (live allocatable or planned-free)
   /// and not reserved.
   bool Allocatable(SliceId id) const;

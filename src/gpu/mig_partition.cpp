@@ -238,16 +238,6 @@ const std::vector<MigPartition>& EnumerateMaximalPartitions() {
   return kPartitions;
 }
 
-std::vector<std::vector<MigProfile>> EnumerateMaximalShapes() {
-  std::vector<std::vector<MigProfile>> shapes;
-  for (const auto& part : EnumerateMaximalPartitions()) {
-    shapes.push_back(part.Profiles());
-  }
-  std::sort(shapes.begin(), shapes.end());
-  shapes.erase(std::unique(shapes.begin(), shapes.end()), shapes.end());
-  return shapes;
-}
-
 MigPartition DefaultPartition() {
   return MigPartition::Parse("4g.40gb+2g.20gb+1g.10gb");
 }

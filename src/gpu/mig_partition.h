@@ -73,10 +73,6 @@ std::optional<std::string> ValidatePlacements(
 /// use and shared for the life of the process.
 const std::vector<MigPartition>& EnumerateMaximalPartitions();
 
-/// Same, deduplicated by profile multiset ("shape"). This is the set of
-/// distinct configurations in the Table-2 profile universe.
-std::vector<std::vector<MigProfile>> EnumerateMaximalShapes();
-
 // ---------------------------------------------------------------------------
 // Named partitions used in the paper's evaluation (§6, Table 7).
 // ---------------------------------------------------------------------------

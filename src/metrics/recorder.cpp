@@ -331,17 +331,13 @@ double Recorder::SloHitRate(FunctionId fn, bool count_outstanding) const {
   return denom ? static_cast<double>(hits) / static_cast<double>(denom) : 1.0;
 }
 
-std::size_t Recorder::CompletedBy(SimTime t) const {
-  std::size_t n = 0;
-  for (const RequestRecord& r : records_) {
-    if (r.done() && r.completion <= t) ++n;
-  }
-  return n;
-}
-
 double Recorder::WindowedThroughput(SimTime window) const {
   if (window <= 0) return 0.0;
-  return static_cast<double>(CompletedBy(window)) / ToSeconds(window);
+  std::size_t n = 0;
+  for (const RequestRecord& r : records_) {
+    if (r.done() && r.completion <= window) ++n;
+  }
+  return static_cast<double>(n) / ToSeconds(window);
 }
 
 std::size_t Recorder::RecoveredRequests() const {

@@ -105,8 +105,6 @@ class Recorder {
   std::size_t rejected_by(sim::RejectCause cause) const {
     return rejects_by_cause_[static_cast<std::size_t>(cause)];
   }
-  /// Central pending-queue depth over time (fed by PendingDepthChanged).
-  const TimeWeightedSignal& queue_depth() const { return queue_depth_; }
   /// Time-averaged pending depth over [0, end]; valid after Close().
   double MeanQueueDepth() const;
   /// Jain fairness index over per-function SLO hit rates, functions with
@@ -159,9 +157,6 @@ class Recorder {
   /// Fraction of completed requests within their deadline; counts
   /// never-completed requests as misses when `count_outstanding`.
   double SloHitRate(bool count_outstanding = true) const;
-
-  /// Requests whose completion lies in [0, t].
-  std::size_t CompletedBy(SimTime t) const;
 
   /// System throughput as the paper reports it: requests completed within
   /// the trace window, per second of that window.

@@ -54,8 +54,6 @@ class TraceExporter {
   /// WriteJson to `path`; throws FfsError when the file cannot be opened.
   void WriteFile(const std::string& path) const;
 
-  std::size_t num_events() const { return events_.size(); }
-
  private:
   struct TraceEvent {
     std::string name;

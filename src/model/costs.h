@@ -29,10 +29,6 @@ struct TransferCostModel {
         2.0 * static_cast<double>(tensor_bytes) / (pcie_gbps * 1e9);
     return fixed + static_cast<SimDuration>(std::llround(secs * 1e6));
   }
-
-  /// Same-slice hand-off (consecutive components inside one stage): only
-  /// a negligible framework cost, counted as zero in the simulation.
-  SimDuration IntraStageCost() const { return 0; }
 };
 
 /// Cost of instantiating model weights on a MIG slice.

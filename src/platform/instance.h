@@ -136,7 +136,6 @@ class Instance {
   SimDuration ServiceLatency() const { return service_latency_; }
 
   SimTime last_used() const { return last_used_; }
-  SimTime ready_at() const { return ready_at_; }
 
   /// Cumulative time with at least one stage computing, up to `now` —
   /// loading and queue waits do not count as utilization. The autoscaler

@@ -19,10 +19,6 @@ std::size_t SpscByteRing::ReadableBytes() const {
                                   head_.load(std::memory_order_acquire));
 }
 
-std::size_t SpscByteRing::WritableBytes() const {
-  return buffer_.size() - ReadableBytes();
-}
-
 void SpscByteRing::CopyIn(std::size_t pos, const void* src, std::size_t n) {
   const std::size_t first = std::min(n, buffer_.size() - pos);
   std::memcpy(buffer_.data() + pos, src, first);

@@ -44,10 +44,8 @@ class SpscByteRing {
 
   std::size_t capacity() const { return buffer_.size(); }
 
-  /// Bytes currently readable / writable (racy snapshots, exact only from
-  /// the respective owning thread).
+  /// Bytes currently readable (a racy snapshot while the other side runs).
   std::size_t ReadableBytes() const;
-  std::size_t WritableBytes() const;
 
   /// Producer side. Frame = 4-byte little-endian length + payload.
   /// TryPush returns false when the frame does not fit right now.

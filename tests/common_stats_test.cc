@@ -35,31 +35,6 @@ TEST(RunningStatsTest, MatchesDirectComputation) {
   EXPECT_DOUBLE_EQ(s.max(), 7.5);
 }
 
-TEST(RunningStatsTest, MergeEqualsSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10;
-    (i % 2 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a, b;
-  a.Add(1.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(CvTest, PaperEquationOneExample) {
   // CV = std / mean (population), Eq. 1.
   const std::vector<double> ts = {100.0, 100.0, 100.0};
@@ -94,42 +69,6 @@ TEST(PercentilesTest, MatchesSingleCalls) {
   EXPECT_DOUBLE_EQ(many[0], Percentile(xs, 0.1));
   EXPECT_DOUBLE_EQ(many[1], Percentile(xs, 0.5));
   EXPECT_DOUBLE_EQ(many[2], Percentile(xs, 0.9));
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);    // bin 0
-  h.Add(9.99);   // bin 9
-  h.Add(-5.0);   // clamps to bin 0
-  h.Add(50.0);   // clamps to bin 9
-  h.Add(5.0);    // bin 5
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[5], 1u);
-  EXPECT_EQ(h.counts()[9], 2u);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram h(2.0, 12.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 12.0);
-}
-
-TEST(HistogramTest, CdfIsMonotoneAndEndsAtOne) {
-  Histogram h(0.0, 1.0, 4);
-  for (double x : {0.1, 0.3, 0.6, 0.9, 0.95}) h.Add(x);
-  auto cdf = h.Cdf();
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i], cdf[i - 1]);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back(), 1.0);
-}
-
-TEST(HistogramTest, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), FfsError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), FfsError);
 }
 
 TEST(TimeWeightedSignalTest, MeanOfPiecewiseConstant) {

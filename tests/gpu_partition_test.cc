@@ -100,6 +100,15 @@ TEST(PartitionTest, EnumerationInvariants) {
   EXPECT_EQ(unique.size(), parts.size());  // no duplicates
 }
 
+// The distinct profile multisets ("shapes") among the maximal partitions.
+std::set<std::vector<MigProfile>> MaximalShapes() {
+  std::set<std::vector<MigProfile>> shapes;
+  for (const MigPartition& p : EnumerateMaximalPartitions()) {
+    shapes.insert(p.Profiles());
+  }
+  return shapes;
+}
+
 TEST(PartitionTest, EnumerationCountsAreCharacterized) {
   // With the paper's five profiles (Table 2) and A100 placement rules, the
   // enumerator finds 19 placement-distinct maximal configurations over 14
@@ -108,17 +117,13 @@ TEST(PartitionTest, EnumerationCountsAreCharacterized) {
   // paper's table omits.) These counts are pinned so an accidental rule
   // change fails loudly.
   EXPECT_EQ(EnumerateMaximalPartitions().size(), 19u);
-  EXPECT_EQ(EnumerateMaximalShapes().size(), 14u);
+  EXPECT_EQ(MaximalShapes().size(), 14u);
 }
 
 TEST(PartitionTest, EnumerationContainsPaperConfigs) {
-  const auto shapes = EnumerateMaximalShapes();
+  const auto shapes = MaximalShapes();
   auto contains = [&](const std::string& spec) {
-    const auto want = MigPartition::Parse(spec).Profiles();
-    for (const auto& s : shapes) {
-      if (s == want) return true;
-    }
-    return false;
+    return shapes.count(MigPartition::Parse(spec).Profiles()) != 0;
   };
   EXPECT_TRUE(contains("4g.40gb+2g.20gb+1g.10gb"));
   EXPECT_TRUE(contains("3g.40gb+2g.20gb+2g.20gb"));

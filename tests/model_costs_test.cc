@@ -45,10 +45,6 @@ TEST(TransferCostTest, StudyTensorsLandInPaperBand) {
   }
 }
 
-TEST(TransferCostTest, IntraStageIsFree) {
-  EXPECT_EQ(TransferCostModel{}.IntraStageCost(), 0);
-}
-
 TEST(LoadCostTest, WarmBeatsColdAlways) {
   LoadCostModel m;
   for (Bytes w : {MiB(100), GiB(1), GiB(10)}) {

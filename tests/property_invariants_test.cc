@@ -360,28 +360,5 @@ TEST(PlanCommitProperty, RacingPlansCommitAtomicallyUnderDrift) {
   }
 }
 
-// --- RunningStats::Merge associativity --------------------------------------
-
-TEST(RunningStatsProperty, MergeIsOrderInsensitive) {
-  Rng rng(408);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> xs;
-    for (int i = 0; i < 200; ++i) xs.push_back(rng.Normal(5.0, 3.0));
-    RunningStats a, b, c, left, right;
-    for (int i = 0; i < 200; ++i) {
-      (i % 3 == 0 ? a : (i % 3 == 1 ? b : c)).Add(xs[static_cast<std::size_t>(i)]);
-    }
-    left = a;
-    left.Merge(b);
-    left.Merge(c);
-    right = c;
-    right.Merge(a);
-    right.Merge(b);
-    EXPECT_EQ(left.count(), right.count());
-    EXPECT_NEAR(left.mean(), right.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), right.variance(), 1e-7);
-  }
-}
-
 }  // namespace
 }  // namespace fluidfaas
