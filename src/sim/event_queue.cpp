@@ -1,55 +1,48 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
 
 namespace fluidfaas::sim {
+namespace {
+
+// The std heap algorithms build a max-heap, so "greater" is the later event.
+bool Later(const EventQueue::Fired& a, const EventQueue::Fired& b) {
+  if (a.time != b.time) return a.time > b.time;
+  return a.id > b.id;
+}
+
+}  // namespace
 
 EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   FFS_CHECK_MSG(when >= 0, "cannot schedule before simulation start");
   const EventId id = next_id_++;
-  heap_.push(Entry{when, id, std::move(fn)});
-  ++live_count_;
+  heap_.push_back(Fired{when, id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
   return id;
 }
 
 bool EventQueue::Cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  // Only mark if plausibly still pending; double-cancel returns false.
-  auto [it, inserted] = cancelled_.insert(id);
-  (void)it;
-  if (inserted && live_count_ > 0) {
-    --live_count_;
-    return true;
-  }
-  return false;
+  auto it = std::find_if(heap_.begin(), heap_.end(),
+                         [id](const Fired& e) { return e.id == id; });
+  if (it == heap_.end()) return false;
+  heap_.erase(it);
+  std::make_heap(heap_.begin(), heap_.end(), Later);
+  return true;
 }
 
-void EventQueue::SkipCancelled() {
-  while (!heap_.empty()) {
-    auto found = cancelled_.find(heap_.top().id);
-    if (found == cancelled_.end()) return;
-    cancelled_.erase(found);
-    heap_.pop();
-  }
-}
-
-SimTime EventQueue::PeekTime() {
-  SkipCancelled();
-  return heap_.empty() ? kTimeInfinity : heap_.top().time;
+SimTime EventQueue::PeekTime() const {
+  return heap_.empty() ? kTimeInfinity : heap_.front().time;
 }
 
 EventQueue::Fired EventQueue::Pop() {
-  SkipCancelled();
   FFS_CHECK_MSG(!heap_.empty(), "Pop() on empty event queue");
-  // priority_queue::top() is const; the entry is copied out. The closure is
-  // small (captures ids / pointers), so the copy is cheap relative to event
-  // processing.
-  Entry e = heap_.top();
-  heap_.pop();
-  --live_count_;
-  return Fired{e.time, e.id, std::move(e.fn)};
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  Fired e = std::move(heap_.back());
+  heap_.pop_back();
+  return e;
 }
 
 }  // namespace fluidfaas::sim

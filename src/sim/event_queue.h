@@ -3,14 +3,14 @@
 // A binary min-heap keyed on (time, sequence). The sequence number makes
 // ordering of simultaneous events FIFO and therefore deterministic across
 // runs and platforms — a requirement for reproducible figures.
-// Cancellation is supported by tombstoning: O(1) cancel, lazily skipped at
-// pop time.
+// Cancel erases the entry, so the heap holds exactly the live events: an id
+// that fired or was already cancelled is not found and is refused. Cancel
+// is O(n); only PeriodicTask::Stop and FaultInjector::Stop call it, once
+// per run each.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
@@ -22,49 +22,32 @@ using EventFn = std::function<void()>;
 
 class EventQueue {
  public:
-  /// Schedule `fn` to fire at absolute time `when`. Returns a handle that
-  /// can be passed to Cancel().
-  EventId Schedule(SimTime when, EventFn fn);
-
-  /// Cancel a pending event. Returns false if the event already fired or
-  /// was already cancelled. O(1) amortized.
-  bool Cancel(EventId id);
-
-  bool empty() const { return live_count_ == 0; }
-  std::size_t size() const { return live_count_; }
-
-  /// Time of the next live event; kTimeInfinity when empty.
-  SimTime PeekTime();
-
-  /// Pop and return the next live event. Requires !empty().
   struct Fired {
     SimTime time;
     EventId id;
     EventFn fn;
   };
+
+  /// Schedule `fn` to fire at absolute time `when`. Returns a handle that
+  /// can be passed to Cancel().
+  EventId Schedule(SimTime when, EventFn fn);
+
+  /// Remove a queued event. Returns false if the id is not queued: it
+  /// already fired, was already cancelled or was never issued. O(n).
+  bool Cancel(EventId id);
+
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+
+  /// Time of the next event; kTimeInfinity when empty.
+  SimTime PeekTime() const;
+
+  /// Pop and return the next event. Requires !empty().
   Fired Pop();
 
  private:
-  struct Entry {
-    SimTime time;
-    EventId id;
-    EventFn fn;
-  };
-  struct Later {
-    // Min-heap: smaller (time, id) first. std::priority_queue is a max-heap,
-    // so the comparator is reversed.
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-
-  void SkipCancelled();
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Fired> heap_;  // std::push_heap order: earliest (time, id) first
   EventId next_id_ = 1;
-  std::size_t live_count_ = 0;
 };
 
 }  // namespace fluidfaas::sim

@@ -34,10 +34,7 @@ void FaultInjector::Start() {
 }
 
 void FaultInjector::Stop() {
-  if (pending_ != 0) {
-    sim_.Cancel(pending_);
-    pending_ = 0;
-  }
+  sim_.Cancel(pending_);  // refused once the last armed event has fired
   subs_.clear();  // scoped handles unsubscribe on destruction
   live_instances_.clear();
   running_ = false;
@@ -49,11 +46,9 @@ void FaultInjector::Arm() {
       sim_.Now() + std::max<SimDuration>(1, Seconds(gap_s));
   if (plan_.horizon > 0 && when >= plan_.horizon) {
     running_ = false;
-    pending_ = 0;
     return;
   }
   pending_ = sim_.At(when, [this] {
-    pending_ = 0;
     Fire();
     if (running_) Arm();
   });

@@ -54,7 +54,6 @@ void PeriodicTask::Start(SimTime first_fire) {
 
 void PeriodicTask::Arm(SimTime when) {
   pending_ = sim_.At(when, [this] {
-    pending_ = 0;  // fired: a Stop() from fn_ must not cancel a spent id
     if (!running_) return;
     fn_();
     if (running_) Arm(sim_.Now() + period_);
@@ -64,10 +63,7 @@ void PeriodicTask::Arm(SimTime when) {
 void PeriodicTask::Stop() {
   if (!running_) return;
   running_ = false;
-  if (pending_ != 0) {
-    sim_.Cancel(pending_);
-    pending_ = 0;
-  }
+  sim_.Cancel(pending_);  // refused when Stop() runs inside the fired event
 }
 
 }  // namespace fluidfaas::sim

@@ -35,7 +35,8 @@ class Simulator {
   /// Schedule after a relative delay (>= 0).
   EventId After(SimDuration delay, EventFn fn);
 
-  /// Cancel a pending event; false if it already fired / was cancelled.
+  /// Cancel a queued event; false if it already fired (the event now
+  /// running included) or was cancelled. O(pending()).
   bool Cancel(EventId id);
 
   /// Run until the queue drains or the clock would pass `horizon`

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -52,6 +54,18 @@ TEST(EventQueueTest, DoubleCancelReturnsFalse) {
   const EventId id = q.Schedule(5, [] {});
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_FALSE(q.Cancel(id));
+}
+
+TEST(EventQueueTest, CancelAfterFireReturnsFalse) {
+  EventQueue q;
+  const EventId a = q.Schedule(1, [] {});
+  bool b_ran = false;
+  q.Schedule(2, [&] { b_ran = true; });
+  EXPECT_EQ(q.Pop().id, a);
+  EXPECT_FALSE(q.Cancel(a));
+  EXPECT_EQ(q.size(), 1u);
+  q.Pop().fn();
+  EXPECT_TRUE(b_ran);
 }
 
 TEST(EventQueueTest, CancelUnknownIdReturnsFalse) {
@@ -105,21 +119,44 @@ TEST(EventQueueTest, StressRandomOrderIsSorted) {
 }
 
 TEST(EventQueueTest, StressWithRandomCancellation) {
+  // Pops interleave with cancels of pending, fired and already-cancelled
+  // ids. A sorted model of the queued (time, id) pairs predicts every pop,
+  // every Cancel result and the size after each step.
   EventQueue q;
   Rng rng(99);
-  std::vector<EventId> ids;
+  std::set<std::pair<SimTime, EventId>> model;
+  std::vector<std::pair<SimTime, EventId>> issued;
   int executed = 0;
-  for (int i = 0; i < 2000; ++i) {
-    ids.push_back(q.Schedule(rng.UniformInt(0, 500),
-                             [&executed] { ++executed; }));
-  }
+  int popped = 0;
   int cancelled = 0;
-  for (EventId id : ids) {
-    if (rng.Chance(0.5) && q.Cancel(id)) ++cancelled;
+  for (int step = 0; step < 6000; ++step) {
+    const double op = rng.NextDouble();
+    if (op < 0.45) {
+      const SimTime t = rng.UniformInt(0, 500);
+      issued.emplace_back(t, q.Schedule(t, [&executed] { ++executed; }));
+      model.insert(issued.back());
+    } else if (op < 0.7) {
+      if (model.empty()) continue;
+      auto fired = q.Pop();
+      ASSERT_EQ(std::make_pair(fired.time, fired.id), *model.begin());
+      model.erase(model.begin());
+      fired.fn();
+      ++popped;
+    } else if (!issued.empty()) {
+      const auto& e = issued[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(issued.size()) - 1))];
+      const bool queued = model.erase(e) == 1;
+      EXPECT_EQ(q.Cancel(e.second), queued);
+      cancelled += queued ? 1 : 0;
+    }
+    ASSERT_EQ(q.size(), model.size());
   }
-  EXPECT_EQ(q.size(), 2000u - cancelled);
-  while (!q.empty()) q.Pop().fn();
-  EXPECT_EQ(executed, 2000 - cancelled);
+  while (!q.empty()) {
+    q.Pop().fn();
+    ++popped;
+  }
+  EXPECT_EQ(executed, popped);
+  EXPECT_EQ(static_cast<std::size_t>(popped + cancelled), issued.size());
 }
 
 }  // namespace

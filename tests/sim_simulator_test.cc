@@ -128,8 +128,8 @@ TEST(PeriodicTaskTest, StopHaltsFutureFires) {
   EXPECT_FALSE(task.running());
 }
 
-// Stopping from inside the callback must not cancel the firing event's id:
-// the queue would count a live event as gone and end the run early.
+// Stopping from inside the callback cancels the id of the event now firing:
+// the queue must refuse it and keep every other event.
 TEST(PeriodicTaskTest, StopInsideOwnCallbackKeepsOtherEvents) {
   Simulator sim;
   bool later_ran = false;
