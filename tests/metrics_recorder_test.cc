@@ -107,6 +107,34 @@ TEST_F(RecorderTest, PerGpuOccupancyWeightsByGpcs) {
   EXPECT_DOUBLE_EQ(occ[1].occupied, 0.0);
 }
 
+// GPU 0 is repartitioned mid-run: its retired slices keep their bound and
+// busy time, divided by the GPU's GPCs after the repartition. Slices still
+// bound (and busy) at Close count up to the end. Exact values.
+TEST_F(RecorderTest, PerGpuOccupancyAcrossRepartition) {
+  rec_.SliceBound(SliceId(0), Millis(250));  // 4g on GPU 0
+  rec_.SliceBound(SliceId(4), Millis(700));  // 2g on GPU 1
+  rec_.SliceBusy(SliceId(0), Seconds(1));
+  rec_.SliceBound(SliceId(2), Seconds(1));  // 1g on GPU 0
+  rec_.SliceReleased(SliceId(2), Seconds(2));
+  rec_.SliceIdle(SliceId(0), Millis(2300));
+  rec_.SliceBusy(SliceId(4), Seconds(3));
+  rec_.SliceReleased(SliceId(0), Millis(3100));
+  const std::vector<SliceId> fresh = cluster_.RepartitionGpu(
+      GpuId(0), gpu::MigPartition::Parse("3g.40gb+3g.40gb"));
+  rec_.SyncSlices(cluster_);
+  rec_.SliceBound(fresh[0], Seconds(4));
+  rec_.SliceBusy(fresh[0], Millis(4500));
+  rec_.SliceIdle(fresh[0], Millis(6900));
+  rec_.Close(Seconds(10) + 7);
+  const auto occ = rec_.PerGpuOccupancy();
+  ASSERT_EQ(occ.size(), 2u);
+  // GPU 0: (4 * 2.85 s + 1 * 1 s + 3 * 6.000007 s) / 10.000007 s / 6.
+  EXPECT_EQ(occ[0].occupied, 0.50666666200000321);
+  EXPECT_EQ(occ[0].active, 0.20666652200010127);
+  EXPECT_EQ(occ[1].occupied, 0.2657142997142759);
+  EXPECT_EQ(occ[1].active, 0.20000005999995801);
+}
+
 TEST_F(RecorderTest, InvariantViolationsThrow) {
   EXPECT_THROW(rec_.SliceBusy(SliceId(0), 0), FfsError);  // busy unbound
   rec_.SliceBound(SliceId(0), 0);
