@@ -161,11 +161,8 @@ void Recorder::SliceBound(SliceId s, SimTime now) {
   FFS_CHECK(!info.bound);
   info.bound = true;
   info.bound_since = now;
-  GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
-  g.bound_slices += 1;
   bound_gpc_count_ += info.gpcs;
   bound_gpcs_.Record(now, bound_gpc_count_);
-  g.occupied_gpcs.Record(now, g.occupied_gpcs.ValueAt(now) + info.gpcs);
 }
 
 void Recorder::SliceReleased(SliceId s, SimTime now) {
@@ -174,11 +171,8 @@ void Recorder::SliceReleased(SliceId s, SimTime now) {
   FFS_CHECK_MSG(!info.busy, "releasing a busy slice");
   info.bound = false;
   info.bound_total += now - info.bound_since;
-  GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
-  g.bound_slices -= 1;
   bound_gpc_count_ -= info.gpcs;
   bound_gpcs_.Record(now, bound_gpc_count_);
-  g.occupied_gpcs.Record(now, g.occupied_gpcs.ValueAt(now) - info.gpcs);
 }
 
 void Recorder::SliceBusy(SliceId s, SimTime now) {
@@ -188,15 +182,10 @@ void Recorder::SliceBusy(SliceId s, SimTime now) {
   info.busy = true;
   info.busy_since = now;
   GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
-  if (g.busy_slices == 0) {
-    g.busy_since = now;
-    ++busy_gpu_count_;
-    busy_gpus_.Record(now, busy_gpu_count_);
-  }
+  if (g.busy_slices == 0) g.busy_since = now;
   g.busy_slices += 1;
   busy_gpc_count_ += info.gpcs;
   busy_gpcs_.Record(now, busy_gpc_count_);
-  g.active_gpcs.Record(now, g.active_gpcs.ValueAt(now) + info.gpcs);
 }
 
 void Recorder::SliceIdle(SliceId s, SimTime now) {
@@ -206,14 +195,9 @@ void Recorder::SliceIdle(SliceId s, SimTime now) {
   info.busy_total += now - info.busy_since;
   GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
   g.busy_slices -= 1;
-  if (g.busy_slices == 0) {
-    g.busy_total += now - g.busy_since;
-    --busy_gpu_count_;
-    busy_gpus_.Record(now, busy_gpu_count_);
-  }
+  if (g.busy_slices == 0) g.busy_total += now - g.busy_since;
   busy_gpc_count_ -= info.gpcs;
   busy_gpcs_.Record(now, busy_gpc_count_);
-  g.active_gpcs.Record(now, g.active_gpcs.ValueAt(now) - info.gpcs);
 }
 
 void Recorder::SyncSlices(const gpu::Cluster& cluster) {
@@ -252,12 +236,9 @@ void Recorder::Close(SimTime end) {
   }
   for (GpuInfo& g : per_gpu_) {
     if (g.busy_slices > 0) g.busy_total += end - g.busy_since;
-    g.occupied_gpcs.Close(end);
-    g.active_gpcs.Close(end);
   }
   busy_gpcs_.Close(end);
   bound_gpcs_.Close(end);
-  busy_gpus_.Close(end);
   queue_depth_.Close(end);
 }
 
@@ -378,13 +359,24 @@ SimDuration Recorder::GpuTime() const {
 
 std::vector<Recorder::GpuOccupancy> Recorder::PerGpuOccupancy() const {
   FFS_CHECK_MSG(closed_, "Close() the recorder first");
+  // GPC-weighted bound and busy time per GPU (µs), retired slices included.
+  std::vector<SimDuration> bound(per_gpu_.size(), 0);
+  std::vector<SimDuration> busy(per_gpu_.size(), 0);
+  for (const SliceInfo& s : slices_) {
+    const auto g = static_cast<std::size_t>(s.gpu.value);
+    bound[g] += s.gpcs * s.bound_total;
+    busy[g] += s.gpcs * s.busy_total;
+  }
   std::vector<GpuOccupancy> out;
-  for (const GpuInfo& g : per_gpu_) {
-    GpuOccupancy o;
-    const double denom = static_cast<double>(g.gpcs);
-    o.occupied = denom ? g.occupied_gpcs.MeanOver(0, end_) / denom : 0.0;
-    o.active = denom ? g.active_gpcs.MeanOver(0, end_) / denom : 0.0;
-    out.push_back(o);
+  for (std::size_t g = 0; g < per_gpu_.size(); ++g) {
+    const double denom = static_cast<double>(per_gpu_[g].gpcs);
+    // Mean GPCs over [0, end_], then the fraction of the GPU's GPCs.
+    const auto fraction = [&](SimDuration gpc_time) {
+      return denom != 0.0 && end_ > 0 ? static_cast<double>(gpc_time) /
+                                            static_cast<double>(end_) / denom
+                                      : 0.0;
+    };
+    out.push_back(GpuOccupancy{fraction(bound[g]), fraction(busy[g])});
   }
   return out;
 }

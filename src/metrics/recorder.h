@@ -170,12 +170,11 @@ class Recorder {
   /// Busy-GPC totals over time (for utilization = value / total GPCs).
   const TimeWeightedSignal& busy_gpcs() const { return busy_gpcs_; }
   const TimeWeightedSignal& bound_gpcs() const { return bound_gpcs_; }
-  /// Number of GPUs with >= 1 busy slice over time.
-  const TimeWeightedSignal& busy_gpus() const { return busy_gpus_; }
 
   /// Per-GPU occupancy fractions over [0, end] (Fig. 5):
-  /// {occupied fraction, active fraction} per GPU, where fractions weight
-  /// slices by GPC count.
+  /// {occupied fraction, active fraction} per GPU: Σ GPCs × bound (busy)
+  /// time over the GPU's slices, retired ones included, per µs of the run
+  /// and per GPC the GPU has at Close.
   struct GpuOccupancy {
     double occupied;
     double active;
@@ -225,13 +224,9 @@ class Recorder {
   };
   struct GpuInfo {
     int busy_slices = 0;
-    int bound_slices = 0;
     SimTime busy_since = 0;
     SimDuration busy_total = 0;  // time with >=1 busy slice
     int gpcs = 0;
-    // GPC-weighted occupancy signals for Fig. 5.
-    TimeWeightedSignal occupied_gpcs;
-    TimeWeightedSignal active_gpcs;
   };
 
   std::vector<RequestRecord> records_;
@@ -269,8 +264,6 @@ class Recorder {
   int bound_gpc_count_ = 0;
   TimeWeightedSignal busy_gpcs_;
   TimeWeightedSignal bound_gpcs_;
-  TimeWeightedSignal busy_gpus_;
-  int busy_gpu_count_ = 0;
 
   SimTime end_ = -1;
   bool closed_ = false;

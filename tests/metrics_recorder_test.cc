@@ -91,7 +91,6 @@ TEST_F(RecorderTest, BusyGpcSignalTracksWeights) {
   rec_.Close(Seconds(10));
   // [0,5): 4 GPCs busy; [5,10): 6 -> mean 5.
   EXPECT_NEAR(rec_.busy_gpcs().MeanOver(0, Seconds(10)), 5.0, 1e-9);
-  EXPECT_NEAR(rec_.busy_gpus().MeanOver(0, Seconds(10)), 1.0, 1e-9);
 }
 
 TEST_F(RecorderTest, PerGpuOccupancyWeightsByGpcs) {
