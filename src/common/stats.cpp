@@ -132,14 +132,4 @@ double TimeWeightedSignal::FractionAtOrBelow(double threshold, SimTime begin,
   return static_cast<double>(below) / static_cast<double>(end - begin);
 }
 
-std::vector<std::pair<SimTime, double>> TimeWeightedSignal::Sample(
-    SimTime begin, SimTime end, SimDuration period) const {
-  FFS_CHECK(period > 0);
-  std::vector<std::pair<SimTime, double>> out;
-  for (SimTime t = begin; t <= end; t += period) {
-    out.emplace_back(t, ValueAt(t));
-  }
-  return out;
-}
-
 }  // namespace fluidfaas

@@ -67,15 +67,6 @@ class TimeWeightedSignal {
   /// Value of the signal at time t (last recorded value at or before t).
   double ValueAt(SimTime t) const;
 
-  /// Sampled series (t, value) at fixed period over [begin, end]; used by
-  /// benches that print utilization timelines.
-  std::vector<std::pair<SimTime, double>> Sample(SimTime begin, SimTime end,
-                                                 SimDuration period) const;
-
-  const std::vector<std::pair<SimTime, double>>& points() const {
-    return points_;
-  }
-
  private:
   std::vector<std::pair<SimTime, double>> points_;  // (time, value), sorted
 };

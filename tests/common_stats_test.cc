@@ -117,17 +117,5 @@ TEST(TimeWeightedSignalTest, RejectsOutOfOrderRecords) {
   EXPECT_THROW(s.Record(Seconds(1), 2.0), FfsError);
 }
 
-TEST(TimeWeightedSignalTest, SampleSeries) {
-  TimeWeightedSignal s;
-  s.Record(0, 1.0);
-  s.Record(Seconds(5), 2.0);
-  s.Close(Seconds(10));
-  auto samples = s.Sample(0, Seconds(10), Seconds(5));
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(samples[0].second, 1.0);
-  EXPECT_DOUBLE_EQ(samples[1].second, 2.0);
-  EXPECT_DOUBLE_EQ(samples[2].second, 2.0);
-}
-
 }  // namespace
 }  // namespace fluidfaas
