@@ -7,6 +7,21 @@
 #include "sim/events.h"
 
 namespace fluidfaas::sim {
+namespace {
+
+// Relative weights of the fault kinds (normalized by their sum).
+constexpr double kWeightInstanceCrash = 0.45;
+constexpr double kWeightSliceFailure = 0.25;
+constexpr double kWeightColdStartFailure = 0.15;
+constexpr double kWeightSlowStart = 0.15;
+constexpr double kWeightSum = kWeightInstanceCrash + kWeightSliceFailure +
+                              kWeightColdStartFailure + kWeightSlowStart;
+static_assert(kWeightSum > 0.0, "all fault-kind weights are zero");
+
+// Load-time multiplier for slow-start stragglers.
+constexpr double kSlowStartFactor = 4.0;
+
+}  // namespace
 
 FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan)
     : sim_(sim), plan_(plan), rng_(plan.seed) {
@@ -55,15 +70,12 @@ void FaultInjector::Arm() {
 }
 
 void FaultInjector::Fire() {
-  const double wsum = plan_.weight_instance_crash + plan_.weight_slice_failure +
-                      plan_.weight_cold_start_failure + plan_.weight_slow_start;
-  FFS_CHECK_MSG(wsum > 0.0, "all fault-kind weights are zero");
   // Every branch below consumes the same RNG draws whether or not a victim
   // exists, so the disruption schedule is a pure function of the seed.
-  const double pick = rng_.NextDouble() * wsum;
+  const double pick = rng_.NextDouble() * kWeightSum;
   const SimTime now = sim_.Now();
   ++injected_;
-  if (pick < plan_.weight_instance_crash) {
+  if (pick < kWeightInstanceCrash) {
     ++by_kind_[static_cast<std::size_t>(FaultKind::kInstanceCrash)];
     const std::uint64_t draw = rng_.Next();
     if (!live_instances_.empty()) {
@@ -74,7 +86,7 @@ void FaultInjector::Fire() {
     }
     return;
   }
-  if (pick < plan_.weight_instance_crash + plan_.weight_slice_failure) {
+  if (pick < kWeightInstanceCrash + kWeightSliceFailure) {
     ++by_kind_[static_cast<std::size_t>(FaultKind::kSliceFailure)];
     const std::uint64_t draw = rng_.Next();
     const double repair_s = rng_.Exponential(1.0 / ToSeconds(plan_.mttr));
@@ -87,14 +99,14 @@ void FaultInjector::Fire() {
     }
     return;
   }
-  if (pick < plan_.weight_instance_crash + plan_.weight_slice_failure +
-                 plan_.weight_cold_start_failure) {
+  if (pick <
+      kWeightInstanceCrash + kWeightSliceFailure + kWeightColdStartFailure) {
     ++by_kind_[static_cast<std::size_t>(FaultKind::kColdStartFailure)];
     sim_.bus().Publish(ColdStartFailureArmed{now});
     return;
   }
   ++by_kind_[static_cast<std::size_t>(FaultKind::kSlowStart)];
-  sim_.bus().Publish(SlowStartArmed{plan_.slow_start_factor, now});
+  sim_.bus().Publish(SlowStartArmed{kSlowStartFactor, now});
 }
 
 }  // namespace fluidfaas::sim

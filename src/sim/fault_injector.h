@@ -55,15 +55,6 @@ struct FaultPlan {
   /// (cluster.num_slices() at construction; slices minted later by runtime
   /// repartitions are not targeted directly).
   int num_slices = 0;
-
-  /// Relative weights of the fault kinds (normalized internally).
-  double weight_instance_crash = 0.45;
-  double weight_slice_failure = 0.25;
-  double weight_cold_start_failure = 0.15;
-  double weight_slow_start = 0.15;
-
-  /// Load-time multiplier for slow-start stragglers.
-  double slow_start_factor = 4.0;
 };
 
 class FaultInjector {
