@@ -154,12 +154,15 @@ run_tidy() {
 # decorators, so building it catches interface drift the main tree cannot
 # see. The benchmark state-checks and digests every cell; the last stdout
 # line is its JSON result, which must report every cell correct. On
-# heavy-paper, where the pending set stays deep, every scheduler must also
-# stay under 20 Route calls and 50 queue offers per request (the counts
-# are deterministic).
+# light-steady and heavy-paper every scheduler must also stay under 20
+# Route calls and 50 queue offers per request (the counts are
+# deterministic; heavy-paper keeps the pending set deep). overload-qos is
+# the only workload with faults and fair/shed queueing, so only its record
+# checks run through FaultInjector::Stop's cancel; it is checked for
+# correctness alone.
 run_perfbench() {
   local workload out
-  for workload in light-steady heavy-paper; do
+  for workload in light-steady heavy-paper overload-qos; do
     echo "=== perfbench: ${workload} smoke ==="
     out=$(python3 perfbench/run.py --workload "${workload}" --seconds 1 \
           --trace 1)
@@ -167,6 +170,9 @@ run_perfbench() {
 import json, sys
 r = json.loads(sys.argv[1].splitlines()[-1])
 assert r["correct"] is True and r["failed"] == 0, r
+if sys.argv[2] == "overload-qos":
+    print("perfbench ok:", r["attempted"], "cells")
+    sys.exit(0)
 calls = {k: m["value"] for k, m in r["metrics"].items()
          if ".route_calls_per_request." in k}
 assert calls, "no route_calls_per_request metrics"
@@ -179,7 +185,7 @@ over = {k: v for k, v in offers.items() if not v < 50}
 assert not over, f"50 or more queue offers per request: {over}"
 print("perfbench ok:", r["attempted"], "cells; max Route calls/request",
       max(calls.values()), "; max offers/request", max(offers.values()))
-' "${out}"
+' "${out}" "${workload}"
   done
 }
 
