@@ -372,9 +372,8 @@ std::vector<Recorder::GpuOccupancy> Recorder::PerGpuOccupancy() const {
     const double denom = static_cast<double>(per_gpu_[g].gpcs);
     // Mean GPCs over [0, end_], then the fraction of the GPU's GPCs.
     const auto fraction = [&](SimDuration gpc_time) {
-      return denom != 0.0 && end_ > 0 ? static_cast<double>(gpc_time) /
-                                            static_cast<double>(end_) / denom
-                                      : 0.0;
+      if (denom == 0.0 || end_ <= 0) return 0.0;
+      return static_cast<double>(gpc_time) / static_cast<double>(end_) / denom;
     };
     out.push_back(GpuOccupancy{fraction(bound[g]), fraction(busy[g])});
   }
