@@ -10,10 +10,13 @@
 // Change an expected value only together with a change that intends to
 // alter behaviour, and say why in the commit.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -281,6 +284,56 @@ TEST(GoldenDigestTest, ReportJsonBytes) {
     Fnv1a h;
     h.AddBytes(ResultsToJson(results));
     EXPECT_EQ(Hex(h.value()), Hex(kReports[v].digest)) << kReports[v].label;
+  }
+}
+
+// The bytes of the Chrome trace (`--trace-out`, metrics::TraceExporter) of
+// FluidFaaS and Repartition on a medium-tier, 60 s trace under faults 0.2/s,
+// timeout 3x, fair queue and shed admission. Between them the two traces
+// hold every span kind the exporter writes: completed, timed-out and
+// rejected request spans, retry, failure, slice-failure and repair markers,
+// and Repartition's `gpu` repartition spans.
+TEST(GoldenDigestTest, ChromeTraceBytes) {
+  struct TraceCell {
+    SystemKind system;
+    std::uint64_t digest;
+    std::vector<const char*> holds;  // substrings the trace must contain
+  };
+  const TraceCell kTraces[] = {
+      {kFfs, 0xf903330caf1751dfULL,
+       {" (timeout)\"", " (rejected)\"", "\"name\":\"retry", "\"failed: ",
+        "\"slice failed\"", "\"repaired\""}},
+      {kRepart, 0xa919dd0e8c8a9247ULL,
+       {" (rejected)\"", "\"name\":\"retry", "\"failed: ",
+        "\"slice failed\"", "\"repaired\"", "\"cat\":\"gpu\""}},
+  };
+  for (const TraceCell& t : kTraces) {
+    ExperimentConfig cfg;
+    cfg.system = t.system;
+    cfg.tier = WorkloadTier::kMedium;
+    cfg.duration = Seconds(60);
+    cfg.faults.rate = 0.2;
+    cfg.faults.timeout_scale = 3.0;
+    cfg.platform.qos.queue = "fair";
+    cfg.platform.qos.admission = "shed";
+    cfg.trace_out = testing::TempDir() + "golden_trace_" +
+                    std::to_string(::getpid()) + "_" + Name(t.system) +
+                    ".json";
+    const ExperimentResult r = RunExperiment(cfg);
+    std::ifstream in(cfg.trace_out);
+    ASSERT_TRUE(in) << cfg.trace_out;
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    in.close();
+    std::remove(cfg.trace_out.c_str());
+    const std::string json = bytes.str();
+    for (const char* needle : t.holds) {
+      EXPECT_NE(json.find(needle), std::string::npos)
+          << r.system << ": " << needle;
+    }
+    Fnv1a h;
+    h.AddBytes(json);
+    EXPECT_EQ(Hex(h.value()), Hex(t.digest)) << r.system;
   }
 }
 
