@@ -1,4 +1,4 @@
-// Typed publish/subscribe bus for simulation events (see sim/events.h).
+// Typed publish/subscribe bus for the simulation events of sim/events.h.
 //
 // Dispatch is synchronous and deterministic: Publish() invokes the handlers
 // for the event's exact type, in subscription order, before returning. The
@@ -14,16 +14,20 @@
 // subscribed during a dispatch of the same type do not see the in-flight
 // event (the dispatch snapshot is taken at Publish time).
 //
-// The bus is intentionally closed-world-free: any struct type can be an
-// event. Subscribers registered for type E only see events published as E.
+// The bus is closed-world: it carries exactly the types on sim::Events, and
+// keeps one handler vector per type in a tuple, so Subscribe and Publish
+// find their vector at compile time. Adding an event means adding a struct
+// to sim/events.h plus one entry in sim::Events; any other type fails to
+// compile.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <typeindex>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 #include <vector>
+
+#include "sim/events.h"
 
 namespace fluidfaas::sim {
 
@@ -54,8 +58,6 @@ class EventBus {
       return *this;
     }
 
-    bool active() const { return bus_ != nullptr; }
-
     void Release() {
       if (bus_ != nullptr) bus_->Unsubscribe(id_);
       bus_ = nullptr;
@@ -72,20 +74,15 @@ class EventBus {
 
   /// Register a handler for events of exactly type E. Handlers for one type
   /// run in subscription order. Returns an id for Unsubscribe().
-  template <typename E>
+  template <Event E>
   SubscriptionId Subscribe(std::function<void(const E&)> handler) {
     const SubscriptionId id = next_id_++;
-    const std::type_index type(typeid(E));
-    handlers_[type].push_back(
-        Entry{id, [h = std::move(handler)](const void* ev) {
-                h(*static_cast<const E*>(ev));
-              }});
-    by_id_.emplace(id, type);
+    HandlersOf<E>().push_back(Handler<E>{id, std::move(handler)});
     return id;
   }
 
   /// Subscribe with automatic detach when the returned handle dies.
-  template <typename E>
+  template <Event E>
   Subscription SubscribeScoped(std::function<void(const E&)> handler) {
     return Subscription(this, Subscribe<E>(std::move(handler)));
   }
@@ -93,67 +90,64 @@ class EventBus {
   /// Remove a subscription; false if the id is unknown (already removed).
   /// Safe during dispatch: a handler may unsubscribe itself (or a peer) —
   /// the slot is tombstoned immediately and skipped for the rest of the
-  /// dispatch, then reclaimed once the bus is quiescent.
+  /// dispatch, then reclaimed once the bus is quiescent. Searches every
+  /// type's vector; runs a handful of times per simulation.
   bool Unsubscribe(SubscriptionId id) {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) return false;
-    const std::type_index type = it->second;
-    auto& vec = handlers_[type];
-    for (Entry& e : vec) {
-      if (e.id == id) {
-        e.fn = nullptr;  // tombstone; compacted outside dispatch
-        break;
-      }
-    }
-    by_id_.erase(it);
-    if (dispatch_depth_ == 0) Compact(type);
-    return true;
+    return std::apply(
+        [this, id](auto&... vecs) { return (Tombstone(vecs, id) || ...); },
+        handlers_);
   }
 
   /// Deliver `ev` to every subscriber of type E, synchronously.
-  template <typename E>
+  template <Event E>
   void Publish(const E& ev) {
     ++published_;
-    auto it = handlers_.find(std::type_index(typeid(E)));
-    if (it == handlers_.end()) return;
     // Index-based loop over a size snapshot: handlers subscribed during
     // this dispatch (which may reallocate the vector) neither run for the
     // in-flight event nor invalidate the traversal, and tombstoned entries
-    // are skipped. The old iterator-based loop dangled on both.
-    auto& vec = it->second;
+    // are skipped.
+    std::vector<Handler<E>>& vec = HandlersOf<E>();
     const std::size_t n = vec.size();
     ++dispatch_depth_;
     for (std::size_t i = 0; i < n; ++i) {
-      if (vec[i].fn) vec[i].fn(&ev);
+      if (vec[i].fn) vec[i].fn(ev);
     }
-    if (--dispatch_depth_ == 0) Compact(it->first);
+    if (--dispatch_depth_ == 0) Compact(vec);
   }
 
   /// Total events published (delivered or not); handy in tests.
   std::uint64_t published() const { return published_; }
 
-  /// Number of live handlers registered for type E.
-  template <typename E>
-  std::size_t subscribers() const {
-    auto it = handlers_.find(std::type_index(typeid(E)));
-    if (it == handlers_.end()) return 0;
-    std::size_t n = 0;
-    for (const Entry& e : it->second) {
-      if (e.fn) ++n;
-    }
-    return n;
-  }
-
  private:
-  struct Entry {
+  /// One subscription; a null `fn` is a tombstone.
+  template <typename E>
+  struct Handler {
     SubscriptionId id = 0;
-    std::function<void(const void*)> fn;
+    std::function<void(const E&)> fn;
   };
 
-  void Compact(const std::type_index& type) {
-    auto it = handlers_.find(type);
-    if (it == handlers_.end()) return;
-    auto& vec = it->second;
+  template <typename... E>
+  static std::tuple<std::vector<Handler<E>>...> TableOf(TypeList<E...>);
+
+  template <typename E>
+  std::vector<Handler<E>>& HandlersOf() {
+    return std::get<std::vector<Handler<E>>>(handlers_);
+  }
+
+  template <typename E>
+  bool Tombstone(std::vector<Handler<E>>& vec, SubscriptionId id) {
+    for (Handler<E>& h : vec) {
+      if (h.id == id && h.fn) {
+        h.fn = nullptr;  // compacted outside dispatch
+        if (dispatch_depth_ == 0) Compact(vec);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  template <typename E>
+  static void Compact(std::vector<Handler<E>>& vec) {
     std::size_t w = 0;
     for (std::size_t r = 0; r < vec.size(); ++r) {
       if (vec[r].fn) {
@@ -164,8 +158,7 @@ class EventBus {
     vec.resize(w);
   }
 
-  std::unordered_map<std::type_index, std::vector<Entry>> handlers_;
-  std::unordered_map<SubscriptionId, std::type_index> by_id_;
+  decltype(TableOf(Events{})) handlers_;
   std::uint64_t published_ = 0;
   SubscriptionId next_id_ = 1;
   int dispatch_depth_ = 0;

@@ -10,9 +10,15 @@
 //
 // The structs use only common/types vocabulary so any layer above sim can
 // publish or subscribe without new dependencies.
+//
+// The list is closed: `Events` at the bottom names every event type, and
+// the EventBus keeps one handler vector per entry. Adding an event means
+// adding a struct here plus one entry in `Events`; publishing or
+// subscribing to a type not on the list does not compile.
 #pragma once
 
 #include <string>
+#include <type_traits>
 
 #include "common/types.h"
 
@@ -390,5 +396,30 @@ struct PartitionReconfigured {
   std::string partition;
   SimDuration blackout = 0;
 };
+
+// --- the closed list of event types ----------------------------------------
+
+template <typename... E>
+struct TypeList {};
+
+/// Every event type the EventBus carries, one entry each.
+using Events = TypeList<
+    RequestSubmitted, RequestPhaseAccrued, RequestCompleted,
+    InstanceStateChanged, SliceBound, SliceReleased, SliceBusyBegin,
+    SliceBusyEnd, SchedulerTransition, InstanceCrashRequested,
+    SliceFailureRequested, ColdStartFailureArmed, SlowStartArmed,
+    InstanceFailed, SliceFailed, SliceRepaired, RequestTimedOut,
+    RequestRetried, RequestAbandoned, RequestRejected, PendingDepthChanged,
+    PlacementCommitted, PlacementAborted, PartitionReconfigured>;
+
+template <typename E, typename List>
+inline constexpr bool kOnList = false;
+template <typename E, typename... L>
+inline constexpr bool kOnList<E, TypeList<L...>> =
+    (std::is_same_v<E, L> || ...);
+
+/// A type on the `Events` list.
+template <typename E>
+concept Event = kOnList<E, Events>;
 
 }  // namespace fluidfaas::sim

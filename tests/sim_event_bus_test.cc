@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,131 +18,190 @@
 namespace fluidfaas::sim {
 namespace {
 
-struct Ping {
-  int value = 0;
-};
-struct Pong {
-  int value = 0;
-};
-
+// PendingDepthChanged and ColdStartFailureArmed stand in for any two listed
+// types: each carries one number to deliver.
 TEST(EventBusTest, DispatchesByType) {
   EventBus bus;
-  int pings = 0, pongs = 0;
-  bus.Subscribe<Ping>([&](const Ping& p) { pings += p.value; });
-  bus.Subscribe<Pong>([&](const Pong& p) { pongs += p.value; });
-  bus.Publish(Ping{2});
-  bus.Publish(Ping{3});
-  bus.Publish(Pong{10});
-  EXPECT_EQ(pings, 5);
-  EXPECT_EQ(pongs, 10);
+  std::size_t depths = 0;
+  SimTime arms = 0;
+  bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged& e) { depths += e.depth; });
+  bus.Subscribe<ColdStartFailureArmed>(
+      [&](const ColdStartFailureArmed& e) { arms += e.at; });
+  bus.Publish(PendingDepthChanged{2});
+  bus.Publish(PendingDepthChanged{3});
+  bus.Publish(ColdStartFailureArmed{10});
+  EXPECT_EQ(depths, 5u);
+  EXPECT_EQ(arms, 10);
   EXPECT_EQ(bus.published(), 3u);
 }
 
 TEST(EventBusTest, PublishWithoutSubscribersIsFine) {
   EventBus bus;
-  bus.Publish(Ping{1});
+  bus.Publish(PendingDepthChanged{1});
   EXPECT_EQ(bus.published(), 1u);
-  EXPECT_EQ(bus.subscribers<Ping>(), 0u);
 }
+
+// Each type on sim::Events has its own handlers: publishing every listed
+// type once, in list order, runs each type's one handler exactly once.
+TEST(EventBusTest, EveryListedTypeHasItsOwnHandlers) {
+  EventBus bus;
+  std::vector<int> seen;
+  std::vector<int> expected;
+  [&]<typename... E>(TypeList<E...>) {
+    int index = 0;
+    (bus.Subscribe<E>([&seen, i = index++](const E&) { seen.push_back(i); }),
+     ...);
+    (bus.Publish(E{}), ...);
+    for (int i = 0; i < static_cast<int>(sizeof...(E)); ++i) {
+      expected.push_back(i);
+    }
+  }(Events{});
+  EXPECT_EQ(expected.size(), 24u);
+  EXPECT_EQ(seen, expected);
+}
+
+// A type not on sim::Events can be neither published nor subscribed to.
+struct OffList {
+  int value = 0;
+};
+template <typename E>
+constexpr bool kPublishable =
+    requires(EventBus& bus, const E& ev) { bus.Publish(ev); };
+template <typename E>
+constexpr bool kSubscribable =
+    requires(EventBus& bus, std::function<void(const E&)> handler) {
+      bus.Subscribe<E>(handler);
+      bus.SubscribeScoped<E>(handler);
+    };
+static_assert(kPublishable<PendingDepthChanged>);
+static_assert(kSubscribable<PendingDepthChanged>);
+static_assert(!kPublishable<OffList>);
+static_assert(!kSubscribable<OffList>);
 
 TEST(EventBusTest, SubscribersRunInSubscriptionOrder) {
   EventBus bus;
   std::vector<int> order;
-  bus.Subscribe<Ping>([&](const Ping&) { order.push_back(1); });
-  bus.Subscribe<Ping>([&](const Ping&) { order.push_back(2); });
-  bus.Subscribe<Ping>([&](const Ping&) { order.push_back(3); });
-  bus.Publish(Ping{});
+  bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged&) { order.push_back(1); });
+  bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged&) { order.push_back(2); });
+  bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged&) { order.push_back(3); });
+  bus.Publish(PendingDepthChanged{});
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(bus.subscribers<Ping>(), 3u);
 }
 
 // --- unsubscription ---------------------------------------------------------
 
 TEST(EventBusTest, UnsubscribeStopsDelivery) {
   EventBus bus;
-  int pings = 0;
-  const EventBus::SubscriptionId id =
-      bus.Subscribe<Ping>([&](const Ping& p) { pings += p.value; });
-  bus.Publish(Ping{1});
+  std::size_t depths = 0;
+  const EventBus::SubscriptionId id = bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged& e) { depths += e.depth; });
+  bus.Publish(PendingDepthChanged{1});
   EXPECT_TRUE(bus.Unsubscribe(id));
-  bus.Publish(Ping{10});
-  EXPECT_EQ(pings, 1);
-  EXPECT_EQ(bus.subscribers<Ping>(), 0u);
+  bus.Publish(PendingDepthChanged{10});
+  EXPECT_EQ(depths, 1u);
   // A second removal of the same id reports failure, harmlessly.
   EXPECT_FALSE(bus.Unsubscribe(id));
   EXPECT_FALSE(bus.Unsubscribe(9999));
 }
 
+TEST(EventBusTest, UnsubscribeFindsTheIdUnderItsOwnType) {
+  EventBus bus;
+  int depths = 0, arms = 0;
+  bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged&) { ++depths; });
+  const EventBus::SubscriptionId arm = bus.Subscribe<ColdStartFailureArmed>(
+      [&](const ColdStartFailureArmed&) { ++arms; });
+  EXPECT_TRUE(bus.Unsubscribe(arm));
+  bus.Publish(PendingDepthChanged{});
+  bus.Publish(ColdStartFailureArmed{});
+  EXPECT_EQ(depths, 1);  // the other type's handler stays
+  EXPECT_EQ(arms, 0);
+}
+
 TEST(EventBusTest, ScopedSubscriptionDetachesOnDestruction) {
   EventBus bus;
-  int pings = 0;
+  int runs = 0;
   {
-    EventBus::Subscription sub =
-        bus.SubscribeScoped<Ping>([&](const Ping&) { ++pings; });
-    EXPECT_TRUE(sub.active());
-    bus.Publish(Ping{});
-    EXPECT_EQ(bus.subscribers<Ping>(), 1u);
+    EventBus::Subscription sub = bus.SubscribeScoped<PendingDepthChanged>(
+        [&](const PendingDepthChanged&) { ++runs; });
+    bus.Publish(PendingDepthChanged{});
+    EXPECT_EQ(runs, 1);
   }
-  bus.Publish(Ping{});
-  EXPECT_EQ(pings, 1);
-  EXPECT_EQ(bus.subscribers<Ping>(), 0u);
+  bus.Publish(PendingDepthChanged{});
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(EventBusTest, ScopedSubscriptionMoveTransfersOwnership) {
   EventBus bus;
-  int pings = 0;
+  int runs = 0;
   EventBus::Subscription outer;
   {
-    EventBus::Subscription inner =
-        bus.SubscribeScoped<Ping>([&](const Ping&) { ++pings; });
+    EventBus::Subscription inner = bus.SubscribeScoped<PendingDepthChanged>(
+        [&](const PendingDepthChanged&) { ++runs; });
     outer = std::move(inner);
-    EXPECT_FALSE(inner.active());  // NOLINT(bugprone-use-after-move)
+    inner.Release();  // NOLINT(bugprone-use-after-move): a moved-from no-op
   }
-  bus.Publish(Ping{});  // inner's destruction must not have detached
-  EXPECT_EQ(pings, 1);
+  bus.Publish(PendingDepthChanged{});  // inner's Release and destruction
+  EXPECT_EQ(runs, 1);                  // must not have detached
   outer.Release();
-  bus.Publish(Ping{});
-  EXPECT_EQ(pings, 1);
+  bus.Publish(PendingDepthChanged{});
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(EventBusTest, HandlerMayUnsubscribeItselfDuringDispatch) {
   EventBus bus;
   int first = 0, second = 0;
   EventBus::SubscriptionId id = 0;
-  id = bus.Subscribe<Ping>([&](const Ping&) {
+  id = bus.Subscribe<PendingDepthChanged>([&](const PendingDepthChanged&) {
     ++first;
     bus.Unsubscribe(id);  // one-shot subscriber
   });
-  bus.Subscribe<Ping>([&](const Ping&) { ++second; });
-  bus.Publish(Ping{});
-  bus.Publish(Ping{});
+  bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged&) { ++second; });
+  bus.Publish(PendingDepthChanged{});
+  bus.Publish(PendingDepthChanged{});
   EXPECT_EQ(first, 1);
   EXPECT_EQ(second, 2);  // the later peer kept running, both times
 }
 
 TEST(EventBusTest, HandlerMayUnsubscribeALaterPeerDuringDispatch) {
   EventBus bus;
-  int victim_runs = 0;
+  int victim_runs = 0, killer_runs = 0;
+  std::vector<bool> removed;
   EventBus::SubscriptionId victim = 0;
-  bus.Subscribe<Ping>([&](const Ping&) { bus.Unsubscribe(victim); });
-  victim = bus.Subscribe<Ping>([&](const Ping&) { ++victim_runs; });
-  bus.Publish(Ping{});
+  bus.Subscribe<PendingDepthChanged>([&](const PendingDepthChanged&) {
+    ++killer_runs;
+    removed.push_back(bus.Unsubscribe(victim));
+  });
+  victim = bus.Subscribe<PendingDepthChanged>(
+      [&](const PendingDepthChanged&) { ++victim_runs; });
+  bus.Publish(PendingDepthChanged{});
   // Tombstoned mid-dispatch: the victim must not see the in-flight event.
   EXPECT_EQ(victim_runs, 0);
-  EXPECT_EQ(bus.subscribers<Ping>(), 1u);
+  bus.Publish(PendingDepthChanged{});
+  EXPECT_EQ(victim_runs, 0);
+  EXPECT_EQ(killer_runs, 2);
+  // The tombstone does not count as a live subscription.
+  EXPECT_EQ(removed, (std::vector<bool>{true, false}));
 }
 
 TEST(EventBusTest, SubscribeDuringDispatchMissesTheInFlightEvent) {
   EventBus bus;
   int late_runs = 0;
-  bus.Subscribe<Ping>([&](const Ping&) {
-    if (bus.subscribers<Ping>() == 1u) {
-      bus.Subscribe<Ping>([&](const Ping&) { ++late_runs; });
-    }
+  bool subscribed = false;
+  bus.Subscribe<PendingDepthChanged>([&](const PendingDepthChanged&) {
+    if (subscribed) return;
+    subscribed = true;
+    bus.Subscribe<PendingDepthChanged>(
+        [&](const PendingDepthChanged&) { ++late_runs; });
   });
-  bus.Publish(Ping{});
+  bus.Publish(PendingDepthChanged{});
   EXPECT_EQ(late_runs, 0);  // snapshot taken at Publish time
-  bus.Publish(Ping{});
+  bus.Publish(PendingDepthChanged{});
   EXPECT_EQ(late_runs, 1);
 }
 
