@@ -38,24 +38,29 @@ void TraceExporter::Emit(TraceEvent ev) {
   events_.push_back(std::move(ev));
 }
 
+void TraceExporter::CloseRequest(RequestId rid, SimTime at,
+                                 const std::string& outcome,
+                                 const std::string& args) {
+  auto it = open_requests_.find(rid);
+  if (it == open_requests_.end()) return;
+  const OpenRequest& span = it->second;
+  Emit(TraceEvent{FunctionLabel(span.fn) + outcome, "request", 'X',
+                  span.since, at - span.since, kPidRequests, span.fn.value,
+                  "{\"rid\":" + std::to_string(rid.value) + args + "}"});
+  open_requests_.erase(it);
+}
+
 void TraceExporter::SubscribeTo(sim::EventBus& bus) {
   if (bus_ == &bus) return;
   FFS_CHECK_MSG(bus_ == nullptr, "TraceExporter already subscribed to a bus");
   bus_ = &bus;
 
   bus.Subscribe<sim::RequestSubmitted>([this](const sim::RequestSubmitted& e) {
-    open_requests_[e.rid] = OpenSpan{e.at, ""};
-    request_fn_[e.rid] = e.fn;
+    open_requests_[e.rid] = OpenRequest{e.at, e.fn};
     last_ts_ = std::max(last_ts_, e.at);
   });
   bus.Subscribe<sim::RequestCompleted>([this](const sim::RequestCompleted& e) {
-    auto it = open_requests_.find(e.rid);
-    if (it == open_requests_.end()) return;
-    Emit(TraceEvent{FunctionLabel(e.fn), "request", 'X', it->second.since,
-                    e.at - it->second.since, kPidRequests, e.fn.value,
-                    "{\"rid\":" + std::to_string(e.rid.value) + "}"});
-    open_requests_.erase(it);
-    request_fn_.erase(e.rid);
+    CloseRequest(e.rid, e.at, "", "");
   });
 
   bus.Subscribe<sim::InstanceStateChanged>(
@@ -146,27 +151,12 @@ void TraceExporter::SubscribeTo(sim::EventBus& bus) {
   // Terminal request outcomes close the request span like a completion.
   bus.Subscribe<sim::RequestTimedOut>([this](const sim::RequestTimedOut& e) {
     if (e.mid_execution) return;  // span closes at its real completion
-    auto it = open_requests_.find(e.rid);
-    if (it == open_requests_.end()) return;
-    Emit(TraceEvent{FunctionLabel(e.fn) + " (timeout)", "request", 'X',
-                    it->second.since, e.at - it->second.since, kPidRequests,
-                    e.fn.value,
-                    "{\"rid\":" + std::to_string(e.rid.value) + "}"});
-    open_requests_.erase(it);
-    request_fn_.erase(e.rid);
+    CloseRequest(e.rid, e.at, " (timeout)", "");
   });
   bus.Subscribe<sim::RequestAbandoned>(
       [this](const sim::RequestAbandoned& e) {
-        auto it = open_requests_.find(e.rid);
-        if (it == open_requests_.end()) return;
-        Emit(TraceEvent{FunctionLabel(e.fn) + " (abandoned)", "request", 'X',
-                        it->second.since, e.at - it->second.since,
-                        kPidRequests, e.fn.value,
-                        "{\"rid\":" + std::to_string(e.rid.value) +
-                            ",\"attempts\":" + std::to_string(e.attempts) +
-                            "}"});
-        open_requests_.erase(it);
-        request_fn_.erase(e.rid);
+        CloseRequest(e.rid, e.at, " (abandoned)",
+                     ",\"attempts\":" + std::to_string(e.attempts));
       });
 
   // QoS (DESIGN.md §9): admission rejections close the request span and
@@ -176,15 +166,8 @@ void TraceExporter::SubscribeTo(sim::EventBus& bus) {
                     e.at, 0, kPidQueue, 1,
                     "{\"rid\":" + std::to_string(e.rid.value) +
                         ",\"fn\":" + std::to_string(e.fn.value) + "}"});
-    auto it = open_requests_.find(e.rid);
-    if (it == open_requests_.end()) return;
-    Emit(TraceEvent{FunctionLabel(e.fn) + " (rejected)", "request", 'X',
-                    it->second.since, e.at - it->second.since, kPidRequests,
-                    e.fn.value,
-                    "{\"rid\":" + std::to_string(e.rid.value) +
-                        ",\"cause\":\"" + Name(e.cause) + "\"}"});
-    open_requests_.erase(it);
-    request_fn_.erase(e.rid);
+    CloseRequest(e.rid, e.at, " (rejected)",
+                 ",\"cause\":\"" + std::string(Name(e.cause)) + "\"");
   });
   bus.Subscribe<sim::PendingDepthChanged>(
       [this](const sim::PendingDepthChanged& e) {
@@ -229,38 +212,26 @@ void TraceExporter::WriteJson(std::ostream& os) const {
   // Close spans still open at export time at the last observed timestamp,
   // so a truncated run still renders every live entity.
   for (const auto& [rid, span] : open_requests_) {
-    auto fn_it = request_fn_.find(rid);
-    const FunctionId fn =
-        fn_it == request_fn_.end() ? FunctionId() : fn_it->second;
-    write_event(TraceEvent{FunctionLabel(fn), "request", 'X', span.since,
+    write_event(TraceEvent{FunctionLabel(span.fn), "request", 'X', span.since,
                            std::max<SimDuration>(0, last_ts_ - span.since),
-                           kPidRequests, fn.value,
+                           kPidRequests, span.fn.value,
                            "{\"rid\":" + std::to_string(rid.value) +
                                ",\"open\":true}"},
                 first);
     first = false;
   }
-  for (const auto& [iid, span] : open_instance_states_) {
-    write_event(TraceEvent{span.name, "instance", 'X', span.since,
-                           std::max<SimDuration>(0, last_ts_ - span.since),
-                           kPidInstances, iid.value, ""},
-                first);
-    first = false;
-  }
-  for (const auto& [sid, span] : open_bound_) {
-    write_event(TraceEvent{span.name, "slice", 'X', span.since,
-                           std::max<SimDuration>(0, last_ts_ - span.since),
-                           kPidSlices, sid.value, ""},
-                first);
-    first = false;
-  }
-  for (const auto& [sid, span] : open_busy_) {
-    write_event(TraceEvent{span.name, "slice", 'X', span.since,
-                           std::max<SimDuration>(0, last_ts_ - span.since),
-                           kPidSlices, sid.value, ""},
-                first);
-    first = false;
-  }
+  const auto write_open = [&](const auto& spans, const char* cat, int pid) {
+    for (const auto& [id, span] : spans) {
+      write_event(TraceEvent{span.name, cat, 'X', span.since,
+                             std::max<SimDuration>(0, last_ts_ - span.since),
+                             pid, id.value, ""},
+                  first);
+      first = false;
+    }
+  };
+  write_open(open_instance_states_, "instance", kPidInstances);
+  write_open(open_bound_, "slice", kPidSlices);
+  write_open(open_busy_, "slice", kPidSlices);
   os << "\n]}\n";
 }
 

@@ -70,9 +70,18 @@ class TraceExporter {
     SimTime since = 0;
     std::string name;
   };
+  /// A request span is named after its function when it closes.
+  struct OpenRequest {
+    SimTime since = 0;
+    FunctionId fn;
+  };
 
   std::string FunctionLabel(FunctionId fn) const;
   void Emit(TraceEvent ev);
+  /// Close `rid`'s request span at `at`, named after its function plus
+  /// `outcome`; `args` extends its {"rid":…} object. No-op if none is open.
+  void CloseRequest(RequestId rid, SimTime at, const std::string& outcome,
+                    const std::string& args);
 
   sim::EventBus* bus_ = nullptr;
   std::vector<std::string> function_names_;
@@ -80,11 +89,10 @@ class TraceExporter {
   SimTime last_ts_ = 0;
 
   // Open spans keyed by the owning entity.
-  std::unordered_map<RequestId, OpenSpan> open_requests_;
+  std::unordered_map<RequestId, OpenRequest> open_requests_;
   std::unordered_map<InstanceId, OpenSpan> open_instance_states_;
   std::unordered_map<SliceId, OpenSpan> open_bound_;
   std::unordered_map<SliceId, OpenSpan> open_busy_;
-  std::unordered_map<RequestId, FunctionId> request_fn_;
 };
 
 }  // namespace fluidfaas::metrics
