@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "gpu/mig_profile.h"
 #include "sim/event_bus.h"
 #include "sim/events.h"
 
@@ -18,7 +19,6 @@ Recorder::Recorder(const gpu::Cluster& cluster) : cluster_(&cluster) {
     info.gpu = s.gpu;
     info.gpcs = s.gpcs();
     slices_.push_back(info);
-    per_gpu_[static_cast<std::size_t>(s.gpu.value)].gpcs += s.gpcs();
   }
   total_gpcs_ = cluster.TotalGpcs();
 }
@@ -211,12 +211,6 @@ void Recorder::SyncSlices(const gpu::Cluster& cluster) {
     info.gpcs = s.gpcs();
     slices_.push_back(info);
   }
-  // Refresh per-GPU GPC weights from the live topology.
-  for (GpuInfo& g : per_gpu_) g.gpcs = 0;
-  for (SliceId sid : cluster.AllSlices()) {
-    const gpu::MigSlice& s = cluster.slice(sid);
-    per_gpu_[static_cast<std::size_t>(s.gpu.value)].gpcs += s.gpcs();
-  }
   total_gpcs_ = cluster.TotalGpcs();
 }
 
@@ -367,14 +361,14 @@ std::vector<Recorder::GpuOccupancy> Recorder::PerGpuOccupancy() const {
     bound[g] += s.gpcs * s.bound_total;
     busy[g] += s.gpcs * s.busy_total;
   }
+  // Mean GPCs over [0, end_], then the fraction of a whole GPU's GPCs.
+  const auto fraction = [this](SimDuration gpc_time) {
+    if (end_ <= 0) return 0.0;
+    return static_cast<double>(gpc_time) / static_cast<double>(end_) /
+           gpu::kGpcsPerGpu;
+  };
   std::vector<GpuOccupancy> out;
   for (std::size_t g = 0; g < per_gpu_.size(); ++g) {
-    const double denom = static_cast<double>(per_gpu_[g].gpcs);
-    // Mean GPCs over [0, end_], then the fraction of the GPU's GPCs.
-    const auto fraction = [&](SimDuration gpc_time) {
-      if (denom == 0.0 || end_ <= 0) return 0.0;
-      return static_cast<double>(gpc_time) / static_cast<double>(end_) / denom;
-    };
     out.push_back(GpuOccupancy{fraction(bound[g]), fraction(busy[g])});
   }
   return out;

@@ -174,7 +174,8 @@ class Recorder {
   /// Per-GPU occupancy fractions over [0, end] (Fig. 5):
   /// {occupied fraction, active fraction} per GPU: Σ GPCs × bound (busy)
   /// time over the GPU's slices, retired ones included, per µs of the run
-  /// and per GPC the GPU has at Close.
+  /// and per GPC of a whole GPU (gpu::kGpcsPerGpu), so a repartition to
+  /// fewer GPCs never reads above 1.
   struct GpuOccupancy {
     double occupied;
     double active;
@@ -209,7 +210,6 @@ class Recorder {
 
   SimTime end_time() const { return end_; }
   int total_gpcs() const { return total_gpcs_; }
-  int num_gpus() const { return static_cast<int>(per_gpu_.size()); }
 
  private:
   struct SliceInfo {
@@ -226,7 +226,6 @@ class Recorder {
     int busy_slices = 0;
     SimTime busy_since = 0;
     SimDuration busy_total = 0;  // time with >=1 busy slice
-    int gpcs = 0;
   };
 
   std::vector<RequestRecord> records_;

@@ -107,8 +107,8 @@ TEST_F(RecorderTest, PerGpuOccupancyWeightsByGpcs) {
 }
 
 // GPU 0 is repartitioned mid-run: its retired slices keep their bound and
-// busy time, divided by the GPU's GPCs after the repartition. Slices still
-// bound (and busy) at Close count up to the end. Exact values.
+// busy time, divided by a whole GPU's 7 GPCs. Slices still bound (and busy)
+// at Close count up to the end. Exact values.
 TEST_F(RecorderTest, PerGpuOccupancyAcrossRepartition) {
   rec_.SliceBound(SliceId(0), Millis(250));  // 4g on GPU 0
   rec_.SliceBound(SliceId(4), Millis(700));  // 2g on GPU 1
@@ -127,11 +127,32 @@ TEST_F(RecorderTest, PerGpuOccupancyAcrossRepartition) {
   rec_.Close(Seconds(10) + 7);
   const auto occ = rec_.PerGpuOccupancy();
   ASSERT_EQ(occ.size(), 2u);
-  // GPU 0: (4 * 2.85 s + 1 * 1 s + 3 * 6.000007 s) / 10.000007 s / 6.
-  EXPECT_EQ(occ[0].occupied, 0.50666666200000321);
-  EXPECT_EQ(occ[0].active, 0.20666652200010127);
+  // GPU 0: (4 * 2.85 s + 1 * 1 s + 3 * 6.000007 s) / 10.000007 s / 7, and
+  // (4 * 1.3 s + 3 * 2.4 s) / 10.000007 s / 7.
+  EXPECT_EQ(occ[0].occupied, 30400021.0 / 10000007.0 / 7.0);
+  EXPECT_EQ(occ[0].occupied, 0.43428571028571705);
+  EXPECT_EQ(occ[0].active, 12400000.0 / 10000007.0 / 7.0);
+  EXPECT_EQ(occ[0].active, 0.17714273314294396);
   EXPECT_EQ(occ[1].occupied, 0.2657142997142759);
   EXPECT_EQ(occ[1].active, 0.20000005999995801);
+}
+
+// A GPU that loses GPCs in a repartition stays at or below 100%: the
+// default 4g+2g+1g all bound for 5 s (35 GPC-s), then 3g+3g all bound for
+// 5 s (30 GPC-s), occupies 65 of the 70 GPC-s the GPU offers.
+TEST_F(RecorderTest, PerGpuOccupancyAfterShrinkingRepartition) {
+  for (int s = 0; s < 3; ++s) rec_.SliceBound(SliceId(s), 0);
+  for (int s = 0; s < 3; ++s) rec_.SliceReleased(SliceId(s), Seconds(5));
+  const std::vector<SliceId> fresh = cluster_.RepartitionGpu(
+      GpuId(0), gpu::MigPartition::Parse("3g.40gb+3g.40gb"));
+  rec_.SyncSlices(cluster_);
+  for (SliceId s : fresh) rec_.SliceBound(s, Seconds(5));
+  rec_.Close(Seconds(10));
+  const auto occ = rec_.PerGpuOccupancy();
+  ASSERT_EQ(occ.size(), 2u);
+  EXPECT_EQ(occ[0].occupied, 65.0 / 70.0);
+  EXPECT_EQ(occ[0].active, 0.0);
+  EXPECT_EQ(occ[1].occupied, 0.0);
 }
 
 TEST_F(RecorderTest, InvariantViolationsThrow) {
