@@ -29,8 +29,7 @@ Instance::Instance(InstanceId id, FunctionId fn, core::PipelinePlan plan,
 
 void Instance::SetState(InstanceState next) {
   if (state_ == next) return;
-  sim_.bus().Publish(
-      sim::InstanceStateChanged{id_, fn_, state_, next, sim_.Now()});
+  sim_.bus().Publish(sim::InstanceStateChanged{id_, fn_, next, sim_.Now()});
   state_ = next;
 }
 

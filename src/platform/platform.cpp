@@ -160,7 +160,7 @@ RequestId PlatformCore::Submit(FunctionId fn) {
   const sim::RejectCause gate =
       admission_->AdmitAtSubmit(MakeQueueItem(rid, fn), now, *pending_q_);
   if (gate != sim::RejectCause::kNone) {
-    RejectRequest(rid, fn, gate, /*at_submit=*/true);
+    RejectRequest(rid, fn, gate);
     return rid;
   }
   if (config_.request_timeout_scale > 0.0) {
@@ -231,8 +231,8 @@ void PlatformCore::PublishPendingDepth() {
 }
 
 void PlatformCore::RejectRequest(RequestId rid, FunctionId fn,
-                                 sim::RejectCause cause, bool at_submit) {
-  bus().Publish(sim::RequestRejected{rid, fn, cause, at_submit, sim_.Now()});
+                                 sim::RejectCause cause) {
+  bus().Publish(sim::RequestRejected{rid, fn, cause, sim_.Now()});
   meta_.erase(rid);
 }
 
@@ -465,7 +465,7 @@ void PlatformCore::DispatchPending() {
                         const qos::QueueItem& item) -> qos::DrainVerdict {
     const sim::RejectCause shed = admission_->ReviewAtDispatch(item, now);
     if (shed != sim::RejectCause::kNone) {
-      RejectRequest(item.rid, item.fn, shed, /*at_submit=*/false);
+      RejectRequest(item.rid, item.fn, shed);
       return qos::DrainVerdict::kDrop;
     }
     const SimTime due = std::max(item.deadline, now);

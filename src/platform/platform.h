@@ -227,8 +227,7 @@ class PlatformCore final {
 
   /// Reject `rid` with a typed cause: publish sim::RequestRejected and
   /// forget the request (terminal — it will never complete).
-  void RejectRequest(RequestId rid, FunctionId fn, sim::RejectCause cause,
-                     bool at_submit);
+  void RejectRequest(RequestId rid, FunctionId fn, sim::RejectCause cause);
 
   /// Run one crash victim through the retry policy.
   void HandleFailedRequest(RequestId rid, int stage, int num_stages);

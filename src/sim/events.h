@@ -102,7 +102,6 @@ constexpr const char* Name(InstancePhase p) {
 struct InstanceStateChanged {
   InstanceId iid;
   FunctionId fn;
-  InstancePhase from = InstancePhase::kLoading;
   InstancePhase to = InstancePhase::kLoading;
   SimTime at = 0;
 };
@@ -312,14 +311,13 @@ constexpr const char* Name(RejectCause c) {
 inline constexpr int kNumRejectCauses =
     static_cast<int>(RejectCause::kDeadlineInfeasible) + 1;
 
-/// The admission controller refused a request. `at_submit` distinguishes
-/// submission-time rejection (rate limit, full queue) from dispatch-time
-/// shedding of work that already blew its deadline budget.
+/// The admission controller refused a request, at submission (rate limit,
+/// full queue) or when dispatch sheds work that already blew its deadline
+/// budget.
 struct RequestRejected {
   RequestId rid;
   FunctionId fn;
   RejectCause cause = RejectCause::kNone;
-  bool at_submit = true;
   SimTime at = 0;
 };
 

@@ -159,14 +159,12 @@ TEST(FaultInjectorTest, TracksInstanceLifecycleThroughTheBus) {
 
   InstanceStateChanged retire;
   retire.iid = InstanceId(7);
-  retire.from = InstancePhase::kDraining;
   retire.to = InstancePhase::kRetired;
   sim.bus().Publish(retire);
   EXPECT_EQ(injector.tracked_instances(), 1u);
 
   InstanceStateChanged fail;
   fail.iid = InstanceId(9);
-  fail.from = InstancePhase::kReady;
   fail.to = InstancePhase::kFailed;
   sim.bus().Publish(fail);
   EXPECT_EQ(injector.tracked_instances(), 0u);
