@@ -10,11 +10,6 @@
 //
 // The structs use only common/types vocabulary so any layer above sim can
 // publish or subscribe without new dependencies.
-//
-// The list is closed: `Events` at the bottom names every event type, and
-// the EventBus keeps one handler vector per entry. Adding an event means
-// adding a struct here plus one entry in `Events`; publishing or
-// subscribing to a type not on the list does not compile.
 #pragma once
 
 #include <string>
@@ -397,10 +392,15 @@ struct PartitionReconfigured {
 
 // --- the closed list of event types ----------------------------------------
 
+/// A list of types; `kHas<T>` says whether T is on it.
 template <typename... E>
-struct TypeList {};
+struct TypeList {
+  template <typename T>
+  static constexpr bool kHas = (std::is_same_v<T, E> || ...);
+};
 
-/// Every event type the EventBus carries, one entry each.
+/// Every event type the EventBus carries, one entry each. A new event is a
+/// struct above plus one entry here.
 using Events = TypeList<
     RequestSubmitted, RequestPhaseAccrued, RequestCompleted,
     InstanceStateChanged, SliceBound, SliceReleased, SliceBusyBegin,
@@ -410,14 +410,8 @@ using Events = TypeList<
     RequestRetried, RequestAbandoned, RequestRejected, PendingDepthChanged,
     PlacementCommitted, PlacementAborted, PartitionReconfigured>;
 
-template <typename E, typename List>
-inline constexpr bool kOnList = false;
-template <typename E, typename... L>
-inline constexpr bool kOnList<E, TypeList<L...>> =
-    (std::is_same_v<E, L> || ...);
-
 /// A type on the `Events` list.
 template <typename E>
-concept Event = kOnList<E, Events>;
+concept Event = Events::kHas<E>;
 
 }  // namespace fluidfaas::sim
