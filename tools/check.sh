@@ -6,14 +6,14 @@
 # (AddressSanitizer + UBSan), and as a Release build (the optimisation level
 # perfbench uses, where GCC's flow-sensitive warnings fire), plus a
 # fault-injection smoke that exercises the failure-recovery paths (crash
-# harvesting, retries, slice repair, timeout expiry) and a 32-node scale
-# smoke under the sanitizers. Usage:
+# harvesting, retries, slice repair, timeout expiry), a 32-node scale smoke
+# and a Chrome-trace smoke under the sanitizers. Usage:
 #
 #   tools/check.sh          # all passes
 #   tools/check.sh plain    # default build only
 #   tools/check.sh asan     # sanitized build only
 #   tools/check.sh release  # Release build only
-#   tools/check.sh faults   # sanitized fault, overload and scale smokes only
+#   tools/check.sh faults   # sanitized fault, overload, scale, trace smokes
 #   tools/check.sh tsan     # ThreadSanitizer parallel-sweep smoke only
 #   tools/check.sh tidy     # clang-tidy over src/ (fails if not installed)
 #   tools/check.sh perfbench  # build perfbench/ and run 1 s traced smokes
@@ -104,6 +104,21 @@ for c in doc["cells"]:
         c["system"], r["completed_requests"], r["total_requests"])
 print("scale smoke ok:", len(doc["cells"]), "cells")
 ' build-asan/scale_smoke.json
+  # The Chrome-trace exporter under the sanitizers, on a faulted fair/shed
+  # run so its request, fault and QoS handlers all run.
+  ./build-asan/tools/fluidfaas run --system fluidfaas --tier medium \
+    --duration 20 --fault-rate 0.2 --timeout-scale 3 --queue fair \
+    --admission shed --trace-out build-asan/trace_smoke.json
+  python3 -c '
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+procs = {e["args"]["name"] for e in events if e["ph"] == "M"}
+assert procs == {"requests", "instances", "slices", "gpus", "planner",
+                 "queue"}, procs
+cats = {e.get("cat") for e in events}
+assert {"request", "fault", "qos"} <= cats, cats
+print("trace smoke ok:", len(events), "events")
+' build-asan/trace_smoke.json
 }
 
 # Short parallel sweep under ThreadSanitizer: several worker threads run
