@@ -126,6 +126,7 @@ class EventBus {
     std::function<void(const E&)> fn;
   };
 
+  /// The handler table's type (declared only, for decltype).
   template <typename... E>
   static std::tuple<std::vector<Handler<E>>...> TableOf(TypeList<E...>);
 
@@ -146,16 +147,10 @@ class EventBus {
     return false;
   }
 
+  /// Drop tombstones, keeping the live handlers in subscription order.
   template <typename E>
   static void Compact(std::vector<Handler<E>>& vec) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < vec.size(); ++r) {
-      if (vec[r].fn) {
-        if (w != r) vec[w] = std::move(vec[r]);
-        ++w;
-      }
-    }
-    vec.resize(w);
+    std::erase_if(vec, [](const Handler<E>& h) { return !h.fn; });
   }
 
   decltype(TableOf(Events{})) handlers_;
