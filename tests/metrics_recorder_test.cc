@@ -129,9 +129,7 @@ TEST_F(RecorderTest, PerGpuOccupancyAcrossRepartition) {
   ASSERT_EQ(occ.size(), 2u);
   // GPU 0: (4 * 2.85 s + 1 * 1 s + 3 * 6.000007 s) / 10.000007 s / 7, and
   // (4 * 1.3 s + 3 * 2.4 s) / 10.000007 s / 7.
-  EXPECT_EQ(occ[0].occupied, 30400021.0 / 10000007.0 / 7.0);
   EXPECT_EQ(occ[0].occupied, 0.43428571028571705);
-  EXPECT_EQ(occ[0].active, 12400000.0 / 10000007.0 / 7.0);
   EXPECT_EQ(occ[0].active, 0.17714273314294396);
   EXPECT_EQ(occ[1].occupied, 0.2657142997142759);
   EXPECT_EQ(occ[1].active, 0.20000005999995801);

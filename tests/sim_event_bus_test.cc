@@ -57,7 +57,6 @@ TEST(EventBusTest, EveryListedTypeHasItsOwnHandlers) {
       expected.push_back(i);
     }
   }(Events{});
-  EXPECT_EQ(expected.size(), 24u);
   EXPECT_EQ(seen, expected);
 }
 
