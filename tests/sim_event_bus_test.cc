@@ -71,12 +71,18 @@ template <typename E>
 constexpr bool kSubscribable =
     requires(EventBus& bus, std::function<void(const E&)> handler) {
       bus.Subscribe<E>(handler);
+    };
+template <typename E>
+constexpr bool kScopedSubscribable =
+    requires(EventBus& bus, std::function<void(const E&)> handler) {
       bus.SubscribeScoped<E>(handler);
     };
 static_assert(kPublishable<PendingDepthChanged>);
 static_assert(kSubscribable<PendingDepthChanged>);
+static_assert(kScopedSubscribable<PendingDepthChanged>);
 static_assert(!kPublishable<OffList>);
 static_assert(!kSubscribable<OffList>);
+static_assert(!kScopedSubscribable<OffList>);
 
 TEST(EventBusTest, SubscribersRunInSubscriptionOrder) {
   EventBus bus;
