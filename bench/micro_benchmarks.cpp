@@ -147,7 +147,6 @@ platform::PolicyBundle InertBundle() {
     void Tick(platform::PlatformCore&) override {}
   };
   platform::PolicyBundle b;
-  b.name = "micro-bench";
   b.routing = std::make_unique<Reject>();
   b.scaling = std::make_unique<Noop>();
   return b;

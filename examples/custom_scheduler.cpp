@@ -1,6 +1,6 @@
 // Extending the platform: write your own scheduler as a pair of policies —
-// here, a deliberately naive random-placement policy — register it, and
-// race it against FluidFaaS on the same trace. This is the template for
+// here, a deliberately naive random-placement policy — and race it against
+// FluidFaaS on the same trace. This is the template for
 // experimenting with new scheduling ideas on the simulator.
 //
 // A scheduler is a platform::PolicyBundle: a RoutingPolicy (where does this
@@ -13,6 +13,7 @@
 //   $ ./custom_scheduler
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/ffs_platform.h"
@@ -21,7 +22,6 @@
 #include "metrics/report.h"
 #include "model/zoo.h"
 #include "platform/placement.h"
-#include "platform/registry.h"
 #include "trace/workload.h"
 
 using namespace fluidfaas;
@@ -80,25 +80,28 @@ class NoScaling final : public platform::ScalingPolicy {
   void Tick(platform::PlatformCore&) override {}
 };
 
+platform::PolicyBundle RandomBundle() {
+  platform::PolicyBundle b;
+  b.routing = std::make_unique<RandomRouting>();
+  b.scaling = std::make_unique<NoScaling>();
+  return b;
+}
+
 }  // namespace
 
 int main() {
   std::cout << "Racing a custom scheduler against FluidFaaS on one trace\n\n";
 
-  // Register the custom bundle next to the built-ins, exactly the way the
-  // harness resolves schedulers.
-  core::RegisterFluidFaasSchedulers();
-  platform::RegisterScheduler("RandomScheduler", [] {
-    platform::PolicyBundle b;
-    b.routing = std::make_unique<RandomRouting>();
-    b.scaling = std::make_unique<NoScaling>();
-    return b;
-  });
-
   metrics::Table table(
       {"scheduler", "completed", "SLO hit", "mean queue (ms)"});
 
-  for (const char* name : {"RandomScheduler", "FluidFaaS"}) {
+  // A bundle goes straight to PlatformCore: the custom one exactly like
+  // the stock FluidFaaS one.
+  using BundleFactory = platform::PolicyBundle (*)();
+  const std::pair<const char*, BundleFactory> schedulers[] = {
+      {"RandomScheduler", RandomBundle},
+      {"FluidFaaS", [] { return core::MakeFluidFaasBundle(); }}};
+  for (const auto& [name, make] : schedulers) {
     sim::Simulator sim;
     auto cluster = gpu::Cluster::Uniform(1, 4, gpu::DefaultPartition());
     metrics::Recorder recorder(cluster);
@@ -111,7 +114,7 @@ int main() {
 
     platform::PlatformCore plat(sim, cluster, workload.functions,
                                 platform::PlatformConfig{},
-                                platform::MakeSchedulerBundle(name));
+                                make());
     plat.Start();
     for (const auto& inv : workload.trace) {
       sim.At(inv.time, [&plat, fn = inv.fn] { plat.Submit(fn); });
@@ -121,7 +124,7 @@ int main() {
     recorder.Close(sim.Now());
 
     const auto bd = recorder.MeanBreakdown();
-    table.AddRow({plat.name(),
+    table.AddRow({name,
                   std::to_string(recorder.completed_requests()) + "/" +
                       std::to_string(recorder.total_requests()),
                   metrics::FmtPercent(recorder.SloHitRate()),
@@ -130,7 +133,7 @@ int main() {
   table.Print();
   std::cout << "\nplatform::PlatformCore supplies instances, loading, warm\n"
                "tracking and event publication; a scheduler is just a\n"
-               "RoutingPolicy + ScalingPolicy bundle in the registry. See\n"
+               "RoutingPolicy + ScalingPolicy bundle handed to it. See\n"
                "src/core/ffs_platform.cpp for the full FluidFaaS policy.\n";
   return 0;
 }

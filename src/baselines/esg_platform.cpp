@@ -6,11 +6,9 @@
 #include <vector>
 
 #include "baselines/esg_search.h"
-#include "baselines/repartition_platform.h"
 #include "core/pipeline.h"
 #include "gpu/cluster_view.h"
 #include "platform/placement.h"
-#include "platform/registry.h"
 
 namespace fluidfaas::baselines {
 
@@ -124,7 +122,6 @@ void InflessScaling::Tick(platform::PlatformCore& core) {
 
 platform::PolicyBundle MakeEsgBundle() {
   platform::PolicyBundle bundle;
-  bundle.name = "ESG";
   bundle.routing = std::make_unique<EsgRouting>();
   bundle.scaling = std::make_unique<EsgScaling>();
   bundle.keepalive = std::make_unique<platform::FixedIdleKeepAlive>();
@@ -133,18 +130,10 @@ platform::PolicyBundle MakeEsgBundle() {
 
 platform::PolicyBundle MakeInflessBundle() {
   platform::PolicyBundle bundle;
-  bundle.name = "INFless";
   bundle.routing = std::make_unique<InflessRouting>();
   bundle.scaling = std::make_unique<InflessScaling>();
   bundle.keepalive = std::make_unique<platform::FixedIdleKeepAlive>();
   return bundle;
-}
-
-void RegisterBaselineSchedulers() {
-  platform::RegisterScheduler("ESG", [] { return MakeEsgBundle(); });
-  platform::RegisterScheduler("INFless", [] { return MakeInflessBundle(); });
-  platform::RegisterScheduler("Repartition",
-                              [] { return MakeRepartitionBundle(); });
 }
 
 }  // namespace fluidfaas::baselines

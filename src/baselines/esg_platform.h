@@ -13,7 +13,7 @@
 //   * deadline-aware routing to the least-loaded instance.
 //
 // This header also hosts the INFless baseline (same keep-alive, simpler
-// placement); both register through RegisterBaselineSchedulers().
+// placement).
 #pragma once
 
 #include "platform/platform.h"
@@ -51,9 +51,5 @@ class InflessScaling final : public platform::ScalingPolicy {
 
 platform::PolicyBundle MakeEsgBundle();
 platform::PolicyBundle MakeInflessBundle();
-
-/// Register "ESG", "INFless" and "Repartition" in the platform::registry
-/// factory. Idempotent.
-void RegisterBaselineSchedulers();
 
 }  // namespace fluidfaas::baselines

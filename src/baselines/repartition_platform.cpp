@@ -152,7 +152,6 @@ void RepartitionScaling::Tick(platform::PlatformCore& core) {
 platform::PolicyBundle MakeRepartitionBundle() {
   auto state = std::make_shared<RepartitionState>();
   platform::PolicyBundle bundle;
-  bundle.name = "Repartition";
   bundle.routing = std::make_unique<RepartitionRouting>(state);
   bundle.scaling = std::make_unique<RepartitionScaling>(state);
   bundle.keepalive = std::make_unique<platform::FixedIdleKeepAlive>();

@@ -136,7 +136,6 @@ void DistScaling::Tick(platform::PlatformCore& core) {
 platform::PolicyBundle MakeDistributedBundle(std::shared_ptr<DistState> state) {
   if (!state) state = std::make_shared<DistState>();
   platform::PolicyBundle bundle;
-  bundle.name = "FluidFaaS-dist";
   bundle.routing = std::make_unique<DistRouting>(state);
   bundle.scaling = std::make_unique<DistScaling>(state);
   return bundle;

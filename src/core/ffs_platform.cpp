@@ -343,17 +343,9 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
 platform::PolicyBundle MakeFluidFaasBundle(std::shared_ptr<FfsState> state) {
   if (!state) state = std::make_shared<FfsState>();
   platform::PolicyBundle bundle;
-  bundle.name = "FluidFaaS";
   bundle.routing = std::make_unique<FfsRouting>(state);
   bundle.scaling = std::make_unique<FfsScaling>(state);
   return bundle;
-}
-
-void RegisterFluidFaasSchedulers() {
-  platform::RegisterScheduler("FluidFaaS",
-                              [] { return MakeFluidFaasBundle(); });
-  platform::RegisterScheduler("FluidFaaS-dist",
-                              [] { return MakeDistributedBundle(); });
 }
 
 }  // namespace fluidfaas::core

@@ -37,7 +37,6 @@
 
 #include "platform/platform.h"
 #include "platform/policy.h"
-#include "platform/registry.h"
 
 namespace fluidfaas::core {
 
@@ -138,9 +137,5 @@ class FfsScaling final : public platform::ScalingPolicy {
 /// (introspection); defaults to a fresh one.
 platform::PolicyBundle MakeFluidFaasBundle(
     std::shared_ptr<FfsState> state = nullptr);
-
-/// Register the FluidFaaS schedulers ("FluidFaaS", "FluidFaaS-dist") in the
-/// platform::registry factory. Idempotent.
-void RegisterFluidFaasSchedulers();
 
 }  // namespace fluidfaas::core

@@ -1,7 +1,7 @@
 // Experiment harness: one call builds a cluster, a workload, and a platform
-// (a platform::PlatformCore carrying the scheduler bundle that SystemKind
-// resolves to via the platform registry), replays the trace, lets in-flight
-// work drain, and returns the metrics bundle the bench binaries print.
+// (a platform::PlatformCore carrying the scheduler bundle of the config's
+// SystemKind), replays the trace, lets in-flight work drain, and returns the
+// metrics bundle the bench binaries print.
 //
 // Trace generation is seeded independently of the system under test, so the
 // three platforms in one comparison see byte-identical arrivals.
@@ -14,6 +14,7 @@
 #include "gpu/mig_partition.h"
 #include "metrics/recorder.h"
 #include "platform/config.h"
+#include "platform/policy.h"
 #include "trace/workload.h"
 
 namespace fluidfaas::harness {
@@ -30,7 +31,21 @@ enum class SystemKind {
   kFluidFaasDistributed = 4,
 };
 
+// The schedulers form a closed set: one row per SystemKind in a fixed table
+// (experiment.cpp) gives its display name, its CLI name and its bundle
+// factory. Adding a scheduler is an enum entry plus a table row.
+
+/// Display name, as reports and sweep cells carry it ("FluidFaaS", "ESG",
+/// "INFless", "Repartition", "FluidFaaS-dist").
 const char* Name(SystemKind kind);
+
+/// The kind whose CLI name (`fluidfaas run --system`) is `cli_name`:
+/// "fluidfaas", "esg", "infless", "repartition" or "distributed". Throws
+/// FfsError for anything else.
+SystemKind ParseSystem(const std::string& cli_name);
+
+/// A fresh policy bundle of `kind`'s scheduler.
+platform::PolicyBundle MakeBundle(SystemKind kind);
 
 struct ExperimentConfig {
   SystemKind system = SystemKind::kFluidFaas;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "baselines/esg_platform.h"
 #include "common/error.h"
-#include "core/ffs_platform.h"
-#include "platform/registry.h"
 
 namespace fluidfaas::harness {
 
@@ -48,23 +45,12 @@ trace::Workload BuildWorkload(const ExperimentConfig& config,
 
 }  // namespace
 
-void EnsureBuiltinSchedulersRegistered() {
-  // The magic static serializes first use; registration itself is also
-  // mutex-guarded inside the registry.
-  static const bool done = [] {
-    core::RegisterFluidFaasSchedulers();
-    baselines::RegisterBaselineSchedulers();
-    return true;
-  }();
-  (void)done;
-}
+void EnsureBuiltinSchedulersRegistered() {}
 
 RunContext::RunContext(ExperimentConfig config)
     : config_(std::move(config)),
       cluster_(PartitionsFor(config_)),
       workload_(BuildWorkload(config_, cluster_)) {
-  EnsureBuiltinSchedulersRegistered();
-
   recorder_ = std::make_unique<metrics::Recorder>(cluster_);
   // The recorder is the first bus subscriber, so its view of every event
   // precedes any observer attached afterwards.
@@ -85,7 +71,7 @@ RunContext::RunContext(ExperimentConfig config)
   }
   platform_ = std::make_unique<platform::PlatformCore>(
       sim_, cluster_, workload_.functions, pconfig,
-      platform::MakeSchedulerBundle(Name(config_.system)));
+      MakeBundle(config_.system));
 
   if (config_.faults.rate > 0.0) {
     sim::FaultPlan fp;

@@ -6,11 +6,8 @@
 // process-global mutable state while running. Two RunContexts therefore
 // never observe each other: a thread pool can execute any number of them
 // concurrently (harness::RunSweep) without perturbing a single byte of any
-// run's output relative to sequential execution.
-//
-// The only process-wide structure a run consults is the scheduler registry
-// (mutex-guarded, effectively immutable after
-// EnsureBuiltinSchedulersRegistered).
+// run's output relative to sequential execution. The scheduler table it
+// resolves SystemKind through (experiment.h) is constant.
 #pragma once
 
 #include <memory>
@@ -27,10 +24,8 @@
 
 namespace fluidfaas::harness {
 
-/// Idempotent, thread-safe registration of the builtin scheduler bundles
-/// (FluidFaaS, FluidFaaS-dist, ESG, INFless, Repartition). RunContext calls
-/// it on construction; parallel drivers may call it once up front so no
-/// worker pays for (or races on) first-use initialization.
+/// Does nothing: the schedulers are a constant table (experiment.h). Kept
+/// only because perfbench/ still calls it.
 void EnsureBuiltinSchedulersRegistered();
 
 class RunContext {

@@ -158,10 +158,6 @@ SweepOutcome RunSweep(const SweepSpec& spec, int jobs) {
   out.jobs = ClampJobs(jobs, points.size());
   out.cells.resize(points.size());
 
-  // Register once up front so no worker races on (or pays for) first-use
-  // initialization of the scheduler registry.
-  EnsureBuiltinSchedulersRegistered();
-
   const auto t0 = Clock::now();
   ParallelFor(points.size(), out.jobs, [&](std::size_t i) {
     const auto c0 = Clock::now();

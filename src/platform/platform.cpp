@@ -26,7 +26,6 @@ PlatformCore::PlatformCore(sim::Simulator& sim, gpu::Cluster& cluster,
       cluster_(cluster),
       config_(config),
       rng_(config.seed),
-      name_(std::move(bundle.name)),
       routing_(std::move(bundle.routing)),
       scaling_(std::move(bundle.scaling)),
       keepalive_(std::move(bundle.keepalive)),

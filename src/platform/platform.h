@@ -13,13 +13,12 @@
 // construction: RoutingPolicy decides where requests go, ScalingPolicy
 // runs the periodic scan and the Fig. 8 state transitions, KeepAlivePolicy
 // decides instance lifetime after idling. Schedulers are composed, not
-// subclassed; see platform/registry.h for how named bundles are resolved.
+// subclassed; harness/experiment.h maps each SystemKind to its bundle.
 #pragma once
 
 #include <deque>
 #include <map>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,9 +46,6 @@ class PlatformCore final {
 
   PlatformCore(const PlatformCore&) = delete;
   PlatformCore& operator=(const PlatformCore&) = delete;
-
-  /// The installed bundle's scheduler name.
-  const std::string& name() const { return name_; }
 
   /// Start the autoscale loop. Call once before the first Submit.
   void Start();
@@ -249,7 +245,6 @@ class PlatformCore final {
   PlatformConfig config_;
   Rng rng_;
 
-  std::string name_;
   std::unique_ptr<RoutingPolicy> routing_;
   std::unique_ptr<ScalingPolicy> scaling_;
   std::unique_ptr<KeepAlivePolicy> keepalive_;

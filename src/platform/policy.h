@@ -18,15 +18,14 @@
 //
 // Policies receive the core by reference on every call and must not assume
 // exclusive ownership; a routing and a scaling policy of one scheduler
-// typically share state via shared_ptr (see core::FfsState). Bundles are
-// registered by name in platform/registry.h so the harness — and any
-// out-of-tree experiment — resolves schedulers through one factory.
+// typically share state via shared_ptr (see core::FfsState). The built-in
+// schedulers' bundles come from the harness::SystemKind table
+// (harness/experiment.h); any other bundle goes straight to PlatformCore.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -179,13 +178,12 @@ bool GrowCapacity(PlatformCore& core, double rate, double capacity,
 /// in creation order.
 void RetireDrainedIdle(PlatformCore& core);
 
-/// A named scheduler: its policies. `keepalive` may be null (treated as
+/// A scheduler: its policies. `keepalive` may be null (treated as
 /// NullKeepAlive); `retry` may be null (the core installs a
 /// BoundedRetryPolicy from PlatformConfig::retry). What a scheduler did
 /// (transitions, pipelines, repartitions) is counted by metrics::Recorder
 /// off the events its policies publish, not by the bundle.
 struct PolicyBundle {
-  std::string name;
   std::unique_ptr<RoutingPolicy> routing;
   std::unique_ptr<ScalingPolicy> scaling;
   std::unique_ptr<KeepAlivePolicy> keepalive;

@@ -1,40 +1,18 @@
-// Name → PolicyBundle factory for schedulers.
+// Scheduler bundles by display name.
 //
-// Every scheduler variant — the FluidFaaS core, the baselines, and any
-// out-of-tree experiment — registers a bundle factory here;
-// harness::RunExperiment resolves SystemKind names through this registry,
-// so adding a scheduler is registration plus ~100 lines of policy, not a
-// new platform subclass.
-//
-// Registration is explicit (harness calls the builtin Register* functions
-// once) rather than via static initializers, which static-library linking
-// would silently drop.
-//
-// Thread-safety: all four functions are safe to call concurrently — the
-// factory map is mutex-guarded so parallel sweep workers can resolve
-// bundles while registrations land. Factories themselves run outside the
-// lock and must be independently thread-safe (the builtin ones are pure).
+// The schedulers are the closed table of harness::SystemKind
+// (harness/experiment.h), which also defines this function; it stays here
+// because perfbench/ resolves its bundles through it.
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "platform/policy.h"
 
 namespace fluidfaas::platform {
 
-using PolicyBundleFactory = std::function<PolicyBundle()>;
-
-/// Register (or replace) the factory for `name`.
-void RegisterScheduler(const std::string& name, PolicyBundleFactory factory);
-
-bool HasScheduler(const std::string& name);
-
-/// Build a fresh bundle; throws FfsError for unknown names.
+/// A fresh bundle of the scheduler whose harness::Name is `name`; throws
+/// FfsError for unknown names.
 PolicyBundle MakeSchedulerBundle(const std::string& name);
-
-/// Registered names, sorted.
-std::vector<std::string> RegisteredSchedulers();
 
 }  // namespace fluidfaas::platform

@@ -171,7 +171,6 @@ class RouteTieBreakTest : public ::testing::Test {
     config.service_jitter_cv = 0.0;
     config.enable_time_sharing = time_sharing;
     platform::PolicyBundle b;
-    b.name = "refuse-all";
     b.routing = std::make_unique<RefuseAll>();
     b.scaling = std::make_unique<NoScaling>();
     plat_ = std::make_unique<platform::PlatformCore>(

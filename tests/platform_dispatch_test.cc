@@ -15,12 +15,10 @@
 
 #include "core/pipeline.h"
 #include "harness/experiment.h"
-#include "harness/run_context.h"
 #include "metrics/recorder.h"
 #include "model/zoo.h"
 #include "platform/platform.h"
 #include "platform/policy.h"
-#include "platform/registry.h"
 #include "trace/workload.h"
 
 namespace fluidfaas::platform {
@@ -110,7 +108,6 @@ class DispatchTest : public ::testing::Test {
   /// discipline (admission still follows `config.qos`).
   void Build(bool lifo, PlatformConfig config = PlatformConfig{}) {
     PolicyBundle b;
-    b.name = "scripted";
     b.routing = std::make_unique<ScriptedRouting>(script_);
     b.scaling = std::make_unique<NoScaling>();
     if (lifo) {
@@ -300,7 +297,6 @@ struct RouteCount {
 /// the bundle's router wrapped in a call counter and its pending queue in
 /// an offer counter.
 RouteCount CountHeavyRouteCalls(harness::SystemKind system, int num_nodes) {
-  harness::EnsureBuiltinSchedulersRegistered();
   harness::ExperimentConfig config;
   config.system = system;
   config.num_nodes = num_nodes;
@@ -321,7 +317,7 @@ RouteCount CountHeavyRouteCalls(harness::SystemKind system, int num_nodes) {
   metrics::Recorder recorder(cluster);
   recorder.SubscribeTo(sim.bus());
   RouteCount count;
-  PolicyBundle bundle = MakeSchedulerBundle(harness::Name(system));
+  PolicyBundle bundle = harness::MakeBundle(system);
   bundle.routing = std::make_unique<CountingRouting>(std::move(bundle.routing),
                                                      &count.calls);
   bundle.queue = [&count](const qos::QosConfig& qos) {

@@ -40,7 +40,6 @@ class NoScaling final : public ScalingPolicy {
 
 PolicyBundle InertBundle() {
   PolicyBundle b;
-  b.name = "placement-test";
   b.routing = std::make_unique<RejectRouting>();
   b.scaling = std::make_unique<NoScaling>();
   return b;

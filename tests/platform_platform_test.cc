@@ -66,7 +66,6 @@ class NoScaling final : public ScalingPolicy {
 
 PolicyBundle TestBundle(std::shared_ptr<TestKnobs> knobs) {
   PolicyBundle b;
-  b.name = "test";
   b.routing = std::make_unique<TestRouting>(std::move(knobs));
   b.scaling = std::make_unique<NoScaling>();
   return b;
@@ -100,7 +99,6 @@ TEST_F(PlatformTest, SubmitCreatesRecordWithSloDeadline) {
   EXPECT_EQ(knobs_->route_calls, 1);
 }
 
-TEST_F(PlatformTest, NameComesFromBundle) { EXPECT_EQ(plat_.name(), "test"); }
 
 TEST_F(PlatformTest, LaunchBindsSlicesAndRetireReleases) {
   const FunctionSpec& spec = plat_.function(FunctionId(0));

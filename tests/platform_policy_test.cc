@@ -1,21 +1,18 @@
 // The point of the mechanism/policy split: policies compose. A custom
 // RoutingPolicy runs against the stock FluidFaaS ScalingPolicy on one
-// PlatformCore, and scheduler bundles round-trip through the registry.
+// PlatformCore.
 #include "platform/policy.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 
-#include "common/error.h"
 #include "core/ffs_platform.h"
 #include "core/pipeline.h"
 #include "gpu/cluster.h"
 #include "metrics/recorder.h"
 #include "model/zoo.h"
 #include "platform/platform.h"
-#include "platform/registry.h"
 #include "sim/simulator.h"
 
 namespace fluidfaas::platform {
@@ -64,11 +61,9 @@ TEST(PolicyCompositionTest, CustomRoutingWithStockFfsScaling) {
   int route_calls = 0;
   bundle.routing = std::make_unique<CountingRouting>(
       std::make_unique<core::FfsRouting>(state), &route_calls);
-  bundle.name = "FluidFaaS+counter";
 
   PlatformCore plat(sim, cluster, StudyFunctions(), PlatformConfig{},
                     std::move(bundle));
-  EXPECT_EQ(plat.name(), "FluidFaaS+counter");
 
   plat.Start();
   for (int t = 0; t < 20; ++t) {
@@ -83,38 +78,6 @@ TEST(PolicyCompositionTest, CustomRoutingWithStockFfsScaling) {
   EXPECT_EQ(recorder.completed_requests(), 20u);
   // The stock scaling policy did its Fig. 8 work underneath our router.
   EXPECT_GE(recorder.transitions(sim::TransitionKind::kPromotion), 0u);
-}
-
-TEST(RegistryTest, RegisterResolveRoundtrip) {
-  RegisterScheduler("test-roundtrip", [] {
-    PolicyBundle b;
-    b.routing = std::make_unique<core::FfsRouting>(
-        std::make_shared<core::FfsState>());
-    b.scaling = std::make_unique<core::FfsScaling>(
-        std::make_shared<core::FfsState>());
-    return b;
-  });
-  EXPECT_TRUE(HasScheduler("test-roundtrip"));
-  PolicyBundle b = MakeSchedulerBundle("test-roundtrip");
-  // The registry defaults the bundle name to the registered name.
-  EXPECT_EQ(b.name, "test-roundtrip");
-  EXPECT_NE(b.routing, nullptr);
-  EXPECT_NE(b.scaling, nullptr);
-
-  const auto names = RegisteredSchedulers();
-  EXPECT_TRUE(std::count(names.begin(), names.end(), "test-roundtrip"));
-}
-
-TEST(RegistryTest, UnknownSchedulerThrows) {
-  EXPECT_FALSE(HasScheduler("no-such-scheduler"));
-  EXPECT_THROW(MakeSchedulerBundle("no-such-scheduler"), FfsError);
-}
-
-TEST(RegistryTest, BuiltinsAreRegistered) {
-  core::RegisterFluidFaasSchedulers();
-  for (const char* name : {"FluidFaaS", "FluidFaaS-dist"}) {
-    EXPECT_TRUE(HasScheduler(name)) << name;
-  }
 }
 
 }  // namespace

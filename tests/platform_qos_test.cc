@@ -9,11 +9,9 @@
 #include "gpu/cluster.h"
 #include "harness/experiment.h"
 #include "harness/json_report.h"
-#include "harness/run_context.h"
 #include "metrics/recorder.h"
 #include "model/zoo.h"
 #include "platform/platform.h"
-#include "platform/registry.h"
 #include "sim/simulator.h"
 
 namespace fluidfaas::harness {
@@ -140,7 +138,6 @@ TEST(PlatformQosTest, InfeasibleSheddingFiresUnderOverload) {
 TEST(PlatformQosTest, BackpressureTracksPendingAndRejections) {
   sim::Simulator sim;
   auto cluster = gpu::Cluster::Uniform(1, 1, gpu::DefaultPartition());
-  EnsureBuiltinSchedulersRegistered();
 
   std::vector<platform::FunctionSpec> fns;
   int id = 0;
@@ -158,7 +155,7 @@ TEST(PlatformQosTest, BackpressureTracksPendingAndRejections) {
   metrics::Recorder recorder(cluster);
   recorder.SubscribeTo(sim.bus());
   platform::PlatformCore plat(sim, cluster, fns, pcfg,
-                              platform::MakeSchedulerBundle("FluidFaaS"));
+                              MakeBundle(SystemKind::kFluidFaas));
   EXPECT_STREQ(plat.queue().name(), "fifo");
 
   plat.Start();

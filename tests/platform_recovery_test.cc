@@ -132,7 +132,6 @@ struct World {
         knobs(std::make_shared<RouteKnobs>()) {
     recorder.SubscribeTo(sim.bus());
     PolicyBundle bundle;
-    bundle.name = "recovery-test";
     bundle.routing = std::make_unique<FlexRouting>(knobs);
     bundle.scaling = std::make_unique<NoScaling>();
     bundle.retry = std::move(retry);

@@ -1,7 +1,7 @@
-// The scheduler registry is shared by every parallel sweep worker; these
-// tests pin its behavior under concurrent resolution and registration.
-// (Run under tools/check.sh tsan for the data-race proof; here we assert
-// functional correctness: no lost registrations, no torn bundles.)
+// The scheduler table: every SystemKind has one display name, one CLI name
+// and one bundle factory, and platform::MakeSchedulerBundle resolves the
+// display names through it. The table is constant, so parallel sweep
+// workers may resolve bundles concurrently.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,39 +10,55 @@
 #include <vector>
 
 #include "common/error.h"
-#include "harness/run_context.h"
+#include "harness/experiment.h"
 #include "platform/registry.h"
 
 namespace fluidfaas::platform {
 namespace {
 
+using harness::SystemKind;
+
+const std::vector<SystemKind> kAllKinds = {
+    SystemKind::kFluidFaas, SystemKind::kEsg, SystemKind::kInfless,
+    SystemKind::kRepartition, SystemKind::kFluidFaasDistributed};
+
 TEST(PlatformRegistryTest, UnknownSchedulerThrows) {
   EXPECT_THROW(MakeSchedulerBundle("no-such-scheduler"), FfsError);
-  EXPECT_FALSE(HasScheduler("no-such-scheduler"));
+  // Resolution is by display name, not by CLI name.
+  EXPECT_THROW(MakeSchedulerBundle("fluidfaas"), FfsError);
 }
 
-TEST(PlatformRegistryTest, RegisterRejectsEmptyNameAndNullFactory) {
-  EXPECT_THROW(RegisterScheduler("", [] { return PolicyBundle{}; }),
-               FfsError);
-  EXPECT_THROW(RegisterScheduler("null-factory", nullptr), FfsError);
-}
-
-TEST(PlatformRegistryTest, BuiltinSchedulersResolveAfterEnsure) {
-  harness::EnsureBuiltinSchedulersRegistered();
-  for (const char* name :
-       {"FluidFaaS", "ESG", "INFless", "Repartition", "FluidFaaS-dist"}) {
-    EXPECT_TRUE(HasScheduler(name)) << name;
-    PolicyBundle bundle = MakeSchedulerBundle(name);
-    EXPECT_NE(bundle.routing, nullptr) << name;
-    EXPECT_NE(bundle.scaling, nullptr) << name;
+TEST(PlatformRegistryTest, EveryKindResolvesByNameAndByKind) {
+  for (SystemKind kind : kAllKinds) {
+    const char* name = harness::Name(kind);
+    PolicyBundle by_name = MakeSchedulerBundle(name);
+    EXPECT_NE(by_name.routing, nullptr) << name;
+    EXPECT_NE(by_name.scaling, nullptr) << name;
+    PolicyBundle by_kind = harness::MakeBundle(kind);
+    EXPECT_NE(by_kind.routing, nullptr) << name;
+    EXPECT_NE(by_kind.scaling, nullptr) << name;
   }
 }
 
-// Regression test for the pre-refactor unsynchronized std::map: many threads
-// resolving, probing, listing, and registering at once. Every resolve must
-// return a complete bundle and every registration must land.
-TEST(PlatformRegistryTest, ConcurrentResolveAndRegisterIsSafe) {
-  harness::EnsureBuiltinSchedulersRegistered();
+TEST(PlatformRegistryTest, CliNamesParseToTheirKinds) {
+  EXPECT_EQ(harness::ParseSystem("fluidfaas"), SystemKind::kFluidFaas);
+  EXPECT_EQ(harness::ParseSystem("esg"), SystemKind::kEsg);
+  EXPECT_EQ(harness::ParseSystem("infless"), SystemKind::kInfless);
+  EXPECT_EQ(harness::ParseSystem("repartition"), SystemKind::kRepartition);
+  EXPECT_EQ(harness::ParseSystem("distributed"),
+            SystemKind::kFluidFaasDistributed);
+  EXPECT_THROW(harness::ParseSystem("FluidFaaS"), FfsError);
+  EXPECT_THROW(harness::ParseSystem("all"), FfsError);
+}
+
+TEST(PlatformRegistryTest, DisplayNames) {
+  EXPECT_STREQ(harness::Name(SystemKind::kRepartition), "Repartition");
+  EXPECT_STREQ(harness::Name(SystemKind::kFluidFaasDistributed),
+               "FluidFaaS-dist");
+}
+
+// Many threads resolving at once: every bundle comes back complete.
+TEST(PlatformRegistryTest, ConcurrentResolveIsSafe) {
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
   std::atomic<int> resolved{0};
@@ -53,43 +69,18 @@ TEST(PlatformRegistryTest, ConcurrentResolveAndRegisterIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([t, &resolved, &failed] {
       for (int i = 0; i < kIters; ++i) {
-        switch ((t + i) % 4) {
-          case 0: {
-            PolicyBundle b = MakeSchedulerBundle("FluidFaaS");
-            if (b.routing == nullptr || b.scaling == nullptr) {
-              failed = true;
-            }
-            resolved.fetch_add(1);
-            break;
-          }
-          case 1:
-            if (!HasScheduler("ESG")) failed = true;
-            break;
-          case 2:
-            if (RegisteredSchedulers().empty()) failed = true;
-            break;
-          case 3:
-            // Same-name re-registration from several threads: last writer
-            // wins, never a torn factory.
-            RegisterScheduler(
-                "test-contender-" + std::to_string(t % 2), [] {
-                  PolicyBundle b = MakeSchedulerBundle("FluidFaaS");
-                  b.name = "test-contender";
-                  return b;
-                });
-            break;
-        }
+        const SystemKind kind = kAllKinds[static_cast<std::size_t>(t + i) %
+                                          kAllKinds.size()];
+        PolicyBundle b = MakeSchedulerBundle(harness::Name(kind));
+        if (b.routing == nullptr || b.scaling == nullptr) failed = true;
+        resolved.fetch_add(1);
       }
     });
   }
   for (std::thread& t : pool) t.join();
 
   EXPECT_FALSE(failed.load());
-  EXPECT_GT(resolved.load(), 0);
-  EXPECT_TRUE(HasScheduler("test-contender-0"));
-  EXPECT_TRUE(HasScheduler("test-contender-1"));
-  PolicyBundle b = MakeSchedulerBundle("test-contender-0");
-  EXPECT_EQ(b.name, "test-contender");
+  EXPECT_EQ(resolved.load(), kThreads * kIters);
 }
 
 }  // namespace

@@ -268,7 +268,6 @@ class FuzzScaling final : public platform::ScalingPolicy {
 
 platform::PolicyBundle FuzzBundle() {
   platform::PolicyBundle b;
-  b.name = "plan-fuzz";
   b.routing = std::make_unique<FuzzRouting>();
   b.scaling = std::make_unique<FuzzScaling>();
   return b;

@@ -272,7 +272,6 @@ TEST(EventBusLifecycleTest, RequestEventsArriveInSimTimeOrder) {
   });
 
   platform::PolicyBundle bundle;
-  bundle.name = "greedy";
   bundle.routing = std::make_unique<GreedyRouting>();
   bundle.scaling = std::make_unique<NoScaling>();
   platform::PlatformCore plat(sim, cluster, StudyFunctions(),

@@ -78,15 +78,6 @@ trace::WorkloadTier ParseTier(const std::string& s) {
   throw FfsError("unknown tier: " + s);
 }
 
-harness::SystemKind ParseSystem(const std::string& s) {
-  if (s == "fluidfaas") return harness::SystemKind::kFluidFaas;
-  if (s == "esg") return harness::SystemKind::kEsg;
-  if (s == "infless") return harness::SystemKind::kInfless;
-  if (s == "repartition") return harness::SystemKind::kRepartition;
-  if (s == "distributed") return harness::SystemKind::kFluidFaasDistributed;
-  throw FfsError("unknown system: " + s);
-}
-
 int ParseJobs(const CliArgs& args) {
   const long jobs = args.GetInt("jobs", 0);
   if (args.Has("jobs") && jobs < 1) {
@@ -149,7 +140,7 @@ int CmdRun(const CliArgs& args) {
       results.push_back(std::move(c.result));
     }
   } else {
-    cfg.system = ParseSystem(system);
+    cfg.system = harness::ParseSystem(system);
     results.push_back(harness::RunExperiment(cfg));
     if (!cfg.trace_out.empty()) {
       std::cout << "Chrome trace written to " << cfg.trace_out << "\n";
@@ -288,7 +279,7 @@ int CmdSweep(const CliArgs& args) {
     spec.systems = harness::kComparisonSystems;
   } else {
     for (const auto& s : args.GetList<std::string>("systems")) {
-      spec.systems.push_back(ParseSystem(s));
+      spec.systems.push_back(harness::ParseSystem(s));
     }
   }
   for (const auto& t : args.GetList<std::string>("tiers", "medium")) {
