@@ -83,9 +83,9 @@ void EsgScaling::Tick(platform::PlatformCore& core) {
     const double rate = core.ArrivalRate(spec.id);
     const double capacity =
         platform::AdmittingCapacity(core.InstancesOf(spec.id));
-    if (rate > core.config().scaleup_load_factor * capacity) {
+    if (rate > platform::kScaleupLoadFactor * capacity) {
       const double deficit =
-          rate / core.config().scaleup_load_factor - capacity;
+          rate / platform::kScaleupLoadFactor - capacity;
       ScaleUp(core, spec, deficit);
     }
   }
@@ -114,7 +114,7 @@ bool InflessRouting::Route(platform::PlatformCore& core, RequestId rid,
 void InflessScaling::Tick(platform::PlatformCore& core) {
   for (const platform::FunctionSpec& spec : core.functions()) {
     platform::GrowCapacity(
-        core, core.ArrivalRate(spec.id),
+        core.ArrivalRate(spec.id),
         platform::AdmittingCapacity(core.InstancesOf(spec.id)),
         [&] { return platform::LaunchMonolithic(core, spec); });
   }

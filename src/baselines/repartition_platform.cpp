@@ -140,7 +140,7 @@ void RepartitionScaling::Tick(platform::PlatformCore& core) {
 
   for (const platform::FunctionSpec& spec : core.functions()) {
     const bool grown = platform::GrowCapacity(
-        core, core.ArrivalRate(spec.id),
+        core.ArrivalRate(spec.id),
         platform::AdmittingCapacity(core.InstancesOf(spec.id)),
         [&] { return platform::LaunchMonolithic(core, spec); });
     // Fragmented out: try to right the partition mix instead.

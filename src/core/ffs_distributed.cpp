@@ -105,7 +105,7 @@ void DistScaling::OnCompleted(platform::PlatformCore& core, RequestId,
 }
 
 void DistScaling::Tick(platform::PlatformCore& core) {
-  const double period_s = ToSeconds(core.config().autoscale_period);
+  const double period_s = ToSeconds(platform::kAutoscalePeriod);
 
   for (DistState::Invoker& inv : st_->invokers) {
     FfsState& domain = inv.domain;

@@ -195,7 +195,7 @@ void FfsState::Promote(platform::PlatformCore& core, FunctionId fn) {
   FnState& st = state(fn);
   if (st.ts == nullptr) return;
   const double util = core.UtilizationOf(st.ts);
-  if (util <= core.config().hot_threshold) return;
+  if (util <= platform::kHotThreshold) return;
   const InstanceId iid = st.ts->id();
   st.eh.push_back(st.ts);
   st.ts = nullptr;
@@ -206,8 +206,7 @@ void FfsState::Promote(platform::PlatformCore& core, FunctionId fn) {
 
 void FfsState::ScaleUp(platform::PlatformCore& core,
                        const platform::FunctionSpec& spec, double rate) {
-  platform::GrowCapacity(core, rate,
-                         platform::AdmittingCapacity(state(spec.id).eh),
+  platform::GrowCapacity(rate, platform::AdmittingCapacity(state(spec.id).eh),
                          [&] { return LaunchExclusive(core, spec); });
 }
 
@@ -217,9 +216,9 @@ void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
   // Consider only Ready+idle instances that have been quiet for a window.
   for (Instance* inst : std::vector<Instance*>(st.eh)) {
     if (inst->state() != InstanceState::kReady || !inst->Idle()) continue;
-    if (now - inst->last_used() < core.config().util_window) continue;
+    if (now - inst->last_used() < platform::kUtilWindow) continue;
     const double util = core.UtilizationOf(inst);
-    if (util >= core.config().hot_threshold) continue;
+    if (util >= platform::kHotThreshold) continue;
     if (core.config().enable_time_sharing && !st.has_ts &&
         st.eh.size() == 1) {
       // Demote the last exclusive instance into the time-sharing state:
@@ -311,7 +310,7 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
     // freed slices are not immediately rebuilt into a new pipeline and
     // migrated again.
     if (core.config().enable_migration &&
-        now - st.last_migration >= core.config().util_window) {
+        now - st.last_migration >= platform::kUtilWindow) {
       for (Instance* inst : std::vector<Instance*>(st.eh)) {
         if (!inst->IsPipelined() ||
             inst->state() != InstanceState::kReady) {

@@ -89,7 +89,7 @@ class FfsState {
   void Promote(platform::PlatformCore& core, FunctionId fn);
 
   /// Add exclusive-hot capacity while `rate` (requests/s) exceeds
-  /// scaleup_load_factor × the admitting capacity; at most 8 launches.
+  /// kScaleupLoadFactor × the admitting capacity; at most 8 launches.
   void ScaleUp(platform::PlatformCore& core,
                const platform::FunctionSpec& spec, double rate);
 

@@ -1,7 +1,8 @@
 // Tunable constants of the serverless platforms. Defaults encode the
 // paper's numbers where it states them (30% time-sharing utilization
 // threshold, 10-minute cold timeout, SLO scale 1.5) and conventional values
-// elsewhere; every ablation bench overrides exactly one of these.
+// elsewhere. The constants are fixed; every ablation bench overrides exactly
+// one PlatformConfig field.
 #pragma once
 
 #include "common/types.h"
@@ -10,19 +11,29 @@
 
 namespace fluidfaas::platform {
 
+/// Autoscaler / state-transition scan period.
+inline constexpr SimDuration kAutoscalePeriod = Millis(500);
+
+/// Instance-utilization threshold separating the exclusive-hot and
+/// time-sharing states (§5.3: "not actively busy (below 30%)").
+inline constexpr double kHotThreshold = 0.30;
+
+/// Window over which instance utilization and arrival rates are averaged.
+inline constexpr SimDuration kUtilWindow = Seconds(10.0);
+
+/// Target headroom for scale-up: add capacity when the recent arrival
+/// rate exceeds this fraction of deployed capacity (i.e. deploy toward
+/// rate / factor). Bursty arrivals need substantial headroom to keep
+/// queueing within the slim SLO slack.
+inline constexpr double kScaleupLoadFactor = 0.60;
+
+/// Batched serving: each item of a batch beyond the first adds this
+/// fraction of the single-request time (PlatformConfig::max_batch).
+inline constexpr double kBatchMarginalCost = 0.35;
+
 struct PlatformConfig {
   /// SLO latency = slo_scale × solo latency on minimum MIG (§6).
   double slo_scale = 1.5;
-
-  /// Autoscaler / state-transition scan period.
-  SimDuration autoscale_period = Millis(500);
-
-  /// Instance-utilization threshold separating the exclusive-hot and
-  /// time-sharing states (§5.3: "not actively busy (below 30%)").
-  double hot_threshold = 0.30;
-
-  /// Window over which instance utilization and arrival rates are averaged.
-  SimDuration util_window = Seconds(10.0);
 
   /// Keep-alive before a warm (CPU-resident) function turns cold (§5.3:
   /// "no requests for 10 minutes").
@@ -35,12 +46,6 @@ struct PlatformConfig {
   /// placement does not starve a function for an entire experiment. The
   /// Fig. 5 bench restores the 10-minute window on a long trace.
   SimDuration exclusive_keepalive = Seconds(120.0);
-
-  /// Target headroom for scale-up: add capacity when the recent arrival
-  /// rate exceeds this fraction of deployed capacity (i.e. deploy toward
-  /// rate / factor). Bursty arrivals need substantial headroom to keep
-  /// queueing within the slim SLO slack.
-  double scaleup_load_factor = 0.60;
 
   /// Maximum pipeline depth considered by the partitioner.
   int max_stages = 4;
@@ -56,10 +61,9 @@ struct PlatformConfig {
   bool enable_migration = true;
 
   /// Batched serving (INFless-style): a stage pulls up to max_batch queued
-  /// requests per pass; each extra item adds batch_marginal_cost of the
+  /// requests per pass; each extra item adds kBatchMarginalCost of the
   /// single-request time. 1 = no batching (the paper's evaluation setting).
   int max_batch = 1;
-  double batch_marginal_cost = 0.35;
 
   /// Log-normal coefficient of variation applied to per-request service
   /// times (kernel-level variability); 0 disables jitter.

@@ -96,9 +96,9 @@ void PlatformCore::Start() {
   FFS_CHECK_MSG(autoscale_ == nullptr, "Start() called twice");
   last_tick_ = sim_.Now();
   autoscale_ = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.autoscale_period, [this] {
+      sim_, kAutoscalePeriod, [this] {
         // Update arrival-rate EWMAs before the policy scan.
-        const double period_s = ToSeconds(config_.autoscale_period);
+        const double period_s = ToSeconds(kAutoscalePeriod);
         for (FunctionRow& row : fns_) {
           const double inst_rate =
               static_cast<double>(row.arrivals_this_tick) / period_s;
@@ -109,10 +109,10 @@ void PlatformCore::Start() {
           row.arrivals_this_tick = 0;
         }
         // Refresh smoothed utilizations; the smoothing constant gives the
-        // EWMA an effective memory of about one util_window.
+        // EWMA an effective memory of about one kUtilWindow.
         const double alpha =
-            std::min(1.0, static_cast<double>(config_.autoscale_period) /
-                              static_cast<double>(config_.util_window));
+            std::min(1.0, static_cast<double>(kAutoscalePeriod) /
+                              static_cast<double>(kUtilWindow));
         for (InstanceRow& row : instances_) {
           if (row.inst->state() == InstanceState::kRetired) continue;
           row.util_ewma = (1.0 - alpha) * row.util_ewma +
@@ -123,7 +123,7 @@ void PlatformCore::Start() {
         DispatchPending();
         last_tick_ = sim_.Now();
       });
-  autoscale_->Start(sim_.Now() + config_.autoscale_period);
+  autoscale_->Start(sim_.Now() + kAutoscalePeriod);
 }
 
 void PlatformCore::Stop() {
@@ -369,7 +369,7 @@ Instance* PlatformCore::LaunchInstance(const FunctionSpec& fn,
       [this](RequestId rid) { HandleCompletion(rid); })});
   Instance* raw = instances_.back().inst.get();
   fns_[FnIndex(fn.id)].live.push_back(raw);
-  raw->SetBatching(config_.max_batch, config_.batch_marginal_cost);
+  raw->SetBatching(config_.max_batch, kBatchMarginalCost);
   raw->SetStageOrder(pending_q_->stage_order());
   raw->Launch(load);
   if (!warm && pending_cold_failures_ > 0 && load > 0) {
@@ -683,11 +683,10 @@ Instance* LaunchMonolithic(PlatformCore& core, const FunctionSpec& spec,
   return result.ok() ? result.spawned.front() : nullptr;
 }
 
-bool GrowCapacity(PlatformCore& core, double rate, double capacity,
+bool GrowCapacity(double rate, double capacity,
                   const std::function<Instance*()>& launch) {
   int guard = 0;
-  while (rate > core.config().scaleup_load_factor * capacity &&
-         guard++ < 8) {
+  while (rate > kScaleupLoadFactor * capacity && guard++ < 8) {
     Instance* inst = launch();
     if (inst == nullptr) return false;
     capacity += inst->CapacityRps();

@@ -121,7 +121,7 @@ class PlatformCore final {
   /// fraction of the tick).
   double TickUtilization(Instance* inst);
 
-  /// Smoothed utilization over roughly util_window: an EWMA of tick
+  /// Smoothed utilization over roughly kUtilWindow: an EWMA of tick
   /// utilizations, refreshed for every live instance at the start of each
   /// autoscale tick. The hotness signal behind the Fig. 8 transitions —
   /// a single sparse request does not flip an instance exclusive-hot.

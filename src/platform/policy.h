@@ -68,7 +68,7 @@ class ScalingPolicy {
 
   virtual void Attach(PlatformCore& core) { (void)core; }
 
-  /// The periodic scan: runs every autoscale_period after the core has
+  /// The periodic scan: runs every kAutoscalePeriod after the core has
   /// refreshed arrival-rate and utilization EWMAs.
   virtual void Tick(PlatformCore& core) = 0;
 
@@ -169,9 +169,9 @@ Instance* LaunchMonolithic(PlatformCore& core, const FunctionSpec& spec,
                            std::optional<NodeId> node = std::nullopt);
 
 /// The scale-up loop: call `launch` while `rate` (requests/s) exceeds
-/// scaleup_load_factor × `capacity`, adding each new instance's capacity,
+/// kScaleupLoadFactor × `capacity`, adding each new instance's capacity,
 /// at most 8 times. False when a launch returned null.
-bool GrowCapacity(PlatformCore& core, double rate, double capacity,
+bool GrowCapacity(double rate, double capacity,
                   const std::function<Instance*()>& launch);
 
 /// Retire every draining instance that has gone idle, function by function
