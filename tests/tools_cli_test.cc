@@ -72,7 +72,7 @@ CliArgs Parse(std::vector<std::string> raw) {
   auto argv = Argv(raw);
   return CliArgs(static_cast<int>(argv.size()), argv.data(), 2,
                  {"seeds", "nodes", "gpus", "seed", "loads", "duration",
-                  "tiers"});
+                  "tiers", "rate", "queue-cap"});
 }
 
 TEST(CliArgsTest, RejectsNonNumericListItem) {
@@ -127,6 +127,19 @@ TEST(CliArgsTest, RejectsNonPositiveOrNonFiniteDuration) {
                FfsError);
   EXPECT_THROW(Parse({"--duration", "inf"}).GetDouble("duration", 150.0),
                FfsError);
+}
+
+TEST(CliArgsTest, RejectsNegativeRatesScalesAndLoads) {
+  EXPECT_THROW(Parse({"--rate", "-5"}).GetNonNegative("rate", 0.0), FfsError);
+  EXPECT_DOUBLE_EQ(Parse({"--rate", "0"}).GetNonNegative("rate", 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(Parse({}).GetNonNegative("rate", 1.5), 1.5);
+  EXPECT_THROW(Parse({"--loads", "0.5,-1"}).GetNonNegativeList("loads"),
+               FfsError);
+  EXPECT_EQ(Parse({"--loads", "0,0.5"}).GetNonNegativeList("loads"),
+            (std::vector<double>{0.0, 0.5}));
+  EXPECT_THROW(
+      Parse({"--queue-cap", "-1"}).Get<std::size_t>("queue-cap", 0),
+      FfsError);
 }
 
 TEST(CliArgsTest, ParsesWellFormedLists) {

@@ -2,7 +2,8 @@
 // Flags may appear in any order; unknown keys are rejected up front so
 // typos fail loudly instead of silently using defaults. Numbers are parsed
 // whole: "5x", "1.9" for an integer or "-1" for a seed is an error, never a
-// silent prefix or wrap-around.
+// silent prefix or wrap-around, and a rate, scale or load factor may not be
+// negative.
 #pragma once
 
 #include <charconv>
@@ -82,6 +83,18 @@ class CliArgs {
     return v;
   }
 
+  /// A number >= 0 (rates, scales, load factors).
+  double GetNonNegative(const std::string& key, double fallback) const {
+    return RequireNonNegative(key, GetDouble(key, fallback));
+  }
+
+  /// GetList<double>, every item >= 0.
+  std::vector<double> GetNonNegativeList(const std::string& key) const {
+    std::vector<double> out = GetList<double>(key);
+    for (double v : out) RequireNonNegative(key, v);
+    return out;
+  }
+
   /// The comma-separated items of --`key` (or of `fallback` when absent),
   /// empty items skipped; each parsed whole as a T unless T is a string.
   template <typename T>
@@ -102,6 +115,11 @@ class CliArgs {
   }
 
  private:
+  static double RequireNonNegative(const std::string& key, double v) {
+    if (v < 0.0) throw FfsError(std::string("--") + key + " must be >= 0");
+    return v;
+  }
+
   /// Parse all of `token` as a T for --`flag`: nothing may be left over,
   /// integers take no fraction, unsigned integers take no sign, and a
   /// floating-point value must be finite. Throws FfsError otherwise.

@@ -92,7 +92,7 @@ int CmdRun(const CliArgs& args) {
   cfg.num_nodes = args.GetCount("nodes", 2);
   cfg.gpus_per_node = args.GetCount("gpus", 8);
   cfg.duration = Seconds(args.GetPositive("duration", 150.0));
-  cfg.load_factor = args.GetDouble("load", 0.0);
+  cfg.load_factor = args.GetNonNegative("load", 0.0);
   cfg.seed = args.Get<std::uint64_t>("seed", 1234);
   if (args.Has("partition")) {
     const auto part = gpu::MigPartition::Parse(args.GetString("partition", ""));
@@ -114,18 +114,17 @@ int CmdRun(const CliArgs& args) {
 
   // Deterministic fault injection: mean faults/s of simulated time across
   // the cluster; 0 (the default) runs exactly the fault-free simulation.
-  cfg.faults.rate = args.GetDouble("fault-rate", 0.0);
+  cfg.faults.rate = args.GetNonNegative("fault-rate", 0.0);
   cfg.faults.seed = args.Get<std::uint64_t>("fault-seed", 0);
   cfg.faults.mttr = Seconds(args.GetDouble("mttr", 30.0));
-  cfg.faults.timeout_scale = args.GetDouble("timeout-scale", 0.0);
+  cfg.faults.timeout_scale = args.GetNonNegative("timeout-scale", 0.0);
 
   // QoS queue policy (DESIGN.md §9). The defaults (fifo/none) reproduce the
   // legacy pending queue exactly, so plain runs stay byte-identical.
   cfg.platform.qos.queue = args.GetString("queue", "fifo");
   cfg.platform.qos.admission = args.GetString("admission", "none");
-  cfg.platform.qos.rate_rps = args.GetDouble("rate", 0.0);
-  cfg.platform.qos.max_queue_depth =
-      static_cast<std::size_t>(args.GetInt("queue-cap", 0));
+  cfg.platform.qos.rate_rps = args.GetNonNegative("rate", 0.0);
+  cfg.platform.qos.max_queue_depth = args.Get<std::size_t>("queue-cap", 0);
 
   const std::string system = args.GetString("system", "all");
   std::vector<harness::ExperimentResult> results;
@@ -286,8 +285,8 @@ int CmdSweep(const CliArgs& args) {
     spec.tiers.push_back(ParseTier(t));
   }
   spec.seeds = args.GetList<std::uint64_t>("seeds");
-  spec.load_factors = args.GetList<double>("loads");
-  spec.fault_rates = args.GetList<double>("fault-rates");
+  spec.load_factors = args.GetNonNegativeList("loads");
+  spec.fault_rates = args.GetNonNegativeList("fault-rates");
   FFS_CHECK_MSG(!spec.systems.empty() && !spec.tiers.empty(),
                 "sweep needs at least one system and one tier");
 
