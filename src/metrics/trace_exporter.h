@@ -22,8 +22,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -88,11 +88,12 @@ class TraceExporter {
   std::vector<TraceEvent> events_;
   SimTime last_ts_ = 0;
 
-  // Open spans keyed by the owning entity.
-  std::unordered_map<RequestId, OpenRequest> open_requests_;
-  std::unordered_map<InstanceId, OpenSpan> open_instance_states_;
-  std::unordered_map<SliceId, OpenSpan> open_bound_;
-  std::unordered_map<SliceId, OpenSpan> open_busy_;
+  // Open spans keyed by the owning entity, in id order, so the spans still
+  // open at export are written in an order the run alone determines.
+  std::map<RequestId, OpenRequest> open_requests_;
+  std::map<InstanceId, OpenSpan> open_instance_states_;
+  std::map<SliceId, OpenSpan> open_bound_;
+  std::map<SliceId, OpenSpan> open_busy_;
 };
 
 }  // namespace fluidfaas::metrics
