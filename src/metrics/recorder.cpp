@@ -242,41 +242,47 @@ double Recorder::MeanQueueDepth() const {
 }
 
 double Recorder::JainFairnessIndex() const {
-  // Per-function SLO hit rates over the functions that saw traffic.
-  std::unordered_map<std::int32_t, std::pair<std::size_t, std::size_t>> per;
+  // Per-function (requests, SLO hits), indexed by the dense FunctionId so
+  // the sums run in id order; functions without traffic are skipped.
+  std::vector<std::pair<std::size_t, std::size_t>> per;
   for (const RequestRecord& r : records_) {
-    auto& [denom, hits] = per[r.fn.value];
-    ++denom;
-    if (r.SloHit()) ++hits;
+    const auto i = static_cast<std::size_t>(r.fn.value);
+    if (i >= per.size()) per.resize(i + 1);
+    ++per[i].first;
+    if (r.SloHit()) ++per[i].second;
   }
-  if (per.empty()) return 1.0;
   double sum = 0.0;
   double sum_sq = 0.0;
-  for (const auto& [fnv, counts] : per) {
-    const double x = static_cast<double>(counts.second) /
-                     static_cast<double>(counts.first);
+  std::size_t n = 0;
+  for (const auto& [denom, hits] : per) {
+    if (denom == 0) continue;
+    const double x = static_cast<double>(hits) / static_cast<double>(denom);
     sum += x;
     sum_sq += x * x;
+    ++n;
   }
   if (sum_sq <= 0.0) return 1.0;
-  const auto n = static_cast<double>(per.size());
-  return (sum * sum) / (n * sum_sq);
+  return (sum * sum) / (static_cast<double>(n) * sum_sq);
 }
 
 double Recorder::WorstFunctionP99(FunctionId* which) const {
-  std::unordered_map<std::int32_t, std::vector<double>> lats;
+  // Completed latencies per function, indexed by the dense FunctionId.
+  std::vector<std::vector<double>> lats;
   for (const RequestRecord& r : records_) {
-    if (r.done()) lats[r.fn.value].push_back(ToSeconds(r.Latency()));
+    if (!r.done()) continue;
+    const auto i = static_cast<std::size_t>(r.fn.value);
+    if (i >= lats.size()) lats.resize(i + 1);
+    lats[i].push_back(ToSeconds(r.Latency()));
   }
   double worst = 0.0;
   std::int32_t worst_fn = -1;
-  for (auto& [fnv, v] : lats) {
-    const double p99 = Percentile(v, 0.99);
-    // Strict > with the lowest-id tie-break keeps the answer independent
-    // of unordered_map iteration order.
-    if (p99 > worst || (p99 == worst && worst_fn >= 0 && fnv < worst_fn)) {
+  for (std::size_t i = 0; i < lats.size(); ++i) {
+    if (lats[i].empty()) continue;
+    const double p99 = Percentile(std::move(lats[i]), 0.99);
+    // Strict >, in id order: on a tie the lowest id wins.
+    if (p99 > worst) {
       worst = p99;
-      worst_fn = fnv;
+      worst_fn = static_cast<std::int32_t>(i);
     }
   }
   if (which != nullptr) *which = FunctionId(worst_fn);

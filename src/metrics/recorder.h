@@ -20,7 +20,6 @@
 
 #include <array>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
