@@ -1,7 +1,6 @@
 #include "harness/experiment.h"
 
 #include <array>
-#include <memory>
 
 #include "baselines/esg_platform.h"
 #include "baselines/repartition_platform.h"

@@ -110,6 +110,8 @@ TEST(HarnessTest, NamesAreStable) {
   EXPECT_STREQ(Name(SystemKind::kFluidFaas), "FluidFaaS");
   EXPECT_STREQ(Name(SystemKind::kEsg), "ESG");
   EXPECT_STREQ(Name(SystemKind::kInfless), "INFless");
+  EXPECT_STREQ(Name(SystemKind::kRepartition), "Repartition");
+  EXPECT_STREQ(Name(SystemKind::kFluidFaasDistributed), "FluidFaaS-dist");
 }
 
 }  // namespace

@@ -51,12 +51,6 @@ TEST(PlatformRegistryTest, CliNamesParseToTheirKinds) {
   EXPECT_THROW(harness::ParseSystem("all"), FfsError);
 }
 
-TEST(PlatformRegistryTest, DisplayNames) {
-  EXPECT_STREQ(harness::Name(SystemKind::kRepartition), "Repartition");
-  EXPECT_STREQ(harness::Name(SystemKind::kFluidFaasDistributed),
-               "FluidFaaS-dist");
-}
-
 // Many threads resolving at once: every bundle comes back complete.
 TEST(PlatformRegistryTest, ConcurrentResolveIsSafe) {
   constexpr int kThreads = 8;
