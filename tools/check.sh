@@ -122,9 +122,10 @@ print("trace smoke ok:", len(events), "events")
 }
 
 # Short parallel sweep under ThreadSanitizer: several worker threads run
-# shared-nothing RunContexts concurrently while resolving schedulers through
-# the mutex-guarded registry — exactly the surface a data race would hit. TSan halts with a non-zero exit on the
-# first report, so a green run means zero reports.
+# shared-nothing RunContexts concurrently, each building its scheduler from
+# the constant SystemKind table, and share only the pool's cell counter and
+# error slot — exactly the surface a data race would hit. TSan halts with a
+# non-zero exit on the first report, so a green run means zero reports.
 run_tsan() {
   echo "=== build-tsan: parallel sweep smoke under ThreadSanitizer ==="
   cmake -B build-tsan -S . -DFFS_TSAN=ON
