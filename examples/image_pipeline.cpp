@@ -45,7 +45,7 @@ Outcome Run(const char* name, platform::PolicyBundle bundle) {
   for (SliceId sid : cluster.AllSlices()) {
     if (cluster.slice(sid).profile() == gpu::MigProfile::k4g40gb) {
       cluster.Bind(sid, InstanceId(999));
-      recorder.SliceBound(sid, 0);
+      sim.bus().Publish(sim::SliceBound{sid, InstanceId(999), 0});
     }
   }
 

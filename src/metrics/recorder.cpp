@@ -9,18 +9,26 @@
 #include "sim/events.h"
 
 namespace fluidfaas::metrics {
+namespace {
+
+// Requests for which `counts` holds that completed within [0, window], per
+// second of the window.
+double WindowedRate(const std::vector<RequestRecord>& records, SimTime window,
+                    bool (RequestRecord::*counts)() const) {
+  if (window <= 0) return 0.0;
+  std::size_t n = 0;
+  for (const RequestRecord& r : records) {
+    if ((r.*counts)() && r.completion <= window) ++n;
+  }
+  return static_cast<double>(n) / ToSeconds(window);
+}
+
+}  // namespace
 
 Recorder::Recorder(const gpu::Cluster& cluster) : cluster_(&cluster) {
   per_gpu_.resize(static_cast<std::size_t>(cluster.num_gpus()));
   slices_.reserve(cluster.num_slices());
-  for (SliceId sid : cluster.AllSlices()) {
-    const gpu::MigSlice& s = cluster.slice(sid);
-    SliceInfo info;
-    info.gpu = s.gpu;
-    info.gpcs = s.gpcs();
-    slices_.push_back(info);
-  }
-  total_gpcs_ = cluster.TotalGpcs();
+  SyncSlices();
 }
 
 void Recorder::SubscribeTo(sim::EventBus& bus) {
@@ -28,13 +36,17 @@ void Recorder::SubscribeTo(sim::EventBus& bus) {
   FFS_CHECK_MSG(bus_ == nullptr, "Recorder already subscribed to a bus");
   bus_ = &bus;
   bus.Subscribe<sim::RequestSubmitted>([this](const sim::RequestSubmitted& e) {
-    const RequestId rid = NewRequest(e.fn, e.at, e.deadline);
-    FFS_CHECK_MSG(rid == e.rid,
+    FFS_CHECK_MSG(e.rid == CheckedId<RequestId>(records_.size()),
                   "recorder request ids out of sync with the platform");
+    RequestRecord& r = records_.emplace_back();
+    r.id = e.rid;
+    r.fn = e.fn;
+    r.arrival = e.at;
+    r.deadline = e.deadline;
   });
   bus.Subscribe<sim::RequestPhaseAccrued>(
       [this](const sim::RequestPhaseAccrued& e) {
-        RequestRecord& r = record(e.rid);
+        RequestRecord& r = MutableRecord(e.rid);
         switch (e.phase) {
           case sim::RequestPhase::kQueue:
             r.queue_time += e.amount;
@@ -51,28 +63,63 @@ void Recorder::SubscribeTo(sim::EventBus& bus) {
         }
       });
   bus.Subscribe<sim::RequestCompleted>([this](const sim::RequestCompleted& e) {
-    Complete(e.rid, e.at);
+    RequestRecord& r = MutableRecord(e.rid);
+    FFS_CHECK_MSG(!r.done(), "request completed twice");
+    r.completion = e.at;
+    ++completed_;
   });
-  bus.Subscribe<sim::SliceBound>(
-      [this](const sim::SliceBound& e) { SliceBound(e.slice, e.at); });
-  bus.Subscribe<sim::SliceReleased>(
-      [this](const sim::SliceReleased& e) { SliceReleased(e.slice, e.at); });
-  bus.Subscribe<sim::SliceBusyBegin>(
-      [this](const sim::SliceBusyBegin& e) { SliceBusy(e.slice, e.at); });
-  bus.Subscribe<sim::SliceBusyEnd>(
-      [this](const sim::SliceBusyEnd& e) { SliceIdle(e.slice, e.at); });
+  bus.Subscribe<sim::SliceBound>([this](const sim::SliceBound& e) {
+    SliceInfo& info = slices_[static_cast<std::size_t>(e.slice.value)];
+    FFS_CHECK(!info.bound);
+    info.bound = true;
+    info.bound_since = e.at;
+    bound_gpc_count_ += info.gpcs;
+    bound_gpcs_.Record(e.at, bound_gpc_count_);
+  });
+  bus.Subscribe<sim::SliceReleased>([this](const sim::SliceReleased& e) {
+    SliceInfo& info = slices_[static_cast<std::size_t>(e.slice.value)];
+    FFS_CHECK(info.bound);
+    FFS_CHECK_MSG(!info.busy, "releasing a busy slice");
+    info.bound = false;
+    info.bound_total += e.at - info.bound_since;
+    bound_gpc_count_ -= info.gpcs;
+    bound_gpcs_.Record(e.at, bound_gpc_count_);
+  });
+  bus.Subscribe<sim::SliceBusyBegin>([this](const sim::SliceBusyBegin& e) {
+    SliceInfo& info = slices_[static_cast<std::size_t>(e.slice.value)];
+    FFS_CHECK_MSG(info.bound, "busy on an unbound slice");
+    FFS_CHECK(!info.busy);
+    info.busy = true;
+    info.busy_since = e.at;
+    GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
+    if (g.busy_slices == 0) g.busy_since = e.at;
+    g.busy_slices += 1;
+    busy_gpc_count_ += info.gpcs;
+    busy_gpcs_.Record(e.at, busy_gpc_count_);
+  });
+  bus.Subscribe<sim::SliceBusyEnd>([this](const sim::SliceBusyEnd& e) {
+    SliceInfo& info = slices_[static_cast<std::size_t>(e.slice.value)];
+    FFS_CHECK(info.busy);
+    info.busy = false;
+    info.busy_total += e.at - info.busy_since;
+    GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
+    g.busy_slices -= 1;
+    if (g.busy_slices == 0) g.busy_total += e.at - g.busy_since;
+    busy_gpc_count_ -= info.gpcs;
+    busy_gpcs_.Record(e.at, busy_gpc_count_);
+  });
   bus.Subscribe<sim::PartitionReconfigured>(
       [this](const sim::PartitionReconfigured& e) {
         ++reconfigurations_;
         blackout_total_ += e.blackout;
-        SyncSlices(*cluster_);
+        SyncSlices();
       });
   bus.Subscribe<sim::SchedulerTransition>(
       [this](const sim::SchedulerTransition& e) {
         ++transitions_by_kind_[static_cast<std::size_t>(e.kind)];
       });
   bus.Subscribe<sim::RequestTimedOut>([this](const sim::RequestTimedOut& e) {
-    RequestRecord& r = record(e.rid);
+    RequestRecord& r = MutableRecord(e.rid);
     r.timed_out = true;
     ++timeouts_;
     // Mid-queue expiry cancels the request outright; it never completes.
@@ -82,20 +129,20 @@ void Recorder::SubscribeTo(sim::EventBus& bus) {
     }
   });
   bus.Subscribe<sim::RequestRetried>([this](const sim::RequestRetried& e) {
-    ++record(e.rid).retries;
+    ++MutableRecord(e.rid).retries;
     ++retries_total_;
   });
   bus.Subscribe<sim::RequestAbandoned>(
       [this](const sim::RequestAbandoned& e) {
         ++abandoned_;
-        RequestRecord& r = record(e.rid);
+        RequestRecord& r = MutableRecord(e.rid);
         if (!r.aborted) {
           r.aborted = true;
           ++aborted_;
         }
       });
   bus.Subscribe<sim::RequestRejected>([this](const sim::RequestRejected& e) {
-    RequestRecord& r = record(e.rid);
+    RequestRecord& r = MutableRecord(e.rid);
     r.rejected = true;
     r.reject_cause = e.cause;
     ++rejected_;
@@ -129,78 +176,17 @@ void Recorder::SubscribeTo(sim::EventBus& bus) {
       [this](const sim::SliceRepaired&) { ++slices_repaired_; });
 }
 
-RequestId Recorder::NewRequest(FunctionId fn, SimTime arrival,
-                               SimTime deadline) {
-  RequestRecord r;
-  r.id = CheckedId<RequestId>(records_.size());
-  r.fn = fn;
-  r.arrival = arrival;
-  r.deadline = deadline;
-  records_.push_back(r);
-  return r.id;
-}
-
-RequestRecord& Recorder::record(RequestId id) {
+const RequestRecord& Recorder::record(RequestId id) const {
   FFS_CHECK(id.valid() && static_cast<std::size_t>(id.value) < records_.size());
   return records_[static_cast<std::size_t>(id.value)];
 }
 
-const RequestRecord& Recorder::record(RequestId id) const {
-  return const_cast<Recorder*>(this)->record(id);
+RequestRecord& Recorder::MutableRecord(RequestId id) {
+  return const_cast<RequestRecord&>(std::as_const(*this).record(id));
 }
 
-void Recorder::Complete(RequestId id, SimTime now) {
-  RequestRecord& r = record(id);
-  FFS_CHECK_MSG(!r.done(), "request completed twice");
-  r.completion = now;
-  ++completed_;
-}
-
-void Recorder::SliceBound(SliceId s, SimTime now) {
-  SliceInfo& info = slices_[static_cast<std::size_t>(s.value)];
-  FFS_CHECK(!info.bound);
-  info.bound = true;
-  info.bound_since = now;
-  bound_gpc_count_ += info.gpcs;
-  bound_gpcs_.Record(now, bound_gpc_count_);
-}
-
-void Recorder::SliceReleased(SliceId s, SimTime now) {
-  SliceInfo& info = slices_[static_cast<std::size_t>(s.value)];
-  FFS_CHECK(info.bound);
-  FFS_CHECK_MSG(!info.busy, "releasing a busy slice");
-  info.bound = false;
-  info.bound_total += now - info.bound_since;
-  bound_gpc_count_ -= info.gpcs;
-  bound_gpcs_.Record(now, bound_gpc_count_);
-}
-
-void Recorder::SliceBusy(SliceId s, SimTime now) {
-  SliceInfo& info = slices_[static_cast<std::size_t>(s.value)];
-  FFS_CHECK_MSG(info.bound, "busy on an unbound slice");
-  FFS_CHECK(!info.busy);
-  info.busy = true;
-  info.busy_since = now;
-  GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
-  if (g.busy_slices == 0) g.busy_since = now;
-  g.busy_slices += 1;
-  busy_gpc_count_ += info.gpcs;
-  busy_gpcs_.Record(now, busy_gpc_count_);
-}
-
-void Recorder::SliceIdle(SliceId s, SimTime now) {
-  SliceInfo& info = slices_[static_cast<std::size_t>(s.value)];
-  FFS_CHECK(info.busy);
-  info.busy = false;
-  info.busy_total += now - info.busy_since;
-  GpuInfo& g = per_gpu_[static_cast<std::size_t>(info.gpu.value)];
-  g.busy_slices -= 1;
-  if (g.busy_slices == 0) g.busy_total += now - g.busy_since;
-  busy_gpc_count_ -= info.gpcs;
-  busy_gpcs_.Record(now, busy_gpc_count_);
-}
-
-void Recorder::SyncSlices(const gpu::Cluster& cluster) {
+void Recorder::SyncSlices() {
+  const gpu::Cluster& cluster = *cluster_;
   for (SliceId sid : cluster.AllSlices()) {
     if (static_cast<std::size_t>(sid.value) < slices_.size()) continue;
     FFS_CHECK_MSG(static_cast<std::size_t>(sid.value) == slices_.size(),
@@ -241,22 +227,27 @@ double Recorder::MeanQueueDepth() const {
   return end_ > 0 ? queue_depth_.MeanOver(0, end_) : 0.0;
 }
 
-double Recorder::JainFairnessIndex() const {
-  // Per-function (requests, SLO hits), indexed by the dense FunctionId so
-  // the sums run in id order; functions without traffic are skipped.
-  std::vector<std::pair<std::size_t, std::size_t>> per;
+std::vector<Recorder::SloTally> Recorder::SloByFunction() const {
+  std::vector<SloTally> per;
   for (const RequestRecord& r : records_) {
     const auto i = static_cast<std::size_t>(r.fn.value);
     if (i >= per.size()) per.resize(i + 1);
-    ++per[i].first;
-    if (r.SloHit()) ++per[i].second;
+    ++per[i].requests;
+    if (r.SloHit()) ++per[i].hits;
   }
+  return per;
+}
+
+double Recorder::JainFairnessIndex() const {
+  // The sums run in function id order; functions without traffic are
+  // skipped.
   double sum = 0.0;
   double sum_sq = 0.0;
   std::size_t n = 0;
-  for (const auto& [denom, hits] : per) {
-    if (denom == 0) continue;
-    const double x = static_cast<double>(hits) / static_cast<double>(denom);
+  for (const SloTally& t : SloByFunction()) {
+    if (t.requests == 0) continue;
+    const double x =
+        static_cast<double>(t.hits) / static_cast<double>(t.requests);
     sum += x;
     sum_sq += x * x;
     ++n;
@@ -265,27 +256,16 @@ double Recorder::JainFairnessIndex() const {
   return (sum * sum) / (static_cast<double>(n) * sum_sq);
 }
 
-double Recorder::WorstFunctionP99(FunctionId* which) const {
-  // Completed latencies per function, indexed by the dense FunctionId.
-  std::vector<std::vector<double>> lats;
-  for (const RequestRecord& r : records_) {
-    if (!r.done()) continue;
-    const auto i = static_cast<std::size_t>(r.fn.value);
-    if (i >= lats.size()) lats.resize(i + 1);
-    lats[i].push_back(ToSeconds(r.Latency()));
-  }
+double Recorder::WorstFunctionP99() const {
   double worst = 0.0;
-  std::int32_t worst_fn = -1;
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    if (lats[i].empty()) continue;
-    const double p99 = Percentile(std::move(lats[i]), 0.99);
-    // Strict >, in id order: on a tie the lowest id wins.
-    if (p99 > worst) {
-      worst = p99;
-      worst_fn = static_cast<std::int32_t>(i);
+  const std::size_t num_fns = SloByFunction().size();
+  for (std::size_t i = 0; i < num_fns; ++i) {
+    std::vector<double> lats =
+        LatenciesSeconds(FunctionId(static_cast<std::int32_t>(i)));
+    if (!lats.empty()) {
+      worst = std::max(worst, Percentile(std::move(lats), 0.99));
     }
   }
-  if (which != nullptr) *which = FunctionId(worst_fn);
   return worst;
 }
 
@@ -300,25 +280,16 @@ double Recorder::SloHitRate(bool count_outstanding) const {
   return denom ? static_cast<double>(hits) / static_cast<double>(denom) : 1.0;
 }
 
-double Recorder::SloHitRate(FunctionId fn, bool count_outstanding) const {
-  std::size_t hits = 0;
-  std::size_t denom = 0;
-  for (const RequestRecord& r : records_) {
-    if (r.fn != fn) continue;
-    if (!r.done() && !count_outstanding) continue;
-    ++denom;
-    if (r.SloHit()) ++hits;
-  }
-  return denom ? static_cast<double>(hits) / static_cast<double>(denom) : 1.0;
+double Recorder::SloHitRate(FunctionId fn) const {
+  const std::vector<SloTally> per = SloByFunction();
+  const auto i = static_cast<std::size_t>(fn.value);
+  if (i >= per.size() || per[i].requests == 0) return 1.0;
+  return static_cast<double>(per[i].hits) /
+         static_cast<double>(per[i].requests);
 }
 
 double Recorder::WindowedThroughput(SimTime window) const {
-  if (window <= 0) return 0.0;
-  std::size_t n = 0;
-  for (const RequestRecord& r : records_) {
-    if (r.done() && r.completion <= window) ++n;
-  }
-  return static_cast<double>(n) / ToSeconds(window);
+  return WindowedRate(records_, window, &RequestRecord::done);
 }
 
 std::size_t Recorder::RecoveredRequests() const {
@@ -337,12 +308,7 @@ double Recorder::PlanConflictRate() const {
 }
 
 double Recorder::WindowedGoodput(SimTime window) const {
-  if (window <= 0) return 0.0;
-  std::size_t n = 0;
-  for (const RequestRecord& r : records_) {
-    if (r.Goodput() && r.completion <= window) ++n;
-  }
-  return static_cast<double>(n) / ToSeconds(window);
+  return WindowedRate(records_, window, &RequestRecord::Goodput);
 }
 
 SimDuration Recorder::MigTime() const {

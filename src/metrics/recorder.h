@@ -63,20 +63,18 @@ class Recorder {
  public:
   explicit Recorder(const gpu::Cluster& cluster);
 
-  /// Feed the recorder from a simulation's EventBus: request lifecycle and
-  /// phase attribution, slice bound/busy intervals, placement commits,
-  /// scheduler transitions and partition reconfigurations (which also
-  /// trigger SyncSlices) all arrive as sim/events.h publications. This is
-  /// how platform runs drive the recorder — nothing in the platform layer
-  /// holds a Recorder reference. Idempotent for the
-  /// same bus; subscribing one recorder to two buses is an error.
+  /// Feed the recorder from a simulation's EventBus, its only input:
+  /// request lifecycle and phase attribution, slice bound/busy intervals,
+  /// placement commits, scheduler transitions and partition
+  /// reconfigurations (after which slices the cluster minted are tracked)
+  /// all arrive as sim/events.h publications. Nothing in the platform layer
+  /// holds a Recorder reference, and tests drive one by publishing.
+  /// Idempotent for the same bus; subscribing one recorder to two buses is
+  /// an error.
   void SubscribeTo(sim::EventBus& bus);
 
   // --- request lifecycle -------------------------------------------------
-  RequestId NewRequest(FunctionId fn, SimTime arrival, SimTime deadline);
-  RequestRecord& record(RequestId id);
   const RequestRecord& record(RequestId id) const;
-  void Complete(RequestId id, SimTime now);
 
   std::size_t total_requests() const { return records_.size(); }
   std::size_t completed_requests() const { return completed_; }
@@ -112,8 +110,8 @@ class Recorder {
   double JainFairnessIndex() const;
   /// Largest per-function p99 latency (seconds) over functions with >= 1
   /// completion — the starved-tenant tail the fair discipline targets.
-  /// 0 with no completions; `which` (optional) receives the function.
-  double WorstFunctionP99(FunctionId* which = nullptr) const;
+  /// 0 with no completions.
+  double WorstFunctionP99() const;
 
   // --- placement transactions (DESIGN.md §8) -------------------------------
   std::size_t plans_committed() const { return plans_committed_; }
@@ -137,17 +135,6 @@ class Recorder {
   /// their blackouts.
   std::size_t reconfigurations() const { return reconfigurations_; }
   SimDuration reconfiguration_blackout() const { return blackout_total_; }
-
-  // --- slice occupancy ---------------------------------------------------
-  void SliceBound(SliceId s, SimTime now);
-  void SliceReleased(SliceId s, SimTime now);
-  void SliceBusy(SliceId s, SimTime now);
-  void SliceIdle(SliceId s, SimTime now);
-
-  /// Register slices created by a runtime repartition
-  /// (gpu::Cluster::RepartitionGpu). Retired ids keep their accumulated
-  /// totals; fresh ids start clean. Also refreshes per-GPU GPC weights.
-  void SyncSlices(const gpu::Cluster& cluster);
 
   /// Finalize all signals at `end`; call once after the run.
   void Close(SimTime end);
@@ -194,8 +181,9 @@ class Recorder {
   };
   Breakdown MeanBreakdown(FunctionId fn = FunctionId()) const;
 
-  /// Per-function SLO hit rate.
-  double SloHitRate(FunctionId fn, bool count_outstanding = true) const;
+  /// Per-function SLO hit rate; never-completed requests count as misses.
+  /// 1.0 for a function without requests.
+  double SloHitRate(FunctionId fn) const;
 
   /// Per-slice busy/bound totals (µs), indexed by SliceId; valid after
   /// Close(). Used by the Fig. 3(b) slice-usage bench and diagnostics.
@@ -226,6 +214,20 @@ class Recorder {
     SimTime busy_since = 0;
     SimDuration busy_total = 0;  // time with >=1 busy slice
   };
+
+  /// Requests and SLO hits of one function.
+  struct SloTally {
+    std::size_t requests = 0;
+    std::size_t hits = 0;
+  };
+  /// Per-function tallies, indexed by the dense FunctionId.
+  std::vector<SloTally> SloByFunction() const;
+
+  RequestRecord& MutableRecord(RequestId id);
+  /// Track slices a runtime repartition (gpu::Cluster::RepartitionGpu)
+  /// minted: retired ids keep their accumulated totals, fresh ids start
+  /// clean. The constructor registers the initial slices the same way.
+  void SyncSlices();
 
   std::vector<RequestRecord> records_;
   std::size_t completed_ = 0;

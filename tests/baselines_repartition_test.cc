@@ -4,6 +4,7 @@
 
 #include "harness/experiment.h"
 #include "model/zoo.h"
+#include "sim/event_bus.h"
 
 namespace fluidfaas::baselines {
 namespace {
@@ -44,14 +45,17 @@ TEST(ClusterRepartitionTest, RefusesWithBoundSlices) {
 
 TEST(ClusterRepartitionTest, RecorderSyncTracksNewSlices) {
   auto cluster = gpu::Cluster::Uniform(1, 1, gpu::DefaultPartition());
+  sim::EventBus bus;
   metrics::Recorder rec(cluster);
-  auto fresh =
-      cluster.RepartitionGpu(GpuId(0), gpu::MigPartition::Parse("7g.80gb"));
-  rec.SyncSlices(cluster);
-  rec.SliceBound(fresh[0], Seconds(1));
-  rec.SliceBusy(fresh[0], Seconds(1));
-  rec.SliceIdle(fresh[0], Seconds(3));
-  rec.SliceReleased(fresh[0], Seconds(3));
+  rec.SubscribeTo(bus);
+  const auto target = gpu::MigPartition::Parse("7g.80gb");
+  auto fresh = cluster.RepartitionGpu(GpuId(0), target);
+  bus.Publish(sim::PartitionReconfigured{GpuId(0), 0, target.ToString(), 0});
+  const InstanceId iid(1);
+  bus.Publish(sim::SliceBound{fresh[0], iid, Seconds(1)});
+  bus.Publish(sim::SliceBusyBegin{fresh[0], iid, Seconds(1)});
+  bus.Publish(sim::SliceBusyEnd{fresh[0], iid, Seconds(3)});
+  bus.Publish(sim::SliceReleased{fresh[0], iid, Seconds(3)});
   rec.Close(Seconds(4));
   EXPECT_EQ(rec.MigTime(), Seconds(2));
   EXPECT_EQ(rec.total_gpcs(), 7);

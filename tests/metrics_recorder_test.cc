@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "gpu/mig_partition.h"
+#include "sim/event_bus.h"
 
 namespace fluidfaas::metrics {
 namespace {
@@ -15,22 +16,61 @@ SimDuration BoundTime(const Recorder& rec) {
   return t;
 }
 
+// The recorder's only input is the EventBus: each helper publishes what
+// the platform publishes.
 class RecorderTest : public ::testing::Test {
  protected:
   RecorderTest()
       : cluster_(gpu::Cluster::Uniform(1, 2, gpu::DefaultPartition())),
-        rec_(cluster_) {}
+        rec_(cluster_) {
+    rec_.SubscribeTo(bus_);
+  }
+
+  RequestId Submit(FunctionId fn, SimTime at, SimTime deadline) {
+    const RequestId rid(static_cast<std::int32_t>(rec_.total_requests()));
+    bus_.Publish(sim::RequestSubmitted{rid, fn, at, deadline});
+    return rid;
+  }
+  void Accrue(RequestId rid, sim::RequestPhase phase, SimDuration amount) {
+    bus_.Publish(sim::RequestPhaseAccrued{rid, phase, amount, 0});
+  }
+  void Complete(RequestId rid, SimTime at) {
+    bus_.Publish(sim::RequestCompleted{rid, rec_.record(rid).fn, at});
+  }
+  void Bound(SliceId s, SimTime at) {
+    bus_.Publish(sim::SliceBound{s, InstanceId(1), at});
+  }
+  void Released(SliceId s, SimTime at) {
+    bus_.Publish(sim::SliceReleased{s, InstanceId(1), at});
+  }
+  void Busy(SliceId s, SimTime at) {
+    bus_.Publish(sim::SliceBusyBegin{s, InstanceId(1), at});
+  }
+  void Idle(SliceId s, SimTime at) {
+    bus_.Publish(sim::SliceBusyEnd{s, InstanceId(1), at});
+  }
+  // Repartition GPU 0 to 3g+3g and announce it, as PlatformCore::Commit
+  // does; returns the fresh slice ids.
+  std::vector<SliceId> RepartitionGpu0(SimTime at) {
+    const gpu::MigPartition target =
+        gpu::MigPartition::Parse("3g.40gb+3g.40gb");
+    std::vector<SliceId> fresh = cluster_.RepartitionGpu(GpuId(0), target);
+    bus_.Publish(
+        sim::PartitionReconfigured{GpuId(0), at, target.ToString(), 0});
+    return fresh;
+  }
 
   // Slice ids: GPU 0 holds {0, 1, 2}, GPU 1 holds {3, 4, 5}.
   gpu::Cluster cluster_;
+  sim::EventBus bus_;
   Recorder rec_;
 };
 
 TEST_F(RecorderTest, RequestLifecycle) {
-  const RequestId r = rec_.NewRequest(FunctionId(0), Seconds(1), Seconds(2));
+  const RequestId r = Submit(FunctionId(0), Seconds(1), Seconds(2));
   EXPECT_FALSE(rec_.record(r).done());
-  rec_.record(r).exec_time = Millis(300);
-  rec_.Complete(r, Seconds(1) + Millis(800));
+  Accrue(r, sim::RequestPhase::kExec, Millis(300));
+  Complete(r, Seconds(1) + Millis(800));
   const auto& rr = rec_.record(r);
   EXPECT_TRUE(rr.done());
   EXPECT_TRUE(rr.SloHit());
@@ -39,38 +79,39 @@ TEST_F(RecorderTest, RequestLifecycle) {
 }
 
 TEST_F(RecorderTest, DoubleCompleteThrows) {
-  const RequestId r = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
-  rec_.Complete(r, 1);
-  EXPECT_THROW(rec_.Complete(r, 2), FfsError);
+  const RequestId r = Submit(FunctionId(0), 0, Seconds(1));
+  Complete(r, 1);
+  EXPECT_THROW(Complete(r, 2), FfsError);
 }
 
 TEST_F(RecorderTest, SloHitRateCountsOutstandingAsMisses) {
-  const RequestId hit = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
-  const RequestId miss = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
-  const RequestId open = rec_.NewRequest(FunctionId(1), 0, Seconds(1));
+  const RequestId hit = Submit(FunctionId(0), 0, Seconds(1));
+  const RequestId miss = Submit(FunctionId(0), 0, Seconds(1));
+  const RequestId open = Submit(FunctionId(1), 0, Seconds(1));
   (void)open;
-  rec_.Complete(hit, Millis(500));
-  rec_.Complete(miss, Seconds(2));
+  Complete(hit, Millis(500));
+  Complete(miss, Seconds(2));
   EXPECT_NEAR(rec_.SloHitRate(true), 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(rec_.SloHitRate(false), 0.5, 1e-12);
   // Per-function.
-  EXPECT_NEAR(rec_.SloHitRate(FunctionId(0), true), 0.5, 1e-12);
-  EXPECT_NEAR(rec_.SloHitRate(FunctionId(1), true), 0.0, 1e-12);
+  EXPECT_NEAR(rec_.SloHitRate(FunctionId(0)), 0.5, 1e-12);
+  EXPECT_NEAR(rec_.SloHitRate(FunctionId(1)), 0.0, 1e-12);
+  EXPECT_EQ(rec_.SloHitRate(FunctionId(2)), 1.0);  // no requests
 }
 
 TEST_F(RecorderTest, MigAndGpuTimeAccounting) {
   // Slice 0 (4g on GPU 0) busy [0, 10 s); slice 1 (2g on GPU 0) busy
   // [5 s, 15 s); slice 3 (4g on GPU 1) busy [0, 4 s).
   for (SliceId s : {SliceId(0), SliceId(1), SliceId(3)}) {
-    rec_.SliceBound(s, 0);
+    Bound(s, 0);
   }
-  rec_.SliceBusy(SliceId(0), 0);
-  rec_.SliceBusy(SliceId(3), 0);
-  rec_.SliceIdle(SliceId(3), Seconds(4));
-  rec_.SliceBusy(SliceId(1), Seconds(5));
-  rec_.SliceIdle(SliceId(0), Seconds(10));
-  rec_.SliceIdle(SliceId(1), Seconds(15));
-  rec_.SliceReleased(SliceId(3), Seconds(16));
+  Busy(SliceId(0), 0);
+  Busy(SliceId(3), 0);
+  Idle(SliceId(3), Seconds(4));
+  Busy(SliceId(1), Seconds(5));
+  Idle(SliceId(0), Seconds(10));
+  Idle(SliceId(1), Seconds(15));
+  Released(SliceId(3), Seconds(16));
   rec_.Close(Seconds(20));
 
   // MIG time = 10 + 10 + 4 = 24 s of busy slice time.
@@ -82,12 +123,12 @@ TEST_F(RecorderTest, MigAndGpuTimeAccounting) {
 }
 
 TEST_F(RecorderTest, BusyGpcSignalTracksWeights) {
-  rec_.SliceBound(SliceId(0), 0);  // 4g
-  rec_.SliceBound(SliceId(1), 0);  // 2g
-  rec_.SliceBusy(SliceId(0), 0);
-  rec_.SliceBusy(SliceId(1), Seconds(5));
-  rec_.SliceIdle(SliceId(0), Seconds(10));
-  rec_.SliceIdle(SliceId(1), Seconds(10));
+  Bound(SliceId(0), 0);  // 4g
+  Bound(SliceId(1), 0);  // 2g
+  Busy(SliceId(0), 0);
+  Busy(SliceId(1), Seconds(5));
+  Idle(SliceId(0), Seconds(10));
+  Idle(SliceId(1), Seconds(10));
   rec_.Close(Seconds(10));
   // [0,5): 4 GPCs busy; [5,10): 6 -> mean 5.
   EXPECT_NEAR(rec_.busy_gpcs().MeanOver(0, Seconds(10)), 5.0, 1e-9);
@@ -95,9 +136,9 @@ TEST_F(RecorderTest, BusyGpcSignalTracksWeights) {
 
 TEST_F(RecorderTest, PerGpuOccupancyWeightsByGpcs) {
   // Bind 4g on GPU 0 the whole 10 s, busy half of it.
-  rec_.SliceBound(SliceId(0), 0);
-  rec_.SliceBusy(SliceId(0), 0);
-  rec_.SliceIdle(SliceId(0), Seconds(5));
+  Bound(SliceId(0), 0);
+  Busy(SliceId(0), 0);
+  Idle(SliceId(0), Seconds(5));
   rec_.Close(Seconds(10));
   auto occ = rec_.PerGpuOccupancy();
   ASSERT_EQ(occ.size(), 2u);
@@ -110,20 +151,18 @@ TEST_F(RecorderTest, PerGpuOccupancyWeightsByGpcs) {
 // busy time, divided by a whole GPU's 7 GPCs. Slices still bound (and busy)
 // at Close count up to the end. Exact values.
 TEST_F(RecorderTest, PerGpuOccupancyAcrossRepartition) {
-  rec_.SliceBound(SliceId(0), Millis(250));  // 4g on GPU 0
-  rec_.SliceBound(SliceId(4), Millis(700));  // 2g on GPU 1
-  rec_.SliceBusy(SliceId(0), Seconds(1));
-  rec_.SliceBound(SliceId(2), Seconds(1));  // 1g on GPU 0
-  rec_.SliceReleased(SliceId(2), Seconds(2));
-  rec_.SliceIdle(SliceId(0), Millis(2300));
-  rec_.SliceBusy(SliceId(4), Seconds(3));
-  rec_.SliceReleased(SliceId(0), Millis(3100));
-  const std::vector<SliceId> fresh = cluster_.RepartitionGpu(
-      GpuId(0), gpu::MigPartition::Parse("3g.40gb+3g.40gb"));
-  rec_.SyncSlices(cluster_);
-  rec_.SliceBound(fresh[0], Seconds(4));
-  rec_.SliceBusy(fresh[0], Millis(4500));
-  rec_.SliceIdle(fresh[0], Millis(6900));
+  Bound(SliceId(0), Millis(250));  // 4g on GPU 0
+  Bound(SliceId(4), Millis(700));  // 2g on GPU 1
+  Busy(SliceId(0), Seconds(1));
+  Bound(SliceId(2), Seconds(1));  // 1g on GPU 0
+  Released(SliceId(2), Seconds(2));
+  Idle(SliceId(0), Millis(2300));
+  Busy(SliceId(4), Seconds(3));
+  Released(SliceId(0), Millis(3100));
+  const std::vector<SliceId> fresh = RepartitionGpu0(Seconds(4));
+  Bound(fresh[0], Seconds(4));
+  Busy(fresh[0], Millis(4500));
+  Idle(fresh[0], Millis(6900));
   rec_.Close(Seconds(10) + 7);
   const auto occ = rec_.PerGpuOccupancy();
   ASSERT_EQ(occ.size(), 2u);
@@ -139,12 +178,10 @@ TEST_F(RecorderTest, PerGpuOccupancyAcrossRepartition) {
 // default 4g+2g+1g all bound for 5 s (35 GPC-s), then 3g+3g all bound for
 // 5 s (30 GPC-s), occupies 65 of the 70 GPC-s the GPU offers.
 TEST_F(RecorderTest, PerGpuOccupancyAfterShrinkingRepartition) {
-  for (int s = 0; s < 3; ++s) rec_.SliceBound(SliceId(s), 0);
-  for (int s = 0; s < 3; ++s) rec_.SliceReleased(SliceId(s), Seconds(5));
-  const std::vector<SliceId> fresh = cluster_.RepartitionGpu(
-      GpuId(0), gpu::MigPartition::Parse("3g.40gb+3g.40gb"));
-  rec_.SyncSlices(cluster_);
-  for (SliceId s : fresh) rec_.SliceBound(s, Seconds(5));
+  for (int s = 0; s < 3; ++s) Bound(SliceId(s), 0);
+  for (int s = 0; s < 3; ++s) Released(SliceId(s), Seconds(5));
+  const std::vector<SliceId> fresh = RepartitionGpu0(Seconds(5));
+  for (SliceId s : fresh) Bound(s, Seconds(5));
   rec_.Close(Seconds(10));
   const auto occ = rec_.PerGpuOccupancy();
   ASSERT_EQ(occ.size(), 2u);
@@ -154,14 +191,14 @@ TEST_F(RecorderTest, PerGpuOccupancyAfterShrinkingRepartition) {
 }
 
 TEST_F(RecorderTest, InvariantViolationsThrow) {
-  EXPECT_THROW(rec_.SliceBusy(SliceId(0), 0), FfsError);  // busy unbound
-  rec_.SliceBound(SliceId(0), 0);
-  EXPECT_THROW(rec_.SliceBound(SliceId(0), 1), FfsError);  // double bind
-  rec_.SliceBusy(SliceId(0), 1);
-  EXPECT_THROW(rec_.SliceBusy(SliceId(0), 2), FfsError);   // double busy
-  EXPECT_THROW(rec_.SliceReleased(SliceId(0), 2), FfsError);  // busy release
-  rec_.SliceIdle(SliceId(0), 3);
-  EXPECT_THROW(rec_.SliceIdle(SliceId(0), 4), FfsError);   // double idle
+  EXPECT_THROW(Busy(SliceId(0), 0), FfsError);  // busy unbound
+  Bound(SliceId(0), 0);
+  EXPECT_THROW(Bound(SliceId(0), 1), FfsError);  // double bind
+  Busy(SliceId(0), 1);
+  EXPECT_THROW(Busy(SliceId(0), 2), FfsError);   // double busy
+  EXPECT_THROW(Released(SliceId(0), 2), FfsError);  // busy release
+  Idle(SliceId(0), 3);
+  EXPECT_THROW(Idle(SliceId(0), 4), FfsError);   // double idle
 }
 
 TEST_F(RecorderTest, CloseIsTerminalAndIdempotencyGuarded) {
@@ -171,25 +208,51 @@ TEST_F(RecorderTest, CloseIsTerminalAndIdempotencyGuarded) {
 
 TEST_F(RecorderTest, ThroughputVariants) {
   for (int i = 0; i < 10; ++i) {
-    const RequestId r = rec_.NewRequest(FunctionId(0), 0, Seconds(100));
-    rec_.Complete(r, Seconds(i + 1));
+    const RequestId r = Submit(FunctionId(0), 0, Seconds(100));
+    Complete(r, Seconds(i + 1));
   }
   rec_.Close(Seconds(20));
   EXPECT_NEAR(rec_.WindowedThroughput(Seconds(5)), 1.0, 1e-12);
 }
 
+TEST_F(RecorderTest, GoodputExcludesTimedOutCompletions) {
+  const RequestId a = Submit(FunctionId(0), 0, Seconds(1));
+  const RequestId b = Submit(FunctionId(0), 0, Seconds(1));
+  bus_.Publish(sim::RequestTimedOut{b, FunctionId(0),
+                                    /*mid_execution=*/true, Millis(400)});
+  Complete(a, Millis(500));
+  Complete(b, Millis(600));
+  rec_.Close(Seconds(1));
+  EXPECT_DOUBLE_EQ(rec_.WindowedThroughput(Seconds(1)), 2.0);
+  EXPECT_DOUBLE_EQ(rec_.WindowedGoodput(Seconds(1)), 1.0);
+}
+
+TEST_F(RecorderTest, FairnessAndWorstTenantTail) {
+  EXPECT_EQ(rec_.JainFairnessIndex(), 1.0);  // no traffic
+  EXPECT_EQ(rec_.WorstFunctionP99(), 0.0);
+  const RequestId hit = Submit(FunctionId(0), 0, Seconds(1));
+  const RequestId miss = Submit(FunctionId(0), 0, Seconds(1));
+  const RequestId other = Submit(FunctionId(2), 0, Seconds(1));
+  Complete(hit, Millis(500));
+  Complete(miss, Seconds(2));
+  Complete(other, Millis(100));
+  // Hit rates 0.5 and 1.0; function 1 saw no traffic: 1.5² / (2 · 1.25).
+  EXPECT_DOUBLE_EQ(rec_.JainFairnessIndex(), 0.9);
+  EXPECT_EQ(rec_.WorstFunctionP99(), Percentile({0.5, 2.0}, 0.99));
+}
+
 TEST_F(RecorderTest, BreakdownAveragesCompletedOnly) {
-  const RequestId a = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
-  rec_.record(a).queue_time = Millis(100);
-  rec_.record(a).exec_time = Millis(200);
-  rec_.Complete(a, Millis(300));
-  const RequestId b = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
-  rec_.record(b).queue_time = Millis(300);
-  rec_.record(b).exec_time = Millis(400);
-  rec_.record(b).transfer_time = Millis(50);
-  rec_.Complete(b, Millis(750));
-  const RequestId open = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
-  rec_.record(open).queue_time = Seconds(10);  // must not count
+  const RequestId a = Submit(FunctionId(0), 0, Seconds(1));
+  Accrue(a, sim::RequestPhase::kQueue, Millis(100));
+  Accrue(a, sim::RequestPhase::kExec, Millis(200));
+  Complete(a, Millis(300));
+  const RequestId b = Submit(FunctionId(0), 0, Seconds(1));
+  Accrue(b, sim::RequestPhase::kQueue, Millis(300));
+  Accrue(b, sim::RequestPhase::kExec, Millis(400));
+  Accrue(b, sim::RequestPhase::kTransfer, Millis(50));
+  Complete(b, Millis(750));
+  const RequestId open = Submit(FunctionId(0), 0, Seconds(1));
+  Accrue(open, sim::RequestPhase::kQueue, Seconds(10));  // must not count
 
   auto bd = rec_.MeanBreakdown();
   EXPECT_NEAR(bd.queue, ToMillis(Millis(200)) * 1000, 1e-6);
@@ -199,10 +262,10 @@ TEST_F(RecorderTest, BreakdownAveragesCompletedOnly) {
 
 TEST_F(RecorderTest, LatenciesFilterByFunction) {
   EXPECT_EQ(rec_.LatencyPercentile(0.95), 0.0);  // no completions yet
-  const RequestId a = rec_.NewRequest(FunctionId(0), 0, Seconds(1));
-  rec_.Complete(a, Millis(100));
-  const RequestId b = rec_.NewRequest(FunctionId(1), 0, Seconds(1));
-  rec_.Complete(b, Millis(200));
+  const RequestId a = Submit(FunctionId(0), 0, Seconds(1));
+  Complete(a, Millis(100));
+  const RequestId b = Submit(FunctionId(1), 0, Seconds(1));
+  Complete(b, Millis(200));
   EXPECT_EQ(rec_.LatenciesSeconds().size(), 2u);
   auto only0 = rec_.LatenciesSeconds(FunctionId(0));
   ASSERT_EQ(only0.size(), 1u);
@@ -211,10 +274,10 @@ TEST_F(RecorderTest, LatenciesFilterByFunction) {
 }
 
 TEST_F(RecorderTest, PerSliceTotals) {
-  rec_.SliceBound(SliceId(2), 0);  // 1g on GPU 0
-  rec_.SliceBusy(SliceId(2), 0);
-  rec_.SliceIdle(SliceId(2), Seconds(3));
-  rec_.SliceReleased(SliceId(2), Seconds(5));
+  Bound(SliceId(2), 0);  // 1g on GPU 0
+  Busy(SliceId(2), 0);
+  Idle(SliceId(2), Seconds(3));
+  Released(SliceId(2), Seconds(5));
   rec_.Close(Seconds(10));
   auto totals = rec_.PerSliceTotals();
   ASSERT_EQ(totals.size(), 6u);
@@ -225,8 +288,8 @@ TEST_F(RecorderTest, PerSliceTotals) {
 }
 
 TEST_F(RecorderTest, CloseSettlesOpenIntervals) {
-  rec_.SliceBound(SliceId(0), 0);
-  rec_.SliceBusy(SliceId(0), Seconds(2));
+  Bound(SliceId(0), 0);
+  Busy(SliceId(0), Seconds(2));
   rec_.Close(Seconds(10));
   EXPECT_EQ(rec_.MigTime(), Seconds(8));
   EXPECT_EQ(BoundTime(rec_), Seconds(10));

@@ -41,7 +41,7 @@ class BatchingTest : public ::testing::Test {
   std::unique_ptr<Instance> Make(int max_batch, double marginal) {
     auto plan = *core::MonolithicPlanOnSlice(dag_, cluster_, SliceId(0));
     cluster_.Bind(SliceId(0), InstanceId(1));
-    recorder_.SliceBound(SliceId(0), 0);
+    sim_.bus().Publish(sim::SliceBound{SliceId(0), InstanceId(1), 0});
     auto inst = std::make_unique<Instance>(
         InstanceId(1), FunctionId(0), std::move(plan), sim_,
         [this](RequestId rid) { completions_.push_back({rid, sim_.Now()}); });
@@ -51,8 +51,10 @@ class BatchingTest : public ::testing::Test {
   }
 
   RequestId NewRequest() {
-    return recorder_.NewRequest(FunctionId(0), sim_.Now(),
-                                sim_.Now() + Seconds(10));
+    const RequestId rid(static_cast<std::int32_t>(recorder_.total_requests()));
+    sim_.bus().Publish(sim::RequestSubmitted{rid, FunctionId(0), sim_.Now(),
+                                             sim_.Now() + Seconds(10)});
+    return rid;
   }
 
   sim::Simulator sim_;

@@ -65,7 +65,7 @@ class InstanceTest : public ::testing::Test {
                                  SimDuration load = 0) {
     for (const auto& s : plan.stages) {
       cluster_.Bind(s.slice, InstanceId(1));
-      recorder_.SliceBound(s.slice, sim_.Now());
+      sim_.bus().Publish(sim::SliceBound{s.slice, InstanceId(1), sim_.Now()});
     }
     auto inst = std::make_unique<Instance>(
         InstanceId(1), FunctionId(0), std::move(plan), sim_,
@@ -75,8 +75,10 @@ class InstanceTest : public ::testing::Test {
   }
 
   RequestId NewRequest() {
-    return recorder_.NewRequest(FunctionId(0), sim_.Now(),
-                                sim_.Now() + Seconds(10));
+    const RequestId rid(static_cast<std::int32_t>(recorder_.total_requests()));
+    sim_.bus().Publish(sim::RequestSubmitted{rid, FunctionId(0), sim_.Now(),
+                                             sim_.Now() + Seconds(10)});
+    return rid;
   }
 
   sim::Simulator sim_;
