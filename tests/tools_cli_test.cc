@@ -72,7 +72,7 @@ CliArgs Parse(std::vector<std::string> raw) {
   auto argv = Argv(raw);
   return CliArgs(static_cast<int>(argv.size()), argv.data(), 2,
                  {"seeds", "nodes", "gpus", "seed", "loads", "duration",
-                  "tiers", "rate", "queue-cap"});
+                  "tiers", "rate", "queue-cap", "app"});
 }
 
 TEST(CliArgsTest, RejectsNonNumericListItem) {
@@ -89,6 +89,13 @@ TEST(CliArgsTest, RejectsNonPositiveOrOversizedCounts) {
                FfsError);
   EXPECT_EQ(Parse({"--nodes", "3"}).GetCount("nodes", 2), 3);
   EXPECT_EQ(Parse({}).GetCount("nodes", 2), 2);
+}
+
+TEST(CliArgsTest, RejectsOutOfRangeIndices) {
+  EXPECT_THROW(Parse({"--app", "-1"}).GetIndex("app", 0, 4), FfsError);
+  EXPECT_THROW(Parse({"--app", "4"}).GetIndex("app", 0, 4), FfsError);
+  EXPECT_EQ(Parse({"--app", "3"}).GetIndex("app", 0, 4), 3);
+  EXPECT_EQ(Parse({}).GetIndex("app", 0, 4), 0);
 }
 
 std::uint64_t Seed(const std::string& value) {

@@ -76,7 +76,17 @@ class CliArgs {
     return static_cast<int>(v);
   }
 
-  /// A number > 0 (durations).
+  /// An index into a table of `size` entries: an integer in [0, size).
+  int GetIndex(const std::string& key, int fallback, int size) const {
+    const long v = GetInt(key, fallback);
+    if (v < 0 || v >= size) {
+      throw FfsError(std::string("--") + key + " must be in [0, " +
+                     std::to_string(size - 1) + "]");
+    }
+    return static_cast<int>(v);
+  }
+
+  /// A number > 0 (durations, request rates, repair times).
   double GetPositive(const std::string& key, double fallback) const {
     const double v = GetDouble(key, fallback);
     if (!(v > 0.0)) throw FfsError(std::string("--") + key + " must be > 0");

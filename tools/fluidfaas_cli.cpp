@@ -116,7 +116,7 @@ int CmdRun(const CliArgs& args) {
   // the cluster; 0 (the default) runs exactly the fault-free simulation.
   cfg.faults.rate = args.GetNonNegative("fault-rate", 0.0);
   cfg.faults.seed = args.Get<std::uint64_t>("fault-seed", 0);
-  cfg.faults.mttr = Seconds(args.GetDouble("mttr", 30.0));
+  cfg.faults.mttr = Seconds(args.GetPositive("mttr", 30.0));
   cfg.faults.timeout_scale = args.GetNonNegative("timeout-scale", 0.0);
 
   // QoS queue policy (DESIGN.md §9). The defaults (fifo/none) reproduce the
@@ -331,7 +331,7 @@ int CmdTrace(const CliArgs& args) {
     FFS_CHECK_MSG(in.good(), "cannot open Azure dataset file");
     auto rows = trace::LoadAzureDataset(in);
     trace::AzureExpandOptions opt;
-    opt.num_functions = static_cast<int>(args.GetInt("functions", 4));
+    opt.num_functions = args.GetCount("functions", 4);
     opt.minutes = static_cast<int>(args.GetInt("minutes", 5));
     opt.count_scale = args.GetDouble("scale", 1.0);
     opt.seed = args.Get<std::uint64_t>("seed", 1234);
@@ -350,10 +350,10 @@ int CmdTrace(const CliArgs& args) {
     return 0;
   }
   trace::AzureLikeParams p;
-  p.total_rps = args.GetDouble("rps", 20.0);
+  p.total_rps = args.GetPositive("rps", 20.0);
   p.duration = Seconds(args.GetPositive("duration", 300.0));
   p.seed = args.Get<std::uint64_t>("seed", 1234);
-  const int functions = static_cast<int>(args.GetInt("functions", 4));
+  const int functions = args.GetCount("functions", 4);
   const trace::Trace t = trace::AzureLikeTrace(functions, p);
 
   const std::string path = args.GetString("out", "");
@@ -379,7 +379,7 @@ int CmdPlan(const CliArgs& args) {
     else if (size == "34b") dag = model::BuildLlmApp(model::LlmSize::k34B);
     else throw FfsError("unknown llm size: " + size);
   } else {
-    const int app = static_cast<int>(args.GetInt("app", 0));
+    const int app = args.GetIndex("app", 0, model::kNumApps);
     const std::string v = args.GetString("variant", "medium");
     model::Variant variant = model::Variant::kMedium;
     if (v == "small") variant = model::Variant::kSmall;
@@ -387,7 +387,7 @@ int CmdPlan(const CliArgs& args) {
     else if (v != "medium") throw FfsError("unknown variant: " + v);
     dag = model::BuildApp(app, variant);
   }
-  const int stages = static_cast<int>(args.GetInt("stages", 4));
+  const int stages = args.GetCount("stages", 4);
 
   std::cout << dag.name() << ": " << dag.size() << " components, "
             << metrics::Fmt(static_cast<double>(dag.TotalMemory()) / kGiB, 1)
