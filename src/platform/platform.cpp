@@ -204,8 +204,6 @@ std::vector<Instance*> PlatformCore::AllInstances() const {
   return out;
 }
 
-std::size_t PlatformCore::PendingCount() const { return pending_q_->size(); }
-
 qos::QueueItem PlatformCore::MakeQueueItem(RequestId rid,
                                            FunctionId fn) const {
   const FunctionSpec& spec = function(fn);
@@ -409,11 +407,6 @@ bool PlatformCore::DrainOrRetire(Instance* inst) {
 
 bool PlatformCore::IsWarm(FunctionId fn) const {
   return fns_[FnIndex(fn)].warm_until > sim_.Now();
-}
-
-SimDuration PlatformCore::LoadTime(FunctionId fn, Bytes weights) const {
-  return IsWarm(fn) ? config_.load.WarmLoad(weights)
-                    : config_.load.ColdLoad(weights);
 }
 
 void PlatformCore::TouchWarm(FunctionId fn) {

@@ -76,11 +76,9 @@ class PlatformCore final {
   /// Instance by id, or null for retired/failed/sentinel ids.
   Instance* FindInstance(InstanceId iid);
 
-  /// Number of requests neither completed nor admitted to an instance.
-  std::size_t PendingCount() const;
-
-  /// The installed queue discipline (never null after construction); its
-  /// DepthOf(fn) is the per-function pending depth.
+  /// The installed queue discipline (never null after construction): the
+  /// requests neither completed nor admitted to an instance. Its size() is
+  /// the pending depth and DepthOf(fn) the per-function one.
   const qos::QueueDiscipline& queue() const { return *pending_q_; }
 
   // -- mechanism operations, called by policies -----------------------------
@@ -108,8 +106,6 @@ class PlatformCore final {
 
   /// True if the function's weights are warm in CPU memory.
   bool IsWarm(FunctionId fn) const;
-  /// Load duration for `weights` bytes of fn, by its warm/cold status.
-  SimDuration LoadTime(FunctionId fn, Bytes weights) const;
   /// Note that fn's weights are now in CPU memory (refreshes the 10-minute
   /// warm window).
   void TouchWarm(FunctionId fn);

@@ -174,7 +174,7 @@ TEST_F(FfsPlatformTest, PipelinesDisabledAblationCannotUseFragments) {
   EXPECT_EQ(recorder_->pipelines_committed(), 0u);
   // Nothing can be placed: no instance exists, requests pend.
   EXPECT_EQ(recorder_->completed_requests(), 0u);
-  EXPECT_GT(plat_->PendingCount(), 0u);
+  EXPECT_GT(plat_->queue().size(), 0u);
 }
 
 TEST_F(FfsPlatformTest, MigrationReplacesPipelineWhenBigSliceFrees) {

@@ -152,7 +152,7 @@ TEST_F(DispatchTest, RefusedDueBarsEarlierItemsOfThatFunction) {
   // Offered a3, b1, a2, a1: a3's refusal bars a2 and a1 (earlier dues of
   // the same function); b1 belongs to another function.
   EXPECT_EQ(Pass(), (std::vector<RequestId>{a3, b1}));
-  EXPECT_EQ(plat_->PendingCount(), 4u);
+  EXPECT_EQ(plat_->queue().size(), 4u);
 }
 
 TEST_F(DispatchTest, LaterDueItemsAreStillOffered) {
@@ -194,7 +194,7 @@ TEST_F(DispatchTest, PlacementClearsEveryBar) {
     return rid == b1;
   };
   EXPECT_EQ(Pass(), (std::vector<RequestId>{a3, b1, a2}));
-  EXPECT_EQ(plat_->PendingCount(), 3u);
+  EXPECT_EQ(plat_->queue().size(), 3u);
 }
 
 TEST_F(DispatchTest, CommitInsideARefusedCallClearsEveryBar) {
@@ -231,7 +231,7 @@ TEST_F(DispatchTest, ShedStillRejectsInfeasibleItemsBehindASkippedOne) {
   // a3 is refused; a2 is skipped under the bar; a1 still meets the
   // admission review and is shed.
   EXPECT_EQ(Pass(), (std::vector<RequestId>{a3}));
-  EXPECT_EQ(plat_->PendingCount(), 2u);
+  EXPECT_EQ(plat_->queue().size(), 2u);
   EXPECT_TRUE(recorder_.record(a1).rejected);
   EXPECT_EQ(recorder_.record(a1).reject_cause,
             sim::RejectCause::kDeadlineInfeasible);

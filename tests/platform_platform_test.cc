@@ -118,14 +118,6 @@ TEST_F(PlatformTest, LaunchBindsSlicesAndRetireReleases) {
   EXPECT_TRUE(plat_.IsWarm(FunctionId(0)));
 }
 
-TEST_F(PlatformTest, ColdThenWarmLoadTimes) {
-  EXPECT_FALSE(plat_.IsWarm(FunctionId(0)));
-  const SimDuration cold = plat_.LoadTime(FunctionId(0), GiB(2));
-  plat_.TouchWarm(FunctionId(0));
-  const SimDuration warm = plat_.LoadTime(FunctionId(0), GiB(2));
-  EXPECT_LT(warm, cold);
-}
-
 TEST_F(PlatformTest, WarmExpiresAfterTimeout) {
   plat_.TouchWarm(FunctionId(0));
   EXPECT_TRUE(plat_.IsWarm(FunctionId(0)));
@@ -136,13 +128,13 @@ TEST_F(PlatformTest, WarmExpiresAfterTimeout) {
 TEST_F(PlatformTest, PendingRequestsRetryOnCompletion) {
   knobs_->accept = false;
   plat_.Submit(FunctionId(0));
-  EXPECT_EQ(plat_.PendingCount(), 1u);
+  EXPECT_EQ(plat_.queue().size(), 1u);
   knobs_->accept = true;
   // A completion of some other request triggers DispatchPending; simplest
   // trigger here: submit one that is accepted and let it finish.
   plat_.Submit(FunctionId(0));
   sim_.Run();
-  EXPECT_EQ(plat_.PendingCount(), 0u);
+  EXPECT_EQ(plat_.queue().size(), 0u);
   EXPECT_EQ(recorder_.completed_requests(), 2u);
 }
 
@@ -150,10 +142,10 @@ TEST_F(PlatformTest, StartRunsAutoscaleAndDispatchesPending) {
   plat_.Start();
   knobs_->accept = false;
   plat_.Submit(FunctionId(1));
-  EXPECT_EQ(plat_.PendingCount(), 1u);
+  EXPECT_EQ(plat_.queue().size(), 1u);
   knobs_->accept = true;
   sim_.RunUntil(Seconds(2));  // a few autoscale ticks
-  EXPECT_EQ(plat_.PendingCount(), 0u);
+  EXPECT_EQ(plat_.queue().size(), 0u);
   plat_.Stop();
 }
 

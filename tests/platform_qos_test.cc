@@ -168,7 +168,7 @@ TEST(PlatformQosTest, BackpressureTracksPendingAndRejections) {
 
   EXPECT_EQ(recorder.rejected_by(sim::RejectCause::kRateLimited), 7u);
   EXPECT_EQ(recorder.rejected_requests(), 7u);
-  EXPECT_EQ(plat.queue().DepthOf(FunctionId(0)), plat.PendingCount());
+  EXPECT_EQ(plat.queue().DepthOf(FunctionId(0)), plat.queue().size());
   EXPECT_EQ(plat.queue().DepthOf(FunctionId(1)), 0u);
 
   sim.RunUntil(Seconds(60));

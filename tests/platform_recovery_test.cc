@@ -427,7 +427,7 @@ TEST(TimeoutTest, MidPendingExpiryCancelsOutright) {
   World w(cfg);
   w.knobs->accept = false;  // park the request in the pending set
   const RequestId rid = w.plat->Submit(FunctionId(0));
-  EXPECT_EQ(w.plat->PendingCount(), 1u);
+  EXPECT_EQ(w.plat->queue().size(), 1u);
 
   bool mid_execution = true;
   w.sim.bus().Subscribe<sim::RequestTimedOut>(
@@ -435,7 +435,7 @@ TEST(TimeoutTest, MidPendingExpiryCancelsOutright) {
   w.sim.Run();
 
   EXPECT_FALSE(mid_execution);
-  EXPECT_EQ(w.plat->PendingCount(), 0u);
+  EXPECT_EQ(w.plat->queue().size(), 0u);
   EXPECT_EQ(w.recorder.completed_requests(), 0u);
   EXPECT_EQ(w.recorder.timeouts(), 1u);
   EXPECT_EQ(w.recorder.aborted_requests(), 1u);
