@@ -25,9 +25,8 @@ ServiceResult Serve(model::LlmSize size, double rps, SimDuration duration) {
   fns.push_back(platform::MakeFunctionSpec(
       FunctionId(0), 100, model::Variant::kLarge, model::BuildLlmApp(size),
       2.0, /*max_stages=*/6));
-  platform::PlatformConfig config;
-  config.max_stages = 6;
-  platform::PlatformCore plat(sim, cluster, std::move(fns), config,
+  platform::PlatformCore plat(sim, cluster, std::move(fns),
+                              platform::PlatformConfig{},
                               core::MakeFluidFaasBundle());
   recorder.SubscribeTo(sim.bus());
   plat.Start();

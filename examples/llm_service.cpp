@@ -52,9 +52,8 @@ int main() {
             << metrics::Fmt(ToSeconds(spec.slo), 2) << "s (2x solo time on "
             << "its minimum slice class)\n";
 
-  platform::PlatformConfig config;
-  config.max_stages = 6;
-  platform::PlatformCore platform(sim, cluster, std::move(fns), config,
+  platform::PlatformCore platform(sim, cluster, std::move(fns),
+                                  platform::PlatformConfig{},
                                   core::MakeFluidFaasBundle());
   recorder.SubscribeTo(sim.bus());
   platform.Start();

@@ -32,7 +32,8 @@ inline constexpr double kScaleupLoadFactor = 0.60;
 inline constexpr double kBatchMarginalCost = 0.35;
 
 struct PlatformConfig {
-  /// SLO latency = slo_scale × solo latency on minimum MIG (§6).
+  /// SLO latency = slo_scale × solo latency on minimum MIG (§6). Only
+  /// workload building (trace::WorkloadParams) reads it.
   double slo_scale = 1.5;
 
   /// Keep-alive before a warm (CPU-resident) function turns cold (§5.3:
@@ -47,7 +48,8 @@ struct PlatformConfig {
   /// Fig. 5 bench restores the 10-minute window on a long trace.
   SimDuration exclusive_keepalive = Seconds(120.0);
 
-  /// Maximum pipeline depth considered by the partitioner.
+  /// Maximum pipeline depth considered by the partitioner. Only workload
+  /// building (trace::WorkloadParams) reads it.
   int max_stages = 4;
 
   /// Enable hotness-aware eviction-based time sharing (FluidFaaS §5.3).
