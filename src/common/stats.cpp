@@ -97,20 +97,28 @@ double TimeWeightedSignal::ValueAt(SimTime t) const {
   return std::prev(it)->second;
 }
 
-double TimeWeightedSignal::MeanOver(SimTime begin, SimTime end) const {
-  if (end <= begin || points_.empty()) return 0.0;
-  double integral = 0.0;
-  SimTime cursor = begin;
-  double value = ValueAt(begin);
+template <typename OnPiece>
+void TimeWeightedSignal::Walk(SimTime begin, SimTime end,
+                              OnPiece&& on_piece) const {
   auto it = std::upper_bound(
       points_.begin(), points_.end(), begin,
       [](SimTime lhs, const auto& p) { return lhs < p.first; });
+  SimTime cursor = begin;
+  double value = it == points_.begin() ? 0.0 : std::prev(it)->second;
   for (; it != points_.end() && it->first < end; ++it) {
-    integral += value * static_cast<double>(it->first - cursor);
+    on_piece(value, it->first - cursor);
     cursor = it->first;
     value = it->second;
   }
-  integral += value * static_cast<double>(end - cursor);
+  on_piece(value, end - cursor);
+}
+
+double TimeWeightedSignal::MeanOver(SimTime begin, SimTime end) const {
+  if (end <= begin) return 0.0;
+  double integral = 0.0;
+  Walk(begin, end, [&](double value, SimDuration d) {
+    integral += value * static_cast<double>(d);
+  });
   return integral / static_cast<double>(end - begin);
 }
 
@@ -118,17 +126,9 @@ double TimeWeightedSignal::FractionAtOrBelow(double threshold, SimTime begin,
                                              SimTime end) const {
   if (end <= begin) return 0.0;
   SimDuration below = 0;
-  SimTime cursor = begin;
-  double value = ValueAt(begin);
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), begin,
-      [](SimTime lhs, const auto& p) { return lhs < p.first; });
-  for (; it != points_.end() && it->first < end; ++it) {
-    if (value <= threshold) below += it->first - cursor;
-    cursor = it->first;
-    value = it->second;
-  }
-  if (value <= threshold) below += end - cursor;
+  Walk(begin, end, [&](double value, SimDuration d) {
+    if (value <= threshold) below += d;
+  });
   return static_cast<double>(below) / static_cast<double>(end - begin);
 }
 

@@ -68,6 +68,11 @@ class TimeWeightedSignal {
   double ValueAt(SimTime t) const;
 
  private:
+  /// on_piece(value, duration) for each constant piece over [begin, end],
+  /// in time order; the value before the first point is 0.
+  template <typename OnPiece>
+  void Walk(SimTime begin, SimTime end, OnPiece&& on_piece) const;
+
   std::vector<std::pair<SimTime, double>> points_;  // (time, value), sorted
 };
 
