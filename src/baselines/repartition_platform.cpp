@@ -88,10 +88,13 @@ bool RepartitionState::TryReconfigure(platform::PlatformCore& core,
       if (t.gpu == g.id()) already_target = true;
     }
     if (already_target) continue;
-    // Every occupant must be one of our (drainable) instances.
+    // Every occupant must be one of our (drainable) instances, not a
+    // reconfiguration sentinel.
     bool drainable = true;
     for (const gpu::MigSlice& s : g.slices()) {
-      if (!s.free() && s.occupant.value >= 1'000'000) drainable = false;
+      if (!s.free() && core.FindInstance(s.occupant) == nullptr) {
+        drainable = false;
+      }
     }
     if (!drainable) continue;
 
