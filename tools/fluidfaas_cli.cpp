@@ -327,14 +327,14 @@ int CmdTrace(const CliArgs& args) {
     // Convert a slice of the real Azure Functions dataset into our trace
     // CSV: fluidfaas trace --azure dNN.csv --functions 4 --minutes 5
     //        --scale 0.05 --out trace.csv
+    trace::AzureExpandOptions opt;
+    opt.num_functions = args.GetCount("functions", 4);
+    opt.minutes = args.GetCount("minutes", 5);
+    opt.count_scale = args.GetPositive("scale", 1.0);
+    opt.seed = args.Get<std::uint64_t>("seed", 1234);
     std::ifstream in(args.GetString("azure", ""));
     FFS_CHECK_MSG(in.good(), "cannot open Azure dataset file");
     auto rows = trace::LoadAzureDataset(in);
-    trace::AzureExpandOptions opt;
-    opt.num_functions = args.GetCount("functions", 4);
-    opt.minutes = static_cast<int>(args.GetInt("minutes", 5));
-    opt.count_scale = args.GetDouble("scale", 1.0);
-    opt.seed = args.Get<std::uint64_t>("seed", 1234);
     const trace::Trace t = trace::ExpandAzureDataset(rows, opt);
     const std::string path = args.GetString("out", "");
     if (path.empty()) {
