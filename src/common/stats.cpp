@@ -89,14 +89,6 @@ void TimeWeightedSignal::Close(SimTime end) {
   }
 }
 
-double TimeWeightedSignal::ValueAt(SimTime t) const {
-  if (points_.empty() || t < points_.front().first) return 0.0;
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](SimTime lhs, const auto& p) { return lhs < p.first; });
-  return std::prev(it)->second;
-}
-
 template <typename OnPiece>
 void TimeWeightedSignal::Walk(SimTime begin, SimTime end,
                               OnPiece&& on_piece) const {

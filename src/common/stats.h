@@ -64,9 +64,6 @@ class TimeWeightedSignal {
   /// Fraction of [begin, end] during which the value was <= threshold.
   double FractionAtOrBelow(double threshold, SimTime begin, SimTime end) const;
 
-  /// Value of the signal at time t (last recorded value at or before t).
-  double ValueAt(SimTime t) const;
-
  private:
   /// on_piece(value, duration) for each constant piece over [begin, end],
   /// in time order; the value before the first point is 0.

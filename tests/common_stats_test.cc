@@ -84,14 +84,18 @@ TEST(TimeWeightedSignalTest, MeanOfPiecewiseConstant) {
   EXPECT_NEAR(s.MeanOver(Seconds(5), Seconds(15)), 2.0, 1e-9);
 }
 
-TEST(TimeWeightedSignalTest, ValueAt) {
+TEST(TimeWeightedSignalTest, WindowsStartingBeforeOrInsideAPiece) {
   TimeWeightedSignal s;
   s.Record(Seconds(1), 5.0);
   s.Record(Seconds(2), 7.0);
-  EXPECT_DOUBLE_EQ(s.ValueAt(0), 0.0);  // before first record
-  EXPECT_DOUBLE_EQ(s.ValueAt(Seconds(1)), 5.0);
-  EXPECT_DOUBLE_EQ(s.ValueAt(Seconds(1) + 1), 5.0);
-  EXPECT_DOUBLE_EQ(s.ValueAt(Seconds(3)), 7.0);
+  s.Close(Seconds(3));
+  EXPECT_DOUBLE_EQ(s.MeanOver(0, Seconds(1)), 0.0);  // before first record
+  EXPECT_DOUBLE_EQ(s.MeanOver(Seconds(1), Seconds(2)), 5.0);
+  EXPECT_DOUBLE_EQ(s.MeanOver(Seconds(1) + 1, Seconds(2)), 5.0);
+  EXPECT_DOUBLE_EQ(s.MeanOver(Seconds(2), Seconds(3)), 7.0);
+  EXPECT_DOUBLE_EQ(s.FractionAtOrBelow(5.0, Seconds(1) + 1, Seconds(3)),
+                   static_cast<double>(Seconds(1) - 1) /
+                       static_cast<double>(Seconds(2) - 1));
 }
 
 TEST(TimeWeightedSignalTest, FractionAtOrBelow) {
@@ -108,7 +112,8 @@ TEST(TimeWeightedSignalTest, SameInstantLastWriteWins) {
   TimeWeightedSignal s;
   s.Record(Seconds(1), 2.0);
   s.Record(Seconds(1), 5.0);
-  EXPECT_DOUBLE_EQ(s.ValueAt(Seconds(1)), 5.0);
+  s.Close(Seconds(2));
+  EXPECT_DOUBLE_EQ(s.MeanOver(Seconds(1), Seconds(2)), 5.0);
 }
 
 TEST(TimeWeightedSignalTest, RejectsOutOfOrderRecords) {
