@@ -258,6 +258,7 @@ double Recorder::JainFairnessIndex() const {
 
 double Recorder::WorstFunctionP99() const {
   double worst = 0.0;
+  // One past the highest function id that saw a request.
   const std::size_t num_fns = SloByFunction().size();
   for (std::size_t i = 0; i < num_fns; ++i) {
     std::vector<double> lats =
