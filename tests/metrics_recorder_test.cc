@@ -75,6 +75,7 @@ TEST_F(RecorderTest, RequestLifecycle) {
   EXPECT_TRUE(rr.done());
   EXPECT_TRUE(rr.SloHit());
   EXPECT_EQ(rr.Latency(), Millis(800));
+  EXPECT_EQ(rr.exec_time, Millis(300));
   EXPECT_EQ(rec_.completed_requests(), 1u);
 }
 
