@@ -1,15 +1,26 @@
 // Pending-event set for the discrete-event simulator.
 //
-// A binary min-heap keyed on (time, sequence). The sequence number makes
-// ordering of simultaneous events FIFO and therefore deterministic across
-// runs and platforms — a requirement for reproducible figures.
-// Cancel erases the entry, so the heap holds exactly the live events: an id
-// that fired or was already cancelled is not found and is refused. Cancel
-// is O(n); only PeriodicTask::Stop and FaultInjector::Stop call it, once
-// per run each.
+// Events pop in (time, sequence) order. The sequence number makes ordering
+// of simultaneous events FIFO and therefore deterministic across runs and
+// platforms — a requirement for reproducible figures.
+//
+// Two containers hold the events: a binary min-heap and a sorted FIFO tail.
+// Schedule appends to the tail when the event is no earlier than the tail's
+// last entry, and otherwise pushes it onto the heap; Pop takes whichever
+// head comes first. A replayed trace is scheduled in time order before the
+// clock starts, so its arrivals all land in the tail and leave it in O(1)
+// each, while the few dozen live platform events stay in a small heap.
+// Ids are issued in Schedule order and keep their key in either container,
+// so the pop order is the same total order a single heap gives.
+//
+// Cancel erases the entry, so the containers hold exactly the live events:
+// an id that fired or was already cancelled is not found and is refused.
+// Cancel is O(n) over both containers; only PeriodicTask::Stop and
+// FaultInjector::Stop call it, once per run each.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -36,8 +47,8 @@ class EventQueue {
   /// already fired, was already cancelled or was never issued. O(n).
   bool Cancel(EventId id);
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty() && tail_.empty(); }
+  std::size_t size() const { return heap_.size() + tail_.size(); }
 
   /// Time of the next event; kTimeInfinity when empty.
   SimTime PeekTime() const;
@@ -46,7 +57,23 @@ class EventQueue {
   Fired Pop();
 
  private:
+  // The std heap algorithms build a max-heap, so "greater" is the later
+  // event. A function object, not a function pointer, so they inline it.
+  struct Later {
+    bool operator()(const Fired& a, const Fired& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.id > b.id;
+    }
+  };
+
+  /// True when the next event is the tail's head, not the heap's.
+  bool TailFirst() const {
+    return heap_.empty() ||
+           (!tail_.empty() && Later{}(heap_.front(), tail_.front()));
+  }
+
   std::vector<Fired> heap_;  // std::push_heap order: earliest (time, id) first
+  std::deque<Fired> tail_;   // ascending (time, id)
   EventId next_id_ = 1;
 };
 
