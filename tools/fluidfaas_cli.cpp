@@ -39,6 +39,8 @@
 // hardware threads).
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <type_traits>
 
 #include "harness/sweep.h"
 
@@ -78,6 +80,21 @@ trace::WorkloadTier ParseTier(const std::string& s) {
   throw FfsError("unknown tier: " + s);
 }
 
+// Opens `path` as a `Stream` (std::ifstream or std::ofstream). A file that
+// cannot be opened is an `error: cannot open <path>` (reading) or
+// `error: cannot write <path>` (writing), exit 1.
+template <typename Stream>
+Stream OpenFile(const std::string& path) {
+  Stream stream(path);
+  if (!stream.good()) {
+    std::string msg = std::is_same_v<Stream, std::ifstream> ? "cannot open "
+                                                            : "cannot write ";
+    msg += path;
+    throw FfsError(msg);
+  }
+  return stream;
+}
+
 int ParseJobs(const CliArgs& args) {
   const long jobs = args.GetInt("jobs", 0);
   if (args.Has("jobs") && jobs < 1) {
@@ -103,8 +120,7 @@ int CmdRun(const CliArgs& args) {
   }
 
   if (args.Has("trace")) {
-    std::ifstream in(args.GetString("trace", ""));
-    FFS_CHECK_MSG(in.good(), "cannot open trace file");
+    auto in = OpenFile<std::ifstream>(args.GetString("trace", ""));
     cfg.custom_trace = trace::LoadCsv(in);
     std::cout << "replaying " << cfg.custom_trace.size()
               << " invocations from " << args.GetString("trace", "") << "\n";
@@ -235,16 +251,14 @@ int CmdRun(const CliArgs& args) {
 
   if (args.Has("json")) {
     const std::string path = args.GetString("json", "");
-    std::ofstream out(path);
-    FFS_CHECK_MSG(out.good(), "cannot write " + path);
+    auto out = OpenFile<std::ofstream>(path);
     out << harness::ResultsToJson(results) << "\n";
     std::cout << "JSON summary written to " << path << "\n";
   }
 
   if (args.Has("csv")) {
     const std::string path = args.GetString("csv", "");
-    std::ofstream out(path);
-    FFS_CHECK_MSG(out.good(), "cannot write " + path);
+    auto out = OpenFile<std::ofstream>(path);
     out << "system,request,function,arrival_us,deadline_us,completion_us,"
            "queue_us,load_us,exec_us,transfer_us,slo_hit\n";
     for (const auto& r : results) {
@@ -332,16 +346,14 @@ int CmdTrace(const CliArgs& args) {
     opt.minutes = args.GetCount("minutes", 5);
     opt.count_scale = args.GetPositive("scale", 1.0);
     opt.seed = args.Get<std::uint64_t>("seed", 1234);
-    std::ifstream in(args.GetString("azure", ""));
-    FFS_CHECK_MSG(in.good(), "cannot open Azure dataset file");
+    auto in = OpenFile<std::ifstream>(args.GetString("azure", ""));
     auto rows = trace::LoadAzureDataset(in);
     const trace::Trace t = trace::ExpandAzureDataset(rows, opt);
     const std::string path = args.GetString("out", "");
     if (path.empty()) {
       trace::SaveCsv(t, std::cout);
     } else {
-      std::ofstream out(path);
-      FFS_CHECK_MSG(out.good(), "cannot write " + path);
+      auto out = OpenFile<std::ofstream>(path);
       trace::SaveCsv(t, out);
       std::cout << rows.size() << " dataset functions -> top "
                 << opt.num_functions << ", " << t.size()
@@ -360,8 +372,7 @@ int CmdTrace(const CliArgs& args) {
   if (path.empty()) {
     trace::SaveCsv(t, std::cout);
   } else {
-    std::ofstream out(path);
-    FFS_CHECK_MSG(out.good(), "cannot write " + path);
+    auto out = OpenFile<std::ofstream>(path);
     trace::SaveCsv(t, out);
     std::cout << t.size() << " invocations ("
               << metrics::Fmt(trace::MeanRps(t, p.duration), 1)
