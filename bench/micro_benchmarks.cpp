@@ -37,6 +37,29 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384);
 
+// The trace-replay shape: n sorted arrivals are scheduled before the clock
+// starts, then each of the first n pops schedules one event a random short
+// time ahead, as an arrival schedules its request's completion. The
+// arrivals take the queue's sorted tail and the near-future events its heap.
+void BM_EventQueueTraceReplay(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(1);
+  for (auto _ : state) {
+    sim::EventQueue q;
+    for (int i = 0; i < n; ++i) q.Schedule(SimTime{i} * 1000, [] {});
+    int follow_ups = n;
+    while (!q.empty()) {
+      const SimTime now = q.Pop().time;
+      if (follow_ups-- > 0) {
+        q.Schedule(now + rng.UniformInt(1, 50'000), [] {});
+      }
+      benchmark::DoNotOptimize(now);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_EventQueueTraceReplay)->Arg(1024)->Arg(16384);
+
 void BM_SimulatorEventCascade(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

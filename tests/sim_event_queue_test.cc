@@ -118,12 +118,13 @@ TEST(EventQueueTest, StressRandomOrderIsSorted) {
   }
 }
 
-TEST(EventQueueTest, StressWithRandomCancellation) {
-  // Pops interleave with cancels of pending, fired and already-cancelled
-  // ids. A sorted model of the queued (time, id) pairs predicts every pop,
-  // every Cancel result and the size after each step.
+// Pops interleave with cancels of pending, fired and already-cancelled
+// ids. A sorted model of the queued (time, id) pairs predicts every pop,
+// every Cancel result and the size after each step. `next_time()` draws the
+// time of each scheduled event.
+template <typename NextTime>
+void StressAgainstSortedModel(Rng& rng, NextTime next_time) {
   EventQueue q;
-  Rng rng(99);
   std::set<std::pair<SimTime, EventId>> model;
   std::vector<std::pair<SimTime, EventId>> issued;
   int executed = 0;
@@ -132,7 +133,7 @@ TEST(EventQueueTest, StressWithRandomCancellation) {
   for (int step = 0; step < 6000; ++step) {
     const double op = rng.NextDouble();
     if (op < 0.45) {
-      const SimTime t = rng.UniformInt(0, 500);
+      const SimTime t = next_time();
       issued.emplace_back(t, q.Schedule(t, [&executed] { ++executed; }));
       model.insert(issued.back());
     } else if (op < 0.7) {
@@ -157,6 +158,58 @@ TEST(EventQueueTest, StressWithRandomCancellation) {
   }
   EXPECT_EQ(executed, popped);
   EXPECT_EQ(static_cast<std::size_t>(popped + cancelled), issued.size());
+}
+
+TEST(EventQueueTest, StressWithRandomCancellation) {
+  Rng rng(99);
+  StressAgainstSortedModel(rng, [&rng] { return rng.UniformInt(0, 500); });
+}
+
+TEST(EventQueueTest, StressWithSortedRunsAndCancellation) {
+  // Runs of nondecreasing times, as a replayed trace schedules them, mixed
+  // with random times that are mostly earlier than the run and sometimes
+  // later. The runs feed the sorted tail, the earlier times the heap, and a
+  // later time moves the tail's last entry past the run, so the run goes on
+  // in the heap until it catches up.
+  Rng rng(4321);
+  SimTime run_time = 0;
+  int run_left = 0;
+  StressAgainstSortedModel(rng, [&]() -> SimTime {
+    if (run_left == 0) {
+      if (rng.NextDouble() < 0.5) return rng.UniformInt(0, run_time + 100);
+      run_left = static_cast<int>(rng.UniformInt(5, 60));
+    }
+    --run_left;
+    run_time += rng.UniformInt(0, 3);
+    return run_time;
+  });
+}
+
+TEST(EventQueueTest, TiesAcrossTailAndHeapPopInIdOrder) {
+  EventQueue q;
+  const auto at = [&q](SimTime t) { return q.Schedule(t, [] {}); };
+  const EventId a = at(20);     // tail
+  const EventId late = at(40);  // tail
+  const EventId b = at(20);     // heap: earlier than the tail's last entry
+  const EventId c = at(20);     // heap
+  ASSERT_TRUE(q.Cancel(late));
+  const EventId d = at(20);     // tail: no earlier than its last entry, a
+  std::vector<EventId> order;
+  while (!q.empty()) order.push_back(q.Pop().id);
+  EXPECT_EQ(order, (std::vector<EventId>{a, b, c, d}));
+}
+
+TEST(EventQueueTest, EarlierThanTailPopsBeforeLaterTailEntries) {
+  EventQueue q;
+  for (SimTime t : {10, 20, 30}) q.Schedule(t, [] {});  // tail
+  q.Schedule(15, [] {});  // heap: earlier than the tail's last entry
+  std::vector<SimTime> order;
+  while (!q.empty()) {
+    const SimTime next = q.PeekTime();
+    order.push_back(q.Pop().time);
+    EXPECT_EQ(order.back(), next);
+  }
+  EXPECT_EQ(order, (std::vector<SimTime>{10, 15, 20, 30}));
 }
 
 }  // namespace
