@@ -6,6 +6,24 @@
 #include "common/error.h"
 
 namespace fluidfaas::sim {
+namespace {
+
+// The std heap algorithms build a max-heap, so "greater" is the later event.
+// A function object, not a function pointer, so they inline it.
+struct Later {
+  bool operator()(const EventQueue::Fired& a,
+                  const EventQueue::Fired& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.id > b.id;
+  }
+};
+
+}  // namespace
+
+bool EventQueue::TailFirst() const {
+  return heap_.empty() ||
+         (!tail_.empty() && Later{}(heap_.front(), tail_.front()));
+}
 
 EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   FFS_CHECK_MSG(when >= 0, "cannot schedule before simulation start");

@@ -57,20 +57,9 @@ class EventQueue {
   Fired Pop();
 
  private:
-  // The std heap algorithms build a max-heap, so "greater" is the later
-  // event. A function object, not a function pointer, so they inline it.
-  struct Later {
-    bool operator()(const Fired& a, const Fired& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-
   /// True when the next event is the tail's head, not the heap's.
-  bool TailFirst() const {
-    return heap_.empty() ||
-           (!tail_.empty() && Later{}(heap_.front(), tail_.front()));
-  }
+  /// Requires !empty().
+  bool TailFirst() const;
 
   std::vector<Fired> heap_;  // std::push_heap order: earliest (time, id) first
   std::deque<Fired> tail_;   // ascending (time, id)
