@@ -13,7 +13,7 @@ namespace {
 
 // Requests for which `counts` holds that completed within [0, window], per
 // second of the window.
-double WindowedRate(const std::vector<RequestRecord>& records, SimTime window,
+double WindowedRate(const std::deque<RequestRecord>& records, SimTime window,
                     bool (RequestRecord::*counts)() const) {
   if (window <= 0) return 0.0;
   std::size_t n = 0;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,9 @@ class Recorder {
   /// (timed out mid-queue or abandoned by the retry policy). The harness
   /// drains on this — identical to completed_requests() without faults.
   std::size_t finished_requests() const { return completed_ + aborted_; }
-  const std::vector<RequestRecord>& records() const { return records_; }
+  /// Every record, in id order. A deque: appending one never moves or
+  /// copies the others, so the store needs no size hint.
+  const std::deque<RequestRecord>& records() const { return records_; }
 
   // --- availability under faults ------------------------------------------
   std::size_t timeouts() const { return timeouts_; }
@@ -229,7 +232,7 @@ class Recorder {
   /// clean. The constructor registers the initial slices the same way.
   void SyncSlices();
 
-  std::vector<RequestRecord> records_;
+  std::deque<RequestRecord> records_;  // indexed by RequestId
   std::size_t completed_ = 0;
   std::size_t timeouts_ = 0;
   std::size_t retries_total_ = 0;

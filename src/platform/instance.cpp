@@ -200,7 +200,7 @@ void Instance::TryStart(std::size_t stage_idx) {
 void Instance::StartPass(std::size_t stage_idx) {
   Stage& st = stages_[stage_idx];
   const SimTime now = sim_.Now();
-  std::vector<PendingItem> batch;
+  std::vector<PendingItem>& batch = st.in_service;
   double jitter_sum = 0.0;
   while (!st.queue.empty() &&
          batch.size() < static_cast<std::size_t>(max_batch_)) {
@@ -241,18 +241,22 @@ void Instance::StartPass(std::size_t stage_idx) {
   }
 
   st.busy = true;
-  st.in_service = batch;
   if (busy_stages_++ == 0) NoteActiveTransition(true);
   sim_.bus().Publish(sim::SliceBusyBegin{st.binding.slice, id_, now});
-  sim_.After(service, [this, stage_idx, batch = std::move(batch)] {
+  // Capturing only [this, stage_idx] keeps the closure inside
+  // std::function's small buffer.
+  sim_.After(service, [this, stage_idx] {
     // A crash mid-pass already harvested this batch as failed work.
     if (state_ == InstanceState::kFailed) return;
     Stage& s = stages_[stage_idx];
     sim_.bus().Publish(sim::SliceBusyEnd{s.binding.slice, id_, sim_.Now()});
     s.busy = false;
+    // Hand the batch on from the other buffer: a completion may start this
+    // stage's next pass, which refills in_service.
+    s.finished.swap(s.in_service);
     s.in_service.clear();
     if (--busy_stages_ == 0) NoteActiveTransition(false);
-    OnStageDone(stage_idx, batch);
+    OnStageDone(stage_idx, s.finished);
     TryStart(stage_idx);
   });
 }
@@ -280,25 +284,27 @@ void Instance::OnStageDone(std::size_t stage_idx,
           item.rid, sim::RequestPhase::kTransfer, per_item, now});
     }
   }
-  const std::size_t next = stage_idx + 1;
+  const std::uint64_t id = next_hop_++;
   for (const PendingItem& item : batch) {
-    in_transfer_.push_back(TransferItem{item, next});
+    in_transfer_.push_back(TransferItem{item, stage_idx + 1, id});
   }
-  sim_.After(hop, [this, next, batch] {
-    // A crash mid-hop already harvested these items from in_transfer_.
-    if (Gone()) return;
-    for (const PendingItem& item : batch) {
-      for (auto it = in_transfer_.begin(); it != in_transfer_.end(); ++it) {
-        if (it->item.rid == item.rid && it->next_stage == next) {
-          in_transfer_.erase(it);
-          break;
-        }
-      }
-      PushItem(stages_[next], PendingItem{item.rid, item.jitter, sim_.Now(),
-                                          item.deadline, item.seq});
-    }
-    TryStart(next);
-  });
+  sim_.After(hop, [this, id] { FinishHop(id); });
+}
+
+void Instance::FinishHop(std::uint64_t hop) {
+  // A crash mid-hop already harvested these items from in_transfer_.
+  if (Gone()) return;
+  std::size_t next = 0;
+  for (const TransferItem& t : in_transfer_) {
+    if (t.hop != hop) continue;
+    next = t.next_stage;
+    PushItem(stages_[next], PendingItem{t.item.rid, t.item.jitter, sim_.Now(),
+                                        t.item.deadline, t.item.seq});
+  }
+  FFS_CHECK_MSG(next > 0, "transfer without items");
+  std::erase_if(in_transfer_,
+                [hop](const TransferItem& t) { return t.hop == hop; });
+  TryStart(next);
 }
 
 }  // namespace fluidfaas::platform

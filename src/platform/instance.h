@@ -150,16 +150,20 @@ class Instance {
     SimTime deadline = 0;   // absolute SLO deadline (kDeadline ordering)
     std::uint64_t seq = 0;  // admission order; the deterministic tie-break
   };
+  // A pass builds its batch in in_service and hands it on from finished;
+  // both buffers keep their capacity, so a pass allocates nothing.
   struct Stage {
     core::StageBinding binding;
     std::deque<PendingItem> queue;
     std::vector<PendingItem> in_service;  // the batch currently executing
+    std::vector<PendingItem> finished;    // the batch that just finished
     bool busy = false;
     bool pass_scheduled = false;  // batching: a pass-start event is queued
   };
   struct TransferItem {
     PendingItem item;
     std::size_t next_stage;
+    std::uint64_t hop;  // the batch's transfer, see FinishHop
   };
 
   /// Insert into a stage queue per stage_order_: append for kArrival,
@@ -173,6 +177,8 @@ class Instance {
   void StartPass(std::size_t stage_idx);
   void OnStageDone(std::size_t stage_idx,
                    const std::vector<PendingItem>& batch);
+  /// Deliver transfer `hop`'s batch to its next stage.
+  void FinishHop(std::uint64_t hop);
   void NoteActiveTransition(bool active_now);
   void SetState(InstanceState next);
 
@@ -193,6 +199,7 @@ class Instance {
   double batch_marginal_ = 0.35;
   qos::StageOrder stage_order_ = qos::StageOrder::kArrival;
   std::uint64_t next_item_seq_ = 0;
+  std::uint64_t next_hop_ = 0;
 
   // Active-time integrator for utilization windows.
   SimDuration active_total_ = 0;

@@ -39,6 +39,13 @@ PlatformCore::PlatformCore(sim::Simulator& sim, gpu::Cluster& cluster,
   FFS_CHECK_MSG(routing_ != nullptr, "bundle needs a RoutingPolicy");
   FFS_CHECK_MSG(scaling_ != nullptr, "bundle needs a ScalingPolicy");
   if (!keepalive_) keepalive_ = std::make_unique<NullKeepAlive>();
+  if (config_.service_jitter_cv > 0.0) {
+    // Log-normal with unit mean: sigma^2 = ln(1 + cv^2), mu = -sigma^2/2.
+    const double s2 = std::log(1.0 + config_.service_jitter_cv *
+                                         config_.service_jitter_cv);
+    jitter_mu_ = -0.5 * s2;
+    jitter_sigma_ = std::sqrt(s2);
+  }
   {
     qos::QueuePolicy qp = bundle.queue ? bundle.queue(config_.qos)
                                        : qos::MakeQueuePolicy(config_.qos);
@@ -152,7 +159,7 @@ RequestId PlatformCore::Submit(FunctionId fn) {
   const RequestId rid = CheckedId<RequestId>(next_request_id_++);
   const SimTime deadline = now + spec.slo;
   bus().Publish(sim::RequestSubmitted{rid, fn, now, deadline});
-  meta_.emplace(rid, ReqMeta{fn, deadline, SampleJitter()});
+  meta_.push_back(ReqMeta{fn, deadline, SampleJitter()});
   fns_[FnIndex(fn)].arrivals_this_tick += 1;
   // Admission gate (rate limit / depth cap). NullAdmission — the default —
   // always admits, leaving the fault-free event stream untouched.
@@ -174,22 +181,46 @@ RequestId PlatformCore::Submit(FunctionId fn) {
 }
 
 double PlatformCore::JitterOf(RequestId rid) const {
-  auto it = meta_.find(rid);
-  return it == meta_.end() ? 1.0 : it->second.jitter;
+  const ReqMeta* m = FindMeta(rid);
+  return m == nullptr ? 1.0 : m->jitter;
 }
 
 SimTime PlatformCore::DeadlineOf(RequestId rid) const {
-  auto it = meta_.find(rid);
-  FFS_CHECK_MSG(it != meta_.end(), "DeadlineOf on a non-outstanding request");
-  return it->second.deadline;
+  const ReqMeta* m = FindMeta(rid);
+  FFS_CHECK_MSG(m != nullptr, "DeadlineOf on a non-outstanding request");
+  return m->deadline;
 }
 
 double PlatformCore::SampleJitter() {
   if (config_.service_jitter_cv <= 0.0) return 1.0;
-  // Log-normal with unit mean: sigma^2 = ln(1 + cv^2), mu = -sigma^2/2.
-  const double s2 = std::log(1.0 + config_.service_jitter_cv *
-                                       config_.service_jitter_cv);
-  return rng_.LogNormal(-0.5 * s2, std::sqrt(s2));
+  return rng_.LogNormal(jitter_mu_, jitter_sigma_);
+}
+
+const PlatformCore::ReqMeta* PlatformCore::FindMeta(RequestId rid) const {
+  const std::int64_t i = rid.value - meta_base_;
+  if (i < static_cast<std::int64_t>(meta_head_) ||
+      i >= static_cast<std::int64_t>(meta_.size())) {
+    return nullptr;
+  }
+  const ReqMeta& m = meta_[static_cast<std::size_t>(i)];
+  return m.outstanding ? &m : nullptr;
+}
+
+void PlatformCore::EraseMeta(RequestId rid) {
+  ReqMeta* m = FindMeta(rid);
+  FFS_CHECK_MSG(m != nullptr, "forgetting a non-outstanding request");
+  m->outstanding = false;
+  while (meta_head_ < meta_.size() && !meta_[meta_head_].outstanding) {
+    ++meta_head_;
+  }
+  // Drop the finished prefix once it is at least half the window: each
+  // row moves at most once per row dropped, and the capacity stays.
+  if (2 * meta_head_ >= meta_.size()) {
+    meta_.erase(meta_.begin(),
+                meta_.begin() + static_cast<std::ptrdiff_t>(meta_head_));
+    meta_base_ += static_cast<std::int64_t>(meta_head_);
+    meta_head_ = 0;
+  }
 }
 
 const std::vector<Instance*>& PlatformCore::InstancesOf(FunctionId fn) const {
@@ -230,7 +261,7 @@ void PlatformCore::PublishPendingDepth() {
 void PlatformCore::RejectRequest(RequestId rid, FunctionId fn,
                                  sim::RejectCause cause) {
   bus().Publish(sim::RequestRejected{rid, fn, cause, sim_.Now()});
-  meta_.erase(rid);
+  EraseMeta(rid);
 }
 
 sim::PlanAbortCause PlatformCore::ValidatePlan(const PlacementPlan& plan) {
@@ -476,11 +507,11 @@ void PlatformCore::DispatchPending() {
 }
 
 void PlatformCore::HandleCompletion(RequestId rid) {
-  auto it = meta_.find(rid);
-  FFS_CHECK_MSG(it != meta_.end(), "completion for unknown request");
-  const FunctionId fn = it->second.fn;
+  const ReqMeta* m = FindMeta(rid);
+  FFS_CHECK_MSG(m != nullptr, "completion for unknown request");
+  const FunctionId fn = m->fn;
   bus().Publish(sim::RequestCompleted{rid, fn, sim_.Now()});
-  meta_.erase(it);
+  EraseMeta(rid);
   scaling_->OnCompleted(*this, rid, fn);
   DispatchPending();
 }
@@ -533,22 +564,20 @@ void PlatformCore::FailSlice(SliceId sid, SimDuration repair) {
 
 void PlatformCore::HandleFailedRequest(RequestId rid, int stage,
                                        int num_stages) {
-  auto it = meta_.find(rid);
-  if (it == meta_.end()) return;
-  ReqMeta& m = it->second;
-  const FunctionId fn = m.fn;
-  if (m.timed_out) {
+  ReqMeta* m = FindMeta(rid);
+  if (m == nullptr) return;
+  const FunctionId fn = m->fn;
+  if (m->timed_out) {
     // Already past its enforcement timeout; a retry could never be goodput.
-    bus().Publish(sim::RequestAbandoned{rid, fn, m.attempts, sim_.Now()});
-    meta_.erase(it);
+    bus().Publish(sim::RequestAbandoned{rid, fn, m->attempts, sim_.Now()});
+    EraseMeta(rid);
     return;
   }
-  m.attempts += 1;
-  const RetryPolicy::Decision d = retry_->OnFailure(*this, rid, fn,
-                                                    m.attempts);
+  const int attempts = ++m->attempts;
+  const RetryPolicy::Decision d = retry_->OnFailure(*this, rid, fn, attempts);
   if (!d.retry) {
-    bus().Publish(sim::RequestAbandoned{rid, fn, m.attempts, sim_.Now()});
-    meta_.erase(it);
+    bus().Publish(sim::RequestAbandoned{rid, fn, attempts, sim_.Now()});
+    EraseMeta(rid);
     return;
   }
   sim_.After(std::max<SimDuration>(d.backoff, 0),
@@ -559,8 +588,8 @@ void PlatformCore::HandleFailedRequest(RequestId rid, int stage,
 
 void PlatformCore::Resubmit(RequestId rid, FunctionId fn, int stage,
                             int num_stages) {
-  auto it = meta_.find(rid);
-  if (it == meta_.end()) return;  // expired during the backoff
+  const ReqMeta* m = FindMeta(rid);
+  if (m == nullptr) return;  // expired during the backoff
   const SimTime now = sim_.Now();
   bool resumed = false;
   if (stage > 0) {
@@ -570,27 +599,26 @@ void PlatformCore::Resubmit(RequestId rid, FunctionId fn, int stage,
     for (Instance* inst : InstancesOf(fn)) {
       if (!inst->CanAdmit()) continue;
       if (inst->plan().num_stages() != num_stages) continue;
-      inst->EnqueueAt(static_cast<std::size_t>(stage), rid,
-                      it->second.jitter, it->second.deadline);
+      inst->EnqueueAt(static_cast<std::size_t>(stage), rid, m->jitter,
+                      m->deadline);
       resumed = true;
       break;
     }
   }
-  bus().Publish(sim::RequestRetried{rid, fn, it->second.attempts, resumed,
-                                    now});
+  bus().Publish(sim::RequestRetried{rid, fn, m->attempts, resumed, now});
   if (resumed) return;
   if (!routing_->Route(*this, rid, fn)) MakePending(rid, fn);
 }
 
 void PlatformCore::ExpireRequest(RequestId rid) {
-  auto it = meta_.find(rid);
-  if (it == meta_.end()) return;  // completed or abandoned in time
-  const FunctionId fn = it->second.fn;
+  ReqMeta* m = FindMeta(rid);
+  if (m == nullptr) return;  // completed or abandoned in time
+  const FunctionId fn = m->fn;
   const SimTime now = sim_.Now();
   // Still in the pending set: cancel outright.
   if (pending_q_->Remove(rid)) {
     bus().Publish(sim::RequestTimedOut{rid, fn, false, now});
-    meta_.erase(it);
+    EraseMeta(rid);
     PublishPendingDepth();
     return;
   }
@@ -598,14 +626,14 @@ void PlatformCore::ExpireRequest(RequestId rid) {
   for (Instance* inst : InstancesOf(fn)) {
     if (inst->Abort(rid)) {
       bus().Publish(sim::RequestTimedOut{rid, fn, false, now});
-      meta_.erase(it);
+      EraseMeta(rid);
       DispatchPending();
       return;
     }
   }
   // Mid-execution (or mid-transfer / mid-retry-backoff): the work finishes
   // but no longer counts as goodput.
-  it->second.timed_out = true;
+  m->timed_out = true;
   bus().Publish(sim::RequestTimedOut{rid, fn, true, now});
 }
 
@@ -688,13 +716,16 @@ bool GrowCapacity(double rate, double capacity,
 }
 
 void RetireDrainedIdle(PlatformCore& core) {
+  const auto drained = [](const Instance* inst) {
+    return inst->state() == InstanceState::kDraining && inst->Idle();
+  };
   for (const FunctionSpec& spec : core.functions()) {
+    const std::vector<Instance*>& live = core.InstancesOf(spec.id);
+    if (std::none_of(live.begin(), live.end(), drained)) continue;
     // A copy: RetireInstance removes from the live list.
-    const std::vector<Instance*> live = core.InstancesOf(spec.id);
-    for (Instance* inst : live) {
-      if (inst->state() == InstanceState::kDraining && inst->Idle()) {
-        core.RetireInstance(inst);
-      }
+    const std::vector<Instance*> retiring = live;
+    for (Instance* inst : retiring) {
+      if (drained(inst)) core.RetireInstance(inst);
     }
   }
 }

@@ -19,7 +19,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -168,6 +167,7 @@ class PlatformCore final {
     double jitter = 1.0;
     int attempts = 0;     // instance failures survived so far
     bool timed_out = false;  // enforcement timeout fired mid-execution
+    bool outstanding = true;  // false once the request finished
   };
 
   // One row per instance ever created, indexed by InstanceId. Retired and
@@ -207,6 +207,15 @@ class PlatformCore final {
 
   /// Per-request service-time jitter factor.
   double SampleJitter();
+
+  /// The metadata of `rid` while it is outstanding, else null.
+  const ReqMeta* FindMeta(RequestId rid) const;
+  ReqMeta* FindMeta(RequestId rid) {
+    return const_cast<ReqMeta*>(std::as_const(*this).FindMeta(rid));
+  }
+  /// Forget a finished request. Rows leave the window from the front only,
+  /// once every older request finished too.
+  void EraseMeta(RequestId rid);
 
   /// Assemble the discipline's view of a request: absolute deadline, the
   /// §5.3 adjusted-deadline priority, and the execution + load estimate
@@ -266,10 +275,19 @@ class PlatformCore final {
   // router refused in the current pass.
   std::vector<SimTime> refused_due_;
 
-  // Outstanding (submitted, not yet completed) requests.
-  std::unordered_map<RequestId, ReqMeta> meta_;
+  // Per-request metadata: a dense window over the ids from the oldest
+  // outstanding request to the newest, so a request costs no allocation.
+  // meta_[i] belongs to id meta_base_ + i; rows before meta_head_ and rows
+  // whose outstanding flag is off are finished requests.
+  std::vector<ReqMeta> meta_;
+  std::size_t meta_head_ = 0;
+  std::int64_t meta_base_ = 0;
 
   std::int64_t next_request_id_ = 0;
+
+  // SampleJitter's log-normal parameters, fixed by the config.
+  double jitter_mu_ = 0.0;
+  double jitter_sigma_ = 0.0;
 };
 
 }  // namespace fluidfaas::platform
