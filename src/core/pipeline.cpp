@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -48,73 +47,77 @@ std::string PipelinePlan::ToString() const {
   return os.str();
 }
 
-std::optional<PipelinePlan> TryPlanOnNode(
-    const model::AppDag& dag, const PipelineCandidate& candidate,
-    const gpu::ClusterView& view, NodeId node,
-    const model::TransferCostModel& transfer) {
-  const std::vector<SliceId> free = view.FreeSlicesOnNode(node);
-  if (free.size() < candidate.stages.size()) return std::nullopt;
+namespace {
 
-  // Per-stage feasible slice lists (memory fit).
-  std::vector<std::vector<SliceId>> feasible(candidate.stages.size());
-  for (std::size_t i = 0; i < candidate.stages.size(); ++i) {
-    for (SliceId sid : free) {
-      if (view.slice(sid).memory() >= candidate.stages[i].memory) {
-        feasible[i].push_back(sid);
-      }
+// TryPlanOnNode over `free`, the node's free slices in ascending id order.
+std::optional<PipelinePlan> PlanOnFreeSlices(
+    const model::AppDag& dag, const PipelineCandidate& candidate,
+    const gpu::ClusterView& view, NodeId node, const std::vector<SliceId>& free,
+    const model::TransferCostModel& transfer) {
+  const std::size_t num_stages = candidate.stages.size();
+  if (free.size() < num_stages) return std::nullopt;
+  const auto fits = [&](SliceId sid, std::size_t stage) {
+    return view.slice(sid).memory() >= candidate.stages[stage].memory;
+  };
+  for (std::size_t i = 0; i < num_stages; ++i) {
+    if (std::none_of(free.begin(), free.end(),
+                     [&](SliceId sid) { return fits(sid, i); })) {
+      return std::nullopt;
     }
-    if (feasible[i].empty()) return std::nullopt;
   }
 
   // Exhaustive backtracking over distinct-slice assignments, keeping the
   // cheapest (fewest GPCs, then lowest ids). Stage counts are <= 5-6 and
   // nodes expose <= a few dozen slices, so this is microseconds of work.
-  std::vector<SliceId> current(candidate.stages.size());
+  std::vector<SliceId> current(num_stages);
   std::vector<SliceId> best;
   int best_gpcs = std::numeric_limits<int>::max();
-  std::vector<bool> used(view.num_slices(), false);
-
-  std::function<void(std::size_t, int)> search = [&](std::size_t stage,
-                                                     int gpcs) {
+  const auto search = [&](const auto& self, std::size_t stage,
+                          int gpcs) -> void {
     if (gpcs >= best_gpcs) return;  // cannot improve
-    if (stage == candidate.stages.size()) {
-      std::vector<SliceId> ids = current;
-      if (gpcs < best_gpcs ||
-          (gpcs == best_gpcs &&
-           (best.empty() || ids < best))) {
-        best = ids;
-        best_gpcs = gpcs;
-      }
+    if (stage == num_stages) {
+      // gpcs < best_gpcs here, so this binding is the new best.
+      best = current;
+      best_gpcs = gpcs;
       return;
     }
-    for (SliceId sid : feasible[stage]) {
-      const std::size_t idx = static_cast<std::size_t>(sid.value);
-      if (used[idx]) continue;
-      used[idx] = true;
+    const auto assigned = current.begin() + static_cast<std::ptrdiff_t>(stage);
+    for (SliceId sid : free) {
+      if (!fits(sid, stage)) continue;
+      if (std::find(current.begin(), assigned, sid) != assigned) continue;
       current[stage] = sid;
-      search(stage + 1, gpcs + view.slice(sid).gpcs());
-      used[idx] = false;
+      self(self, stage + 1, gpcs + view.slice(sid).gpcs());
     }
   };
-  search(0, 0);
+  search(search, 0, 0);
   if (best.empty()) return std::nullopt;
 
   PipelinePlan plan;
   plan.node = node;
-  plan.stages.reserve(candidate.stages.size());
-  for (std::size_t i = 0; i < candidate.stages.size(); ++i) {
+  plan.stages.reserve(num_stages);
+  for (std::size_t i = 0; i < num_stages; ++i) {
     StageBinding b;
     b.plan = candidate.stages[i];
     b.slice = best[i];
     b.profile = view.slice(best[i]).profile();
     b.exec_time =
         StageLatencyOnGpcs(dag, b.plan.begin, b.plan.end, gpu::Gpcs(b.profile));
-    if (i + 1 < candidate.stages.size()) {
+    if (i + 1 < num_stages) {
       b.hop_out = transfer.HopCost(dag.CutBytes(b.plan.end));
     }
     plan.stages.push_back(b);
   }
   return plan;
+}
+
+}  // namespace
+
+std::optional<PipelinePlan> TryPlanOnNode(
+    const model::AppDag& dag, const PipelineCandidate& candidate,
+    const gpu::ClusterView& view, NodeId node,
+    const model::TransferCostModel& transfer) {
+  return PlanOnFreeSlices(dag, candidate, view, node,
+                          view.FreeSlicesOnNode(node), transfer);
 }
 
 std::optional<PipelinePlan> MonolithicPlanOnSlice(const model::AppDag& dag,
@@ -152,9 +155,15 @@ std::optional<PipelinePlan> PlanFirstFeasible(
     std::optional<NodeId> node) {
   const int first = node ? node->value : 0;
   const int last = node ? node->value + 1 : view.num_nodes();
+  // Each node's free slices, looked up on its first visit only.
+  std::vector<std::optional<std::vector<SliceId>>> free(
+      static_cast<std::size_t>(last - first));
   for (const PipelineCandidate& cand : candidates) {
     for (int n = first; n < last; ++n) {
-      auto plan = TryPlanOnNode(dag, cand, view, NodeId(n), transfer);
+      auto& node_free = free[static_cast<std::size_t>(n - first)];
+      if (!node_free) node_free = view.FreeSlicesOnNode(NodeId(n));
+      auto plan =
+          PlanOnFreeSlices(dag, cand, view, NodeId(n), *node_free, transfer);
       if (plan) return plan;
     }
   }
