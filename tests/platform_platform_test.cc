@@ -100,6 +100,53 @@ TEST_F(PlatformTest, SubmitCreatesRecordWithSloDeadline) {
 }
 
 
+TEST_F(PlatformTest, MetadataWindowSurvivesOutOfOrderFinishes) {
+  // The first request waits in the pending set until another one finishes,
+  // so later ids finish before it and the window holds rows of finished
+  // requests behind an outstanding one.
+  knobs_->accept = false;
+  std::vector<RequestId> rids = {plat_.Submit(FunctionId(0))};
+  knobs_->accept = true;
+  for (int i = 0; i < 11; ++i) {
+    rids.push_back(plat_.Submit(FunctionId(1 + i % 3)));
+  }
+  std::vector<SimTime> deadlines;
+  std::vector<double> jitters;
+  for (RequestId rid : rids) {
+    deadlines.push_back(plat_.DeadlineOf(rid));
+    jitters.push_back(plat_.JitterOf(rid));
+    EXPECT_NE(jitters.back(), 1.0);  // sampled, not the finished default
+  }
+  std::vector<bool> finished(rids.size(), false);
+  std::vector<RequestId> order;
+  auto sub = sim_.bus().SubscribeScoped<sim::RequestCompleted>(
+      [&](const sim::RequestCompleted& e) {
+        // The completing request is still outstanding while this runs.
+        for (std::size_t i = 0; i < rids.size(); ++i) {
+          if (finished[i]) {
+            EXPECT_THROW(plat_.DeadlineOf(rids[i]), FfsError);
+            EXPECT_EQ(plat_.JitterOf(rids[i]), 1.0);
+          } else {
+            EXPECT_EQ(plat_.DeadlineOf(rids[i]), deadlines[i]);
+            EXPECT_EQ(plat_.JitterOf(rids[i]), jitters[i]);
+          }
+        }
+        finished[static_cast<std::size_t>(e.rid.value)] = true;
+        order.push_back(e.rid);
+      });
+  sim_.Run();
+  ASSERT_EQ(order.size(), rids.size());
+  EXPECT_NE(order.front(), rids.front());  // finished out of id order
+  for (RequestId rid : rids) {
+    EXPECT_THROW(plat_.DeadlineOf(rid), FfsError);
+  }
+  // Ids keep counting after the window emptied.
+  const RequestId next = plat_.Submit(FunctionId(0));
+  EXPECT_EQ(next, RequestId(static_cast<std::int32_t>(rids.size())));
+  EXPECT_EQ(plat_.DeadlineOf(next), recorder_.record(next).deadline);
+  sim_.Run();
+}
+
 TEST_F(PlatformTest, LaunchBindsSlicesAndRetireReleases) {
   const FunctionSpec& spec = plat_.function(FunctionId(0));
   auto plan = core::MonolithicPlanOnSmallestSlice(spec.dag, cluster_);
