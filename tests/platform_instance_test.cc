@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "core/partitioner.h"
 #include "core/pipeline.h"
 #include "gpu/cluster.h"
 #include "metrics/recorder.h"
+#include "model/zoo.h"
 #include "sim/simulator.h"
 
 namespace fluidfaas::platform {
@@ -252,6 +255,73 @@ TEST_F(InstanceTest, BusyAccountingReachesRecorder) {
   recorder_.Close(sim_.Now());
   // Each stage busy 100 ms on its own slice.
   EXPECT_EQ(recorder_.MigTime(), Millis(200));
+}
+
+// The planner's first-ranked two-stage plan for a zoo app on an empty
+// 8-GPU node, as FluidFaaS's placement would build it.
+core::PipelinePlan PlannedTwoStagePipeline(const model::AppDag& dag) {
+  const auto cluster = gpu::Cluster::Uniform(1, 8, gpu::DefaultPartition());
+  for (const auto& cand : core::EnumerateRankedPipelines(dag, 4)) {
+    if (cand.num_stages() != 2) continue;
+    auto plan = core::TryPlanOnNode(dag, cand, cluster, NodeId(0),
+                                    model::TransferCostModel{});
+    if (plan) return *plan;
+  }
+  throw FfsError("no two-stage plan");
+}
+
+// Under saturating load a pipelined instance completes one request per
+// pass of its slowest stage. A stage is free again once its exec ends: its
+// hop_out runs as an in-flight transfer, overlapped with the next pass. So
+// the cycle is the largest exec_time, not PipelinePlan::BottleneckTime(),
+// which adds each stage's hop_out. The two agree only when no stage's
+// exec_time + hop_out exceeds the largest exec_time; otherwise
+// CapacityRps() understates what the instance delivers.
+TEST(InstanceSaturationTest, SaturatedPipelineCyclesAtItsSlowestStage) {
+  struct Case {
+    int app;
+    model::Variant variant;
+    bool bottleneck_is_cycle;  // BottleneckTime() == largest exec_time
+  };
+  const Case cases[] = {
+      // [180 ms + 11 ms hop] [260 ms]: the slowest stage is the last one.
+      {2, model::Variant::kSmall, true},
+      // [180 ms + 11 ms hop] [123 ms]: the slowest stage has the hop.
+      {0, model::Variant::kSmall, false},
+      // [336.000 ms + 11.536 ms hop] [347.520 ms]: the slowest stage is the
+      // last one, but the first stage's exec plus hop is longer still.
+      {1, model::Variant::kMedium, false},
+  };
+  constexpr int kRequests = 20;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "app " << c.app << " "
+                                    << model::Name(c.variant));
+    const auto dag = model::BuildApp(c.app, c.variant);
+    const core::PipelinePlan plan = PlannedTwoStagePipeline(dag);
+    ASSERT_EQ(plan.num_stages(), 2);
+    SimDuration cycle = 0;
+    for (const core::StageBinding& s : plan.stages) {
+      cycle = std::max(cycle, s.exec_time);
+    }
+
+    sim::Simulator sim;
+    std::vector<SimTime> done;
+    Instance inst(InstanceId(1), FunctionId(0), plan, sim,
+                  [&](RequestId) { done.push_back(sim.Now()); });
+    inst.Launch(0);
+    for (int i = 0; i < kRequests; ++i) inst.Enqueue(RequestId(i), 1.0);
+    sim.Run();
+
+    ASSERT_EQ(done.size(), static_cast<std::size_t>(kRequests));
+    EXPECT_EQ(done.front(), plan.EndToEndLatency());
+    for (std::size_t i = 1; i < done.size(); ++i) {
+      EXPECT_EQ(done[i] - done[i - 1], cycle) << "completion " << i;
+    }
+    EXPECT_EQ(plan.BottleneckTime() == cycle, c.bottleneck_is_cycle);
+    EXPECT_GE(plan.BottleneckTime(), cycle);
+    EXPECT_NEAR(inst.CapacityRps(), 1.0 / ToSeconds(plan.BottleneckTime()),
+                1e-9);
+  }
 }
 
 }  // namespace
