@@ -1,10 +1,9 @@
 // google-benchmark microbenches for the hot algorithmic paths: the DES
 // event queue, the CV partition enumerator, pipeline planning against a
-// cluster, the ESG A* search, and the SPSC runtime channel.
+// cluster, and the ESG A* search.
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <thread>
 
 #include "baselines/esg_search.h"
 #include "common/rng.h"
@@ -17,7 +16,6 @@
 #include "platform/platform.h"
 #include "platform/policy.h"
 #include "qos/queue_discipline.h"
-#include "runtime/spsc_ring.h"
 #include "sim/simulator.h"
 
 namespace fluidfaas {
@@ -132,31 +130,6 @@ void BM_EsgAStarSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EsgAStarSearch)->Arg(5)->Arg(20)->Arg(60);
-
-void BM_SpscRingThroughput(benchmark::State& state) {
-  const std::size_t frame = static_cast<std::size_t>(state.range(0));
-  std::vector<std::byte> payload(frame);
-  for (auto _ : state) {
-    state.PauseTiming();
-    runtime::SpscByteRing ring(1 << 22);
-    constexpr int kFrames = 4096;
-    state.ResumeTiming();
-    std::thread consumer([&] {
-      int n = 0;
-      while (n < kFrames) {
-        if (ring.Pop()) ++n;
-      }
-    });
-    for (int i = 0; i < kFrames; ++i) {
-      ring.Push(payload.data(), static_cast<std::uint32_t>(payload.size()));
-    }
-    consumer.join();
-    state.SetBytesProcessed(state.bytes_processed() +
-                            static_cast<std::int64_t>(kFrames) *
-                                static_cast<std::int64_t>(frame));
-  }
-}
-BENCHMARK(BM_SpscRingThroughput)->Arg(256)->Arg(4096)->Arg(65536);
 
 // --- Placement transactions (DESIGN.md §8) ----------------------------------
 

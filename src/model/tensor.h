@@ -1,6 +1,6 @@
 // Tensor shape/size description. The scheduler and transfer-cost model only
-// ever need byte counts, but keeping dims explicit makes example programs and
-// the pipeline runtime (which frames real buffers) read naturally.
+// ever need byte counts, but keeping dims explicit makes the model zoo and
+// example programs read naturally.
 #pragma once
 
 #include <cstdint>
