@@ -653,8 +653,12 @@ RetryPolicy::Decision BoundedRetryPolicy::OnFailure(PlatformCore& core,
 void FixedIdleKeepAlive::Tick(PlatformCore& core) {
   const SimDuration keepalive = core.config().exclusive_keepalive;
   const SimTime now = core.simulator().Now();
-  for (Instance* inst : core.AllInstances()) {
-    if (inst->state() != InstanceState::kReady) continue;
+  // Walk the ids in creation order without copying the live list: retiring
+  // appends no id, and one launched during the walk is not visited.
+  const std::size_t bound = core.InstanceIdBound();
+  for (std::size_t i = 0; i < bound; ++i) {
+    Instance* inst = core.FindInstance(CheckedId<InstanceId>(i));
+    if (inst == nullptr || inst->state() != InstanceState::kReady) continue;
     if (!inst->Idle()) continue;
     if (now - inst->last_used() >= keepalive) core.RetireInstance(inst);
   }

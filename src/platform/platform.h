@@ -75,6 +75,10 @@ class PlatformCore final {
   /// Instance by id, or null for retired/failed/sentinel ids.
   Instance* FindInstance(InstanceId iid);
 
+  /// Instances launched so far: ids are dense in creation order, so every
+  /// instance id is below this. Retiring or failing an instance keeps its id.
+  std::size_t InstanceIdBound() const { return instances_.size(); }
+
   /// The installed queue discipline (never null after construction): the
   /// requests neither completed nor admitted to an instance. Its size() is
   /// the pending depth and DepthOf(fn) the per-function one.
