@@ -99,16 +99,18 @@ TEST(AllocTest, CountsOnlyInsideTheWindow) {
   EXPECT_EQ(g_allocations, 1u);
 }
 
-// Light tier, 300 s, paper cluster: every scheduler at 1.6 or fewer
-// allocations per request (0.65-1.25 today, 3.5-8.4 before the per-request
-// allocations were removed).
+// Light tier, 300 s, paper cluster: FluidFaaS and FluidFaaS-dist at 1.6 or
+// fewer allocations per request (1.25 and 1.24 today), the three baselines
+// just above their counts (ESG 0.50, INFless 0.44, Repartition 0.46 today;
+// 0.65-0.72 while their keep-alive tick copied the instance list, 3.5-8.4
+// before the per-request allocations were removed).
 TEST(AllocTest, LightTierEveryScheduler) {
   const Bound bounds[] = {
       {SystemKind::kFluidFaas, 1.6},
       {SystemKind::kFluidFaasDistributed, 1.6},
-      {SystemKind::kEsg, 1.6},
-      {SystemKind::kInfless, 1.6},
-      {SystemKind::kRepartition, 1.6},
+      {SystemKind::kEsg, 0.55},
+      {SystemKind::kInfless, 0.5},
+      {SystemKind::kRepartition, 0.5},
   };
   for (const Bound& b : bounds) {
     const Count c =
