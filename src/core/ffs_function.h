@@ -66,8 +66,6 @@ class FfsFunctionBuilder {
   FfsValue Register(model::ComponentSpec spec,
                     const std::vector<FfsValue>& inputs);
 
-  int num_registered() const { return static_cast<int>(components_.size()); }
-
   /// Finalize. The builder is consumed (registration order must be
   /// topological, which reg()'s value-handle flow guarantees by
   /// construction: a handle can only exist after its producer).

@@ -44,7 +44,6 @@ struct PipelineCandidate {
   double cv = 0.0;
 
   int num_stages() const { return static_cast<int>(stages.size()); }
-  bool IsMonolithic() const { return stages.size() == 1; }
 };
 
 /// Expected execution time of components [begin, end) on `gpcs` GPCs.

@@ -32,7 +32,6 @@ struct PipelinePlan {
   std::vector<StageBinding> stages;
   NodeId node;
 
-  bool IsMonolithic() const { return stages.size() == 1; }
   int num_stages() const { return static_cast<int>(stages.size()); }
 
   /// Steady-state cycle time: the slowest stage (exec + outbound hop)

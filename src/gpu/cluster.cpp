@@ -188,14 +188,6 @@ bool Cluster::IsFailed(SliceId sid) const {
   return !IsDead(sid) && slice(sid).failed;
 }
 
-std::vector<SliceId> Cluster::FailedSlices() const {
-  std::vector<SliceId> out;
-  for (SliceId id : AllSlices()) {
-    if (slice(id).failed) out.push_back(id);
-  }
-  return out;
-}
-
 void Cluster::Release(SliceId sid, InstanceId instance) {
   MigSlice& s = mutable_slice(sid);
   if (s.occupant != instance) {
@@ -212,22 +204,6 @@ int Cluster::TotalGpcs() const {
   int g = 0;
   for (const Gpu& gpu : gpus_) g += gpu.partition().total_gpcs();
   return g;
-}
-
-int Cluster::BoundGpcs() const {
-  int g = 0;
-  for (SliceId id : AllSlices()) {
-    const MigSlice& s = slice(id);
-    if (!s.free()) g += s.gpcs();
-  }
-  return g;
-}
-
-bool Cluster::GpuHasBoundSlice(GpuId id) const {
-  for (const MigSlice& s : gpu(id).slices()) {
-    if (!s.free()) return true;
-  }
-  return false;
 }
 
 std::string Cluster::Describe() const {

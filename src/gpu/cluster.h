@@ -129,9 +129,6 @@ class Cluster {
 
   bool IsFailed(SliceId sid) const;
 
-  /// Currently failed (and not repartitioned-away) slices, in id order.
-  std::vector<SliceId> FailedSlices() const;
-
   /// Replace a GPU's MIG partition at runtime (all its slices must be
   /// free). The old slice ids die permanently; the new slices get fresh
   /// cluster-unique ids, returned in placement order. The caller accounts
@@ -145,10 +142,6 @@ class Cluster {
 
   /// GPC accounting (for utilization metrics).
   int TotalGpcs() const;
-  int BoundGpcs() const;
-
-  /// True if any slice of `gpu` is bound.
-  bool GpuHasBoundSlice(GpuId gpu) const;
 
   std::string Describe() const;
 

@@ -44,10 +44,6 @@ class ClusterView {
   /// is still bound.
   void MarkPlannedFree(SliceId id);
 
-  bool IsReserved(SliceId id) const {
-    return reserved_.count(id.value) != 0;
-  }
-
   /// Free as seen through the overlay: (live allocatable or planned-free)
   /// and not reserved.
   bool Allocatable(SliceId id) const;

@@ -42,18 +42,6 @@ void Table::Print(std::ostream& os) const {
   rule();
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ",";
-      os << cells[c];
-    }
-    os << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string Fmt(double v, int decimals) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(decimals) << v;

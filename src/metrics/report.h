@@ -16,9 +16,6 @@ class Table {
   void AddRow(std::vector<std::string> cells);
   void Print(std::ostream& os = std::cout) const;
 
-  /// Emit as CSV (no alignment, comma-separated, header first).
-  void PrintCsv(std::ostream& os) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

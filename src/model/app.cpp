@@ -57,22 +57,6 @@ Bytes AppDag::CutBytes(int k) const {
   return bytes;
 }
 
-std::vector<int> AppDag::Successors(int idx) const {
-  std::vector<int> out;
-  for (const DagEdge& e : edges_) {
-    if (e.from == idx) out.push_back(e.to);
-  }
-  return out;
-}
-
-std::vector<int> AppDag::Predecessors(int idx) const {
-  std::vector<int> out;
-  for (const DagEdge& e : edges_) {
-    if (e.to == idx) out.push_back(e.from);
-  }
-  return out;
-}
-
 void AppDag::Validate() const {
   FFS_CHECK_MSG(!components_.empty(), "empty DAG");
   for (const DagEdge& e : edges_) {

@@ -58,10 +58,6 @@ class AppDag {
   /// output tensors of components before the cut consumed at/after it.
   Bytes CutBytes(int k) const;
 
-  /// Direct successors / predecessors by component index.
-  std::vector<int> Successors(int idx) const;
-  std::vector<int> Predecessors(int idx) const;
-
   /// Validates the stored order is topological; throws FfsError otherwise.
   void Validate() const;
 

@@ -56,7 +56,6 @@ class Instance {
   /// i.e. each extra item adds only the marginal fraction (INFless-style
   /// batching). Default is max_batch = 1 (no batching).
   void SetBatching(int max_batch, double marginal_cost);
-  int max_batch() const { return max_batch_; }
 
   /// Admit a request. `jitter` scales this request's service times
   /// (sampled by the platform; 1.0 = nominal). `deadline` is its absolute

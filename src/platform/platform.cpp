@@ -227,14 +227,6 @@ const std::vector<Instance*>& PlatformCore::InstancesOf(FunctionId fn) const {
   return fns_[FnIndex(fn)].live;
 }
 
-std::vector<Instance*> PlatformCore::AllInstances() const {
-  std::vector<Instance*> out;
-  for (const InstanceRow& row : instances_) {
-    if (!row.inst->Gone()) out.push_back(row.inst.get());
-  }
-  return out;
-}
-
 qos::QueueItem PlatformCore::MakeQueueItem(RequestId rid,
                                            FunctionId fn) const {
   const FunctionSpec& spec = function(fn);

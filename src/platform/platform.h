@@ -69,9 +69,6 @@ class PlatformCore final {
   /// either while iterating must iterate a copy.
   const std::vector<Instance*>& InstancesOf(FunctionId fn) const;
 
-  /// Every live instance, in creation order.
-  std::vector<Instance*> AllInstances() const;
-
   /// Instance by id, or null for retired/failed/sentinel ids.
   Instance* FindInstance(InstanceId iid);
 

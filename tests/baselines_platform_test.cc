@@ -93,10 +93,12 @@ TEST(EsgPlatformTest, ExclusiveKeepAliveHoldsSliceWhileIdle) {
   f.sim_.RunUntil(Seconds(10));
   EXPECT_EQ(f.recorder_.completed_requests(), 1u);
   // Idle but within keep-alive: slice still bound.
-  EXPECT_GT(f.cluster_.BoundGpcs(), 0);
+  EXPECT_LT(gpu::ClusterView(f.cluster_).FreeSlices().size(),
+            f.cluster_.num_slices());
   // After the keep-alive expires the slice is released.
   f.sim_.RunUntil(Seconds(60));
-  EXPECT_EQ(f.cluster_.BoundGpcs(), 0);
+  EXPECT_EQ(gpu::ClusterView(f.cluster_).FreeSlices().size(),
+            f.cluster_.num_slices());
 }
 
 TEST(EsgPlatformTest, ScaleUpAddsCapacityUnderLoad) {

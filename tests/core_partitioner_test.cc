@@ -79,7 +79,7 @@ TEST(EnumerateTest, MonolithicRanksFirstUnderCv) {
   auto cands = EnumerateRankedPipelines(dag, 3);
   ASSERT_FALSE(cands.empty());
   // Single stage has CV exactly 0 and fewest stages: always ranked first.
-  EXPECT_TRUE(cands.front().IsMonolithic());
+  EXPECT_EQ(cands.front().num_stages(), 1);
   EXPECT_DOUBLE_EQ(cands.front().cv, 0.0);
 }
 
@@ -143,7 +143,7 @@ TEST(EnumerateTest, PoliciesProduceDifferentLeadingCandidates) {
   EXPECT_EQ(cv.size(), fewest.size());
   EXPECT_EQ(cv.size(), greedy.size());
   // Fewest-stages leads with the monolithic candidate...
-  EXPECT_TRUE(fewest.front().IsMonolithic());
+  EXPECT_EQ(fewest.front().num_stages(), 1);
   // ...and greedy-latency leads with the lowest summed latency.
   SimDuration best = kTimeInfinity;
   for (const auto& c : greedy) {

@@ -150,7 +150,7 @@ TEST(PipelinePlanTest, BottleneckAndLatency) {
   EXPECT_EQ(plan.EndToEndLatency(), Millis(210));
   EXPECT_EQ(plan.TotalWeights(), GiB(3));
   EXPECT_EQ(plan.TotalGpcs(), 3);
-  EXPECT_FALSE(plan.IsMonolithic());
+  EXPECT_EQ(plan.num_stages(), 2);
 }
 
 TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
@@ -162,7 +162,7 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
   // All slices free: the monolithic candidate (rank 0) deploys on node 0.
   auto plan = PlanFirstFeasible(dag, ranked, cluster, transfer);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_TRUE(plan->IsMonolithic());
+  EXPECT_EQ(plan->num_stages(), 1);
   EXPECT_EQ(plan->node, NodeId(0));
 
   // Scoped to node 1, the search never looks at node 0.

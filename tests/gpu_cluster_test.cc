@@ -19,7 +19,7 @@ TEST(ClusterTest, TopologyCounts) {
   EXPECT_EQ(c.num_gpus(), 4);
   EXPECT_EQ(c.num_slices(), 12u);
   EXPECT_EQ(c.TotalGpcs(), 28);
-  EXPECT_EQ(c.BoundGpcs(), 0);
+  EXPECT_EQ(ClusterView(c).FreeSlices().size(), c.num_slices());
 }
 
 TEST(ClusterTest, SliceIdsAreDenseAndOrdered) {
@@ -54,10 +54,10 @@ TEST(ClusterTest, BindReleaseLifecycle) {
   c.Bind(sid, inst);
   EXPECT_FALSE(c.slice(sid).free());
   EXPECT_EQ(c.slice(sid).occupant, inst);
-  EXPECT_EQ(c.BoundGpcs(), c.slice(sid).gpcs());
+  EXPECT_EQ(ClusterView(c).FreeSlices().size(), c.num_slices() - 1);
   c.Release(sid, inst);
   EXPECT_TRUE(c.slice(sid).free());
-  EXPECT_EQ(c.BoundGpcs(), 0);
+  EXPECT_EQ(ClusterView(c).FreeSlices().size(), c.num_slices());
 }
 
 TEST(ClusterTest, StrongIsolationDoubleBindThrows) {
@@ -130,12 +130,12 @@ TEST(ClusterTest, SmallestFreeSliceSkipsBoundSlices) {
   EXPECT_EQ(c.slice(*sid).profile(), MigProfile::k2g20gb);
 }
 
-TEST(ClusterTest, GpuHasBoundSlice) {
+TEST(ClusterTest, GpuAllSlicesFree) {
   Cluster c = MakeTestCluster();
-  EXPECT_FALSE(c.GpuHasBoundSlice(GpuId(0)));
+  EXPECT_TRUE(c.gpu(GpuId(0)).AllSlicesFree());
   c.Bind(SliceId(0), InstanceId(1));
   const GpuId g = c.slice(SliceId(0)).gpu;
-  EXPECT_TRUE(c.GpuHasBoundSlice(g));
+  EXPECT_FALSE(c.gpu(g).AllSlicesFree());
 }
 
 TEST(ClusterTest, HeterogeneousPartitionsPerGpu) {
@@ -184,7 +184,7 @@ TEST(ClusterFaultTest, FailedSliceLeavesEveryAllocationSurface) {
 
   EXPECT_TRUE(c.IsFailed(sid));
   EXPECT_FALSE(c.slice(sid).allocatable());
-  EXPECT_EQ(c.FailedSlices(), std::vector<SliceId>{sid});
+  for (SliceId s : c.AllSlices()) EXPECT_EQ(c.IsFailed(s), s == sid);
   for (SliceId s : v.FreeSlices(profile)) EXPECT_NE(s, sid);
   for (SliceId s : v.FreeSlicesOnNode(c.slice(sid).node)) EXPECT_NE(s, sid);
   auto pick = v.SmallestFreeSliceWithMemory(GiB(1));
@@ -215,7 +215,7 @@ TEST(ClusterFaultTest, RepairRestoresAllocatability) {
   c.Repair(sid);
   EXPECT_FALSE(c.IsFailed(sid));
   EXPECT_TRUE(c.slice(sid).allocatable());
-  EXPECT_TRUE(c.FailedSlices().empty());
+  for (SliceId s : c.AllSlices()) EXPECT_FALSE(c.IsFailed(s));
   c.Bind(sid, InstanceId(7));  // usable again
   EXPECT_EQ(c.slice(sid).occupant, InstanceId(7));
 }

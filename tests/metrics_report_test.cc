@@ -32,15 +32,6 @@ TEST(TableTest, RowWidthMismatchThrows) {
   EXPECT_THROW(t.AddRow({"only one"}), FfsError);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.AddRow({"1", "2"});
-  t.AddRow({"x", "y"});
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\nx,y\n");
-}
-
 TEST(FmtTest, Decimals) {
   EXPECT_EQ(Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Fmt(3.0, 0), "3");

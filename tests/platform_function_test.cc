@@ -49,7 +49,7 @@ TEST(FunctionSpecTest, RankedPipelinesLeadWithMonolithic) {
   const auto dag = model::BuildApp(1, model::Variant::kMedium);
   FunctionSpec f = MakeFunctionSpec(FunctionId(0), 1,
                                     model::Variant::kMedium, dag, 1.5);
-  EXPECT_TRUE(f.ranked_pipelines.front().IsMonolithic());
+  EXPECT_EQ(f.ranked_pipelines.front().num_stages(), 1);
 }
 
 TEST(FunctionSpecTest, MaxStagesIsRespected) {

@@ -164,7 +164,7 @@ TEST_F(PlacementTest, AbortWhenReservedSliceFailsAfterPlanning) {
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.cause, sim::PlanAbortCause::kSliceFailed);
   EXPECT_TRUE(result.spawned.empty());
-  EXPECT_TRUE(plat_.AllInstances().empty());
+  EXPECT_EQ(plat_.InstanceIdBound(), 0u);
   EXPECT_EQ(recorder_.plans_aborted(), 1u);
   EXPECT_EQ(recorder_.plans_aborted_by(sim::PlanAbortCause::kSliceFailed), 1u);
 }
@@ -179,7 +179,7 @@ TEST_F(PlacementTest, AbortWhenRepartitionRetiresReservedSlice) {
   const CommitResult result = plat_.Commit(txn);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.cause, sim::PlanAbortCause::kSliceRetired);
-  EXPECT_TRUE(plat_.AllInstances().empty());
+  EXPECT_EQ(plat_.InstanceIdBound(), 0u);
 }
 
 TEST_F(PlacementTest, SecondOfTwoRacingPlansAborts) {
@@ -195,7 +195,8 @@ TEST_F(PlacementTest, SecondOfTwoRacingPlansAborts) {
   const CommitResult result = plat_.Commit(plan_b);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.cause, sim::PlanAbortCause::kSliceConflict);
-  EXPECT_EQ(plat_.AllInstances().size(), 1u);
+  EXPECT_EQ(plat_.InstanceIdBound(), 1u);
+  EXPECT_NE(plat_.FindInstance(InstanceId(0)), nullptr);
   EXPECT_EQ(recorder_.plans_committed(), 1u);
   EXPECT_EQ(recorder_.plans_aborted(), 1u);
   EXPECT_DOUBLE_EQ(recorder_.PlanConflictRate(), 0.5);
@@ -220,7 +221,7 @@ TEST_F(PlacementTest, AbortAppliesNothingFromMultiActionPlan) {
   const CommitResult result = plat_.Commit(txn);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.cause, sim::PlanAbortCause::kSliceFailed);
-  EXPECT_TRUE(plat_.AllInstances().empty());
+  EXPECT_EQ(plat_.InstanceIdBound(), 0u);
   EXPECT_TRUE(cluster_.slice(first_sid).free());  // nothing half-bound
 }
 
@@ -271,7 +272,7 @@ TEST_F(PlacementTest, ViewOverlayHidesReservationsFromQueries) {
   ASSERT_TRUE(sid.has_value());
   view.Reserve(*sid);
   EXPECT_EQ(view.FreeSlices().size(), before - 1);
-  EXPECT_TRUE(view.IsReserved(*sid));
+  EXPECT_FALSE(view.Allocatable(*sid));
   const auto next = view.SmallestFreeSliceWithMemory(GiB(1));
   ASSERT_TRUE(next.has_value());
   EXPECT_NE(*next, *sid);
