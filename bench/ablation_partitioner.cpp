@@ -49,8 +49,7 @@ int main() {
          {core::RankPolicy::kCv, core::RankPolicy::kFewestStages,
           core::RankPolicy::kGreedyLatency}) {
       auto ranked = core::EnumerateRankedPipelines(dag, 4, policy);
-      auto plan = core::PlanFirstFeasible(dag, ranked, cluster,
-                                          model::TransferCostModel{});
+      auto plan = core::PlanFirstFeasible(dag, ranked, cluster);
       if (!plan) {
         plans.AddRow({model::AppName(a), PolicyName(policy), "(none)", "-",
                       "-", "-"});

@@ -50,8 +50,7 @@ int main() {
   for (std::size_t i = 0; i < ranked.size() && i < 6; ++i) {
     std::cout << "  " << i << ": " << core::ToString(ranked[i]) << "\n";
   }
-  auto plan = core::PlanFirstFeasible(dag, ranked, cluster,
-                                      model::TransferCostModel{});
+  auto plan = core::PlanFirstFeasible(dag, ranked, cluster);
   if (plan) {
     std::cout << "\ndeployed pipeline (Fig. 4(c)/(d) outcome): "
               << plan->ToString() << "\n"

@@ -93,9 +93,8 @@ void BM_PipelinePlanOnFragmentedCluster(benchmark::State& state) {
   }
   const auto dag = model::BuildApp(0, model::Variant::kMedium);
   const auto ranked = core::EnumerateRankedPipelines(dag, 4);
-  model::TransferCostModel transfer;
   for (auto _ : state) {
-    auto plan = core::PlanFirstFeasible(dag, ranked, cluster, transfer);
+    auto plan = core::PlanFirstFeasible(dag, ranked, cluster);
     benchmark::DoNotOptimize(plan.has_value());
   }
 }

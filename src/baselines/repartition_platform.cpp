@@ -44,7 +44,6 @@ gpu::MigPartition BestRepartitionFor(Bytes needed_memory) {
 void RepartitionState::ExecuteReconfig(platform::PlatformCore& core,
                                        GpuId gpu_id, Bytes needed_memory) {
   const gpu::MigPartition target = BestRepartitionFor(needed_memory);
-  const SimDuration cost = reconfig.Cost(/*checkpointed_state=*/0);
   const InstanceId sentinel = ReconfigSentinel(gpu_id);
   // The whole swap — retire the old slice ids, mint the new layout, and
   // sentinel-bind the fresh slices for the blackout — is one transaction;
@@ -52,16 +51,17 @@ void RepartitionState::ExecuteReconfig(platform::PlatformCore& core,
   // the caller saw it idle.
   platform::PlacementPlan txn;
   txn.actions.emplace_back(std::in_place_type<platform::RepartitionAction>,
-                           gpu_id, target, cost, sentinel);
+                           gpu_id, target, kReconfigBlackout, sentinel);
   const platform::CommitResult result = core.Commit(txn);
   if (!result.ok()) return;  // GPU no longer idle; a later tick retries
   reconfiguring.insert(gpu_id.value);
-  core.simulator().After(cost, [&core, self = shared_from_this(), gpu_id,
-                                fresh = result.fresh_slices, sentinel] {
-    core.FinishRepartition(fresh, sentinel);
-    self->reconfiguring.erase(gpu_id.value);
-    core.DispatchPending();
-  });
+  core.simulator().After(
+      kReconfigBlackout, [&core, self = shared_from_this(), gpu_id,
+                          fresh = result.fresh_slices, sentinel] {
+        core.FinishRepartition(fresh, sentinel);
+        self->reconfiguring.erase(gpu_id.value);
+        core.DispatchPending();
+      });
 }
 
 bool RepartitionState::TryReconfigure(platform::PlatformCore& core,

@@ -6,7 +6,7 @@
 // is measurable. It schedules monolithically (best-fit, like INFless-MIG),
 // and when a function cannot be placed on any free slice while a fully idle
 // GPU exists, it reconfigures that GPU to the partition that best serves the
-// stranded demand — paying the ReconfigCostModel blackout, during which the
+// stranded demand — paying the kReconfigBlackout, during which the
 // GPU's fresh slices are held by a sentinel binding. Each swap is published
 // as sim::PartitionReconfigured; the Recorder syncs its slice table and
 // counts the swap and its blackout off it.
@@ -24,6 +24,11 @@
 #include "platform/policy.h"
 
 namespace fluidfaas::baselines {
+
+/// Duration of one MIG reconfiguration (checkpoint + repartition + resume):
+/// "several minutes" per the paper (§2.2) and Miso. The GPU serves nothing
+/// for this long.
+inline constexpr SimDuration kReconfigBlackout = Minutes(3.0);
 
 /// Pick the maximal A100 partition that best hosts a monolithic demand of
 /// `needed_memory`: most slices that fit it, then most total GPCs.
@@ -46,7 +51,6 @@ class RepartitionState
   void ExecuteReconfig(platform::PlatformCore& core, GpuId gpu,
                        Bytes needed_memory);
 
-  gpu::ReconfigCostModel reconfig;
   std::unordered_set<std::int32_t> reconfiguring;  // GpuId values
   struct DrainTarget {
     GpuId gpu;

@@ -75,7 +75,7 @@ platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
     FnState& vic = state(victim_fn);
     const SliceId freed = vic.ts->plan().stages.front().slice;
     victim_iid = vic.ts->id();
-    evict_cost = core.config().load.Evict(vic.ts->plan().TotalWeights());
+    evict_cost = model::Evict(vic.ts->plan().TotalWeights());
     platform::AddEvict(txn, view, victim_iid, vic.ts->plan());
     sid = freed;
   }
@@ -106,8 +106,7 @@ platform::Instance* FfsState::LaunchExclusive(
   if (!core.config().enable_pipelines) {
     inst = platform::LaunchMonolithic(core, spec, node_);  // ablation
   } else if (auto plan = PlanFirstFeasible(spec.dag, spec.ranked_pipelines,
-                                           core.cluster(),
-                                           core.config().transfer, node_)) {
+                                           core.cluster(), node_)) {
     const platform::CommitResult result = core.Commit(
         platform::SpawnPlan(spec.id, std::move(*plan), core.IsWarm(spec.id)));
     if (result.ok()) inst = result.spawned.front();

@@ -49,11 +49,12 @@ std::string PipelinePlan::ToString() const {
 
 namespace {
 
-// TryPlanOnNode over `free`, the node's free slices in ascending id order.
+// Bind `candidate` on node `node`, whose free slices in ascending id order
+// are `free`.
 std::optional<PipelinePlan> PlanOnFreeSlices(
     const model::AppDag& dag, const PipelineCandidate& candidate,
-    const gpu::ClusterView& view, NodeId node, const std::vector<SliceId>& free,
-    const model::TransferCostModel& transfer) {
+    const gpu::ClusterView& view, NodeId node,
+    const std::vector<SliceId>& free) {
   const std::size_t num_stages = candidate.stages.size();
   if (free.size() < num_stages) return std::nullopt;
   const auto fits = [&](SliceId sid, std::size_t stage) {
@@ -103,7 +104,7 @@ std::optional<PipelinePlan> PlanOnFreeSlices(
     b.exec_time =
         StageLatencyOnGpcs(dag, b.plan.begin, b.plan.end, gpu::Gpcs(b.profile));
     if (i + 1 < num_stages) {
-      b.hop_out = transfer.HopCost(dag.CutBytes(b.plan.end));
+      b.hop_out = model::HopCost(dag.CutBytes(b.plan.end));
     }
     plan.stages.push_back(b);
   }
@@ -111,14 +112,6 @@ std::optional<PipelinePlan> PlanOnFreeSlices(
 }
 
 }  // namespace
-
-std::optional<PipelinePlan> TryPlanOnNode(
-    const model::AppDag& dag, const PipelineCandidate& candidate,
-    const gpu::ClusterView& view, NodeId node,
-    const model::TransferCostModel& transfer) {
-  return PlanOnFreeSlices(dag, candidate, view, node,
-                          view.FreeSlicesOnNode(node), transfer);
-}
 
 std::optional<PipelinePlan> MonolithicPlanOnSlice(const model::AppDag& dag,
                                                   const gpu::ClusterView& view,
@@ -151,8 +144,7 @@ std::optional<PipelinePlan> MonolithicPlanOnSmallestSlice(
 std::optional<PipelinePlan> PlanFirstFeasible(
     const model::AppDag& dag,
     const std::vector<PipelineCandidate>& candidates,
-    const gpu::ClusterView& view, const model::TransferCostModel& transfer,
-    std::optional<NodeId> node) {
+    const gpu::ClusterView& view, std::optional<NodeId> node) {
   const int first = node ? node->value : 0;
   const int last = node ? node->value + 1 : view.num_nodes();
   // Each node's free slices, looked up on its first visit only.
@@ -162,8 +154,7 @@ std::optional<PipelinePlan> PlanFirstFeasible(
     for (int n = first; n < last; ++n) {
       auto& node_free = free[static_cast<std::size_t>(n - first)];
       if (!node_free) node_free = view.FreeSlicesOnNode(NodeId(n));
-      auto plan =
-          PlanOnFreeSlices(dag, cand, view, NodeId(n), *node_free, transfer);
+      auto plan = PlanOnFreeSlices(dag, cand, view, NodeId(n), *node_free);
       if (plan) return plan;
     }
   }

@@ -51,18 +51,6 @@ struct PipelinePlan {
   std::string ToString() const;
 };
 
-/// Try to bind `candidate`'s stages to free slices on node `node` as seen
-/// through `view` (a bare Cluster converts to an overlay-free view). Uses
-/// exhaustive backtracking over per-stage feasible slices (stage counts are
-/// tiny); among feasible bindings prefers the one using the fewest total
-/// GPCs, then lowest slice ids — i.e. leave big slices free for functions
-/// that need them. Does NOT bind or reserve the slices; callers stage the
-/// plan into a platform::PlacementPlan and commit.
-std::optional<PipelinePlan> TryPlanOnNode(
-    const model::AppDag& dag, const PipelineCandidate& candidate,
-    const gpu::ClusterView& view, NodeId node,
-    const model::TransferCostModel& transfer);
-
 /// Single-stage plan hosting the whole DAG on one specific slice; nullopt
 /// when the slice's memory cannot hold the function.
 std::optional<PipelinePlan> MonolithicPlanOnSlice(
@@ -78,11 +66,17 @@ std::optional<PipelinePlan> MonolithicPlanOnSmallestSlice(
 /// Walk `candidates` in ranked order across all nodes (lowest node id
 /// first), or across `node` alone when given, and return the first
 /// deployable plan — the paper's launch procedure ("evaluated in order ...
-/// until a suitable pipeline is found").
+/// until a suitable pipeline is found"). A candidate binds to free slices
+/// of one node as seen through `view` (a bare Cluster converts to an
+/// overlay-free view) by exhaustive backtracking over per-stage feasible
+/// slices (stage counts are tiny); among feasible bindings it prefers the
+/// fewest total GPCs, then lowest slice ids — i.e. leave big slices free
+/// for functions that need them. Hops cost model::HopCost of the cut
+/// tensor. Does NOT bind or reserve the slices; callers stage the plan into
+/// a platform::PlacementPlan and commit.
 std::optional<PipelinePlan> PlanFirstFeasible(
     const model::AppDag& dag,
     const std::vector<PipelineCandidate>& candidates,
-    const gpu::ClusterView& view, const model::TransferCostModel& transfer,
-    std::optional<NodeId> node = std::nullopt);
+    const gpu::ClusterView& view, std::optional<NodeId> node = std::nullopt);
 
 }  // namespace fluidfaas::core

@@ -59,27 +59,13 @@ class Gpu {
 
   /// Replace the partition (slice ids are renumbered starting at
   /// `first_slice_id`). Requires all slices free. The caller accounts for
-  /// the reconfiguration delay via ReconfigCost().
+  /// the reconfiguration delay.
   void Repartition(const MigPartition& partition, SliceId first_slice_id);
 
   GpuId id_;
   NodeId node_;
   MigPartition partition_;
   std::vector<MigSlice> slices_;
-};
-
-/// Cost model of a MIG reconfiguration (checkpoint + repartition + resume);
-/// "several minutes" per the paper (§2.2) and Miso.
-struct ReconfigCostModel {
-  SimDuration fixed = Minutes(3.0);
-  /// Extra cost per GiB of state checkpointed off the GPU.
-  SimDuration per_gib_checkpoint = Millis(400);
-
-  SimDuration Cost(Bytes checkpointed_state) const {
-    return fixed + static_cast<SimDuration>(
-                       ToSeconds(per_gib_checkpoint) * 1e6 *
-                       (static_cast<double>(checkpointed_state) / kGiB));
-  }
 };
 
 /// Whole-cluster topology and slice registry.
@@ -132,7 +118,7 @@ class Cluster {
   /// Replace a GPU's MIG partition at runtime (all its slices must be
   /// free). The old slice ids die permanently; the new slices get fresh
   /// cluster-unique ids, returned in placement order. The caller accounts
-  /// for the minutes-scale delay via ReconfigCostModel and must re-sync any
+  /// for the minutes-scale delay and must re-sync any
   /// per-slice observers (e.g. metrics::Recorder::SyncSlices).
   std::vector<SliceId> RepartitionGpu(GpuId gpu,
                                       const MigPartition& partition);

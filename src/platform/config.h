@@ -6,7 +6,6 @@
 #pragma once
 
 #include "common/types.h"
-#include "model/costs.h"
 #include "qos/qos_config.h"
 
 namespace fluidfaas::platform {
@@ -91,9 +90,6 @@ struct PlatformConfig {
   /// QoS: central-queue discipline and admission control (DESIGN.md §9).
   /// The "fifo"/"none" defaults reproduce pre-QoS behaviour exactly.
   qos::QosConfig qos;
-
-  model::TransferCostModel transfer;
-  model::LoadCostModel load;
 };
 
 }  // namespace fluidfaas::platform

@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "common/error.h"
+#include "model/costs.h"
 #include "sim/events.h"
 
 namespace fluidfaas::platform {
@@ -233,7 +234,7 @@ qos::QueueItem PlatformCore::MakeQueueItem(RequestId rid,
   // Adjusted deadline: deadline − estimated execution − load time (§5.3).
   const SimDuration est_exec = spec.base_latency;
   const SimDuration est_load =
-      IsWarm(fn) ? config_.load.WarmLoad(spec.dag.TotalMemory() / 2) : 0;
+      IsWarm(fn) ? model::WarmLoad(spec.dag.TotalMemory() / 2) : 0;
   qos::QueueItem item;
   item.rid = rid;
   item.fn = fn;
@@ -369,8 +370,8 @@ Instance* PlatformCore::LaunchInstance(const FunctionSpec& fn,
   for (const core::StageBinding& s : plan.stages) {
     max_stage_weights = std::max(max_stage_weights, s.plan.weights);
   }
-  SimDuration weight_load = warm ? config_.load.WarmLoad(max_stage_weights)
-                                 : config_.load.ColdLoad(max_stage_weights);
+  SimDuration weight_load = warm ? model::WarmLoad(max_stage_weights)
+                                 : model::ColdLoad(max_stage_weights);
   if (!pending_slow_factors_.empty()) {
     // An armed slow-start straggler hits the next launch.
     const double factor = pending_slow_factors_.front();

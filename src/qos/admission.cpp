@@ -7,11 +7,7 @@
 namespace fluidfaas::qos {
 
 ShedAdmission::ShedAdmission(const QosConfig& config)
-    : rate_rps_(config.rate_rps),
-      burst_(std::max(config.burst, 1.0)),
-      max_depth_(config.max_queue_depth),
-      shed_infeasible_(config.shed_infeasible),
-      tokens_(std::max(config.burst, 1.0)) {}
+    : rate_rps_(config.rate_rps), max_depth_(config.max_queue_depth) {}
 
 sim::RejectCause ShedAdmission::AdmitAtSubmit(const QueueItem& item,
                                               SimTime now,
@@ -22,7 +18,7 @@ sim::RejectCause ShedAdmission::AdmitAtSubmit(const QueueItem& item,
   }
   if (rate_rps_ > 0.0) {
     tokens_ = std::min(
-        burst_, tokens_ + ToSeconds(now - last_refill_) * rate_rps_);
+        kBucket, tokens_ + ToSeconds(now - last_refill_) * rate_rps_);
     last_refill_ = now;
     if (tokens_ < 1.0) return sim::RejectCause::kRateLimited;
     tokens_ -= 1.0;
@@ -34,7 +30,7 @@ sim::RejectCause ShedAdmission::ReviewAtDispatch(const QueueItem& item,
                                                  SimTime now) {
   // Even dispatched this instant onto an idle instance the request costs
   // at least its service estimate; past this point it can only miss.
-  if (shed_infeasible_ && now + item.service_estimate > item.deadline) {
+  if (now + item.service_estimate > item.deadline) {
     return sim::RejectCause::kDeadlineInfeasible;
   }
   return sim::RejectCause::kNone;

@@ -63,12 +63,15 @@ class NullAdmission final : public AdmissionController {
   }
 };
 
-/// Token bucket + depth cap + deadline-infeasible shedding, each enabled
-/// by its QosConfig knob (rate_rps > 0, max_queue_depth > 0,
-/// shed_infeasible). Refill is computed from simulated time, so the
-/// controller is exactly as deterministic as the run driving it.
+/// Token bucket + depth cap + deadline-infeasible shedding. The bucket is
+/// on when rate_rps > 0 and the cap when max_queue_depth > 0; shedding is
+/// always on. Refill is computed from simulated time, so the controller is
+/// exactly as deterministic as the run driving it.
 class ShedAdmission final : public AdmissionController {
  public:
+  /// Token bucket burst size (full bucket), in admits.
+  static constexpr double kBucket = 32.0;
+
   explicit ShedAdmission(const QosConfig& config);
 
   const char* name() const override { return "shed"; }
@@ -79,11 +82,9 @@ class ShedAdmission final : public AdmissionController {
 
  private:
   double rate_rps_;
-  double burst_;
   std::size_t max_depth_;
-  bool shed_infeasible_;
 
-  double tokens_;
+  double tokens_ = kBucket;
   SimTime last_refill_ = 0;
 };
 

@@ -29,17 +29,9 @@ struct QosConfig {
   /// Token bucket: sustained admits per second. 0 disables rate limiting.
   double rate_rps = 0.0;
 
-  /// Token bucket burst size (full bucket). Only meaningful with
-  /// rate_rps > 0; clamped to >= 1.
-  double burst = 32.0;
-
   /// Reject new submissions once the central pending queue holds this many
   /// requests. 0 = unbounded.
   std::size_t max_queue_depth = 0;
-
-  /// Shed a pending request at dispatch time once even an immediate,
-  /// unqueued execution could no longer meet its deadline.
-  bool shed_infeasible = true;
 };
 
 }  // namespace fluidfaas::qos

@@ -175,7 +175,7 @@ void FairQueue::Drain(const DrainFn& fn) {
   while (it != flows_.end()) {
     Flow& flow = it->second;
     int granted = 0;
-    while (!flow.backlog.empty() && granted < sticky_batch_) {
+    while (!flow.backlog.empty() && granted < kStickyBatch) {
       const Tagged head = flow.backlog.front();
       const DrainVerdict v = fn(head.item);
       if (v == DrainVerdict::kKeep) {
@@ -222,7 +222,7 @@ std::vector<QueueItem> FairQueue::Snapshot() const {
       }
     }
     int granted = 0;
-    while (!best->second.empty() && granted < sticky_batch_) {
+    while (!best->second.empty() && granted < kStickyBatch) {
       out.push_back(best->second.front().item);
       best->second.pop_front();
       ++granted;

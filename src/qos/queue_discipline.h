@@ -215,9 +215,6 @@ class FairQueue final : public QueueDiscipline {
   /// function's burst together so it lands on its warm instance.
   static constexpr int kStickyBatch = 4;
 
-  explicit FairQueue(int sticky_batch = kStickyBatch)
-      : sticky_batch_(sticky_batch < 1 ? 1 : sticky_batch) {}
-
   const char* name() const override { return "fair"; }
   void Enqueue(QueueItem item) override;
   bool Remove(RequestId rid) override;
@@ -245,7 +242,6 @@ class FairQueue final : public QueueDiscipline {
   std::map<std::int32_t, Flow> flows_;  // key: FunctionId value (ordered)
   std::uint64_t vtime_ = 0;
   std::size_t size_ = 0;
-  int sticky_batch_;
 };
 
 /// Build the discipline `config.queue` names; throws FfsError on unknown

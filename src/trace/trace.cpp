@@ -10,14 +10,24 @@
 
 namespace fluidfaas::trace {
 
-std::vector<double> PopularityShares(int num_functions, double alpha,
-                                     std::uint64_t seed) {
+namespace {
+
+/// Pareto shape for per-function popularity (smaller = heavier tail).
+constexpr double kPopularityAlpha = 1.2;
+/// Burst modulation: functions alternate normal/burst periods.
+constexpr double kBurstMultiplier = 2.0;
+constexpr double kMeanNormalS = 30.0;
+constexpr double kMeanBurstS = 8.0;
+
+}  // namespace
+
+std::vector<double> PopularityShares(int num_functions, std::uint64_t seed) {
   FFS_CHECK(num_functions > 0);
   Rng rng(seed);
   std::vector<double> draws;
   draws.reserve(static_cast<std::size_t>(num_functions));
   for (int i = 0; i < num_functions; ++i) {
-    draws.push_back(rng.Pareto(1.0, alpha));
+    draws.push_back(rng.Pareto(1.0, kPopularityAlpha));
   }
   const double sum = std::accumulate(draws.begin(), draws.end(), 0.0);
   for (double& d : draws) d /= sum;
@@ -25,14 +35,13 @@ std::vector<double> PopularityShares(int num_functions, double alpha,
 }
 
 Trace AzureLikeTrace(int num_functions, const AzureLikeParams& p) {
-  const std::vector<double> shares =
-      PopularityShares(num_functions, p.popularity_alpha, p.seed);
+  const std::vector<double> shares = PopularityShares(num_functions, p.seed);
   Rng master(p.seed);
 
   // Normalize so the long-run mean multiplier of the burst process is 1.
   const double mean_mult =
-      (p.mean_normal_s * 1.0 + p.mean_burst_s * p.burst_multiplier) /
-      (p.mean_normal_s + p.mean_burst_s);
+      (kMeanNormalS * 1.0 + kMeanBurstS * kBurstMultiplier) /
+      (kMeanNormalS + kMeanBurstS);
 
   Trace trace;
   for (int f = 0; f < num_functions; ++f) {
@@ -49,10 +58,10 @@ Trace AzureLikeTrace(int num_functions, const AzureLikeParams& p) {
     double t = 0.0;
     bool burst = rng.Chance(0.2);  // some functions start bursting
     while (t < ToSeconds(p.duration)) {
-      const double len = burst ? rng.Exponential(1.0 / p.mean_burst_s)
-                               : rng.Exponential(1.0 / p.mean_normal_s);
+      const double len = burst ? rng.Exponential(1.0 / kMeanBurstS)
+                               : rng.Exponential(1.0 / kMeanNormalS);
       t += len;
-      phases.push_back({t, burst ? p.burst_multiplier : 1.0});
+      phases.push_back({t, burst ? kBurstMultiplier : 1.0});
       burst = !burst;
     }
     auto rate_at = [&](double ts) {
@@ -62,7 +71,7 @@ Trace AzureLikeTrace(int num_functions, const AzureLikeParams& p) {
       return base_rate;
     };
 
-    auto arrivals = PoissonArrivals(rate_at, base_rate * p.burst_multiplier,
+    auto arrivals = PoissonArrivals(rate_at, base_rate * kBurstMultiplier,
                                     p.duration, rng);
     for (SimTime at : arrivals) {
       trace.push_back(Invocation{at, FunctionId(f)});

@@ -50,24 +50,18 @@ struct AzureLikeParams {
   /// Aggregate mean arrival rate across all functions (req/s).
   double total_rps = 10.0;
   SimDuration duration = Seconds(300);
-  /// Pareto shape for per-function popularity (smaller = heavier tail).
-  double popularity_alpha = 1.2;
-  /// Burst modulation: functions alternate normal/burst periods.
-  double burst_multiplier = 2.0;
-  double mean_normal_s = 30.0;
-  double mean_burst_s = 8.0;
   std::uint64_t seed = 1234;
 };
 
 /// Synthesize a trace over `num_functions` functions. The realized mean
-/// aggregate rate converges to total_rps; burst structure rides on top.
+/// aggregate rate converges to total_rps; burst structure (functions
+/// alternate normal and burst periods, trace.cpp's constants) rides on top.
 Trace AzureLikeTrace(int num_functions, const AzureLikeParams& params);
 
 /// Per-function share of the aggregate rate used by AzureLikeTrace with
 /// the same seed (normalized Pareto draws) — exposed for tests and for
-/// capacity planning in the workload builder.
-std::vector<double> PopularityShares(int num_functions, double alpha,
-                                     std::uint64_t seed);
+/// capacity planning in the workload builder, so both read one shape.
+std::vector<double> PopularityShares(int num_functions, std::uint64_t seed);
 
 /// CSV round-trip: "time_us,function_id" per line, header optional.
 Trace LoadCsv(std::istream& in);

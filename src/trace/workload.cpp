@@ -61,7 +61,7 @@ Workload MakeWorkload(WorkloadTier tier, const gpu::Cluster& cluster,
   // Ideal work-conserving throughput for this mix: total GPCs over the
   // popularity-weighted mean single-GPC demand (seconds of 1-GPC work).
   const int n = static_cast<int>(w.functions.size());
-  const std::vector<double> shares = PopularityShares(n, 1.2, params.seed);
+  const std::vector<double> shares = PopularityShares(n, params.seed);
   double mean_demand_s = 0.0;
   for (int i = 0; i < n; ++i) {
     mean_demand_s += shares[static_cast<std::size_t>(i)] *

@@ -121,7 +121,10 @@ TEST_F(RepartitionPlatformTest, ReconfiguresWhenFragmentedOutAndPaysMinutes) {
   EXPECT_GE(recorder_->reconfigurations(), 1u);
   EXPECT_EQ(recorder_->completed_requests(), 0u);  // inside the blackout
   sim_.RunUntil(Minutes(12));
-  EXPECT_GE(recorder_->reconfiguration_blackout(), Minutes(3));
+  // Every swap blacks its GPU out for the fixed reconfiguration time.
+  EXPECT_EQ(recorder_->reconfiguration_blackout(),
+            static_cast<SimDuration>(recorder_->reconfigurations()) *
+                kReconfigBlackout);
   // After the blackout the reconfigured GPU serves the whole backlog.
   EXPECT_EQ(recorder_->completed_requests(), 30u);
 }

@@ -59,13 +59,12 @@ TEST(MonolithicPlanTest, FitsAndBindsMetrics) {
   }
 }
 
-TEST(TryPlanTest, PrefersFewestGpcs) {
+TEST(PlanOnNodeTest, PrefersFewestGpcs) {
   auto cluster = gpu::Cluster::Uniform(1, 2, gpu::DefaultPartition());
   auto dag = Chain3(GiB(6), GiB(6), GiB(6));
-  model::TransferCostModel transfer;
   // A 2-stage split [0,1) + [1,3): memories 6 GB and 12 GB -> 1g + 2g.
   auto cand = TwoStageCandidate(dag, 1);
-  auto plan = TryPlanOnNode(dag, cand, cluster, NodeId(0), transfer);
+  auto plan = PlanFirstFeasible(dag, {cand}, cluster, NodeId(0));
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->TotalGpcs(), 3);  // 1g + 2g, not 4g
   EXPECT_EQ(plan->num_stages(), 2);
@@ -73,38 +72,33 @@ TEST(TryPlanTest, PrefersFewestGpcs) {
   EXPECT_NE(plan->stages[0].slice, plan->stages[1].slice);
 }
 
-TEST(TryPlanTest, UsesDistinctSlicesEvenWhenOneWouldFitBoth) {
+TEST(PlanOnNodeTest, UsesDistinctSlicesEvenWhenOneWouldFitBoth) {
   auto cluster = gpu::Cluster::Uniform(1, 1, gpu::DefaultPartition());
   auto dag = Chain3(GiB(2), GiB(2), GiB(2));
   auto cand = TwoStageCandidate(dag, 1);
-  auto plan =
-      TryPlanOnNode(dag, cand, cluster, NodeId(0), model::TransferCostModel{});
+  auto plan = PlanFirstFeasible(dag, {cand}, cluster, NodeId(0));
   ASSERT_TRUE(plan.has_value());
   std::set<SliceId> used;
   for (const auto& s : plan->stages) used.insert(s.slice);
   EXPECT_EQ(used.size(), 2u);
 }
 
-TEST(TryPlanTest, FailsWhenMemoryDoesNotFitAnywhere) {
+TEST(PlanOnNodeTest, FailsWhenMemoryDoesNotFitAnywhere) {
   auto cluster = gpu::Cluster::Uniform(1, 1, gpu::DefaultPartition());
   auto dag = Chain3(GiB(45), GiB(2), GiB(2));  // stage 0 exceeds 40 GB
   auto cand = TwoStageCandidate(dag, 1);
-  EXPECT_FALSE(
-      TryPlanOnNode(dag, cand, cluster, NodeId(0), model::TransferCostModel{})
-          .has_value());
+  EXPECT_FALSE(PlanFirstFeasible(dag, {cand}, cluster, NodeId(0)).has_value());
 }
 
-TEST(TryPlanTest, FailsWhenSlicesAreBusy) {
+TEST(PlanOnNodeTest, FailsWhenSlicesAreBusy) {
   auto cluster = gpu::Cluster::Uniform(1, 1, gpu::DefaultPartition());
   for (SliceId sid : cluster.AllSlices()) cluster.Bind(sid, InstanceId(1));
   auto dag = Chain3(GiB(2), GiB(2), GiB(2));
   auto cand = TwoStageCandidate(dag, 1);
-  EXPECT_FALSE(
-      TryPlanOnNode(dag, cand, cluster, NodeId(0), model::TransferCostModel{})
-          .has_value());
+  EXPECT_FALSE(PlanFirstFeasible(dag, {cand}, cluster, NodeId(0)).has_value());
 }
 
-TEST(TryPlanTest, StaysOnOneNode) {
+TEST(PlanOnNodeTest, StaysOnOneNode) {
   // One free slice per node: a 2-stage pipeline cannot span nodes.
   auto cluster = gpu::Cluster::Uniform(2, 1, gpu::DefaultPartition());
   auto dag = Chain3(GiB(2), GiB(2), GiB(2));
@@ -116,20 +110,17 @@ TEST(TryPlanTest, StaysOnOneNode) {
   }
   auto cand = TwoStageCandidate(dag, 1);
   for (int n = 0; n < 2; ++n) {
-    EXPECT_FALSE(TryPlanOnNode(dag, cand, cluster, NodeId(n),
-                               model::TransferCostModel{})
-                     .has_value());
+    EXPECT_FALSE(PlanFirstFeasible(dag, {cand}, cluster, NodeId(n)).has_value());
   }
 }
 
-TEST(TryPlanTest, HopCostsComeFromCutTensors) {
+TEST(PlanOnNodeTest, HopCostsComeFromCutTensors) {
   auto cluster = gpu::Cluster::Uniform(1, 1, gpu::DefaultPartition());
   auto dag = Chain3(GiB(2), GiB(2), GiB(2));
-  model::TransferCostModel transfer;
   auto cand = TwoStageCandidate(dag, 2);
-  auto plan = TryPlanOnNode(dag, cand, cluster, NodeId(0), transfer);
+  auto plan = PlanFirstFeasible(dag, {cand}, cluster, NodeId(0));
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->stages[0].hop_out, transfer.HopCost(dag.CutBytes(2)));
+  EXPECT_EQ(plan->stages[0].hop_out, model::HopCost(dag.CutBytes(2)));
   EXPECT_EQ(plan->stages[1].hop_out, 0);
 }
 
@@ -157,16 +148,15 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
   auto cluster = gpu::Cluster::Uniform(2, 1, gpu::DefaultPartition());
   auto dag = Chain3(GiB(8), GiB(8), GiB(8));  // 24 GB total: mono needs 3g+
   auto ranked = EnumerateRankedPipelines(dag, 3);
-  model::TransferCostModel transfer;
 
   // All slices free: the monolithic candidate (rank 0) deploys on node 0.
-  auto plan = PlanFirstFeasible(dag, ranked, cluster, transfer);
+  auto plan = PlanFirstFeasible(dag, ranked, cluster);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->num_stages(), 1);
   EXPECT_EQ(plan->node, NodeId(0));
 
   // Scoped to node 1, the search never looks at node 0.
-  plan = PlanFirstFeasible(dag, ranked, cluster, transfer, NodeId(1));
+  plan = PlanFirstFeasible(dag, ranked, cluster, NodeId(1));
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->node, NodeId(1));
 
@@ -174,11 +164,10 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
   for (SliceId sid : cluster.AllSlices()) {
     if (cluster.slice(sid).node == NodeId(0)) cluster.Bind(sid, InstanceId(1));
   }
-  plan = PlanFirstFeasible(dag, ranked, cluster, transfer);
+  plan = PlanFirstFeasible(dag, ranked, cluster);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->node, NodeId(1));
-  EXPECT_FALSE(
-      PlanFirstFeasible(dag, ranked, cluster, transfer, NodeId(0)).has_value());
+  EXPECT_FALSE(PlanFirstFeasible(dag, ranked, cluster, NodeId(0)).has_value());
 
   // Leave only the two smaller slices on node 1: a pipeline is required.
   for (SliceId sid : cluster.AllSlices()) {
@@ -187,7 +176,7 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
       cluster.Bind(sid, InstanceId(2));
     }
   }
-  plan = PlanFirstFeasible(dag, ranked, cluster, transfer);
+  plan = PlanFirstFeasible(dag, ranked, cluster);
   ASSERT_TRUE(plan.has_value());
   EXPECT_GT(plan->num_stages(), 1);
 
@@ -195,7 +184,7 @@ TEST(PlanFirstFeasibleTest, WalksRankedOrderThenNodes) {
   for (SliceId sid : gpu::ClusterView(cluster).FreeSlices()) {
     cluster.Bind(sid, InstanceId(3));
   }
-  EXPECT_FALSE(PlanFirstFeasible(dag, ranked, cluster, transfer).has_value());
+  EXPECT_FALSE(PlanFirstFeasible(dag, ranked, cluster).has_value());
 }
 
 TEST(PlanTest, PaperFigure4Scenario) {
@@ -213,8 +202,7 @@ TEST(PlanTest, PaperFigure4Scenario) {
     }
   }
   auto ranked = EnumerateRankedPipelines(dag, 3);
-  auto plan =
-      PlanFirstFeasible(dag, ranked, cluster, model::TransferCostModel{});
+  auto plan = PlanFirstFeasible(dag, ranked, cluster);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->num_stages(), 2);  // the Fig. 4(d) outcome: 2g + 2g
   for (const auto& s : plan->stages) {

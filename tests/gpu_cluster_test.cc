@@ -165,14 +165,6 @@ TEST(GpuTest, RepartitionRequiresAllFree) {
   EXPECT_THROW(c.RepartitionGpu(g, MigPartition::Parse("7g.80gb")), FfsError);
 }
 
-TEST(ReconfigCostTest, MinutesScaleCost) {
-  ReconfigCostModel m;
-  // Bare reconfiguration is already minutes (paper §2.2).
-  EXPECT_GE(m.Cost(0), Minutes(3.0));
-  // Checkpointing state adds to it.
-  EXPECT_GT(m.Cost(GiB(40)), m.Cost(0));
-}
-
 // --- slice failure & repair -------------------------------------------------
 
 TEST(ClusterFaultTest, FailedSliceLeavesEveryAllocationSurface) {

@@ -72,8 +72,7 @@ TEST(LlmTest, ThirtyFourBDeploysOnDefaultPartitionFragments) {
   const auto dag = BuildLlmApp(LlmSize::k34B);
   auto ranked = core::EnumerateRankedPipelines(dag, 6);
   ASSERT_FALSE(ranked.empty());
-  auto plan = core::PlanFirstFeasible(dag, ranked, cluster,
-                                      model::TransferCostModel{});
+  auto plan = core::PlanFirstFeasible(dag, ranked, cluster);
   ASSERT_TRUE(plan.has_value());
   EXPECT_GT(plan->num_stages(), 1);
   for (const auto& s : plan->stages) {
@@ -92,10 +91,9 @@ TEST(LlmTest, NamesAreStable) {
 
 TEST(LlmTest, HiddenStateHopsAreCheap) {
   // Inter-group tensors must stay in the shared-memory budget.
-  model::TransferCostModel m;
   const auto dag = BuildLlmApp(LlmSize::k34B);
   for (int k = 1; k < dag.size(); ++k) {
-    EXPECT_LE(m.HopCost(dag.CutBytes(k)), Millis(40));
+    EXPECT_LE(HopCost(dag.CutBytes(k)), Millis(40));
   }
 }
 

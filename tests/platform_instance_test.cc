@@ -263,8 +263,7 @@ core::PipelinePlan PlannedTwoStagePipeline(const model::AppDag& dag) {
   const auto cluster = gpu::Cluster::Uniform(1, 8, gpu::DefaultPartition());
   for (const auto& cand : core::EnumerateRankedPipelines(dag, 4)) {
     if (cand.num_stages() != 2) continue;
-    auto plan = core::TryPlanOnNode(dag, cand, cluster, NodeId(0),
-                                    model::TransferCostModel{});
+    auto plan = core::PlanFirstFeasible(dag, {cand}, cluster, NodeId(0));
     if (plan) return *plan;
   }
   throw FfsError("no two-stage plan");

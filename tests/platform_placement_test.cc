@@ -72,8 +72,7 @@ class PlacementTest : public ::testing::Test {
   core::PipelinePlan PlanTwoStages(const gpu::ClusterView& view, int fn) {
     for (const core::PipelineCandidate& c : spec(fn).ranked_pipelines) {
       if (c.num_stages() != 2) continue;
-      auto plan = core::TryPlanOnNode(spec(fn).dag, c, view, NodeId(0),
-                                      model::TransferCostModel{});
+      auto plan = core::PlanFirstFeasible(spec(fn).dag, {c}, view, NodeId(0));
       if (plan) return std::move(*plan);
     }
     ADD_FAILURE() << "no 2-stage plan for fn " << fn;

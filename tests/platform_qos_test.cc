@@ -12,6 +12,7 @@
 #include "metrics/recorder.h"
 #include "model/zoo.h"
 #include "platform/platform.h"
+#include "qos/admission.h"
 #include "sim/simulator.h"
 
 namespace fluidfaas::harness {
@@ -82,13 +83,16 @@ TEST(PlatformQosTest, RateLimitRejectsWithTypedCauseAndStillDrains) {
   ExperimentConfig cfg = SmallConfig();
   cfg.platform.qos.admission = "shed";
   cfg.platform.qos.rate_rps = 0.5;  // well under the offered load
-  cfg.platform.qos.burst = 2.0;
-  cfg.platform.qos.shed_infeasible = false;  // isolate the bucket
   const ExperimentResult r = RunExperiment(cfg);
 
-  EXPECT_GT(r.recorder->rejected_requests(), 0u);
+  const std::size_t limited =
+      r.recorder->rejected_by(sim::RejectCause::kRateLimited);
+  EXPECT_GT(limited, 0u);
+  // With no depth cap, the only other refusal is the deadline-infeasible
+  // shed at dispatch.
   EXPECT_EQ(r.recorder->rejected_requests(),
-            r.recorder->rejected_by(sim::RejectCause::kRateLimited));
+            limited +
+                r.recorder->rejected_by(sim::RejectCause::kDeadlineInfeasible));
   // Rejected requests are terminal: the drain loop must not wait on them,
   // and accounting still covers every submission.
   EXPECT_EQ(r.recorder->finished_requests(), r.recorder->total_requests());
@@ -97,14 +101,19 @@ TEST(PlatformQosTest, RateLimitRejectsWithTypedCauseAndStillDrains) {
 
   // Every rejection surfaces in the per-request records with its cause.
   std::size_t flagged = 0;
+  std::size_t flagged_limited = 0;
   for (const auto& rec : r.recorder->records()) {
     if (rec.rejected) {
       ++flagged;
-      EXPECT_EQ(rec.reject_cause, sim::RejectCause::kRateLimited);
+      if (rec.reject_cause == sim::RejectCause::kRateLimited) {
+        ++flagged_limited;
+      }
+      EXPECT_NE(rec.reject_cause, sim::RejectCause::kNone);
       EXPECT_FALSE(rec.done());
     }
   }
   EXPECT_EQ(flagged, r.recorder->rejected_requests());
+  EXPECT_EQ(flagged_limited, limited);
 
   // And in the JSON report's qos object.
   const std::string json = ResultToJson(r);
@@ -118,7 +127,6 @@ TEST(PlatformQosTest, DepthCapRejectsWithQueueFull) {
   cfg.load_factor = 1.2;  // overload so the pending set actually backs up
   cfg.platform.qos.admission = "shed";
   cfg.platform.qos.max_queue_depth = 2;
-  cfg.platform.qos.shed_infeasible = false;
   const ExperimentResult r = RunExperiment(cfg);
   EXPECT_GT(r.recorder->rejected_by(sim::RejectCause::kQueueFull),
             0u);
@@ -149,9 +157,7 @@ TEST(PlatformQosTest, BackpressureTracksPendingAndRejections) {
 
   platform::PlatformConfig pcfg;
   pcfg.qos.admission = "shed";
-  pcfg.qos.rate_rps = 1.0;  // bucket of 1: a burst can only land one
-  pcfg.qos.burst = 1.0;
-  pcfg.qos.shed_infeasible = false;
+  pcfg.qos.rate_rps = 1.0;  // a burst lands only the full bucket
   metrics::Recorder recorder(cluster);
   recorder.SubscribeTo(sim.bus());
   platform::PlatformCore plat(sim, cluster, fns, pcfg,
@@ -159,10 +165,11 @@ TEST(PlatformQosTest, BackpressureTracksPendingAndRejections) {
   EXPECT_STREQ(plat.queue().name(), "fifo");
 
   plat.Start();
-  // An 8-wide burst at t=0 against a 1 rps bucket: exactly one admission
-  // and seven typed rejections.
+  // A burst of the bucket plus seven at t=0 against a 1 rps bucket:
+  // exactly the bucket's admissions and seven typed rejections.
   sim.At(0, [&plat] {
-    for (int i = 0; i < 8; ++i) plat.Submit(FunctionId(0));
+    const int burst = static_cast<int>(qos::ShedAdmission::kBucket) + 7;
+    for (int i = 0; i < burst; ++i) plat.Submit(FunctionId(0));
   });
   sim.RunUntil(Millis(1));
 

@@ -49,31 +49,32 @@ TEST(ShedAdmissionTest, TokenBucketSpendsBurstThenRateLimits) {
   QosConfig cfg;
   cfg.admission = "shed";
   cfg.rate_rps = 10.0;
-  cfg.burst = 3.0;
   ShedAdmission shed(cfg);
   KeyedQueue q = KeyedQueue::Fifo();
+  const int bucket = static_cast<int>(ShedAdmission::kBucket);
+  int rid = 0;
   // The bucket starts full: the burst passes, the next is refused.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(shed.AdmitAtSubmit(Item(i, 1, 1), 0, q),
+  for (int i = 0; i < bucket; ++i) {
+    EXPECT_EQ(shed.AdmitAtSubmit(Item(rid++, 1, 1), 0, q),
               sim::RejectCause::kNone)
         << i;
   }
-  EXPECT_EQ(shed.AdmitAtSubmit(Item(3, 1, 1), 0, q),
+  EXPECT_EQ(shed.AdmitAtSubmit(Item(rid++, 1, 1), 0, q),
             sim::RejectCause::kRateLimited);
   // 10 rps refill: 0.1 s buys exactly one token, and only one.
   const SimTime later = Seconds(0.1);
-  EXPECT_EQ(shed.AdmitAtSubmit(Item(4, 1, 1), later, q),
+  EXPECT_EQ(shed.AdmitAtSubmit(Item(rid++, 1, 1), later, q),
             sim::RejectCause::kNone);
-  EXPECT_EQ(shed.AdmitAtSubmit(Item(5, 1, 1), later, q),
+  EXPECT_EQ(shed.AdmitAtSubmit(Item(rid++, 1, 1), later, q),
             sim::RejectCause::kRateLimited);
-  // A long idle stretch refills to the burst cap, not beyond it.
+  // A long idle stretch refills to the bucket size, not beyond it.
   const SimTime much_later = Seconds(100.0);
-  for (int i = 6; i < 9; ++i) {
-    EXPECT_EQ(shed.AdmitAtSubmit(Item(i, 1, 1), much_later, q),
+  for (int i = 0; i < bucket; ++i) {
+    EXPECT_EQ(shed.AdmitAtSubmit(Item(rid++, 1, 1), much_later, q),
               sim::RejectCause::kNone)
         << i;
   }
-  EXPECT_EQ(shed.AdmitAtSubmit(Item(9, 1, 1), much_later, q),
+  EXPECT_EQ(shed.AdmitAtSubmit(Item(rid++, 1, 1), much_later, q),
             sim::RejectCause::kRateLimited);
 }
 
@@ -102,15 +103,6 @@ TEST(ShedAdmissionTest, ShedsDeadlineInfeasibleWorkAtDispatch) {
   EXPECT_EQ(shed.ReviewAtDispatch(Item(2, Seconds(2.0), Seconds(2.0)),
                                   Seconds(0.5)),
             sim::RejectCause::kDeadlineInfeasible);
-}
-
-TEST(ShedAdmissionTest, InfeasibleSheddingCanBeDisabled) {
-  QosConfig cfg;
-  cfg.admission = "shed";
-  cfg.shed_infeasible = false;
-  ShedAdmission shed(cfg);
-  EXPECT_EQ(shed.ReviewAtDispatch(Item(0, Seconds(1.0), Seconds(2.0)), 0),
-            sim::RejectCause::kNone);
 }
 
 TEST(AdmissionFactoryTest, BuildsControllersAndRejectsUnknown) {

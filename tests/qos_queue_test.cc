@@ -42,6 +42,11 @@ std::vector<int> DrainAll(QueueDiscipline& q) {
   return order;
 }
 
+/// rids [begin, end) in ascending order, appended to `out`.
+void AppendRange(std::vector<int>& out, int begin, int end) {
+  for (int rid = begin; rid < end; ++rid) out.push_back(rid);
+}
+
 std::vector<int> SnapshotIds(const QueueDiscipline& q) {
   std::vector<int> order;
   for (const QueueItem& item : q.Snapshot()) {
@@ -105,7 +110,7 @@ TEST(QueueDisciplineTest, RemoveDropsOneItemAndFixesDepth) {
 }
 
 TEST(QueueDisciplineTest, SnapshotMatchesDrainOrder) {
-  FairQueue fair(2);
+  FairQueue fair;
   KeyedQueue edf = KeyedQueue::Edf();
   KeyedQueue fifo = KeyedQueue::Fifo();
   for (QueueDiscipline* q :
@@ -120,41 +125,62 @@ TEST(QueueDisciplineTest, SnapshotMatchesDrainOrder) {
   }
 }
 
+constexpr int kSticky = FairQueue::kStickyBatch;
+
 TEST(FairQueueTest, InterleavesFlowsInsteadOfDrainingTheBurst) {
-  // Function 0 dumps a burst before function 1's two requests arrive; with
-  // equal service estimates and sticky batch 1, fair queueing alternates
-  // instead of finishing the whole burst first (which is what FIFO on
-  // equal priorities would do).
-  FairQueue q(1);
-  for (int i = 0; i < 4; ++i) q.Enqueue(Item(i, 0, 1000, 0, 100));
-  q.Enqueue(Item(4, 1, 1000, 0, 100));
-  q.Enqueue(Item(5, 1, 1000, 0, 100));
-  EXPECT_EQ(DrainAll(q), (std::vector<int>{0, 4, 1, 5, 2, 3}));
+  // Function 0 dumps a burst of two sticky batches before function 1's two
+  // requests arrive; with equal service estimates, fair queueing serves
+  // function 1 after the first batch instead of finishing the whole burst
+  // first (which is what FIFO on equal priorities would do).
+  FairQueue q;
+  for (int i = 0; i < 2 * kSticky; ++i) q.Enqueue(Item(i, 0, 1000, 0, 100));
+  q.Enqueue(Item(2 * kSticky, 1, 1000, 0, 100));
+  q.Enqueue(Item(2 * kSticky + 1, 1, 1000, 0, 100));
+  std::vector<int> expected;
+  AppendRange(expected, 0, kSticky);
+  AppendRange(expected, 2 * kSticky, 2 * kSticky + 2);
+  AppendRange(expected, kSticky, 2 * kSticky);
+  EXPECT_EQ(DrainAll(q), expected);
 }
 
 TEST(FairQueueTest, StickyBatchKeepsAFunctionsBacklogTogether) {
-  FairQueue q(2);
-  for (int i = 0; i < 4; ++i) q.Enqueue(Item(i, 0, 1000, 0, 100));
-  q.Enqueue(Item(4, 1, 1000, 0, 100));
-  q.Enqueue(Item(5, 1, 1000, 0, 100));
-  // Two from flow 0 (sticky), then flow 1 catches up, then the tail.
-  EXPECT_EQ(DrainAll(q), (std::vector<int>{0, 1, 4, 5, 2, 3}));
+  // Two equal flows of two batches each: the pick alternates in runs of
+  // exactly kStickyBatch (ties go to the lower function id).
+  FairQueue q;
+  for (int i = 0; i < 2 * kSticky; ++i) q.Enqueue(Item(i, 0, 1000, 0, 100));
+  for (int i = 2 * kSticky; i < 4 * kSticky; ++i) {
+    q.Enqueue(Item(i, 1, 1000, 0, 100));
+  }
+  std::vector<int> expected;
+  AppendRange(expected, 0, kSticky);
+  AppendRange(expected, 2 * kSticky, 3 * kSticky);
+  AppendRange(expected, kSticky, 2 * kSticky);
+  AppendRange(expected, 3 * kSticky, 4 * kSticky);
+  EXPECT_EQ(DrainAll(q), expected);
 }
 
 TEST(FairQueueTest, CheapFlowsDequeueMoreOften) {
-  // Flow 0's items cost 4x flow 1's: virtual time advances 4x faster for
-  // flow 0, so flow 1 gets roughly four dequeues per flow-0 dequeue.
-  FairQueue q(1);
-  for (int i = 0; i < 3; ++i) q.Enqueue(Item(i, 0, 1000, 0, 400));
-  for (int i = 3; i < 11; ++i) q.Enqueue(Item(i, 1, 1000, 0, 100));
-  const auto order = DrainAll(q);
-  // First flow-0 item finishes at F=400; flow 1's first four finish at
-  // 100..400. Ties (400) break toward the lower function id.
-  EXPECT_EQ(order, (std::vector<int>{3, 4, 5, 0, 6, 7, 8, 9, 1, 10, 2}));
+  // Flow 0's items cost 4x flow 1's, so each flow-0 batch advances its
+  // finish tags 4x as far. Flow 1's first batch finishes at F=100..400,
+  // ahead of flow 0's head (F=400). After flow 0's first batch its head
+  // finishes at F=400·(kSticky+1), so flow 1's remaining three batches
+  // (up to F=400·kSticky) all dequeue while flow 0 waits.
+  FairQueue q;
+  const int cheap = 4 * kSticky;
+  for (int i = 0; i < 2 * kSticky; ++i) q.Enqueue(Item(i, 0, 1000, 0, 400));
+  for (int i = 0; i < cheap; ++i) {
+    q.Enqueue(Item(2 * kSticky + i, 1, 1000, 0, 100));
+  }
+  std::vector<int> expected;
+  AppendRange(expected, 2 * kSticky, 3 * kSticky);
+  AppendRange(expected, 0, kSticky);
+  AppendRange(expected, 3 * kSticky, 2 * kSticky + cheap);
+  AppendRange(expected, kSticky, 2 * kSticky);
+  EXPECT_EQ(DrainAll(q), expected);
 }
 
 TEST(FairQueueTest, TiesBreakByFunctionIdThenSeq) {
-  FairQueue q(1);
+  FairQueue q;
   q.Enqueue(Item(0, 3, 1000, 0, 100));
   q.Enqueue(Item(1, 1, 1000, 0, 100));
   q.Enqueue(Item(2, 2, 1000, 0, 100));
@@ -163,7 +189,7 @@ TEST(FairQueueTest, TiesBreakByFunctionIdThenSeq) {
 }
 
 TEST(FairQueueTest, KeepBlocksTheWholeFlowForThePass) {
-  FairQueue q(4);
+  FairQueue q;
   q.Enqueue(Item(0, 0, 1000, 0, 100));
   q.Enqueue(Item(1, 0, 1000, 0, 100));
   q.Enqueue(Item(2, 1, 1000, 0, 100));
@@ -181,7 +207,7 @@ TEST(FairQueueTest, KeepBlocksTheWholeFlowForThePass) {
 }
 
 TEST(FairQueueTest, DropDoesNotAdvanceVirtualTime) {
-  FairQueue q(1);
+  FairQueue q;
   q.Enqueue(Item(0, 0, 1000, 0, 1'000'000));  // huge estimate, will be shed
   q.Enqueue(Item(1, 1, 1000, 0, 100));
   q.Drain([](const QueueItem& item) {
@@ -196,7 +222,7 @@ TEST(FairQueueTest, DropDoesNotAdvanceVirtualTime) {
 }
 
 TEST(FairQueueTest, RemoveMidBacklogPreservesFlowOrder) {
-  FairQueue q(1);
+  FairQueue q;
   q.Enqueue(Item(0, 0, 1000, 0, 100));
   q.Enqueue(Item(1, 0, 1000, 0, 100));
   q.Enqueue(Item(2, 0, 1000, 0, 100));

@@ -13,15 +13,15 @@ namespace fluidfaas::trace {
 namespace {
 
 TEST(PopularitySharesTest, SumToOneAndDeterministic) {
-  auto a = PopularityShares(8, 1.2, 42);
-  auto b = PopularityShares(8, 1.2, 42);
+  auto a = PopularityShares(8, 42);
+  auto b = PopularityShares(8, 42);
   EXPECT_EQ(a, b);
   EXPECT_NEAR(std::accumulate(a.begin(), a.end(), 0.0), 1.0, 1e-12);
   for (double s : a) EXPECT_GT(s, 0.0);
 }
 
 TEST(PopularitySharesTest, DifferentSeedsDiffer) {
-  EXPECT_NE(PopularityShares(4, 1.2, 1), PopularityShares(4, 1.2, 2));
+  EXPECT_NE(PopularityShares(4, 1), PopularityShares(4, 2));
 }
 
 TEST(PoissonArrivalsTest, HomogeneousRateMatches) {
