@@ -4,7 +4,7 @@
 #include <map>
 
 #include "bench/bench_util.h"
-#include "trace/workload.h"
+#include "harness/run_context.h"
 
 using namespace fluidfaas;
 
@@ -13,20 +13,13 @@ int main() {
                 "Fig. 3(a)+(b)");
   auto cfg = bench::PaperConfig(trace::WorkloadTier::kMedium);
   cfg.system = harness::SystemKind::kEsg;
-  const harness::ExperimentResult esg = harness::RunExperiment(cfg);
+  harness::RunContext ctx(cfg);
+  const trace::Workload& workload = ctx.workload();
+  const harness::ExperimentResult esg = ctx.Run();
 
-  // Reconstruct the offered load to compute the "required GPU resource":
-  // the GPC-seconds of work arriving per second (ideal work-conserving
-  // demand), smoothed over 5 s windows.
-  trace::WorkloadParams wp;
-  wp.slo_scale = cfg.platform.slo_scale;
-  wp.duration = cfg.duration;
-  wp.load_factor = cfg.load_factor;
-  wp.seed = cfg.seed;
-  gpu::Cluster cluster =
-      gpu::Cluster::Uniform(cfg.num_nodes, cfg.gpus_per_node,
-                            gpu::DefaultPartition());
-  trace::Workload workload = trace::MakeWorkload(cfg.tier, cluster, wp);
+  // The "required GPU resource" is the offered load of the run: the
+  // GPC-seconds of work arriving per second (ideal work-conserving demand),
+  // smoothed over 5 s windows.
 
   const SimDuration win = Seconds(5);
   std::map<SimTime, double> required;  // window start -> required GPCs
