@@ -37,15 +37,25 @@ double CoefficientOfVariation(const std::vector<double>& xs) {
   return s.cv();
 }
 
+namespace {
+
+// Linear interpolation between the closest ranks of the non-empty,
+// ascending `sorted`.
+double QuantileOfSorted(const std::vector<double>& sorted, double q) {
+  FFS_CHECK(q >= 0.0 && q <= 1.0);
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+}  // namespace
+
 double Percentile(std::vector<double> xs, double q) {
   FFS_CHECK(!xs.empty());
-  FFS_CHECK(q >= 0.0 && q <= 1.0);
   std::sort(xs.begin(), xs.end());
-  const double rank = q * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return xs[lo] + frac * (xs[hi] - xs[lo]);
+  return QuantileOfSorted(xs, q);
 }
 
 std::vector<double> Percentiles(std::vector<double> xs,
@@ -54,14 +64,7 @@ std::vector<double> Percentiles(std::vector<double> xs,
   std::sort(xs.begin(), xs.end());
   std::vector<double> out;
   out.reserve(qs.size());
-  for (double q : qs) {
-    FFS_CHECK(q >= 0.0 && q <= 1.0);
-    const double rank = q * static_cast<double>(xs.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    out.push_back(xs[lo] + frac * (xs[hi] - xs[lo]));
-  }
+  for (double q : qs) out.push_back(QuantileOfSorted(xs, q));
   return out;
 }
 
