@@ -20,7 +20,6 @@ int main() {
   // The "required GPU resource" is the offered load of the run: the
   // GPC-seconds of work arriving per second (ideal work-conserving demand),
   // smoothed over 5 s windows.
-
   const SimDuration win = Seconds(5);
   std::map<SimTime, double> required;  // window start -> required GPCs
   for (const auto& inv : workload.trace) {

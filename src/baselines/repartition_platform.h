@@ -6,8 +6,8 @@
 // is measurable. It schedules monolithically (best-fit, like INFless-MIG),
 // and when a function cannot be placed on any free slice while a fully idle
 // GPU exists, it reconfigures that GPU to the partition that best serves the
-// stranded demand — paying the kReconfigBlackout, during which the
-// GPU's fresh slices are held by a sentinel binding. Each swap is published
+// stranded demand — paying a kReconfigBlackout, during which the GPU's
+// fresh slices are held by a sentinel binding. Each swap is published
 // as sim::PartitionReconfigured; the Recorder syncs its slice table and
 // counts the swap and its blackout off it.
 //

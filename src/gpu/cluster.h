@@ -118,8 +118,8 @@ class Cluster {
   /// Replace a GPU's MIG partition at runtime (all its slices must be
   /// free). The old slice ids die permanently; the new slices get fresh
   /// cluster-unique ids, returned in placement order. The caller accounts
-  /// for the minutes-scale delay and must re-sync any
-  /// per-slice observers (e.g. metrics::Recorder::SyncSlices).
+  /// for the minutes-scale delay and must re-sync any per-slice observers
+  /// (e.g. metrics::Recorder::SyncSlices).
   std::vector<SliceId> RepartitionGpu(GpuId gpu,
                                       const MigPartition& partition);
 
