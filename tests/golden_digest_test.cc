@@ -124,55 +124,75 @@ TEST(GoldenDigestTest, AllSchedulersFaultFree) {
 // 2-node shed rows pin the key-ordered queues (fifo and edf) under
 // deadline-infeasible shedding with a deep pending set. The heavy 32-node
 // row is the largest cluster any digest runs: FluidFaaS's Route there
-// scans dozens of exclusive-hot instances per function.
+// scans dozens of exclusive-hot instances per function. The last two rows
+// set the load and the timeout: perfbench's overload-qos shape (load 1.04,
+// fair/shed, timeout 4×), and load 1.5 under a 1× timeout, where thousands
+// of requests time out, so the expiry path runs in every position (in the
+// pending set, queued on an instance, mid-execution).
 TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
   struct VariantCell {
     const char* label;
     WorkloadTier tier;
     int num_nodes;
+    double load;  // 0 = the tier's default
     double fault_rate;
+    double timeout_scale;  // × SLO; 0 = no enforcement timeout
     const char* queue;
     const char* admission;
     std::uint64_t digests[5];  // kFfs, kDist, kEsg, kInfless, kRepart
   };
   constexpr SystemKind kSystems[] = {kFfs, kDist, kEsg, kInfless, kRepart};
   constexpr VariantCell kVariants[] = {
-      {"faults 0.05 fair/shed", WorkloadTier::kMedium, 2, 0.05, "fair", "shed",
+      {"faults 0.05 fair/shed", WorkloadTier::kMedium, 2, 0.0, 0.05, 3.0,
+       "fair", "shed",
        {0xfb5f8596782216ccULL, 0xe62192216a2236c0ULL,
         0xa8b69b2ab153d7d7ULL, 0xdc6fb4459d926704ULL,
         0xba9cba46a671cf7aULL}},
-      {"faults 0.05 fifo/none", WorkloadTier::kMedium, 2, 0.05, "fifo", "none",
+      {"faults 0.05 fifo/none", WorkloadTier::kMedium, 2, 0.0, 0.05, 3.0,
+       "fifo", "none",
        {0xfe7cf691c6bd2f21ULL, 0x5da7c1540a55525eULL,
         0xdf5307f16c08e449ULL, 0xed797ce8744876aeULL,
         0x289235acc50aec75ULL}},
-      {"fault-free fair/shed", WorkloadTier::kMedium, 2, 0.0, "fair", "shed",
+      {"fault-free fair/shed", WorkloadTier::kMedium, 2, 0.0, 0.0, 0.0, "fair",
+       "shed",
        {0x308b5173fad3c5ccULL, 0x637736c5cadc2569ULL,
         0x6bc0805ccc7bd668ULL, 0x98fffe9f7fe941daULL,
         0x85885167abb9fde3ULL}},
-      {"fault-free edf/none", WorkloadTier::kMedium, 2, 0.0, "edf", "none",
+      {"fault-free edf/none", WorkloadTier::kMedium, 2, 0.0, 0.0, 0.0, "edf",
+       "none",
        {0xaf07f1ef7493df2fULL, 0xc2270a64dd20323bULL,
         0x2c151a11f89832edULL, 0x8e988085781b9d67ULL,
         0x40b7b75d881e1869ULL}},
-      {"heavy 8 nodes faults 0.05 fifo/none", WorkloadTier::kHeavy, 8, 0.05,
-       "fifo", "none",
+      {"heavy 8 nodes faults 0.05 fifo/none", WorkloadTier::kHeavy, 8, 0.0,
+       0.05, 3.0, "fifo", "none",
        {0x4cfedbaf1e95b3c0ULL, 0x120534e73a1d9db1ULL,
         0x60273cfea9fc885fULL, 0x9837d61d4fa880baULL,
         0xb47ed59ded4a15d9ULL}},
-      {"heavy fault-free fifo/shed", WorkloadTier::kHeavy, 2, 0.0, "fifo",
-       "shed",
+      {"heavy fault-free fifo/shed", WorkloadTier::kHeavy, 2, 0.0, 0.0, 0.0,
+       "fifo", "shed",
        {0x36ccafcfa5be7ab7ULL, 0x9e928764db0adb9bULL,
         0xb537a0037b0d1a48ULL, 0x49aa29510907c303ULL,
         0x3189116f69b387d4ULL}},
-      {"heavy faults 0.05 edf/shed", WorkloadTier::kHeavy, 2, 0.05, "edf",
-       "shed",
+      {"heavy faults 0.05 edf/shed", WorkloadTier::kHeavy, 2, 0.0, 0.05, 3.0,
+       "edf", "shed",
        {0x0e3edfc5eb53ff16ULL, 0x77001a6ac6d467d3ULL,
         0x3574c6c6250ce181ULL, 0x9337065006f4a708ULL,
         0x562e91803888d857ULL}},
       {"heavy 32 nodes fault-free fifo/none", WorkloadTier::kHeavy, 32, 0.0,
-       "fifo", "none",
+       0.0, 0.0, "fifo", "none",
        {0xfa40d682e5d4ef76ULL, 0xb2ab3f11e75caf9fULL,
         0x67f104a381e720f9ULL, 0xfb1ab53e013e4301ULL,
         0xa80e8d5dc4d26bdaULL}},
+      {"overload-qos shape", WorkloadTier::kMedium, 2, 1.04, 0.05, 4.0, "fair",
+       "shed",
+       {0xe86c6493108527f2ULL, 0xf215c1e642a6ff9aULL,
+        0x193cd6c55b9a91a3ULL, 0x5fc97a0ce632fa8fULL,
+        0x3f1058727bebc6cfULL}},
+      {"load 1.5 faults 0.05 timeout 1x fifo/none", WorkloadTier::kMedium, 2,
+       1.5, 0.05, 1.0, "fifo", "none",
+       {0x7ab54889c135415eULL, 0xb8c4d605ad49944cULL,
+        0x4b6f9b00bc6b933dULL, 0x950bdb89f5b72da2ULL,
+        0xb426619f4f3130d3ULL}},
   };
   for (const VariantCell& v : kVariants) {
     for (std::size_t s = 0; s < std::size(kSystems); ++s) {
@@ -182,13 +202,17 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
       cfg.num_nodes = v.num_nodes;
       cfg.duration = Seconds(60);
       cfg.faults.rate = v.fault_rate;
-      cfg.faults.timeout_scale = v.fault_rate > 0.0 ? 3.0 : 0.0;
+      cfg.load_factor = v.load;
+      cfg.faults.timeout_scale = v.timeout_scale;
       cfg.platform.qos.queue = v.queue;
       cfg.platform.qos.admission = v.admission;
       const ExperimentResult r = RunExperiment(cfg);
       ASSERT_GT(r.recorder->records().size(), 0u);
       if (v.fault_rate > 0.0) {
         ASSERT_GT(r.recorder->instances_failed(), 0u) << r.system;
+      }
+      if (v.timeout_scale == 1.0) {
+        ASSERT_GT(r.recorder->timeouts(), 0u) << r.system;
       }
       EXPECT_EQ(Hex(DigestRecords(*r.recorder)), Hex(v.digests[s]))
           << r.system << " / " << v.label;
