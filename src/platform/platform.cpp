@@ -175,7 +175,10 @@ RequestId PlatformCore::Submit(FunctionId fn) {
         now + static_cast<SimDuration>(
                   std::llround(config_.request_timeout_scale *
                                static_cast<double>(spec.slo)));
-    sim_.At(expire, [this, rid] { ExpireRequest(rid); });
+    std::deque<Timeout>& lane = fns_[FnIndex(fn)].timeouts;
+    FFS_CHECK(lane.empty() || lane.back().expire <= expire);
+    lane.push_back(Timeout{expire, sim_.Reserve(), rid});
+    if (lane.size() == 1) ArmTimeout(fn);
   }
   if (!routing_->Route(*this, rid, fn)) MakePending(rid, fn);
   return rid;
@@ -601,6 +604,24 @@ void PlatformCore::Resubmit(RequestId rid, FunctionId fn, int stage,
   bus().Publish(sim::RequestRetried{rid, fn, m->attempts, resumed, now});
   if (resumed) return;
   if (!routing_->Route(*this, rid, fn)) MakePending(rid, fn);
+}
+
+void PlatformCore::ArmTimeout(FunctionId fn) {
+  const Timeout& t = fns_[FnIndex(fn)].timeouts.front();
+  sim_.AtReserved(t.expire, t.id, [this, fn] { FireTimeout(fn); });
+}
+
+void PlatformCore::FireTimeout(FunctionId fn) {
+  std::deque<Timeout>& lane = fns_[FnIndex(fn)].timeouts;
+  const RequestId rid = lane.front().rid;
+  lane.pop_front();
+  while (!lane.empty() && FindMeta(lane.front().rid) == nullptr) {
+    lane.pop_front();
+  }
+  // Armed before the expiry runs, so a Submit it causes finds the lane in
+  // its resting state: empty, or its front scheduled.
+  if (!lane.empty()) ArmTimeout(fn);
+  ExpireRequest(rid);
 }
 
 void PlatformCore::ExpireRequest(RequestId rid) {

@@ -179,12 +179,24 @@ class PlatformCore final {
     double util_ewma = 0.0;           // smoothed tick utilization
   };
 
+  // An enforcement timer: `rid` expires at `expire`, under the event id
+  // Submit reserved for it.
+  struct Timeout {
+    SimTime expire;
+    sim::EventId id;
+    RequestId rid;
+  };
+
   // Per-function state, indexed by FunctionId.
   struct FunctionRow {
     std::vector<Instance*> live;  // InstancesOf(fn)
     SimTime warm_until = 0;       // weights warm in CPU memory before this
     double arrival_rate = 0.0;    // EWMA requests/s
     int arrivals_this_tick = 0;
+    // The function's timers in Submit order, so expiries are nondecreasing.
+    // Only the front one is scheduled, under its own (expire, id) key;
+    // FireTimeout arms the next live one.
+    std::deque<Timeout> timeouts;
   };
 
   /// Checked row indexes into functions_/fns_ and instances_.
@@ -240,6 +252,14 @@ class PlatformCore final {
 
   /// Mark `sid` failed now and schedule its repair.
   void FailSlice(SliceId sid, SimDuration repair);
+
+  /// Schedule the front of `fn`'s timer lane under its reserved id.
+  void ArmTimeout(FunctionId fn);
+
+  /// The front timer of `fn` fired: pop it, drop the following timers of
+  /// requests that already finished (each would fire as a no-op), arm the
+  /// next one, then expire the popped request.
+  void FireTimeout(FunctionId fn);
 
   /// Enforcement-timeout expiry for `rid` (armed at Submit when
   /// config.request_timeout_scale > 0).

@@ -26,18 +26,24 @@ bool EventQueue::TailFirst() const {
 }
 
 EventId EventQueue::Schedule(SimTime when, EventFn fn) {
+  const EventId id = Reserve();
+  ScheduleAs(when, id, std::move(fn));
+  return id;
+}
+
+void EventQueue::ScheduleAs(SimTime when, EventId id, EventFn fn) {
   FFS_CHECK_MSG(when >= 0, "cannot schedule before simulation start");
-  const EventId id = next_id_++;
-  // The new id is the largest yet, so an event no earlier than the tail's
-  // last entry keeps the tail sorted.
+  FFS_CHECK_MSG(id > 0 && id < next_id_, "scheduling under an unissued id");
+  Fired e{when, id, std::move(fn)};
+  // An event after the tail's last entry keeps the tail sorted. The full
+  // key decides: a reserved id may be older than the tail's last one.
   if (tail_.empty() ? heap_.empty() || when >= heap_.front().time
-                    : when >= tail_.back().time) {
-    tail_.push_back(Fired{when, id, std::move(fn)});
+                    : Later{}(e, tail_.back())) {
+    tail_.push_back(std::move(e));
   } else {
-    heap_.push_back(Fired{when, id, std::move(fn)});
+    heap_.push_back(std::move(e));
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
-  return id;
 }
 
 bool EventQueue::Cancel(EventId id) {

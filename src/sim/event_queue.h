@@ -10,8 +10,14 @@
 // head comes first. A replayed trace is scheduled in time order before the
 // clock starts, so its arrivals all land in the tail and leave it in O(1)
 // each, while the few dozen live platform events stay in a small heap.
-// Ids are issued in Schedule order and keep their key in either container,
-// so the pop order is the same total order a single heap gives.
+// Ids are issued by Schedule or Reserve, in call order, and an event keeps
+// its (time, id) key in either container, so the pop order is the same
+// total order a single heap gives. ScheduleAs keeps a reserved id's place:
+// an event scheduled later under an id reserved earlier pops as if it had
+// been scheduled at the reservation. A caller that holds many future events
+// in an order it knows (one enforcement timer per request, say) reserves
+// each one's id, schedules only the next, and never schedules the ones
+// that turn out dead, while the live ones fire in the same order.
 //
 // Cancel erases the entry, so the containers hold exactly the live events:
 // an id that fired or was already cancelled is not found and is refused.
@@ -40,8 +46,15 @@ class EventQueue {
   };
 
   /// Schedule `fn` to fire at absolute time `when`. Returns a handle that
-  /// can be passed to Cancel().
+  /// can be passed to Cancel(). Same as ScheduleAs(when, Reserve(), fn).
   EventId Schedule(SimTime when, EventFn fn);
+
+  /// Issue the next id without scheduling anything.
+  EventId Reserve() { return next_id_++; }
+
+  /// Schedule `fn` at `when` under `id`, which Reserve() issued and no
+  /// event holds yet. Throws if `id` was never issued.
+  void ScheduleAs(SimTime when, EventId id, EventFn fn);
 
   /// Remove a queued event. Returns false if the id is not queued: it
   /// already fired, was already cancelled or was never issued. O(n).

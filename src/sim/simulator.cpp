@@ -16,6 +16,11 @@ EventId Simulator::After(SimDuration delay, EventFn fn) {
   return queue_.Schedule(now_ + delay, std::move(fn));
 }
 
+void Simulator::AtReserved(SimTime when, EventId id, EventFn fn) {
+  FFS_CHECK_MSG(when >= now_, "cannot schedule into the past");
+  queue_.ScheduleAs(when, id, std::move(fn));
+}
+
 bool Simulator::Cancel(EventId id) { return queue_.Cancel(id); }
 
 bool Simulator::Step(SimTime horizon) {

@@ -35,6 +35,13 @@ class Simulator {
   /// Schedule after a relative delay (>= 0).
   EventId After(SimDuration delay, EventFn fn);
 
+  /// Issue the next event id without scheduling anything; AtReserved
+  /// schedules under it later, in the (time, id) place it had when issued.
+  EventId Reserve() { return queue_.Reserve(); }
+
+  /// Schedule at an absolute time (>= Now()) under a reserved id.
+  void AtReserved(SimTime when, EventId id, EventFn fn);
+
   /// Cancel a queued event; false if it already fired (the event now
   /// running included) or was cancelled. O(pending()).
   bool Cancel(EventId id);

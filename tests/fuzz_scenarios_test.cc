@@ -2,7 +2,8 @@
 // random cluster shapes, and random mid-run perturbations, asserting the
 // system-wide invariants that must survive anything:
 //   * strong isolation (one instance per slice — checked inside Cluster),
-//   * conservation (every submitted request completes exactly once),
+//   * conservation (every submitted request completes exactly once; under
+//     an enforcement timeout, it reaches exactly one terminal state),
 //   * accounting sanity (busy time <= bound time <= wall time per slice),
 //   * per-request timing adds up.
 #include <gtest/gtest.h>
@@ -71,6 +72,8 @@ void RunScenario(platform::PolicyBundle bundle, std::uint64_t seed) {
   auto fns = RandomFunctions(rng, part);
   PlatformConfig config;
   config.seed = seed;
+  // Odd seeds enforce a timeout, so requests also end timed out mid-queue.
+  if (seed % 2 == 1) config.request_timeout_scale = rng.Uniform(0.5, 4.0);
   platform::PlatformCore plat(sim, cluster, fns, config, std::move(bundle));
   recorder.SubscribeTo(sim.bus());
   plat.Start();
@@ -88,10 +91,23 @@ void RunScenario(platform::PolicyBundle bundle, std::uint64_t seed) {
   plat.Stop();
   recorder.Close(sim.Now());
 
-  // Conservation: everything submitted completed exactly once.
-  EXPECT_EQ(recorder.completed_requests(),
-            static_cast<std::size_t>(requests))
-      << "seed " << seed;
+  // Conservation: everything submitted completed exactly once, or, under
+  // a timeout, reached exactly one terminal state: completed (perhaps
+  // timed out mid-execution) or timed out mid-queue. Nothing crashes and
+  // nothing is shed here, so no request is abandoned or rejected.
+  const bool timeouts = config.request_timeout_scale > 0.0;
+  if (timeouts) {
+    EXPECT_EQ(recorder.finished_requests(),
+              static_cast<std::size_t>(requests))
+        << "seed " << seed;
+    EXPECT_EQ(recorder.abandoned_requests(), 0u);
+    EXPECT_EQ(recorder.rejected_requests(), 0u);
+    EXPECT_LE(recorder.aborted_requests(), recorder.timeouts());
+  } else {
+    EXPECT_EQ(recorder.completed_requests(),
+              static_cast<std::size_t>(requests))
+        << "seed " << seed;
+  }
 
   // Accounting: per-slice busy <= bound <= wall.
   for (const auto& s : recorder.PerSliceTotals()) {
@@ -103,7 +119,11 @@ void RunScenario(platform::PolicyBundle bundle, std::uint64_t seed) {
   // (pipeline stages overlap transfers, so equality is not required), and
   // every piece is non-negative.
   for (const auto& rec : recorder.records()) {
-    ASSERT_TRUE(rec.done());
+    ASSERT_NE(rec.done(), rec.aborted) << "seed " << seed;
+    if (rec.aborted) {
+      EXPECT_TRUE(rec.timed_out);
+      continue;
+    }
     EXPECT_GE(rec.queue_time, 0);
     EXPECT_GE(rec.load_time, 0);
     EXPECT_GE(rec.exec_time, 0);

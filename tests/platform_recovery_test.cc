@@ -4,6 +4,7 @@
 // enforcement-timeout expiry (see DESIGN.md "Failure model").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -40,11 +41,12 @@ model::ComponentSpec Comp(int idx, SimDuration t) {
 }
 
 /// One 2-component chain (100 ms + 100 ms on a 1g slice).
-FunctionSpec TwoCompSpec() {
+FunctionSpec TwoCompSpec(FunctionId id = FunctionId(0),
+                         double slo_scale = 1.5) {
   model::AppDag dag("app", {Comp(0, Millis(100)), Comp(1, Millis(100))},
                     {{-1, 0}, {0, 1}});
-  return MakeFunctionSpec(FunctionId(0), 0, model::Variant::kSmall,
-                          std::move(dag), 1.5);
+  return MakeFunctionSpec(id, 0, model::Variant::kSmall, std::move(dag),
+                          slo_scale);
 }
 
 struct RouteKnobs {
@@ -125,7 +127,8 @@ struct World {
   std::unique_ptr<PlatformCore> plat;
 
   explicit World(PlatformConfig cfg = JitterFree(),
-                 std::unique_ptr<RetryPolicy> retry = nullptr)
+                 std::unique_ptr<RetryPolicy> retry = nullptr,
+                 std::vector<FunctionSpec> fns = {TwoCompSpec()})
       : cluster(gpu::Cluster::Uniform(
             1, 2, gpu::MigPartition::Parse("1g.10gb+1g.10gb+1g.10gb"))),
         recorder(cluster),
@@ -135,10 +138,8 @@ struct World {
     bundle.routing = std::make_unique<FlexRouting>(knobs);
     bundle.scaling = std::make_unique<NoScaling>();
     bundle.retry = std::move(retry);
-    plat = std::make_unique<PlatformCore>(sim, cluster,
-                                          std::vector<FunctionSpec>{
-                                              TwoCompSpec()},
-                                          cfg, std::move(bundle));
+    plat = std::make_unique<PlatformCore>(sim, cluster, std::move(fns), cfg,
+                                          std::move(bundle));
   }
 
   static PlatformConfig JitterFree() {
@@ -516,6 +517,119 @@ TEST(TimeoutTest, TimedOutVictimIsNotRetried) {
   EXPECT_EQ(w.recorder.retries_total(), 0u);
   EXPECT_EQ(w.recorder.abandoned_requests(), 1u);
   EXPECT_EQ(w.recorder.timeouts(), 1u);
+}
+
+TEST(TimeoutTest, ExpiryOnTheCompletionMicrosecondWins) {
+  // Two requests of one function queue on one instance; B finishes at
+  // `completion`. Both expire then: A's timer finds A finished, and B's is
+  // armed only when A's fires. It still fires under the id B's Submit
+  // reserved, before B's completion event (scheduled when B started to
+  // execute), so B is flagged timed out and is not goodput.
+  World base;
+  base.plat->Submit(FunctionId(0));
+  const RequestId probe = base.plat->Submit(FunctionId(0));
+  base.sim.Run();
+  const SimTime completion = base.recorder.record(probe).completion;
+
+  PlatformConfig cfg = World::JitterFree();
+  const SimDuration slo = base.plat->function(FunctionId(0)).slo;
+  cfg.request_timeout_scale =
+      static_cast<double>(completion) / static_cast<double>(slo);
+  World w(cfg);
+  const RequestId ra = w.plat->Submit(FunctionId(0));
+  const RequestId rb = w.plat->Submit(FunctionId(0));
+  std::vector<sim::RequestTimedOut> seen;
+  w.sim.bus().Subscribe<sim::RequestTimedOut>(
+      [&](const sim::RequestTimedOut& e) { seen.push_back(e); });
+  w.sim.Run();
+
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].rid, rb);
+  EXPECT_TRUE(seen[0].mid_execution);
+  EXPECT_EQ(seen[0].at, completion);
+  EXPECT_EQ(w.recorder.record(rb).completion, completion);
+  EXPECT_TRUE(w.recorder.record(rb).timed_out);
+  EXPECT_FALSE(w.recorder.record(rb).Goodput());
+  EXPECT_TRUE(w.recorder.record(ra).done());
+  EXPECT_FALSE(w.recorder.record(ra).timed_out);
+  EXPECT_EQ(w.recorder.completed_requests(), 2u);
+}
+
+TEST(TimeoutTest, ExpiriesOfTwoFunctionsInterleave) {
+  // Every request waits in the pending set, so each one times out at its
+  // own Submit time + SLO. The two SLOs differ, so the two functions'
+  // expiries interleave; ties fire in Submit order.
+  PlatformConfig cfg = World::JitterFree();
+  cfg.request_timeout_scale = 1.0;
+  World w(cfg, nullptr,
+          {TwoCompSpec(FunctionId(0), 1.5), TwoCompSpec(FunctionId(1), 4.0)});
+  w.knobs->accept = false;
+  const SimDuration slo0 = w.plat->function(FunctionId(0)).slo;
+  const SimDuration slo1 = w.plat->function(FunctionId(1)).slo;
+  ASSERT_GT(slo1, 2 * slo0);
+
+  struct Expected {
+    SimTime expire;
+    RequestId rid;
+  };
+  std::vector<Expected> expected;
+  const auto submit_at = [&](SimTime t, int fn) {
+    w.sim.At(t, [&w, &expected, t, fn] {
+      const FunctionId f(fn);
+      const RequestId rid = w.plat->Submit(f);
+      expected.push_back({t + w.plat->function(f).slo, rid});
+    });
+  };
+  submit_at(0, 1);
+  submit_at(0, 0);
+  submit_at(slo0 / 2, 0);
+  submit_at(slo0, 1);
+  submit_at(slo1 - slo0, 0);  // ties the first request of function 1
+  submit_at(slo1 - slo0 / 2, 0);
+  submit_at(slo1, 0);
+  std::vector<std::pair<SimTime, RequestId>> seen;
+  w.sim.bus().Subscribe<sim::RequestTimedOut>(
+      [&](const sim::RequestTimedOut& e) {
+        EXPECT_FALSE(e.mid_execution);
+        seen.emplace_back(e.at, e.rid);
+      });
+  w.sim.Run();
+
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Expected& a, const Expected& b) {
+                     return a.expire < b.expire;
+                   });
+  std::vector<std::pair<SimTime, RequestId>> want;
+  for (const Expected& e : expected) want.emplace_back(e.expire, e.rid);
+  EXPECT_EQ(seen, want);
+  // The lanes interleave: function 1's first expiry falls between
+  // function 0's.
+  ASSERT_EQ(want.size(), 7u);
+  EXPECT_EQ(want[2].second, RequestId(0));
+  EXPECT_EQ(want[3].second, RequestId(4));
+  EXPECT_EQ(w.recorder.timeouts(), 7u);
+  EXPECT_EQ(w.plat->queue().size(), 0u);
+}
+
+TEST(TimeoutTest, RequestsFinishedInTimeLeaveOneTimerEvent) {
+  // Ten requests all finish before their 50x-SLO expiry (the cold start
+  // alone outlasts a few SLOs). Only the first timer is ever scheduled: it
+  // fires, finds its request finished, drops the nine others and arms
+  // nothing. One timer per request would add ten no-op events, not one.
+  const auto run = [](double timeout_scale) {
+    PlatformConfig cfg = World::JitterFree();
+    cfg.request_timeout_scale = timeout_scale;
+    World w(cfg);
+    for (int i = 0; i < 10; ++i) w.plat->Submit(FunctionId(0));
+    w.sim.Run();
+    EXPECT_EQ(w.recorder.completed_requests(), 10u);
+    EXPECT_EQ(w.recorder.timeouts(), 0u);
+    EXPECT_EQ(w.sim.pending(), 0u);
+    return w.sim.events_executed();
+  };
+  const std::uint64_t untimed = run(0.0);
+  EXPECT_EQ(run(50.0), untimed + 1);
+  EXPECT_EQ(untimed, 11u);
 }
 
 }  // namespace

@@ -119,23 +119,41 @@ TEST(EventQueueTest, StressRandomOrderIsSorted) {
 }
 
 // Pops interleave with cancels of pending, fired and already-cancelled
-// ids. A sorted model of the queued (time, id) pairs predicts every pop,
-// every Cancel result and the size after each step. `next_time()` draws the
-// time of each scheduled event.
+// ids, and with events whose id is reserved at one step and scheduled at a
+// later one. A sorted model of the queued (time, id) pairs predicts every
+// pop, every Cancel result and the size after each step. `next_time()`
+// draws the time of each event.
 template <typename NextTime>
 void StressAgainstSortedModel(Rng& rng, NextTime next_time) {
   EventQueue q;
   std::set<std::pair<SimTime, EventId>> model;
-  std::vector<std::pair<SimTime, EventId>> issued;
+  std::vector<std::pair<SimTime, EventId>> issued;    // scheduled
+  std::vector<std::pair<SimTime, EventId>> reserved;  // not scheduled yet
   int executed = 0;
   int popped = 0;
   int cancelled = 0;
+  const auto schedule_reserved = [&](std::size_t i) {
+    const auto e = reserved[i];
+    reserved[i] = reserved.back();
+    reserved.pop_back();
+    q.ScheduleAs(e.first, e.second, [&executed] { ++executed; });
+    issued.push_back(e);
+    model.insert(e);
+  };
   for (int step = 0; step < 6000; ++step) {
     const double op = rng.NextDouble();
-    if (op < 0.45) {
+    if (op < 0.3) {
       const SimTime t = next_time();
       issued.emplace_back(t, q.Schedule(t, [&executed] { ++executed; }));
       model.insert(issued.back());
+    } else if (op < 0.45) {
+      if (reserved.empty() || rng.NextDouble() < 0.5) {
+        const SimTime t = next_time();
+        reserved.emplace_back(t, q.Reserve());
+      } else {
+        schedule_reserved(static_cast<std::size_t>(rng.UniformInt(
+            0, static_cast<std::int64_t>(reserved.size()) - 1)));
+      }
     } else if (op < 0.7) {
       if (model.empty()) continue;
       auto fired = q.Pop();
@@ -152,6 +170,7 @@ void StressAgainstSortedModel(Rng& rng, NextTime next_time) {
     }
     ASSERT_EQ(q.size(), model.size());
   }
+  while (!reserved.empty()) schedule_reserved(0);
   while (!q.empty()) {
     q.Pop().fn();
     ++popped;
@@ -210,6 +229,50 @@ TEST(EventQueueTest, EarlierThanTailPopsBeforeLaterTailEntries) {
     EXPECT_EQ(order.back(), next);
   }
   EXPECT_EQ(order, (std::vector<SimTime>{10, 15, 20, 30}));
+}
+
+TEST(EventQueueTest, ReservedIdPopsInItsPlace) {
+  EventQueue q;
+  const auto at = [&q](SimTime t) { return q.Schedule(t, [] {}); };
+  const auto as = [&q](SimTime t, EventId id) { q.ScheduleAs(t, id, [] {}); };
+  const EventId r1 = q.Reserve();
+  const EventId r2 = q.Reserve();
+  const EventId a = at(20);  // tail
+  const EventId b = at(10);  // heap
+  const EventId c = at(30);  // tail
+  as(20, r1);  // ties a in the tail with an older id: before a
+  as(10, r2);  // ties b in the heap with an older id: before b
+  const EventId r3 = q.Reserve();
+  const EventId r4 = q.Reserve();
+  const EventId d = at(40);  // tail
+  as(40, r3);  // ties the tail's last entry d with an older id: before d
+  as(50, r4);  // after every queued key: appends to the tail
+  EXPECT_EQ(q.size(), 8u);
+  std::vector<EventId> order;
+  while (!q.empty()) order.push_back(q.Pop().id);
+  EXPECT_EQ(order, (std::vector<EventId>{r2, b, r1, a, c, r3, d, r4}));
+}
+
+TEST(EventQueueTest, ScheduleAsRefusesAnUnissuedId) {
+  EventQueue q;
+  EXPECT_THROW(q.ScheduleAs(5, 0, [] {}), FfsError);
+  EXPECT_THROW(q.ScheduleAs(5, 1, [] {}), FfsError);
+  const EventId r = q.Reserve();
+  EXPECT_THROW(q.ScheduleAs(5, r + 1, [] {}), FfsError);
+  EXPECT_THROW(q.ScheduleAs(-1, r, [] {}), FfsError);
+  EXPECT_TRUE(q.empty());
+  q.ScheduleAs(5, r, [] {});
+  EXPECT_EQ(q.Pop().id, r);
+}
+
+TEST(EventQueueTest, ReserveIssuesTheIdScheduleWouldHave) {
+  EventQueue q;
+  const EventId a = q.Schedule(1, [] {});
+  const EventId r = q.Reserve();
+  const EventId b = q.Schedule(1, [] {});
+  EXPECT_EQ(r, a + 1);
+  EXPECT_EQ(b, r + 1);
+  EXPECT_FALSE(q.Cancel(r));  // reserved, not scheduled
 }
 
 }  // namespace

@@ -41,6 +41,23 @@ TEST(SimulatorTest, CannotScheduleIntoPast) {
   sim.Run();
 }
 
+TEST(SimulatorTest, AtReservedRunsInTheReservedPlace) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId r = sim.Reserve();
+  sim.At(100, [&] {
+    order.push_back(1);
+    EXPECT_THROW(sim.AtReserved(50, r, [] {}), FfsError);
+    // Scheduled after event 2 at the same time, but under an older id.
+    sim.AtReserved(200, r, [&] { order.push_back(3); });
+  });
+  sim.At(200, [&] { order.push_back(4); });
+  sim.At(150, [&] { order.push_back(2); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.events_executed(), 4u);
+}
+
 TEST(SimulatorTest, NegativeDelayThrows) {
   Simulator sim;
   EXPECT_THROW(sim.After(-1, [] {}), FfsError);
