@@ -174,8 +174,10 @@ run_tidy() {
 # Route calls and 50 queue offers per request (the counts are
 # deterministic; heavy-paper keeps the pending set deep). overload-qos is
 # the only workload with faults and fair/shed queueing, so only its record
-# checks run through FaultInjector::Stop's cancel; it is checked for
-# correctness alone.
+# checks run through FaultInjector::Stop's cancel. It is the only one with
+# an enforcement timeout, too: its deterministic sim.events_per_request
+# must stay below 2.2 (about 1.8 with one timer per function; one timer
+# per request, never cancelled, gave 2.78).
 run_perfbench() {
   local workload out
   for workload in light-steady heavy-paper overload-qos; do
@@ -187,7 +189,9 @@ import json, sys
 r = json.loads(sys.argv[1].splitlines()[-1])
 assert r["correct"] is True and r["failed"] == 0, r
 if sys.argv[2] == "overload-qos":
-    print("perfbench ok:", r["attempted"], "cells")
+    epr = r["metrics"]["sim.events_per_request"]["value"]
+    assert epr < 2.2, f"2.2 or more events per request: {epr}"
+    print("perfbench ok:", r["attempted"], "cells; events/request", epr)
     sys.exit(0)
 calls = {k: m["value"] for k, m in r["metrics"].items()
          if ".route_calls_per_request." in k}
