@@ -14,10 +14,9 @@
 // its (time, id) key in either container, so the pop order is the same
 // total order a single heap gives. ScheduleAs keeps a reserved id's place:
 // an event scheduled later under an id reserved earlier pops as if it had
-// been scheduled at the reservation. A caller that holds many future events
-// in an order it knows (one enforcement timer per request, say) reserves
-// each one's id, schedules only the next, and never schedules the ones
-// that turn out dead, while the live ones fire in the same order.
+// been scheduled at the reservation. PlatformCore's enforcement timers use
+// it to schedule only each function's next timer, and never the timers of
+// requests that finish first, while every live expiry keeps its place.
 //
 // Cancel erases the entry, so the containers hold exactly the live events:
 // an id that fired or was already cancelled is not found and is refused.
