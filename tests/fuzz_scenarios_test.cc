@@ -95,8 +95,7 @@ void RunScenario(platform::PolicyBundle bundle, std::uint64_t seed) {
   // a timeout, reached exactly one terminal state: completed (perhaps
   // timed out mid-execution) or timed out mid-queue. Nothing crashes and
   // nothing is shed here, so no request is abandoned or rejected.
-  const bool timeouts = config.request_timeout_scale > 0.0;
-  if (timeouts) {
+  if (config.request_timeout_scale > 0.0) {
     EXPECT_EQ(recorder.finished_requests(),
               static_cast<std::size_t>(requests))
         << "seed " << seed;

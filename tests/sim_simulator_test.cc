@@ -48,7 +48,7 @@ TEST(SimulatorTest, AtReservedRunsInTheReservedPlace) {
   sim.At(100, [&] {
     order.push_back(1);
     EXPECT_THROW(sim.AtReserved(50, r, [] {}), FfsError);
-    // Scheduled after event 2 at the same time, but under an older id.
+    // Scheduled after event 4 (also at 200), but under an older id.
     sim.AtReserved(200, r, [&] { order.push_back(3); });
   });
   sim.At(200, [&] { order.push_back(4); });
