@@ -49,7 +49,7 @@ Bytes AppDag::CutBytes(int k) const {
   Bytes bytes = 0;
   for (const DagEdge& e : edges_) {
     if (e.from >= 0 && e.from < k && e.to >= k) {
-      bytes += components_[static_cast<std::size_t>(e.from)].output.bytes();
+      bytes += components_[static_cast<std::size_t>(e.from)].output_bytes;
     }
   }
   // The function input itself may also be consumed past the cut (e.g. a

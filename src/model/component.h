@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/types.h"
-#include "model/tensor.h"
 
 namespace fluidfaas::model {
 
@@ -56,8 +55,8 @@ struct ComponentSpec {
   /// super-resolution step).
   double exec_probability = 1.0;
 
-  /// Output tensor handed to successors.
-  TensorSpec output;
+  /// Size of the output tensor handed to successors.
+  Bytes output_bytes = 0;
 
   /// Total resident memory this component needs on its MIG slice.
   Bytes MemoryRequired() const { return weights + activations; }

@@ -28,7 +28,7 @@ ComponentSpec Endpoint(ComponentClass cls, int index, SimDuration latency,
   c.activations = mem - mem / 4;
   c.latency_1gpc = latency;
   c.serial_fraction = 0.6;  // token-level work, poorly parallelizable
-  c.output = TensorSpec({out_bytes}, 1);
+  c.output_bytes = out_bytes;
   return c;
 }
 
@@ -75,7 +75,7 @@ AppDag BuildLlmApp(LlmSize size) {
     c.serial_fraction = 0.12;
     // Hidden-state hand-off between groups: batch x seq x hidden at fp16,
     // tens of MB — well inside the shared-memory transfer budget.
-    c.output = TensorSpec({MiB(24)}, 1);
+    c.output_bytes = MiB(24);
     edges.push_back({idx - 1, idx});
     comps.push_back(std::move(c));
     ++idx;

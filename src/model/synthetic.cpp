@@ -24,7 +24,7 @@ AppDag SyntheticApp(const SyntheticAppParams& p, Rng& rng) {
     if (i > 0 && rng.Chance(p.branch_probability)) {
       c.exec_probability = 0.5;
     }
-    c.output = TensorSpec({rng.UniformInt(MiB(1), MiB(64))}, 1);
+    c.output_bytes = rng.UniformInt(MiB(1), MiB(64));
     comps.push_back(std::move(c));
     edges.push_back({i - 1, i});
   }

@@ -85,8 +85,7 @@ ComponentSpec MakeComponent(ComponentClass cls, const VariantScale& scale,
       std::llround(static_cast<double>(base.latency_1gpc) * scale.latency));
   c.serial_fraction = base.serial_fraction;
   c.exec_probability = exec_probability;
-  // Output framed as a flat byte tensor of the scaled size.
-  c.output = TensorSpec({ScaleBytes(base.output_bytes, scale.memory)}, 1);
+  c.output_bytes = ScaleBytes(base.output_bytes, scale.memory);
   return c;
 }
 

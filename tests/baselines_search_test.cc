@@ -24,7 +24,7 @@ model::AppDag Dag(Bytes per_comp, SimDuration t1, int k = 3) {
     c.activations = per_comp - per_comp / 2;
     c.latency_1gpc = t1;
     c.serial_fraction = 0.0;
-    c.output = model::TensorSpec({MiB(10)}, 1);
+    c.output_bytes = MiB(10);
     cs.push_back(c);
     es.push_back({i - 1, i});
   }

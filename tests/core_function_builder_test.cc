@@ -19,7 +19,7 @@ model::ComponentSpec Spec(const char* name) {
   c.activations = GiB(1);
   c.latency_1gpc = Millis(100);
   c.serial_fraction = 0.1;
-  c.output = model::TensorSpec({MiB(10)}, 1);
+  c.output_bytes = MiB(10);
   return c;
 }
 

@@ -23,7 +23,7 @@ model::ComponentSpec Comp(int idx, Bytes mem, SimDuration t) {
   c.activations = mem - mem / 2;
   c.latency_1gpc = t;
   c.serial_fraction = 0.0;  // linear scaling keeps test arithmetic exact
-  c.output = model::TensorSpec({MiB(10)}, 1);
+  c.output_bytes = MiB(10);
   return c;
 }
 

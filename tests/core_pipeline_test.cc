@@ -21,7 +21,7 @@ model::ComponentSpec Comp(int idx, Bytes mem, SimDuration t, Bytes out) {
   c.activations = mem - mem / 2;
   c.latency_1gpc = t;
   c.serial_fraction = 0.0;
-  c.output = model::TensorSpec({out}, 1);
+  c.output_bytes = out;
   return c;
 }
 

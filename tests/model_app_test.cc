@@ -19,15 +19,8 @@ ComponentSpec Comp(int idx, Bytes mem, SimDuration t, Bytes out = MiB(10)) {
   c.activations = mem - mem / 2;
   c.latency_1gpc = t;
   c.serial_fraction = 0.1;
-  c.output = TensorSpec({out}, 1);
+  c.output_bytes = out;
   return c;
-}
-
-TEST(TensorSpecTest, BytesAndToString) {
-  TensorSpec t({4, 3, 224, 224}, 4);
-  EXPECT_EQ(t.bytes(), 4ll * 3 * 224 * 224 * 4);
-  EXPECT_EQ(t.ToString(), "[4x3x224x224]x4B");
-  EXPECT_EQ(TensorSpec{}.bytes(), 0);
 }
 
 TEST(AppDagTest, ChainStructure) {

@@ -23,7 +23,7 @@ model::ComponentSpec Comp(SimDuration t) {
   c.activations = GiB(1);
   c.latency_1gpc = t;
   c.serial_fraction = 0.0;
-  c.output = model::TensorSpec({MiB(10)}, 1);
+  c.output_bytes = MiB(10);
   return c;
 }
 

@@ -26,7 +26,7 @@ model::ComponentSpec Comp(int idx, SimDuration t) {
   c.activations = GiB(1);
   c.latency_1gpc = t;
   c.serial_fraction = 0.0;
-  c.output = model::TensorSpec({MiB(20)}, 1);
+  c.output_bytes = MiB(20);
   return c;
 }
 
