@@ -253,7 +253,7 @@ void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
 void FfsState::ExpireCold(platform::PlatformCore& core, FunctionId fn) {
   FnState& st = state(fn);
   const SimTime now = core.simulator().Now();
-  if (!st.has_ts || now - st.ts_last_used <= core.config().warm_timeout) {
+  if (!st.has_ts || now - st.ts_last_used <= platform::kWarmTimeout) {
     return;
   }
   if (st.ts != nullptr && st.ts->Idle()) {

@@ -99,7 +99,7 @@ class FfsState {
   void ScaleDown(platform::PlatformCore& core, FunctionId fn);
 
   /// Fig. 8 ⑤: drop fn's time-sharing entry once it has gone unused for
-  /// warm_timeout, retiring its resident instance if idle.
+  /// platform::kWarmTimeout, retiring its resident instance if idle.
   void ExpireCold(platform::PlatformCore& core, FunctionId fn);
 
   void PruneDead(FnState& st);

@@ -20,6 +20,10 @@ inline constexpr double kHotThreshold = 0.30;
 /// Window over which instance utilization and arrival rates are averaged.
 inline constexpr SimDuration kUtilWindow = Seconds(10.0);
 
+/// Keep-alive before a warm (CPU-resident) function turns cold (§5.3:
+/// "no requests for 10 minutes").
+inline constexpr SimDuration kWarmTimeout = Minutes(10.0);
+
 /// Target headroom for scale-up: add capacity when the recent arrival
 /// rate exceeds this fraction of deployed capacity (i.e. deploy toward
 /// rate / factor). Bursty arrivals need substantial headroom to keep
@@ -34,10 +38,6 @@ struct PlatformConfig {
   /// SLO latency = slo_scale × solo latency on minimum MIG (§6). Only
   /// workload building (trace::WorkloadParams) reads it.
   double slo_scale = 1.5;
-
-  /// Keep-alive before a warm (CPU-resident) function turns cold (§5.3:
-  /// "no requests for 10 minutes").
-  SimDuration warm_timeout = Minutes(10.0);
 
   /// Exclusive keep-alive of the baselines: an idle instance holds its MIG
   /// slice this long after its last request (the policy behind Fig. 5).

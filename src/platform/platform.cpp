@@ -437,7 +437,7 @@ bool PlatformCore::IsWarm(FunctionId fn) const {
 }
 
 void PlatformCore::TouchWarm(FunctionId fn) {
-  fns_[FnIndex(fn)].warm_until = sim_.Now() + config_.warm_timeout;
+  fns_[FnIndex(fn)].warm_until = sim_.Now() + kWarmTimeout;
 }
 
 double PlatformCore::ArrivalRate(FunctionId fn) const {

@@ -95,14 +95,16 @@ TEST_F(FfsPlatformTest, IdlenessDemotesBackToTimeSharing) {
 }
 
 TEST_F(FfsPlatformTest, ColdAfterWarmTimeout) {
-  PlatformConfig config;
-  config.warm_timeout = Seconds(30);  // shorten the 10-minute rule for test
-  Build(model::Variant::kSmall, 1, 2, config);
+  Build(model::Variant::kSmall);
   plat_->Submit(FunctionId(0));
   sim_.RunUntil(Seconds(10));
+  ASSERT_TRUE(state_->state(FunctionId(0)).has_ts);
+  // The request finished within the first 10 s, so at the 10-minute mark
+  // the function has been idle for less than the warm window.
+  sim_.RunUntil(platform::kWarmTimeout);
   EXPECT_TRUE(state_->state(FunctionId(0)).has_ts);
   // Fig. 8 ⑤: no demand for the warm window -> cold (entry removed).
-  sim_.RunUntil(Seconds(60));
+  sim_.RunUntil(platform::kWarmTimeout + Seconds(30));
   EXPECT_FALSE(state_->state(FunctionId(0)).has_ts);
 }
 

@@ -168,7 +168,7 @@ TEST_F(PlatformTest, LaunchBindsSlicesAndRetireReleases) {
 TEST_F(PlatformTest, WarmExpiresAfterTimeout) {
   plat_.TouchWarm(FunctionId(0));
   EXPECT_TRUE(plat_.IsWarm(FunctionId(0)));
-  sim_.RunUntil(plat_.config().warm_timeout + Seconds(1));
+  sim_.RunUntil(kWarmTimeout + Seconds(1));
   EXPECT_FALSE(plat_.IsWarm(FunctionId(0)));
 }
 
