@@ -142,24 +142,23 @@ int CmdRun(const CliArgs& args) {
   cfg.platform.qos.rate_rps = args.GetNonNegative("rate", 0.0);
   cfg.platform.qos.max_queue_depth = args.Get<std::size_t>("queue-cap", 0);
 
+  // One --system is a one-entry systems axis of the sweep 'all' runs.
   const std::string system = args.GetString("system", "all");
-  std::vector<harness::ExperimentResult> results;
+  harness::SweepSpec spec;
+  spec.base = cfg;
   if (system == "all") {
     FFS_CHECK_MSG(cfg.trace_out.empty(),
                   "--trace-out requires a single --system (not 'all')");
-    harness::SweepSpec spec;
-    spec.base = cfg;
     spec.systems = harness::kComparisonSystems;
-    for (harness::SweepCell& c : harness::RunSweep(spec, ParseJobs(args))
-                                     .cells) {
-      results.push_back(std::move(c.result));
-    }
   } else {
-    cfg.system = harness::ParseSystem(system);
-    results.push_back(harness::RunExperiment(cfg));
-    if (!cfg.trace_out.empty()) {
-      std::cout << "Chrome trace written to " << cfg.trace_out << "\n";
-    }
+    spec.systems = {harness::ParseSystem(system)};
+  }
+  std::vector<harness::ExperimentResult> results;
+  for (harness::SweepCell& c : harness::RunSweep(spec, ParseJobs(args)).cells) {
+    results.push_back(std::move(c.result));
+  }
+  if (!cfg.trace_out.empty()) {
+    std::cout << "Chrome trace written to " << cfg.trace_out << "\n";
   }
 
   metrics::Table table({"system", "completed", "throughput", "SLO hit",
