@@ -1,7 +1,7 @@
 // Shared configuration and printing helpers for the figure/table benches.
 //
-// Every bench binary reproduces one table or figure of the paper (see
-// DESIGN.md §3) at the paper's cluster scale: 2 nodes × 8 A100s, default
+// Every bench binary reproduces one experiment of the paper (see DESIGN.md
+// §3) at the paper's cluster scale: 2 nodes × 8 A100s, default
 // partition 4g.40gb+2g.20gb+1g.10gb per GPU. Durations are simulated time;
 // override with FFS_BENCH_DURATION_S for quicker smoke runs.
 //

@@ -36,8 +36,7 @@ class Comparison {
     for (const harness::SweepCell& c : sweep_.cells) {
       if (c.point.tier == tier && c.point.system == system) return c.result;
     }
-    throw FfsError("no comparison cell for " + std::string(trace::Name(tier)) +
-                   "/" + harness::Name(system));
+    throw FfsError("the comparison grid has no such cell");
   }
 
   /// The tier's INFless, ESG and FluidFaaS results, in that order.
