@@ -68,9 +68,12 @@ int ScaleUp(platform::PlatformCore& core, const platform::FunctionSpec& spec,
 
 bool EsgRouting::Route(platform::PlatformCore& core, RequestId rid,
                        FunctionId fn) {
-  // Cold path: synchronous scale-up for the first request.
+  // Cold path: synchronous scale-up for the first request. Neither it nor
+  // the least-loaded pick reads the due, so a refusal reaches as far as
+  // AdmitBounded's, and a failed scale-up refuses every due.
   if (core.InstancesOf(fn).empty() &&
       ScaleUp(core, core.function(fn), core.ArrivalRate(fn)) == 0) {
+    core.RefuseThrough(platform::kRefuseAll);
     return false;
   }
   return platform::AdmitBounded(
@@ -97,10 +100,12 @@ bool InflessRouting::Route(platform::PlatformCore& core, RequestId rid,
                            FunctionId fn) {
   if (core.InstancesOf(fn).empty() &&
       platform::LaunchMonolithic(core, core.function(fn)) == nullptr) {
+    core.RefuseThrough(platform::kRefuseAll);
     return false;
   }
 
-  // Least outstanding work, no SLO-awareness in the pick.
+  // Least outstanding work, no SLO-awareness in the pick: a refusal reaches
+  // as far as AdmitBounded's.
   Instance* best = nullptr;
   for (Instance* inst : core.InstancesOf(fn)) {
     if (!inst->CanAdmit()) continue;

@@ -117,8 +117,10 @@ bool RepartitionState::TryReconfigure(platform::PlatformCore& core,
 
 bool RepartitionRouting::Route(platform::PlatformCore& core, RequestId rid,
                                FunctionId fn) {
+  // As in ESG: the due decides only AdmitBounded's answer.
   if (core.InstancesOf(fn).empty() &&
       platform::LaunchMonolithic(core, core.function(fn)) == nullptr) {
+    core.RefuseThrough(platform::kRefuseAll);
     return false;  // tick may reconfigure
   }
   return platform::AdmitBounded(

@@ -87,6 +87,9 @@ bool DistRouting::Route(platform::PlatformCore& core, RequestId rid,
       return true;
     }
   }
+  // Every call counts toward an invoker's arrivals, so a skipped call would
+  // change the scaling: withdraw the reach the domains reported.
+  core.RefuseThrough(platform::kNoReach);
   return false;
 }
 

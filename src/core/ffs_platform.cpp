@@ -177,6 +177,10 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
   //    only when strictly earlier (request will likely miss its SLO, but
   //    progress beats starvation). The bounded admit keeps overload in the
   //    EDF-ordered pending set instead of FIFO instance queues.
+  //    Every refusal ends here, so its reach is AdmitBounded's: AdmitsFrom
+  //    lies below `best`'s estimate, which no step 1 or step 2 estimate
+  //    undercuts, so a request due below it passes those steps too, and
+  //    EnsureTsResident and LaunchExclusive do not read the due.
   Instance* best = platform::LeastLoaded(st.eh, now);
   if (st.ts != nullptr && st.ts->CanAdmit() &&
       (best == nullptr ||

@@ -71,7 +71,7 @@ class FfsState {
   /// bounded least-loaded fallback. True when `rid` was enqueued. The first
   /// step is one pass over `eh` for the minimum (ServiceLatency, id) among
   /// the admitting instances that meet the deadline: no sort, no
-  /// allocation.
+  /// allocation. A refusal reports its reach (PlatformCore::RefuseThrough).
   bool Route(platform::PlatformCore& core, RequestId rid, FunctionId fn);
 
   /// Make fn's time-sharing instance resident: smallest free slice in the

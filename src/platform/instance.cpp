@@ -156,12 +156,6 @@ double Instance::CapacityRps() const {
   return bottleneck_ > 0 ? 1e6 / static_cast<double>(bottleneck_) : 0.0;
 }
 
-bool Instance::AdmitWithinBound(SimTime now, SimTime deadline,
-                                SimDuration slo) const {
-  const SimDuration allowance = std::max(slo, 2 * service_latency_);
-  return EstimateCompletion(now) <= std::max(deadline, now) + allowance;
-}
-
 SimDuration Instance::ActiveTotal(SimTime now) const {
   SimDuration t = active_total_;
   if (busy_stages_ > 0) t += now - active_since_;

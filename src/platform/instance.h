@@ -129,7 +129,15 @@ class Instance {
   /// request whenever the SLO slack is below the bottleneck time. Overload
   /// beyond the bound belongs in the platform's EDF-ordered pending set,
   /// not in FIFO instance queues.
-  bool AdmitWithinBound(SimTime now, SimTime deadline, SimDuration slo) const;
+  bool AdmitWithinBound(SimTime now, SimTime deadline, SimDuration slo) const {
+    return AdmitsFrom(now, slo) <= std::max(deadline, now);
+  }
+
+  /// The bound's one formula: the smallest due = max(deadline, now) that
+  /// AdmitWithinBound admits, EstimateCompletion(now) less the allowance.
+  SimTime AdmitsFrom(SimTime now, SimDuration slo) const {
+    return EstimateCompletion(now) - std::max(slo, 2 * service_latency_);
+  }
 
   /// Idle-pipeline end-to-end latency (for lowest-latency-first routing).
   SimDuration ServiceLatency() const { return service_latency_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <set>
 #include <variant>
 
@@ -11,13 +10,6 @@
 #include "sim/events.h"
 
 namespace fluidfaas::platform {
-
-namespace {
-
-// A refusal bar below every due: nothing refused yet in this pass.
-constexpr SimTime kNoBar = std::numeric_limits<SimTime>::min();
-
-}  // namespace
 
 PlatformCore::PlatformCore(sim::Simulator& sim, gpu::Cluster& cluster,
                            std::vector<FunctionSpec> functions,
@@ -472,12 +464,13 @@ void PlatformCore::DispatchPending() {
   // work that can no longer meet its deadline is shed instead of routed.
   //
   // The refusal bars rest on the RoutingPolicy::Route contract: while the
-  // state stands still, refusals are monotone in due = max(deadline, now).
-  // A placement, or any publish during the call, may have moved the state,
-  // so it drops every bar. A kKeep answered from a bar carries the bar as
-  // its keep-through bound, which lets a key-ordered queue jump over the
-  // rest of the function's blocked run.
-  refused_due_.assign(functions_.size(), kNoBar);
+  // state stands still, refusals are monotone in due = max(deadline, now),
+  // and a refusal's promised reach holds. A placement, or any publish
+  // during the call, may have moved the state, so it drops every bar. A
+  // kKeep answered from a bar carries the bar as its keep-through bound,
+  // which lets a key-ordered queue jump over the rest of the function's
+  // blocked run.
+  refused_due_.assign(functions_.size(), kNoReach);
   // Capturing only [this, now] keeps the closure inside std::function's
   // small buffer, so a pass allocates nothing.
   pending_q_->Drain([this, now = sim_.Now()](
@@ -491,12 +484,13 @@ void PlatformCore::DispatchPending() {
     SimTime& bar = refused_due_[static_cast<std::size_t>(item.fn.value)];
     if (due <= bar) return qos::DrainVerdict::KeepThrough(bar);
     const std::uint64_t published = bus().published();
+    refuse_through_ = kNoReach;
     const bool placed = routing_->Route(*this, item.rid, item.fn);
     if (placed || bus().published() != published) {
-      std::fill(refused_due_.begin(), refused_due_.end(), kNoBar);
+      std::fill(refused_due_.begin(), refused_due_.end(), kNoReach);
       return placed ? qos::DrainVerdict::kDispatch : qos::DrainVerdict::kKeep;
     }
-    bar = due;  // due > bar here
+    bar = std::max(due, refuse_through_);  // raises it: due > bar here
     return qos::DrainVerdict::KeepThrough(bar);
   });
   PublishPendingDepth();
@@ -701,11 +695,15 @@ double AdmittingCapacity(const std::vector<Instance*>& insts) {
 }
 
 bool AdmitBounded(PlatformCore& core, Instance* inst, RequestId rid) {
-  if (inst == nullptr) return false;
+  if (inst == nullptr) {
+    core.RefuseThrough(kRefuseAll);
+    return false;
+  }
   const SimTime now = core.simulator().Now();
   const SimTime deadline = core.DeadlineOf(rid);
-  if (!inst->AdmitWithinBound(now, deadline,
-                              core.function(inst->function()).slo)) {
+  const SimDuration slo = core.function(inst->function()).slo;
+  if (!inst->AdmitWithinBound(now, deadline, slo)) {
+    core.RefuseThrough(inst->AdmitsFrom(now, slo) - 1);
     return false;
   }
   inst->Enqueue(rid, core.JitterOf(rid), deadline);

@@ -133,13 +133,23 @@ class PlatformCore final {
   /// policies that free capacity out of band (e.g. after a repartition
   /// blackout) call it directly.
   ///
-  /// One pass keeps, per function, the highest due = max(deadline, now)
-  /// the router refused. Every item still goes through the admission
-  /// review; an item whose due is at or below its function's bar then
-  /// stays pending without a Route call, which the refusal contract on
+  /// One pass keeps, per function, a bar: the highest due = max(deadline,
+  /// now) the router refused, or the higher reach a refusal promised
+  /// (RefuseThrough). Every item still goes through the admission review;
+  /// an item whose due is at or below its function's bar then stays
+  /// pending without a Route call, which the refusal contract on
   /// RoutingPolicy::Route makes exact. A Route call that places a request
   /// or publishes on the bus clears every bar.
   void DispatchPending();
+
+  /// Called by a router that is about to refuse: in the current state it
+  /// would refuse, without publishing, every request of the same function
+  /// with due <= `bound` (kRefuseAll: every due; kNoReach: only its own).
+  /// DispatchPending resets the reach before each Route call and bars the
+  /// function up to max(due, reach).
+  void RefuseThrough(SimTime bound) { refuse_through_ = bound; }
+  /// The bound last reported (tests and diagnostics).
+  SimTime refuse_through() const { return refuse_through_; }
 
   /// Jitter factor assigned to an outstanding request at Submit().
   double JitterOf(RequestId rid) const;
@@ -292,9 +302,11 @@ class PlatformCore final {
   // Last published pending depth (dedup for PendingDepthChanged).
   std::size_t last_depth_published_ = 0;
 
-  // DispatchPending's refusal bars, one per function: the highest due the
-  // router refused in the current pass.
+  // DispatchPending's refusal bars, one per function: the highest due or
+  // promised reach the router refused in the current pass.
   std::vector<SimTime> refused_due_;
+  // The reach of the Route call in flight (RefuseThrough).
+  SimTime refuse_through_ = kNoReach;
 
   // Per-request metadata: a dense window over the ids from the oldest
   // outstanding request to the newest, so a request costs no allocation.

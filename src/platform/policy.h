@@ -24,6 +24,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -52,15 +53,31 @@ class RoutingPolicy {
   /// platform state is unchanged, a refusal must be monotone in due: if
   /// Route refuses a request of `fn` at due e, it would refuse every request
   /// of `fn` with due <= e. A refusal may change state only by publishing
-  /// on the bus (a Commit, abort or eviction does). DispatchPending relies
-  /// on this: within one pass it does not re-offer a refused function's
-  /// items at or below the highest refused due until a Route call places a
-  /// request or publishes something (DESIGN.md §9). It passes that due to
-  /// the queue as a keep-through bound, so a key-ordered queue skips the
-  /// blocked run without offering it; AdmissionController::ReviewAtDispatch
-  /// carries the matching contract for the admission review.
+  /// on the bus (a Commit, abort or eviction does).
+  ///
+  /// A refusal may also promise its reach: a bound R at or above its due
+  /// such that, in the same state, Route would refuse every request of `fn`
+  /// with due <= R and publish nothing. It reports R by calling
+  /// core.RefuseThrough(R) before it returns false (kRefuseAll: every due).
+  /// A refusal that reports nothing promises only its own due.
+  ///
+  /// DispatchPending relies on both: within one pass it does not re-offer a
+  /// refused function's items at or below the highest due or reach a
+  /// refusal covered until a Route call places a request or publishes
+  /// something (DESIGN.md §9). It passes that bound to the queue as a
+  /// keep-through bound, so a key-ordered queue skips the blocked run
+  /// without offering it; AdmissionController::ReviewAtDispatch carries the
+  /// matching contract for the admission review.
   virtual bool Route(PlatformCore& core, RequestId rid, FunctionId fn) = 0;
 };
+
+/// PlatformCore::RefuseThrough's bound for a refusal that holds at every
+/// due. Far below kTimeInfinity, so a queue may add a key offset to it.
+inline constexpr SimTime kRefuseAll = kTimeInfinity / 4;
+
+/// PlatformCore::RefuseThrough's bound that promises no reach: the refusal
+/// then covers only its own due.
+inline constexpr SimTime kNoReach = std::numeric_limits<SimTime>::min();
 
 class ScalingPolicy {
  public:
@@ -159,7 +176,9 @@ double AdmittingCapacity(const std::vector<Instance*>& insts);
 
 /// Enqueue `rid` on `inst` when the instance's backlog stays within the
 /// request's SLO bound (Instance::AdmitWithinBound). False, and nothing
-/// enqueued, when `inst` is null or over the bound.
+/// enqueued, when `inst` is null or over the bound; the refusal then
+/// reports its reach (PlatformCore::RefuseThrough): every due when `inst`
+/// is null, else every due below inst's Instance::AdmitsFrom.
 bool AdmitBounded(PlatformCore& core, Instance* inst, RequestId rid);
 
 /// Plan `spec` whole on the smallest free slice that holds it (on `node`

@@ -197,6 +197,45 @@ TEST_F(InstanceTest, AdmitWithinBoundAllowsPipelineConcurrency) {
   sim_.Run();
 }
 
+TEST_F(InstanceTest, AdmitsFromIsTheSmallestDueTheBoundAdmits) {
+  // A ready and a loading instance (2 s left), each with 0 to 3 queued, at
+  // two clocks, two SLOs and deadlines from 3 s overdue to 4 s ahead: the
+  // bound admits exactly the dues at or above AdmitsFrom, which is the
+  // estimate less max(slo, 2 x service latency).
+  auto ready = Make(OneStagePlan());
+  auto loading =
+      Make(*core::MonolithicPlanOnSlice(dag_, cluster_, SliceId(2)),
+           Seconds(2));
+  ASSERT_EQ(loading->state(), InstanceState::kLoading);
+  for (int k = 0; k < 4; ++k) {
+    for (Instance* inst : {ready.get(), loading.get()}) {
+      for (const SimTime now : {SimTime{0}, Millis(700)}) {
+        for (const SimDuration slo : {Millis(150), Millis(900)}) {
+          const SimDuration allowance =
+              std::max(slo, 2 * inst->ServiceLatency());
+          const SimTime from = inst->AdmitsFrom(now, slo);
+          EXPECT_EQ(from, inst->EstimateCompletion(now) - allowance);
+          for (SimTime d = now - Seconds(3); d <= now + Seconds(4);
+               d += Millis(25)) {
+            EXPECT_EQ(inst->AdmitWithinBound(now, d, slo),
+                      inst->EstimateCompletion(now) <=
+                          std::max(d, now) + allowance)
+                << k << " " << now << " " << slo << " " << d;
+          }
+          if (from > now) {
+            EXPECT_TRUE(inst->AdmitWithinBound(now, from, slo));
+            EXPECT_FALSE(inst->AdmitWithinBound(now, from - 1, slo));
+          } else {
+            EXPECT_TRUE(inst->AdmitWithinBound(now, now - Seconds(1), slo));
+          }
+        }
+      }
+      inst->Enqueue(NewRequest(), 1.0);
+    }
+  }
+  sim_.Run();
+}
+
 TEST_F(InstanceTest, DrainStopsAdmissionButFinishesWork) {
   auto inst = Make(OneStagePlan());
   const RequestId r1 = NewRequest();

@@ -401,9 +401,11 @@ struct PassLog {
 };
 
 /// DispatchPending's callback in miniature: the admission review, then a
-/// per-function refusal bar at due = max(deadline, now), then a scripted
-/// router that refuses, places, or refuses after publishing (which clears
-/// every bar). The router's answers come from `rng` in call order.
+/// per-function refusal bar, then a scripted router that places, refuses
+/// after publishing (which clears every bar), or refuses with a promised
+/// reach of due + k x 50 for k in 0..4 (due = max(deadline, now)), which
+/// raises the bar to it. The router's answers come from `rng` in call
+/// order.
 class ScriptedDispatch {
  public:
   ScriptedDispatch(AdmissionController& admission, std::uint64_t seed)
@@ -431,7 +433,7 @@ class ScriptedDispatch {
         bars_.assign(kFunctions, kNoBar);
         return DrainVerdict::kKeep;
       }
-      bar = due;
+      bar = due + 50 * std::uniform_int_distribution<SimTime>(0, 4)(rng_);
       return DrainVerdict::KeepThrough(bar);
     });
     return log;
