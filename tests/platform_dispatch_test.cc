@@ -1,7 +1,8 @@
 // DispatchPending's per-pass refusal bar: once the router refuses a
 // function's request at due = max(deadline, now), no item of that function
-// with due at or below it is offered again in the same pass, unless a
-// placement or a bus publication during a Route call cleared the bars. The
+// with due at or below it, or at or below the reach the refusal promised
+// (PlatformCore::RefuseThrough), is offered again in the same pass, unless
+// a placement or a bus publication during a Route call cleared the bars. The
 // heavy-tier pins count both the Route calls and the items the pending
 // queue offers, which its keep-through jumps keep near the Route count.
 #include <gtest/gtest.h>
@@ -180,6 +181,23 @@ TEST_F(DispatchTest, OverdueItemsShareTheBarAtNow) {
   std::vector<RequestId> calls = Pass();
   std::sort(calls.begin(), calls.end());
   EXPECT_EQ(calls, (std::vector<RequestId>{a1, b1, a3}));
+}
+
+TEST_F(DispatchTest, PromisedReachBarsLaterDueItems) {
+  Build(/*lifo=*/false);
+  const RequestId a1 = SubmitAt(0, kA);
+  SubmitAt(Millis(1), kA);
+  const RequestId b1 = SubmitAt(Millis(2), kB);
+  const RequestId a3 = SubmitAt(Millis(3), kA);
+  // Each refusal reaches 1 ms past its own due: a1's covers a2, not a3.
+  script_->answer = [](PlatformCore& core, RequestId rid, FunctionId) {
+    core.RefuseThrough(core.DeadlineOf(rid) + Millis(1));
+    return false;
+  };
+  std::vector<RequestId> calls = Pass();
+  std::sort(calls.begin(), calls.end());
+  EXPECT_EQ(calls, (std::vector<RequestId>{a1, b1, a3}));
+  EXPECT_EQ(plat_->queue().size(), 4u);
 }
 
 TEST_F(DispatchTest, PlacementClearsEveryBar) {
