@@ -147,8 +147,9 @@ int CmdRun(const CliArgs& args) {
   harness::SweepSpec spec;
   spec.base = cfg;
   if (system == "all") {
-    FFS_CHECK_MSG(cfg.trace_out.empty(),
-                  "--trace-out requires a single --system (not 'all')");
+    if (!cfg.trace_out.empty()) {
+      throw FfsError("--trace-out requires a single --system");
+    }
     spec.systems = harness::kComparisonSystems;
   } else {
     spec.systems = {harness::ParseSystem(system)};
@@ -300,8 +301,8 @@ int CmdSweep(const CliArgs& args) {
   spec.seeds = args.GetList<std::uint64_t>("seeds");
   spec.load_factors = args.GetNonNegativeList("loads");
   spec.fault_rates = args.GetNonNegativeList("fault-rates");
-  FFS_CHECK_MSG(!spec.systems.empty() && !spec.tiers.empty(),
-                "sweep needs at least one system and one tier");
+  if (spec.systems.empty()) throw FfsError("--systems names no system");
+  if (spec.tiers.empty()) throw FfsError("--tiers names no tier");
 
   const harness::SweepOutcome sweep =
       harness::RunSweep(spec, ParseJobs(args));
