@@ -99,8 +99,8 @@ class ReachTest : public ::testing::Test {
   }
 
   /// Refuse a fresh request in the current state and check the reach R it
-  /// promises with requests due at R and at R + 1. Returns R.
-  SimTime ExpectSoundAndTightReach() {
+  /// promises with requests due at R and at R + 1.
+  void ExpectSoundAndTightReach() {
     const SimDuration slo = core_->function(kFn).slo;
     const RequestId first = SubmitHeldAt(sim_.Now() + Millis(1));
     const Offer o = OfferToRouter(first);
@@ -110,7 +110,7 @@ class ReachTest : public ::testing::Test {
     EXPECT_GE(reach, core_->DeadlineOf(first));
     EXPECT_LT(reach, kRefuseAll);
     EXPECT_GE(reach - slo, sim_.Now()) << "a probe due at the reach is late";
-    if (reach - slo < sim_.Now() || reach >= kRefuseAll) return reach;
+    if (reach - slo < sim_.Now() || reach >= kRefuseAll) return;
 
     const RequestId at = SubmitHeldAt(reach - slo);
     const RequestId past = SubmitHeldAt(reach + 1 - slo);
@@ -120,7 +120,6 @@ class ReachTest : public ::testing::Test {
     EXPECT_FALSE(refused.published);
     EXPECT_EQ(refused.reach, reach);
     EXPECT_TRUE(OfferToRouter(past).placed);
-    return reach;
   }
 
   /// Refuse a fresh request and one submitted `later` after it, both
