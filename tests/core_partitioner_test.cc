@@ -52,13 +52,21 @@ TEST(StagePlanTest, InfeasibleStageReturnsNullopt) {
 }
 
 TEST(EnumerateTest, CountsAllConsecutivePartitions) {
-  // k components -> 2^(k-1) candidates when everything is feasible.
-  for (int k = 1; k <= 5; ++k) {
-    std::vector<std::pair<Bytes, SimDuration>> comps(
-        static_cast<std::size_t>(k), {GiB(1), Millis(100)});
+  // k components -> 2^(k-1) candidates when everything is feasible. The
+  // paper's apps top out at k = 5; k = 12 (42 GiB in all, so even the
+  // one-stage plan fits a 7g.80gb slice) pushes the exhaustive enumerator
+  // well past them, with unequal stages so the CV order is not all ties.
+  for (int k = 1; k <= 12; ++k) {
+    std::vector<std::pair<Bytes, SimDuration>> comps;
+    for (int i = 0; i < k; ++i) {
+      comps.emplace_back(GiB(1 + i % 6), Millis(40 + 30 * (i % 5)));
+    }
     auto dag = Chain(comps);
     auto cands = EnumerateRankedPipelines(dag, /*max_stages=*/k);
     EXPECT_EQ(cands.size(), 1u << (k - 1)) << "k=" << k;
+    for (std::size_t i = 1; i < cands.size(); ++i) {
+      EXPECT_LE(cands[i - 1].cv, cands[i].cv) << "k=" << k << " i=" << i;
+    }
   }
 }
 
