@@ -88,15 +88,6 @@ bool RepartitionState::TryReconfigure(platform::PlatformCore& core,
       if (t.gpu == g.id()) already_target = true;
     }
     if (already_target) continue;
-    // Every occupant must be one of our (drainable) instances, not a
-    // reconfiguration sentinel.
-    bool drainable = true;
-    for (const gpu::MigSlice& s : g.slices()) {
-      if (!s.free() && core.FindInstance(s.occupant) == nullptr) {
-        drainable = false;
-      }
-    }
-    if (!drainable) continue;
 
     for (const platform::FunctionSpec& fn : core.functions()) {
       // A copy: DrainOrRetire may remove from the live list.
