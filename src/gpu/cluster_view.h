@@ -56,8 +56,7 @@ class ClusterView {
   std::vector<SliceId> FreeSlicesOnNode(NodeId node) const;
 
   /// Smallest allocatable slice (through the overlay) with at least
-  /// `min_memory`, on `node` when given; fewest GPCs first, then lowest
-  /// id — identical tie-breaks to Cluster::SmallestFreeSliceWithMemory.
+  /// `min_memory`, on `node` when given; fewest GPCs first, then lowest id.
   std::optional<SliceId> SmallestFreeSliceWithMemory(
       Bytes min_memory, std::optional<NodeId> node = std::nullopt) const;
 
