@@ -14,9 +14,7 @@ void Report(metrics::Table& table, const std::string& name,
   table.AddRow(
       {name, metrics::Fmt(r.throughput_rps, 1),
        metrics::FmtPercent(r.recorder->SloHitRate()),
-       metrics::Fmt(100.0 * (r.throughput_rps / base.throughput_rps - 1.0),
-                    1) +
-           "%",
+       metrics::FmtGain(r.throughput_rps, base.throughput_rps, 1),
        std::to_string(r.recorder->pipelines_committed()),
        std::to_string(r.recorder->transitions(sim::TransitionKind::kEviction)),
        std::to_string(

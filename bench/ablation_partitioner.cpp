@@ -4,12 +4,10 @@
 // planning level (which candidates win on a fragmented node) and end to
 // end (SLO/throughput on the medium workload).
 #include "bench/bench_util.h"
-#include "core/ffs_platform.h"
 #include "core/partitioner.h"
 #include "core/pipeline.h"
+#include "harness/run_context.h"
 #include "model/zoo.h"
-#include "platform/function.h"
-#include "sim/simulator.h"
 
 using namespace fluidfaas;
 
@@ -67,45 +65,27 @@ int main() {
   plans.Print();
 
   // End-to-end: the platform consumes pre-ranked candidates via
-  // FunctionSpec, so re-rank per policy and run the medium workload.
+  // FunctionSpec, so re-rank the medium tier's functions per policy and
+  // replay the tier's own trace.
   std::cout << "\nend-to-end on the medium workload:\n";
   metrics::Table e2e({"policy", "thr (rps)", "SLO hit", "pipelines"});
+  auto cfg = bench::PaperConfig(trace::WorkloadTier::kMedium);
+  cfg.system = harness::SystemKind::kFluidFaas;
+  const trace::Workload medium = harness::RunContext(cfg).workload();
+  cfg.custom_trace = medium.trace;
   for (auto policy :
        {core::RankPolicy::kCv, core::RankPolicy::kFewestStages,
         core::RankPolicy::kGreedyLatency}) {
-    auto cfg = bench::PaperConfig(trace::WorkloadTier::kMedium);
-    cfg.system = harness::SystemKind::kFluidFaas;
-    // RunExperiment builds specs with the default (CV) policy; emulate the
-    // alternative by bounding stages for kFewestStages and note kGreedy
-    // via a custom run below. For a faithful comparison we run the
-    // platform manually.
-    sim::Simulator simulator;
-    auto c =
-        gpu::Cluster::Uniform(cfg.num_nodes, cfg.gpus_per_node,
-                              gpu::DefaultPartition());
-    metrics::Recorder rec(c);
-    trace::WorkloadParams wp;
-    wp.duration = cfg.duration;
-    wp.seed = cfg.seed;
-    auto workload = trace::MakeWorkload(cfg.tier, c, wp);
-    for (auto& fn : workload.functions) {
+    std::vector<platform::FunctionSpec> fns = medium.functions;
+    for (auto& fn : fns) {
       fn.ranked_pipelines =
           core::EnumerateRankedPipelines(fn.dag, 4, policy);
     }
-    platform::PlatformCore plat(simulator, c, workload.functions,
-                                cfg.platform, core::MakeFluidFaasBundle());
-    rec.SubscribeTo(simulator.bus());
-    plat.Start();
-    for (const auto& inv : workload.trace) {
-      simulator.At(inv.time, [&plat, fn = inv.fn] { plat.Submit(fn); });
-    }
-    simulator.RunUntil(cfg.duration + Minutes(5));
-    plat.Stop();
-    rec.Close(simulator.Now());
-    e2e.AddRow({PolicyName(policy),
-                metrics::Fmt(rec.WindowedThroughput(cfg.duration), 1),
-                metrics::FmtPercent(rec.SloHitRate()),
-                std::to_string(rec.pipelines_committed())});
+    const harness::ExperimentResult r =
+        harness::RunContext(cfg, std::move(fns), std::nullopt).Run();
+    e2e.AddRow({PolicyName(policy), metrics::Fmt(r.throughput_rps, 1),
+                metrics::FmtPercent(r.recorder->SloHitRate()),
+                std::to_string(r.recorder->pipelines_committed())});
   }
   e2e.Print();
   std::cout << "\nCV ranking deploys the balanced splits first; greedy\n"

@@ -5,10 +5,12 @@
 // partition 4g.40gb+2g.20gb+1g.10gb per GPU. Durations are simulated time;
 // override with FFS_BENCH_DURATION_S for quicker smoke runs.
 //
-// Every bench executes its whole run grid as one harness::RunSweep; knobs
-// beyond the standard axes ride its variants axis. Cells run concurrently
-// (FFS_JOBS workers, default = hardware threads) and land by grid index,
-// so stdout is byte-identical at any job count.
+// A bench whose runs are standard experiments executes its whole grid as
+// one harness::RunSweep; knobs beyond the standard axes ride its variants
+// axis. Cells run concurrently (FFS_JOBS workers, default = hardware
+// threads) and land by grid index, so stdout is byte-identical at any job
+// count. ablation_partitioner and extension_llm run on function sets of
+// their own, so they run harness::RunContexts directly, one at a time.
 #pragma once
 
 #include <cerrno>

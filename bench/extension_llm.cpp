@@ -2,47 +2,34 @@
 // 7B/13B/34B decoder models as FluidFaaS functions on the default
 // partition, versus monolithic placement.
 #include "bench/bench_util.h"
-#include "core/ffs_platform.h"
 #include "core/partitioner.h"
+#include "harness/run_context.h"
 #include "model/llm.h"
+#include "platform/function.h"
 
 using namespace fluidfaas;
 
 namespace {
 
-struct ServiceResult {
-  std::size_t completed = 0;
-  double slo = 0.0;
-  double p95 = 0.0;
-  std::size_t pipelines = 0;
-};
-
-ServiceResult Serve(model::LlmSize size, double rps, SimDuration duration) {
-  sim::Simulator sim;
-  auto cluster = gpu::Cluster::Uniform(1, 8, gpu::DefaultPartition());
-  metrics::Recorder recorder(cluster);
+/// FluidFaaS serving one LLM function at a fixed arrival rate on one node
+/// of 8 default-partitioned A100s.
+harness::ExperimentResult Serve(model::LlmSize size, double rps,
+                                SimDuration duration) {
+  harness::ExperimentConfig cfg;
+  cfg.system = harness::SystemKind::kFluidFaas;
+  cfg.num_nodes = 1;
+  cfg.gpus_per_node = 8;
+  cfg.duration = duration;
+  const auto gap = static_cast<SimDuration>(1e6 / rps);
+  for (SimTime t = 0; t < duration; t += gap) {
+    cfg.custom_trace.push_back({t, FunctionId(0)});
+  }
   std::vector<platform::FunctionSpec> fns;
   fns.push_back(platform::MakeFunctionSpec(
       FunctionId(0), 100, model::Variant::kLarge, model::BuildLlmApp(size),
       2.0, /*max_stages=*/6));
-  platform::PlatformCore plat(sim, cluster, std::move(fns),
-                              platform::PlatformConfig{},
-                              core::MakeFluidFaasBundle());
-  recorder.SubscribeTo(sim.bus());
-  plat.Start();
-  const auto gap = static_cast<SimDuration>(1e6 / rps);
-  for (SimTime t = 0; t < duration; t += gap) {
-    sim.At(t, [&] { plat.Submit(FunctionId(0)); });
-  }
-  sim.RunUntil(duration + Minutes(3));
-  plat.Stop();
-  recorder.Close(sim.Now());
-  ServiceResult r;
-  r.completed = recorder.completed_requests();
-  r.slo = recorder.SloHitRate();
-  r.p95 = recorder.LatencyPercentile(0.95);
-  r.pipelines = recorder.pipelines_committed();
-  return r;
+  return harness::RunContext(std::move(cfg), std::move(fns), std::nullopt)
+      .Run();
 }
 
 }  // namespace
@@ -73,10 +60,13 @@ int main() {
   for (auto size :
        {model::LlmSize::k7B, model::LlmSize::k13B, model::LlmSize::k34B}) {
     const double rps = rates[i++];
-    auto r = Serve(size, rps, dur);
+    const harness::ExperimentResult res = Serve(size, rps, dur);
+    const metrics::Recorder& r = *res.recorder;
     svc.AddRow({model::Name(size), metrics::Fmt(rps, 1),
-                std::to_string(r.completed), metrics::FmtPercent(r.slo),
-                metrics::Fmt(r.p95, 2) + "s", std::to_string(r.pipelines)});
+                std::to_string(r.completed_requests()),
+                metrics::FmtPercent(r.SloHitRate()),
+                metrics::Fmt(r.LatencyPercentile(0.95), 2) + "s",
+                std::to_string(r.pipelines_committed())});
   }
   std::cout << "\nFluidFaaS serving each model on 8 default-partitioned "
                "A100s:\n";

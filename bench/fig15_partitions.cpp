@@ -36,7 +36,7 @@ int main() {
     const double fluid = sweep.cells[3 * i + 2].result.throughput_rps;
     table.AddRow({schemes[i].name, metrics::Fmt(inf.throughput_rps, 1),
                   metrics::Fmt(esg, 1), metrics::Fmt(fluid, 1),
-                  metrics::FmtGain(100.0 * (fluid / esg - 1.0), 1),
+                  metrics::FmtGain(fluid, esg, 1),
                   schemes[i].paper_gain});
   }
   table.Print();

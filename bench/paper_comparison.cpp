@@ -79,12 +79,9 @@ void Fig09(const Comparison& cmp) {
     const double esg = cmp.cell(tier, SystemKind::kEsg).recorder->SloHitRate();
     const double fluid =
         cmp.cell(tier, SystemKind::kFluidFaas).recorder->SloHitRate();
-    if (esg > 0) {
-      std::cout << "FluidFaaS vs ESG: "
-                << metrics::Fmt(100.0 * (fluid / esg - 1.0), 1)
-                << "% relative SLO hit-rate change (paper: up to +90% medium,"
-                << " +61% heavy)\n\n";
-    }
+    std::cout << "FluidFaaS vs ESG: " << metrics::FmtGain(fluid, esg, 1)
+              << " relative SLO hit-rate change (paper: up to +90% medium,"
+              << " +61% heavy)\n\n";
   }
 }
 
@@ -97,12 +94,8 @@ void Fig10(const Comparison& cmp) {
     const auto& inf = cmp.cell(tier, SystemKind::kInfless);
     const auto& esg = cmp.cell(tier, SystemKind::kEsg);
     const auto& fluid = cmp.cell(tier, SystemKind::kFluidFaas);
-    // No gain is defined over a window in which ESG completed nothing.
     const std::string gain =
-        esg.throughput_rps > 0
-            ? metrics::FmtGain(
-                  100.0 * (fluid.throughput_rps / esg.throughput_rps - 1.0), 1)
-            : "-";
+        metrics::FmtGain(fluid.throughput_rps, esg.throughput_rps, 1);
     table.AddRow({trace::Name(tier), metrics::Fmt(inf.offered_rps, 1),
                   metrics::Fmt(inf.throughput_rps, 1),
                   metrics::Fmt(esg.throughput_rps, 1),

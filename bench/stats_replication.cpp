@@ -51,9 +51,8 @@ int main() {
     std::cout << "--- " << trace::Name(spec.tiers[t]) << " workload ("
               << kReplicas << " seeds) ---\n";
     table.Print();
-    std::cout << "FluidFaaS vs ESG mean throughput: +"
-              << metrics::Fmt(100.0 * (fluid_thr / esg_thr - 1.0), 1)
-              << "%\n\n";
+    std::cout << "FluidFaaS vs ESG mean throughput: "
+              << metrics::FmtGain(fluid_thr, esg_thr, 1) << "\n\n";
   }
   return 0;
 }

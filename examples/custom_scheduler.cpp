@@ -18,11 +18,9 @@
 #include "common/rng.h"
 #include "core/ffs_platform.h"
 #include "core/pipeline.h"
-#include "metrics/recorder.h"
+#include "harness/run_context.h"
 #include "metrics/report.h"
-#include "model/zoo.h"
 #include "platform/placement.h"
-#include "trace/workload.h"
 
 using namespace fluidfaas;
 
@@ -95,34 +93,22 @@ int main() {
   metrics::Table table(
       {"scheduler", "completed", "SLO hit", "mean queue (ms)"});
 
-  // A bundle goes straight to PlatformCore: the custom one exactly like
-  // the stock FluidFaaS one.
+  // A bundle goes straight to the run: the custom one exactly like the
+  // stock FluidFaaS one. Both replay the same light-tier trace.
+  harness::ExperimentConfig config;
+  config.tier = trace::WorkloadTier::kLight;
+  config.num_nodes = 1;
+  config.gpus_per_node = 4;
+  config.duration = Seconds(90);
+  config.load_factor = 0.3;
   using BundleFactory = platform::PolicyBundle (*)();
   const std::pair<const char*, BundleFactory> schedulers[] = {
       {"RandomScheduler", RandomBundle},
       {"FluidFaaS", [] { return core::MakeFluidFaasBundle(); }}};
   for (const auto& [name, make] : schedulers) {
-    sim::Simulator sim;
-    auto cluster = gpu::Cluster::Uniform(1, 4, gpu::DefaultPartition());
-    metrics::Recorder recorder(cluster);
-    recorder.SubscribeTo(sim.bus());
-    trace::WorkloadParams wp;
-    wp.duration = Seconds(90);
-    wp.load_factor = 0.3;
-    trace::Workload workload =
-        trace::MakeWorkload(trace::WorkloadTier::kLight, cluster, wp);
-
-    platform::PlatformCore plat(sim, cluster, workload.functions,
-                                platform::PlatformConfig{},
-                                make());
-    plat.Start();
-    for (const auto& inv : workload.trace) {
-      sim.At(inv.time, [&plat, fn = inv.fn] { plat.Submit(fn); });
-    }
-    sim.RunUntil(Seconds(90) + Minutes(5));
-    plat.Stop();
-    recorder.Close(sim.Now());
-
+    const harness::ExperimentResult result =
+        harness::RunContext(config, {}, make()).Run();
+    const metrics::Recorder& recorder = *result.recorder;
     const auto bd = recorder.MeanBreakdown();
     table.AddRow({name,
                   std::to_string(recorder.completed_requests()) + "/" +

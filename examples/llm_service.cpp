@@ -5,11 +5,9 @@
 //
 //   $ ./llm_service
 #include <iostream>
-#include <memory>
 
-#include "core/ffs_platform.h"
 #include "core/partitioner.h"
-#include "metrics/recorder.h"
+#include "harness/run_context.h"
 #include "metrics/report.h"
 #include "model/llm.h"
 
@@ -38,10 +36,16 @@ int main() {
     Describe(size);
   }
 
-  // Serve the 34B model on one node of default-partitioned GPUs.
-  sim::Simulator sim;
-  auto cluster = gpu::Cluster::Uniform(1, 4, gpu::DefaultPartition());
-  metrics::Recorder recorder(cluster);
+  // Serve the 34B model on one node of default-partitioned GPUs: 120
+  // generations, one every 400 ms.
+  harness::ExperimentConfig config;
+  config.system = harness::SystemKind::kFluidFaas;
+  config.num_nodes = 1;
+  config.gpus_per_node = 4;
+  config.duration = Seconds(48);
+  for (int i = 0; i < 120; ++i) {
+    config.custom_trace.push_back({Millis(400) * i, FunctionId(0)});
+  }
   std::vector<platform::FunctionSpec> fns;
   fns.push_back(platform::MakeFunctionSpec(
       FunctionId(0), /*app_index=*/100, model::Variant::kLarge,
@@ -52,17 +56,9 @@ int main() {
             << metrics::Fmt(ToSeconds(spec.slo), 2) << "s (2x solo time on "
             << "its minimum slice class)\n";
 
-  platform::PlatformCore platform(sim, cluster, std::move(fns),
-                                  platform::PlatformConfig{},
-                                  core::MakeFluidFaasBundle());
-  recorder.SubscribeTo(sim.bus());
-  platform.Start();
-  for (int i = 0; i < 120; ++i) {
-    sim.At(Millis(400) * i, [&] { platform.Submit(FunctionId(0)); });
-  }
-  sim.RunUntil(Seconds(180));
-  platform.Stop();
-  recorder.Close(sim.Now());
+  const harness::ExperimentResult result =
+      harness::RunContext(config, std::move(fns), std::nullopt).Run();
+  const metrics::Recorder& recorder = *result.recorder;
 
   std::cout << "served " << recorder.completed_requests() << "/"
             << recorder.total_requests() << " generations, SLO hit rate "

@@ -7,9 +7,8 @@
 #include <memory>
 
 #include "core/ffs_function.h"
-#include "core/ffs_platform.h"
 #include "core/partitioner.h"
-#include "metrics/recorder.h"
+#include "harness/run_context.h"
 #include "metrics/report.h"
 #include "model/zoo.h"
 #include "platform/function.h"
@@ -48,30 +47,28 @@ int main() {
   }
 
   // --- 3. Run it on a simulated cluster ----------------------------------
-  sim::Simulator sim;
-  auto cluster = gpu::Cluster::Uniform(1, 2, gpu::DefaultPartition());
-  metrics::Recorder recorder(cluster);
+  // One node of two default-partitioned GPUs, 10 requests per second for
+  // 90 seconds — under what the two GPUs can sustain, long enough to
+  // amortize the cold starts.
+  harness::ExperimentConfig config;
+  config.system = harness::SystemKind::kFluidFaas;
+  config.num_nodes = 1;
+  config.gpus_per_node = 2;
+  config.duration = Seconds(90);
+  for (int i = 0; i < 900; ++i) {
+    config.custom_trace.push_back({Millis(100) * i, FunctionId(0)});
+  }
   std::vector<platform::FunctionSpec> fns;
   fns.push_back(platform::MakeFunctionSpec(
       FunctionId(0), 0, model::Variant::kMedium, dag, /*slo_scale=*/1.5));
   const SimDuration slo = fns[0].slo;
 
-  // The scheduler is a policy bundle over the concrete PlatformCore; the
-  // recorder counts what it does off the simulator's event bus.
-  platform::PlatformCore platform(sim, cluster, std::move(fns),
-                                  platform::PlatformConfig{},
-                                  core::MakeFluidFaasBundle());
-  recorder.SubscribeTo(sim.bus());
-  platform.Start();
-
-  // 10 requests per second for 90 seconds — under what the two GPUs can
-  // sustain, long enough to amortize the cold starts.
-  for (int i = 0; i < 900; ++i) {
-    sim.At(Millis(100) * i, [&] { platform.Submit(FunctionId(0)); });
-  }
-  sim.RunUntil(Seconds(120));
-  platform.Stop();
-  recorder.Close(sim.Now());
+  // The run replays the trace on a PlatformCore carrying the FluidFaaS
+  // policy bundle; the recorder counts what it does off the simulator's
+  // event bus.
+  const harness::ExperimentResult result =
+      harness::RunContext(config, std::move(fns), std::nullopt).Run();
+  const metrics::Recorder& recorder = *result.recorder;
 
   // --- 4. Results ----------------------------------------------------------
   std::cout << "\ncompleted " << recorder.completed_requests() << "/"

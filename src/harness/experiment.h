@@ -96,6 +96,8 @@ struct ExperimentConfig {
 /// carries only the run facts around it and the two rates that need the
 /// trace window.
 struct ExperimentResult {
+  /// Name(config.system), or kCustomSystem (run_context.h) when the run's
+  /// policy bundle came from the caller.
   std::string system;
   std::string tier;
 
@@ -103,6 +105,8 @@ struct ExperimentResult {
   std::vector<std::string> function_names;
   std::vector<SimDuration> function_slos;
   double offered_rps = 0.0;
+  /// The tier's work-conserving bound; 0 when the caller supplied the
+  /// function set.
   double ideal_rps = 0.0;
   SimTime makespan = 0;  // last completion (or trace end if greater)
 

@@ -17,15 +17,26 @@ std::vector<std::vector<gpu::MigPartition>> PartitionsFor(
       gpu::PartitionSchemeP1(config.gpus_per_node));
 }
 
+/// The tier's workload, or the caller's `functions` (when non-empty), with
+/// the config's custom trace replacing the synthesized arrivals.
 trace::Workload BuildWorkload(const ExperimentConfig& config,
-                              const gpu::Cluster& cluster) {
-  trace::WorkloadParams wp;
-  wp.slo_scale = config.platform.slo_scale;
-  wp.duration = config.duration;
-  wp.load_factor = config.load_factor;
-  wp.seed = config.seed;
-  wp.max_stages = config.platform.max_stages;
-  trace::Workload workload = trace::MakeWorkload(config.tier, cluster, wp);
+                              const gpu::Cluster& cluster,
+                              std::vector<platform::FunctionSpec> functions) {
+  trace::Workload workload;
+  if (functions.empty()) {
+    trace::WorkloadParams wp;
+    wp.slo_scale = config.platform.slo_scale;
+    wp.duration = config.duration;
+    wp.load_factor = config.load_factor;
+    wp.seed = config.seed;
+    wp.max_stages = config.platform.max_stages;
+    workload = trace::MakeWorkload(config.tier, cluster, wp);
+  } else {
+    FFS_CHECK_MSG(!config.custom_trace.empty(),
+                  "a caller-supplied function set needs a custom trace");
+    workload.tier = config.tier;
+    workload.functions = std::move(functions);
+  }
   if (!config.custom_trace.empty()) {
     workload.trace.clear();
     for (const trace::Invocation& inv : config.custom_trace) {
@@ -48,9 +59,15 @@ trace::Workload BuildWorkload(const ExperimentConfig& config,
 void EnsureBuiltinSchedulersRegistered() {}
 
 RunContext::RunContext(ExperimentConfig config)
+    : RunContext(std::move(config), {}, std::nullopt) {}
+
+RunContext::RunContext(ExperimentConfig config,
+                       std::vector<platform::FunctionSpec> functions,
+                       std::optional<platform::PolicyBundle> bundle)
     : config_(std::move(config)),
       cluster_(PartitionsFor(config_)),
-      workload_(BuildWorkload(config_, cluster_)) {
+      workload_(BuildWorkload(config_, cluster_, std::move(functions))),
+      system_name_(bundle ? kCustomSystem : Name(config_.system)) {
   recorder_ = std::make_unique<metrics::Recorder>(cluster_);
   // The recorder is the first bus subscriber, so its view of every event
   // precedes any observer attached afterwards.
@@ -71,7 +88,7 @@ RunContext::RunContext(ExperimentConfig config)
   }
   platform_ = std::make_unique<platform::PlatformCore>(
       sim_, cluster_, workload_.functions, pconfig,
-      MakeBundle(config_.system));
+      bundle ? std::move(*bundle) : MakeBundle(config_.system));
 
   if (config_.faults.rate > 0.0) {
     sim::FaultPlan fp;
@@ -117,7 +134,7 @@ ExperimentResult RunContext::Run() {
   recorder_->Close(std::max(last_completion, sim_.Now()));
 
   ExperimentResult res;
-  res.system = Name(config_.system);
+  res.system = system_name_;
   res.tier = trace::Name(config_.tier);
   res.makespan = last_completion;
   res.offered_rps = workload_.offered_rps;

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "gpu/cluster.h"
 #include "harness/experiment.h"
@@ -28,12 +30,25 @@ namespace fluidfaas::harness {
 /// only because perfbench/ still calls it.
 void EnsureBuiltinSchedulersRegistered();
 
+/// ExperimentResult::system of a run whose bundle the caller supplied.
+inline constexpr const char* kCustomSystem = "custom";
+
 class RunContext {
  public:
   /// Builds the whole run: cluster, workload (or the config's custom
   /// trace), recorder, optional exporter, platform and fault injector.
   /// Construction performs no simulation; Run() does.
   explicit RunContext(ExperimentConfig config);
+
+  /// The same run on the caller's inputs. Non-empty `functions` replace
+  /// the tier's; `config.custom_trace` replays their arrivals and must
+  /// then be non-empty (FfsError otherwise), and the result's `ideal_rps`
+  /// is 0, since that bound is a property of a tier's mix. A set `bundle`
+  /// replaces MakeBundle(config.system), and the result's `system` is
+  /// then kCustomSystem.
+  RunContext(ExperimentConfig config,
+             std::vector<platform::FunctionSpec> functions,
+             std::optional<platform::PolicyBundle> bundle);
   ~RunContext();
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
@@ -58,6 +73,7 @@ class RunContext {
   std::unique_ptr<metrics::TraceExporter> exporter_;
   std::unique_ptr<platform::PlatformCore> platform_;
   std::unique_ptr<sim::FaultInjector> injector_;
+  const char* system_name_;
   bool ran_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "metrics/report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -52,7 +53,10 @@ std::string FmtPercent(double fraction, int decimals) {
   return Fmt(fraction * 100.0, decimals) + "%";
 }
 
-std::string FmtGain(double percent, int decimals) {
+std::string FmtGain(double value, double base, int decimals) {
+  if (!(base > 0.0)) return "-";
+  const double percent = 100.0 * (value / base - 1.0);
+  if (!std::isfinite(percent)) return "-";
   std::string out = Fmt(percent, decimals);
   // A value that rounds to zero is no loss: -0.04 at one decimal prints
   // +0.0%, not -0.0%.

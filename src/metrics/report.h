@@ -25,8 +25,10 @@ class Table {
 std::string Fmt(double v, int decimals = 2);
 std::string FmtPercent(double fraction, int decimals = 1);
 std::string FmtMillis(double us, int decimals = 1);
-/// A relative gain already in percent, printed with its sign ("+25.0%",
-/// "-0.1%"); a value that rounds to zero prints as "+0.0%".
-std::string FmtGain(double percent, int decimals);
+/// The relative gain of `value` over `base`, 100 × (value / base − 1),
+/// printed with its sign ("+25.0%", "-0.1%"); a gain that rounds to zero
+/// prints as "+0.0%". No gain is defined over a base <= 0, nor when the
+/// ratio is not finite: both print "-".
+std::string FmtGain(double value, double base, int decimals);
 
 }  // namespace fluidfaas::metrics

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <tuple>
+#include <vector>
+
+#include "common/error.h"
+#include "harness/run_context.h"
 #include "harness/sweep.h"
 
 namespace fluidfaas::harness {
@@ -104,6 +110,88 @@ TEST(HarnessTest, RecorderCountsFluidSchedulerBehaviour) {
   auto esg = RunExperiment(cfg);
   EXPECT_EQ(esg.recorder->transitions(TransitionKind::kPromotion), 0u);
   EXPECT_EQ(esg.recorder->transitions(TransitionKind::kEviction), 0u);
+}
+
+auto Fields(const metrics::RequestRecord& r) {
+  return std::tuple(r.id, r.fn, r.arrival, r.deadline, r.completion,
+                    r.queue_time, r.load_time, r.exec_time, r.transfer_time,
+                    r.retries, r.timed_out, r.aborted, r.rejected,
+                    r.reject_cause);
+}
+
+TEST(HarnessTest, CallerInputsEqualToTheDefaultsRunTheSameRequests) {
+  const ExperimentConfig cfg = SmallConfig(SystemKind::kFluidFaas,
+                                           trace::WorkloadTier::kMedium);
+  RunContext reference(cfg);
+  const trace::Workload tier = reference.workload();
+  const ExperimentResult want = reference.Run();
+
+  ExperimentConfig replay = cfg;
+  replay.custom_trace = tier.trace;
+  const ExperimentResult got =
+      RunContext(replay, tier.functions, MakeBundle(cfg.system)).Run();
+
+  const auto& a = want.recorder->records();
+  const auto& b = got.recorder->records();
+  ASSERT_GT(a.size(), 0u);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(Fields(a[i]), Fields(b[i])) << "request " << i;
+  }
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.function_names, want.function_names);
+  EXPECT_DOUBLE_EQ(got.throughput_rps, want.throughput_rps);
+}
+
+TEST(HarnessTest, ResultNamesOnlyTheDefaultsItRan) {
+  const ExperimentConfig cfg = SmallConfig(SystemKind::kEsg,
+                                           trace::WorkloadTier::kLight);
+  const ExperimentResult stock = RunContext(cfg).Run();
+  EXPECT_EQ(stock.system, "ESG");
+  EXPECT_GT(stock.ideal_rps, 0.0);
+
+  // A caller's bundle is not config.system's scheduler, whatever it is.
+  const ExperimentResult bundled =
+      RunContext(cfg, {}, MakeBundle(SystemKind::kFluidFaas)).Run();
+  EXPECT_EQ(bundled.system, kCustomSystem);
+  EXPECT_NE(bundled.system, Name(cfg.system));
+  // The tier's mix still defines the work-conserving bound.
+  EXPECT_DOUBLE_EQ(bundled.ideal_rps, stock.ideal_rps);
+
+  // A caller's function set has no tier mix to bound: ideal_rps is 0.
+  ExperimentConfig replay = cfg;
+  replay.custom_trace = RunContext(cfg).workload().trace;
+  const ExperimentResult custom_fns =
+      RunContext(replay, RunContext(cfg).workload().functions, std::nullopt)
+          .Run();
+  EXPECT_EQ(custom_fns.system, "ESG");
+  EXPECT_EQ(custom_fns.ideal_rps, 0.0);
+  EXPECT_GT(custom_fns.offered_rps, 0.0);
+  EXPECT_EQ(custom_fns.recorder->total_requests(),
+            stock.recorder->total_requests());
+}
+
+TEST(HarnessTest, CallerFunctionsNeedACustomTrace) {
+  const ExperimentConfig cfg = SmallConfig(SystemKind::kFluidFaas,
+                                           trace::WorkloadTier::kLight);
+  std::vector<platform::FunctionSpec> fns =
+      RunContext(cfg).workload().functions;
+  EXPECT_THROW(RunContext(cfg, fns, std::nullopt), FfsError);
+}
+
+TEST(HarnessTest, CustomTraceMustNameACallerFunction) {
+  ExperimentConfig cfg = SmallConfig(SystemKind::kFluidFaas,
+                                     trace::WorkloadTier::kLight);
+  // The light tier has more than one function; keep only the first.
+  std::vector<platform::FunctionSpec> fns =
+      RunContext(cfg).workload().functions;
+  ASSERT_GT(fns.size(), 1u);
+  fns.resize(1);
+  cfg.custom_trace = {{Seconds(1), FunctionId(0)},
+                      {Seconds(2), FunctionId(1)}};
+  EXPECT_THROW(RunContext(cfg, fns, std::nullopt), FfsError);
+  cfg.custom_trace.pop_back();
+  EXPECT_NO_THROW(RunContext(cfg, fns, std::nullopt));
 }
 
 TEST(HarnessTest, NamesAreStable) {

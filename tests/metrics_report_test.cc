@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -44,10 +46,25 @@ TEST(FmtTest, Percent) {
 }
 
 TEST(FmtTest, GainSignFollowsPrintedValue) {
-  EXPECT_EQ(FmtGain(25.0, 1), "+25.0%");
-  EXPECT_EQ(FmtGain(-0.1, 1), "-0.1%");
-  EXPECT_EQ(FmtGain(-0.04, 1), "+0.0%");
-  EXPECT_EQ(FmtGain(0.0, 1), "+0.0%");
+  EXPECT_EQ(FmtGain(125.0, 100.0, 1), "+25.0%");
+  EXPECT_EQ(FmtGain(99.9, 100.0, 1), "-0.1%");
+  EXPECT_EQ(FmtGain(99.96, 100.0, 1), "+0.0%");
+  EXPECT_EQ(FmtGain(100.0, 100.0, 1), "+0.0%");
+  EXPECT_EQ(FmtGain(0.5, 2.0, 0), "-75%");
+  EXPECT_EQ(FmtGain(0.0, 2.0, 0), "-100%");
+}
+
+TEST(FmtTest, GainIsUndefinedOverANonPositiveBaseOrANonFiniteRatio) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  EXPECT_EQ(FmtGain(5.0, 0.0, 1), "-");
+  EXPECT_EQ(FmtGain(0.0, 0.0, 1), "-");
+  EXPECT_EQ(FmtGain(5.0, -2.0, 1), "-");
+  EXPECT_EQ(FmtGain(5.0, nan, 1), "-");
+  EXPECT_EQ(FmtGain(nan, 1.0, 1), "-");
+  EXPECT_EQ(FmtGain(kInf, 1.0, 1), "-");
+  // A positive base so small that the ratio overflows.
+  EXPECT_EQ(FmtGain(1.0, std::numeric_limits<double>::denorm_min(), 1), "-");
 }
 
 TEST(FmtTest, Millis) {
