@@ -139,12 +139,10 @@ void Fig11To13(const Comparison& cmp) {
         cmp.cell(tier, SystemKind::kEsg).recorder->LatencyPercentile(0.95);
     const double fluid95 = cmp.cell(tier, SystemKind::kFluidFaas)
                                .recorder->LatencyPercentile(0.95);
-    if (esg95 > 0) {
-      std::cout << "P95 (all apps): ESG " << metrics::Fmt(esg95, 3)
-                << "s, FluidFaaS " << metrics::Fmt(fluid95, 3) << "s ("
-                << metrics::Fmt(100.0 * (1.0 - fluid95 / esg95), 1)
-                << "% reduction; paper: up to 81% heavy / 70% medium)\n\n";
-    }
+    std::cout << "P95 (all apps): ESG " << metrics::Fmt(esg95, 3)
+              << "s, FluidFaaS " << metrics::Fmt(fluid95, 3) << "s ("
+              << metrics::FmtGain(fluid95, esg95, 1)
+              << " vs ESG; paper: up to -81% heavy / -70% medium)\n\n";
   }
 }
 

@@ -27,15 +27,14 @@ int DistState::ChooseInvoker(platform::PlatformCore& core, FunctionId fn,
   for (std::size_t i = 0; i < invokers.size(); ++i) {
     FfsState& domain = invokers[i].domain;
     FfsState::FnState& st = domain.state(fn);
-    domain.PruneDead(st);
-    for (Instance* inst : st.eh) {
-      if (!inst->CanAdmit()) continue;
+    domain.PruneDead(st, [&](Instance* inst) {
+      if (!inst->CanAdmit()) return;
       const SimTime est = inst->EstimateCompletion(now);
       if (est <= best_est) {
         best_est = est;
         best = static_cast<int>(i);
       }
-    }
+    });
     if (st.ts != nullptr && st.ts->CanAdmit()) {
       const SimTime est = st.ts->EstimateCompletion(now);
       if (est < best_est) {

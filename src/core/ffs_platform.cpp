@@ -28,15 +28,6 @@ void FfsState::EnsureSized(const platform::PlatformCore& core) {
   }
 }
 
-void FfsState::PruneDead(FnState& st) {
-  std::erase_if(st.eh, [](Instance* i) {
-    return i->Gone() || i->state() == InstanceState::kDraining;
-  });
-  // A crashed TS instance leaves a warm entry behind (has_ts stays set), so
-  // the next request makes a fresh one resident.
-  if (st.ts != nullptr && st.ts->Gone()) st.ts = nullptr;
-}
-
 platform::Instance* FfsState::EnsureTsResident(platform::PlatformCore& core,
                                                FunctionId fn) {
   FnState& st = state(fn);
@@ -119,7 +110,6 @@ platform::Instance* FfsState::LaunchExclusive(
 bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
                      FunctionId fn) {
   FnState& st = state(fn);
-  PruneDead(st);
   const platform::FunctionSpec& spec = core.function(fn);
   const SimTime now = core.simulator().Now();
   const SimTime deadline = core.DeadlineOf(rid);
@@ -127,19 +117,28 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
   // 1. Exclusive-hot instances, lowest service latency first, while their
   //    backlog still meets the deadline (§5.3 request routing): the fit is
   //    the minimum (ServiceLatency, id) over the admitting instances that
-  //    meet it, found in one pass. Ids are unique, so the order is total.
+  //    meet it. Ids are unique, so the order is total. The same pass keeps
+  //    step 3's least-loaded instance, the first of equal estimates in `eh`
+  //    order, as platform::LeastLoaded would pick it.
   Instance* fit = nullptr;
+  Instance* least = nullptr;
+  SimTime least_est = kTimeInfinity;
   bool no_hot = true;
-  for (Instance* inst : st.eh) {
-    if (!inst->CanAdmit()) continue;
+  PruneDead(st, [&](Instance* inst) {
+    if (!inst->CanAdmit()) return;
     no_hot = false;
-    if (inst->EstimateCompletion(now) > deadline) continue;
+    const SimTime est = inst->EstimateCompletion(now);
+    if (est < least_est) {
+      least_est = est;
+      least = inst;
+    }
+    if (est > deadline) return;
     if (fit == nullptr ||
         std::pair(inst->ServiceLatency(), inst->id()) <
             std::pair(fit->ServiceLatency(), fit->id())) {
       fit = inst;
     }
-  }
+  });
   if (fit != nullptr) {
     fit->Enqueue(rid, core.JitterOf(rid), deadline);
     st.ts_last_used = now;
@@ -181,10 +180,12 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
   //    lies below `best`'s estimate, which no step 1 or step 2 estimate
   //    undercuts, so a request due below it passes those steps too, and
   //    EnsureTsResident and LaunchExclusive do not read the due.
-  Instance* best = platform::LeastLoaded(st.eh, now);
+  //    Step 1's scan still holds: a step 2 that fails leaves `eh` as it
+  //    was (Commit is atomic, and an eviction victim is another function's
+  //    time-sharing instance), and one that places returns.
+  Instance* best = least;
   if (st.ts != nullptr && st.ts->CanAdmit() &&
-      (best == nullptr ||
-       st.ts->EstimateCompletion(now) < best->EstimateCompletion(now))) {
+      (best == nullptr || st.ts->EstimateCompletion(now) < least_est)) {
     best = st.ts;
   }
   if (!platform::AdmitBounded(core, best, rid)) return false;

@@ -68,9 +68,10 @@ class FfsState {
 
   /// §5.3 request routing: exclusive-hot instances lowest latency first
   /// while they meet the deadline, then the time-sharing instance, then the
-  /// bounded least-loaded fallback. True when `rid` was enqueued. The first
-  /// step is one pass over `eh` for the minimum (ServiceLatency, id) among
-  /// the admitting instances that meet the deadline: no sort, no
+  /// bounded least-loaded fallback. True when `rid` was enqueued. One pass
+  /// over `eh` prunes it and finds both step 1's fit, the minimum
+  /// (ServiceLatency, id) among the admitting instances that meet the
+  /// deadline, and the fallback's least-loaded instance: no sort, no
   /// allocation. A refusal reports its reach (PlatformCore::RefuseThrough).
   bool Route(platform::PlatformCore& core, RequestId rid, FunctionId fn);
 
@@ -102,7 +103,29 @@ class FfsState {
   /// platform::kWarmTimeout, retiring its resident instance if idle.
   void ExpireCold(platform::PlatformCore& core, FunctionId fn);
 
-  void PruneDead(FnState& st);
+  /// Drop retired, failed and draining instances from `st.eh` in place,
+  /// keeping the order of the rest, and a crashed time-sharing instance.
+  /// `visit` sees each surviving `eh` entry once, in order, so a caller's
+  /// scan of `eh` is the prune's own pass.
+  template <typename Visit>
+  void PruneDead(FnState& st, Visit&& visit) {
+    std::size_t kept = 0;
+    for (platform::Instance* inst : st.eh) {
+      if (inst->Gone() ||
+          inst->state() == platform::InstanceState::kDraining) {
+        continue;
+      }
+      st.eh[kept++] = inst;
+      visit(inst);
+    }
+    st.eh.resize(kept);
+    // A crashed TS instance leaves a warm entry behind (has_ts stays set),
+    // so the next request makes a fresh one resident.
+    if (st.ts != nullptr && st.ts->Gone()) st.ts = nullptr;
+  }
+  void PruneDead(FnState& st) {
+    PruneDead(st, [](platform::Instance*) {});
+  }
 
   std::vector<FnState> fn_state;
 

@@ -58,8 +58,8 @@ Cluster Cluster::Uniform(int num_nodes, int gpus_per_node,
 
 void Cluster::RebuildSliceIndex() {
   slices_.clear();
-  for (auto& set : free_by_profile_) set.clear();
-  free_all_.clear();
+  free_by_profile_ = {};
+  free_on_node_.assign(gpus_per_node_.size(), FreeSets{});
   for (std::size_t g = 0; g < gpus_.size(); ++g) {
     for (std::size_t l = 0; l < gpus_[g].slices().size(); ++l) {
       const MigSlice& s = gpus_[g].slices()[l];
@@ -72,13 +72,20 @@ void Cluster::RebuildSliceIndex() {
 }
 
 void Cluster::AddFree(const MigSlice& s) {
-  free_by_profile_[static_cast<std::size_t>(s.profile())].insert(s.id.value);
-  free_all_.insert(s.id.value);
+  const auto p = static_cast<std::size_t>(s.profile());
+  free_by_profile_[p].insert(s.id.value);
+  free_on_node_[static_cast<std::size_t>(s.node.value)][p].insert(s.id.value);
 }
 
 void Cluster::RemoveFree(const MigSlice& s) {
-  free_by_profile_[static_cast<std::size_t>(s.profile())].erase(s.id.value);
-  free_all_.erase(s.id.value);
+  const auto p = static_cast<std::size_t>(s.profile());
+  free_by_profile_[p].erase(s.id.value);
+  free_on_node_[static_cast<std::size_t>(s.node.value)][p].erase(s.id.value);
+}
+
+const Cluster::FreeSets& Cluster::free_on_node(NodeId node) const {
+  FFS_CHECK(node.valid() && node.value < num_nodes());
+  return free_on_node_[static_cast<std::size_t>(node.value)];
 }
 
 const Gpu& Cluster::gpu(GpuId id) const {

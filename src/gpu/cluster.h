@@ -158,11 +158,15 @@ class Cluster {
   std::vector<SliceRef> slices_;     // indexed by SliceId
   std::vector<int> gpus_per_node_;   // node -> #GPUs
 
-  // Allocatable slice ids, id-ordered: one set per profile plus the union.
-  // Id order matters — planners iterate these and the deterministic
+  // Allocatable slice ids, id-ordered, one set per profile: cluster-wide,
+  // and again per node, so a node-scoped query reads only that node's
+  // slices. Id order matters — planners iterate these and the deterministic
   // tie-breaks (lowest id first) are part of pinned bench output.
-  std::array<std::set<std::int32_t>, kAllProfiles.size()> free_by_profile_;
-  std::set<std::int32_t> free_all_;
+  using FreeSets = std::array<std::set<std::int32_t>, kAllProfiles.size()>;
+  FreeSets free_by_profile_;
+  std::vector<FreeSets> free_on_node_;  // indexed by NodeId
+
+  const FreeSets& free_on_node(NodeId node) const;
 
   void RebuildSliceIndex();
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
+#include <span>
 
 namespace fluidfaas::gpu {
 
@@ -27,14 +27,20 @@ bool ClusterView::Allocatable(SliceId id) const {
 
 namespace {
 
-// Union of the live free list and the planned-free overlay, both id-ordered.
-std::vector<std::int32_t> MergeIds(const std::set<std::int32_t>& live,
-                                   const std::set<std::int32_t>& planned) {
-  std::vector<std::int32_t> ids;
-  ids.reserve(live.size() + planned.size());
-  std::merge(live.begin(), live.end(), planned.begin(), planned.end(),
-             std::back_inserter(ids));
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+// Union of live free sets (each id-ordered) and the planned-free overlay,
+// in ascending id order. One live set and an empty overlay, the common
+// case, is a plain copy.
+std::vector<std::int32_t> MergeIds(
+    std::span<const std::set<std::int32_t>> live,
+    const std::set<std::int32_t>& planned) {
+  std::vector<std::int32_t> ids(planned.begin(), planned.end());
+  for (const std::set<std::int32_t>& set : live) {
+    ids.insert(ids.end(), set.begin(), set.end());
+  }
+  if (live.size() > 1 || !planned.empty()) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  }
   return ids;
 }
 
@@ -42,7 +48,7 @@ std::vector<std::int32_t> MergeIds(const std::set<std::int32_t>& live,
 
 std::vector<SliceId> ClusterView::FreeSlices() const {
   std::vector<SliceId> out;
-  for (std::int32_t id : MergeIds(cluster_->free_all_, planned_free_)) {
+  for (std::int32_t id : MergeIds(cluster_->free_by_profile_, planned_free_)) {
     const SliceId sid(id);
     if (Allocatable(sid)) out.push_back(sid);
   }
@@ -53,7 +59,7 @@ std::vector<SliceId> ClusterView::FreeSlices(MigProfile profile) const {
   const auto& live = cluster_->free_by_profile_[static_cast<std::size_t>(
       profile)];
   std::vector<SliceId> out;
-  for (std::int32_t id : MergeIds(live, planned_free_)) {
+  for (std::int32_t id : MergeIds({&live, 1}, planned_free_)) {
     const SliceId sid(id);
     if (Allocatable(sid) && cluster_->slice(sid).profile() == profile) {
       out.push_back(sid);
@@ -64,7 +70,8 @@ std::vector<SliceId> ClusterView::FreeSlices(MigProfile profile) const {
 
 std::vector<SliceId> ClusterView::FreeSlicesOnNode(NodeId node) const {
   std::vector<SliceId> out;
-  for (std::int32_t id : MergeIds(cluster_->free_all_, planned_free_)) {
+  for (std::int32_t id :
+       MergeIds(cluster_->free_on_node(node), planned_free_)) {
     const SliceId sid(id);
     if (Allocatable(sid) && cluster_->slice(sid).node == node) {
       out.push_back(sid);
@@ -75,26 +82,28 @@ std::vector<SliceId> ClusterView::FreeSlicesOnNode(NodeId node) const {
 
 std::optional<SliceId> ClusterView::SmallestFreeSliceWithMemory(
     Bytes min_memory, std::optional<NodeId> node) const {
-  const auto off_node = [&](std::int32_t id) {
-    return node && cluster_->slice(SliceId(id)).node != *node;
-  };
   // Lowest allocatable planned-free id per profile (the overlay is tiny).
   std::array<std::optional<SliceId>, kAllProfiles.size()> planned_min;
   for (std::int32_t id : planned_free_) {
     const SliceId sid(id);
-    if (!Allocatable(sid) || off_node(id)) continue;
-    auto& slot = planned_min[static_cast<std::size_t>(
-        cluster_->slice(sid).profile())];
+    if (!Allocatable(sid)) continue;
+    const MigSlice& s = cluster_->slice(sid);
+    if (node && s.node != *node) continue;
+    auto& slot = planned_min[static_cast<std::size_t>(s.profile())];
     if (!slot) slot = sid;  // id-ordered set: first hit is the minimum
   }
+  // The live sets hold only the scope's slices: the cluster's, or the
+  // node's own.
+  const Cluster::FreeSets& live =
+      node ? cluster_->free_on_node(*node) : cluster_->free_by_profile_;
   std::optional<SliceId> best;
   int best_gpcs = 0;
   for (MigProfile p : kAllProfiles) {
     if (MemBytes(p) < min_memory) continue;
     const std::size_t idx = static_cast<std::size_t>(p);
     std::optional<SliceId> cand = planned_min[idx];
-    for (std::int32_t id : cluster_->free_by_profile_[idx]) {
-      if (reserved_.count(id) != 0 || off_node(id)) continue;
+    for (std::int32_t id : live[idx]) {
+      if (reserved_.count(id) != 0) continue;
       if (!cand || id < cand->value) cand = SliceId(id);
       break;  // first eligible live id is the live minimum
     }

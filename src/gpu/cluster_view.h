@@ -9,9 +9,12 @@
 // real when platform::PlatformCore::Commit() validates and applies the
 // resulting PlacementPlan.
 //
-// Queries are served from the Cluster's per-profile free lists (maintained
-// incrementally on Bind/Release), so a view costs O(overlay) to carry and
-// free-slice lookups cost O(answer), not O(cluster).
+// Queries are served from the Cluster's free-slice index, id-ordered sets
+// per profile cluster-wide and per (node, profile), maintained
+// incrementally on every Bind/Release/MarkFailed/Repair/RepartitionGpu.
+// So a view costs O(overlay) to carry and free-slice lookups cost
+// O(answer), not O(cluster): a node-scoped query reads only that node's
+// sets.
 #pragma once
 
 #include <optional>

@@ -405,6 +405,7 @@ Instance* PlatformCore::LaunchInstance(const FunctionSpec& fn,
 void PlatformCore::RetireInstance(Instance* inst) {
   FFS_CHECK(inst->state() != InstanceState::kRetired);
   FFS_CHECK_MSG(inst->Idle(), "retiring a busy instance");
+  if (inst->state() == InstanceState::kDraining) --draining_;
   const SimTime now = sim_.Now();
   for (const core::StageBinding& s : inst->plan().stages) {
     cluster_.Release(s.slice, inst->id());
@@ -420,7 +421,10 @@ bool PlatformCore::DrainOrRetire(Instance* inst) {
     RetireInstance(inst);
     return true;
   }
-  inst->BeginDrain();
+  if (inst->state() != InstanceState::kDraining) {
+    inst->BeginDrain();
+    if (inst->state() == InstanceState::kDraining) ++draining_;
+  }
   return false;
 }
 
@@ -520,6 +524,7 @@ Instance* PlatformCore::FindInstance(InstanceId iid) {
 void PlatformCore::FailInstance(Instance* inst, sim::FaultKind cause,
                                 SliceId failed_slice, SimDuration repair) {
   if (inst->Gone()) return;
+  if (inst->state() == InstanceState::kDraining) --draining_;
   const SimTime now = sim_.Now();
   const core::PipelinePlan& plan = inst->plan();
   const std::vector<Instance::FailedWork> victims = inst->Fail();
@@ -732,6 +737,7 @@ bool GrowCapacity(double rate, double capacity,
 }
 
 void RetireDrainedIdle(PlatformCore& core) {
+  if (core.draining() == 0) return;  // only a draining instance retires here
   const auto drained = [](const Instance* inst) {
     return inst->state() == InstanceState::kDraining && inst->Idle();
   };

@@ -104,6 +104,10 @@ class PlatformCore final {
   /// Drain, or retire immediately when idle. Returns true if retired now.
   bool DrainOrRetire(Instance* inst);
 
+  /// Live instances in kDraining, all functions: DrainOrRetire's drains
+  /// not yet retired or failed.
+  std::size_t draining() const { return draining_; }
+
   /// True if the function's weights are warm in CPU memory.
   bool IsWarm(FunctionId fn) const;
   /// Note that fn's weights are now in CPU memory (refreshes the 10-minute
@@ -297,6 +301,7 @@ class PlatformCore final {
 
   std::vector<InstanceRow> instances_;
   std::vector<FunctionRow> fns_;
+  std::size_t draining_ = 0;  // see draining()
   SimTime last_tick_ = 0;
 
   // Last published pending depth (dedup for PendingDepthChanged).

@@ -194,7 +194,7 @@ bool GrowCapacity(double rate, double capacity,
                   const std::function<Instance*()>& launch);
 
 /// Retire every draining instance that has gone idle, function by function
-/// in creation order.
+/// in creation order. Returns at once when no instance is draining.
 void RetireDrainedIdle(PlatformCore& core);
 
 /// A scheduler: its policies. `keepalive` may be null (treated as

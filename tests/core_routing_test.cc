@@ -245,6 +245,39 @@ TEST_F(RouteTieBreakTest, NoneMeetsTheDeadlineFirstInListOrderWins) {
   EXPECT_EQ(lo->outstanding(), 0);
 }
 
+TEST_F(RouteTieBreakTest, DeadAndDrainingArePrunedInTheFallbackPass) {
+  Build(false);
+  Instance* gone = Spawn(Millis(100));
+  Instance* draining = Spawn(Millis(100));
+  Instance* hi = Spawn(Millis(700));
+  Instance* lo = Spawn(Millis(700));
+  LoadAll();
+  plat_->RetireInstance(gone);
+  draining->BeginDrain();
+  fn_state().eh = {gone, draining, hi, lo};
+  // Neither survivor meets the deadline: the pass that prunes the two
+  // ahead of them also keeps the first of their equal estimates.
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(hi->outstanding(), 1);
+  EXPECT_EQ(lo->outstanding(), 0);
+  EXPECT_EQ(fn_state().eh, (std::vector<Instance*>{hi, lo}));
+}
+
+TEST_F(RouteTieBreakTest, TimeSharingTyingTheLeastLoadedLosesToExclusiveHot) {
+  Build(true);
+  Instance* hot = Spawn(Millis(700));
+  Instance* ts = Spawn(Millis(700));
+  LoadAll();
+  fn_state().eh = {hot};
+  fn_state().ts = ts;
+  fn_state().has_ts = true;
+  // Both estimate now + 700 ms, past the deadline: the time-sharing
+  // instance takes the fallback only when strictly earlier.
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(hot->outstanding(), 1);
+  EXPECT_EQ(ts->outstanding(), 0);
+}
+
 TEST_F(RouteTieBreakTest, AllHotDrainingTimeSharingTakesALateRequest) {
   Build(true);
   Instance* hot = Spawn(Millis(200));

@@ -239,6 +239,24 @@ TEST_F(PlatformTest, DrainOrRetireDefersWhenBusy) {
   sim_.Run();
 }
 
+TEST_F(PlatformTest, DrainingCountsDrainsUntilRetiredOrFailed) {
+  plat_.Submit(FunctionId(0));
+  plat_.Submit(FunctionId(1));
+  Instance* a = plat_.InstancesOf(FunctionId(0)).front();
+  Instance* b = plat_.InstancesOf(FunctionId(1)).front();
+  EXPECT_FALSE(plat_.DrainOrRetire(a));
+  EXPECT_FALSE(plat_.DrainOrRetire(b));
+  EXPECT_FALSE(plat_.DrainOrRetire(b));  // already draining: no recount
+  EXPECT_EQ(plat_.draining(), 2u);
+  plat_.FailInstance(b, sim::FaultKind::kInstanceCrash);
+  EXPECT_EQ(plat_.draining(), 1u);
+  sim_.Run();
+  ASSERT_EQ(a->state(), InstanceState::kDraining);
+  RetireDrainedIdle(plat_);
+  EXPECT_EQ(a->state(), InstanceState::kRetired);
+  EXPECT_EQ(plat_.draining(), 0u);
+}
+
 TEST_F(PlatformTest, LiveInstancesKeepCreationOrderAcrossRetireAndFail) {
   const FunctionSpec& spec = plat_.function(FunctionId(0));
   auto launch = [&]() -> Instance* {

@@ -152,10 +152,14 @@ TEST(ClusterProperty, RepartitionPreservesOtherGpus) {
 // --- ClusterView overlay vs a brute-force reference -------------------------
 
 TEST(ClusterViewProperty, OverlayQueriesMatchReferenceModel) {
+  // Live Release, Repair and RepartitionGpu calls interleave with the
+  // queries, so the per-node free index is checked against brute force as
+  // slices come free, heal, and are renumbered by a repartition.
   Rng rng(409);
+  const auto parts = gpu::EnumerateMaximalPartitions();
   for (int trial = 0; trial < 10; ++trial) {
     gpu::Cluster cluster =
-        gpu::Cluster::Uniform(2, 2, gpu::DefaultPartition());
+        gpu::Cluster::Uniform(3, 2, gpu::DefaultPartition());
     // Random live state: some slices bound, some failed.
     std::int32_t next_inst = 1;
     for (SliceId sid : cluster.AllSlices()) {
@@ -167,9 +171,15 @@ TEST(ClusterViewProperty, OverlayQueriesMatchReferenceModel) {
     }
     gpu::ClusterView view(cluster);
     std::set<std::int32_t> reserved, planned;
-    const auto all = cluster.AllSlices();
-    std::map<std::int32_t, std::int32_t> live_before;  // slice -> occupant
-    for (SliceId s : all) live_before[s.value] = cluster.slice(s).occupant.value;
+    auto all = cluster.AllSlices();
+    // Live occupancy as the test's own live calls left it: the overlay
+    // must never leak into it.
+    std::map<std::int32_t, std::int32_t> live;  // slice -> occupant
+    for (SliceId s : all) live[s.value] = cluster.slice(s).occupant.value;
+    const auto release = [&](SliceId s) {
+      cluster.Release(s, cluster.slice(s).occupant);
+      live[s.value] = InstanceId().value;
+    };
     for (int step = 0; step < 60; ++step) {
       const SliceId sid = all[static_cast<std::size_t>(rng.UniformInt(
           0, static_cast<std::int64_t>(all.size()) - 1))];
@@ -179,6 +189,38 @@ TEST(ClusterViewProperty, OverlayQueriesMatchReferenceModel) {
       } else if (!cluster.slice(sid).free() && rng.Chance(0.5)) {
         view.MarkPlannedFree(sid);
         planned.insert(sid.value);
+      }
+      switch (rng.UniformInt(0, 5)) {
+        case 0:
+          if (!cluster.slice(sid).free()) release(sid);
+          break;
+        case 1:
+          if (cluster.IsFailed(sid)) cluster.Repair(sid);
+          break;
+        case 2: {
+          // Free the GPU and repartition it: its ids die and fresh ones
+          // are minted at the end of the id space. A plan never spans a
+          // repartition, so the overlay starts afresh.
+          const GpuId g = cluster.slice(sid).gpu;
+          for (const gpu::MigSlice& s : cluster.gpu(g).slices()) {
+            if (!s.free()) release(s.id);
+          }
+          for (const gpu::MigSlice& s : cluster.gpu(g).slices()) {
+            live.erase(s.id.value);
+          }
+          const auto& target = parts[static_cast<std::size_t>(rng.UniformInt(
+              0, static_cast<std::int64_t>(parts.size()) - 1))];
+          for (SliceId fresh : cluster.RepartitionGpu(g, target)) {
+            live[fresh.value] = InstanceId().value;
+          }
+          all = cluster.AllSlices();
+          view = gpu::ClusterView(cluster);
+          reserved.clear();
+          planned.clear();
+          break;
+        }
+        default:
+          break;
       }
       // Reference allocatable: reservation wins, then the planned-free
       // overlay (failure still masks it), then live state.
@@ -230,9 +272,10 @@ TEST(ClusterViewProperty, OverlayQueriesMatchReferenceModel) {
         EXPECT_EQ(view.SmallestFreeSliceWithMemory(need, NodeId(n)), on_node);
       }
     }
-    // The overlay never leaked into live state: occupancy is untouched.
+    // The overlay never leaked into live state: occupancy is what the live
+    // calls left.
     for (SliceId s : all) {
-      EXPECT_EQ(cluster.slice(s).occupant.value, live_before[s.value]);
+      EXPECT_EQ(cluster.slice(s).occupant.value, live[s.value]);
     }
   }
 }
