@@ -141,10 +141,12 @@ bool Instance::Abort(RequestId rid) {
   return false;  // executing or mid-transfer: past the point of no return
 }
 
-void Instance::BeginDrain() {
-  if (state_ == InstanceState::kLoading || state_ == InstanceState::kReady) {
-    SetState(InstanceState::kDraining);
+bool Instance::BeginDrain() {
+  if (state_ != InstanceState::kLoading && state_ != InstanceState::kReady) {
+    return false;
   }
+  SetState(InstanceState::kDraining);
+  return true;
 }
 
 void Instance::MarkRetired() {

@@ -78,8 +78,9 @@ class Instance {
   void SetStageOrder(qos::StageOrder order) { stage_order_ = order; }
   qos::StageOrder stage_order() const { return stage_order_; }
 
-  /// Stop admitting; the owner retires the instance once Idle().
-  void BeginDrain();
+  /// Stop admitting; the owner retires the instance once Idle(). True when
+  /// this call began the drain (the instance was loading or ready).
+  bool BeginDrain();
 
   /// Mark retired (owner releases the slices).
   void MarkRetired();

@@ -421,10 +421,7 @@ bool PlatformCore::DrainOrRetire(Instance* inst) {
     RetireInstance(inst);
     return true;
   }
-  if (inst->state() != InstanceState::kDraining) {
-    inst->BeginDrain();
-    if (inst->state() == InstanceState::kDraining) ++draining_;
-  }
+  if (inst->BeginDrain()) ++draining_;
   return false;
 }
 

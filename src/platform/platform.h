@@ -106,7 +106,7 @@ class PlatformCore final {
 
   /// Live instances in kDraining, all functions: DrainOrRetire's drains
   /// not yet retired or failed.
-  std::size_t draining() const { return draining_; }
+  int draining() const { return draining_; }
 
   /// True if the function's weights are warm in CPU memory.
   bool IsWarm(FunctionId fn) const;
@@ -295,13 +295,13 @@ class PlatformCore final {
   // Fault-command subscriptions (auto-unsubscribed at destruction).
   std::vector<sim::EventBus::Subscription> fault_subs_;
   int pending_cold_failures_ = 0;          // armed cold-start failures
+  int draining_ = 0;                       // see draining()
   std::deque<double> pending_slow_factors_;  // armed slow-start multipliers
 
   std::unique_ptr<sim::PeriodicTask> autoscale_;
 
   std::vector<InstanceRow> instances_;
   std::vector<FunctionRow> fns_;
-  std::size_t draining_ = 0;  // see draining()
   SimTime last_tick_ = 0;
 
   // Last published pending depth (dedup for PendingDepthChanged).

@@ -247,14 +247,14 @@ TEST_F(PlatformTest, DrainingCountsDrainsUntilRetiredOrFailed) {
   EXPECT_FALSE(plat_.DrainOrRetire(a));
   EXPECT_FALSE(plat_.DrainOrRetire(b));
   EXPECT_FALSE(plat_.DrainOrRetire(b));  // already draining: no recount
-  EXPECT_EQ(plat_.draining(), 2u);
+  EXPECT_EQ(plat_.draining(), 2);
   plat_.FailInstance(b, sim::FaultKind::kInstanceCrash);
-  EXPECT_EQ(plat_.draining(), 1u);
+  EXPECT_EQ(plat_.draining(), 1);
   sim_.Run();
   ASSERT_EQ(a->state(), InstanceState::kDraining);
   RetireDrainedIdle(plat_);
   EXPECT_EQ(a->state(), InstanceState::kRetired);
-  EXPECT_EQ(plat_.draining(), 0u);
+  EXPECT_EQ(plat_.draining(), 0);
 }
 
 TEST_F(PlatformTest, LiveInstancesKeepCreationOrderAcrossRetireAndFail) {
