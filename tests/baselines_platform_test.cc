@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
 #include "metrics/recorder.h"
+#include "model/costs.h"
 #include "model/zoo.h"
+#include "platform/placement.h"
 
 namespace fluidfaas::baselines {
 namespace {
 
 using platform::FunctionSpec;
+using platform::Instance;
 using platform::InstanceState;
 using platform::MakeFunctionSpec;
 using platform::PlatformConfig;
@@ -166,6 +170,109 @@ TEST(BaselineComparisonTest, EsgRoutesWithSloAwareness) {
     EXPECT_EQ(esg.recorder_.completed_requests(), 60u);
     EXPECT_EQ(inf.recorder_.completed_requests(), 60u);
   }
+}
+
+// -- tie-breaks of the baseline routers ---------------------------------------
+
+/// A core that runs `bundle`'s router on hand-spawned instances of function
+/// 0: it is never started, so no autoscaler tick launches or retires one.
+class RouterTieFixture {
+ public:
+  explicit RouterTieFixture(platform::PolicyBundle bundle)
+      : cluster_(gpu::Cluster::Uniform(1, 2, gpu::DefaultPartition())),
+        plat_(sim_, cluster_, Functions(model::Variant::kSmall), Config(),
+              std::move(bundle)) {}
+
+  /// Spawn on the next free slice that holds the model, with a chosen
+  /// service latency; a warm spawn loads faster than a cold one.
+  Instance* Spawn(SimDuration latency, bool warm) {
+    auto plan = Plan();
+    plan.stages.front().exec_time = latency;
+    const platform::CommitResult r =
+        plat_.Commit(platform::SpawnPlan(FunctionId(0), plan, warm));
+    EXPECT_TRUE(r.ok());
+    return r.spawned.front();
+  }
+
+  SimDuration ColdLoad() {
+    return model::ColdLoad(Plan().stages.front().plan.weights);
+  }
+  SimDuration WarmLoad() {
+    return model::WarmLoad(Plan().stages.front().plan.weights);
+  }
+
+  sim::Simulator sim_;
+  gpu::Cluster cluster_;
+  platform::PlatformCore plat_;
+
+ private:
+  static PlatformConfig Config() {
+    PlatformConfig config;
+    config.service_jitter_cv = 0.0;
+    return config;
+  }
+
+  /// The model whole on the first free slice that holds it.
+  core::PipelinePlan Plan() {
+    const FunctionSpec& spec = plat_.function(FunctionId(0));
+    for (SliceId sid : cluster_.AllSlices()) {
+      const gpu::MigSlice& s = cluster_.slice(sid);
+      if (!s.free() || s.memory() < spec.total_memory) continue;
+      auto plan = core::MonolithicPlanOnSlice(spec.dag, cluster_, sid);
+      if (plan) return *plan;
+    }
+    ADD_FAILURE() << "no free slice";
+    return {};
+  }
+};
+
+TEST(InflessPlatformTest, EqualOutstandingGoesToTheFirstInListOrder) {
+  RouterTieFixture f(MakeInflessBundle());
+  Instance* slow = f.Spawn(Millis(400), false);
+  Instance* fast = f.Spawn(Millis(100), false);
+  f.sim_.RunUntil(Seconds(60));
+  // Least outstanding work, not least estimate: equals go to the first.
+  f.plat_.Submit(FunctionId(0));
+  EXPECT_EQ(slow->outstanding(), 1);
+  EXPECT_EQ(fast->outstanding(), 0);
+  f.plat_.Submit(FunctionId(0));
+  EXPECT_EQ(fast->outstanding(), 1);
+  f.plat_.Submit(FunctionId(0));
+  EXPECT_EQ(slow->outstanding(), 2);
+  EXPECT_EQ(fast->outstanding(), 1);
+}
+
+TEST(InflessPlatformTest, EqualOutstandingIgnoresWhetherTheFirstIsLoading) {
+  RouterTieFixture f(MakeInflessBundle());
+  Instance* cold = f.Spawn(Millis(100), false);
+  Instance* warm = f.Spawn(Millis(100), true);
+  f.sim_.RunUntil(f.sim_.Now() + f.WarmLoad() + Millis(1));
+  ASSERT_EQ(cold->state(), InstanceState::kLoading);
+  ASSERT_EQ(warm->state(), InstanceState::kReady);
+  // The pick is the loading instance, whose cold load puts the request
+  // past its bound: it waits, although the ready one would admit it.
+  f.plat_.Submit(FunctionId(0));
+  EXPECT_EQ(cold->outstanding(), 0);
+  EXPECT_EQ(warm->outstanding(), 0);
+  EXPECT_EQ(f.plat_.queue().size(), 1u);
+}
+
+TEST(EsgPlatformTest, EqualEstimatesGoToTheFirstInListOrder) {
+  RouterTieFixture f(MakeEsgBundle());
+  // A cold spawn of latency = its load time estimates t0 + 2 × cold; a warm
+  // one, ready 1 ms before the request, gets the latency that ties it.
+  const SimDuration c = f.ColdLoad();
+  const SimDuration w = f.WarmLoad();
+  Instance* cold = f.Spawn(c, false);
+  Instance* warm = f.Spawn(2 * c - w - Millis(1), true);
+  f.sim_.RunUntil(f.sim_.Now() + w + Millis(1));
+  const SimTime now = f.sim_.Now();
+  ASSERT_EQ(cold->state(), InstanceState::kLoading);
+  ASSERT_EQ(warm->state(), InstanceState::kReady);
+  ASSERT_EQ(cold->EstimateCompletion(now), warm->EstimateCompletion(now));
+  f.plat_.Submit(FunctionId(0));
+  EXPECT_EQ(cold->outstanding(), 1);
+  EXPECT_EQ(warm->outstanding(), 0);
 }
 
 }  // namespace

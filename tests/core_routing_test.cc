@@ -5,9 +5,11 @@
 
 #include <vector>
 
+#include "core/ffs_distributed.h"
 #include "core/ffs_platform.h"
 #include "core/pipeline.h"
 #include "metrics/recorder.h"
+#include "model/costs.h"
 #include "model/zoo.h"
 #include "platform/placement.h"
 
@@ -192,6 +194,15 @@ class RouteTieBreakTest : public ::testing::Test {
     return r.spawned.front();
   }
 
+  /// The cold load time of the function's model: a Spawn is ready this
+  /// long after it commits.
+  SimDuration ColdLoad() {
+    auto plan = MonolithicPlanOnSlice(plat_->function(FunctionId(0)).dag,
+                                      cluster_, SliceId(0));
+    EXPECT_TRUE(plan.has_value());
+    return model::ColdLoad(plan->stages.front().plan.weights);
+  }
+
   /// Let every spawned instance finish loading.
   void LoadAll() { sim_.RunUntil(sim_.Now() + Seconds(60)); }
 
@@ -294,6 +305,165 @@ TEST_F(RouteTieBreakTest, AllHotDrainingTimeSharingTakesALateRequest) {
   ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
   EXPECT_EQ(ts->outstanding(), 3);
   EXPECT_EQ(hot->outstanding(), 0);
+}
+
+/// A Ready instance with one request queued and a Loading one, both with
+/// the cold load time as their latency: each estimates now + 2 × load.
+struct LoadingAndReady {
+  Instance* ready;
+  Instance* loading;
+};
+
+class LoadingTieTest : public RouteTieBreakTest {
+ protected:
+  LoadingAndReady Tie() {
+    Build(false);  // no time-sharing instance to spill to
+    const SimDuration load = ColdLoad();
+    Instance* ready = Spawn(load);
+    LoadAll();
+    Instance* loading = Spawn(load);
+    ready->Enqueue(Pending(), 1.0);
+    const SimTime now = sim_.Now();
+    EXPECT_EQ(ready->state(), InstanceState::kReady);
+    EXPECT_EQ(loading->state(), InstanceState::kLoading);
+    EXPECT_EQ(ready->EstimateCompletion(now),
+              loading->EstimateCompletion(now));
+    // Past the 500 ms deadline, so step 1 has no fit, and within the bound.
+    EXPECT_GT(ready->EstimateCompletion(now), now + Millis(500));
+    return {ready, loading};
+  }
+};
+
+TEST_F(LoadingTieTest, LeastLoadedKeepsTheFirstInListOrder) {
+  const auto [ready, loading] = Tie();
+  const SimTime now = sim_.Now();
+  EXPECT_EQ(platform::LeastLoaded({loading, ready}, now), loading);
+  EXPECT_EQ(platform::LeastLoaded({ready, loading}, now), ready);
+}
+
+TEST_F(LoadingTieTest, FallbackTakesTheLoadingInstanceListedFirst) {
+  const auto [ready, loading] = Tie();
+  fn_state().eh = {loading, ready};
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(loading->outstanding(), 1);
+  EXPECT_EQ(ready->outstanding(), 1);
+}
+
+TEST_F(LoadingTieTest, FallbackTakesTheReadyInstanceListedFirst) {
+  const auto [ready, loading] = Tie();
+  fn_state().eh = {ready, loading};
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(ready->outstanding(), 2);
+  EXPECT_EQ(loading->outstanding(), 0);
+}
+
+TEST_F(RouteTieBreakTest, PromotedLowerIdLosesAnEstimateTieToEarlierEntries) {
+  Build(false);
+  Instance* promoted = Spawn(Millis(700));
+  Instance* hot = Spawn(Millis(700));
+  ASSERT_LT(promoted->id(), hot->id());
+  LoadAll();
+  // Promote appends the older time-sharing instance behind the hot one.
+  fn_state().eh = {hot};
+  fn_state().eh.push_back(promoted);
+  // Both estimate now + 700 ms, past the deadline: list order, not id
+  // order, breaks the fallback's tie.
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(hot->outstanding(), 1);
+  EXPECT_EQ(promoted->outstanding(), 0);
+}
+
+TEST_F(RouteTieBreakTest, PromotedLowerIdStillWinsAStepOneLatencyTie) {
+  Build(true);
+  Instance* promoted = Spawn(Millis(200));
+  Instance* hot = Spawn(Millis(200));
+  LoadAll();
+  fn_state().eh = {hot};
+  fn_state().eh.push_back(promoted);
+  // Both meet the deadline at equal latency: step 1 orders by id.
+  ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
+  EXPECT_EQ(promoted->outstanding(), 1);
+  EXPECT_EQ(hot->outstanding(), 0);
+}
+
+// -- DistState::ChooseInvoker on crafted per-invoker lists --------------------
+
+/// Two nodes of one GPU each; the core's router refuses everything, and the
+/// test fills each invoker's lists by hand.
+class ChooseInvokerTieTest : public ::testing::Test {
+ protected:
+  ChooseInvokerTieTest() {
+    std::vector<FunctionSpec> fns;
+    fns.push_back(MakeFunctionSpec(FunctionId(0), 0, model::Variant::kSmall,
+                                   model::BuildApp(0, model::Variant::kSmall),
+                                   1.5));
+    PlatformConfig config;
+    config.service_jitter_cv = 0.0;
+    platform::PolicyBundle b;
+    b.routing = std::make_unique<RefuseAll>();
+    b.scaling = std::make_unique<NoScaling>();
+    plat_ = std::make_unique<platform::PlatformCore>(
+        sim_, cluster_, std::move(fns), config, std::move(b));
+    dist_.EnsureSized(*plat_);
+  }
+
+  /// Spawn on the first free slice of `node` that holds the model, with a
+  /// chosen service latency.
+  Instance* SpawnOn(int node, SimDuration latency) {
+    const FunctionSpec& spec = plat_->function(FunctionId(0));
+    for (SliceId sid : cluster_.AllSlices()) {
+      const gpu::MigSlice& s = cluster_.slice(sid);
+      if (s.node != NodeId(node) || !s.free() ||
+          s.memory() < spec.total_memory) {
+        continue;
+      }
+      auto plan = MonolithicPlanOnSlice(spec.dag, cluster_, sid);
+      EXPECT_TRUE(plan.has_value());
+      plan->stages.front().exec_time = latency;
+      const platform::CommitResult r =
+          plat_->Commit(platform::SpawnPlan(FunctionId(0), *plan, false));
+      EXPECT_TRUE(r.ok());
+      return r.spawned.front();
+    }
+    ADD_FAILURE() << "no free slice on node " << node;
+    return nullptr;
+  }
+
+  FfsState::FnState& fn_state(int invoker) {
+    return dist_.invokers[static_cast<std::size_t>(invoker)].domain.state(
+        FunctionId(0));
+  }
+
+  int Choose() {
+    return dist_.ChooseInvoker(*plat_, FunctionId(0), sim_.Now());
+  }
+
+  sim::Simulator sim_;
+  gpu::Cluster cluster_ = gpu::Cluster::Uniform(2, 1, gpu::DefaultPartition());
+  std::unique_ptr<platform::PlatformCore> plat_;
+  DistState dist_;
+};
+
+TEST_F(ChooseInvokerTieTest, ExclusiveHotTieGoesToTheLastInvokerScanned) {
+  Instance* a = SpawnOn(0, Millis(200));
+  Instance* b = SpawnOn(1, Millis(200));
+  sim_.RunUntil(Seconds(60));
+  fn_state(0).eh = {a};
+  fn_state(1).eh = {b};
+  EXPECT_EQ(Choose(), 1);
+}
+
+TEST_F(ChooseInvokerTieTest, TimeSharingMustBeatTheBestEstimateStrictly) {
+  Instance* hot = SpawnOn(0, Millis(200));
+  Instance* ts = SpawnOn(1, Millis(200));
+  sim_.RunUntil(Seconds(60));
+  fn_state(0).eh = {hot};
+  fn_state(1).ts = ts;
+  fn_state(1).has_ts = true;
+  EXPECT_EQ(Choose(), 0);
+  // One request on the hot instance puts it behind the time-sharing one.
+  hot->Enqueue(plat_->Submit(FunctionId(0)), 1.0);
+  EXPECT_EQ(Choose(), 1);
 }
 
 }  // namespace

@@ -123,12 +123,13 @@ TEST(GoldenDigestTest, AllSchedulersFaultFree) {
 // most instance churn (evictions, migrations, crashes). The two heavy
 // 2-node shed rows pin the key-ordered queues (fifo and edf) under
 // deadline-infeasible shedding with a deep pending set. The heavy 32-node
-// row is the largest cluster any digest runs: FluidFaaS's Route there
-// scans dozens of exclusive-hot instances per function. The last two rows
-// set the load and the timeout: perfbench's overload-qos shape (load 1.04,
-// fair/shed, timeout 4×), and load 1.5 under a 1× timeout, where thousands
-// of requests time out, so the expiry path runs in every position (in the
-// pending set, queued on an instance, mid-execution).
+// row pins a long run at scale. The heavy 128-node row (20 s) is the
+// largest cluster any digest runs: the routers there choose among hundreds
+// of instances per function. The last two rows set the load and the
+// timeout: perfbench's overload-qos shape (load 1.04, fair/shed, timeout
+// 4×), and load 1.5 under a 1× timeout, where thousands of requests time
+// out, so the expiry path runs in every position (in the pending set,
+// queued on an instance, mid-execution).
 TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
   struct VariantCell {
     const char* label;
@@ -140,6 +141,7 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
     const char* queue;
     const char* admission;
     std::uint64_t digests[5];  // kFfs, kDist, kEsg, kInfless, kRepart
+    int seconds = 60;
   };
   constexpr SystemKind kSystems[] = {kFfs, kDist, kEsg, kInfless, kRepart};
   constexpr VariantCell kVariants[] = {
@@ -183,6 +185,12 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
        {0xfa40d682e5d4ef76ULL, 0xb2ab3f11e75caf9fULL,
         0x67f104a381e720f9ULL, 0xfb1ab53e013e4301ULL,
         0xa80e8d5dc4d26bdaULL}},
+      {"heavy 128 nodes fault-free fifo/none", WorkloadTier::kHeavy, 128,
+       0.0, 0.0, 0.0, "fifo", "none",
+       {0x3108e233c9c6895cULL, 0x8b45116adfd8c69bULL,
+        0xfbd262f0cd3e0d73ULL, 0x9af263f6fbf853f7ULL,
+        0x2edfd177c4fb802dULL},
+       20},
       {"overload-qos shape", WorkloadTier::kMedium, 2, 1.04, 0.05, 4.0, "fair",
        "shed",
        {0xe86c6493108527f2ULL, 0xf215c1e642a6ff9aULL,
@@ -200,7 +208,7 @@ TEST(GoldenDigestTest, AllSchedulersMediumQosAndFaults) {
       cfg.system = kSystems[s];
       cfg.tier = v.tier;
       cfg.num_nodes = v.num_nodes;
-      cfg.duration = Seconds(60);
+      cfg.duration = Seconds(v.seconds);
       cfg.faults.rate = v.fault_rate;
       cfg.load_factor = v.load;
       cfg.faults.timeout_scale = v.timeout_scale;
