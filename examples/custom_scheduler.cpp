@@ -35,7 +35,7 @@ class RandomRouting final : public platform::RoutingPolicy {
 
   bool Route(platform::PlatformCore& core, RequestId rid,
              FunctionId fn) override {
-    auto insts = core.InstancesOf(fn);
+    std::vector<platform::Instance*> insts = core.InstancesOf(fn).items();
     std::erase_if(insts, [](platform::Instance* i) { return !i->CanAdmit(); });
     if (insts.empty()) {
       auto free = gpu::ClusterView(core.cluster()).FreeSlices();

@@ -77,8 +77,7 @@ bool EsgRouting::Route(platform::PlatformCore& core, RequestId rid,
     return false;
   }
   return platform::AdmitBounded(
-      core, platform::LeastLoaded(core.InstancesOf(fn), core.simulator().Now()),
-      rid);
+      core, core.InstancesOf(fn).LeastLoaded(core.simulator().Now()), rid);
 }
 
 void EsgScaling::Tick(platform::PlatformCore& core) {
@@ -106,14 +105,8 @@ bool InflessRouting::Route(platform::PlatformCore& core, RequestId rid,
 
   // Least outstanding work, no SLO-awareness in the pick: a refusal reaches
   // as far as AdmitBounded's.
-  Instance* best = nullptr;
-  for (Instance* inst : core.InstancesOf(fn)) {
-    if (!inst->CanAdmit()) continue;
-    if (best == nullptr || inst->outstanding() < best->outstanding()) {
-      best = inst;
-    }
-  }
-  return platform::AdmitBounded(core, best, rid);
+  return platform::AdmitBounded(core, core.InstancesOf(fn).LeastOutstanding(),
+                                rid);
 }
 
 void InflessScaling::Tick(platform::PlatformCore& core) {

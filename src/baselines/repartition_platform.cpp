@@ -91,7 +91,7 @@ bool RepartitionState::TryReconfigure(platform::PlatformCore& core,
 
     for (const platform::FunctionSpec& fn : core.functions()) {
       // A copy: DrainOrRetire may remove from the live list.
-      const std::vector<Instance*> live = core.InstancesOf(fn.id);
+      const std::vector<Instance*> live = core.InstancesOf(fn.id).items();
       for (Instance* inst : live) {
         bool on_gpu = false;
         for (const core::StageBinding& b : inst->plan().stages) {
@@ -115,8 +115,7 @@ bool RepartitionRouting::Route(platform::PlatformCore& core, RequestId rid,
     return false;  // tick may reconfigure
   }
   return platform::AdmitBounded(
-      core, platform::LeastLoaded(core.InstancesOf(fn), core.simulator().Now()),
-      rid);
+      core, core.InstancesOf(fn).LeastLoaded(core.simulator().Now()), rid);
 }
 
 void RepartitionScaling::Tick(platform::PlatformCore& core) {

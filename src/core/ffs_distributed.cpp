@@ -18,23 +18,22 @@ void DistState::EnsureSized(const platform::PlatformCore& core) {
 int DistState::ChooseInvoker(platform::PlatformCore& core, FunctionId fn,
                              SimTime now) {
   // Prefer the invoker whose admitting instances of `fn` promise the
-  // earliest completion (request affinity keeps models warm). An
-  // exclusive-hot instance that ties the best estimate so far takes the
-  // pick, so such ties go to the last invoker scanned; a time-sharing
-  // instance has to beat it strictly.
+  // earliest completion (request affinity keeps models warm). An invoker
+  // whose least-loaded exclusive-hot instance ties the best estimate so far
+  // takes the pick, so such ties go to the last invoker scanned; a
+  // time-sharing instance has to beat it strictly. Neither pick reads a
+  // dead or draining entry, so the lists need no prune here.
   int best = -1;
   SimTime best_est = kTimeInfinity;
   for (std::size_t i = 0; i < invokers.size(); ++i) {
-    FfsState& domain = invokers[i].domain;
-    FfsState::FnState& st = domain.state(fn);
-    domain.PruneDead(st, [&](Instance* inst) {
-      if (!inst->CanAdmit()) return;
-      const SimTime est = inst->EstimateCompletion(now);
+    const FfsState::FnState& st = invokers[i].domain.state(fn);
+    if (const Instance* least = st.eh.LeastLoaded(now)) {
+      const SimTime est = least->EstimateCompletion(now);
       if (est <= best_est) {
         best_est = est;
         best = static_cast<int>(i);
       }
-    });
+    }
     if (st.ts != nullptr && st.ts->CanAdmit()) {
       const SimTime est = st.ts->EstimateCompletion(now);
       if (est < best_est) {
@@ -113,7 +112,7 @@ void DistScaling::Tick(platform::PlatformCore& core) {
     FfsState& domain = inv.domain;
     for (std::size_t f = 0; f < domain.fn_state.size(); ++f) {
       const FunctionId fn(static_cast<std::int32_t>(f));
-      domain.PruneDead(domain.state(fn));
+      FfsState::PruneDead(domain.state(fn));
 
       // Difference 1: scale-up follows the invoker-local arrival EWMA, not
       // the core's global rate. `this_tick` counts the Route calls whose

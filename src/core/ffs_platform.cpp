@@ -117,28 +117,17 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
   // 1. Exclusive-hot instances, lowest service latency first, while their
   //    backlog still meets the deadline (§5.3 request routing): the fit is
   //    the minimum (ServiceLatency, id) over the admitting instances that
-  //    meet it. Ids are unique, so the order is total. The same pass keeps
-  //    step 3's least-loaded instance, the first of equal estimates in `eh`
-  //    order, as platform::LeastLoaded would pick it.
-  Instance* fit = nullptr;
-  Instance* least = nullptr;
-  SimTime least_est = kTimeInfinity;
-  bool no_hot = true;
-  PruneDead(st, [&](Instance* inst) {
-    if (!inst->CanAdmit()) return;
-    no_hot = false;
-    const SimTime est = inst->EstimateCompletion(now);
-    if (est < least_est) {
-      least_est = est;
-      least = inst;
-    }
-    if (est > deadline) return;
-    if (fit == nullptr ||
-        std::pair(inst->ServiceLatency(), inst->id()) <
-            std::pair(fit->ServiceLatency(), fit->id())) {
-      fit = inst;
-    }
-  });
+  //    meet it. Ids are unique, so the order is total. Step 3's
+  //    least-loaded instance is the first of equal estimates in `eh` order.
+  PruneDead(st);
+  Instance* const least = st.eh.LeastLoaded(now);
+  const SimTime least_est =
+      least != nullptr ? least->EstimateCompletion(now) : kTimeInfinity;
+  const bool no_hot = least == nullptr;
+  // A fit exists only if the least estimate meets the deadline, so a
+  // refused call never searches.
+  Instance* const fit =
+      least_est <= deadline ? st.eh.FirstFit(now, deadline) : nullptr;
   if (fit != nullptr) {
     fit->Enqueue(rid, core.JitterOf(rid), deadline);
     st.ts_last_used = now;
@@ -180,7 +169,7 @@ bool FfsState::Route(platform::PlatformCore& core, RequestId rid,
   //    lies below `best`'s estimate, which no step 1 or step 2 estimate
   //    undercuts, so a request due below it passes those steps too, and
   //    EnsureTsResident and LaunchExclusive do not read the due.
-  //    Step 1's scan still holds: a step 2 that fails leaves `eh` as it
+  //    Step 1's pick still holds: a step 2 that fails leaves `eh` as it
   //    was (Commit is atomic, and an eviction victim is another function's
   //    time-sharing instance), and one that places returns.
   Instance* best = least;
@@ -218,7 +207,7 @@ void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
   FnState& st = state(fn);
   const SimTime now = core.simulator().Now();
   // Consider only Ready+idle instances that have been quiet for a window.
-  for (Instance* inst : std::vector<Instance*>(st.eh)) {
+  for (Instance* inst : std::vector<Instance*>(st.eh.items())) {
     if (inst->state() != InstanceState::kReady || !inst->Idle()) continue;
     if (now - inst->last_used() < platform::kUtilWindow) continue;
     const double util = core.UtilizationOf(inst);
@@ -228,7 +217,7 @@ void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
       // Demote the last exclusive instance into the time-sharing state:
       // it keeps serving from its slice but becomes evictable. Pipelined
       // instances cannot be time-shared; retire them to warm instead.
-      std::erase(st.eh, inst);
+      st.eh.erase(inst);
       if (!inst->IsPipelined()) {
         st.ts = inst;
         st.has_ts = true;
@@ -245,11 +234,11 @@ void FfsState::ScaleDown(platform::PlatformCore& core, FunctionId fn) {
                (core.config().enable_time_sharing && st.has_ts)) {
       // Surplus exclusive capacity: the remaining instances (or the
       // time-sharing entry) cover the residual load; release the slices.
-      std::erase(st.eh, inst);
+      st.eh.erase(inst);
       core.RetireInstance(inst);
     } else if (!core.config().enable_time_sharing &&
                now - inst->last_used() >= core.config().exclusive_keepalive) {
-      std::erase(st.eh, inst);
+      st.eh.erase(inst);
       core.RetireInstance(inst);
     }
   }
@@ -315,7 +304,7 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
     // migrated again.
     if (core.config().enable_migration &&
         now - st.last_migration >= platform::kUtilWindow) {
-      for (Instance* inst : std::vector<Instance*>(st.eh)) {
+      for (Instance* inst : std::vector<Instance*>(st.eh.items())) {
         if (!inst->IsPipelined() ||
             inst->state() != InstanceState::kReady) {
           continue;
@@ -333,7 +322,7 @@ void FfsScaling::Tick(platform::PlatformCore& core) {
         const platform::CommitResult result = core.Commit(txn);
         if (!result.ok()) break;
         st.eh.push_back(result.spawned.front());
-        std::erase(st.eh, inst);
+        st.eh.erase(inst);
         core.bus().Publish(sim::SchedulerTransition{
             sim::TransitionKind::kMigration, fn, inst->id(), now});
         st.last_migration = now;

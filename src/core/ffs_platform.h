@@ -47,7 +47,7 @@ namespace fluidfaas::core {
 class FfsState {
  public:
   struct FnState {
-    std::vector<platform::Instance*> eh;  // exclusive-hot instances
+    platform::LoadIndex eh;               // exclusive-hot instances
     bool has_ts = false;                  // a time-sharing entry exists
     platform::Instance* ts = nullptr;     // resident TS instance (or null)
     SimTime ts_last_used = 0;
@@ -68,11 +68,11 @@ class FfsState {
 
   /// §5.3 request routing: exclusive-hot instances lowest latency first
   /// while they meet the deadline, then the time-sharing instance, then the
-  /// bounded least-loaded fallback. True when `rid` was enqueued. One pass
-  /// over `eh` prunes it and finds both step 1's fit, the minimum
-  /// (ServiceLatency, id) among the admitting instances that meet the
-  /// deadline, and the fallback's least-loaded instance: no sort, no
-  /// allocation. A refusal reports its reach (PlatformCore::RefuseThrough).
+  /// bounded least-loaded fallback. True when `rid` was enqueued. `eh`'s
+  /// load index answers both step 1's fit, the minimum (ServiceLatency, id)
+  /// among the admitting instances that meet the deadline, and the
+  /// fallback's least-loaded instance: no scan, no allocation. A refusal
+  /// reports its reach (PlatformCore::RefuseThrough).
   bool Route(platform::PlatformCore& core, RequestId rid, FunctionId fn);
 
   /// Make fn's time-sharing instance resident: smallest free slice in the
@@ -103,28 +103,14 @@ class FfsState {
   /// platform::kWarmTimeout, retiring its resident instance if idle.
   void ExpireCold(platform::PlatformCore& core, FunctionId fn);
 
-  /// Drop retired, failed and draining instances from `st.eh` in place,
-  /// keeping the order of the rest, and a crashed time-sharing instance.
-  /// `visit` sees each surviving `eh` entry once, in order, so a caller's
-  /// scan of `eh` is the prune's own pass.
-  template <typename Visit>
-  void PruneDead(FnState& st, Visit&& visit) {
-    std::size_t kept = 0;
-    for (platform::Instance* inst : st.eh) {
-      if (inst->Gone() ||
-          inst->state() == platform::InstanceState::kDraining) {
-        continue;
-      }
-      st.eh[kept++] = inst;
-      visit(inst);
-    }
-    st.eh.resize(kept);
+  /// Drop retired, failed and draining instances from `st.eh`, keeping the
+  /// order of the rest (free when there are none), and a crashed
+  /// time-sharing instance.
+  static void PruneDead(FnState& st) {
+    st.eh.EraseNonAdmitting();
     // A crashed TS instance leaves a warm entry behind (has_ts stays set),
     // so the next request makes a fresh one resident.
     if (st.ts != nullptr && st.ts->Gone()) st.ts = nullptr;
-  }
-  void PruneDead(FnState& st) {
-    PruneDead(st, [](platform::Instance*) {});
   }
 
   std::vector<FnState> fn_state;

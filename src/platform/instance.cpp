@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "platform/load_index.h"
 #include "sim/events.h"
 
 namespace fluidfaas::platform {
@@ -27,10 +28,23 @@ Instance::Instance(InstanceId id, FunctionId fn, core::PipelinePlan plan,
   last_used_ = sim_.Now();
 }
 
+Instance::~Instance() {
+  for (const Listing& l : listings_) {
+    if (l.index != nullptr) l.index->Forget(l.slot);
+  }
+}
+
+void Instance::Relist() {
+  for (const Listing& l : listings_) {
+    if (l.index != nullptr) l.index->Mark(l.slot);
+  }
+}
+
 void Instance::SetState(InstanceState next) {
   if (state_ == next) return;
   sim_.bus().Publish(sim::InstanceStateChanged{id_, fn_, next, sim_.Now()});
   state_ = next;
+  Relist();
 }
 
 void Instance::Launch(SimDuration load_time) {
@@ -40,6 +54,7 @@ void Instance::Launch(SimDuration load_time) {
     SetState(InstanceState::kReady);
     return;
   }
+  Relist();
   sim_.At(ready_at_, [this] {
     if (Gone()) return;
     if (state_ == InstanceState::kLoading) SetState(InstanceState::kReady);
@@ -67,6 +82,7 @@ void Instance::EnqueueAt(std::size_t stage_idx, RequestId rid, double jitter,
   FFS_CHECK(jitter > 0.0);
   FFS_CHECK(stage_idx < stages_.size());
   ++outstanding_;
+  Relist();
   last_used_ = sim_.Now();
   PushItem(stages_[stage_idx],
            PendingItem{rid, jitter, sim_.Now(), deadline, next_item_seq_++});
@@ -134,6 +150,7 @@ bool Instance::Abort(RequestId rid) {
         st.queue.erase(it);
         FFS_CHECK(outstanding_ > 0);
         --outstanding_;
+        Relist();
         return true;
       }
     }
@@ -264,6 +281,7 @@ void Instance::OnStageDone(std::size_t stage_idx,
     for (const PendingItem& item : batch) {
       FFS_CHECK(outstanding_ > 0);
       --outstanding_;
+      Relist();
       last_used_ = now;
       on_complete_(item.rid);
     }

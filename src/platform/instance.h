@@ -10,6 +10,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -24,6 +26,8 @@ namespace fluidfaas::platform {
 
 using InstanceState = sim::InstancePhase;
 
+class LoadIndex;
+
 class Instance {
  public:
   /// Invoked when a request leaves the last stage.
@@ -36,6 +40,10 @@ class Instance {
   /// end-to-end latency are computed once, here.
   Instance(InstanceId id, FunctionId fn, core::PipelinePlan plan,
            sim::Simulator& sim, CompletionFn on_complete);
+  /// Leaves every LoadIndex that still lists it.
+  ~Instance();
+  Instance(const Instance&) = delete;
+  Instance& operator=(const Instance&) = delete;
 
   InstanceId id() const { return id_; }
   FunctionId function() const { return fn_; }
@@ -114,13 +122,20 @@ class Instance {
   /// Steady-state service rate bound (requests/s).
   double CapacityRps() const;
 
-  /// Estimated completion time of a request admitted now. Inline: the
-  /// routers call it for every instance they scan.
+  /// Estimated completion time of a request admitted now.
   SimTime EstimateCompletion(SimTime now) const {
-    return std::max(now, ready_at_) +
-           static_cast<SimDuration>(outstanding_) * bottleneck_ +
+    return std::max(now, ready_at_) + Backlog();
+  }
+
+  /// The time-free part of EstimateCompletion: the queued work ahead of a
+  /// request admitted now, plus its own service latency.
+  SimDuration Backlog() const {
+    return static_cast<SimDuration>(outstanding_) * bottleneck_ +
            service_latency_;
   }
+
+  /// When loading ends (Launch). Never before now while kLoading.
+  SimTime ready_at() const { return ready_at_; }
 
   /// Shared admission policy: accept while the estimate stays within one
   /// `slo` (or twice the idle service latency, whichever is larger) past
@@ -151,6 +166,18 @@ class Instance {
   SimDuration ActiveTotal(SimTime now) const;
 
  private:
+  friend class LoadIndex;
+
+  // A LoadIndex that lists this instance, and the instance's slot there.
+  struct Listing {
+    LoadIndex* index = nullptr;
+    std::uint32_t slot = 0;
+  };
+
+  /// Mark this instance's slot in every LoadIndex that lists it: its
+  /// backlog, state or ready time moved.
+  void Relist();
+
   struct PendingItem {
     RequestId rid;
     double jitter;
@@ -216,6 +243,9 @@ class Instance {
   std::vector<Stage> stages_;
   // Requests mid-hop between stages (lost on failure like queued work).
   std::vector<TransferItem> in_transfer_;
+
+  // At most the platform's per-function list and one exclusive-hot list.
+  std::array<Listing, 2> listings_{};
 };
 
 }  // namespace fluidfaas::platform

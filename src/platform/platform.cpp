@@ -219,7 +219,7 @@ void PlatformCore::EraseMeta(RequestId rid) {
   }
 }
 
-const std::vector<Instance*>& PlatformCore::InstancesOf(FunctionId fn) const {
+const LoadIndex& PlatformCore::InstancesOf(FunctionId fn) const {
   return fns_[FnIndex(fn)].live;
 }
 
@@ -412,7 +412,7 @@ void PlatformCore::RetireInstance(Instance* inst) {
     bus().Publish(sim::SliceReleased{s.slice, inst->id(), now});
   }
   inst->MarkRetired();
-  std::erase(fns_[FnIndex(inst->function())].live, inst);
+  fns_[FnIndex(inst->function())].live.erase(inst);
   TouchWarm(inst->function());
 }
 
@@ -525,7 +525,7 @@ void PlatformCore::FailInstance(Instance* inst, sim::FaultKind cause,
   const SimTime now = sim_.Now();
   const core::PipelinePlan& plan = inst->plan();
   const std::vector<Instance::FailedWork> victims = inst->Fail();
-  std::erase(fns_[FnIndex(inst->function())].live, inst);
+  fns_[FnIndex(inst->function())].live.erase(inst);
   bus().Publish(sim::InstanceFailed{inst->id(), inst->function(), cause, now});
   for (const core::StageBinding& s : plan.stages) {
     cluster_.Release(s.slice, inst->id());
@@ -674,21 +674,7 @@ void FixedIdleKeepAlive::Tick(PlatformCore& core) {
   }
 }
 
-Instance* LeastLoaded(const std::vector<Instance*>& insts, SimTime now) {
-  Instance* best = nullptr;
-  SimTime best_est = kTimeInfinity;
-  for (Instance* inst : insts) {
-    if (!inst->CanAdmit()) continue;
-    const SimTime est = inst->EstimateCompletion(now);
-    if (est < best_est) {
-      best_est = est;
-      best = inst;
-    }
-  }
-  return best;
-}
-
-double AdmittingCapacity(const std::vector<Instance*>& insts) {
+double AdmittingCapacity(const LoadIndex& insts) {
   double capacity = 0.0;
   for (Instance* inst : insts) {
     if (inst->CanAdmit()) capacity += inst->CapacityRps();
@@ -739,10 +725,10 @@ void RetireDrainedIdle(PlatformCore& core) {
     return inst->state() == InstanceState::kDraining && inst->Idle();
   };
   for (const FunctionSpec& spec : core.functions()) {
-    const std::vector<Instance*>& live = core.InstancesOf(spec.id);
+    const LoadIndex& live = core.InstancesOf(spec.id);
     if (std::none_of(live.begin(), live.end(), drained)) continue;
     // A copy: RetireInstance removes from the live list.
-    const std::vector<Instance*> retiring = live;
+    const std::vector<Instance*> retiring = live.items();
     for (Instance* inst : retiring) {
       if (drained(inst)) core.RetireInstance(inst);
     }

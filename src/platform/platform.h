@@ -27,6 +27,7 @@
 #include "platform/config.h"
 #include "platform/function.h"
 #include "platform/instance.h"
+#include "platform/load_index.h"
 #include "platform/placement.h"
 #include "platform/policy.h"
 #include "qos/admission.h"
@@ -64,10 +65,11 @@ class PlatformCore final {
   const PlatformConfig& config() const { return config_; }
 
   /// Live (neither retired nor failed) instances of a function, in creation
-  /// order. The list is the core's own: RetireInstance and FailInstance
-  /// remove from it and a launch appends to it, so a caller that may do
-  /// either while iterating must iterate a copy.
-  const std::vector<Instance*>& InstancesOf(FunctionId fn) const;
+  /// order, with the load index the routers pick from. The list is the
+  /// core's own: RetireInstance and FailInstance remove from it and a
+  /// launch appends to it, so a caller that may do either while iterating
+  /// must iterate a copy (items()).
+  const LoadIndex& InstancesOf(FunctionId fn) const;
 
   /// Instance by id, or null for retired/failed/sentinel ids.
   Instance* FindInstance(InstanceId iid);
@@ -203,7 +205,7 @@ class PlatformCore final {
 
   // Per-function state, indexed by FunctionId.
   struct FunctionRow {
-    std::vector<Instance*> live;  // InstancesOf(fn)
+    LoadIndex live;               // InstancesOf(fn)
     SimTime warm_until = 0;       // weights warm in CPU memory before this
     double arrival_rate = 0.0;    // EWMA requests/s
     int arrivals_this_tick = 0;

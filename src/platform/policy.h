@@ -35,6 +35,7 @@
 namespace fluidfaas::platform {
 
 class Instance;
+class LoadIndex;
 class PlatformCore;
 struct FunctionSpec;
 
@@ -167,12 +168,9 @@ class FixedIdleKeepAlive final : public KeepAlivePolicy {
 // Each step has this one body; the policies compose them instead of keeping
 // private copies. Every slice a step binds goes through PlatformCore::Commit.
 
-/// The admitting instance of `insts` with the earliest estimated completion
-/// (the first one on a tie), or null when none admits.
-Instance* LeastLoaded(const std::vector<Instance*>& insts, SimTime now);
-
-/// Summed CapacityRps of the admitting instances of `insts`.
-double AdmittingCapacity(const std::vector<Instance*>& insts);
+/// Summed CapacityRps of the admitting instances of `insts`, in list order
+/// (a running sum would round differently).
+double AdmittingCapacity(const LoadIndex& insts);
 
 /// Enqueue `rid` on `inst` when the instance's backlog stays within the
 /// request's SLO bound (Instance::AdmitWithinBound). False, and nothing

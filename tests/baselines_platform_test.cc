@@ -131,7 +131,7 @@ TEST(InflessPlatformTest, ServesAndCompletesRequests) {
 TEST(InflessPlatformTest, BestFitUsesSmallestFittingSlice) {
   BaselineFixture f(MakeInflessBundle(), model::Variant::kSmall);
   f.plat_.Submit(FunctionId(0));
-  auto insts = f.plat_.InstancesOf(FunctionId(0));
+  auto insts = f.plat_.InstancesOf(FunctionId(0)).items();
   ASSERT_EQ(insts.size(), 1u);
   EXPECT_EQ(insts[0]->plan().stages[0].profile, gpu::MigProfile::k1g10gb);
   f.sim_.RunUntil(Seconds(60));

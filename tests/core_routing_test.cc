@@ -75,7 +75,7 @@ TEST_F(RoutingTest, HotInstancesServeBeforeTimeSharing) {
 
 TEST_F(RoutingTest, LowestServiceLatencyInstancePreferred) {
   WarmUp();
-  auto insts = plat_->InstancesOf(FunctionId(0));
+  auto insts = plat_->InstancesOf(FunctionId(0)).items();
   // Find the fastest admitting instance.
   Instance* fastest = nullptr;
   for (Instance* inst : insts) {
@@ -271,7 +271,7 @@ TEST_F(RouteTieBreakTest, DeadAndDrainingArePrunedInTheFallbackPass) {
   ASSERT_TRUE(state_.Route(*plat_, Pending(), FunctionId(0)));
   EXPECT_EQ(hi->outstanding(), 1);
   EXPECT_EQ(lo->outstanding(), 0);
-  EXPECT_EQ(fn_state().eh, (std::vector<Instance*>{hi, lo}));
+  EXPECT_EQ(fn_state().eh.items(), (std::vector<Instance*>{hi, lo}));
 }
 
 TEST_F(RouteTieBreakTest, TimeSharingTyingTheLeastLoadedLosesToExclusiveHot) {
@@ -337,8 +337,11 @@ class LoadingTieTest : public RouteTieBreakTest {
 TEST_F(LoadingTieTest, LeastLoadedKeepsTheFirstInListOrder) {
   const auto [ready, loading] = Tie();
   const SimTime now = sim_.Now();
-  EXPECT_EQ(platform::LeastLoaded({loading, ready}, now), loading);
-  EXPECT_EQ(platform::LeastLoaded({ready, loading}, now), ready);
+  platform::LoadIndex list;
+  list = {loading, ready};
+  EXPECT_EQ(list.LeastLoaded(now), loading);
+  list = {ready, loading};
+  EXPECT_EQ(list.LeastLoaded(now), ready);
 }
 
 TEST_F(LoadingTieTest, FallbackTakesTheLoadingInstanceListedFirst) {

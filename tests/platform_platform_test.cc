@@ -211,7 +211,7 @@ TEST_F(PlatformTest, TickUtilizationReflectsBusyFraction) {
   plat_.Start();
   const RequestId rid = plat_.Submit(FunctionId(0));
   (void)rid;
-  auto insts = plat_.InstancesOf(FunctionId(0));
+  auto insts = plat_.InstancesOf(FunctionId(0)).items();
   ASSERT_EQ(insts.size(), 1u);
   sim_.RunUntil(Seconds(30));
   // Prime the snapshot, wait an idle second, utilization ~0.
@@ -224,7 +224,7 @@ TEST_F(PlatformTest, TickUtilizationReflectsBusyFraction) {
 TEST_F(PlatformTest, DrainOrRetireImmediateWhenIdle) {
   plat_.Submit(FunctionId(0));
   sim_.Run();
-  auto insts = plat_.InstancesOf(FunctionId(0));
+  auto insts = plat_.InstancesOf(FunctionId(0)).items();
   ASSERT_EQ(insts.size(), 1u);
   EXPECT_TRUE(plat_.DrainOrRetire(insts[0]));
   EXPECT_EQ(insts[0]->state(), InstanceState::kRetired);
@@ -232,7 +232,7 @@ TEST_F(PlatformTest, DrainOrRetireImmediateWhenIdle) {
 
 TEST_F(PlatformTest, DrainOrRetireDefersWhenBusy) {
   plat_.Submit(FunctionId(0));
-  auto insts = plat_.InstancesOf(FunctionId(0));
+  auto insts = plat_.InstancesOf(FunctionId(0)).items();
   ASSERT_EQ(insts.size(), 1u);
   EXPECT_FALSE(plat_.DrainOrRetire(insts[0]));
   EXPECT_EQ(insts[0]->state(), InstanceState::kDraining);
@@ -273,7 +273,7 @@ TEST_F(PlatformTest, LiveInstancesKeepCreationOrderAcrossRetireAndFail) {
   ASSERT_TRUE(a && b && c && d);
   plat_.RetireInstance(b);
   plat_.FailInstance(c, sim::FaultKind::kInstanceCrash);
-  EXPECT_EQ(plat_.InstancesOf(spec.id), (std::vector<Instance*>{a, d}));
+  EXPECT_EQ(plat_.InstancesOf(spec.id).items(), (std::vector<Instance*>{a, d}));
   EXPECT_EQ(plat_.InstanceIdBound(), 4u);
   EXPECT_EQ(plat_.FindInstance(a->id()), a);
   EXPECT_EQ(plat_.FindInstance(b->id()), nullptr);
@@ -282,7 +282,7 @@ TEST_F(PlatformTest, LiveInstancesKeepCreationOrderAcrossRetireAndFail) {
 
   Instance* e = launch();
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(plat_.InstancesOf(spec.id), (std::vector<Instance*>{a, d, e}));
+  EXPECT_EQ(plat_.InstancesOf(spec.id).items(), (std::vector<Instance*>{a, d, e}));
   const std::vector<Instance*> all = {a, b, c, d, e};
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i]->id(), InstanceId(static_cast<std::int32_t>(i)));

@@ -149,7 +149,7 @@ struct World {
   }
 
   Instance* only_instance() const {
-    auto live = plat->InstancesOf(FunctionId(0));
+    auto live = plat->InstancesOf(FunctionId(0)).items();
     EXPECT_EQ(live.size(), 1u);
     return live.empty() ? nullptr : live.front();
   }
