@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -14,7 +15,9 @@
 #include "gpu/cluster.h"
 #include "gpu/cluster_view.h"
 #include "metrics/recorder.h"
+#include "model/costs.h"
 #include "model/zoo.h"
+#include "platform/load_index.h"
 #include "platform/placement.h"
 #include "platform/platform.h"
 #include "platform/policy.h"
@@ -406,6 +409,260 @@ TEST(PlanCommitProperty, RacingPlansCommitAtomicallyUnderDrift) {
     EXPECT_EQ(recorder.plans_committed() + recorder.plans_aborted(),
               attempts);
     EXPECT_EQ(recorder.plans_committed(), committed_total);
+  }
+}
+
+
+// --- LoadIndex vs the scans it replaced --------------------------------------
+
+// The rules of the deleted hand-written scans, over a list in list order.
+platform::Instance* ScanLeastLoaded(
+    const std::vector<platform::Instance*>& list, SimTime now) {
+  platform::Instance* best = nullptr;
+  SimTime best_est = kTimeInfinity;
+  for (platform::Instance* inst : list) {
+    if (!inst->CanAdmit()) continue;
+    const SimTime est = inst->EstimateCompletion(now);
+    if (est < best_est) {
+      best_est = est;
+      best = inst;
+    }
+  }
+  return best;
+}
+
+platform::Instance* ScanLeastOutstanding(
+    const std::vector<platform::Instance*>& list) {
+  platform::Instance* best = nullptr;
+  for (platform::Instance* inst : list) {
+    if (!inst->CanAdmit()) continue;
+    if (best == nullptr || inst->outstanding() < best->outstanding()) {
+      best = inst;
+    }
+  }
+  return best;
+}
+
+platform::Instance* ScanFirstFit(const std::vector<platform::Instance*>& list,
+                                 SimTime now, SimTime deadline) {
+  platform::Instance* fit = nullptr;
+  for (platform::Instance* inst : list) {
+    if (!inst->CanAdmit() || inst->EstimateCompletion(now) > deadline) {
+      continue;
+    }
+    if (fit == nullptr || std::pair(inst->ServiceLatency(), inst->id()) <
+                              std::pair(fit->ServiceLatency(), fit->id())) {
+      fit = inst;
+    }
+  }
+  return fit;
+}
+
+// Ties between the trees' picks, on a list long enough to use them: a
+// Ready instance with one request queued and a Loading one estimate the
+// same, every other entry estimates later and has no request queued.
+TEST(LoadIndexProperty, TreeTiesKeepListOrder) {
+  using platform::Instance;
+  sim::Simulator sim;
+  gpu::Cluster cluster = gpu::Cluster::Uniform(8, 2, gpu::DefaultPartition());
+  platform::PlatformConfig config;
+  config.service_jitter_cv = 0.0;
+  platform::PlatformCore plat(sim, cluster, FuzzFunctions(), config,
+                              FuzzBundle());
+  const FunctionId fn(0);
+  const auto free = cluster.AllSlices();
+  std::size_t next = 0;
+  const auto spawn = [&](SimDuration latency) {
+    auto plan = core::MonolithicPlanOnSlice(plat.function(fn).dag, cluster,
+                                            free[next++]);
+    EXPECT_TRUE(plan.has_value());
+    plan->stages.front().exec_time = latency;
+    return plat.Commit(platform::SpawnPlan(fn, *plan, false)).spawned.front();
+  };
+  const SimDuration load = model::ColdLoad(
+      core::MonolithicPlanOnSlice(plat.function(fn).dag, cluster, free[0])
+          ->stages.front()
+          .plan.weights);
+  std::vector<Instance*> fillers;
+  for (int i = 0; i < 40; ++i) fillers.push_back(spawn(5 * load));
+  Instance* ready = spawn(load);
+  sim.RunUntil(sim.Now() + Seconds(60));
+  Instance* loading = spawn(load);
+  const RequestId rid = plat.Submit(fn);
+  ready->Enqueue(rid, 1.0, plat.DeadlineOf(rid));
+  const SimTime now = sim.Now();
+  ASSERT_EQ(ready->EstimateCompletion(now), loading->EstimateCompletion(now));
+
+  platform::LoadIndex list;
+  const auto fill = [&](Instance* first, Instance* second) {
+    list = {first};
+    for (std::size_t i = 0; i < fillers.size(); ++i) {
+      list.push_back(fillers[i]);
+      if (i == fillers.size() / 2) list.push_back(second);
+    }
+  };
+  fill(loading, ready);
+  EXPECT_EQ(list.LeastLoaded(now), loading);
+  EXPECT_EQ(list.LeastOutstanding(), loading);
+  fill(ready, loading);
+  EXPECT_EQ(list.LeastLoaded(now), ready);
+  EXPECT_EQ(list.LeastOutstanding(), fillers.front());
+  // The tied pair has the least latency; of the two, the least id wins.
+  EXPECT_EQ(list.FirstFit(now, now + 6 * load), ready);
+  EXPECT_EQ(list.FirstFit(now, now + 2 * load), ready);
+  EXPECT_EQ(list.FirstFit(now, now + 2 * load - 1), nullptr);
+}
+
+// Random enqueues, completions, aborts, failures, drains, retires,
+// launches, promotions (an older instance appended) and prunes, on the
+// platform's per-function list and on an exclusive-hot-style list the test
+// keeps itself. After every step each query must equal the brute-force
+// scan: lists grow past the size where the index switches to its trees
+// and shrink below it again, and equal estimates, outstanding counts and
+// latencies are common. (A tie between a Loading and a Ready instance is
+// rare here; TreeTiesKeepListOrder builds one.)
+TEST(LoadIndexProperty, QueriesMatchTheScansTheyReplaced) {
+  using platform::Instance;
+  Rng rng(411);
+  for (int trial = 0; trial < 4; ++trial) {
+    sim::Simulator sim;
+    gpu::Cluster cluster =
+        gpu::Cluster::Uniform(8, 8, gpu::DefaultPartition());
+    platform::PlatformConfig config;
+    config.service_jitter_cv = 0.0;
+    // The test's list outlives the core in odd trials and dies first in
+    // even ones: either order must leave no dangling listing.
+    std::optional<platform::LoadIndex> outer;
+    if (trial % 2 == 1) outer.emplace();
+    auto plat = std::make_unique<platform::PlatformCore>(
+        sim, cluster, FuzzFunctions(), config, FuzzBundle());
+    std::optional<platform::LoadIndex> inner;
+    if (trial % 2 == 0) inner.emplace();
+    platform::LoadIndex& eh = outer ? *outer : *inner;
+    const FunctionId fn(0);
+    std::vector<Instance*> eh_ref;    // eh's expected list order
+    std::vector<Instance*> live_ref;  // InstancesOf(fn)'s
+    std::vector<Instance*> all;       // every instance launched
+
+    const auto pick = [&](const std::vector<Instance*>& v) -> Instance* {
+      if (v.empty()) return nullptr;
+      return v[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(v.size()) - 1))];
+    };
+    const auto forget_live = [&](Instance* inst) {
+      std::erase(live_ref, inst);
+    };
+    const auto launch = [&] {
+      const auto free = gpu::ClusterView(cluster).FreeSlices();
+      if (free.empty()) return;
+      const SliceId sid = free[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(free.size()) - 1))];
+      auto plan =
+          core::MonolithicPlanOnSlice(plat->function(fn).dag, cluster, sid);
+      if (!plan) return;
+      // Few distinct latencies, so (latency, id) and estimate ties abound.
+      plan->stages.front().exec_time = Millis(100) * rng.UniformInt(1, 3);
+      const platform::CommitResult r = plat->Commit(
+          platform::SpawnPlan(fn, std::move(*plan), rng.Chance(0.5)));
+      ASSERT_TRUE(r.ok());
+      Instance* inst = r.spawned.front();
+      all.push_back(inst);
+      live_ref.push_back(inst);
+      if (rng.Chance(0.7)) {
+        eh.push_back(inst);
+        eh_ref.push_back(inst);
+      }
+    };
+
+    std::size_t treed_checks = 0;
+    for (int step = 0; step < 600; ++step) {
+      // Grow to past the tree size, then let churn shrink the lists.
+      const double grow = step < 300 ? 0.45 : 0.1;
+      const std::int64_t op = rng.UniformInt(0, 9);
+      if (rng.Chance(grow)) {
+        launch();
+      } else if (op <= 2) {
+        // Enqueue on an admitting instance (a request the router refused).
+        Instance* inst = pick(live_ref);
+        if (inst != nullptr && inst->CanAdmit()) {
+          for (int k = rng.UniformInt(1, 3); k > 0; --k) {
+            const RequestId rid = plat->Submit(fn);
+            inst->Enqueue(rid, 1.0, plat->DeadlineOf(rid));
+          }
+        }
+      } else if (op == 3) {
+        // Completions and Loading -> Ready transitions.
+        sim.RunUntil(sim.Now() + Millis(50) * rng.UniformInt(1, 8));
+      } else if (op == 4) {
+        // Abort a queued request, if the instance has one waiting.
+        Instance* inst = pick(live_ref);
+        if (inst != nullptr && inst->CanAdmit()) {
+          const RequestId rid = plat->Submit(fn);
+          inst->Enqueue(rid, 1.0, plat->DeadlineOf(rid));
+          inst->Abort(rid);  // fails when the request started at once
+        }
+      } else if (op == 5) {
+        if (Instance* inst = pick(live_ref)) {
+          forget_live(inst);
+          plat->FailInstance(inst, sim::FaultKind::kInstanceCrash);
+        }
+      } else if (op == 6) {
+        if (Instance* inst = pick(live_ref)) {
+          if (plat->DrainOrRetire(inst)) forget_live(inst);
+        }
+      } else if (op == 7) {
+        // Promote: append an instance listed elsewhere, often an older one.
+        Instance* inst = pick(live_ref);
+        if (inst != nullptr && std::find(eh_ref.begin(), eh_ref.end(),
+                                         inst) == eh_ref.end()) {
+          eh.push_back(inst);
+          eh_ref.push_back(inst);
+        }
+      } else if (op == 8) {
+        eh.EraseNonAdmitting();
+        std::erase_if(eh_ref, [](Instance* i) { return !i->CanAdmit(); });
+      } else {
+        if (Instance* inst = pick(eh_ref)) {
+          eh.erase(inst);
+          std::erase(eh_ref, inst);
+        }
+        // Retire an idle draining instance, as the schedulers do.
+        for (Instance* inst : std::vector<Instance*>(live_ref)) {
+          if (inst->state() == platform::InstanceState::kDraining &&
+              inst->Idle()) {
+            plat->RetireInstance(inst);
+            forget_live(inst);
+            break;
+          }
+        }
+      }
+
+      ASSERT_EQ(plat->InstancesOf(fn).items(), live_ref) << "step " << step;
+      ASSERT_EQ(eh.items(), eh_ref) << "step " << step;
+      const SimTime now = sim.Now();
+      const platform::LoadIndex& live = plat->InstancesOf(fn);
+      for (const platform::LoadIndex* index : {&live, &std::as_const(eh)}) {
+        const std::vector<Instance*>& list = index->items();
+        if (list.size() >= 32) ++treed_checks;  // LoadIndex::kTreeFrom
+        ASSERT_EQ(index->LeastLoaded(now), ScanLeastLoaded(list, now))
+            << "step " << step;
+        ASSERT_EQ(index->LeastOutstanding(), ScanLeastOutstanding(list))
+            << "step " << step;
+        // Deadlines at, just below and just past some instance's estimate,
+        // and one at random.
+        std::vector<SimTime> deadlines = {now + rng.UniformInt(0, Seconds(3))};
+        if (Instance* inst = pick(list)) {
+          const SimTime est = inst->EstimateCompletion(now);
+          deadlines.insert(deadlines.end(), {est - 1, est, est + 1});
+        }
+        for (const SimTime deadline : deadlines) {
+          ASSERT_EQ(index->FirstFit(now, deadline),
+                    ScanFirstFit(list, now, deadline))
+              << "step " << step;
+        }
+      }
+    }
+    EXPECT_GT(treed_checks, 100u) << "the lists never reached tree size";
   }
 }
 
