@@ -6,8 +6,8 @@
 # (AddressSanitizer + UBSan), and as a Release build (the optimisation level
 # perfbench uses, where GCC's flow-sensitive warnings fire), plus a
 # fault-injection smoke that exercises the failure-recovery paths (crash
-# harvesting, retries, slice repair, timeout expiry), a 32-node scale smoke
-# and a Chrome-trace smoke under the sanitizers. Usage:
+# harvesting, retries, slice repair, timeout expiry), 32- and 128-node scale
+# smokes and a Chrome-trace smoke under the sanitizers. Usage:
 #
 #   tools/check.sh          # all passes
 #   tools/check.sh plain    # default build only
@@ -84,14 +84,19 @@ for c in cells:
     assert isinstance(c["result"]["qos"], dict), c["index"]
 print("overload_sweep artifact ok:", len(cells), "cells")
 ' build-asan/overload_sweep_smoke.json
-  # Every scheduler on the heavy tier at 32 nodes: the instance churn of a
-  # large cluster under the sanitizers. Every scheduler but FluidFaaS-dist
-  # must complete every request; FluidFaaS-dist does not scale out yet
-  # (ROADMAP item 7), so its completions are not asserted.
-  ./build-asan/tools/fluidfaas sweep \
-    --systems fluidfaas,distributed,esg,infless,repartition --tiers heavy \
-    --nodes 32 --duration 20 --jobs "${jobs}" --out build-asan/scale_smoke.json
-  python3 -c '
+  # Every scheduler on the heavy tier at 32 and at 128 nodes: the instance
+  # churn of a large cluster under the sanitizers. At 128 nodes a
+  # function's instance lists pass the size where their load indexes keep
+  # trees, so every enqueue, completion, launch and retire mends them. Every
+  # scheduler but FluidFaaS-dist must complete every request; FluidFaaS-dist
+  # does not scale out yet (ROADMAP item 7), so its completions are not
+  # asserted.
+  for nodes in 32 128; do
+    ./build-asan/tools/fluidfaas sweep \
+      --systems fluidfaas,distributed,esg,infless,repartition --tiers heavy \
+      --nodes "${nodes}" --duration 20 --jobs "${jobs}" \
+      --out "build-asan/scale_smoke_${nodes}.json"
+    python3 -c '
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "fluidfaas.sweep.v1", doc["schema"]
@@ -102,8 +107,9 @@ for c in doc["cells"]:
         continue
     assert r["completed_requests"] == r["total_requests"], (
         c["system"], r["completed_requests"], r["total_requests"])
-print("scale smoke ok:", len(doc["cells"]), "cells")
-' build-asan/scale_smoke.json
+print("scale smoke ok:", sys.argv[1], len(doc["cells"]), "cells")
+' "build-asan/scale_smoke_${nodes}.json"
+  done
   # The Chrome-trace exporter under the sanitizers, on a faulted fair/shed
   # run so its request, fault and QoS handlers all run.
   ./build-asan/tools/fluidfaas run --system fluidfaas --tier medium \
