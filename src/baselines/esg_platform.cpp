@@ -12,7 +12,6 @@
 
 namespace fluidfaas::baselines {
 
-using platform::Instance;
 using platform::InstanceState;
 
 namespace {

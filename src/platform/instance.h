@@ -229,6 +229,10 @@ class Instance {
   SimTime ready_at_ = 0;
   SimTime last_used_ = 0;
   int outstanding_ = 0;
+  // At most the platform's per-function list and one exclusive-hot list.
+  // Next to outstanding_, which every Relist follows, so the mark costs no
+  // cache line of its own.
+  std::array<Listing, 2> listings_{};
   int busy_stages_ = 0;
   int max_batch_ = 1;
   double batch_marginal_ = 0.35;
@@ -243,9 +247,6 @@ class Instance {
   std::vector<Stage> stages_;
   // Requests mid-hop between stages (lost on failure like queued work).
   std::vector<TransferItem> in_transfer_;
-
-  // At most the platform's per-function list and one exclusive-hot list.
-  std::array<Listing, 2> listings_{};
 };
 
 }  // namespace fluidfaas::platform

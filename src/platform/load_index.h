@@ -68,7 +68,8 @@ class LoadIndex {
   /// Remove `inst`, keeping the order of the rest.
   void erase(Instance* inst);
   /// Remove every entry that no longer admits (draining, retired or
-  /// failed), keeping the order of the rest; no scan when there is none.
+  /// failed), keeping the order of the rest. A long list counts them, so
+  /// there it costs nothing when there is none.
   void EraseNonAdmitting();
 
   // -- the picks -------------------------------------------------------------
@@ -127,7 +128,7 @@ class LoadIndex {
   /// Called by an instance as it is destroyed.
   void Forget(std::uint32_t slot) { RemoveSlot(slot); }
 
-  /// Start tracking the keys (a treed list's first query).
+  /// Start tracking the keys (a long list's first query).
   void Track() const;
   /// Reload the marked slots' keys and update the built trees.
   void Sync() const;
@@ -155,7 +156,7 @@ class LoadIndex {
   std::size_t width_ = 1;         // leaves: a power of two >= slots_.size()
   std::uint64_t next_seq_ = 0;
   // Keys and trees are a cache of the instances' state, kept only while
-  // tracked_: from a treed list's first query until it is shorter than
+  // tracked_: from a long list's first query until it is shorter than
   // kTreeFrom again. The queries fill it, so it is mutable.
   mutable bool tracked_ = false;
   mutable std::vector<Slot> slots_;  // leaves, by (ServiceLatency, id)
