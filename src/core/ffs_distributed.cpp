@@ -27,7 +27,9 @@ int DistState::ChooseInvoker(platform::PlatformCore& core, FunctionId fn,
   SimTime best_est = kTimeInfinity;
   for (std::size_t i = 0; i < invokers.size(); ++i) {
     const FfsState::FnState& st = invokers[i].domain.state(fn);
-    if (const Instance* least = st.eh.LeastLoaded(now)) {
+    // Most invokers hold no instance of `fn`: skip the call.
+    if (const Instance* least =
+            st.eh.empty() ? nullptr : st.eh.LeastLoaded(now)) {
       const SimTime est = least->EstimateCompletion(now);
       if (est <= best_est) {
         best_est = est;
