@@ -89,8 +89,9 @@ void LoadIndex::EraseNonAdmitting() {
   }
   const std::size_t old_size = slots_.size();
   std::erase_if(items_, [](const Instance* i) { return !Admits(i); });
-  const auto first = std::find_if(slots_.begin(), slots_.end(),
-                                  [](const Slot& s) { return !Admits(s.inst); });
+  const auto first = std::find_if(
+      slots_.begin(), slots_.end(),
+      [](const Slot& s) { return !Admits(s.inst); });
   const auto from = static_cast<std::size_t>(first - slots_.begin());
   std::erase_if(slots_, [this](const Slot& s) {
     if (Admits(s.inst)) return false;

@@ -14,7 +14,7 @@
 // from each leaf that moved; then the root answers. So a query costs
 // O(log n) per slot that moved since the last one, an enqueue and a
 // completion between two queries cancel out, and nothing allocates. Ties
-// go to the first entry in list order, as the scans this replaces did.
+// go to the first entry in list order.
 //
 // The leaves are sorted by (ServiceLatency, id), so FluidFaaS's step 1 (the
 // least such pair among the instances that meet a deadline) is the

@@ -273,7 +273,8 @@ TEST_F(PlatformTest, LiveInstancesKeepCreationOrderAcrossRetireAndFail) {
   ASSERT_TRUE(a && b && c && d);
   plat_.RetireInstance(b);
   plat_.FailInstance(c, sim::FaultKind::kInstanceCrash);
-  EXPECT_EQ(plat_.InstancesOf(spec.id).items(), (std::vector<Instance*>{a, d}));
+  EXPECT_EQ(plat_.InstancesOf(spec.id).items(),
+            (std::vector<Instance*>{a, d}));
   EXPECT_EQ(plat_.InstanceIdBound(), 4u);
   EXPECT_EQ(plat_.FindInstance(a->id()), a);
   EXPECT_EQ(plat_.FindInstance(b->id()), nullptr);
@@ -282,7 +283,8 @@ TEST_F(PlatformTest, LiveInstancesKeepCreationOrderAcrossRetireAndFail) {
 
   Instance* e = launch();
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(plat_.InstancesOf(spec.id).items(), (std::vector<Instance*>{a, d, e}));
+  EXPECT_EQ(plat_.InstancesOf(spec.id).items(),
+            (std::vector<Instance*>{a, d, e}));
   const std::vector<Instance*> all = {a, b, c, d, e};
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i]->id(), InstanceId(static_cast<std::int32_t>(i)));
